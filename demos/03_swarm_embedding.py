@@ -11,6 +11,7 @@ from secvne import (
     PsoConfig,
     generate_substrate,
     generate_vnr_stream,
+    cost,
     greedy_embed,
     optimize,
     swarm_search,
@@ -39,9 +40,9 @@ greedy_emb = greedy_embed(vnr, net)
 def hop_count(emb):
     return sum(len(p) - 1 for p in emb.link_map.values())
 
-print(f"\nswarm embedding:  cost={swarm_emb.cost:.0f} "
+print(f"\nswarm embedding:  cost={cost(swarm_emb):.0f} "
       f"({hop_count(swarm_emb)} total hops), violations="
       f"{len(validate_embedding(net, vnr, swarm_emb))}")
-print(f"greedy embedding: cost={greedy_emb.cost:.0f} "
+print(f"greedy embedding: cost={cost(greedy_emb):.0f} "
       f"({hop_count(greedy_emb)} total hops), violations="
       f"{len(validate_embedding(net, vnr, greedy_emb))}")

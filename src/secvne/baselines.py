@@ -9,20 +9,17 @@ security-aware embedding literature.
 
 from __future__ import annotations
 
-from . import metrics
 from .errors import EmbeddingInfeasible, LinkMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
+from .pso import sample_injective
 from .routing import build_embedding
 from .seeding import rng_from
 
 RANDOM_EMBED_ATTEMPTS = 10
 
 
-def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-                 alpha: float = metrics.DEFAULT_ALPHA,
-                 beta: float = metrics.DEFAULT_BETA,
-                 cost_mode: str = metrics.COST_HOP) -> Embedding:
+def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding:
     """Largest CPU demand first, each onto its max-residual unused candidate."""
     order = sorted(vnr.nodes.values(), key=lambda v: (-v.cpu_demand, v.id))
     assignment: dict[int, int] = {}
@@ -35,37 +32,27 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         assignment[v.id] = best
         used.add(best)
     try:
-        return build_embedding(vnr, assignment, net, alpha, beta, cost_mode)
+        return build_embedding(vnr, assignment, net)
     except LinkMappingInfeasible as exc:
         raise EmbeddingInfeasible(f"greedy: {exc}") from exc
 
 
-def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int,
-                 alpha: float = metrics.DEFAULT_ALPHA,
-                 beta: float = metrics.DEFAULT_BETA,
-                 cost_mode: str = metrics.COST_HOP) -> Embedding:
+def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -> Embedding:
     """Uniform injective draws; a few retries absorb routing dead ends."""
+    vnode_order = sorted(vnr.nodes)
     candidate_lists = []
-    for vid in sorted(vnr.nodes):
+    for vid in vnode_order:
         cands = candidate_nodes(vnr.nodes[vid], net)
         if not cands:
             raise EmbeddingInfeasible(f"random: no candidate for virtual node {vid}")
-        candidate_lists.append((vid, cands))
+        candidate_lists.append(cands)
     rng = rng_from(seed)
     for _ in range(RANDOM_EMBED_ATTEMPTS):
-        assignment: dict[int, int] = {}
-        used: set[int] = set()
-        for vid, cands in candidate_lists:
-            pool = [c for c in cands if c not in used]
-            if not pool:
-                break
-            pick = pool[int(rng.integers(len(pool)))]
-            assignment[vid] = pick
-            used.add(pick)
-        if len(assignment) != len(candidate_lists):
+        position = sample_injective(candidate_lists, rng)
+        if position is None:
             continue
         try:
-            return build_embedding(vnr, assignment, net, alpha, beta, cost_mode)
+            return build_embedding(vnr, dict(zip(vnode_order, position)), net)
         except LinkMappingInfeasible:
             continue
     raise EmbeddingInfeasible(

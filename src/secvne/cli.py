@@ -16,7 +16,7 @@ from pathlib import Path
 from . import fileio, metrics
 from .errors import InternalConsistencyError, InvalidConfig, SecVneError
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from .simulation import STRATEGY_NAMES, make_strategy, run
+from .simulation import STRATEGY_NAMES, VALIDATE_FULL, VALIDATE_OFF, make_strategy, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=metrics.COST_HOP)
     runp.add_argument("--eq20-literal", action="store_true",
                       help="score raw boundary distance instead of proximity")
-    runp.add_argument("--validate", choices=("full", "sampled", "off"), default="full",
-                      help="shadow-validate every acceptance, every 100th, or none")
+    runp.add_argument("--validate", choices=(VALIDATE_FULL, VALIDATE_OFF),
+                      default=VALIDATE_FULL,
+                      help="shadow-validate every acceptance, or none")
     runp.add_argument("--out", required=True, help="output directory")
 
     cmp_ = sub.add_parser("compare", help="mean/stddev metric tables over strategies x seeds")
@@ -114,13 +115,12 @@ def cmd_run(args) -> int:
     vnrs, horizon = fileio.load_workload(args.workload)
     if args.horizon is not None:
         horizon = args.horizon
-    strategy = make_strategy(args.strategy, seed=args.seed,
-                             invert_hop=not args.eq20_literal, cost_mode=args.cost_mode)
+    strategy = make_strategy(args.strategy, seed=args.seed, invert_hop=not args.eq20_literal)
     trace = run(net, vnrs, strategy, horizon, validate=args.validate)
     rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
     cum = metrics.cumulative_series(trace, args.window, mode=args.cost_mode)
     out = Path(args.out)
-    fileio.write_trace(trace, out / "trace.jsonl")
+    fileio.write_trace(trace, out / "trace.jsonl", mode=args.cost_mode)
     fileio.write_window_csv(rows, out / "windows.csv")
     fileio.write_cumulative_csv(cum, out / "cumulative.csv")
     acc = trace.acceptance
@@ -174,9 +174,7 @@ def cmd_compare(args) -> int:
         else:
             base_net, vnrs = fixed[0], fixed[1]
         for name in strategies:
-            strategy = make_strategy(name, seed=seed,
-                                     invert_hop=not args.eq20_literal,
-                                     cost_mode=args.cost_mode)
+            strategy = make_strategy(name, seed=seed, invert_hop=not args.eq20_literal)
             trace = run(base_net.copy(), vnrs, strategy, horizon)
             rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
             means = metrics.steady_state_means(rows, warmup_t)
@@ -190,8 +188,8 @@ def cmd_compare(args) -> int:
         for name in strategies:
             values = results[name][m]
             mean, std = _mean_std(values)
-            cells = [name, fileio._cell(mean), fileio._cell(std)]
-            cells += [fileio._cell(v) for v in values]
+            cells = [name, fileio.format_cell(mean), fileio.format_cell(std)]
+            cells += [fileio.format_cell(v) for v in values]
             lines.append(",".join(cells))
         fileio.atomic_write_text(out / f"{m}.csv", "\n".join(lines) + "\n")
 
@@ -200,7 +198,7 @@ def cmd_compare(args) -> int:
         cells = [name]
         for m in METRIC_NAMES:
             mean, _ = _mean_std(results[name][m])
-            cells.append(fileio._cell(mean))
+            cells.append(fileio.format_cell(mean))
         summary.append(",".join(cells))
     fileio.atomic_write_text(out / "summary.csv", "\n".join(summary) + "\n")
 

@@ -9,7 +9,9 @@ Field names are pinned for cross-implementation compatibility:
                 followed by one request per line with (id, arrival_time,
                 lifetime, nodes[(id, cpu, vsd, vsl, cd)], links[(u, v, bw)])
     trace       newline-delimited JSON, one event per line with
-                (time, kind, vnr_id, outcome, revenue, cost)
+                (time, kind, vnr_id, outcome, revenue, cost); revenue and
+                cost are priced by the writer from each accepted record's
+                embedding (null for other records)
     window CSV  header t_start,t_end,arrived,accepted,acceptance,avg_revenue,
                 avg_cost,rc_ratio; no-sample cells are left empty
 
@@ -25,6 +27,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from . import metrics
 from .errors import InvalidConfig
 from .generate import GeneratorConfig
 from .model import (
@@ -55,7 +58,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell: empty for no-sample, repr for floats (round-trips)."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -192,29 +196,33 @@ def save_config(cfg: GeneratorConfig, path) -> None:
 
 # -- traces and metric series --------------------------------------------
 
-def write_trace(trace, path) -> None:
+def write_trace(trace, path, mode: str = metrics.COST_HOP) -> None:
+    """One line per record; accepted arrivals are priced under cost ``mode``."""
     lines = []
     for rec in trace.records:
+        revenue = cost = None
+        if rec.outcome == "accepted":
+            revenue = metrics.revenue(rec.embedding.vnr)
+            cost = metrics.cost(rec.embedding, mode)
         lines.append(json.dumps({"time": rec.time, "kind": rec.kind, "vnr_id": rec.vnr_id,
-                                 "outcome": rec.outcome, "revenue": rec.revenue,
-                                 "cost": rec.cost}))
+                                 "outcome": rec.outcome, "revenue": revenue,
+                                 "cost": cost}))
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_window_csv(rows, path) -> None:
     lines = [WINDOW_CSV_HEADER]
     for r in rows:
-        lines.append(",".join([_cell(r.window.t_start), _cell(r.window.t_end),
-                               _cell(r.window.arrived), _cell(r.window.accepted),
-                               _cell(r.acceptance), _cell(r.avg_revenue),
-                               _cell(r.avg_cost), _cell(r.rc_ratio)]))
+        w = r.window
+        cells = (w.t_start, w.t_end, w.arrived, w.accepted, r.acceptance, r.avg_revenue,
+                 r.avg_cost, r.rc_ratio)
+        lines.append(",".join(format_cell(c) for c in cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_cumulative_csv(rows, path) -> None:
     lines = [CUMULATIVE_CSV_HEADER]
     for r in rows:
-        lines.append(",".join([_cell(r.t_end), _cell(r.arrived), _cell(r.accepted),
-                               _cell(r.acceptance), _cell(r.revenue), _cell(r.cost),
-                               _cell(r.rc_ratio)]))
+        cells = (r.t_end, r.arrived, r.accepted, r.acceptance, r.revenue, r.cost, r.rc_ratio)
+        lines.append(",".join(format_cell(c) for c in cells))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -10,6 +10,9 @@ Cost comes in two modes:
 request costs the same no matter where it lands, which makes cost useless for
 comparing placement strategies.  Both modes are reported by the CLI.
 
+``revenue`` and ``cost`` are the one pricing rule: strategies return unpriced
+embeddings, and only the series here and the trace writer price them.
+
 Windows are half-open [t_start, t_end) slices of the simulated horizon.
 Revenue and cost are counted once, at acceptance time, inside the window of
 the request's arrival.  A window with no arrivals yields ``None`` (no-sample)

@@ -10,6 +10,7 @@ as integers so repeated allocate/release cycles restore state bit-exactly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -92,7 +93,14 @@ class VirtualNetworkRequest:
             k = link_key(l.u, l.v)
             if k[0] == k[1]:
                 raise ValueError(f"virtual link {k} is a self-loop")
+            if k[0] not in self.nodes or k[1] not in self.nodes:
+                raise ValueError(f"virtual link {k} names a node missing from request {id}")
             self.links[k] = VirtualLink(k[0], k[1], l.bw_demand)
+        if not (math.isfinite(arrival_time) and arrival_time >= 0):
+            raise ValueError(f"request {id}: arrival_time {arrival_time} must be finite "
+                             f"and non-negative")
+        if not (math.isfinite(lifetime) and lifetime > 0):
+            raise ValueError(f"request {id}: lifetime {lifetime} must be finite and positive")
         self.arrival_time = arrival_time
         self.lifetime = lifetime
 
@@ -129,14 +137,15 @@ class VirtualNetworkRequest:
 
 @dataclass
 class Embedding:
-    """A placed request: node assignment, one substrate path per virtual link,
-    and the revenue/cost computed at embed time."""
+    """A placed request: node assignment and one substrate path per virtual link.
+
+    Pricing is not part of a placement: ``metrics.revenue``/``metrics.cost``
+    derive revenue and cost from an embedding under any weights or cost mode.
+    """
 
     vnr: VirtualNetworkRequest
     node_map: dict[int, int]
     link_map: dict[LinkKey, tuple[int, ...]]
-    revenue: float
-    cost: float
 
 
 class SubstrateNetwork:

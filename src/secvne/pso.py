@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import metrics
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import DEFAULT_WEIGHTS, PriorityWeights, candidate_nodes, map_nodes
@@ -31,6 +30,9 @@ from .routing import build_embedding, route_all_links
 from .seeding import rng_from
 
 INFEASIBLE = math.inf
+# Rejection-sampling passes of random_injective before it falls back to the
+# deterministic matching.
+RANDOM_INJECTIVE_TRIES = 100
 
 
 @dataclass
@@ -58,7 +60,6 @@ class Particle:
     velocity: list[int]
     pbest_position: list[int]
     pbest_fitness: float
-    current_fitness: float
 
 
 @dataclass
@@ -119,26 +120,31 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
     return out
 
 
-def random_injective(candidate_lists: list[list[int]], rng,
-                     max_tries: int = 100) -> list[int]:
+def sample_injective(candidate_lists: list[list[int]], rng) -> list[int] | None:
+    """One pass of uniform draws, one pick per candidate list in order, each
+    excluding the earlier picks; None as soon as some pool empties."""
+    used: set[int] = set()
+    out = []
+    for cands in candidate_lists:
+        pool = [c for c in cands if c not in used]
+        if not pool:
+            return None
+        pick = pool[int(rng.integers(len(pool)))]
+        out.append(pick)
+        used.add(pick)
+    return out
+
+
+def random_injective(candidate_lists: list[list[int]], rng) -> list[int]:
     """Uniform injective sample, one pick per candidate list.
 
-    Rejection-samples dead ends; after max_tries it falls back to the
-    deterministic matching so the call stays total whenever any injective
-    assignment exists at all.
+    Rejection-samples dead ends; after RANDOM_INJECTIVE_TRIES passes it falls
+    back to the deterministic matching so the call stays total whenever any
+    injective assignment exists at all.
     """
-    n = len(candidate_lists)
-    for _ in range(max_tries):
-        used: set[int] = set()
-        out = []
-        for k in range(n):
-            pool = [c for c in candidate_lists[k] if c not in used]
-            if not pool:
-                break
-            pick = pool[int(rng.integers(len(pool)))]
-            out.append(pick)
-            used.add(pick)
-        if len(out) == n:
+    for _ in range(RANDOM_INJECTIVE_TRIES):
+        out = sample_injective(candidate_lists, rng)
+        if out is not None:
             return out
     matched = injective_assignment(candidate_lists)
     if matched is None:
@@ -235,7 +241,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             position = random_injective(candidate_lists, rng)
         velocity = [int(b) for b in rng.integers(0, 2, size=len(position))]
         f = evaluate(position)
-        particles.append(Particle(position, velocity, list(position), f, f))
+        particles.append(Particle(position, velocity, list(position), f))
 
     gbest_position = list(particles[0].pbest_position)
     gbest_fitness = particles[0].pbest_fitness
@@ -255,7 +261,6 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             f = evaluate(x_new)
             p.velocity = v_new
             p.position = x_new
-            p.current_fitness = f
             if p.pbest_fitness > f:
                 p.pbest_fitness = f
                 p.pbest_position = list(x_new)
@@ -269,13 +274,15 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
              weights: PriorityWeights = DEFAULT_WEIGHTS,
-             invert_hop: bool = True,
-             alpha: float = metrics.DEFAULT_ALPHA,
-             beta: float = metrics.DEFAULT_BETA,
-             cost_mode: str = metrics.COST_HOP) -> Embedding:
-    """Swarm-search the request and return the best embedding found."""
+             invert_hop: bool = True) -> Embedding:
+    """Swarm-search the request and return the best placement found, routed.
+
+    A pure placement function: the embedding carries no prices, which
+    ``metrics`` derives from it.  Raises EmbeddingInfeasible when no particle
+    found a routable assignment.
+    """
     result = swarm_search(vnr, net, cfg, weights, invert_hop)
     if result.fitness == INFEASIBLE:
         raise EmbeddingInfeasible(f"no particle found a routable embedding for "
                                   f"request {vnr.id}")
-    return build_embedding(vnr, result.assignment, net, alpha, beta, cost_mode)
+    return build_embedding(vnr, result.assignment, net)

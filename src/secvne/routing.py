@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from . import metrics
 from .errors import LinkMappingInfeasible, NoFeasiblePath
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, link_key
 
@@ -133,14 +132,7 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
 
 
 def build_embedding(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork,
-                    alpha: float = metrics.DEFAULT_ALPHA,
-                    beta: float = metrics.DEFAULT_BETA,
-                    cost_mode: str = metrics.COST_HOP,
-                    route_cache: dict | None = None) -> Embedding:
-    """Route a node assignment and wrap it into a priced Embedding."""
-    routing = route_all_links(vnr, assignment, net, route_cache)
-    emb = Embedding(vnr, dict(assignment), routing.paths, 0.0, 0.0)
-    emb.revenue = metrics.revenue(vnr, alpha, beta)
-    emb.cost = metrics.cost(emb, cost_mode)
-    return emb
+                    net: SubstrateNetwork) -> Embedding:
+    """Route a node assignment and wrap it into an Embedding."""
+    routing = route_all_links(vnr, assignment, net)
+    return Embedding(vnr, dict(assignment), routing.paths)

@@ -1,14 +1,16 @@
 """Deterministic discrete-event loop over a request stream.
 
-Arrivals hand the request to a pluggable strategy; a successful embedding is
-allocated and its departure scheduled, a failure is recorded as a rejection
-(no queueing, no retry).  Departures release resources.  At equal timestamps
-departures process before arrivals, then ties break by request id, so a run
-is fully reproducible.
+Arrivals hand the request to a pluggable strategy, a pure placement function
+that returns an unpriced embedding; a successful embedding is allocated and
+its departure scheduled, a failure is recorded as a rejection (no queueing,
+no retry).  Departures release resources.  At equal timestamps departures
+process before arrivals, then ties break by request id, so a run is fully
+reproducible.  Accepted records keep their embedding, from which ``metrics``
+and the trace writer derive revenue and cost.
 
-The independent validator can shadow every acceptance ("full", the default)
-or every 100th one ("sampled") - any violation it finds means the fast path
-and the re-checker disagree, which aborts the run as an internal error.  The
+The independent validator shadows every acceptance ("full", the default;
+"off" skips it) - any violation it finds means the fast path and the
+re-checker disagree, which aborts the run as an internal error.  The
 optional audit recomputes all residuals from the active-embedding set every
 K events and likewise aborts on drift.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 
-from . import metrics
 from .baselines import greedy_embed, random_embed
 from .errors import EmbeddingInfeasible, InternalConsistencyError
 from .model import (
@@ -37,9 +38,7 @@ from .validation import validate_embedding
 STRATEGY_NAMES = ("stec-iot", "greedy", "random")
 
 VALIDATE_FULL = "full"
-VALIDATE_SAMPLED = "sampled"
 VALIDATE_OFF = "off"
-SAMPLED_VALIDATE_PERIOD = 100
 
 _DEPARTURE = 0  # sorts before arrivals at equal timestamps
 _ARRIVAL = 1
@@ -51,8 +50,6 @@ class EventRecord:
     kind: str                      # "arrival" | "departure"
     vnr_id: int
     outcome: str                   # "accepted" | "rejected" | "released"
-    revenue: float | None = None
-    cost: float | None = None
     embedding: Embedding | None = field(default=None, repr=False)
 
 
@@ -63,7 +60,6 @@ class SimulationTrace:
     arrived: int = 0
     accepted: int = 0
     validated: int = 0
-    net: SubstrateNetwork | None = None
 
     @property
     def acceptance(self) -> float | None:
@@ -85,70 +81,52 @@ class StecIotStrategy(Strategy):
     name = "stec-iot"
 
     def __init__(self, seed: int = 0, pso_config: PsoConfig | None = None,
-                 weights: PriorityWeights = DEFAULT_WEIGHTS, invert_hop: bool = True,
-                 alpha: float = metrics.DEFAULT_ALPHA, beta: float = metrics.DEFAULT_BETA,
-                 cost_mode: str = metrics.COST_HOP):
+                 weights: PriorityWeights = DEFAULT_WEIGHTS, invert_hop: bool = True):
         self.seed = seed
         self.pso_config = pso_config if pso_config is not None else PsoConfig()
         self.weights = weights
         self.invert_hop = invert_hop
-        self.alpha = alpha
-        self.beta = beta
-        self.cost_mode = cost_mode
 
     def embed(self, vnr, net):
         cfg = replace(self.pso_config,
                       seed=derive_seed(self.seed, SWARM_STREAM, vnr.id))
-        return optimize(vnr, net, cfg, self.weights, self.invert_hop,
-                        self.alpha, self.beta, self.cost_mode)
+        return optimize(vnr, net, cfg, self.weights, self.invert_hop)
 
 
 class GreedyStrategy(Strategy):
     name = "greedy"
 
-    def __init__(self, alpha: float = metrics.DEFAULT_ALPHA,
-                 beta: float = metrics.DEFAULT_BETA, cost_mode: str = metrics.COST_HOP):
-        self.alpha = alpha
-        self.beta = beta
-        self.cost_mode = cost_mode
-
     def embed(self, vnr, net):
-        return greedy_embed(vnr, net, self.alpha, self.beta, self.cost_mode)
+        return greedy_embed(vnr, net)
 
 
 class RandomStrategy(Strategy):
     name = "random"
 
-    def __init__(self, seed: int = 0, alpha: float = metrics.DEFAULT_ALPHA,
-                 beta: float = metrics.DEFAULT_BETA, cost_mode: str = metrics.COST_HOP):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.alpha = alpha
-        self.beta = beta
-        self.cost_mode = cost_mode
 
     def embed(self, vnr, net):
         return random_embed(vnr, net,
-                            derive_seed(self.seed, RANDOM_BASELINE_STREAM, vnr.id),
-                            self.alpha, self.beta, self.cost_mode)
+                            derive_seed(self.seed, RANDOM_BASELINE_STREAM, vnr.id))
 
 
 def make_strategy(name: str, seed: int = 0, pso_config: PsoConfig | None = None,
-                  weights: PriorityWeights = DEFAULT_WEIGHTS, invert_hop: bool = True,
-                  alpha: float = metrics.DEFAULT_ALPHA, beta: float = metrics.DEFAULT_BETA,
-                  cost_mode: str = metrics.COST_HOP) -> Strategy:
+                  weights: PriorityWeights = DEFAULT_WEIGHTS,
+                  invert_hop: bool = True) -> Strategy:
     if name == "stec-iot":
-        return StecIotStrategy(seed, pso_config, weights, invert_hop, alpha, beta, cost_mode)
+        return StecIotStrategy(seed, pso_config, weights, invert_hop)
     if name == "greedy":
-        return GreedyStrategy(alpha, beta, cost_mode)
+        return GreedyStrategy()
     if name == "random":
-        return RandomStrategy(seed, alpha, beta, cost_mode)
+        return RandomStrategy(seed)
     raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
 
 
 def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
         validate: str = VALIDATE_FULL, audit_every: int = 1000) -> SimulationTrace:
     """Process the stream against `net` (mutated in place) and return the trace."""
-    if validate not in (VALIDATE_FULL, VALIDATE_SAMPLED, VALIDATE_OFF):
+    if validate not in (VALIDATE_FULL, VALIDATE_OFF):
         raise ValueError(f"unknown validate mode {validate!r}")
     by_id: dict[int, VirtualNetworkRequest] = {}
     heap: list[tuple[float, int, int]] = []
@@ -161,7 +139,7 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
         heap.append((vnr.arrival_time, _ARRIVAL, vnr.id))
     heapq.heapify(heap)
 
-    trace = SimulationTrace(horizon=horizon, net=net)
+    trace = SimulationTrace(horizon=horizon)
     processed = 0
     while heap:
         time, prio, vnr_id = heapq.heappop(heap)
@@ -177,9 +155,7 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
             except EmbeddingInfeasible:
                 trace.records.append(EventRecord(time, "arrival", vnr_id, "rejected"))
             else:
-                if validate == VALIDATE_FULL or (
-                        validate == VALIDATE_SAMPLED
-                        and trace.accepted % SAMPLED_VALIDATE_PERIOD == 0):
+                if validate == VALIDATE_FULL:
                     violations = validate_embedding(net, vnr, emb)
                     if violations:
                         detail = "; ".join(str(v) for v in violations)
@@ -190,8 +166,7 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
                 allocate(net, emb)
                 trace.accepted += 1
                 heapq.heappush(heap, (time + vnr.lifetime, _DEPARTURE, vnr_id))
-                trace.records.append(EventRecord(time, "arrival", vnr_id, "accepted",
-                                                 emb.revenue, emb.cost, emb))
+                trace.records.append(EventRecord(time, "arrival", vnr_id, "accepted", emb))
         processed += 1
         if audit_every and processed % audit_every == 0:
             audit_residuals(net)

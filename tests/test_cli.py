@@ -155,3 +155,41 @@ def test_eq20_literal_flag_accepted(tmp_path, generated):
                  "--strategy", "stec-iot", "--eq20-literal", "--cost-mode", "literal",
                  "--out", str(out)])
     assert code == 0
+
+
+def _run_with_first_request(tmp_path, generated, capsys, edit):
+    """Run greedy on the generated workload after `edit` mutates its first request."""
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    edit(doc)
+    lines[1] = json.dumps(doc)
+    workload = tmp_path / "bad_workload.jsonl"
+    workload.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_workload_link_to_unknown_node_is_infeasible(tmp_path, generated, capsys):
+    code, err = _run_with_first_request(
+        tmp_path, generated, capsys,
+        lambda doc: doc["links"].append({"u": doc["nodes"][0]["id"], "v": 99, "bw": 1}))
+    assert code == 2
+    assert "missing" in err
+
+
+def test_workload_negative_lifetime_is_infeasible(tmp_path, generated, capsys):
+    code, err = _run_with_first_request(tmp_path, generated, capsys,
+                                        lambda doc: doc.update(lifetime=-5.0))
+    assert code == 2
+    assert "lifetime" in err
+
+
+def test_workload_nan_arrival_time_is_infeasible(tmp_path, generated, capsys):
+    code, err = _run_with_first_request(tmp_path, generated, capsys,
+                                        lambda doc: doc.update(arrival_time=float("nan")))
+    assert code == 2
+    assert "arrival_time" in err

@@ -55,7 +55,7 @@ class TestRevenue:
 class TestCost:
     def _embedding(self, path):
         vnr = make_vnr([(0, 12, 0, 4, (0,)), (1, 8, 0, 4, (0,))], [(0, 1, 10)])
-        return Embedding(vnr, {0: path[0], 1: path[-1]}, {(0, 1): path}, 0.0, 0.0)
+        return Embedding(vnr, {0: path[0], 1: path[-1]}, {(0, 1): path})
 
     def test_one_hop_modes_agree(self):
         emb = self._embedding((0, 1))
@@ -69,7 +69,7 @@ class TestCost:
 
     def test_zero_link_vnr(self):
         vnr = make_vnr([(0, 25, 0, 4, (0,))], [])
-        emb = Embedding(vnr, {0: 0}, {}, 0.0, 0.0)
+        emb = Embedding(vnr, {0: 0}, {})
         assert cost(emb, "literal") == 25.0
         assert cost(emb, "hop") == 25.0
 
@@ -95,7 +95,7 @@ class _FakeRecord:
 def _accepted(time, cpu, bw, hops):
     path = tuple(range(hops + 1))
     vnr = make_vnr([(0, cpu, 0, 4, (0,)), (1, 0, 0, 4, (0,))], [(0, 1, bw)])
-    emb = Embedding(vnr, {0: 0, 1: hops}, {(0, 1): path}, 0.0, 0.0)
+    emb = Embedding(vnr, {0: 0, 1: hops}, {(0, 1): path})
     return _FakeRecord(time, "accepted", emb)
 
 

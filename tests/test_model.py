@@ -20,7 +20,7 @@ from oracles import boundary_hops_brute
 
 
 def embed_on_toy(net, vnr, node_map, link_map):
-    return Embedding(vnr, node_map, link_map, 0.0, 0.0)
+    return Embedding(vnr, node_map, link_map)
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def test_release_order_independence(toy_net):
     release(toy_net, emb_b)
 
     only_b = toy_net.copy()
-    allocate(only_b, Embedding(vnr_b, emb_b.node_map, emb_b.link_map, 0.0, 0.0))
+    allocate(only_b, Embedding(vnr_b, emb_b.node_map, emb_b.link_map))
     assert after_mixed == only_b.state_signature()
 
 
@@ -160,13 +160,13 @@ class TestValidator:
 
     def test_two_virtual_nodes_on_one_substrate_node(self, toy_net):
         vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 2)])
-        emb = Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)}, 0.0, 0.0)
+        emb = Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)})
         kinds = {v.kind for v in validate_embedding(toy_net, vnr, emb)}
         assert "injectivity" in kinds
 
     def test_security_demand_above_host_level(self, toy_net):
         vnr = make_vnr([(0, 5, 4, 4, (0,))], [])
-        emb = Embedding(vnr, {0: 2}, {}, 0.0, 0.0)  # node 2 has ssl=2
+        emb = Embedding(vnr, {0: 2}, {})  # node 2 has ssl=2
         violations = validate_embedding(toy_net, vnr, emb)
         assert [v.kind for v in violations] == ["security-forward"]
 
@@ -175,7 +175,7 @@ class TestValidator:
             node_specs=[(0, 20, 1, 2, (0, 1)), (1, 30, 2, 2, (0, 1))],
             link_specs=[(0, 1, 5)],
         )
-        valid = Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)}, 0.0, 0.0)
+        valid = Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)})
         assert validate_embedding(toy_net, vnr, valid) == []
 
         def kinds_after(mutate):
@@ -183,7 +183,7 @@ class TestValidator:
                 node_specs=[(0, 20, 1, 2, (0, 1)), (1, 30, 2, 2, (0, 1))],
                 link_specs=[(0, 1, 5)],
             )
-            emb = Embedding(v2, {0: 0, 1: 1}, {(0, 1): (0, 1)}, 0.0, 0.0)
+            emb = Embedding(v2, {0: 0, 1: 1}, {(0, 1): (0, 1)})
             net = toy_net.copy()
             mutate(net, v2, emb)
             return [v.kind for v in validate_embedding(net, v2, emb)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from secvne import metrics
 from secvne.errors import EmbeddingInfeasible, LengthMismatch
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.pso import (
@@ -16,6 +17,7 @@ from secvne.pso import (
     position_subtract,
     position_update,
     random_injective,
+    sample_injective,
     swarm_search,
     velocity_update,
 )
@@ -28,7 +30,7 @@ from oracles import best_fitness_brute
 def particle_at(position, velocity=None, pbest=None):
     velocity = velocity if velocity is not None else [0] * len(position)
     pbest = pbest if pbest is not None else list(position)
-    return Particle(list(position), velocity, pbest, 0.0, 0.0)
+    return Particle(list(position), velocity, pbest, 0.0)
 
 
 class TestOperators:
@@ -118,6 +120,11 @@ class TestInjectiveSampling:
         with pytest.raises(EmbeddingInfeasible):
             random_injective([[1], [1]], rng)
 
+    def test_sample_injective_returns_none_when_a_pool_empties(self):
+        rng = np.random.default_rng(5)
+        assert sample_injective([[1], [1, 2], [2]], rng) is None
+        assert sample_injective([[1], [1, 2]], rng) == [1, 2]
+
 
 class TestFitness:
     def test_cost_of_two_hop_link(self):
@@ -195,7 +202,8 @@ class TestSwarm:
         b = optimize(toy_vnr, toy_net, PsoConfig(seed=9))
         assert a.node_map == b.node_map
         assert a.link_map == b.link_map
-        assert (a.revenue, a.cost) == (b.revenue, b.cost)
+        assert metrics.revenue(a.vnr) == metrics.revenue(b.vnr)
+        assert metrics.cost(a) == metrics.cost(b)
 
     def test_position_invariants_hold_during_search(self, toy_net, toy_vnr):
         result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=2, iterations=20))

@@ -133,7 +133,7 @@ def test_shadow_validator_catches_broken_strategy(toy_net):
 
         def embed(self, vnr, net):
             # claims two virtual nodes fit on one substrate node
-            return Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)}, 1.0, 1.0)
+            return Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)})
 
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)],
                    vnr_id=0, arrival=1.0, lifetime=5.0)
