@@ -9,9 +9,9 @@ route over short paths.
 from secvne import (
     GeneratorConfig,
     PsoConfig,
+    cost,
     generate_substrate,
     generate_vnr_stream,
-    cost,
     greedy_embed,
     optimize,
     swarm_search,

@@ -205,8 +205,7 @@ def write_trace(trace, path, mode: str = metrics.COST_HOP) -> None:
             revenue = metrics.revenue(rec.embedding.vnr)
             cost = metrics.cost(rec.embedding, mode)
         lines.append(json.dumps({"time": rec.time, "kind": rec.kind, "vnr_id": rec.vnr_id,
-                                 "outcome": rec.outcome, "revenue": revenue,
-                                 "cost": cost}))
+                                 "outcome": rec.outcome, "revenue": revenue, "cost": cost}))
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
