@@ -110,9 +110,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _load_instance(substrate_path, workload_path):
+    """Load a substrate and a workload; every candidate domain the workload
+    names must be a domain of the substrate."""
+    net = fileio.load_substrate(substrate_path)
+    vnrs, horizon = fileio.load_workload(workload_path)
+    domains = {n.domain for n in net.nodes.values()}
+    for vnr in vnrs:
+        for vid in sorted(vnr.nodes):
+            unknown = sorted(vnr.nodes[vid].cd - domains)
+            if unknown:
+                raise InvalidConfig(f"request {vnr.id}: virtual node {vid} names candidate "
+                                    f"domain {unknown[0]}, which the substrate "
+                                    f"{substrate_path} lacks")
+    return net, vnrs, horizon
+
+
 def cmd_run(args) -> int:
-    net = fileio.load_substrate(args.substrate)
-    vnrs, horizon = fileio.load_workload(args.workload)
+    net, vnrs, horizon = _load_instance(args.substrate, args.workload)
     if args.horizon is not None:
         horizon = args.horizon
     strategy = make_strategy(args.strategy, seed=args.seed, invert_hop=not args.eq20_literal)
@@ -152,7 +167,7 @@ def cmd_compare(args) -> int:
     if args.substrate or args.workload:
         if not (args.substrate and args.workload):
             raise InvalidConfig("--substrate and --workload must be given together")
-        fixed = (fileio.load_substrate(args.substrate), *fileio.load_workload(args.workload))
+        fixed = _load_instance(args.substrate, args.workload)
     base_cfg = None
     if fixed is None:
         base_cfg = _load_or_default_config(args.config, literal_table1=args.literal_table1)

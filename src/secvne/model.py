@@ -87,7 +87,14 @@ class VirtualNetworkRequest:
 
     def __init__(self, id: int, nodes, links, arrival_time: float, lifetime: float):
         self.id = id
-        self.nodes: dict[int, VirtualNode] = {n.id: n for n in nodes}
+        self.nodes: dict[int, VirtualNode] = {}
+        for n in nodes:
+            if n.id in self.nodes:
+                raise ValueError(f"request {id}: duplicate virtual node id {n.id}")
+            if n.cpu_demand < 0:
+                raise ValueError(f"request {id}: virtual node {n.id} has negative cpu "
+                                 f"demand {n.cpu_demand}")
+            self.nodes[n.id] = n
         self.links: dict[LinkKey, VirtualLink] = {}
         for l in links:
             k = link_key(l.u, l.v)
@@ -95,6 +102,9 @@ class VirtualNetworkRequest:
                 raise ValueError(f"virtual link {k} is a self-loop")
             if k[0] not in self.nodes or k[1] not in self.nodes:
                 raise ValueError(f"virtual link {k} names a node missing from request {id}")
+            if l.bw_demand < 0:
+                raise ValueError(f"request {id}: virtual link {k} has negative bw "
+                                 f"demand {l.bw_demand}")
             self.links[k] = VirtualLink(k[0], k[1], l.bw_demand)
         if not (math.isfinite(arrival_time) and arrival_time >= 0):
             raise ValueError(f"request {id}: arrival_time {arrival_time} must be finite "
@@ -177,6 +187,12 @@ class SubstrateNetwork:
             self.adj[v].append(u)
         for nid in self.adj:
             self.adj[nid].sort()
+        # Min-hop path table over the bare topology, filled lazily by
+        # secvne.routing: hop distances to each destination, and the path of
+        # each (src, dst) pair.  The topology is fixed from here on, so
+        # residual changes never make an entry stale.
+        self.hop_dist: dict[int, dict[int, int]] = {}
+        self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def link(self, u: int, v: int) -> SubstrateLink:
         return self.links[link_key(u, v)]

@@ -176,11 +176,11 @@ def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
 
 
 def fitness(position: list[int], vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-            vnode_order: list[int], route_cache: dict | None = None) -> float:
+            vnode_order: list[int]) -> float:
     """Embedding cost of a position; +inf when its links cannot be routed."""
     assignment = dict(zip(vnode_order, position))
     try:
-        routing = route_all_links(vnr, assignment, net, route_cache)
+        routing = route_all_links(vnr, assignment, net)
     except LinkMappingInfeasible:
         return INFEASIBLE
     return float(vnr.cpu_total + routing.total_bw_cost)
@@ -215,14 +215,13 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible("candidate sets admit no injective assignment")
 
     rng = rng_from(cfg.seed)
-    route_cache: dict = {}
     fitness_cache: dict[tuple[int, ...], float] = {}
 
     def evaluate(position: list[int]) -> float:
         key = tuple(position)
         val = fitness_cache.get(key)
         if val is None:
-            val = fitness(position, vnr, net, vnode_order, route_cache)
+            val = fitness(position, vnr, net, vnode_order)
             fitness_cache[key] = val
         return val
 

@@ -6,11 +6,20 @@ smallest node sequence wins, so routing is fully deterministic.
 
 ``route_all_links`` routes a whole request against a private debit table, so
 the combined paths respect every link's residual cumulatively without
-mutating the network.  The optional ``route_cache`` memoizes clean-state
-routes per (src, dst, bw) triple; it is sound to share one cache across many
-calls as long as the substrate residuals do not change in between (debits
-only shrink the feasible edge set, so a cached path that survives the current
-debit table is still the unique best path).
+mutating the network.  Each link first tries its entry in the substrate's
+min-hop path table (``min_hop_path``): the path the same rule picks in the
+bare topology, bandwidth ignored.  The table lives as long as the substrate
+and is filled lazily, one full breadth-first search per destination plus a
+greedy descent per (src, dst) pair.  The table path is taken when every link
+on it still has the demand left after residuals and debits; only otherwise
+does ``route_link`` search the feasible subgraph.
+
+This is exact.  The feasible subgraph is a subgraph of the topology, so a
+topology min-hop path that is feasible is min-hop in the feasible subgraph
+too, and every neighbour the feasible descent could step to is also a
+topology candidate.  Both descents therefore pick the same next node, and
+``route_link`` would return the table path.  Residual changes never
+invalidate the table, because the topology is fixed after construction.
 """
 
 from __future__ import annotations
@@ -81,6 +90,48 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     return tuple(path)
 
 
+def _hop_distances(dst: int, adj: dict[int, list[int]]) -> dict[int, int]:
+    """Hop count from every node that reaches dst, bandwidth ignored."""
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        cur = queue.popleft()
+        d = dist[cur] + 1
+        for nbr in adj[cur]:
+            if nbr not in dist:
+                dist[nbr] = d
+                queue.append(nbr)
+    return dist
+
+
+def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
+    """The path ``route_link`` picks from src to dst in the bare topology.
+
+    Read from, or added to, the substrate's path table.  Raises
+    NoFeasiblePath when the topology does not join src and dst.
+    """
+    path = net.min_hop_paths.get((src, dst))
+    if path is not None:
+        return path
+    dist = net.hop_dist.get(dst)
+    if dist is None:
+        dist = net.hop_dist[dst] = _hop_distances(dst, net.adj)
+    if src not in dist:
+        raise NoFeasiblePath(f"no path {src} -> {dst}: the substrate does not join them")
+    adj = net.adj
+    steps = [src]
+    cur = src
+    while cur != dst:
+        want = dist[cur] - 1
+        for nbr in adj[cur]:
+            if dist[nbr] == want:
+                break
+        steps.append(nbr)
+        cur = nbr
+    path = net.min_hop_paths[(src, dst)] = tuple(steps)
+    return path
+
+
 def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
                    debits: dict) -> bool:
     links = net.links
@@ -93,13 +144,13 @@ def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
 
 
 def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork,
-                    route_cache: dict | None = None) -> RoutingResult:
+                    net: SubstrateNetwork) -> RoutingResult:
     """Route every virtual link, debiting residuals cumulatively.
 
     Links are processed in descending demand order (ties by link key) so the
-    largest flows claim scarce capacity first.  Fails atomically: no partial
-    result escapes.
+    largest flows claim scarce capacity first.  Each takes its table path if
+    that is still feasible, else a breadth-first search over the feasible
+    subgraph.  Fails atomically: no partial result escapes.
     """
     order = sorted(vnr.links.values(), key=lambda l: (-l.bw_demand, l.key))
     debits: dict = {}
@@ -108,26 +159,21 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
     for vlink in order:
         src = assignment[vlink.u]
         dst = assignment[vlink.v]
+        bw = vlink.bw_demand
         if src == dst:
             raise LinkMappingInfeasible(vlink.key,
                                         f"virtual link {vlink.key} endpoints share node {src}")
-        path = None
-        if route_cache is not None:
-            cached = route_cache.get((src, dst, vlink.bw_demand))
-            if cached is not None and _path_feasible(cached, vlink.bw_demand, net, debits):
-                path = cached
-        if path is None:
-            try:
-                path = route_link(src, dst, vlink.bw_demand, net, debits)
-            except NoFeasiblePath as exc:
-                raise LinkMappingInfeasible(vlink.key, str(exc)) from exc
-            if route_cache is not None and not debits:
-                route_cache[(src, dst, vlink.bw_demand)] = path
+        try:
+            path = min_hop_path(src, dst, net)
+            if not _path_feasible(path, bw, net, debits):
+                path = route_link(src, dst, bw, net, debits)
+        except NoFeasiblePath as exc:
+            raise LinkMappingInfeasible(vlink.key, str(exc)) from exc
         for i in range(len(path) - 1):
             k = link_key(path[i], path[i + 1])
-            debits[k] = debits.get(k, 0) + vlink.bw_demand
+            debits[k] = debits.get(k, 0) + bw
         paths[vlink.key] = path
-        total += vlink.bw_demand * (len(path) - 1)
+        total += bw * (len(path) - 1)
     return RoutingResult(paths, total)
 
 

@@ -157,14 +157,20 @@ def test_eq20_literal_flag_accepted(tmp_path, generated):
     assert code == 0
 
 
-def _run_with_first_request(tmp_path, generated, capsys, edit):
-    """Run greedy on the generated workload after `edit` mutates its first request."""
+def _edit_first_request(tmp_path, generated, edit):
+    """Copy of the generated workload after `edit` mutates its first request."""
     lines = (generated / "workload.jsonl").read_text().splitlines()
     doc = json.loads(lines[1])
     edit(doc)
     lines[1] = json.dumps(doc)
     workload = tmp_path / "bad_workload.jsonl"
     workload.write_text("\n".join(lines) + "\n")
+    return workload
+
+
+def _run_with_first_request(tmp_path, generated, capsys, edit):
+    """Run greedy on the generated workload after `edit` mutates its first request."""
+    workload = _edit_first_request(tmp_path, generated, edit)
     code = main(["run", "--substrate", str(generated / "substrate.json"),
                  "--workload", str(workload), "--strategy", "greedy",
                  "--out", str(tmp_path / "out")])
@@ -193,3 +199,36 @@ def test_workload_nan_arrival_time_is_infeasible(tmp_path, generated, capsys):
                                         lambda doc: doc.update(arrival_time=float("nan")))
     assert code == 2
     assert "arrival_time" in err
+
+
+@pytest.mark.parametrize("field", ["nodes", "links"])
+def test_workload_negative_demand_is_infeasible(tmp_path, generated, capsys, field):
+    key = "cpu" if field == "nodes" else "bw"
+    code, err = _run_with_first_request(tmp_path, generated, capsys,
+                                        lambda doc: doc[field][0].update({key: -500}))
+    assert code == 2
+    assert "negative" in err
+
+
+def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, capsys):
+    code, err = _run_with_first_request(
+        tmp_path, generated, capsys,
+        lambda doc: doc["nodes"].append(dict(doc["nodes"][0], cpu=1)))
+    assert code == 2
+    assert "duplicate" in err
+
+
+def test_workload_unknown_candidate_domain_is_infeasible(tmp_path, generated, capsys):
+    def edit(doc):
+        doc["nodes"][0]["cd"] = [99]
+
+    code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
+    assert code == 2
+    assert "domain 99" in err
+    workload = _edit_first_request(tmp_path, generated, edit)
+    code = main(["compare", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategies", "greedy", "--seeds", "1",
+                 "--out", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "domain 99" in err and "Traceback" not in err

@@ -1,11 +1,14 @@
 """Path routing under residual-bandwidth constraints."""
 
+import itertools
+
 import pytest
 
+from secvne import routing
 from secvne.errors import LinkMappingInfeasible, NoFeasiblePath
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
-from secvne.routing import route_all_links, route_link
+from secvne.routing import min_hop_path, route_all_links, route_link
 
 from conftest import make_substrate, make_vnr
 from oracles import route_all_brute, shortest_feasible_path_brute
@@ -132,9 +135,9 @@ class TestRouteAllLinks:
                 assert result.paths == expected[0]
                 assert result.total_bw_cost == expected[1]
 
-    def test_route_cache_revalidates_under_debits(self):
-        """A cached clean path that an earlier link's debit saturates must be
-        recomputed, matching the uncached run exactly."""
+    def test_path_table_revalidates_under_debits(self):
+        """A table path that an earlier link's debit saturates must be
+        re-routed by the fallback, matching the brute-force router exactly."""
         net = make_substrate(
             node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 0, 10, 0, 0),
                         (3, 0, 10, 0, 0), (4, 0, 10, 0, 0), (5, 0, 10, 0, 0),
@@ -144,35 +147,102 @@ class TestRouteAllLinks:
                         (1, 6, 100), (6, 2, 100),               # detour X-A-Y
                         (0, 7, 100)],
         )
-        cache = {}
-        # warm the cache with the clean route R -> S (via the 12-capacity link)
+        # fill the table with the route R -> S (via the 12-capacity link)
         warm = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
-        warmed = route_all_links(warm, {0: 4, 1: 5}, net, cache)
+        warmed = route_all_links(warm, {0: 4, 1: 5}, net)
         assert warmed.paths[(0, 1)] == (4, 1, 2, 5)
+        assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)
         # now a request whose 9-unit link saturates 1-2 before the 5-unit
-        # link needs it; the cached (4, ..., 5) route must be re-derived
+        # link needs it; the table's (4, ..., 5) route must be re-derived
         vnr = make_vnr(
             [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,)),
              (2, 1, 0, 4, (0,)), (3, 1, 0, 4, (0,))],
             [(0, 1, 9), (2, 3, 5)],
         )
         assignment = {0: 0, 1: 3, 2: 4, 3: 5}
-        cached = route_all_links(vnr, assignment, net, cache)
-        plain = route_all_links(vnr, assignment, net)
-        assert cached.paths == plain.paths
-        assert cached.paths[(0, 1)] == (0, 1, 2, 3)       # debits 1-2 down to 3
-        assert cached.paths[(2, 3)] == (4, 1, 6, 2, 5)    # forced detour
-        assert cached.total_bw_cost == plain.total_bw_cost
+        routed = route_all_links(vnr, assignment, net)
+        expected_paths, expected_cost = route_all_brute(vnr, assignment, net)
+        assert routed.paths == expected_paths
+        assert routed.paths[(0, 1)] == (0, 1, 2, 3)       # debits 1-2 down to 3
+        assert routed.paths[(2, 3)] == (4, 1, 6, 2, 5)    # forced detour
+        assert routed.total_bw_cost == expected_cost
+        assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)  # debits leave the table alone
 
-    def test_route_cache_gives_identical_results(self, toy_net):
+    def test_path_table_gives_identical_results(self, toy_net):
         vnr = make_vnr(
             [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,))],
             [(0, 1, 7), (1, 2, 5), (0, 2, 3)],
         )
-        cache = {}
         assignments = [{0: 0, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 5}, {0: 0, 1: 2, 2: 3}]
         for assignment in assignments:
-            plain = route_all_links(vnr, assignment, toy_net)
-            cached = route_all_links(vnr, assignment, toy_net, cache)
-            assert plain.paths == cached.paths
-            assert plain.total_bw_cost == cached.total_bw_cost
+            fresh = route_all_links(vnr, assignment, toy_net.copy())
+            shared = route_all_links(vnr, assignment, toy_net)
+            assert fresh.paths == shared.paths
+            assert fresh.total_bw_cost == shared.total_bw_cost
+
+    def test_matches_brute_force_when_bandwidth_binds(self, monkeypatch):
+        bfs_calls = []
+        plain_route_link = routing.route_link
+
+        def counting_route_link(*args):
+            bfs_calls.append(args[:3])
+            return plain_route_link(*args)
+
+        monkeypatch.setattr(routing, "route_link", counting_route_link)
+        vnr = make_vnr(
+            [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,)),
+             (3, 1, 0, 4, (0, 1))],
+            [(0, 1, 18), (1, 2, 14), (0, 2, 10), (2, 3, 6)],
+        )
+        for seed in range(4):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.5, substrate_bw_range=(20, 60))
+            net = generate_substrate(cfg)
+            for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::29]:
+                assignment = dict(enumerate(nodes))
+                expected = route_all_brute(vnr, assignment, net)
+                if expected is None:
+                    with pytest.raises(LinkMappingInfeasible):
+                        route_all_links(vnr, assignment, net)
+                else:
+                    result = route_all_links(vnr, assignment, net)
+                    assert result.paths == expected[0]
+                    assert result.total_bw_cost == expected[1]
+        assert bfs_calls
+
+
+class TestMinHopPath:
+    def test_matches_brute_force_on_random_graphs(self):
+        for seed in range(6):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.4, substrate_bw_range=(1, 9))
+            net = generate_substrate(cfg)
+            for src in net.nodes:
+                for dst in net.nodes:
+                    if src != dst:
+                        assert (min_hop_path(src, dst, net)
+                                == shortest_feasible_path_brute(net, src, dst, 0))
+
+    def test_ignores_bandwidth(self):
+        net = grid_net([2, 10, 10, 10])
+        assert min_hop_path(0, 1, net) == (0, 1)
+        assert route_link(0, 1, 5, net) == (0, 3, 2, 1)
+
+    def test_copy_starts_with_an_empty_table(self, toy_net):
+        assert min_hop_path(0, 5, toy_net) == (0, 2, 3, 5)
+        assert toy_net.min_hop_paths and toy_net.hop_dist
+        clone = toy_net.copy()
+        assert clone.min_hop_paths == {} and clone.hop_dist == {}
+
+    def test_disjoint_domains_are_infeasible(self):
+        net = make_substrate(
+            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
+                        (3, 1, 10, 0, 0)],
+            link_specs=[(0, 1, 100), (2, 3, 100)],
+            hops=False,
+        )
+        with pytest.raises(NoFeasiblePath):
+            min_hop_path(1, 2, net)
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 5)])
+        with pytest.raises(LinkMappingInfeasible):
+            route_all_links(vnr, {0: 1, 1: 2}, net)
