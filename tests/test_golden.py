@@ -5,6 +5,10 @@ once with the default link bandwidth and once with bandwidth U[20, 60] so
 that routes contend, for every strategy under both cost modes; the SHA-256
 of each output file is pinned.  A refactor that claims to keep behaviour
 must keep these digests.
+
+One more case runs `stec-iot` on the default 120-node `GeneratorConfig`
+(seed 0, horizon 300), so that the swarm's evaluation path is pinned at the
+paper's scale too.
 """
 
 import hashlib
@@ -106,3 +110,23 @@ def test_outputs_match_pinned_digests(tmp_path, instances, regime, strategy, mod
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in OUTPUTS)
     assert digests == GOLDEN[(regime, strategy, mode)]
+
+
+# SHA-256 of (trace.jsonl, windows.csv, cumulative.csv) of `stec-iot` on the
+# default generator config, seed 0, horizon 300.
+PAPER_SCALE_GOLDEN = (
+    "08cefb680e70073d745ebf4c9a078121399c07f4058c108be9a6dc2fddf9a0ca",
+    "90e39f0d216466b07ee3ebc9a784457be8655ca3ddcfab6af5446df717f02c6b",
+    "b8c073cc6f5dd4a1cb59a169416c32e4c789084cdd1175498f67adfae1946685")
+
+
+def test_paper_scale_stec_iot_matches_pinned_digests(tmp_path):
+    gen = tmp_path / "gen"
+    out = tmp_path / "run"
+    assert main(["generate", "--horizon", "300", "--out", str(gen)]) == 0
+    assert main(["run", "--substrate", str(gen / "substrate.json"),
+                 "--workload", str(gen / "workload.jsonl"),
+                 "--strategy", "stec-iot", "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in OUTPUTS)
+    assert digests == PAPER_SCALE_GOLDEN
