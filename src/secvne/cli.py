@@ -8,6 +8,7 @@ independent re-checker).
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from dataclasses import replace
@@ -85,6 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--literal-table1", action="store_true")
     cmp_.add_argument("--out", required=True, help="output directory")
     return parser
+
+
+def _check_numeric_args(args) -> None:
+    """Reject a --horizon or --window that is not a finite positive number and
+    a --warmup-frac outside [0, 1), before any subcommand reads them."""
+    for flag in ("horizon", "window"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InvalidConfig(f"--{flag} must be a finite positive number, got {value}")
+    frac = getattr(args, "warmup_frac", None)
+    if frac is not None and not 0 <= frac < 1:
+        raise InvalidConfig(f"--warmup-frac must be in [0, 1), got {frac}")
 
 
 def _load_or_default_config(path, seed=None, literal_table1=False) -> GeneratorConfig:
@@ -227,6 +240,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_numeric_args(args)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "run":

@@ -19,6 +19,7 @@ identical configs reproduce identical networks on any platform.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -211,8 +212,8 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     """Poisson arrivals over [0, horizon) with exponential lifetimes; each
     request is a connected random graph with attributes from the config."""
     cfg.validate()
-    if horizon < 0:
-        raise InvalidConfig("horizon must be non-negative")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise InvalidConfig(f"horizon must be finite and non-negative, got {horizon}")
     rng = rng_from(cfg.seed, WORKLOAD_STREAM)
     cpu_lo, cpu_hi = cfg.effective_vnr_cpu_range()
     bw_lo, bw_hi = cfg.vnr_bw_range

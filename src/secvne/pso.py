@@ -12,10 +12,26 @@ The operator algebra is the indicator form of the classic update rule:
     v'[k] = 1 if round-half-up(s[k]) >= 1 else 0       (clamped to {0, 1})
 
 so agreement with the personal and global bests locks a component in place
-while disagreement frees it to explore.  Fitness is the embedding cost
-(total CPU demand plus bandwidth x path hops), with +inf as the sentinel for
-positions whose links cannot be routed; pbest/gbest only move on strict
-improvement, which makes the gbest series non-increasing by construction.
+while disagreement frees it to explore.  Within one (particle, iteration)
+update omega, r1 and r2 are fixed and v, subtract(pbest, x) and
+subtract(gbest, x) are each 0 or 1, so s takes one of 8 values:
+``velocity_table`` computes the 8 bits once, with the same expression, and
+each component indexes into them.
+
+Fitness is the embedding cost (total CPU demand plus bandwidth x path hops),
+with +inf as the sentinel for positions whose links cannot be routed;
+pbest/gbest only move on strict improvement, which makes the gbest series
+non-increasing by construction.
+
+A search never changes residuals, so ``swarm_search`` tests once whether the
+request's total bandwidth demand is at most the smallest residual of any
+substrate link.  If so, bandwidth cannot bind: every path ``route_all_links``
+picks is simple, so when it routes a virtual link the debits on any
+substrate link come from other virtual links and total at most the
+request's demand minus this link's, and every table path stays feasible.
+The routed cost is then the sum of bandwidth x topology hop distance, which
+``fitness`` reads from the substrate's hop-distance table without building
+paths or debits.  Otherwise ``fitness`` routes the position in full.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ from dataclasses import dataclass
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import DEFAULT_WEIGHTS, PriorityWeights, candidate_nodes, map_nodes
-from .routing import build_embedding, route_all_links
+from .routing import build_embedding, hop_distances, route_all_links
 from .seeding import rng_from
 
 INFEASIBLE = math.inf
@@ -46,6 +62,9 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("inertia_max", "inertia_min", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.particle_count <= 0 or self.iterations <= 0:
             raise ValueError("particle_count and iterations must be positive")
         if self.c1 <= 0 or self.c2 <= 0:
@@ -83,16 +102,35 @@ def position_subtract(a: list[int], b: list[int]) -> list[int]:
     return [1 if x == y else 0 for x, y in zip(a, b)]
 
 
+def velocity_table(omega: float, r1: float, r2: float,
+                   c1: float = 1.5, c2: float = 1.5) -> list[int]:
+    """The new velocity bit for every (v, pb, gb) in {0, 1}^3, at index
+    4*v + 2*pb + gb, where pb and gb are the pbest and gbest agreement
+    indicators.
+
+    Each entry is ``omega * v + r1 * c1 * pb + r2 * c2 * gb`` rounded half up,
+    with the products by 0 and 1 written out: for finite operands x * 1 is x
+    and adding x * 0 changes a sum at most in the sign of a zero, which the
+    comparison ignores, so every bit equals the scalar rule's.
+    """
+    a = r1 * c1
+    b = r2 * c2
+    return [1 if s + 0.5 >= 1.0 else 0
+            for s in (0.0, b, a, a + b, omega, omega + b, omega + a, omega + a + b)]
+
+
 def velocity_update(p: Particle, gbest_position: list[int], omega: float,
                     r1: float, r2: float, c1: float = 1.5, c2: float = 1.5) -> list[int]:
     """New binary velocity from inertia plus pbest/gbest agreement pulls."""
-    pb = position_subtract(p.pbest_position, p.position)
-    gb = position_subtract(gbest_position, p.position)
-    out = []
-    for k in range(len(p.position)):
-        s = omega * p.velocity[k] + r1 * c1 * pb[k] + r2 * c2 * gb[k]
-        out.append(1 if math.floor(s + 0.5) >= 1 else 0)
-    return out
+    position = p.position
+    n = len(position)
+    if len(p.velocity) != n or len(p.pbest_position) != n or len(gbest_position) != n:
+        raise LengthMismatch(f"velocity, pbest and gbest of lengths {len(p.velocity)}, "
+                             f"{len(p.pbest_position)} and {len(gbest_position)} for "
+                             f"position of length {n}")
+    table = velocity_table(omega, r1, r2, c1, c2)
+    return [table[4 * v + 2 * (b == x) + (g == x)]
+            for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
 
 def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
@@ -103,13 +141,16 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
     and every earlier re-drawn node.  A component whose pool empties triggers
     a full re-randomization of the particle, so the update never fails.
     """
-    if len(v_new) != len(p.position):
+    position = p.position
+    if len(v_new) != len(position):
         raise LengthMismatch(f"velocity of length {len(v_new)} for position of "
-                             f"length {len(p.position)}")
-    used = {p.position[k] for k in range(len(v_new)) if v_new[k] == 1}
-    out = list(p.position)
-    for k in range(len(v_new)):
-        if v_new[k] == 1:
+                             f"length {len(position)}")
+    if v_new.count(1) == len(v_new):
+        return list(position)
+    used = {x for x, v in zip(position, v_new) if v == 1}
+    out = list(position)
+    for k, v in enumerate(v_new):
+        if v == 1:
             continue
         pool = [c for c in candidate_lists[k] if c not in used]
         if not pool:
@@ -176,9 +217,23 @@ def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
 
 
 def fitness(position: list[int], vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-            vnode_order: list[int]) -> float:
-    """Embedding cost of a position; +inf when its links cannot be routed."""
+            vnode_order: list[int], bw_slack: bool = False) -> float:
+    """Embedding cost of a position; +inf when its links cannot be routed.
+
+    ``bw_slack`` states that the request's total bandwidth demand is at most
+    every substrate link's residual; the cost is then read from hop
+    distances, with no paths routed (see the module docstring).
+    """
     assignment = dict(zip(vnode_order, position))
+    if bw_slack:
+        total = 0
+        for vlink in vnr.links.values():
+            # None: the topology does not join the hosts; 0: they coincide.
+            hops = hop_distances(assignment[vlink.v], net).get(assignment[vlink.u])
+            if not hops:
+                return INFEASIBLE
+            total += vlink.bw_demand * hops
+        return float(vnr.cpu_total + total)
     try:
         routing = route_all_links(vnr, assignment, net)
     except LinkMappingInfeasible:
@@ -216,12 +271,14 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     rng = rng_from(cfg.seed)
     fitness_cache: dict[tuple[int, ...], float] = {}
+    bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
+                                   default=math.inf)
 
     def evaluate(position: list[int]) -> float:
         key = tuple(position)
         val = fitness_cache.get(key)
         if val is None:
-            val = fitness(position, vnr, net, vnode_order)
+            val = fitness(position, vnr, net, vnode_order, bw_slack)
             fitness_cache[key] = val
         return val
 

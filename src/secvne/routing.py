@@ -104,6 +104,17 @@ def _hop_distances(dst: int, adj: dict[int, list[int]]) -> dict[int, int]:
     return dist
 
 
+def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
+    """Hop count to dst from every node that reaches it, bandwidth ignored.
+
+    Read from, or added to, the substrate's distance table.
+    """
+    dist = net.hop_dist.get(dst)
+    if dist is None:
+        dist = net.hop_dist[dst] = _hop_distances(dst, net.adj)
+    return dist
+
+
 def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     """The path ``route_link`` picks from src to dst in the bare topology.
 
@@ -113,9 +124,7 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     path = net.min_hop_paths.get((src, dst))
     if path is not None:
         return path
-    dist = net.hop_dist.get(dst)
-    if dist is None:
-        dist = net.hop_dist[dst] = _hop_distances(dst, net.adj)
+    dist = hop_distances(dst, net)
     if src not in dist:
         raise NoFeasiblePath(f"no path {src} -> {dst}: the substrate does not join them")
     adj = net.adj

@@ -232,3 +232,38 @@ def test_workload_unknown_candidate_domain_is_infeasible(tmp_path, generated, ca
     err = capsys.readouterr().err
     assert code == 2
     assert "domain 99" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--horizon", "nan"], ["--horizon", "0"], ["--horizon", "-5"],
+    ["--window", "nan"], ["--window", "inf"], ["--window", "0"],
+])
+def test_run_rejects_non_finite_or_non_positive_numbers(tmp_path, generated, capsys, flags):
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flags[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--warmup-frac", "1.5"], ["--warmup-frac", "nan"], ["--warmup-frac", "-0.1"],
+    ["--warmup-frac", "1"], ["--horizon", "nan"],
+])
+def test_compare_rejects_out_of_range_numbers(tmp_path, generated, capsys, flags):
+    code = main(["compare", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"), "--strategies", "greedy",
+                 "--seeds", "1", "--out", str(tmp_path / "cmp"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flags[0] in err and "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_generate_rejects_non_positive_horizon(tmp_path, mini_config, capsys, horizon):
+    code = main(["generate", "--config", str(mini_config), "--horizon", horizon,
+                 "--out", str(tmp_path / "gen")])
+    assert code == 2
+    assert "--horizon" in capsys.readouterr().err

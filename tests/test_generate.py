@@ -91,6 +91,13 @@ def test_zero_horizon_gives_empty_stream():
     assert generate_vnr_stream(GeneratorConfig(seed=1), horizon=0) == []
 
 
+@pytest.mark.parametrize("horizon", [-1.0, float("nan"), float("inf")])
+def test_negative_or_non_finite_horizon_is_rejected(horizon):
+    # A NaN or infinite horizon never stops the arrival loop.
+    with pytest.raises(InvalidConfig, match="horizon"):
+        generate_vnr_stream(GeneratorConfig(seed=1), horizon=horizon)
+
+
 def test_arrival_times_sorted_and_rate_consistent():
     cfg = GeneratorConfig(seed=123, vnr_arrival_rate=2.0)
     vnrs = generate_vnr_stream(cfg, horizon=5200)  # ~10000 arrivals

@@ -1,11 +1,13 @@
 """Discrete swarm operators and the full search loop."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from secvne import metrics
+from secvne import metrics, pso
 from secvne.errors import EmbeddingInfeasible, LengthMismatch
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.pso import (
@@ -19,12 +21,37 @@ from secvne.pso import (
     random_injective,
     sample_injective,
     swarm_search,
+    velocity_table,
     velocity_update,
 )
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr
 from oracles import best_fitness_brute
+
+BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
+
+
+def scalar_velocity_bit(omega, r1, r2, c1, c2, v, pb, gb):
+    """The update rule for one component, as the module docstring states it."""
+    s = omega * v + r1 * c1 * pb + r2 * c2 * gb
+    return 1 if math.floor(s + 0.5) >= 1 else 0
+
+
+def scalar_velocity_update(p, gbest, omega, r1, r2, c1, c2):
+    pb = position_subtract(p.pbest_position, p.position)
+    gb = position_subtract(gbest, p.position)
+    return [scalar_velocity_bit(omega, r1, r2, c1, c2, p.velocity[k], pb[k], gb[k])
+            for k in range(len(p.position))]
+
+
+def four_node_vnr():
+    """Four virtual nodes over both domains; bw_total is 48."""
+    return make_vnr(
+        [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,)),
+         (3, 1, 0, 4, (0, 1))],
+        [(0, 1, 18), (1, 2, 14), (0, 2, 10), (2, 3, 6)],
+    )
 
 
 def particle_at(position, velocity=None, pbest=None):
@@ -101,6 +128,49 @@ class TestOperators:
         with pytest.raises(LengthMismatch):
             velocity_update(particle_at([1]), [1, 2], 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("velocity,pbest", [([1], [1, 2]), ([1, 0, 1], [1, 2]),
+                                                ([1, 0], [1]), ([1, 0], [1, 2, 3])])
+    def test_velocity_update_rejects_velocity_or_pbest_of_another_length(self, velocity,
+                                                                         pbest):
+        with pytest.raises(LengthMismatch):
+            velocity_update(Particle([1, 2], velocity, pbest, 0.0), [1, 2], 0.5, 0.5, 0.5)
+
+
+class TestVelocityTable:
+    def test_matches_scalar_rule(self):
+        rnd = random.Random(0)
+        cases = [(rnd.uniform(0.1, 0.9), rnd.random(), rnd.random()) for _ in range(3000)]
+        cases += [(omega, 0.0, 0.0) for omega in (0.1, 0.5, 0.9, 0.5 - 2**-54)]
+        cases += [(0.5 - 2**-54, 0.0, 0.3), ((0.5 - 2**-54) / 1.5, (0.5 - 2**-54) / 1.5, 0.0)]
+        for omega, r1, r2 in cases:
+            for c1, c2 in ((1.5, 1.5), (0.4, 2.5)):
+                expected = [scalar_velocity_bit(omega, r1, r2, c1, c2, *bits) for bits in BITS]
+                assert velocity_table(omega, r1, r2, c1, c2) == expected
+
+    def test_rounds_after_adding_one_half(self):
+        # s = 0.5 - 2**-54 is below 0.5, but s + 0.5 rounds to 1.0, so the bit is 1.
+        s = 0.5 - 2**-54
+        assert s < 0.5 and s + 0.5 == 1.0
+        assert velocity_table(s, 0.0, 0.0)[4] == 1
+        assert velocity_table(s, 0.0, 0.0)[:4] == [0, 0, 0, 0]
+
+    def test_velocity_update_matches_scalar_update(self):
+        rnd = random.Random(1)
+        for _ in range(500):
+            n = rnd.randint(1, 10)
+            position = [rnd.randrange(6) for _ in range(n)]
+            p = Particle(position, [rnd.randrange(2) for _ in range(n)],
+                         [rnd.randrange(6) for _ in range(n)], 0.0)
+            gbest = [rnd.randrange(6) for _ in range(n)]
+            omega, r1, r2 = rnd.uniform(0.1, 0.9), rnd.random(), rnd.random()
+            assert (velocity_update(p, gbest, omega, r1, r2, 1.5, 1.5)
+                    == scalar_velocity_update(p, gbest, omega, r1, r2, 1.5, 1.5))
+
+    def test_non_finite_coefficients_are_rejected(self):
+        for field in ("inertia_max", "inertia_min", "c1", "c2"):
+            with pytest.raises(ValueError, match=field):
+                PsoConfig(**{field: float("nan")})
+
 
 class TestInjectiveSampling:
     def test_matching_finds_assignment_when_tight(self):
@@ -147,6 +217,92 @@ class TestFitness:
     def test_zero_link_vnr_fitness_is_cpu_total(self, toy_net):
         vnr = make_vnr([(0, 15, 0, 4, (0,))], [])
         assert fitness([4], vnr, toy_net, [0]) == 15.0
+
+
+class TestBandwidthSlack:
+    """Under bandwidth slack (bw_total <= every residual) fitness reads hop
+    distances instead of routing."""
+
+    def test_hop_distance_fitness_equals_routed_fitness(self):
+        vnr = four_node_vnr()
+        order = sorted(vnr.nodes)
+        checked = 0
+        for seed in range(4):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.5, substrate_bw_range=(48, 60))
+            net = generate_substrate(cfg)
+            # The boundary: the smallest residual equals the request's bw_total.
+            next(iter(net.links.values())).bw_residual = vnr.bw_total
+            fast_net = net.copy()
+            for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::7]:
+                routed = fitness(list(nodes), vnr, net, order)
+                assert fitness(list(nodes), vnr, fast_net, order, bw_slack=True) == routed
+                checked += routed != math.inf
+            assert not fast_net.min_hop_paths
+        assert checked > 100
+
+    def test_unjoined_or_shared_hosts_are_infeasible(self):
+        net = make_substrate(
+            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
+                        (3, 1, 10, 0, 0)],
+            link_specs=[(0, 1, 100), (2, 3, 100)],
+            hops=False,
+        )
+        vnr = make_vnr([(0, 1, 0, 4, (0, 1)), (1, 1, 0, 4, (0, 1))], [(0, 1, 5)])
+        for position in ([1, 2], [1, 1]):
+            assert fitness(position, vnr, net, [0, 1]) == math.inf
+            assert fitness(position, vnr, net, [0, 1], bw_slack=True) == math.inf
+        assert fitness([0, 1], vnr, net, [0, 1], bw_slack=True) == 7.0
+
+    @staticmethod
+    def count_routing(monkeypatch):
+        calls = []
+        plain = pso.route_all_links
+
+        def counting_route_all_links(*args):
+            calls.append(args[0].id)
+            return plain(*args)
+
+        monkeypatch.setattr(pso, "route_all_links", counting_route_all_links)
+        return calls
+
+    @staticmethod
+    def routed_search(monkeypatch, vnr, net, cfg):
+        """swarm_search with every fitness call forced through routing."""
+        plain = pso.fitness
+        with monkeypatch.context() as m:
+            m.setattr(pso, "fitness", lambda *args: plain(*args[:4]))
+            return swarm_search(vnr, net, cfg)
+
+    def test_search_routes_only_when_bandwidth_can_bind(self, monkeypatch, toy_net, toy_vnr):
+        calls = self.count_routing(monkeypatch)
+        link = toy_net.links[(2, 3)]
+        for residual, routes in ((toy_vnr.bw_total, False), (toy_vnr.bw_total - 1, True)):
+            link.bw_residual = residual
+            calls.clear()
+            result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=4))
+            assert bool(calls) == routes
+            assert result == self.routed_search(monkeypatch, toy_vnr, toy_net, PsoConfig(seed=4))
+
+    def test_bandwidth_bound_stream_takes_both_paths(self, monkeypatch):
+        calls = self.count_routing(monkeypatch)
+        cfg = GeneratorConfig(seed=11, node_count=12, domain_count=2, cd_size_range=(1, 2),
+                              vnr_node_range=(2, 4), vnr_arrival_rate=0.05,
+                              substrate_bw_range=(20, 60))
+        net = generate_substrate(cfg)
+        min_residual = min(l.bw_residual for l in net.links.values())
+        seen = set()
+        for vnr in generate_vnr_stream(cfg, horizon=1500):
+            calls.clear()
+            try:
+                result = swarm_search(vnr, net, PsoConfig(seed=vnr.id))
+            except EmbeddingInfeasible:
+                continue
+            slack = vnr.bw_total <= min_residual
+            assert bool(calls) != slack
+            seen.add(slack)
+            assert result == self.routed_search(monkeypatch, vnr, net, PsoConfig(seed=vnr.id))
+        assert seen == {True, False}
 
 
 class TestSwarm:
