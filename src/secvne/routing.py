@@ -90,9 +90,17 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     return tuple(path)
 
 
-def _hop_distances(dst: int, adj: dict[int, list[int]]) -> dict[int, int]:
-    """Hop count from every node that reaches dst, bandwidth ignored."""
-    dist = {dst: 0}
+def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
+    """Hop count to dst from every node that reaches it, bandwidth ignored.
+
+    Read from, or added to, the substrate's distance table: one full
+    breadth-first search per destination.
+    """
+    dist = net.hop_dist.get(dst)
+    if dist is not None:
+        return dist
+    adj = net.adj
+    dist = net.hop_dist[dst] = {dst: 0}
     queue = deque([dst])
     while queue:
         cur = queue.popleft()
@@ -101,17 +109,6 @@ def _hop_distances(dst: int, adj: dict[int, list[int]]) -> dict[int, int]:
             if nbr not in dist:
                 dist[nbr] = d
                 queue.append(nbr)
-    return dist
-
-
-def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
-    """Hop count to dst from every node that reaches it, bandwidth ignored.
-
-    Read from, or added to, the substrate's distance table.
-    """
-    dist = net.hop_dist.get(dst)
-    if dist is None:
-        dist = net.hop_dist[dst] = _hop_distances(dst, net.adj)
     return dist
 
 
