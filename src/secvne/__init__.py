@@ -60,7 +60,6 @@ from .pso import (
     SwarmResult,
     fitness,
     optimize,
-    position_subtract,
     position_update,
     swarm_search,
     velocity_update,

@@ -100,6 +100,14 @@ def _check_numeric_args(args) -> None:
         raise InvalidConfig(f"--warmup-frac must be in [0, 1), got {frac}")
 
 
+def _check_window_count(horizon: float, width: float) -> None:
+    """Reject a --window too narrow for the horizon before simulating."""
+    try:
+        metrics.check_window_count(horizon, width)
+    except ValueError as exc:
+        raise InvalidConfig(f"--window {width}: {exc}") from exc
+
+
 def _load_or_default_config(path, seed=None, literal_table1=False) -> GeneratorConfig:
     cfg = fileio.load_config(path) if path else GeneratorConfig()
     if seed is not None:
@@ -143,6 +151,7 @@ def cmd_run(args) -> int:
     net, vnrs, horizon = _load_instance(args.substrate, args.workload)
     if args.horizon is not None:
         horizon = args.horizon
+    _check_window_count(horizon, args.window)
     strategy = make_strategy(args.strategy, seed=args.seed, invert_hop=not args.eq20_literal)
     trace = run(net, vnrs, strategy, horizon, validate=args.validate)
     rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
@@ -191,6 +200,7 @@ def cmd_compare(args) -> int:
         horizon = fixed[2]
     else:
         horizon = 6000.0
+    _check_window_count(horizon, args.window)
     warmup_t = args.warmup_frac * horizon
     results: dict[str, dict[str, list[float | None]]] = {
         s: {m: [] for m in METRIC_NAMES} for s in strategies}

@@ -32,6 +32,9 @@ COST_HOP = "hop"
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.5
 
+# Most windows one series may have: a million take ~250 MiB (CPython 3.11).
+MAX_WINDOWS = 10**6
+
 
 @dataclass(slots=True)
 class MetricWindow:
@@ -93,9 +96,21 @@ def cost(emb, mode: str = COST_HOP) -> float:
     return float(cpu + bw)
 
 
-def _windows(horizon: float, width: float) -> list[MetricWindow]:
+def check_window_count(horizon: float, width: float) -> None:
+    """Raise ValueError unless width is positive and a series over horizon
+    has at most MAX_WINDOWS windows, i.e. ceil(horizon / width) <= MAX_WINDOWS."""
     if width <= 0:
         raise ValueError("window width must be positive")
+    count = horizon / width
+    if not count <= MAX_WINDOWS:
+        if math.isfinite(count):
+            count = math.ceil(count)
+        raise ValueError(f"horizon {horizon} in windows of width {width} gives "
+                         f"{count} windows, more than the {MAX_WINDOWS} allowed")
+
+
+def _windows(horizon: float, width: float) -> list[MetricWindow]:
+    check_window_count(horizon, width)
     out = []
     t = 0.0
     while t < horizon:

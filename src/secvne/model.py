@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlreadyAllocated,
@@ -122,23 +123,13 @@ class VirtualNetworkRequest:
     def bw_total(self) -> int:
         return sum(l.bw_demand for l in self.links.values())
 
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return False
-        adj: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for (u, v) in self.links:
-            adj[u].append(v)
-            adj[v].append(u)
-        start = next(iter(self.nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nbr in adj[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        return len(seen) == len(self.nodes)
+    @cached_property
+    def routing_order(self) -> tuple[VirtualLink, ...]:
+        """The links in the order ``routing.route_all_links`` routes them:
+        descending demand, so the largest flows claim scarce capacity first,
+        ties by key.  Sorted on first use, so a request rejected before any
+        routing never pays for it."""
+        return tuple(sorted(self.links.values(), key=lambda l: (-l.bw_demand, l.key)))
 
     def __repr__(self):
         return (f"VirtualNetworkRequest(id={self.id}, nodes={len(self.nodes)}, "

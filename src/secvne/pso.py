@@ -31,18 +31,33 @@ substrate link come from other virtual links and total at most the
 request's demand minus this link's, and every table path stays feasible.
 The routed cost is then the sum of bandwidth x topology hop distance, which
 ``fitness`` reads from the substrate's hop-distance table without building
-paths or debits.  Otherwise ``fitness`` routes the position in full.
+paths or debits.
+
+Otherwise ``swarm_search`` builds, once per search, each substrate node's
+component label at every distinct demand d of the request: two nodes share a
+label at d when links with residual >= d join them (``component_labels``).
+Debits only shrink that subgraph, so hosts with different labels at a
+virtual link's demand can never route it, under any routing order.  The
+labels serve twice.  Before the swarm runs, ``unsupported_link`` prunes the
+candidate sets by arc consistency over the labels; when a set empties no
+position is routable and the search raises ``EmbeddingInfeasible`` instead
+of spending its evaluations on a certain INFEASIBLE.  The pruned sets serve
+only this proof: the swarm draws from the full candidate lists, so its
+random stream is unchanged.  Then ``fitness`` returns INFEASIBLE for a
+position whose hosts some virtual link's labels separate, and routes the
+rest in full.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
-from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
+from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
 from .node_mapping import DEFAULT_WEIGHTS, PriorityWeights, candidate_nodes, map_nodes
-from .routing import build_embedding, hop_distances, route_all_links
+from .routing import build_embedding, component_labels, hop_distances, route_all_links
 from .seeding import rng_from
 
 INFEASIBLE = math.inf
@@ -93,13 +108,6 @@ class SwarmResult:
     @property
     def assignment(self) -> dict[int, int]:
         return dict(zip(self.vnode_order, self.position))
-
-
-def position_subtract(a: list[int], b: list[int]) -> list[int]:
-    """Component-wise equality indicator: 1 where the assignments agree."""
-    if len(a) != len(b):
-        raise LengthMismatch(f"positions of length {len(a)} and {len(b)}")
-    return [1 if x == y else 0 for x, y in zip(a, b)]
 
 
 def velocity_table(omega: float, r1: float, r2: float,
@@ -217,12 +225,15 @@ def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
 
 
 def fitness(position: list[int], vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-            vnode_order: list[int], bw_slack: bool = False) -> float:
+            vnode_order: list[int], bw_slack: bool = False,
+            labels: dict[int, dict[int, int]] | None = None) -> float:
     """Embedding cost of a position; +inf when its links cannot be routed.
 
     ``bw_slack`` states that the request's total bandwidth demand is at most
     every substrate link's residual; the cost is then read from hop
-    distances, with no paths routed (see the module docstring).
+    distances, with no paths routed.  ``labels`` are the request's
+    ``component_labels``; a position they prove unroutable is +inf without
+    routing (see the module docstring).
     """
     assignment = dict(zip(vnode_order, position))
     if bw_slack:
@@ -234,11 +245,61 @@ def fitness(position: list[int], vnr: VirtualNetworkRequest, net: SubstrateNetwo
                 return INFEASIBLE
             total += vlink.bw_demand * hops
         return float(vnr.cpu_total + total)
+    if labels is not None:
+        for vlink in vnr.routing_order:
+            label = labels[vlink.bw_demand]
+            if label[assignment[vlink.u]] != label[assignment[vlink.v]]:
+                return INFEASIBLE
     try:
         routing = route_all_links(vnr, assignment, net)
     except LinkMappingInfeasible:
         return INFEASIBLE
     return float(vnr.cpu_total + routing.total_bw_cost)
+
+
+def unsupported_link(vnr: VirtualNetworkRequest, vnode_order: list[int],
+                     candidate_lists: list[list[int]],
+                     labels: dict[int, dict[int, int]]) -> VirtualLink | None:
+    """A virtual link that no injective position drawn from the candidate
+    lists can route, or None when arc consistency finds none.
+
+    AC-3 over the component labels: a candidate c of virtual node u keeps its
+    place only while, for every virtual link (u, v, d), some remaining
+    candidate of v other than c has c's label at d.  Every host of a
+    routable position keeps its place, so a set that empties proves that the
+    link whose check emptied it is never routed.
+    """
+    index = {vid: i for i, vid in enumerate(vnode_order)}
+    domains = [set(c) for c in candidate_lists]
+    # Arc (a, b, link): the candidates of a need support among those of b.
+    arcs = []
+    watchers: list[list[int]] = [[] for _ in vnode_order]
+    for vlink in vnr.routing_order:
+        iu, iv = index[vlink.u], index[vlink.v]
+        for a, b in ((iu, iv), (iv, iu)):
+            watchers[b].append(len(arcs))
+            arcs.append((a, b, vlink))
+    queue = deque(range(len(arcs)))
+    queued = set(queue)
+    while queue:
+        arc = queue.popleft()
+        queued.discard(arc)
+        a, b, vlink = arcs[arc]
+        label = labels[vlink.bw_demand]
+        support = domains[b]
+        per_label = Counter(label[c] for c in support)
+        kept = {c for c in domains[a]
+                if per_label[label[c]] > (1 if c in support else 0)}
+        if len(kept) == len(domains[a]):
+            continue
+        if not kept:
+            return vlink
+        domains[a] = kept
+        for other in watchers[a]:
+            if other not in queued:
+                queued.add(other)
+                queue.append(other)
+    return None
 
 
 def _inertia(cfg: PsoConfig, iteration: int) -> float:
@@ -256,8 +317,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     Particle 0 is seeded from the deterministic priority mapping when that is
     feasible; the rest start as uniform injective samples.  Raises
-    EmbeddingInfeasible when some virtual node has no candidate at all or no
-    injective assignment exists.
+    EmbeddingInfeasible when some virtual node has no candidate at all, no
+    injective assignment exists, or the component labels prove that no
+    position can be routed.
     """
     vnode_order = sorted(vnr.nodes)
     candidate_lists = []
@@ -269,16 +331,25 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     if injective_assignment(candidate_lists) is None:
         raise EmbeddingInfeasible("candidate sets admit no injective assignment")
 
-    rng = rng_from(cfg.seed)
-    fitness_cache: dict[tuple[int, ...], float] = {}
     bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
                                    default=math.inf)
+    labels = None
+    if not bw_slack:
+        labels = component_labels([l.bw_demand for l in vnr.links.values()], net)
+        vlink = unsupported_link(vnr, vnode_order, candidate_lists, labels)
+        if vlink is not None:
+            raise EmbeddingInfeasible(f"virtual link {vlink.key} with demand "
+                                      f"{vlink.bw_demand}: no candidate hosts are joined "
+                                      f"by links with that much residual")
+
+    rng = rng_from(cfg.seed)
+    fitness_cache: dict[tuple[int, ...], float] = {}
 
     def evaluate(position: list[int]) -> float:
         key = tuple(position)
         val = fitness_cache.get(key)
         if val is None:
-            val = fitness(position, vnr, net, vnode_order, bw_slack)
+            val = fitness(position, vnr, net, vnode_order, bw_slack, labels)
             fitness_cache[key] = val
         return val
 

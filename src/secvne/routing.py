@@ -24,6 +24,7 @@ invalidate the table, because the topology is fixed after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .errors import LinkMappingInfeasible, NoFeasiblePath
@@ -38,6 +39,25 @@ class RoutingResult:
     def __init__(self, paths: dict, total_bw_cost: int):
         self.paths = paths
         self.total_bw_cost = total_bw_cost
+
+
+def _descend(src: int, dst: int, dist: dict[int, int], adj: dict[int, list[int]],
+             usable=None) -> tuple[int, ...]:
+    """Greedy descent from src down ``dist`` (hop counts to dst): always step
+    to the smallest-id neighbour one hop closer over a link ``usable`` accepts
+    (every link when it is None)."""
+    path = [src]
+    cur = src
+    while cur != dst:
+        want = dist[cur] - 1
+        for nbr in adj[cur]:
+            if dist.get(nbr) == want and (usable is None or usable(cur, nbr)):
+                break
+        else:  # pragma: no cover - contradicts the breadth-first labelling
+            raise NoFeasiblePath(f"walk from {src} toward {dst} lost the gradient")
+        path.append(nbr)
+        cur = nbr
+    return tuple(path)
 
 
 def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
@@ -55,39 +75,34 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     if debits is None:
         debits = {}
 
+    # Breadth-first from dst, one level at a time, so dist[n] is the hop count
+    # down to dst.  Stop as soon as src is discovered: every node nearer to
+    # dst, all the descent below reads, is settled by then.
+    dist = {dst: 0}
+    frontier = [dst]
+    d = 0
+    while frontier and src not in dist:
+        d += 1
+        level = []
+        for cur in frontier:
+            for nbr in adj[cur]:
+                if nbr in dist:
+                    continue
+                k = (cur, nbr) if cur < nbr else (nbr, cur)
+                if links[k].bw_residual - debits.get(k, 0) >= bw:
+                    dist[nbr] = d
+                    level.append(nbr)
+            if src in dist:
+                break
+        frontier = level
+    if src not in dist:
+        raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
+
     def usable(a: int, b: int) -> bool:
         k = (a, b) if a < b else (b, a)
         return links[k].bw_residual - debits.get(k, 0) >= bw
 
-    # Breadth-first from dst so dist[n] is the hop count down to dst; stop once
-    # src is settled (everything nearer is settled by then).
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        cur = queue.popleft()
-        if cur == src:
-            break
-        d = dist[cur] + 1
-        for nbr in adj[cur]:
-            if nbr not in dist and usable(cur, nbr):
-                dist[nbr] = d
-                queue.append(nbr)
-    if src not in dist:
-        raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
-
-    # Greedy descent: always step to the smallest-id neighbor one hop closer.
-    path = [src]
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        for nbr in adj[cur]:
-            if dist.get(nbr) == want and usable(cur, nbr):
-                path.append(nbr)
-                cur = nbr
-                break
-        else:  # pragma: no cover - contradicts the BFS labeling
-            raise NoFeasiblePath(f"walk from {src} toward {dst} lost the gradient")
-    return tuple(path)
+    return _descend(src, dst, dist, adj, usable)
 
 
 def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
@@ -124,18 +139,45 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     dist = hop_distances(dst, net)
     if src not in dist:
         raise NoFeasiblePath(f"no path {src} -> {dst}: the substrate does not join them")
-    adj = net.adj
-    steps = [src]
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        for nbr in adj[cur]:
-            if dist[nbr] == want:
-                break
-        steps.append(nbr)
-        cur = nbr
-    path = net.min_hop_paths[(src, dst)] = tuple(steps)
+    path = net.min_hop_paths[(src, dst)] = _descend(src, dst, dist, net.adj)
     return path
+
+
+def component_labels(demands, net: SubstrateNetwork) -> dict[int, dict[int, int]]:
+    """For each demand d, every substrate node's component label in the
+    subgraph of links whose residual is at least d.
+
+    One union-find sweep: the links are bucketed by the largest demand they
+    carry and merged in descending demand order, and each demand's labels
+    are a copy of the running labels after its bucket.  A merge relabels the
+    smaller component, so the sweep relabels each node O(log n) times.  Two
+    nodes share a label at d exactly when links with residual >= d join them.
+    """
+    thresholds = sorted(set(demands), reverse=True)
+    # ascending negated thresholds: bisect_left finds the largest demand <= r
+    keys = [-d for d in thresholds]
+    last = len(keys)
+    buckets: list[list] = [[] for _ in thresholds]
+    for k, link in net.links.items():
+        i = bisect_left(keys, -link.bw_residual)
+        if i < last:
+            buckets[i].append(k)
+    label = {n: n for n in net.nodes}
+    members = {n: [n] for n in net.nodes}
+    labels = {}
+    for d, bucket in zip(thresholds, buckets):
+        for a, b in bucket:
+            keep, gone = label[a], label[b]
+            if keep == gone:
+                continue
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            moved = members.pop(gone)
+            for n in moved:
+                label[n] = keep
+            members[keep].extend(moved)
+        labels[d] = label.copy()
+    return labels
 
 
 def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
@@ -153,16 +195,16 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
                     net: SubstrateNetwork) -> RoutingResult:
     """Route every virtual link, debiting residuals cumulatively.
 
-    Links are processed in descending demand order (ties by link key) so the
-    largest flows claim scarce capacity first.  Each takes its table path if
-    that is still feasible, else a breadth-first search over the feasible
-    subgraph.  Fails atomically: no partial result escapes.
+    Links are processed in the request's ``routing_order``: descending demand
+    (ties by link key), so the largest flows claim scarce capacity first.
+    Each takes its table path if that is still feasible, else a breadth-first
+    search over the feasible subgraph.  Fails atomically: no partial result
+    escapes.
     """
-    order = sorted(vnr.links.values(), key=lambda l: (-l.bw_demand, l.key))
     debits: dict = {}
     paths: dict = {}
     total = 0
-    for vlink in order:
+    for vlink in vnr.routing_order:
         src = assignment[vlink.u]
         dst = assignment[vlink.v]
         bw = vlink.bw_demand

@@ -1,7 +1,10 @@
 """Shared toy instances used across the test suite."""
 
+import random
+
 import pytest
 
+from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import (
     SubstrateLink,
     SubstrateNetwork,
@@ -28,6 +31,18 @@ def make_vnr(node_specs, link_specs, vnr_id=0, arrival=0.0, lifetime=100.0):
     nodes = [VirtualNode(i, c, vsd, vsl, frozenset(cd)) for (i, c, vsd, vsl, cd) in node_specs]
     links = [VirtualLink(u, v, bw) for (u, v, bw) in link_specs]
     return VirtualNetworkRequest(vnr_id, nodes, links, arrival, lifetime)
+
+
+def contended_net(seed):
+    """An 8-node random graph with bandwidth U[20, 60], every link's residual
+    then lowered to a random value in [0, capacity]."""
+    cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                          intra_link_rate=0.5, substrate_bw_range=(20, 60))
+    net = generate_substrate(cfg)
+    rnd = random.Random(seed)
+    for link in net.links.values():
+        link.bw_residual = rnd.randint(0, link.bw_capacity)
+    return net
 
 
 @pytest.fixture

@@ -7,10 +7,42 @@ implementation under test beyond the domain types.
 
 from collections import deque
 
+from secvne.errors import LengthMismatch
 from secvne.metrics import cost as metric_cost
 from secvne.metrics import revenue as metric_revenue
 from secvne.model import link_key
 from secvne.node_mapping import candidate_nodes, virtual_node_priority
+
+
+def position_subtract(a, b):
+    """Component-wise equality indicator: 1 where the assignments agree.
+
+    The swarm's ``subtract`` operator as the ``secvne.pso`` docstring states
+    it, the reference its 8-entry velocity table is checked against.
+    """
+    if len(a) != len(b):
+        raise LengthMismatch(f"positions of length {len(a)} and {len(b)}")
+    return [1 if x == y else 0 for x, y in zip(a, b)]
+
+
+def vnr_is_connected(vnr):
+    """True when the request's virtual links join all its virtual nodes."""
+    if not vnr.nodes:
+        return False
+    adj = {nid: [] for nid in vnr.nodes}
+    for (u, v) in vnr.links:
+        adj[u].append(v)
+        adj[v].append(u)
+    start = next(iter(vnr.nodes))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nbr in adj[cur]:
+            if nbr not in seen:
+                seen.add(nbr)
+                queue.append(nbr)
+    return len(seen) == len(vnr.nodes)
 
 
 def boundary_hops_brute(net):
@@ -120,6 +152,35 @@ def route_all_brute(vnr, assignment, net):
         paths[vlink.key] = path
         total += vlink.bw_demand * (len(path) - 1)
     return paths, total
+
+
+def arc_consistency_empties_brute(vnr, vnode_order, candidate_lists, labels):
+    """True when pruning the candidate sets to a fixpoint empties one.
+
+    Sweeps every virtual link in both directions, again and again until a
+    sweep removes nothing: a candidate c of u stays while some candidate of
+    v other than c shares c's label at the link's demand.
+    """
+    domains = {vid: set(c) for vid, c in zip(vnode_order, candidate_lists)}
+    changed = True
+    while changed:
+        changed = False
+        for vlink in vnr.links.values():
+            label = labels[vlink.bw_demand]
+            for u, v in ((vlink.u, vlink.v), (vlink.v, vlink.u)):
+                kept = {c for c in domains[u]
+                        if any(o != c and label[o] == label[c] for o in domains[v])}
+                if kept != domains[u]:
+                    domains[u] = kept
+                    changed = True
+    return any(not d for d in domains.values())
+
+
+def labels_separate(vnr, labels, assignment):
+    """True when some virtual link's hosts have different component labels
+    at the link's demand."""
+    return any(labels[l.bw_demand][assignment[l.u]] != labels[l.bw_demand][assignment[l.v]]
+               for l in vnr.links.values())
 
 
 def best_fitness_brute(vnr, net):

@@ -247,6 +247,20 @@ def test_run_rejects_non_finite_or_non_positive_numbers(tmp_path, generated, cap
     assert flags[0] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_window_count_above_the_cap_is_infeasible(tmp_path, generated, capsys, command):
+    # 1000.001 / 0.001 asks for 1,000,001 windows, one more than allowed.
+    flags = (["--strategy", "greedy"] if command == "run"
+             else ["--strategies", "greedy", "--seeds", "1"])
+    code = main([command, "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"), *flags,
+                 "--horizon", "1000.001", "--window", "0.001", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--window 0.001" in err and "1000001 windows" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--warmup-frac", "1.5"], ["--warmup-frac", "nan"], ["--warmup-frac", "-0.1"],
     ["--warmup-frac", "1"], ["--horizon", "nan"],

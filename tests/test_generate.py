@@ -8,6 +8,8 @@ from secvne.errors import InvalidConfig
 from secvne.fileio import save_substrate, save_workload
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 
+from oracles import vnr_is_connected
+
 
 def test_default_substrate_shape():
     net = generate_substrate(GeneratorConfig(seed=3))
@@ -83,7 +85,7 @@ def test_vnr_node_counts_in_range():
             assert n.cd and all(0 <= d < 4 for d in n.cd)
         for l in vnr.links.values():
             assert 1 <= l.bw_demand <= 10
-        assert vnr.is_connected()
+        assert vnr_is_connected(vnr)
         assert vnr.lifetime > 0
 
 

@@ -1,7 +1,10 @@
 """Metric formulas and the windowed/cumulative aggregation."""
 
+import math
+
 import pytest
 
+from secvne import metrics
 from secvne.errors import InvalidWeights
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import (
@@ -139,6 +142,24 @@ class TestWindowedSeries:
         assert rows[0].accepted == 1 and rows[1].accepted == 2
         assert rows[1].revenue == pytest.approx(30.0)
         assert rows[1].cost == pytest.approx(30.0 + 50.0)
+
+    def test_window_count_above_the_cap_is_rejected(self):
+        # ceil(1_000_001 / 1) windows is one more than metrics.MAX_WINDOWS
+        trace = _FakeTrace(1_000_001.0, [])
+        for series in (windowed_series, cumulative_series):
+            with pytest.raises(ValueError, match="1000001 windows"):
+                series(trace, 1.0)
+
+    def test_window_count_check(self):
+        assert metrics.MAX_WINDOWS == 10**6
+        metrics.check_window_count(1_000_000.0, 1.0)
+        metrics.check_window_count(0.0, 1.0)
+        for horizon, width in ((1_000_000.5, 1.0), (math.inf, 500.0), (math.nan, 500.0),
+                               (1200.0, 1e-9)):
+            with pytest.raises(ValueError, match="windows"):
+                metrics.check_window_count(horizon, width)
+        with pytest.raises(ValueError, match="positive"):
+            metrics.check_window_count(10.0, 0.0)
 
     def test_steady_state_means_skip_warmup_and_no_samples(self):
         trace = _FakeTrace(20.0, [_accepted(1.0, 20, 10, 1), _accepted(16.0, 20, 10, 1)])

@@ -118,6 +118,13 @@ def test_residuals_stay_within_bounds(toy_net):
         assert node.cpu_residual == node.cpu_capacity
 
 
+def test_routing_order_is_descending_demand_then_link_key():
+    vnr = make_vnr([(i, 1, 0, 4, (0,)) for i in range(4)],
+                   [(2, 1, 5), (0, 1, 9), (2, 0, 5), (3, 1, 9), (2, 3, 0)])
+    assert [l.key for l in vnr.routing_order] == [(0, 1), (1, 3), (0, 2), (1, 2), (2, 3)]
+    assert all(l is vnr.links[l.key] for l in vnr.routing_order)
+
+
 class TestBoundaryHops:
     def test_boundary_node_has_zero(self, toy_net):
         assert toy_net.nodes[2].hop_to_boundary == 0

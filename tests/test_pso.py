@@ -10,26 +10,36 @@ import pytest
 from secvne import metrics, pso
 from secvne.errors import EmbeddingInfeasible, LengthMismatch
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
     Particle,
     PsoConfig,
     fitness,
     injective_assignment,
     optimize,
-    position_subtract,
     position_update,
     random_injective,
     sample_injective,
     swarm_search,
+    unsupported_link,
     velocity_table,
     velocity_update,
 )
+from secvne.routing import component_labels
+from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr
-from oracles import best_fitness_brute
+from conftest import contended_net, make_substrate, make_vnr
+from oracles import (arc_consistency_empties_brute, best_fitness_brute, enumerate_assignments,
+                     labels_separate, position_subtract, route_all_brute)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
+
+# The bandwidth-bound regime of tests/test_golden.py.
+GOLDEN_BW_CONFIG = GeneratorConfig(seed=11, node_count=12, domain_count=2,
+                                   cd_size_range=(1, 2), vnr_node_range=(2, 4),
+                                   vnr_arrival_rate=0.05, vnr_mean_lifetime=300.0,
+                                   substrate_bw_range=(20, 60))
 
 
 def scalar_velocity_bit(omega, r1, r2, c1, c2, v, pb, gb):
@@ -303,6 +313,183 @@ class TestBandwidthSlack:
             seen.add(slack)
             assert result == self.routed_search(monkeypatch, vnr, net, PsoConfig(seed=vnr.id))
         assert seen == {True, False}
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls = []
+    plain = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return plain(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def request_labels(vnr, net):
+    return component_labels([l.bw_demand for l in vnr.links.values()], net)
+
+
+class TestComponentLabelGate:
+    """Without bandwidth slack the search labels each substrate node's
+    component per demand, and rejects positions (fitness) and whole requests
+    (unsupported_link) that the labels prove unroutable."""
+
+    def test_label_rejected_position_is_not_routed(self, monkeypatch):
+        calls = count_calls(monkeypatch, pso, "route_all_links")
+        vnr = four_node_vnr()
+        order = sorted(vnr.nodes)
+        rejected = routed = 0
+        for seed in range(4):
+            net = contended_net(seed)
+            labels = request_labels(vnr, net)
+            for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::11]:
+                position = list(nodes)
+                expected = fitness(position, vnr, net, order)
+                calls.clear()
+                assert fitness(position, vnr, net, order, False, labels) == expected
+                separated = labels_separate(vnr, labels, nodes)
+                assert calls == ([] if separated else [vnr])
+                rejected += separated
+                routed += not separated
+        assert rejected > 50 and routed > 50
+
+    def test_labels_are_never_built_under_bandwidth_slack(self, monkeypatch):
+        calls = count_calls(monkeypatch, pso, "component_labels")
+        net = generate_substrate(GOLDEN_BW_CONFIG)
+        min_residual = min(l.bw_residual for l in net.links.values())
+        seen = set()
+        for vnr in generate_vnr_stream(GOLDEN_BW_CONFIG, horizon=1500):
+            calls.clear()
+            try:
+                swarm_search(vnr, net, PsoConfig(seed=vnr.id, iterations=2))
+            except EmbeddingInfeasible:
+                continue
+            slack = vnr.bw_total <= min_residual
+            assert len(calls) == (0 if slack else 1)
+            seen.add(slack)
+        assert seen == {True, False}
+
+    def test_gate_names_the_unroutable_link_and_its_demand(self):
+        # Domain 0 (nodes 0-1) and domain 1 (nodes 2-3) are joined only by the
+        # 9-unit link 1-2, so a 10-unit virtual link across them never routes.
+        net = make_substrate(
+            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0),
+                        (3, 1, 50, 0, 0)],
+            link_specs=[(0, 1, 100), (1, 2, 9), (2, 3, 100)],
+        )
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,)), (2, 1, 0, 4, (1,))],
+                       [(0, 1, 10), (1, 2, 5)])
+        order = sorted(vnr.nodes)
+        cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
+        gate = unsupported_link(vnr, order, cands, request_labels(vnr, net))
+        assert gate is vnr.links[(0, 1)]
+        with pytest.raises(EmbeddingInfeasible, match=r"virtual link \(0, 1\) with demand 10"):
+            swarm_search(vnr, net, PsoConfig(seed=0))
+        net.links[(1, 2)].bw_residual = 10
+        assert unsupported_link(vnr, order, cands, request_labels(vnr, net)) is None
+        assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 10 * 1 + 5 * 1
+
+    def test_gate_needs_a_host_other_than_the_candidate_itself(self):
+        # Virtual node 0 may use host 0 only, virtual node 1 host 0 or 1; both
+        # hosts share a label at demand 5.  Host 1 supports host 0 and back,
+        # so the gate keeps both; but a candidate cannot support itself, so
+        # with host 0 the only candidate of both, the gate fires.
+        net = make_substrate(
+            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0)],
+            link_specs=[(0, 1, 100), (1, 2, 1)],
+        )
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
+        assert unsupported_link(vnr, [0, 1], [[0], [0, 1]], request_labels(vnr, net)) is None
+        assert (unsupported_link(vnr, [0, 1], [[0], [0]], request_labels(vnr, net))
+                is vnr.links[(0, 1)])
+
+    def test_gate_rechecks_a_link_when_its_support_shrinks(self):
+        # At demand 5 the substrate splits into A = {0, 1, 2} and B = {3, 4, 5}.
+        # In routing order, link (0, 1) first keeps host 0 (A) for virtual
+        # node 0, supported by host 1; link (0, 3) drops host 3 (B); link
+        # (1, 2) then drops host 1, so (0, 1) must be checked again, and
+        # virtual node 0 is left with no host.
+        net = make_substrate(
+            node_specs=[(i, 0 if i < 3 else 1, 50, 0, 0) for i in range(6)],
+            link_specs=[(0, 1, 100), (1, 2, 100), (2, 3, 1), (3, 4, 100), (4, 5, 100)],
+        )
+        vnr = make_vnr([(i, 1, 0, 4, (0, 1)) for i in range(4)],
+                       [(0, 1, 5), (1, 2, 5), (0, 3, 5)])
+        order = [0, 1, 2, 3]
+        cands = [[0, 3], [1, 4], [5], [2]]
+        labels = request_labels(vnr, net)
+        assert unsupported_link(vnr, order, cands, labels) is vnr.links[(0, 1)]
+        assert arc_consistency_empties_brute(vnr, order, cands, labels)
+        assert all(route_all_brute(vnr, dict(zip(order, hosts)), net) is None
+                   for hosts in itertools.product(*cands))
+
+    def test_gate_is_sound_against_brute_force(self):
+        """The gate fires exactly when arc consistency to a fixpoint empties a
+        candidate set, and then no assignment routes."""
+        fired = 0
+        for seed in range(12):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.4, substrate_bw_range=(20, 60),
+                                  vnr_node_range=(3, 4), vnr_bw_range=(10, 45))
+            net = generate_substrate(cfg)
+            rnd = random.Random(seed)
+            for link in net.links.values():
+                link.bw_residual = rnd.randint(0, link.bw_capacity)
+            for vnr in generate_vnr_stream(cfg, horizon=300)[:4]:
+                order = sorted(vnr.nodes)
+                cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
+                if not all(cands):
+                    continue
+                labels = request_labels(vnr, net)
+                gate = unsupported_link(vnr, order, cands, labels)
+                assert (gate is not None) == arc_consistency_empties_brute(vnr, order, cands,
+                                                                           labels)
+                if gate is None:
+                    continue
+                fired += 1
+                assert all(route_all_brute(vnr, a, net) is None
+                           for a in enumerate_assignments(vnr, net))
+        assert fired > 5
+
+    @pytest.mark.parametrize("cfg,horizon", [
+        (GOLDEN_BW_CONFIG, 1500),
+        (GeneratorConfig(seed=0, substrate_bw_range=(20, 60)), 600),
+    ], ids=["golden-bw-bound", "paper-scale-bw-bound"])
+    def test_gate_rejections_are_infeasible_when_routed(self, monkeypatch, cfg, horizon):
+        """Every request the gate rejects during a simulated stream, searched
+        again with the gate off and every fitness call routed, is INFEASIBLE."""
+        plain_search = pso.swarm_search
+        plain_gate = pso.unsupported_link
+        plain_fitness = pso.fitness
+        verdicts = []
+        forced = []
+
+        def recording_gate(*args):
+            verdicts.append(plain_gate(*args))
+            return verdicts[-1]
+
+        def checked_search(vnr, net, pso_cfg, *rest):
+            verdicts.clear()
+            try:
+                return plain_search(vnr, net, pso_cfg, *rest)
+            except EmbeddingInfeasible:
+                if verdicts and verdicts[-1] is not None:
+                    with monkeypatch.context() as m:
+                        m.setattr(pso, "unsupported_link", lambda *args: None)
+                        m.setattr(pso, "fitness", lambda *args: plain_fitness(*args[:4]))
+                        forced.append(plain_search(vnr, net, pso_cfg, *rest).fitness)
+                raise
+
+        monkeypatch.setattr(pso, "unsupported_link", recording_gate)
+        monkeypatch.setattr(pso, "swarm_search", checked_search)
+        run(generate_substrate(cfg), generate_vnr_stream(cfg, horizon),
+            make_strategy("stec-iot", seed=0), horizon)
+        assert forced == [math.inf] * len(forced)
+        if cfg is not GOLDEN_BW_CONFIG:
+            assert len(forced) >= 3
 
 
 class TestSwarm:

@@ -1,6 +1,7 @@
 """Path routing under residual-bandwidth constraints."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,10 +9,10 @@ from secvne import routing
 from secvne.errors import LinkMappingInfeasible, NoFeasiblePath
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
-from secvne.routing import min_hop_path, route_all_links, route_link
+from secvne.routing import component_labels, min_hop_path, route_all_links, route_link
 
-from conftest import make_substrate, make_vnr
-from oracles import route_all_brute, shortest_feasible_path_brute
+from conftest import contended_net, make_substrate, make_vnr
+from oracles import labels_separate, route_all_brute, shortest_feasible_path_brute
 
 
 def grid_net(bws):
@@ -66,6 +67,64 @@ class TestRouteLink:
                                 route_link(src, dst, bw, net)
                         else:
                             assert route_link(src, dst, bw, net) == expected
+
+    def test_matches_brute_force_under_debits_when_bandwidth_binds(self):
+        checked = failed = 0
+        for seed in range(6):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.5, substrate_bw_range=(20, 60))
+            net = generate_substrate(cfg)
+            rnd = random.Random(seed)
+            keys = sorted(net.links)
+            for _ in range(4):
+                debits = {k: rnd.randint(1, 50) for k in rnd.sample(keys, len(keys) // 2)}
+                for src, dst in itertools.permutations(sorted(net.nodes), 2):
+                    for bw in (10, 25, 40):
+                        expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
+                        if expected is None:
+                            with pytest.raises(NoFeasiblePath):
+                                route_link(src, dst, bw, net, debits)
+                            failed += 1
+                        else:
+                            assert route_link(src, dst, bw, net, debits) == expected
+                        checked += 1
+        assert 0 < failed < checked
+
+
+class TestComponentLabels:
+    def test_labels_join_exactly_the_nodes_a_feasible_path_joins(self):
+        for seed in range(6):
+            net = contended_net(seed)
+            demands = [15, 30, 45, 30, 60]
+            labels = component_labels(demands, net)
+            assert sorted(labels) == [15, 30, 45, 60]
+            for d, label in labels.items():
+                assert sorted(label) == sorted(net.nodes)
+                for a, b in itertools.combinations(sorted(net.nodes), 2):
+                    joined = shortest_feasible_path_brute(net, a, b, d) is not None
+                    assert (label[a] == label[b]) == joined
+
+    def test_no_demands_give_no_labels(self, toy_net):
+        assert component_labels([], toy_net) == {}
+
+    def test_label_rejected_position_makes_route_all_links_raise(self):
+        vnr = make_vnr(
+            [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,))],
+            [(0, 1, 30), (1, 2, 20), (0, 2, 10)],
+        )
+        rejected = 0
+        for seed in range(6):
+            net = contended_net(seed)
+            labels = component_labels([l.bw_demand for l in vnr.links.values()], net)
+            for nodes in itertools.permutations(sorted(net.nodes), 3):
+                assignment = dict(enumerate(nodes))
+                if not labels_separate(vnr, labels, assignment):
+                    continue
+                rejected += 1
+                assert route_all_brute(vnr, assignment, net) is None
+                with pytest.raises(LinkMappingInfeasible):
+                    route_all_links(vnr, assignment, net)
+        assert rejected > 100
 
 
 class TestRouteAllLinks:
