@@ -6,13 +6,12 @@ surplus, CPU slack, and boundary proximity with weights 0.5 / 0.3 / 0.2.
 """
 
 from secvne import (
-    DEFAULT_WEIGHTS,
     GeneratorConfig,
     candidate_nodes,
+    candidate_scores,
     generate_substrate,
     generate_vnr_stream,
     map_nodes,
-    substrate_node_priority,
     virtual_node_priority,
 )
 
@@ -34,8 +33,7 @@ print("\nper-node candidates and scores:")
 used = set()
 for v in order:
     cands = [s for s in candidate_nodes(v, net) if s not in used]
-    scores = {s: substrate_node_priority(s, v, DEFAULT_WEIGHTS, cands, net)
-              for s in cands}
+    scores = candidate_scores(v, cands, net) if cands else {}
     ranked = sorted(cands, key=lambda s: (-scores[s], s))  # same ties as map_nodes
     top = ", ".join(f"node {s} ({scores[s]:.2f})" for s in ranked[:4])
     print(f"  virtual node {v.id}: {len(cands)} candidates -> {top}")

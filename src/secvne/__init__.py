@@ -13,13 +13,11 @@ from .errors import (
     InsufficientResources,
     InternalConsistencyError,
     InvalidConfig,
-    InvalidWeights,
     LengthMismatch,
     LinkMappingInfeasible,
     NoBoundaryNode,
     NodeMappingInfeasible,
     NoFeasiblePath,
-    NotACandidate,
     SecVneError,
 )
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
@@ -46,12 +44,10 @@ from .model import (
     release,
 )
 from .node_mapping import (
-    DEFAULT_WEIGHTS,
     NodeMappingResult,
-    PriorityWeights,
     candidate_nodes,
+    candidate_scores,
     map_nodes,
-    substrate_node_priority,
     virtual_node_priority,
 )
 from .pso import (

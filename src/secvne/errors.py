@@ -9,10 +9,6 @@ class InvalidConfig(SecVneError):
     """A generator or CLI configuration value is out of its legal range."""
 
 
-class InvalidWeights(SecVneError):
-    """Revenue weights must be non-negative and sum to one."""
-
-
 class InsufficientResources(SecVneError):
     """An allocation would drive a residual negative.
 
@@ -31,10 +27,6 @@ class DoubleRelease(SecVneError):
 
 class NoBoundaryNode(SecVneError):
     """A substrate domain has no node incident to an inter-domain link."""
-
-
-class NotACandidate(SecVneError):
-    """The scored substrate node is not a member of the candidate set."""
 
 
 class LengthMismatch(SecVneError):

@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from . import metrics
-from .errors import InvalidConfig
+from .errors import InvalidConfig, NoBoundaryNode
 from .generate import GeneratorConfig
 from .model import (
     SubstrateLink,
@@ -103,7 +103,10 @@ def load_substrate(path) -> SubstrateNetwork:
         raise InvalidConfig(f"malformed substrate file {path}: {exc}") from exc
     if not net.domains_connected():
         raise InvalidConfig(f"substrate file {path}: some domain is not connected")
-    compute_boundary_hops(net)
+    try:
+        compute_boundary_hops(net)
+    except NoBoundaryNode as exc:
+        raise InvalidConfig(f"substrate file {path}: {exc}") from exc
     return net
 
 

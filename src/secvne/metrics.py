@@ -1,7 +1,7 @@
 """Windowed evaluation metrics: acceptance rate, revenue, cost, and their ratio.
 
-Revenue weights node and link demand with alpha/beta (alpha + beta = 1).
-Cost comes in two modes:
+Revenue weights a request's total CPU and bandwidth demand with the paper's
+fixed ALPHA = BETA = 0.5.  Cost comes in two modes:
 
     literal  node demand + link demand, counting each mapped item once
     hop      node demand + link demand multiplied by its path's hop count
@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidWeights
-
 COST_LITERAL = "literal"
 COST_HOP = "hop"
 
-DEFAULT_ALPHA = 0.5
-DEFAULT_BETA = 0.5
+# Revenue weights of CPU and bandwidth demand.
+ALPHA = 0.5
+BETA = 0.5
 
 # Most windows one series may have: a million take ~250 MiB (CPython 3.11).
 MAX_WINDOWS = 10**6
@@ -73,22 +72,18 @@ def acceptance_rate(window: MetricWindow) -> float | None:
     return window.accepted / window.arrived
 
 
-def revenue(vnr, alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> float:
-    """Weighted demand served by one request: alpha * cpu + beta * bandwidth."""
-    if alpha < 0 or beta < 0 or not math.isclose(alpha + beta, 1.0, abs_tol=1e-9):
-        raise InvalidWeights(f"alpha={alpha}, beta={beta} must be >= 0 and sum to 1")
-    cpu = sum(n.cpu_demand for n in vnr.nodes.values())
-    bw = sum(l.bw_demand for l in vnr.links.values())
-    return alpha * cpu + beta * bw
+def revenue(vnr) -> float:
+    """Weighted demand served by one request: ALPHA * cpu + BETA * bandwidth."""
+    return ALPHA * vnr.cpu_total + BETA * vnr.bw_total
 
 
 def cost(emb, mode: str = COST_HOP) -> float:
     """Substrate resources consumed by one embedding."""
     if mode not in (COST_LITERAL, COST_HOP):
         raise ValueError(f"unknown cost mode {mode!r}")
-    cpu = sum(n.cpu_demand for n in emb.vnr.nodes.values())
+    cpu = emb.vnr.cpu_total
     if mode == COST_LITERAL:
-        bw = sum(l.bw_demand for l in emb.vnr.links.values())
+        bw = emb.vnr.bw_total
     else:
         bw = 0
         for vkey, path in emb.link_map.items():
@@ -119,8 +114,7 @@ def _windows(horizon: float, width: float) -> list[MetricWindow]:
     return out
 
 
-def _fill_windows(trace, windows: list[MetricWindow], width: float,
-                  alpha: float, beta: float, mode: str) -> None:
+def _fill_windows(trace, windows: list[MetricWindow], width: float, mode: str) -> None:
     last = len(windows) - 1
     for rec in trace.records:
         if rec.kind != "arrival" or rec.time >= trace.horizon:
@@ -130,21 +124,19 @@ def _fill_windows(trace, windows: list[MetricWindow], width: float,
         w.arrived += 1
         if rec.outcome == "accepted":
             w.accepted += 1
-            w.revenue_sum += revenue(rec.embedding.vnr, alpha, beta)
+            w.revenue_sum += revenue(rec.embedding.vnr)
             w.cost_sum += cost(rec.embedding, mode)
 
 
-def windowed_series(trace, window_width: float,
-                    alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-                    mode: str = COST_HOP) -> list[WindowRow]:
+def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[WindowRow]:
     """Per-window acceptance, unit revenue, unit cost, and revenue/cost ratio.
 
     ``trace`` must expose ``horizon`` and chronological ``records``; accepted
     arrival records must carry their embedding so revenue and cost can be
-    re-derived under any weights or cost mode without rerunning the simulation.
+    re-derived under either cost mode without rerunning the simulation.
     """
     windows = _windows(trace.horizon, window_width)
-    _fill_windows(trace, windows, window_width, alpha, beta, mode)
+    _fill_windows(trace, windows, window_width, mode)
     rows = []
     for w in windows:
         span = w.t_end - w.t_start
@@ -155,12 +147,10 @@ def windowed_series(trace, window_width: float,
     return rows
 
 
-def cumulative_series(trace, window_width: float,
-                      alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-                      mode: str = COST_HOP) -> list[CumulativeRow]:
+def cumulative_series(trace, window_width: float, mode: str = COST_HOP) -> list[CumulativeRow]:
     """Running totals sampled at each window boundary."""
     windows = _windows(trace.horizon, window_width)
-    _fill_windows(trace, windows, window_width, alpha, beta, mode)
+    _fill_windows(trace, windows, window_width, mode)
     rows = []
     arrived = accepted = 0
     rev = cst = 0.0

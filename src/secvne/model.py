@@ -141,7 +141,7 @@ class Embedding:
     """A placed request: node assignment and one substrate path per virtual link.
 
     Pricing is not part of a placement: ``metrics.revenue``/``metrics.cost``
-    derive revenue and cost from an embedding under any weights or cost mode.
+    derive revenue and cost from an embedding under either cost mode.
     """
 
     vnr: VirtualNetworkRequest
@@ -158,7 +158,11 @@ class SubstrateNetwork:
 
     def __init__(self, domain_count: int, nodes, links):
         self.domain_count = domain_count
-        self.nodes: dict[int, SubstrateNode] = {n.id: n for n in nodes}
+        self.nodes: dict[int, SubstrateNode] = {}
+        for n in nodes:
+            if n.id in self.nodes:
+                raise ValueError(f"duplicate substrate node id {n.id}")
+            self.nodes[n.id] = n
         self.links: dict[LinkKey, SubstrateLink] = {}
         self.active: dict[int, Embedding] = {}
         for l in links:
@@ -167,6 +171,9 @@ class SubstrateNetwork:
                 raise ValueError(f"substrate link {k} is a self-loop")
             if k in self.links:
                 raise ValueError(f"duplicate substrate link {k}")
+            for end in k:
+                if end not in self.nodes:
+                    raise ValueError(f"substrate link {k} names unknown node {end}")
             du = self.nodes[k[0]].domain
             dv = self.nodes[k[1]].domain
             kind = INTRA_DOMAIN if du == dv else INTER_DOMAIN

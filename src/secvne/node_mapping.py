@@ -9,38 +9,24 @@ security than the virtual node offers.
 The candidate score blends three terms: security surplus, CPU slack, and
 proximity to the domain boundary.  The raw attributes live on wildly
 different scales (security 0-4, CPU up to ~100, hops 0-6), so each term is
-min-max normalized over the candidate set being ranked before the 0.5/0.3/0.2
-weights are applied; otherwise CPU slack would drown out the security term
-the weighting is supposed to prioritize.  The boundary term is inverted by
-default so boundary-proximal nodes score higher (set ``invert_hop=False`` to
-score raw distance instead).
+min-max normalized over the candidate set being ranked before the paper's
+fixed weights GAMMA/DELTA/THETA = 0.5/0.3/0.2 are applied; otherwise CPU
+slack would drown out the security term the weighting is supposed to
+prioritize.  The boundary term is inverted by default so boundary-proximal
+nodes score higher (set ``invert_hop=False`` to score raw distance instead).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .errors import NodeMappingInfeasible, NotACandidate
+from .errors import NodeMappingInfeasible
 from .model import SubstrateNetwork, VirtualNetworkRequest, VirtualNode
 
-
-@dataclass(frozen=True)
-class PriorityWeights:
-    """Weights for the security / cpu / boundary terms; must sum to one."""
-
-    gamma: float = 0.5
-    delta: float = 0.3
-    theta: float = 0.2
-
-    def __post_init__(self):
-        if min(self.gamma, self.delta, self.theta) < 0:
-            raise ValueError("priority weights must be non-negative")
-        if not math.isclose(self.gamma + self.delta + self.theta, 1.0, abs_tol=1e-9):
-            raise ValueError("priority weights must sum to 1")
-
-
-DEFAULT_WEIGHTS = PriorityWeights()
+# Weights of the security-surplus, CPU-slack and boundary terms.
+GAMMA = 0.5
+DELTA = 0.3
+THETA = 0.2
 
 
 @dataclass
@@ -76,8 +62,10 @@ def _normalized(values: dict[int, float]) -> dict[int, float]:
     return {sid: (val - lo) / span for sid, val in values.items()}
 
 
-def _candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork,
-                      weights: PriorityWeights, invert_hop: bool) -> dict[int, float]:
+def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork,
+                     invert_hop: bool = True) -> dict[int, float]:
+    """Score of each candidate for v, relative to the given (non-empty)
+    candidate set."""
     nodes = net.nodes
     sec = {sid: float(nodes[sid].ssl - v.vsd) for sid in candidates}
     cpu = {sid: float(nodes[sid].cpu_residual - v.cpu_demand) for sid in candidates}
@@ -89,22 +77,11 @@ def _candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork,
     sec = _normalized(sec)
     cpu = _normalized(cpu)
     hop = _normalized(hop)
-    return {sid: weights.gamma * sec[sid] + weights.delta * cpu[sid] + weights.theta * hop[sid]
+    return {sid: GAMMA * sec[sid] + DELTA * cpu[sid] + THETA * hop[sid]
             for sid in candidates}
 
 
-def substrate_node_priority(sid: int, v: VirtualNode, weights: PriorityWeights,
-                            candidates, net: SubstrateNetwork,
-                            invert_hop: bool = True) -> float:
-    """Score of one candidate relative to the given candidate set."""
-    candidates = list(candidates)
-    if sid not in candidates:
-        raise NotACandidate(f"substrate node {sid} is not in the candidate set")
-    return _candidate_scores(v, candidates, net, weights, invert_hop)[sid]
-
-
 def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-              weights: PriorityWeights = DEFAULT_WEIGHTS,
               invert_hop: bool = True) -> NodeMappingResult:
     """Greedy assignment in descending virtual-priority order.
 
@@ -119,7 +96,7 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
         if not cands:
             raise NodeMappingInfeasible(v.id)
-        scores = _candidate_scores(v, cands, net, weights, invert_hop)
+        scores = candidate_scores(v, cands, net, invert_hop)
         best = min(cands, key=lambda sid: (-scores[sid], sid))
         assignment[v.id] = best
         used.add(best)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
-from .node_mapping import DEFAULT_WEIGHTS, PriorityWeights, candidate_nodes, map_nodes
+from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, component_labels, hop_distances, route_all_links
 from .seeding import rng_from
 
@@ -310,9 +310,7 @@ def _inertia(cfg: PsoConfig, iteration: int) -> float:
 
 
 def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-                 cfg: PsoConfig,
-                 weights: PriorityWeights = DEFAULT_WEIGHTS,
-                 invert_hop: bool = True) -> SwarmResult:
+                 cfg: PsoConfig, invert_hop: bool = True) -> SwarmResult:
     """Run the swarm and return the best assignment found.
 
     Particle 0 is seeded from the deterministic priority mapping when that is
@@ -355,7 +353,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     seeded: list[int] | None = None
     try:
-        mapped = map_nodes(vnr, net, weights, invert_hop)
+        mapped = map_nodes(vnr, net, invert_hop)
         seeded = [mapped.assignment[vid] for vid in vnode_order]
     except NodeMappingInfeasible:
         seeded = None
@@ -400,7 +398,6 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
-             weights: PriorityWeights = DEFAULT_WEIGHTS,
              invert_hop: bool = True) -> Embedding:
     """Swarm-search the request and return the best placement found, routed.
 
@@ -408,7 +405,7 @@ def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
     ``metrics`` derives from it.  Raises EmbeddingInfeasible when no particle
     found a routable assignment.
     """
-    result = swarm_search(vnr, net, cfg, weights, invert_hop)
+    result = swarm_search(vnr, net, cfg, invert_hop)
     if result.fitness == INFEASIBLE:
         raise EmbeddingInfeasible(f"no particle found a routable embedding for "
                                   f"request {vnr.id}")

@@ -18,7 +18,7 @@ K events and likewise aborts on drift.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .baselines import greedy_embed, random_embed
 from .errors import EmbeddingInfeasible, InternalConsistencyError
@@ -30,7 +30,6 @@ from .model import (
     path_links,
     release,
 )
-from .node_mapping import DEFAULT_WEIGHTS, PriorityWeights
 from .pso import PsoConfig, optimize
 from .seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from .validation import validate_embedding
@@ -80,17 +79,13 @@ class StecIotStrategy(Strategy):
 
     name = "stec-iot"
 
-    def __init__(self, seed: int = 0, pso_config: PsoConfig | None = None,
-                 weights: PriorityWeights = DEFAULT_WEIGHTS, invert_hop: bool = True):
+    def __init__(self, seed: int = 0, invert_hop: bool = True):
         self.seed = seed
-        self.pso_config = pso_config if pso_config is not None else PsoConfig()
-        self.weights = weights
         self.invert_hop = invert_hop
 
     def embed(self, vnr, net):
-        cfg = replace(self.pso_config,
-                      seed=derive_seed(self.seed, SWARM_STREAM, vnr.id))
-        return optimize(vnr, net, cfg, self.weights, self.invert_hop)
+        cfg = PsoConfig(seed=derive_seed(self.seed, SWARM_STREAM, vnr.id))
+        return optimize(vnr, net, cfg, self.invert_hop)
 
 
 class GreedyStrategy(Strategy):
@@ -111,11 +106,9 @@ class RandomStrategy(Strategy):
                             derive_seed(self.seed, RANDOM_BASELINE_STREAM, vnr.id))
 
 
-def make_strategy(name: str, seed: int = 0, pso_config: PsoConfig | None = None,
-                  weights: PriorityWeights = DEFAULT_WEIGHTS,
-                  invert_hop: bool = True) -> Strategy:
+def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy:
     if name == "stec-iot":
-        return StecIotStrategy(seed, pso_config, weights, invert_hop)
+        return StecIotStrategy(seed, invert_hop)
     if name == "greedy":
         return GreedyStrategy()
     if name == "random":

@@ -196,12 +196,12 @@ def best_fitness_brute(vnr, net):
     return best
 
 
-def map_nodes_brute(vnr, net, weights, invert_hop=True):
+def map_nodes_brute(vnr, net, invert_hop=True):
     """Replays the greedy priority mapping by explicit per-step argmax.
 
     Scores every unused candidate with an independently coded version of the
-    blended priority and picks the max (ties by id), mirroring the contract
-    rather than the implementation.
+    blended priority, with the paper's weights 0.5/0.3/0.2, and picks the max
+    (ties by id), mirroring the contract rather than the implementation.
     """
     def step_score(v, sid, pool):
         def norm(value, values):
@@ -216,9 +216,9 @@ def map_nodes_brute(vnr, net, weights, invert_hop=True):
         else:
             hop_vals = [net.nodes[s].hop_to_boundary for s in pool]
         i = pool.index(sid)
-        return (weights.gamma * norm(sec_vals[i], sec_vals)
-                + weights.delta * norm(cpu_vals[i], cpu_vals)
-                + weights.theta * norm(hop_vals[i], hop_vals))
+        return (0.5 * norm(sec_vals[i], sec_vals)
+                + 0.3 * norm(cpu_vals[i], cpu_vals)
+                + 0.2 * norm(hop_vals[i], hop_vals))
 
     order = sorted(vnr.nodes.values(), key=lambda v: (-virtual_node_priority(v), v.id))
     used = set()
@@ -233,7 +233,7 @@ def map_nodes_brute(vnr, net, weights, invert_hop=True):
     return assignment
 
 
-def windowed_metrics_brute(trace, width, alpha, beta, mode):
+def windowed_metrics_brute(trace, width, mode):
     """Per-window metrics by filtering the raw event list window by window."""
     rows = []
     t = 0.0
@@ -242,7 +242,7 @@ def windowed_metrics_brute(trace, width, alpha, beta, mode):
         arrivals = [r for r in trace.records
                     if r.kind == "arrival" and t <= r.time < end]
         accepted = [r for r in arrivals if r.outcome == "accepted"]
-        rev = sum(metric_revenue(r.embedding.vnr, alpha, beta) for r in accepted)
+        rev = sum(metric_revenue(r.embedding.vnr) for r in accepted)
         cst = sum(metric_cost(r.embedding, mode) for r in accepted)
         acc = len(accepted) / len(arrivals) if arrivals else None
         avg_rev = rev / (end - t)

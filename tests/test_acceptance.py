@@ -155,7 +155,7 @@ def test_criterion_4_metric_oracle_equivalence(battery):
     for (name, seed), trace in battery.items():
         for mode in ("hop", "literal"):
             rows = windowed_series(trace, WINDOW, mode=mode)
-            expected = windowed_metrics_brute(trace, WINDOW, 0.5, 0.5, mode)
+            expected = windowed_metrics_brute(trace, WINDOW, mode)
             assert len(rows) == len(expected)
             for row, exp in zip(rows, expected):
                 assert (row.window.t_start, row.window.t_end,

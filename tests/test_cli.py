@@ -281,3 +281,28 @@ def test_generate_rejects_non_positive_horizon(tmp_path, mini_config, capsys, ho
                  "--out", str(tmp_path / "gen")])
     assert code == 2
     assert "--horizon" in capsys.readouterr().err
+
+
+def _drop_inter_domain_links(doc):
+    domain = {n["id"]: n["domain"] for n in doc["nodes"]}
+    doc["links"] = [l for l in doc["links"] if domain[l["u"]] == domain[l["v"]]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_inter_domain_links, "has no boundary node"),
+    (lambda doc: doc["nodes"].append(dict(doc["nodes"][0], cpu=1)),
+     "duplicate substrate node id 0"),
+    (lambda doc: doc["links"].append({"u": 0, "v": 9999, "bw": 10}),
+     "substrate link (0, 9999) names unknown node 9999"),
+], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node"])
+def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
+    doc = json.loads((generated / "substrate.json").read_text())
+    edit(doc)
+    substrate = tmp_path / "bad_substrate.json"
+    substrate.write_text(json.dumps(doc))
+    code = main(["run", "--substrate", str(substrate),
+                 "--workload", str(generated / "workload.jsonl"), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from secvne import metrics
-from secvne.errors import InvalidWeights
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import (
     MetricWindow,
@@ -37,22 +36,11 @@ class TestAcceptance:
 class TestRevenue:
     def test_equal_weights(self):
         vnr = make_vnr([(0, 12, 0, 4, (0,)), (1, 8, 0, 4, (0,))], [(0, 1, 10)])
-        assert revenue(vnr, 0.5, 0.5) == 15.0
+        assert revenue(vnr) == 15.0
 
     def test_zero_link_vnr(self):
         vnr = make_vnr([(0, 30, 0, 4, (0,))], [])
-        assert revenue(vnr, 0.5, 0.5) == 15.0
-
-    def test_weight_collapse_to_cpu(self):
-        vnr = make_vnr([(0, 12, 0, 4, (0,)), (1, 8, 0, 4, (0,))], [(0, 1, 10)])
-        assert revenue(vnr, 1.0, 0.0) == 20.0
-
-    def test_bad_weights_rejected(self):
-        vnr = make_vnr([(0, 12, 0, 4, (0,))], [])
-        with pytest.raises(InvalidWeights):
-            revenue(vnr, 0.7, 0.7)
-        with pytest.raises(InvalidWeights):
-            revenue(vnr, 1.5, -0.5)
+        assert revenue(vnr) == 15.0
 
 
 class TestCost:
@@ -177,9 +165,9 @@ class TestOracleEquivalence:
         net = generate_substrate(cfg)
         vnrs = generate_vnr_stream(cfg, horizon=800)
         trace = run(net, vnrs, make_strategy(strategy_name, seed=6), 800)
-        for alpha, beta, mode in ((0.5, 0.5, "hop"), (0.5, 0.5, "literal"), (0.8, 0.2, "hop")):
-            rows = windowed_series(trace, 100.0, alpha, beta, mode)
-            expected = windowed_metrics_brute(trace, 100.0, alpha, beta, mode)
+        for mode in ("hop", "literal"):
+            rows = windowed_series(trace, 100.0, mode)
+            expected = windowed_metrics_brute(trace, 100.0, mode)
             assert len(rows) == len(expected)
             for row, exp in zip(rows, expected):
                 assert (row.window.t_start, row.window.t_end) == exp[:2]
@@ -194,6 +182,6 @@ class TestOracleEquivalence:
         net = generate_substrate(cfg)
         vnrs = generate_vnr_stream(cfg, horizon=600)
         trace = run(net, vnrs, make_strategy("greedy"), 600)
-        for row in windowed_series(trace, 100.0, 0.5, 0.5, "hop"):
+        for row in windowed_series(trace, 100.0, "hop"):
             if row.rc_ratio is not None:
                 assert row.rc_ratio <= 1.0

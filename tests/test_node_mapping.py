@@ -2,15 +2,14 @@
 
 import pytest
 
-from secvne.errors import NodeMappingInfeasible, NotACandidate
+from secvne.errors import NodeMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.model import VirtualNode
 from secvne.node_mapping import (
-    DEFAULT_WEIGHTS,
-    PriorityWeights,
+    THETA,
     candidate_nodes,
+    candidate_scores,
     map_nodes,
-    substrate_node_priority,
     virtual_node_priority,
 )
 
@@ -69,7 +68,7 @@ class TestCandidates:
 class TestSubstratePriority:
     def test_singleton_candidate_scores_zero(self, toy_net):
         v = vn(0, 10, 1, 2, (0,))
-        assert substrate_node_priority(0, v, DEFAULT_WEIGHTS, [0], toy_net) == 0.0
+        assert candidate_scores(v, [0], toy_net) == {0: 0.0}
 
     def test_boundary_proximity_worth_theta(self):
         # two candidates identical except boundary distance 0 vs 2
@@ -79,9 +78,8 @@ class TestSubstratePriority:
             link_specs=[(0, 1, 10), (1, 2, 10), (0, 3, 10)],
         )
         v = vn(0, 10, 1, 4, (0,))
-        near = substrate_node_priority(0, v, DEFAULT_WEIGHTS, [0, 2], net)
-        far = substrate_node_priority(2, v, DEFAULT_WEIGHTS, [0, 2], net)
-        assert near - far == pytest.approx(DEFAULT_WEIGHTS.theta)
+        scores = candidate_scores(v, [0, 2], net)
+        assert scores[0] - scores[2] == pytest.approx(THETA)
 
     def test_hand_computed_two_candidate_scores(self):
         # security surplus 2 vs 0, cpu slack 10 vs 50, equal boundary distance
@@ -90,13 +88,7 @@ class TestSubstratePriority:
             link_specs=[(0, 1, 10), (0, 2, 10), (1, 2, 10)],
         )
         v = vn(0, 10, 1, 4, (0,))
-        cands = [0, 1]
-        assert substrate_node_priority(0, v, DEFAULT_WEIGHTS, cands, net) == pytest.approx(0.5)
-        assert substrate_node_priority(1, v, DEFAULT_WEIGHTS, cands, net) == pytest.approx(0.3)
-
-    def test_non_candidate_rejected(self, toy_net):
-        with pytest.raises(NotACandidate):
-            substrate_node_priority(5, vn(0, 10, 1, 2, (0,)), DEFAULT_WEIGHTS, [0, 1], toy_net)
+        assert candidate_scores(v, [0, 1], net) == pytest.approx({0: 0.5, 1: 0.3})
 
     def test_scaling_security_differences_keeps_argmax(self):
         # min-max normalization absorbs positive scaling of the security term
@@ -109,14 +101,9 @@ class TestSubstratePriority:
             )
             v = vn(0, 10, 0, 4, (0,))
             cands = candidate_nodes(v, net)
-            scores = {sid: substrate_node_priority(sid, v, DEFAULT_WEIGHTS, cands, net)
-                      for sid in cands}
+            scores = candidate_scores(v, cands, net)
             best = min(cands, key=lambda sid: (-scores[sid], sid))
             assert best == 1  # highest surplus wins at every scale
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            PriorityWeights(0.5, 0.5, 0.5)
 
     def test_literal_hop_mode_prefers_distance(self):
         # with invert_hop=False the raw boundary distance scores positively,
@@ -127,11 +114,8 @@ class TestSubstratePriority:
             link_specs=[(0, 1, 10), (1, 2, 10), (0, 3, 10)],
         )
         v = vn(0, 10, 1, 4, (0,))
-        near = substrate_node_priority(0, v, DEFAULT_WEIGHTS, [0, 2], net,
-                                       invert_hop=False)
-        far = substrate_node_priority(2, v, DEFAULT_WEIGHTS, [0, 2], net,
-                                      invert_hop=False)
-        assert far - near == pytest.approx(DEFAULT_WEIGHTS.theta)
+        scores = candidate_scores(v, [0, 2], net, invert_hop=False)
+        assert scores[2] - scores[0] == pytest.approx(THETA)
 
 
 class TestMapNodes:
@@ -154,7 +138,7 @@ class TestMapNodes:
             map_nodes(vnr, net)
 
     def test_matches_stepwise_oracle_on_toy(self, toy_net, toy_vnr):
-        expected = map_nodes_brute(toy_vnr, toy_net, DEFAULT_WEIGHTS)
+        expected = map_nodes_brute(toy_vnr, toy_net)
         got = map_nodes(toy_vnr, toy_net)
         assert got.assignment == expected
 
@@ -166,7 +150,7 @@ class TestMapNodes:
             net = generate_substrate(cfg)
             vnrs = generate_vnr_stream(cfg, horizon=200)
             for vnr in vnrs[:5]:
-                expected = map_nodes_brute(vnr, net, DEFAULT_WEIGHTS)
+                expected = map_nodes_brute(vnr, net)
                 if expected is None:
                     with pytest.raises(NodeMappingInfeasible):
                         map_nodes(vnr, net)
