@@ -51,9 +51,11 @@ from .node_mapping import (
     virtual_node_priority,
 )
 from .pso import (
+    EvaluationPlan,
     Particle,
     PsoConfig,
     SwarmResult,
+    evaluation_plan,
     fitness,
     optimize,
     position_update,

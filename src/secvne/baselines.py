@@ -14,7 +14,7 @@ from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
 from .pso import sample_injective
 from .routing import build_embedding
-from .seeding import rng_from
+from .seeding import draws_from
 
 RANDOM_EMBED_ATTEMPTS = 10
 
@@ -46,9 +46,9 @@ def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -
         if not cands:
             raise EmbeddingInfeasible(f"random: no candidate for virtual node {vid}")
         candidate_lists.append(cands)
-    rng = rng_from(seed)
+    draws = draws_from(seed)
     for _ in range(RANDOM_EMBED_ATTEMPTS):
-        position = sample_injective(candidate_lists, rng)
+        position = sample_injective(candidate_lists, draws)
         if position is None:
             continue
         try:

@@ -15,6 +15,12 @@ Field names are pinned for cross-implementation compatibility:
     window CSV  header t_start,t_end,arrived,accepted,acceptance,avg_revenue,
                 avg_cost,rc_ratio; no-sample cells are left empty
 
+Every id, capacity, demand, security level and domain in the substrate and
+workload files is read through ``read_int``: a JSON integer, never a
+boolean, a fraction or a string, and non-negative (``domain_count`` at
+least 1).  A workload's request ids are distinct and each request has a
+virtual node.  A malformed file raises ``InvalidConfig``.
+
 All writers go through an atomic replace so a crashed run never leaves a
 truncated file behind, and all output is byte-deterministic.
 """
@@ -58,6 +64,20 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_int(value, name: str, lo: int = 0) -> int:
+    """``value``, read from a file field ``name``, as an integer of at least
+    ``lo``; else ValueError.
+
+    JSON booleans and numbers with a fraction are rejected, not coerced:
+    Python reads ``true`` as 1 (``bool`` is a subclass of ``int``, hence the
+    exact type test), and residual bookkeeping needs exact integers.
+    """
+    if type(value) is not int or value < lo:
+        bound = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
 def format_cell(value) -> str:
     """One CSV cell: empty for no-sample, repr for floats (round-trips)."""
     if value is None:
@@ -95,10 +115,19 @@ def load_substrate(path) -> SubstrateNetwork:
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read substrate file {path}: {exc}") from exc
     try:
-        nodes = [SubstrateNode(n["id"], n["domain"], n["cpu"], n["cpu"], n["ssl"], n["ssd"])
-                 for n in doc["nodes"]]
-        links = [SubstrateLink(l["u"], l["v"], l["bw"], l["bw"]) for l in doc["links"]]
-        net = SubstrateNetwork(doc["domain_count"], nodes, links)
+        nodes = []
+        for n in doc["nodes"]:
+            cpu = read_int(n["cpu"], "substrate node cpu")
+            nodes.append(SubstrateNode(read_int(n["id"], "substrate node id"),
+                                       read_int(n["domain"], "substrate node domain"), cpu, cpu,
+                                       read_int(n["ssl"], "substrate node ssl"),
+                                       read_int(n["ssd"], "substrate node ssd")))
+        links = []
+        for l in doc["links"]:
+            bw = read_int(l["bw"], "substrate link bw")
+            links.append(SubstrateLink(read_int(l["u"], "substrate link u"),
+                                       read_int(l["v"], "substrate link v"), bw, bw))
+        net = SubstrateNetwork(read_int(doc["domain_count"], "domain_count", lo=1), nodes, links)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed substrate file {path}: {exc}") from exc
     if not net.domains_connected():
@@ -128,6 +157,24 @@ def save_workload(vnrs, horizon: float, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_request(doc: dict) -> VirtualNetworkRequest:
+    """One workload line's request; KeyError, TypeError or ValueError when
+    the line is malformed."""
+    nodes = [VirtualNode(read_int(n["id"], "virtual node id"),
+                         read_int(n["cpu"], "virtual node cpu"),
+                         read_int(n["vsd"], "virtual node vsd"),
+                         read_int(n["vsl"], "virtual node vsl"),
+                         frozenset([read_int(d, "candidate domain") for d in n["cd"]]))
+             for n in doc["nodes"]]
+    if not nodes:
+        raise ValueError("a request needs at least one virtual node")
+    links = [VirtualLink(read_int(l["u"], "virtual link u"), read_int(l["v"], "virtual link v"),
+                         read_int(l["bw"], "virtual link bw"))
+             for l in doc["links"]]
+    return VirtualNetworkRequest(read_int(doc["id"], "request id"), nodes, links,
+                                 doc["arrival_time"], doc["lifetime"])
+
+
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     try:
         lines = Path(path).read_text().splitlines()
@@ -136,20 +183,23 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     if not lines:
         raise InvalidConfig(f"workload file {path} is empty")
     try:
-        header = json.loads(lines[0])
-        horizon = float(header["horizon"])
-        vnrs = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            nodes = [VirtualNode(n["id"], n["cpu"], n["vsd"], n["vsl"], frozenset(n["cd"]))
-                     for n in doc["nodes"]]
-            links = [VirtualLink(l["u"], l["v"], l["bw"]) for l in doc["links"]]
-            vnrs.append(VirtualNetworkRequest(doc["id"], nodes, links,
-                                              doc["arrival_time"], doc["lifetime"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise InvalidConfig(f"malformed workload file {path}: {exc}") from exc
+        horizon = float(json.loads(lines[0])["horizon"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"malformed workload file {path}, line 1: {exc}") from exc
+    vnrs = []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            vnr = _read_request(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"malformed workload file {path}, line {lineno}: {exc}") from exc
+        if vnr.id in seen:
+            raise InvalidConfig(f"workload file {path}, line {lineno}: duplicate request id "
+                                f"{vnr.id}")
+        seen.add(vnr.id)
+        vnrs.append(vnr)
     return vnrs, horizon
 
 

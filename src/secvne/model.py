@@ -162,6 +162,9 @@ class SubstrateNetwork:
         for n in nodes:
             if n.id in self.nodes:
                 raise ValueError(f"duplicate substrate node id {n.id}")
+            if not 0 <= n.domain < domain_count:
+                raise ValueError(f"substrate node {n.id} has domain {n.domain}, outside "
+                                 f"[0, {domain_count})")
             self.nodes[n.id] = n
         self.links: dict[LinkKey, SubstrateLink] = {}
         self.active: dict[int, Embedding] = {}

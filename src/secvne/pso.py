@@ -23,19 +23,19 @@ with +inf as the sentinel for positions whose links cannot be routed;
 pbest/gbest only move on strict improvement, which makes the gbest series
 non-increasing by construction.
 
-A search never changes residuals, so ``swarm_search`` tests once whether the
-request's total bandwidth demand is at most the smallest residual of any
-substrate link.  If so, bandwidth cannot bind: every path ``route_all_links``
-picks is simple, so when it routes a virtual link the debits on any
-substrate link come from other virtual links and total at most the
-request's demand minus this link's, and every table path stays feasible.
-The routed cost is then the sum of bandwidth x topology hop distance, which
-``fitness`` reads from the substrate's hop-distance table without building
-paths or debits.
+A search never changes residuals, so ``evaluation_plan`` tests once per
+search whether the request's total bandwidth demand is at most the smallest
+residual of any substrate link.  If so, bandwidth cannot bind: every path
+``route_all_links`` picks is simple, so when it routes a virtual link the
+debits on any substrate link come from other virtual links and total at
+most the request's demand minus this link's, and every table path stays
+feasible.  The routed cost is then the sum of bandwidth x topology hop
+distance, which ``fitness`` reads from the substrate's hop-distance table
+without building paths or debits.
 
-Otherwise ``swarm_search`` builds, once per search, each substrate node's
-component label at every distinct demand d of the request: two nodes share a
-label at d when links with residual >= d join them (``component_labels``).
+Otherwise ``evaluation_plan`` builds, once per search, each substrate node's
+component label at every distinct demand d of the request: two nodes share
+a label at d when links with residual >= d join them (``component_labels``).
 Debits only shrink that subgraph, so hosts with different labels at a
 virtual link's demand can never route it, under any routing order.  The
 labels serve twice.  Before the swarm runs, ``unsupported_link`` prunes the
@@ -46,6 +46,26 @@ only this proof: the swarm draws from the full candidate lists, so its
 random stream is unchanged.  Then ``fitness`` returns INFEASIBLE for a
 position whose hosts some virtual link's labels separate, and routes the
 rest in full.
+
+Everything a search evaluates against is fixed per search, so
+``evaluation_plan`` derives it once: the virtual-node order, the candidate
+lists and their sets, ``cpu_total``, each virtual link as an (index of u,
+index of v, demand) triple in the request's routing order, the slack flag
+and, without slack, the labels and each link's label dict.  ``fitness``
+indexes positions with the triples and builds the assignment dict only
+when it routes.  ``position_update`` re-draws a component from its
+candidate list as it stands when no kept or re-drawn node lies in the
+list's set, which leaves the same pool the filter would.
+
+The search draws through a ``seeding.Draws`` stream, which gives the values
+numpy's ``Generator`` would for the same calls, so the draw order alone
+fixes the result: per particle, the initial position's draws (none for a
+particle seeded by the priority mapping), then one ``integers(2)`` per
+component for its velocity; per (iteration, particle), ``r1``, then ``r2``,
+then one ``integers`` per re-drawn component in ascending order.  Particles
+cannot be vectorised, since gbest moves between particles within an
+iteration.  The operators take any sampler with ``random()`` and
+``integers(n)``, a numpy ``Generator`` included.
 """
 
 from __future__ import annotations
@@ -58,7 +78,7 @@ from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, 
 from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
 from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, component_labels, hop_distances, route_all_links
-from .seeding import rng_from
+from .seeding import draws_from
 
 INFEASIBLE = math.inf
 # Rejection-sampling passes of random_injective before it falls back to the
@@ -142,12 +162,14 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
 
 
 def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
-                    rng) -> list[int]:
+                    candidate_sets: list[set[int]], rng) -> list[int]:
     """Keep components with velocity 1; re-draw the rest injectively.
 
     Re-draws run in ascending component order, each excluding every kept node
-    and every earlier re-drawn node.  A component whose pool empties triggers
-    a full re-randomization of the particle, so the update never fails.
+    and every earlier re-drawn node: from the candidate list itself when its
+    set holds none of them, else from the list filtered.  A component whose
+    pool empties triggers a full re-randomization of the particle, so the
+    update never fails.
     """
     position = p.position
     if len(v_new) != len(position):
@@ -160,10 +182,12 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
     for k, v in enumerate(v_new):
         if v == 1:
             continue
-        pool = [c for c in candidate_lists[k] if c not in used]
+        pool = candidate_lists[k]
+        if not used.isdisjoint(candidate_sets[k]):
+            pool = [c for c in pool if c not in used]
         if not pool:
             return random_injective(candidate_lists, rng)
-        pick = pool[int(rng.integers(len(pool)))]
+        pick = pool[rng.integers(len(pool))]
         out[k] = pick
         used.add(pick)
     return out
@@ -178,7 +202,7 @@ def sample_injective(candidate_lists: list[list[int]], rng) -> list[int] | None:
         pool = [c for c in cands if c not in used]
         if not pool:
             return None
-        pick = pool[int(rng.integers(len(pool)))]
+        pick = pool[rng.integers(len(pool))]
         out.append(pick)
         used.add(pick)
     return out
@@ -224,37 +248,73 @@ def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
     return position
 
 
-def fitness(position: list[int], vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-            vnode_order: list[int], bw_slack: bool = False,
-            labels: dict[int, dict[int, int]] | None = None) -> float:
+@dataclass(slots=True)
+class EvaluationPlan:
+    """What a search evaluates positions against, derived once per search
+    (see the module docstring)."""
+
+    vnr: VirtualNetworkRequest
+    net: SubstrateNetwork
+    vnode_order: list[int]
+    candidate_lists: list[list[int]]
+    candidate_sets: list[set[int]]
+    cpu_total: int
+    # (index of u, index of v, bw demand) per virtual link, in routing order
+    links: list[tuple[int, int, int]]
+    bw_slack: bool
+    # Without slack: the request's component_labels, and each link's labels
+    # at its demand, aligned with ``links``; None under slack.
+    labels: dict[int, dict[int, int]] | None
+    link_labels: list[dict[int, int]] | None
+
+
+def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
+                    candidate_lists: list[list[int]]) -> EvaluationPlan:
+    """The plan of a search of ``vnr`` over ``net``, with one candidate list
+    per virtual node in ascending id order.
+
+    Bandwidth slack holds when the request's total demand is at most every
+    substrate link's residual; only without it are the labels built.
+    """
+    vnode_order = sorted(vnr.nodes)
+    index = {vid: i for i, vid in enumerate(vnode_order)}
+    links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
+    bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
+                                   default=math.inf)
+    labels = link_labels = None
+    if not bw_slack:
+        labels = component_labels([bw for _, _, bw in links], net)
+        link_labels = [labels[bw] for _, _, bw in links]
+    return EvaluationPlan(vnr, net, vnode_order, candidate_lists,
+                          [set(c) for c in candidate_lists], vnr.cpu_total, links,
+                          bw_slack, labels, link_labels)
+
+
+def fitness(position: list[int], plan: EvaluationPlan) -> float:
     """Embedding cost of a position; +inf when its links cannot be routed.
 
-    ``bw_slack`` states that the request's total bandwidth demand is at most
-    every substrate link's residual; the cost is then read from hop
-    distances, with no paths routed.  ``labels`` are the request's
-    ``component_labels``; a position they prove unroutable is +inf without
-    routing (see the module docstring).
+    Under bandwidth slack the cost is read from hop distances, with no paths
+    routed; otherwise a position the labels prove unroutable is +inf without
+    routing, and the rest are routed (see the module docstring).
     """
-    assignment = dict(zip(vnode_order, position))
-    if bw_slack:
-        total = 0
-        for vlink in vnr.links.values():
+    if plan.bw_slack:
+        net = plan.net
+        total = plan.cpu_total
+        for iu, iv, bw in plan.links:
             # None: the topology does not join the hosts; 0: they coincide.
-            hops = hop_distances(assignment[vlink.v], net).get(assignment[vlink.u])
+            hops = hop_distances(position[iv], net).get(position[iu])
             if not hops:
                 return INFEASIBLE
-            total += vlink.bw_demand * hops
-        return float(vnr.cpu_total + total)
-    if labels is not None:
-        for vlink in vnr.routing_order:
-            label = labels[vlink.bw_demand]
-            if label[assignment[vlink.u]] != label[assignment[vlink.v]]:
-                return INFEASIBLE
+            total += bw * hops
+        return float(total)
+    for (iu, iv, _), label in zip(plan.links, plan.link_labels):
+        if label[position[iu]] != label[position[iv]]:
+            return INFEASIBLE
     try:
-        routing = route_all_links(vnr, assignment, net)
+        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
     except LinkMappingInfeasible:
         return INFEASIBLE
-    return float(vnr.cpu_total + routing.total_bw_cost)
+    return float(plan.cpu_total + routing.total_bw_cost)
 
 
 def unsupported_link(vnr: VirtualNetworkRequest, vnode_order: list[int],
@@ -319,9 +379,8 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     injective assignment exists, or the component labels prove that no
     position can be routed.
     """
-    vnode_order = sorted(vnr.nodes)
     candidate_lists = []
-    for vid in vnode_order:
+    for vid in sorted(vnr.nodes):
         cands = candidate_nodes(vnr.nodes[vid], net)
         if not cands:
             raise EmbeddingInfeasible(f"virtual node {vid} has no candidate substrate node")
@@ -329,25 +388,24 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     if injective_assignment(candidate_lists) is None:
         raise EmbeddingInfeasible("candidate sets admit no injective assignment")
 
-    bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
-                                   default=math.inf)
-    labels = None
-    if not bw_slack:
-        labels = component_labels([l.bw_demand for l in vnr.links.values()], net)
-        vlink = unsupported_link(vnr, vnode_order, candidate_lists, labels)
+    plan = evaluation_plan(vnr, net, candidate_lists)
+    vnode_order = plan.vnode_order
+    candidate_sets = plan.candidate_sets
+    if plan.labels is not None:
+        vlink = unsupported_link(vnr, vnode_order, candidate_lists, plan.labels)
         if vlink is not None:
             raise EmbeddingInfeasible(f"virtual link {vlink.key} with demand "
                                       f"{vlink.bw_demand}: no candidate hosts are joined "
                                       f"by links with that much residual")
 
-    rng = rng_from(cfg.seed)
+    draws = draws_from(cfg.seed)
     fitness_cache: dict[tuple[int, ...], float] = {}
 
     def evaluate(position: list[int]) -> float:
         key = tuple(position)
         val = fitness_cache.get(key)
         if val is None:
-            val = fitness(position, vnr, net, vnode_order, bw_slack, labels)
+            val = fitness(position, plan)
             fitness_cache[key] = val
         return val
 
@@ -363,8 +421,8 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         if i == 0 and seeded is not None:
             position = list(seeded)
         else:
-            position = random_injective(candidate_lists, rng)
-        velocity = [int(b) for b in rng.integers(0, 2, size=len(position))]
+            position = random_injective(candidate_lists, draws)
+        velocity = [draws.integers(2) for _ in position]
         f = evaluate(position)
         particles.append(Particle(position, velocity, list(position), f))
 
@@ -379,10 +437,10 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     for it in range(cfg.iterations):
         omega = _inertia(cfg, it)
         for p in particles:
-            r1 = float(rng.random())
-            r2 = float(rng.random())
+            r1 = draws.random()
+            r2 = draws.random()
             v_new = velocity_update(p, gbest_position, omega, r1, r2, cfg.c1, cfg.c2)
-            x_new = position_update(p, v_new, candidate_lists, rng)
+            x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
             f = evaluate(x_new)
             p.velocity = v_new
             p.position = x_new

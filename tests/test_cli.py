@@ -218,6 +218,38 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["nodes"][0].update(cpu=3.5),
+     "virtual node cpu must be a non-negative integer, got 3.5"),
+    (lambda doc: doc["nodes"][0].update(vsd="2"),
+     "virtual node vsd must be a non-negative integer, got '2'"),
+    (lambda doc: doc["links"][0].update(bw=True),
+     "virtual link bw must be a non-negative integer, got True"),
+    (lambda doc: doc["nodes"][0].update(cd=[True]),
+     "candidate domain must be a non-negative integer, got True"),
+    (lambda doc: doc.update(nodes=[], links=[]), "a request needs at least one virtual node"),
+], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes"])
+def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
+    code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
+    assert code == 2
+    assert message in err and "line 2" in err
+
+
+def test_workload_repeated_request_id_is_infeasible(tmp_path, generated, capsys):
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    second = json.loads(lines[2])
+    second["id"] = json.loads(lines[1])["id"]
+    lines[2] = json.dumps(second)
+    workload = tmp_path / "bad_workload.jsonl"
+    workload.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"line 3: duplicate request id {second['id']}" in err and "Traceback" not in err
+
+
 def test_workload_unknown_candidate_domain_is_infeasible(tmp_path, generated, capsys):
     def edit(doc):
         doc["nodes"][0]["cd"] = [99]
@@ -294,7 +326,17 @@ def _drop_inter_domain_links(doc):
      "duplicate substrate node id 0"),
     (lambda doc: doc["links"].append({"u": 0, "v": 9999, "bw": 10}),
      "substrate link (0, 9999) names unknown node 9999"),
-], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node"])
+    (lambda doc: doc["nodes"][0].update(ssl="3"),
+     "substrate node ssl must be a non-negative integer, got '3'"),
+    (lambda doc: doc["nodes"][0].update(cpu=True),
+     "substrate node cpu must be a non-negative integer, got True"),
+    (lambda doc: doc["links"][0].update(bw=-1),
+     "substrate link bw must be a non-negative integer, got -1"),
+    (lambda doc: doc["nodes"][0].update(domain=7),
+     "substrate node 0 has domain 7, outside [0, 2)"),
+    (lambda doc: doc.update(domain_count=0), "domain_count must be an integer >= 1, got 0"),
+], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node", "string-ssl",
+        "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains"])
 def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
     doc = json.loads((generated / "substrate.json").read_text())
     edit(doc)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from secvne import metrics, pso
-from secvne.errors import EmbeddingInfeasible, LengthMismatch
+from secvne.errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
     Particle,
     PsoConfig,
+    evaluation_plan,
     fitness,
     injective_assignment,
     optimize,
@@ -25,7 +26,7 @@ from secvne.pso import (
     velocity_table,
     velocity_update,
 )
-from secvne.routing import component_labels
+from secvne.routing import component_labels, route_all_links
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
@@ -62,6 +63,28 @@ def four_node_vnr():
          (3, 1, 0, 4, (0, 1))],
         [(0, 1, 18), (1, 2, 14), (0, 2, 10), (2, 3, 6)],
     )
+
+
+def plan_for(vnr, net):
+    """The evaluation plan of a search of ``vnr`` over ``net`` in which every
+    substrate node is a candidate of every virtual node, so that any
+    position can be priced."""
+    return evaluation_plan(vnr, net, [sorted(net.nodes)] * len(vnr.nodes))
+
+
+def routed_cost(position, plan):
+    """A position's cost routed in full, the reference for the plan's fast
+    paths: cpu_total plus the bandwidth cost of route_all_links, or +inf
+    when it cannot route the links."""
+    try:
+        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+    except LinkMappingInfeasible:
+        return math.inf
+    return float(plan.vnr.cpu_total + routing.total_bw_cost)
+
+
+def sets_of(candidate_lists):
+    return [set(c) for c in candidate_lists]
 
 
 def particle_at(position, velocity=None, pbest=None):
@@ -105,13 +128,14 @@ class TestOperators:
     def test_position_update_all_ones_keeps_everything(self):
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
-        assert position_update(p, [1, 1], [[3, 9], [4, 9]], rng) == [3, 4]
+        cands = [[3, 9], [4, 9]]
+        assert position_update(p, [1, 1], cands, sets_of(cands), rng) == [3, 4]
 
     def test_position_update_all_zeros_is_fresh_injective_sample(self):
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
         cands = [[3, 9], [4, 9]]
-        out = position_update(p, [0, 0], cands, rng)
+        out = position_update(p, [0, 0], cands, sets_of(cands), rng)
         assert out[0] in cands[0] and out[1] in cands[1]
         assert out[0] != out[1]
 
@@ -119,8 +143,9 @@ class TestOperators:
         # component 0 keeps node 5; component 1 must re-draw avoiding it
         rng = np.random.default_rng(1)
         p = particle_at([5, 6])
+        cands = [[5], [5, 6, 7]]
         for _ in range(20):
-            out = position_update(p, [1, 0], [[5], [5, 6, 7]], rng)
+            out = position_update(p, [1, 0], cands, sets_of(cands), rng)
             assert out[0] == 5
             assert out[1] in (6, 7)
 
@@ -128,13 +153,14 @@ class TestOperators:
         rng = np.random.default_rng(2)
         p = particle_at([5, 6])
         # component 1 keeps 6? no: velocity 0 on both, candidates force collision
-        out = position_update(p, [0, 0], [[5, 6], [5, 6]], rng)
+        cands = [[5, 6], [5, 6]]
+        out = position_update(p, [0, 0], cands, sets_of(cands), rng)
         assert sorted(out) == [5, 6]
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(LengthMismatch):
-            position_update(particle_at([1]), [0, 1], [[1]], rng)
+            position_update(particle_at([1]), [0, 1], [[1]], [{1}], rng)
         with pytest.raises(LengthMismatch):
             velocity_update(particle_at([1]), [1, 2], 0.5, 0.5, 0.5)
 
@@ -214,7 +240,9 @@ class TestFitness:
             link_specs=[(0, 1, 100), (1, 2, 100), (0, 3, 100)],
         )
         vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 20, 0, 4, (0,))], [(0, 1, 10)])
-        assert fitness([0, 2], vnr, net, [0, 1]) == 50.0  # 30 cpu + 10*2 hops
+        plan = plan_for(vnr, net)
+        assert fitness([0, 2], plan) == 50.0  # 30 cpu + 10*2 hops
+        assert routed_cost([0, 2], plan) == 50.0
 
     def test_infeasible_routing_is_plus_infinity(self):
         net = make_substrate(
@@ -222,11 +250,81 @@ class TestFitness:
             link_specs=[(0, 1, 3), (0, 2, 100)],
         )
         vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 20, 0, 4, (0,))], [(0, 1, 10)])
-        assert fitness([0, 1], vnr, net, [0, 1]) == math.inf
+        assert fitness([0, 1], plan_for(vnr, net)) == math.inf
 
     def test_zero_link_vnr_fitness_is_cpu_total(self, toy_net):
         vnr = make_vnr([(0, 15, 0, 4, (0,))], [])
-        assert fitness([4], vnr, toy_net, [0]) == 15.0
+        assert fitness([4], plan_for(vnr, toy_net)) == 15.0
+
+
+class TestEvaluationPlan:
+    """One plan per search: the link triples, the slack flag and the labels
+    are derived once, and the plan-driven operators agree with the plain
+    computations they replace."""
+
+    def test_links_follow_the_routing_order_by_index(self):
+        vnr = four_node_vnr()
+        net = contended_net(0)
+        plan = plan_for(vnr, net)
+        index = {vid: i for i, vid in enumerate(sorted(vnr.nodes))}
+        assert plan.vnode_order == sorted(vnr.nodes)
+        assert plan.links == [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
+        assert plan.cpu_total == vnr.cpu_total
+        assert not plan.bw_slack
+        assert plan.link_labels == [plan.labels[l.bw_demand] for l in vnr.routing_order]
+        slack = plan_for(vnr, generate_substrate(GeneratorConfig(seed=0, node_count=8,
+                                                                 domain_count=2)))
+        assert slack.bw_slack and slack.labels is None and slack.link_labels is None
+
+    def test_fitness_equals_cpu_total_plus_routed_bandwidth_cost(self):
+        """On random positions, shared hosts included, the plan-driven cost is
+        cpu_total plus route_all_links's bandwidth cost, or INFEASIBLE where
+        route_all_links cannot route the links; with and without slack."""
+        seen = {(True, False): 0, (True, True): 0, (False, False): 0, (False, True): 0}
+        for seed in range(6):
+            cfg = GeneratorConfig(seed=seed, node_count=10, domain_count=2,
+                                  vnr_node_range=(2, 5), vnr_bw_range=(5, 30))
+            rnd = random.Random(seed)
+            vnrs = generate_vnr_stream(cfg, horizon=400)[:6]
+            for net in (generate_substrate(cfg), contended_net(seed)):
+                nodes = sorted(net.nodes)
+                for vnr in vnrs:
+                    plan = plan_for(vnr, net)
+                    for _ in range(40):
+                        position = [rnd.choice(nodes) for _ in plan.vnode_order]
+                        cost = fitness(position, plan)
+                        assert cost == routed_cost(position, plan)
+                        seen[(plan.bw_slack, cost == pso.INFEASIBLE)] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_position_update_draws_the_filtered_pools(self):
+        """Taking an untouched candidate list as the pool leaves the pool, and
+        so every draw, the filtering update would give."""
+        def filtered_update(p, v_new, candidate_lists, rng):
+            used = {x for x, v in zip(p.position, v_new) if v == 1}
+            out = list(p.position)
+            for k, v in enumerate(v_new):
+                if v == 1:
+                    continue
+                pool = [c for c in candidate_lists[k] if c not in used]
+                if not pool:
+                    return random_injective(candidate_lists, rng)
+                out[k] = pool[int(rng.integers(len(pool)))]
+                used.add(out[k])
+            return out
+
+        rnd = random.Random(3)
+        for seed in range(300):
+            n = rnd.randint(1, 6)
+            cands = [rnd.sample(range(12), rnd.randint(1, 6)) for _ in range(n)]
+            position = injective_assignment(cands)
+            if position is None:
+                continue
+            v_new = [rnd.randrange(2) for _ in range(n)]
+            fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = position_update(particle_at(position), v_new, cands, sets_of(cands), fast)
+            assert out == filtered_update(particle_at(position), v_new, cands, plain)
+            assert fast.random() == plain.random()
 
 
 class TestBandwidthSlack:
@@ -235,7 +333,6 @@ class TestBandwidthSlack:
 
     def test_hop_distance_fitness_equals_routed_fitness(self):
         vnr = four_node_vnr()
-        order = sorted(vnr.nodes)
         checked = 0
         for seed in range(4):
             cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
@@ -244,9 +341,11 @@ class TestBandwidthSlack:
             # The boundary: the smallest residual equals the request's bw_total.
             next(iter(net.links.values())).bw_residual = vnr.bw_total
             fast_net = net.copy()
+            routed_plan, plan = plan_for(vnr, net), plan_for(vnr, fast_net)
+            assert plan.bw_slack
             for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::7]:
-                routed = fitness(list(nodes), vnr, net, order)
-                assert fitness(list(nodes), vnr, fast_net, order, bw_slack=True) == routed
+                routed = routed_cost(list(nodes), routed_plan)
+                assert fitness(list(nodes), plan) == routed
                 checked += routed != math.inf
             assert not fast_net.min_hop_paths
         assert checked > 100
@@ -259,10 +358,12 @@ class TestBandwidthSlack:
             hops=False,
         )
         vnr = make_vnr([(0, 1, 0, 4, (0, 1)), (1, 1, 0, 4, (0, 1))], [(0, 1, 5)])
+        plan = plan_for(vnr, net)
+        assert plan.bw_slack
         for position in ([1, 2], [1, 1]):
-            assert fitness(position, vnr, net, [0, 1]) == math.inf
-            assert fitness(position, vnr, net, [0, 1], bw_slack=True) == math.inf
-        assert fitness([0, 1], vnr, net, [0, 1], bw_slack=True) == 7.0
+            assert routed_cost(position, plan) == math.inf
+            assert fitness(position, plan) == math.inf
+        assert fitness([0, 1], plan) == 7.0
 
     @staticmethod
     def count_routing(monkeypatch):
@@ -279,9 +380,8 @@ class TestBandwidthSlack:
     @staticmethod
     def routed_search(monkeypatch, vnr, net, cfg):
         """swarm_search with every fitness call forced through routing."""
-        plain = pso.fitness
         with monkeypatch.context() as m:
-            m.setattr(pso, "fitness", lambda *args: plain(*args[:4]))
+            m.setattr(pso, "fitness", routed_cost)
             return swarm_search(vnr, net, cfg)
 
     def test_search_routes_only_when_bandwidth_can_bind(self, monkeypatch, toy_net, toy_vnr):
@@ -340,16 +440,17 @@ class TestComponentLabelGate:
     def test_label_rejected_position_is_not_routed(self, monkeypatch):
         calls = count_calls(monkeypatch, pso, "route_all_links")
         vnr = four_node_vnr()
-        order = sorted(vnr.nodes)
         rejected = routed = 0
         for seed in range(4):
             net = contended_net(seed)
             labels = request_labels(vnr, net)
+            plan = plan_for(vnr, net)
+            assert not plan.bw_slack and plan.labels == labels
             for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::11]:
                 position = list(nodes)
-                expected = fitness(position, vnr, net, order)
+                expected = routed_cost(position, plan)
                 calls.clear()
-                assert fitness(position, vnr, net, order, False, labels) == expected
+                assert fitness(position, plan) == expected
                 separated = labels_separate(vnr, labels, nodes)
                 assert calls == ([] if separated else [vnr])
                 rejected += separated
@@ -463,7 +564,6 @@ class TestComponentLabelGate:
         again with the gate off and every fitness call routed, is INFEASIBLE."""
         plain_search = pso.swarm_search
         plain_gate = pso.unsupported_link
-        plain_fitness = pso.fitness
         verdicts = []
         forced = []
 
@@ -479,7 +579,7 @@ class TestComponentLabelGate:
                 if verdicts and verdicts[-1] is not None:
                     with monkeypatch.context() as m:
                         m.setattr(pso, "unsupported_link", lambda *args: None)
-                        m.setattr(pso, "fitness", lambda *args: plain_fitness(*args[:4]))
+                        m.setattr(pso, "fitness", routed_cost)
                         forced.append(plain_search(vnr, net, pso_cfg, *rest).fitness)
                 raise
 
