@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="override the config seed")
     gen.add_argument("--horizon", type=float, default=10000.0,
                      help="request-stream horizon in time units (default 10000)")
-    gen.add_argument("--literal-table1", action="store_true",
-                     help="use the published CPU ranges, under which no request fits")
     gen.add_argument("--out", required=True, help="output directory")
 
     runp = sub.add_parser("run", help="simulate one strategy over a stream")
@@ -83,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--cost-mode", choices=(metrics.COST_LITERAL, metrics.COST_HOP),
                       default=metrics.COST_HOP)
     cmp_.add_argument("--eq20-literal", action="store_true")
-    cmp_.add_argument("--literal-table1", action="store_true")
     cmp_.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -108,18 +105,16 @@ def _check_window_count(horizon: float, width: float) -> None:
         raise InvalidConfig(f"--window {width}: {exc}") from exc
 
 
-def _load_or_default_config(path, seed=None, literal_table1=False) -> GeneratorConfig:
+def _load_or_default_config(path, seed=None) -> GeneratorConfig:
     cfg = fileio.load_config(path) if path else GeneratorConfig()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    if literal_table1:
-        cfg = replace(cfg, literal_table1=True)
     cfg.validate()
     return cfg
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_or_default_config(args.config, args.seed, args.literal_table1)
+    cfg = _load_or_default_config(args.config, args.seed)
     net = generate_substrate(cfg)
     vnrs = generate_vnr_stream(cfg, args.horizon)
     out = Path(args.out)
@@ -192,7 +187,7 @@ def cmd_compare(args) -> int:
         fixed = _load_instance(args.substrate, args.workload)
     base_cfg = None
     if fixed is None:
-        base_cfg = _load_or_default_config(args.config, literal_table1=args.literal_table1)
+        base_cfg = _load_or_default_config(args.config)
 
     if args.horizon is not None:
         horizon = args.horizon

@@ -44,17 +44,9 @@ class EmbeddingInfeasible(SecVneError):
 class NodeMappingInfeasible(EmbeddingInfeasible):
     """A virtual node ran out of unused candidate substrate nodes."""
 
-    def __init__(self, virtual_node_id, message=None):
-        super().__init__(message or f"no unused candidate for virtual node {virtual_node_id}")
-        self.virtual_node_id = virtual_node_id
-
 
 class LinkMappingInfeasible(EmbeddingInfeasible):
     """A virtual link could not be routed under cumulative bandwidth debits."""
-
-    def __init__(self, virtual_link, message=None):
-        super().__init__(message or f"no feasible path for virtual link {virtual_link}")
-        self.virtual_link = virtual_link
 
 
 class InternalConsistencyError(SecVneError):

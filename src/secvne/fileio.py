@@ -18,8 +18,11 @@ Field names are pinned for cross-implementation compatibility:
 Every id, capacity, demand, security level and domain in the substrate and
 workload files is read through ``read_int``: a JSON integer, never a
 boolean, a fraction or a string, and non-negative (``domain_count`` at
-least 1).  A workload's request ids are distinct and each request has a
-virtual node.  A malformed file raises ``InvalidConfig``.
+least 1), and every time through ``read_number``: a finite JSON number,
+never a boolean or a string.  The generator config is read through both.
+A workload's horizon is positive, its request ids are distinct, each request
+has a virtual node and each node a candidate domain.  A malformed file
+raises ``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
 truncated file behind, and all output is byte-deterministic.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -64,17 +68,27 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def read_int(value, name: str, lo: int = 0) -> int:
+def read_int(value, name: str, lo: float = 0) -> int:
     """``value``, read from a file field ``name``, as an integer of at least
-    ``lo``; else ValueError.
+    ``lo`` (any integer for ``-math.inf``); else ValueError.
 
     JSON booleans and numbers with a fraction are rejected, not coerced:
     Python reads ``true`` as 1 (``bool`` is a subclass of ``int``, hence the
     exact type test), and residual bookkeeping needs exact integers.
     """
     if type(value) is not int or value < lo:
-        bound = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
+        bound = ("a non-negative integer" if lo == 0 else "an integer" if lo == -math.inf
+                 else f"an integer >= {lo}")
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+def read_number(value, name: str) -> float:
+    """``value``, read from a file field ``name``, as a finite number; else
+    ValueError.  A type test like ``read_int``: ``true`` and ``"1500"`` are
+    rejected, not coerced."""
+    if type(value) not in (float, int) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -168,11 +182,15 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
              for n in doc["nodes"]]
     if not nodes:
         raise ValueError("a request needs at least one virtual node")
+    for node in nodes:
+        if not node.cd:
+            raise ValueError(f"virtual node {node.id} has no candidate domain")
     links = [VirtualLink(read_int(l["u"], "virtual link u"), read_int(l["v"], "virtual link v"),
                          read_int(l["bw"], "virtual link bw"))
              for l in doc["links"]]
     return VirtualNetworkRequest(read_int(doc["id"], "request id"), nodes, links,
-                                 doc["arrival_time"], doc["lifetime"])
+                                 read_number(doc["arrival_time"], "arrival_time"),
+                                 read_number(doc["lifetime"], "lifetime"))
 
 
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
@@ -183,7 +201,9 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     if not lines:
         raise InvalidConfig(f"workload file {path} is empty")
     try:
-        horizon = float(json.loads(lines[0])["horizon"])
+        horizon = float(read_number(json.loads(lines[0])["horizon"], "horizon"))
+        if horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed workload file {path}, line 1: {exc}") from exc
     vnrs = []
@@ -205,8 +225,10 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
 
 # -- generator config ----------------------------------------------------
 
+_INT_FIELDS = {"domain_count", "node_count", "inter_link_count_per_domain_pair"}
 _RANGE_FIELDS = {"substrate_cpu_range", "substrate_bw_range", "security_range",
                  "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range"}
+_NUMBER_FIELDS = {"intra_link_rate", "vnr_arrival_rate", "vnr_mean_lifetime"}
 
 
 def config_to_dict(cfg: GeneratorConfig) -> dict:
@@ -217,17 +239,31 @@ def config_to_dict(cfg: GeneratorConfig) -> dict:
     return out
 
 
+def _read_config_value(key: str, value):
+    """One config field's value, typed; ValueError when it is malformed."""
+    if key == "seed":  # any integer: seeding maps it onto 64 bits
+        return read_int(value, key, lo=-math.inf)
+    if key in _INT_FIELDS:
+        return read_int(value, key)
+    if key in _NUMBER_FIELDS:
+        return read_number(value, key)
+    if key == "cd_size_range" and value is None:
+        return None
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"config key {key!r} must be a [min, max] pair, got {value!r}")
+    return (read_int(value[0], f"{key} min"), read_int(value[1], f"{key} max"))
+
+
 def config_from_dict(doc: dict) -> GeneratorConfig:
     known = set(GeneratorConfig.field_names())
     kwargs = {}
     for key, value in doc.items():
         if key not in known:
             raise InvalidConfig(f"unknown config key {key!r}")
-        if key in _RANGE_FIELDS and value is not None:
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise InvalidConfig(f"config key {key!r} must be a [min, max] pair")
-            value = (value[0], value[1])
-        kwargs[key] = value
+        try:
+            kwargs[key] = _read_config_value(key, value)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
     cfg = GeneratorConfig(**kwargs)
     cfg.validate()
     return cfg

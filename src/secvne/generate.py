@@ -7,8 +7,9 @@ U[0, 4] on both sides, requests of 2-10 nodes with link bandwidth U[1, 10].
 
 The published CPU ranges (substrate U[0, 50], virtual U[50, 100]) would make
 every request unhostable, so the defaults swap them (substrate U[50, 100],
-virtual U[1, 50]); set ``literal_table1=True`` to restore the published
-values, e.g. to demonstrate the problem.
+virtual U[1, 50]).  To restore the published values, e.g. to demonstrate the
+problem, set ``substrate_cpu_range=(0, 50)`` and ``vnr_cpu_range=(50, 100)``,
+as the config file ``configs/table1.json`` does.
 
 Arrivals form a Poisson process and lifetimes are exponential; the source
 material never pins these, so rate and mean lifetime are config knobs with
@@ -39,9 +40,6 @@ from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, rng_from
 # Link probability inside generated request graphs (before connectivity repair).
 VNR_LINK_RATE = 0.5
 
-LITERAL_SUBSTRATE_CPU_RANGE = (0, 50)
-LITERAL_VNR_CPU_RANGE = (50, 100)
-
 
 @dataclass
 class GeneratorConfig:
@@ -59,16 +57,9 @@ class GeneratorConfig:
     vnr_mean_lifetime: float = 1000.0
     cd_size_range: tuple[int, int] | None = None  # None -> (1, domain_count)
     inter_link_count_per_domain_pair: int = 1
-    literal_table1: bool = False
 
     def effective_cd_size_range(self) -> tuple[int, int]:
         return self.cd_size_range if self.cd_size_range is not None else (1, self.domain_count)
-
-    def effective_substrate_cpu_range(self) -> tuple[int, int]:
-        return LITERAL_SUBSTRATE_CPU_RANGE if self.literal_table1 else self.substrate_cpu_range
-
-    def effective_vnr_cpu_range(self) -> tuple[int, int]:
-        return LITERAL_VNR_CPU_RANGE if self.literal_table1 else self.vnr_cpu_range
 
     def validate(self) -> None:
         if self.domain_count < 2:
@@ -93,7 +84,7 @@ class GeneratorConfig:
                 raise InvalidConfig(f"{name} has negative min {lo}")
         if self.vnr_node_range[0] < 1:
             raise InvalidConfig("vnr_node_range min must be at least 1")
-        if not self.literal_table1 and self.vnr_cpu_range[0] < 1:
+        if self.vnr_cpu_range[0] < 1:
             raise InvalidConfig("vnr_cpu_range min must be at least 1")
         cd_lo, cd_hi = self.effective_cd_size_range()
         if cd_lo < 1 or cd_hi > self.domain_count or cd_lo > cd_hi:
@@ -154,7 +145,7 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
     connected, plus inter-domain links between random node pairs."""
     cfg.validate()
     rng = rng_from(cfg.seed, SUBSTRATE_STREAM)
-    cpu_lo, cpu_hi = cfg.effective_substrate_cpu_range()
+    cpu_lo, cpu_hi = cfg.substrate_cpu_range
     bw_lo, bw_hi = cfg.substrate_bw_range
     sec_lo, sec_hi = cfg.security_range
 
@@ -215,7 +206,7 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     if not (math.isfinite(horizon) and horizon >= 0):
         raise InvalidConfig(f"horizon must be finite and non-negative, got {horizon}")
     rng = rng_from(cfg.seed, WORKLOAD_STREAM)
-    cpu_lo, cpu_hi = cfg.effective_vnr_cpu_range()
+    cpu_lo, cpu_hi = cfg.vnr_cpu_range
     bw_lo, bw_hi = cfg.vnr_bw_range
     sec_lo, sec_hi = cfg.security_range
     n_lo, n_hi = cfg.vnr_node_range

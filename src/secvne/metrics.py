@@ -13,10 +13,11 @@ comparing placement strategies.  Both modes are reported by the CLI.
 ``revenue`` and ``cost`` are the one pricing rule: strategies return unpriced
 embeddings, and only the series here and the trace writer price them.
 
-Windows are half-open [t_start, t_end) slices of the simulated horizon.
-Revenue and cost are counted once, at acceptance time, inside the window of
-the request's arrival.  A window with no arrivals yields ``None`` (no-sample)
-for its ratio metrics rather than a fake zero.
+Window i is the half-open slice [i * width, min((i + 1) * width, horizon))
+for every i with i * width < horizon.  Revenue and cost are counted once, at
+acceptance time, in the window whose bounds contain the request's arrival.
+A window with no arrivals yields ``None`` (no-sample) for its ratio metrics
+rather than a fake zero.
 """
 
 from __future__ import annotations
@@ -104,28 +105,33 @@ def check_window_count(horizon: float, width: float) -> None:
                          f"{count} windows, more than the {MAX_WINDOWS} allowed")
 
 
-def _windows(horizon: float, width: float) -> list[MetricWindow]:
+def _filled_windows(trace, width: float, mode: str) -> list[MetricWindow]:
+    """The windows over ``trace.horizon`` with each arrival counted and each
+    acceptance priced in the window that contains its time."""
+    horizon = trace.horizon
     check_window_count(horizon, width)
-    out = []
-    t = 0.0
-    while t < horizon:
-        out.append(MetricWindow(t, min(t + width, horizon)))
-        t += width
-    return out
-
-
-def _fill_windows(trace, windows: list[MetricWindow], width: float, mode: str) -> None:
+    windows = []
+    i = 0
+    while i * width < horizon:
+        windows.append(MetricWindow(i * width, min((i + 1) * width, horizon)))
+        i += 1
     last = len(windows) - 1
     for rec in trace.records:
-        if rec.kind != "arrival" or rec.time >= trace.horizon:
+        t = rec.time
+        if rec.kind != "arrival" or t >= horizon:
             continue
-        idx = min(int(rec.time // width), last)
+        # t // width is the exact floor of the quotient, so window idx starts
+        # at or before t; its end, (idx + 1) * width rounded, can still be <= t.
+        idx = int(t // width)
+        if idx < last and t >= windows[idx + 1].t_start:
+            idx += 1
         w = windows[idx]
         w.arrived += 1
         if rec.outcome == "accepted":
             w.accepted += 1
             w.revenue_sum += revenue(rec.embedding.vnr)
             w.cost_sum += cost(rec.embedding, mode)
+    return windows
 
 
 def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[WindowRow]:
@@ -135,10 +141,8 @@ def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[Wi
     arrival records must carry their embedding so revenue and cost can be
     re-derived under either cost mode without rerunning the simulation.
     """
-    windows = _windows(trace.horizon, window_width)
-    _fill_windows(trace, windows, window_width, mode)
     rows = []
-    for w in windows:
+    for w in _filled_windows(trace, window_width, mode):
         span = w.t_end - w.t_start
         avg_rev = w.revenue_sum / span
         avg_cost = w.cost_sum / span
@@ -148,13 +152,11 @@ def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[Wi
 
 
 def cumulative_series(trace, window_width: float, mode: str = COST_HOP) -> list[CumulativeRow]:
-    """Running totals sampled at each window boundary."""
-    windows = _windows(trace.horizon, window_width)
-    _fill_windows(trace, windows, window_width, mode)
+    """Running totals over the windowed series' windows, one row per window."""
     rows = []
     arrived = accepted = 0
     rev = cst = 0.0
-    for w in windows:
+    for w in _filled_windows(trace, window_width, mode):
         arrived += w.arrived
         accepted += w.accepted
         rev += w.revenue_sum

@@ -95,7 +95,7 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     for v in order:
         cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
         if not cands:
-            raise NodeMappingInfeasible(v.id)
+            raise NodeMappingInfeasible(f"no unused candidate for virtual node {v.id}")
         scores = candidate_scores(v, cands, net, invert_hop)
         best = min(cands, key=lambda sid: (-scores[sid], sid))
         assignment[v.id] = best

@@ -209,14 +209,13 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
         dst = assignment[vlink.v]
         bw = vlink.bw_demand
         if src == dst:
-            raise LinkMappingInfeasible(vlink.key,
-                                        f"virtual link {vlink.key} endpoints share node {src}")
+            raise LinkMappingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
         try:
             path = min_hop_path(src, dst, net)
             if not _path_feasible(path, bw, net, debits):
                 path = route_link(src, dst, bw, net, debits)
         except NoFeasiblePath as exc:
-            raise LinkMappingInfeasible(vlink.key, str(exc)) from exc
+            raise LinkMappingInfeasible(str(exc)) from exc
         for i in range(len(path) - 1):
             k = link_key(path[i], path[i + 1])
             debits[k] = debits.get(k, 0) + bw

@@ -1,12 +1,14 @@
 """Deterministic discrete-event loop over a request stream.
 
-Arrivals hand the request to a pluggable strategy, a pure placement function
-that returns an unpriced embedding; a successful embedding is allocated and
-its departure scheduled, a failure is recorded as a rejection (no queueing,
-no retry).  Departures release resources.  At equal timestamps departures
-process before arrivals, then ties break by request id, so a run is fully
-reproducible.  Accepted records keep their embedding, from which ``metrics``
-and the trace writer derive revenue and cost.
+Arrivals hand the request to a strategy: a ``Strategy(name, embed)`` record
+whose ``embed`` is a pure placement function returning an unpriced
+embedding.  ``make_strategy`` builds the three named strategies with their
+seeds bound.  A successful embedding is allocated and its departure
+scheduled, a failure is recorded as a rejection (no queueing, no retry).
+Departures release resources.  At equal timestamps departures process before
+arrivals, then ties break by request id, so a run is fully reproducible.
+Accepted records keep their embedding, from which ``metrics`` and the trace
+writer derive revenue and cost.
 
 The independent validator shadows every acceptance ("full", the default;
 "off" skips it) - any violation it finds means the fast path and the
@@ -18,6 +20,7 @@ K events and likewise aborts on drift.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .baselines import greedy_embed, random_embed
@@ -65,55 +68,35 @@ class SimulationTrace:
         return self.accepted / self.arrived if self.arrived else None
 
 
+@dataclass(frozen=True)
 class Strategy:
-    """Embeds one request against the current substrate state."""
+    """A named placement function: ``embed(vnr, net)`` returns an unpriced
+    Embedding against the current substrate state or raises
+    EmbeddingInfeasible."""
 
-    name = "strategy"
-
-    def embed(self, vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding:
-        raise NotImplementedError
-
-
-class StecIotStrategy(Strategy):
-    """Priority node mapping seeding a discrete particle swarm search."""
-
-    name = "stec-iot"
-
-    def __init__(self, seed: int = 0, invert_hop: bool = True):
-        self.seed = seed
-        self.invert_hop = invert_hop
-
-    def embed(self, vnr, net):
-        cfg = PsoConfig(seed=derive_seed(self.seed, SWARM_STREAM, vnr.id))
-        return optimize(vnr, net, cfg, self.invert_hop)
-
-
-class GreedyStrategy(Strategy):
-    name = "greedy"
-
-    def embed(self, vnr, net):
-        return greedy_embed(vnr, net)
-
-
-class RandomStrategy(Strategy):
-    name = "random"
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def embed(self, vnr, net):
-        return random_embed(vnr, net,
-                            derive_seed(self.seed, RANDOM_BASELINE_STREAM, vnr.id))
+    name: str
+    embed: Callable[[VirtualNetworkRequest, SubstrateNetwork], Embedding]
 
 
 def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy:
+    """Strategy `name` with `seed` (and, for stec-iot, `invert_hop`) bound.
+
+    ``embed`` looks ``optimize``, ``greedy_embed`` or ``random_embed`` up in
+    this module at each call, so rebinding one reaches strategies built before.
+    """
     if name == "stec-iot":
-        return StecIotStrategy(seed, invert_hop)
-    if name == "greedy":
-        return GreedyStrategy()
-    if name == "random":
-        return RandomStrategy(seed)
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+        def embed(vnr, net):
+            cfg = PsoConfig(seed=derive_seed(seed, SWARM_STREAM, vnr.id))
+            return optimize(vnr, net, cfg, invert_hop)
+    elif name == "greedy":
+        def embed(vnr, net):
+            return greedy_embed(vnr, net)
+    elif name == "random":
+        def embed(vnr, net):
+            return random_embed(vnr, net, derive_seed(seed, RANDOM_BASELINE_STREAM, vnr.id))
+    else:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    return Strategy(name, embed)
 
 
 def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,

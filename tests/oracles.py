@@ -236,9 +236,9 @@ def map_nodes_brute(vnr, net, invert_hop=True):
 def windowed_metrics_brute(trace, width, mode):
     """Per-window metrics by filtering the raw event list window by window."""
     rows = []
-    t = 0.0
-    while t < trace.horizon:
-        end = min(t + width, trace.horizon)
+    i = 0
+    while i * width < trace.horizon:
+        t, end = i * width, min((i + 1) * width, trace.horizon)
         arrivals = [r for r in trace.records
                     if r.kind == "arrival" and t <= r.time < end]
         accepted = [r for r in arrivals if r.outcome == "accepted"]
@@ -249,5 +249,5 @@ def windowed_metrics_brute(trace, width, mode):
         avg_cst = cst / (end - t)
         rc = avg_rev / avg_cst if avg_cst > 0 else None
         rows.append((t, end, len(arrivals), len(accepted), acc, avg_rev, avg_cst, rc))
-        t += width
+        i += 1
     return rows

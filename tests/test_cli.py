@@ -65,6 +65,25 @@ def test_generate_rejects_malformed_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"node_count": 12.5}, "node_count must be a non-negative integer, got 12.5"),
+    ({"vnr_arrival_rate": "0.1"}, "vnr_arrival_rate must be a finite number, got '0.1'"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"vnr_bw_range": [1.5, 3]}, "vnr_bw_range min must be a non-negative integer, got 1.5"),
+    ({"vnr_mean_lifetime": float("nan")}, "vnr_mean_lifetime must be a finite number, got nan"),
+], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
+        "fractional-range-bound", "nan-lifetime"])
+def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MINI_CONFIG, **override}))
+    code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_emits_trace_and_metrics(tmp_path, generated):
     out = tmp_path / "run"
     code = main(["run", "--substrate", str(generated / "substrate.json"),
@@ -228,11 +247,38 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     (lambda doc: doc["nodes"][0].update(cd=[True]),
      "candidate domain must be a non-negative integer, got True"),
     (lambda doc: doc.update(nodes=[], links=[]), "a request needs at least one virtual node"),
-], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes"])
+    (lambda doc: doc.update(lifetime=True), "lifetime must be a finite number, got True"),
+    (lambda doc: doc.update(arrival_time=True),
+     "arrival_time must be a finite number, got True"),
+    (lambda doc: doc["nodes"][0].update(cd=[]), "virtual node 0 has no candidate domain"),
+], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes",
+        "boolean-lifetime", "boolean-arrival-time", "empty-cd"])
 def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
     code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
     assert code == 2
     assert message in err and "line 2" in err
+
+
+@pytest.mark.parametrize("horizon, message", [
+    (-5, "horizon must be positive, got -5.0"),
+    (0, "horizon must be positive, got 0.0"),
+    (True, "horizon must be a finite number, got True"),
+    ("1500", "horizon must be a finite number, got '1500'"),
+], ids=["negative", "zero", "boolean", "string"])
+def test_workload_malformed_horizon_is_infeasible(tmp_path, generated, capsys, horizon,
+                                                  message):
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["horizon"] = horizon
+    lines[0] = json.dumps(header)
+    workload = tmp_path / "bad_workload.jsonl"
+    workload.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "line 1" in err and "Traceback" not in err
 
 
 def test_workload_repeated_request_id_is_infeasible(tmp_path, generated, capsys):

@@ -1,14 +1,18 @@
 """Generator: determinism, parameter ranges, connectivity, arrival process."""
 
 import statistics
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from secvne.errors import InvalidConfig
-from secvne.fileio import save_substrate, save_workload
+from secvne.fileio import load_config, save_substrate, save_workload
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 
 from oracles import vnr_is_connected
+
+TABLE1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "table1.json"
 
 
 def test_default_substrate_shape():
@@ -119,8 +123,10 @@ def test_workload_determinism(tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
-def test_literal_table1_swaps_cpu_ranges():
-    cfg = GeneratorConfig(seed=4, literal_table1=True)
+def test_table1_config_file_restores_published_cpu_ranges():
+    cfg = replace(load_config(TABLE1_CONFIG), seed=4)
+    assert cfg == GeneratorConfig(seed=4, substrate_cpu_range=(0, 50),
+                                  vnr_cpu_range=(50, 100))
     net = generate_substrate(cfg)
     assert all(n.cpu_capacity <= 50 for n in net.nodes.values())
     vnrs = generate_vnr_stream(cfg, horizon=2000)

@@ -1,6 +1,8 @@
 """Metric formulas and the windowed/cumulative aggregation."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -130,6 +132,46 @@ class TestWindowedSeries:
         assert rows[0].accepted == 1 and rows[1].accepted == 2
         assert rows[1].revenue == pytest.approx(30.0)
         assert rows[1].cost == pytest.approx(30.0 + 50.0)
+
+    def test_window_grid_ends_at_the_horizon(self):
+        # ceil(5418.42 / 2.91) = 1862 windows; summing 2.91 1862 times falls
+        # short of the horizon and would leave a zero-revenue sliver window.
+        trace = _FakeTrace(5418.42, [])
+        expected = [(i * 2.91, min((i + 1) * 2.91, 5418.42)) for i in range(1862)]
+        rows = windowed_series(trace, 2.91)
+        assert [(r.window.t_start, r.window.t_end) for r in rows] == expected
+        assert [r.t_end for r in cumulative_series(trace, 2.91)] == [e for _, e in expected]
+
+    def test_arrival_counts_in_the_window_containing_it(self):
+        t = 7.499999999999997
+        trace = _FakeTrace(10.0, [_FakeRecord(t, "rejected")])
+        hit = [r.window for r in windowed_series(trace, 0.3) if r.window.arrived]
+        assert len(hit) == 1
+        assert hit[0].t_start <= t < hit[0].t_end
+
+    @pytest.mark.parametrize("width", [0.1, 0.3, 0.7, 2.91, 1 / 3])
+    def test_series_match_the_brute_force_grid(self, width):
+        """Arrivals at random times and on both sides of every window bound
+        land where the brute-force filter puts them; the cumulative series
+        totals the same windows."""
+        rng = random.Random(int(width * 1000))
+        horizon = 97.3
+        times = [rng.uniform(0, horizon) for _ in range(200)]
+        i = 0
+        while i * width < horizon:
+            times += [i * width, math.nextafter(i * width, 0.0)]
+            i += 1
+        records = [_accepted(t, 1 + k % 7, 1 + k % 3, 1 + k % 2) if k % 3 else
+                   _FakeRecord(t, "rejected") for k, t in enumerate(sorted(times))]
+        trace = _FakeTrace(horizon, records)
+        expected = windowed_metrics_brute(trace, width, "hop")
+        rows = windowed_series(trace, width)
+        assert [(r.window.t_start, r.window.t_end, r.window.arrived, r.window.accepted,
+                 r.acceptance, r.avg_revenue, r.avg_cost, r.rc_ratio) for r in rows] == expected
+        assert sum(r.window.arrived for r in rows) == len(times)
+        cum = cumulative_series(trace, width)
+        assert [c.t_end for c in cum] == [e[1] for e in expected]
+        assert [c.arrived for c in cum] == list(itertools.accumulate(e[2] for e in expected))
 
     def test_window_count_above_the_cap_is_rejected(self):
         # ceil(1_000_001 / 1) windows is one more than metrics.MAX_WINDOWS

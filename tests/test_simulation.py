@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from secvne import simulation
 from secvne.errors import EmbeddingInfeasible, InternalConsistencyError
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.model import Embedding
+from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import Strategy, audit_residuals, make_strategy, run
 
 from conftest import make_vnr
@@ -65,35 +67,30 @@ def test_residuals_drain_back_to_capacity():
 
 
 def test_rejection_does_not_mutate_state(toy_net):
-    class RejectingStrategy(Strategy):
-        name = "rejector"
+    def reject(vnr, net):
+        raise EmbeddingInfeasible("always")
 
-        def embed(self, vnr, net):
-            raise EmbeddingInfeasible("always")
-
+    RejectingStrategy = Strategy("rejector", reject)
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
     before = toy_net.state_signature()
-    trace = run(toy_net, [vnr], RejectingStrategy(), horizon=10.0)
+    trace = run(toy_net, [vnr], RejectingStrategy, horizon=10.0)
     assert trace.records[0].outcome == "rejected"
     assert toy_net.state_signature() == before
 
 
 def test_real_strategy_rejections_leave_state_untouched():
     """Hash the substrate around every rejected attempt of the real strategies."""
-    class HashChecking(Strategy):
-        def __init__(self, inner):
-            self.inner = inner
-            self.name = inner.name
-            self.rejections_checked = 0
-
-        def embed(self, vnr, net):
+    def HashChecking(inner, rejections_checked):
+        def embed(vnr, net):
             before = net.state_signature()
             try:
-                return self.inner.embed(vnr, net)
+                return inner.embed(vnr, net)
             except EmbeddingInfeasible:
                 assert net.state_signature() == before
-                self.rejections_checked += 1
+                rejections_checked.append(vnr.id)
                 raise
+
+        return Strategy(inner.name, embed)
 
     for name in ("greedy", "stec-iot", "random"):
         cfg = GeneratorConfig(seed=8, node_count=24, domain_count=2,
@@ -101,9 +98,10 @@ def test_real_strategy_rejections_leave_state_untouched():
                               vnr_arrival_rate=0.2, vnr_mean_lifetime=400.0)
         net = generate_substrate(cfg)
         vnrs = generate_vnr_stream(cfg, 600.0)
-        checker = HashChecking(make_strategy(name, seed=8))
+        rejections_checked = []
+        checker = HashChecking(make_strategy(name, seed=8), rejections_checked)
         run(net, vnrs, checker, 600.0)
-        assert checker.rejections_checked > 0, f"{name}: no rejections exercised"
+        assert len(rejections_checked) > 0, f"{name}: no rejections exercised"
 
 
 def test_departure_processed_before_simultaneous_arrival(toy_net):
@@ -128,30 +126,26 @@ def test_arrivals_at_or_past_horizon_ignored(toy_net):
 
 
 def test_shadow_validator_catches_broken_strategy(toy_net):
-    class BrokenStrategy(Strategy):
-        name = "broken"
+    def broken(vnr, net):
+        # claims two virtual nodes fit on one substrate node
+        return Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)})
 
-        def embed(self, vnr, net):
-            # claims two virtual nodes fit on one substrate node
-            return Embedding(vnr, {0: 0, 1: 0}, {(0, 1): (0, 1)})
-
+    BrokenStrategy = Strategy("broken", broken)
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)],
                    vnr_id=0, arrival=1.0, lifetime=5.0)
     with pytest.raises(InternalConsistencyError):
-        run(toy_net, [vnr], BrokenStrategy(), horizon=10.0)
+        run(toy_net, [vnr], BrokenStrategy, horizon=10.0)
 
 
 def test_audit_detects_tampering(toy_net):
-    class TamperingStrategy(Strategy):
-        name = "tamper"
+    def tamper(vnr, net):
+        net.nodes[5].cpu_residual -= 1  # mutate behind the allocator's back
+        raise EmbeddingInfeasible("reject after tampering")
 
-        def embed(self, vnr, net):
-            net.nodes[5].cpu_residual -= 1  # mutate behind the allocator's back
-            raise EmbeddingInfeasible("reject after tampering")
-
+    TamperingStrategy = Strategy("tamper", tamper)
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
     with pytest.raises(InternalConsistencyError):
-        run(toy_net, [vnr], TamperingStrategy(), horizon=10.0, audit_every=1)
+        run(toy_net, [vnr], TamperingStrategy, horizon=10.0, audit_every=1)
 
 
 def test_trace_export_fields(tmp_path):
@@ -173,3 +167,31 @@ def test_trace_export_fields(tmp_path):
 def test_unknown_strategy_name_rejected():
     with pytest.raises(ValueError):
         make_strategy("simulated-annealing")
+
+
+@pytest.mark.parametrize("name, target", [
+    ("stec-iot", "optimize"), ("greedy", "greedy_embed"), ("random", "random_embed")])
+def test_embed_calls_the_function_bound_when_it_runs(toy_net, monkeypatch, name, target):
+    """A strategy looks its library function up in `secvne.simulation` at each
+    call, so a function patched there after `make_strategy` (as the traced
+    benchmark does) is the one that runs, with the per-request seed."""
+    strategy = make_strategy(name, seed=5, invert_hop=False)
+    assert strategy.name == name
+    calls = []
+    placed = object()
+
+    def patched(*args):
+        calls.append(args)
+        return placed
+
+    monkeypatch.setattr(simulation, target, patched)
+    vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=3)
+    assert strategy.embed(vnr, toy_net) is placed
+    assert len(calls) == 1 and calls[0][:2] == (vnr, toy_net)
+    if name == "stec-iot":
+        assert calls[0][2].seed == derive_seed(5, SWARM_STREAM, 3)
+        assert calls[0][3] is False
+    elif name == "random":
+        assert calls[0][2] == derive_seed(5, RANDOM_BASELINE_STREAM, 3)
+    else:
+        assert len(calls[0]) == 2
