@@ -20,9 +20,10 @@ workload files is read through ``read_int``: a JSON integer, never a
 boolean, a fraction or a string, and non-negative (``domain_count`` at
 least 1), and every time through ``read_number``: a finite JSON number,
 never a boolean or a string.  The generator config is read through both.
-A workload's horizon is positive, its request ids are distinct, each request
-has a virtual node and each node a candidate domain.  A malformed file
-raises ``InvalidConfig``.
+A workload's horizon is positive, its header's ``vnr_count`` is the number
+of request lines, its request ids are distinct, each request has a virtual
+node and each node a candidate domain.  A malformed file raises
+``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
 truncated file behind, and all output is byte-deterministic.
@@ -201,9 +202,11 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     if not lines:
         raise InvalidConfig(f"workload file {path} is empty")
     try:
-        horizon = float(read_number(json.loads(lines[0])["horizon"], "horizon"))
+        header = json.loads(lines[0])
+        horizon = float(read_number(header["horizon"], "horizon"))
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
+        count = read_int(header["vnr_count"], "vnr_count")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed workload file {path}, line 1: {exc}") from exc
     vnrs = []
@@ -220,6 +223,9 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
                                 f"{vnr.id}")
         seen.add(vnr.id)
         vnrs.append(vnr)
+    if len(vnrs) != count:
+        raise InvalidConfig(f"workload file {path}: the header's vnr_count is {count} but "
+                            f"{len(vnrs)} requests follow it")
     return vnrs, horizon
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 from .errors import InvalidConfig
 from .model import (
@@ -62,6 +63,7 @@ class GeneratorConfig:
         return self.cd_size_range if self.cd_size_range is not None else (1, self.domain_count)
 
     def validate(self) -> None:
+        self._check_types()
         if self.domain_count < 2:
             raise InvalidConfig("domain_count must be at least 2 (boundary distances "
                                 "need inter-domain links)")
@@ -90,6 +92,31 @@ class GeneratorConfig:
         if cd_lo < 1 or cd_hi > self.domain_count or cd_lo > cd_hi:
             raise InvalidConfig(f"cd_size_range ({cd_lo}, {cd_hi}) must lie within "
                                 f"[1, {self.domain_count}]")
+
+    def _check_types(self) -> None:
+        """InvalidConfig unless the seed, the counts and every range bound
+        are integers (never booleans) and the rates are finite numbers."""
+        def integer(value) -> bool:
+            return isinstance(value, Integral) and not isinstance(value, bool)
+
+        for name in ("seed", "domain_count", "node_count", "inter_link_count_per_domain_pair"):
+            value = getattr(self, name)
+            if not integer(value):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in ("intra_link_rate", "vnr_arrival_rate", "vnr_mean_lifetime"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and not isinstance(value, bool)
+                    and math.isfinite(value)):
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+        for name in ("substrate_cpu_range", "substrate_bw_range", "security_range",
+                     "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range"):
+            value = getattr(self, name)
+            if name == "cd_size_range" and value is None:
+                continue
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(integer(bound) for bound in value)):
+                raise InvalidConfig(f"{name} must be a (min, max) pair of integers, "
+                                    f"got {value!r}")
 
     @classmethod
     def field_names(cls) -> list[str]:

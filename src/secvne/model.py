@@ -188,12 +188,23 @@ class SubstrateNetwork:
             self.adj[v].append(u)
         for nid in self.adj:
             self.adj[nid].sort()
+        # Bit ranks for secvne.routing's bitset search: bit i of a node mask
+        # stands for the i-th smallest node id.
+        self.node_ids: list[int] = sorted(self.nodes)
+        self.rank: dict[int, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         # Min-hop path table over the bare topology, filled lazily by
         # secvne.routing: hop distances to each destination, and the path of
         # each (src, dst) pair.  The topology is fixed from here on, so
         # residual changes never make an entry stale.
         self.hop_dist: dict[int, dict[int, int]] = {}
         self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @cached_property
+    def adj_masks(self) -> list[int]:
+        """Each node's neighbours as a bit-rank mask, indexed by rank.  Built
+        on first use, so a run whose bandwidth never binds never pays for it."""
+        rank = self.rank
+        return [sum(1 << rank[nbr] for nbr in self.adj[nid]) for nid in self.node_ids]
 
     def link(self, u: int, v: int) -> SubstrateLink:
         return self.links[link_key(u, v)]

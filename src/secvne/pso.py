@@ -35,7 +35,7 @@ without building paths or debits.
 
 Otherwise ``evaluation_plan`` builds, once per search, each substrate node's
 component label at every distinct demand d of the request: two nodes share
-a label at d when links with residual >= d join them (``component_labels``).
+a label at d when links with residual >= d join them (``usable_subgraphs``).
 Debits only shrink that subgraph, so hosts with different labels at a
 virtual link's demand can never route it, under any routing order.  The
 labels serve twice.  Before the swarm runs, ``unsupported_link`` prunes the
@@ -45,17 +45,20 @@ of spending its evaluations on a certain INFEASIBLE.  The pruned sets serve
 only this proof: the swarm draws from the full candidate lists, so its
 random stream is unchanged.  Then ``fitness`` returns INFEASIBLE for a
 position whose hosts some virtual link's labels separate, and routes the
-rest in full.
+rest in full.  The same sweep that labels the components gives each
+substrate node's usable mask at every demand, which ``fitness`` hands to
+``route_all_links`` so that a breadth-first search reads them instead of
+testing residuals link by link.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once: the virtual-node order, the candidate
 lists and their sets, ``cpu_total``, each virtual link as an (index of u,
 index of v, demand) triple in the request's routing order, the slack flag
-and, without slack, the labels and each link's label dict.  ``fitness``
-indexes positions with the triples and builds the assignment dict only
-when it routes.  ``position_update`` re-draws a component from its
-candidate list as it stands when no kept or re-drawn node lies in the
-list's set, which leaves the same pool the filter would.
+and, without slack, the labels, each link's label dict and the usable
+masks.  ``fitness`` indexes positions with the triples and builds the
+assignment dict only when it routes.  ``position_update`` re-draws a
+component from its candidate list as it stands when no kept or re-drawn
+node lies in the list's set, which leaves the same pool the filter would.
 
 The search draws through a ``seeding.Draws`` stream, which gives the values
 numpy's ``Generator`` would for the same calls, so the draw order alone
@@ -77,7 +80,7 @@ from dataclasses import dataclass
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
 from .node_mapping import candidate_nodes, map_nodes
-from .routing import build_embedding, component_labels, hop_distances, route_all_links
+from .routing import build_embedding, hop_distances, route_all_links, usable_subgraphs
 from .seeding import draws_from
 
 INFEASIBLE = math.inf
@@ -262,10 +265,12 @@ class EvaluationPlan:
     # (index of u, index of v, bw demand) per virtual link, in routing order
     links: list[tuple[int, int, int]]
     bw_slack: bool
-    # Without slack: the request's component_labels, and each link's labels
-    # at its demand, aligned with ``links``; None under slack.
+    # Without slack: the request's component labels, each link's labels at
+    # its demand, aligned with ``links``, and the usable masks per demand,
+    # all from usable_subgraphs; None under slack.
     labels: dict[int, dict[int, int]] | None
     link_labels: list[dict[int, int]] | None
+    masks: dict[int, list[int]] | None
 
 
 def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
@@ -274,20 +279,21 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     per virtual node in ascending id order.
 
     Bandwidth slack holds when the request's total demand is at most every
-    substrate link's residual; only without it are the labels built.
+    substrate link's residual; only without it are the labels and masks
+    built.
     """
     vnode_order = sorted(vnr.nodes)
     index = {vid: i for i, vid in enumerate(vnode_order)}
     links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
     bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
                                    default=math.inf)
-    labels = link_labels = None
+    labels = link_labels = masks = None
     if not bw_slack:
-        labels = component_labels([bw for _, _, bw in links], net)
+        labels, masks = usable_subgraphs([bw for _, _, bw in links], net)
         link_labels = [labels[bw] for _, _, bw in links]
     return EvaluationPlan(vnr, net, vnode_order, candidate_lists,
                           [set(c) for c in candidate_lists], vnr.cpu_total, links,
-                          bw_slack, labels, link_labels)
+                          bw_slack, labels, link_labels, masks)
 
 
 def fitness(position: list[int], plan: EvaluationPlan) -> float:
@@ -311,7 +317,8 @@ def fitness(position: list[int], plan: EvaluationPlan) -> float:
         if label[position[iu]] != label[position[iv]]:
             return INFEASIBLE
     try:
-        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
+                                  plan.masks)
     except LinkMappingInfeasible:
         return INFEASIBLE
     return float(plan.cpu_total + routing.total_bw_cost)

@@ -20,6 +20,23 @@ too, and every neighbour the feasible descent could step to is also a
 topology candidate.  Both descents therefore pick the same next node, and
 ``route_link`` would return the table path.  Residual changes never
 invalidate the table, because the topology is fixed after construction.
+
+``route_link`` searches over bitmasks.  Bit i stands for the substrate node
+of bit rank i, the i-th smallest node id (``SubstrateNetwork.rank``), and a
+node's usable mask at demand d holds the neighbours joined to it by links
+with residual >= d.  A search takes these masks from the caller
+(``usable_subgraphs`` builds them for every demand of a request in one sweep)
+or computes each on its node's first visit, then clears from a copy the
+debited links that can no longer carry d.  Breadth-first search from dst is
+level-synchronous: a level is the OR of its predecessor's masks minus the
+nodes seen so far, so level k holds exactly the nodes k hops from dst in the
+feasible subgraph.  It stops at the first level k that meets src's mask:
+src lies k + 1 hops from dst, and the levels the descent reads are complete.
+The descent from src steps, at each level, to the lowest set bit of its
+mask AND the level below.  That bit is the neighbour with the smallest id
+among the feasible neighbours one hop closer to dst, the node a descent over
+ascending adjacency lists would pick, so the bitset search returns the
+lexicographically smallest min-hop path.
 """
 
 from __future__ import annotations
@@ -41,68 +58,83 @@ class RoutingResult:
         self.total_bw_cost = total_bw_cost
 
 
-def _descend(src: int, dst: int, dist: dict[int, int], adj: dict[int, list[int]],
-             usable=None) -> tuple[int, ...]:
-    """Greedy descent from src down ``dist`` (hop counts to dst): always step
-    to the smallest-id neighbour one hop closer over a link ``usable`` accepts
-    (every link when it is None)."""
-    path = [src]
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        for nbr in adj[cur]:
-            if dist.get(nbr) == want and (usable is None or usable(cur, nbr)):
-                break
-        else:  # pragma: no cover - contradicts the breadth-first labelling
-            raise NoFeasiblePath(f"walk from {src} toward {dst} lost the gradient")
-        path.append(nbr)
-        cur = nbr
-    return tuple(path)
+class _UsableMasks(dict):
+    """Bit rank -> usable mask at one demand, each computed from the
+    residuals on first access: the masks of a search without the caller's."""
+
+    __slots__ = ("net", "bw")
+
+    def __init__(self, net: SubstrateNetwork, bw: int):
+        super().__init__()
+        self.net = net
+        self.bw = bw
+
+    def __missing__(self, r: int) -> int:
+        net = self.net
+        links = net.links
+        rank = net.rank
+        a = net.node_ids[r]
+        mask = 0
+        for b in net.adj[a]:
+            if links[(a, b) if a < b else (b, a)].bw_residual >= self.bw:
+                mask |= 1 << rank[b]
+        self[r] = mask
+        return mask
 
 
 def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
-               debits: dict | None = None) -> tuple[int, ...]:
+               debits: dict | None = None, masks: list[int] | None = None) -> tuple[int, ...]:
     """Minimum-hop path from src to dst over links with enough residual.
 
+    ``masks`` lists each node's usable mask at ``bw`` by bit rank (see the
+    module docstring); None computes each mask on its node's first visit.
     ``debits`` holds extra bandwidth already claimed by earlier paths of the
     same request.  Raises NoFeasiblePath when src and dst are disconnected in
     the feasible subgraph.
     """
     if src == dst:
         raise ValueError("route_link endpoints must differ")
-    links = net.links
-    adj = net.adj
-    if debits is None:
-        debits = {}
+    rank = net.rank
+    if masks is None:
+        masks = _UsableMasks(net, bw)
+    elif debits:
+        masks = masks.copy()
+    if debits:
+        links = net.links
+        for k, debit in debits.items():
+            residual = links[k].bw_residual
+            if residual >= bw > residual - debit:
+                a, b = rank[k[0]], rank[k[1]]
+                masks[a] &= ~(1 << b)
+                masks[b] &= ~(1 << a)
 
-    # Breadth-first from dst, one level at a time, so dist[n] is the hop count
-    # down to dst.  Stop as soon as src is discovered: every node nearer to
-    # dst, all the descent below reads, is settled by then.
-    dist = {dst: 0}
-    frontier = [dst]
-    d = 0
-    while frontier and src not in dist:
-        d += 1
-        level = []
-        for cur in frontier:
-            for nbr in adj[cur]:
-                if nbr in dist:
-                    continue
-                k = (cur, nbr) if cur < nbr else (nbr, cur)
-                if links[k].bw_residual - debits.get(k, 0) >= bw:
-                    dist[nbr] = d
-                    level.append(nbr)
-            if src in dist:
-                break
-        frontier = level
-    if src not in dist:
-        raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
+    # Level-synchronous breadth-first search from dst: levels[k] is the set
+    # of nodes k hops from dst.  It stops at the first level that holds a
+    # usable neighbour of src, so src lies one level further.
+    cur = rank[src]
+    near = masks[cur]
+    frontier = visited = 1 << rank[dst]
+    levels = [frontier]
+    while not frontier & near:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~visited
+        if not frontier:
+            raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
+        visited |= frontier
+        levels.append(frontier)
 
-    def usable(a: int, b: int) -> bool:
-        k = (a, b) if a < b else (b, a)
-        return links[k].bw_residual - debits.get(k, 0) >= bw
-
-    return _descend(src, dst, dist, adj, usable)
+    # Descend one level per hop to the smallest-id usable neighbour there.
+    node_ids = net.node_ids
+    path = [src]
+    for k in range(len(levels) - 1, -1, -1):
+        step = masks[cur] & levels[k]
+        cur = (step & -step).bit_length() - 1
+        path.append(node_ids[cur])
+    return tuple(path)
 
 
 def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
@@ -127,6 +159,24 @@ def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
     return dist
 
 
+def _descend(src: int, dst: int, dist: dict[int, int],
+             adj: dict[int, list[int]]) -> tuple[int, ...]:
+    """Greedy descent from src down ``dist`` (hop counts to dst): always step
+    to the smallest-id neighbour one hop closer."""
+    path = [src]
+    cur = src
+    while cur != dst:
+        want = dist[cur] - 1
+        for nbr in adj[cur]:
+            if dist.get(nbr) == want:
+                break
+        else:  # pragma: no cover - contradicts the breadth-first labelling
+            raise NoFeasiblePath(f"walk from {src} toward {dst} lost the gradient")
+        path.append(nbr)
+        cur = nbr
+    return tuple(path)
+
+
 def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     """The path ``route_link`` picks from src to dst in the bare topology.
 
@@ -143,25 +193,38 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     return path
 
 
-def component_labels(demands, net: SubstrateNetwork) -> dict[int, dict[int, int]]:
-    """For each demand d, every substrate node's component label in the
-    subgraph of links whose residual is at least d.
+def usable_subgraphs(demands, net: SubstrateNetwork
+                     ) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
+    """For each demand d of ``demands``, the subgraph of links whose residual
+    is at least d, twice: every substrate node's component label, and every
+    node's usable mask by bit rank (see the module docstring).
 
-    One union-find sweep: the links are bucketed by the largest demand they
-    carry and merged in descending demand order, and each demand's labels
-    are a copy of the running labels after its bucket.  A merge relabels the
-    smaller component, so the sweep relabels each node O(log n) times.  Two
-    nodes share a label at d exactly when links with residual >= d join them.
+    One bucketing pass files each link under the largest demand it carries,
+    or under none.  The masks are then built in ascending demand order, from
+    the topology's masks less the links each demand drops, so only the links
+    short of the largest demand are touched.  The labels come from a
+    union-find sweep that merges the buckets in descending demand order.  A
+    merge relabels the smaller component, so the sweep relabels each node
+    O(log n) times.  Two nodes share a label at d exactly when links with
+    residual >= d join them.
     """
     thresholds = sorted(set(demands), reverse=True)
     # ascending negated thresholds: bisect_left finds the largest demand <= r
     keys = [-d for d in thresholds]
-    last = len(keys)
-    buckets: list[list] = [[] for _ in thresholds]
+    # buckets[i] holds the links whose largest demand is thresholds[i], and
+    # the last bucket those that carry no demand at all
+    buckets: list[list] = [[] for _ in range(len(thresholds) + 1)]
     for k, link in net.links.items():
-        i = bisect_left(keys, -link.bw_residual)
-        if i < last:
-            buckets[i].append(k)
+        buckets[bisect_left(keys, -link.bw_residual)].append(k)
+    rank = net.rank
+    masks = {}
+    mask = list(net.adj_masks)
+    for d, bucket in zip(reversed(thresholds), reversed(buckets)):
+        for a, b in bucket:
+            ra, rb = rank[a], rank[b]
+            mask[ra] &= ~(1 << rb)
+            mask[rb] &= ~(1 << ra)
+        masks[d] = mask.copy()
     label = {n: n for n in net.nodes}
     members = {n: [n] for n in net.nodes}
     labels = {}
@@ -177,7 +240,7 @@ def component_labels(demands, net: SubstrateNetwork) -> dict[int, dict[int, int]
                 label[n] = keep
             members[keep].extend(moved)
         labels[d] = label.copy()
-    return labels
+    return labels, masks
 
 
 def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
@@ -192,14 +255,16 @@ def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
 
 
 def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork) -> RoutingResult:
+                    net: SubstrateNetwork,
+                    masks: dict[int, list[int]] | None = None) -> RoutingResult:
     """Route every virtual link, debiting residuals cumulatively.
 
     Links are processed in the request's ``routing_order``: descending demand
     (ties by link key), so the largest flows claim scarce capacity first.
     Each takes its table path if that is still feasible, else a breadth-first
-    search over the feasible subgraph.  Fails atomically: no partial result
-    escapes.
+    search over the feasible subgraph, given the usable masks of its demand
+    when ``masks`` (from ``usable_subgraphs``) holds them.  Fails atomically:
+    no partial result escapes.
     """
     debits: dict = {}
     paths: dict = {}
@@ -213,7 +278,8 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
         try:
             path = min_hop_path(src, dst, net)
             if not _path_feasible(path, bw, net, debits):
-                path = route_link(src, dst, bw, net, debits)
+                path = route_link(src, dst, bw, net, debits,
+                                  None if masks is None else masks[bw])
         except NoFeasiblePath as exc:
             raise LinkMappingInfeasible(str(exc)) from exc
         for i in range(len(path) - 1):

@@ -109,6 +109,51 @@ def shortest_feasible_path_brute(net, src, dst, bw, debits=None):
     return min(feasible, key=lambda p: (len(p), p))
 
 
+def usable_masks_brute(net, bw, debits=None):
+    """Each node's usable mask at ``bw``, by bit rank: bit i of node a's mask
+    set when a links to the i-th smallest node id with residual minus debit
+    at least ``bw``."""
+    debits = debits or {}
+    ids = sorted(net.nodes)
+    masks = []
+    for a in ids:
+        mask = 0
+        for i, b in enumerate(ids):
+            k = link_key(a, b)
+            if k in net.links and net.links[k].bw_residual - debits.get(k, 0) >= bw:
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+def component_labels_sweep(demands, net):
+    """Component labels per demand from a union-find sweep over the links in
+    descending residual order, labels alone: the reference for the labels of
+    ``routing.usable_subgraphs``, which merges the same sweep with the masks."""
+    thresholds = sorted(set(demands), reverse=True)
+    buckets = {d: [] for d in thresholds}
+    for k, link in net.links.items():
+        carried = [d for d in thresholds if d <= link.bw_residual]
+        if carried:
+            buckets[max(carried)].append(k)
+    label = {n: n for n in net.nodes}
+    members = {n: [n] for n in net.nodes}
+    labels = {}
+    for d in thresholds:
+        for a, b in buckets[d]:
+            keep, gone = label[a], label[b]
+            if keep == gone:
+                continue
+            if len(members[keep]) < len(members[gone]):
+                keep, gone = gone, keep
+            moved = members.pop(gone)
+            for n in moved:
+                label[n] = keep
+            members[keep].extend(moved)
+        labels[d] = label.copy()
+    return labels
+
+
 def enumerate_assignments(vnr, net):
     """All injective candidate-respecting node assignments."""
     vids = sorted(vnr.nodes)

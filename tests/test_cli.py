@@ -296,6 +296,47 @@ def test_workload_repeated_request_id_is_infeasible(tmp_path, generated, capsys)
     assert f"line 3: duplicate request id {second['id']}" in err and "Traceback" not in err
 
 
+def _run_greedy(tmp_path, generated, lines):
+    workload = tmp_path / "bad_workload.jsonl"
+    workload.write_text("\n".join(lines) + "\n")
+    return main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+
+
+def test_workload_cut_short_is_infeasible(tmp_path, generated, capsys):
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    count = json.loads(lines[0])["vnr_count"]
+    assert count == len(lines) - 1 > 20
+    code = _run_greedy(tmp_path, generated, lines[:20])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"vnr_count is {count} but 19 requests follow it" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda count: count + 1, "vnr_count is {high} but {count} requests follow it"),
+    (lambda count: count - 1, "vnr_count is {low} but {count} requests follow it"),
+    (lambda count: True, "line 1: vnr_count must be a non-negative integer, got True"),
+    (str, "line 1: vnr_count must be a non-negative integer, got '{count}'"),
+    (None, "line 1: 'vnr_count'"),
+], ids=["too-high", "too-low", "boolean", "string", "missing"])
+def test_workload_header_count_must_match_the_requests(tmp_path, generated, capsys, edit,
+                                                       message):
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    count = header.pop("vnr_count")
+    if edit is not None:
+        header["vnr_count"] = edit(count)
+    lines[0] = json.dumps(header)
+    code = _run_greedy(tmp_path, generated, lines)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message.format(count=count, high=count + 1, low=count - 1) in err
+    assert "Traceback" not in err
+
+
 def test_workload_unknown_candidate_domain_is_infeasible(tmp_path, generated, capsys):
     def edit(doc):
         doc["nodes"][0]["cd"] = [99]

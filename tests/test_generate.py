@@ -147,3 +147,36 @@ def test_table1_config_file_restores_published_cpu_ranges():
 def test_invalid_configs_rejected(bad):
     with pytest.raises(InvalidConfig):
         GeneratorConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"node_count": 12.5, "domain_count": 2}, "node_count must be an integer, got 12.5"),
+    ({"domain_count": 2.0}, "domain_count must be an integer, got 2.0"),
+    ({"domain_count": True}, "domain_count must be an integer, got True"),
+    ({"inter_link_count_per_domain_pair": "1"},
+     "inter_link_count_per_domain_pair must be an integer, got '1'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"substrate_bw_range": (20.5, 60)},
+     "substrate_bw_range must be a (min, max) pair of integers, got (20.5, 60)"),
+    ({"vnr_node_range": (2,)}, "vnr_node_range must be a (min, max) pair of integers"),
+    ({"cd_size_range": (1, 2.0)}, "cd_size_range must be a (min, max) pair of integers"),
+    ({"vnr_arrival_rate": float("nan")}, "vnr_arrival_rate must be a finite number, got nan"),
+    ({"vnr_arrival_rate": float("inf")}, "vnr_arrival_rate must be a finite number, got inf"),
+    ({"vnr_mean_lifetime": float("inf")}, "vnr_mean_lifetime must be a finite number"),
+    ({"intra_link_rate": "0.5"}, "intra_link_rate must be a finite number, got '0.5'"),
+], ids=["fractional-nodes", "float-domains", "boolean-domains", "string-inter-links",
+        "fractional-seed", "fractional-bw-bound", "short-range", "float-cd-bound",
+        "nan-rate", "infinite-rate", "infinite-lifetime", "string-link-rate"])
+def test_mistyped_config_is_invalid(overrides, message):
+    cfg = GeneratorConfig(**overrides)
+    for generate in (generate_substrate, lambda c: generate_vnr_stream(c, horizon=50.0)):
+        with pytest.raises(InvalidConfig) as info:
+            generate(cfg)
+        assert message in str(info.value)
+
+
+def test_numpy_integers_are_integers():
+    import numpy as np
+    cfg = GeneratorConfig(seed=np.int64(3), node_count=np.int64(12), domain_count=2,
+                          substrate_bw_range=(np.int32(20), 60))
+    assert len(generate_substrate(cfg).nodes) == 12

@@ -26,7 +26,7 @@ from secvne.pso import (
     velocity_table,
     velocity_update,
 )
-from secvne.routing import component_labels, route_all_links
+from secvne.routing import route_all_links, usable_subgraphs
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
@@ -429,7 +429,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def request_labels(vnr, net):
-    return component_labels([l.bw_demand for l in vnr.links.values()], net)
+    return usable_subgraphs([l.bw_demand for l in vnr.links.values()], net)[0]
 
 
 class TestComponentLabelGate:
@@ -458,7 +458,7 @@ class TestComponentLabelGate:
         assert rejected > 50 and routed > 50
 
     def test_labels_are_never_built_under_bandwidth_slack(self, monkeypatch):
-        calls = count_calls(monkeypatch, pso, "component_labels")
+        calls = count_calls(monkeypatch, pso, "usable_subgraphs")
         net = generate_substrate(GOLDEN_BW_CONFIG)
         min_residual = min(l.bw_residual for l in net.links.values())
         seen = set()

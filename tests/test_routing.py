@@ -9,10 +9,11 @@ from secvne import routing
 from secvne.errors import LinkMappingInfeasible, NoFeasiblePath
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
-from secvne.routing import component_labels, min_hop_path, route_all_links, route_link
+from secvne.routing import min_hop_path, route_all_links, route_link, usable_subgraphs
 
 from conftest import contended_net, make_substrate, make_vnr
-from oracles import labels_separate, route_all_brute, shortest_feasible_path_brute
+from oracles import (component_labels_sweep, labels_separate, route_all_brute,
+                     shortest_feasible_path_brute, usable_masks_brute)
 
 
 def grid_net(bws):
@@ -90,13 +91,71 @@ class TestRouteLink:
                         checked += 1
         assert 0 < failed < checked
 
+    @staticmethod
+    def scattered_net(seed):
+        """A random 10-node substrate whose node ids are neither contiguous
+        nor inserted in ascending order, bandwidth U[20, 60]."""
+        rnd = random.Random(seed)
+        ids = [40, 7, 93, 15, 62, 3, 28, 71, 55, 12]
+        links = [(a, b, rnd.randint(20, 60))
+                 for a, b in itertools.combinations(ids, 2) if rnd.random() < 0.35]
+        return make_substrate([(i, rnd.randint(0, 1), 10, 0, 0) for i in ids], links,
+                              hops=False)
+
+    def test_debits_alone_can_make_the_route_fail(self):
+        # 0-1 direct (residual 10) and 0-2-1 (residual 10 each): both carry
+        # 8 until the debits take 3 off the direct link and 5 off 2-1.
+        net = make_substrate([(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 0, 10, 0, 0),
+                              (3, 1, 10, 0, 0)],
+                             [(0, 1, 10), (0, 2, 10), (1, 2, 10), (2, 3, 10)], hops=False)
+        masks = usable_subgraphs([8], net)[1][8]
+        assert route_link(0, 1, 8, net) == route_link(0, 1, 8, net, {}, masks) == (0, 1)
+        debits = {(0, 1): 3, (1, 2): 5}
+        assert shortest_feasible_path_brute(net, 0, 1, 8, debits) is None
+        for given in (None, masks):
+            with pytest.raises(NoFeasiblePath):
+                route_link(0, 1, 8, net, debits, given)
+        assert shortest_feasible_path_brute(net, 0, 1, 8, {(0, 1): 3}) == (0, 2, 1)
+        assert route_link(0, 1, 8, net, {(0, 1): 3}, masks) == (0, 2, 1)
+        assert masks == usable_masks_brute(net, 8)  # the debits went to a copy
+
+    def test_plan_and_on_the_fly_masks_match_brute_force_under_debits(self):
+        """Also on substrates with scattered node ids inserted out of order:
+        bit ranks follow ascending node id, so ties still break toward the
+        smallest ids."""
+        seen = set()
+        for seed in range(6):
+            scattered = self.scattered_net(seed)
+            assert scattered.node_ids == sorted(scattered.nodes) != list(scattered.nodes)
+            for net in (contended_net(seed), scattered):
+                rnd = random.Random(seed)
+                keys = sorted(net.links)
+                demands = (10, 25, 40)
+                plan_masks = usable_subgraphs(demands, net)[1]
+                before = {d: list(m) for d, m in plan_masks.items()}
+                for debits in [{}] + [{k: rnd.randint(1, 30)
+                                       for k in rnd.sample(keys, len(keys) // 3)}
+                                      for _ in range(3)]:
+                    for src, dst in itertools.permutations(net.node_ids, 2):
+                        for bw in demands:
+                            expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
+                            for masks in (None, plan_masks[bw]):
+                                try:
+                                    got = route_link(src, dst, bw, net, debits, masks)
+                                except NoFeasiblePath:
+                                    got = None
+                                assert got == expected
+                            seen.add(expected is None)
+                assert plan_masks == before
+        assert seen == {True, False}
+
 
 class TestComponentLabels:
     def test_labels_join_exactly_the_nodes_a_feasible_path_joins(self):
         for seed in range(6):
             net = contended_net(seed)
             demands = [15, 30, 45, 30, 60]
-            labels = component_labels(demands, net)
+            labels = usable_subgraphs(demands, net)[0]
             assert sorted(labels) == [15, 30, 45, 60]
             for d, label in labels.items():
                 assert sorted(label) == sorted(net.nodes)
@@ -105,7 +164,17 @@ class TestComponentLabels:
                     assert (label[a] == label[b]) == joined
 
     def test_no_demands_give_no_labels(self, toy_net):
-        assert component_labels([], toy_net) == {}
+        assert usable_subgraphs([], toy_net) == ({}, {})
+
+    def test_sweep_gives_the_labels_only_sweep_and_the_usable_links(self):
+        for seed in range(6):
+            for net in (contended_net(seed), TestRouteLink.scattered_net(seed)):
+                demands = [15, 30, 45, 30, 60, 1]
+                labels, masks = usable_subgraphs(demands, net)
+                assert labels == component_labels_sweep(demands, net)
+                assert sorted(masks) == [1, 15, 30, 45, 60]
+                for d, mask in masks.items():
+                    assert mask == usable_masks_brute(net, d)
 
     def test_label_rejected_position_makes_route_all_links_raise(self):
         vnr = make_vnr(
@@ -115,7 +184,7 @@ class TestComponentLabels:
         rejected = 0
         for seed in range(6):
             net = contended_net(seed)
-            labels = component_labels([l.bw_demand for l in vnr.links.values()], net)
+            labels = usable_subgraphs([l.bw_demand for l in vnr.links.values()], net)[0]
             for nodes in itertools.permutations(sorted(net.nodes), 3):
                 assignment = dict(enumerate(nodes))
                 if not labels_separate(vnr, labels, assignment):
