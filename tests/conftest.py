@@ -16,6 +16,17 @@ from secvne.model import (
 )
 
 
+# A substrate file whose domain 0 falls into two components, {0} and {1}, each
+# with its own link to domain 1, so every node has a boundary distance.
+SPLIT_DOMAIN_SUBSTRATE = {
+    "domain_count": 2,
+    "nodes": [{"id": nid, "domain": d, "cpu": 100, "ssl": 2, "ssd": 2}
+              for nid, d in ((0, 0), (1, 0), (2, 1), (3, 1))],
+    "links": [{"u": 0, "v": 2, "bw": 100}, {"u": 1, "v": 3, "bw": 100},
+              {"u": 2, "v": 3, "bw": 100}],
+}
+
+
 def make_substrate(node_specs, link_specs, domain_count=2, hops=True):
     """node_specs: (id, domain, cpu, ssl, ssd); link_specs: (u, v, bw)."""
     nodes = [SubstrateNode(i, d, c, c, ssl, ssd) for (i, d, c, ssl, ssd) in node_specs]

@@ -6,6 +6,8 @@ import pytest
 
 from secvne.cli import main
 
+from conftest import SPLIT_DOMAIN_SUBSTRATE
+
 MINI_CONFIG = {
     "seed": 7,
     "domain_count": 2,
@@ -422,8 +424,10 @@ def _drop_inter_domain_links(doc):
     (lambda doc: doc["nodes"][0].update(domain=7),
      "substrate node 0 has domain 7, outside [0, 2)"),
     (lambda doc: doc.update(domain_count=0), "domain_count must be an integer >= 1, got 0"),
+    (lambda doc: doc.update(SPLIT_DOMAIN_SUBSTRATE), "some domain is not connected"),
 ], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node", "string-ssl",
-        "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains"])
+        "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains",
+        "split-domain"])
 def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
     doc = json.loads((generated / "substrate.json").read_text())
     edit(doc)

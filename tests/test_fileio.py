@@ -22,6 +22,8 @@ from secvne.fileio import (
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import CumulativeRow, MetricWindow, WindowRow
 
+from conftest import SPLIT_DOMAIN_SUBSTRATE
+
 
 def test_substrate_round_trip(tmp_path):
     net = generate_substrate(GeneratorConfig(seed=13, node_count=24, domain_count=2))
@@ -119,6 +121,13 @@ def test_malformed_substrate_rejected(tmp_path):
         load_substrate(path)
     path.write_text(json.dumps({"domain_count": 2, "nodes": [], "links": [{"u": 0}]}))
     with pytest.raises(InvalidConfig):
+        load_substrate(path)
+
+
+def test_domain_in_two_components_rejected(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(SPLIT_DOMAIN_SUBSTRATE))
+    with pytest.raises(InvalidConfig, match="some domain is not connected"):
         load_substrate(path)
 
 

@@ -148,6 +148,17 @@ class TestBoundaryHops:
         with pytest.raises(NoBoundaryNode):
             compute_boundary_hops(net)
 
+    def test_domain_in_two_components_is_not_connected(self):
+        # Each component of domain 0 holds a boundary node, so the boundary
+        # distances alone cannot tell the split.
+        net = make_substrate(
+            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
+                        (3, 1, 10, 0, 0)],
+            link_specs=[(0, 2, 10), (1, 3, 10), (2, 3, 10)],
+        )
+        assert [net.nodes[i].hop_to_boundary for i in range(4)] == [0, 0, 0, 0]
+        assert not net.domains_connected()
+
     def test_matches_brute_force_on_random_networks(self):
         from secvne.generate import GeneratorConfig, generate_substrate
 
