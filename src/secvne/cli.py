@@ -170,9 +170,11 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 
 def cmd_compare(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
+    for i, s in enumerate(strategies):
         if s not in STRATEGY_NAMES:
             raise InvalidConfig(f"unknown strategy {s!r}; expected one of {STRATEGY_NAMES}")
+        if s in strategies[:i]:
+            raise InvalidConfig(f"strategy {s!r} is listed twice in --strategies")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
@@ -182,6 +184,9 @@ def cmd_compare(args) -> int:
 
     fixed = None
     if args.substrate or args.workload:
+        if args.config:
+            raise InvalidConfig("--config and --substrate/--workload are alternatives; "
+                                "give one of them")
         if not (args.substrate and args.workload):
             raise InvalidConfig("--substrate and --workload must be given together")
         fixed = _load_instance(args.substrate, args.workload)

@@ -233,8 +233,6 @@ class SubstrateNetwork:
                 for nbr in self.adj[cur]:
                     if nbr in seen or self.nodes[nbr].domain != d:
                         continue
-                    if self.links[link_key(cur, nbr)].kind != INTRA_DOMAIN:
-                        continue
                     seen.add(nbr)
                     queue.append(nbr)
             if len(seen) != len(members):
@@ -283,8 +281,6 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
             cur = queue.popleft()
             for nbr in net.adj[cur]:
                 if nbr in dist or net.nodes[nbr].domain != d:
-                    continue
-                if net.links[link_key(cur, nbr)].kind != INTRA_DOMAIN:
                     continue
                 dist[nbr] = dist[cur] + 1
                 queue.append(nbr)

@@ -18,6 +18,11 @@ subtract(gbest, x) are each 0 or 1, so s takes one of 8 values:
 ``velocity_table`` computes the 8 bits once, with the same expression, and
 each component indexes into them.
 
+Every search runs the swarm that the ``PsoConfig`` class constants fix:
+``particle_count`` 10 over ``iterations`` 50, ``c1`` = ``c2`` = 1.5, omega
+falling linearly from ``inertia_max`` 0.9 to ``inertia_min`` 0.1 over the
+iterations.  A ``PsoConfig`` instance carries only the search's seed.
+
 Fitness is the embedding cost (total CPU demand plus bandwidth x path hops),
 with +inf as the sentinel for positions whose links cannot be routed;
 pbest/gbest only move on strict improvement, which makes the gbest series
@@ -76,6 +81,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
@@ -91,24 +97,15 @@ RANDOM_INJECTIVE_TRIES = 100
 
 @dataclass
 class PsoConfig:
-    particle_count: int = 10
-    iterations: int = 50
-    inertia_max: float = 0.9  # decreases linearly to inertia_min over the run
-    inertia_min: float = 0.1
-    c1: float = 1.5
-    c2: float = 1.5
-    seed: int = 0
+    """A search's seed; the class constants fix the swarm (module docstring)."""
 
-    def __post_init__(self):
-        for name in ("inertia_max", "inertia_min", "c1", "c2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.particle_count <= 0 or self.iterations <= 0:
-            raise ValueError("particle_count and iterations must be positive")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
-        if self.inertia_min > self.inertia_max:
-            raise ValueError("inertia_min must not exceed inertia_max")
+    particle_count: ClassVar[int] = 10
+    iterations: ClassVar[int] = 50
+    inertia_max: ClassVar[float] = 0.9
+    inertia_min: ClassVar[float] = 0.1
+    c1: ClassVar[float] = 1.5
+    c2: ClassVar[float] = 1.5
+    seed: int = 0
 
 
 @dataclass
@@ -133,25 +130,25 @@ class SwarmResult:
         return dict(zip(self.vnode_order, self.position))
 
 
-def velocity_table(omega: float, r1: float, r2: float,
-                   c1: float = 1.5, c2: float = 1.5) -> list[int]:
+def velocity_table(omega: float, r1: float, r2: float) -> list[int]:
     """The new velocity bit for every (v, pb, gb) in {0, 1}^3, at index
     4*v + 2*pb + gb, where pb and gb are the pbest and gbest agreement
     indicators.
 
-    Each entry is ``omega * v + r1 * c1 * pb + r2 * c2 * gb`` rounded half up,
-    with the products by 0 and 1 written out: for finite operands x * 1 is x
-    and adding x * 0 changes a sum at most in the sign of a zero, which the
-    comparison ignores, so every bit equals the scalar rule's.
+    Each entry is ``omega * v + r1 * c1 * pb + r2 * c2 * gb`` (``PsoConfig``'s
+    c1 and c2) rounded half up, with the products by 0 and 1 written out: for
+    finite operands x * 1 is x and adding x * 0 changes a sum at most in the
+    sign of a zero, which the comparison ignores, so every bit equals the
+    scalar rule's.
     """
-    a = r1 * c1
-    b = r2 * c2
+    a = r1 * PsoConfig.c1
+    b = r2 * PsoConfig.c2
     return [1 if s + 0.5 >= 1.0 else 0
             for s in (0.0, b, a, a + b, omega, omega + b, omega + a, omega + a + b)]
 
 
 def velocity_update(p: Particle, gbest_position: list[int], omega: float,
-                    r1: float, r2: float, c1: float = 1.5, c2: float = 1.5) -> list[int]:
+                    r1: float, r2: float) -> list[int]:
     """New binary velocity from inertia plus pbest/gbest agreement pulls."""
     position = p.position
     n = len(position)
@@ -159,7 +156,7 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
         raise LengthMismatch(f"velocity, pbest and gbest of lengths {len(p.velocity)}, "
                              f"{len(p.pbest_position)} and {len(gbest_position)} for "
                              f"position of length {n}")
-    table = velocity_table(omega, r1, r2, c1, c2)
+    table = velocity_table(omega, r1, r2)
     return [table[4 * v + 2 * (b == x) + (g == x)]
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
@@ -369,11 +366,9 @@ def unsupported_link(vnr: VirtualNetworkRequest, vnode_order: list[int],
     return None
 
 
-def _inertia(cfg: PsoConfig, iteration: int) -> float:
-    if cfg.iterations == 1:
-        return cfg.inertia_max
-    frac = iteration / (cfg.iterations - 1)
-    return cfg.inertia_max - (cfg.inertia_max - cfg.inertia_min) * frac
+def _inertia(iteration: int) -> float:
+    frac = iteration / (PsoConfig.iterations - 1)
+    return PsoConfig.inertia_max - (PsoConfig.inertia_max - PsoConfig.inertia_min) * frac
 
 
 def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
@@ -424,7 +419,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         seeded = None
 
     particles: list[Particle] = []
-    for i in range(cfg.particle_count):
+    for i in range(PsoConfig.particle_count):
         if i == 0 and seeded is not None:
             position = list(seeded)
         else:
@@ -441,12 +436,12 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             gbest_position = list(p.pbest_position)
     history = [gbest_fitness]
 
-    for it in range(cfg.iterations):
-        omega = _inertia(cfg, it)
+    for it in range(PsoConfig.iterations):
+        omega = _inertia(it)
         for p in particles:
             r1 = draws.random()
             r2 = draws.random()
-            v_new = velocity_update(p, gbest_position, omega, r1, r2, cfg.c1, cfg.c2)
+            v_new = velocity_update(p, gbest_position, omega, r1, r2)
             x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
             f = evaluate(x_new)
             p.velocity = v_new

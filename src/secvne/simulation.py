@@ -13,8 +13,8 @@ writer derive revenue and cost.
 The independent validator shadows every acceptance ("full", the default;
 "off" skips it) - any violation it finds means the fast path and the
 re-checker disagree, which aborts the run as an internal error.  The
-optional audit recomputes all residuals from the active-embedding set every
-K events and likewise aborts on drift.
+audit recomputes all residuals from the active-embedding set every
+``AUDIT_EVERY`` events and once at the end, and likewise aborts on drift.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ STRATEGY_NAMES = ("stec-iot", "greedy", "random")
 
 VALIDATE_FULL = "full"
 VALIDATE_OFF = "off"
+
+AUDIT_EVERY = 1000  # events between residual audits
 
 _DEPARTURE = 0  # sorts before arrivals at equal timestamps
 _ARRIVAL = 1
@@ -100,7 +102,7 @@ def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy
 
 
 def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
-        validate: str = VALIDATE_FULL, audit_every: int = 1000) -> SimulationTrace:
+        validate: str = VALIDATE_FULL) -> SimulationTrace:
     """Process the stream against `net` (mutated in place) and return the trace."""
     if validate not in (VALIDATE_FULL, VALIDATE_OFF):
         raise ValueError(f"unknown validate mode {validate!r}")
@@ -144,10 +146,9 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
                 heapq.heappush(heap, (time + vnr.lifetime, _DEPARTURE, vnr_id))
                 trace.records.append(EventRecord(time, "arrival", vnr_id, "accepted", emb))
         processed += 1
-        if audit_every and processed % audit_every == 0:
+        if processed % AUDIT_EVERY == 0:
             audit_residuals(net)
-    if audit_every:
-        audit_residuals(net)
+    audit_residuals(net)
     return trace
 
 

@@ -169,6 +169,29 @@ def test_compare_fixed_instance_mode(tmp_path, generated):
     assert (out / "summary.csv").exists()
 
 
+def test_compare_rejects_a_repeated_strategy(tmp_path, mini_config, capsys):
+    out = tmp_path / "cmprep"
+    code = main(["compare", "--config", str(mini_config), "--strategies", "greedy,greedy",
+                 "--seeds", "0,1", "--horizon", "800", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "strategy 'greedy' is listed twice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_rejects_config_with_a_fixed_instance(tmp_path, mini_config, generated,
+                                                      capsys):
+    out = tmp_path / "cmpboth"
+    code = main(["compare", "--config", str(mini_config),
+                 "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"), "--strategies", "greedy",
+                 "--seeds", "0", "--horizon", "800", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--config and --substrate/--workload are alternatives" in err
+    assert not out.exists()
+
+
 def test_eq20_literal_flag_accepted(tmp_path, generated):
     out = tmp_path / "lit"
     code = main(["run", "--substrate", str(generated / "substrate.json"),

@@ -1,5 +1,6 @@
 """Discrete swarm operators and the full search loop."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -179,9 +180,9 @@ class TestVelocityTable:
         cases += [(omega, 0.0, 0.0) for omega in (0.1, 0.5, 0.9, 0.5 - 2**-54)]
         cases += [(0.5 - 2**-54, 0.0, 0.3), ((0.5 - 2**-54) / 1.5, (0.5 - 2**-54) / 1.5, 0.0)]
         for omega, r1, r2 in cases:
-            for c1, c2 in ((1.5, 1.5), (0.4, 2.5)):
-                expected = [scalar_velocity_bit(omega, r1, r2, c1, c2, *bits) for bits in BITS]
-                assert velocity_table(omega, r1, r2, c1, c2) == expected
+            expected = [scalar_velocity_bit(omega, r1, r2, PsoConfig.c1, PsoConfig.c2, *bits)
+                        for bits in BITS]
+            assert velocity_table(omega, r1, r2) == expected
 
     def test_rounds_after_adding_one_half(self):
         # s = 0.5 - 2**-54 is below 0.5, but s + 0.5 rounds to 1.0, so the bit is 1.
@@ -199,13 +200,9 @@ class TestVelocityTable:
                          [rnd.randrange(6) for _ in range(n)], 0.0)
             gbest = [rnd.randrange(6) for _ in range(n)]
             omega, r1, r2 = rnd.uniform(0.1, 0.9), rnd.random(), rnd.random()
-            assert (velocity_update(p, gbest, omega, r1, r2, 1.5, 1.5)
-                    == scalar_velocity_update(p, gbest, omega, r1, r2, 1.5, 1.5))
-
-    def test_non_finite_coefficients_are_rejected(self):
-        for field in ("inertia_max", "inertia_min", "c1", "c2"):
-            with pytest.raises(ValueError, match=field):
-                PsoConfig(**{field: float("nan")})
+            assert (velocity_update(p, gbest, omega, r1, r2)
+                    == scalar_velocity_update(p, gbest, omega, r1, r2,
+                                              PsoConfig.c1, PsoConfig.c2))
 
 
 class TestInjectiveSampling:
@@ -465,7 +462,7 @@ class TestComponentLabelGate:
         for vnr in generate_vnr_stream(GOLDEN_BW_CONFIG, horizon=1500):
             calls.clear()
             try:
-                swarm_search(vnr, net, PsoConfig(seed=vnr.id, iterations=2))
+                swarm_search(vnr, net, PsoConfig(seed=vnr.id))
             except EmbeddingInfeasible:
                 continue
             slack = vnr.bw_total <= min_residual
@@ -593,6 +590,13 @@ class TestComponentLabelGate:
 
 
 class TestSwarm:
+    def test_only_the_seed_is_settable(self):
+        assert [f.name for f in dataclasses.fields(PsoConfig)] == ["seed"]
+        assert PsoConfig(seed=3).seed == 3
+        assert (PsoConfig().particle_count, PsoConfig().iterations) == (10, 50)
+        with pytest.raises(TypeError):
+            PsoConfig(iterations=2)
+
     def test_unique_feasible_assignment_is_returned(self):
         net = make_substrate(
             node_specs=[(0, 0, 30, 4, 0), (1, 0, 5, 0, 0), (2, 1, 30, 4, 0)],
@@ -649,6 +653,6 @@ class TestSwarm:
         assert metrics.cost(a) == metrics.cost(b)
 
     def test_position_invariants_hold_during_search(self, toy_net, toy_vnr):
-        result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=2, iterations=20))
+        result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=2))
         assert len(result.position) == len(toy_vnr.nodes)
         assert len(set(result.position)) == len(result.position)

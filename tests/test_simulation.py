@@ -56,7 +56,7 @@ def test_identical_runs_produce_identical_traces(tmp_path):
 
 def test_residuals_drain_back_to_capacity():
     net, vnrs = mini_instance(seed=4)
-    trace = run(net, vnrs, make_strategy("greedy"), 600.0, audit_every=10)
+    trace = run(net, vnrs, make_strategy("greedy"), 600.0)
     assert not net.active
     for node in net.nodes.values():
         assert node.cpu_residual == node.cpu_capacity
@@ -145,7 +145,27 @@ def test_audit_detects_tampering(toy_net):
     TamperingStrategy = Strategy("tamper", tamper)
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
     with pytest.raises(InternalConsistencyError):
-        run(toy_net, [vnr], TamperingStrategy, horizon=10.0, audit_every=1)
+        run(toy_net, [vnr], TamperingStrategy, horizon=10.0)
+
+
+def test_audit_fires_every_audit_every_events(toy_net):
+    """Residuals corrupted on the first embed call, with every request
+    rejected, are caught by the audit after event AUDIT_EVERY, before the
+    rest of the stream runs."""
+    calls = []
+
+    def tamper_once(vnr, net):
+        if not calls:
+            net.nodes[5].cpu_residual -= 1
+        calls.append(vnr.id)
+        raise EmbeddingInfeasible("reject every request")
+
+    count = simulation.AUDIT_EVERY + 5
+    vnrs = [make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=i, arrival=float(i), lifetime=1.0)
+            for i in range(count)]
+    with pytest.raises(InternalConsistencyError):
+        run(toy_net, vnrs, Strategy("tamper-once", tamper_once), horizon=float(count))
+    assert len(calls) == simulation.AUDIT_EVERY
 
 
 def test_trace_export_fields(tmp_path):
