@@ -6,9 +6,11 @@ that routes contend, for every strategy under both cost modes; the SHA-256
 of each output file is pinned.  A refactor that claims to keep behaviour
 must keep these digests.
 
-One more case runs `stec-iot` on the default 120-node `GeneratorConfig`
-(seed 0, horizon 300), so that the swarm's evaluation path is pinned at the
-paper's scale too.
+Two more cases run `stec-iot` on the default 120-node `GeneratorConfig`
+(seed 0, horizon 300), once as it stands and once with bandwidth U[20, 60],
+so that the swarm's evaluation path is pinned at the paper's scale in both
+regimes.  Only the second makes routes fail over to the breadth-first
+search at that scale.
 """
 
 import hashlib
@@ -119,14 +121,32 @@ PAPER_SCALE_GOLDEN = (
     "90e39f0d216466b07ee3ebc9a784457be8655ca3ddcfab6af5446df717f02c6b",
     "b8c073cc6f5dd4a1cb59a169416c32e4c789084cdd1175498f67adfae1946685")
 
+# The same with link bandwidth U[20, 60].
+PAPER_SCALE_BW_BOUND_GOLDEN = (
+    "8d96ed23f99fdf2ae35f1f9f642fa2d78b18527612d1e9cd2f15729af8f80dca",
+    "d7f432509b41f5c140e79d21c002fa9e3a7d64f519610ab0764891d869f4514d",
+    "d62c354b88747a15241eb632b402e326abcebebdc326df56e9ae88a3431e00ec")
 
-def test_paper_scale_stec_iot_matches_pinned_digests(tmp_path):
+
+def paper_scale_digests(tmp_path, config: dict) -> tuple[str, ...]:
     gen = tmp_path / "gen"
     out = tmp_path / "run"
-    assert main(["generate", "--horizon", "300", "--out", str(gen)]) == 0
+    args = ["generate", "--horizon", "300", "--out", str(gen)]
+    if config:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "config.json")]
+    assert main(args) == 0
     assert main(["run", "--substrate", str(gen / "substrate.json"),
                  "--workload", str(gen / "workload.jsonl"),
                  "--strategy", "stec-iot", "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in OUTPUTS)
-    assert digests == PAPER_SCALE_GOLDEN
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in OUTPUTS)
+
+
+def test_paper_scale_stec_iot_matches_pinned_digests(tmp_path):
+    assert paper_scale_digests(tmp_path, {}) == PAPER_SCALE_GOLDEN
+
+
+def test_paper_scale_bw_bound_stec_iot_matches_pinned_digests(tmp_path):
+    config = {"seed": 0, "substrate_bw_range": [20, 60]}
+    assert paper_scale_digests(tmp_path, config) == PAPER_SCALE_BW_BOUND_GOLDEN
