@@ -6,12 +6,18 @@ level they demand from a tenant (``ssd``).  Virtual requests mirror this with
 ``vsl``/``vsd`` plus a candidate-domain set restricting where each virtual
 node may be placed.  Capacities and residuals are tracked separately and kept
 as integers so repeated allocate/release cycles restore state bit-exactly.
+
+Every breadth-first search over the substrate is ``bfs_levels``, over node
+bitmasks: bit i stands for the node of bit rank i, the i-th smallest node id
+(``SubstrateNetwork.rank``), and a search reads one neighbour mask per node,
+indexed by rank.  The topology's masks are ``SubstrateNetwork.adj_masks``;
+the domain checks here mask them down to one domain, and ``secvne.routing``
+to the links with enough residual.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +43,44 @@ def link_key(u: int, v: int) -> LinkKey:
 def path_links(path: tuple[int, ...]) -> list[LinkKey]:
     """Link keys traversed by a node-sequence path."""
     return [link_key(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def bfs_levels(start_mask: int, masks, near: int = 0) -> list[int]:
+    """Level-synchronous breadth-first search over node bitmasks.
+
+    ``masks[i]`` is the neighbour mask of the node of bit rank i.  Level 0 is
+    ``start_mask``, and each later level is the OR of its predecessor's masks
+    minus the nodes seen so far, so ``levels[k]`` holds exactly the nodes k
+    hops from the start set, and the levels' sum is every node reached.  The
+    search stops at the first level that meets ``near``, or when no new node
+    is reached; with ``near`` 0 it returns every level.
+    """
+    frontier = visited = start_mask
+    levels = [frontier]
+    while not frontier & near:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~visited
+        if not frontier:
+            break
+        visited |= frontier
+        levels.append(frontier)
+    return levels
+
+
+def level_hops(levels: list[int], node_ids: list[int]) -> dict[int, int]:
+    """Node id -> index of the level that holds it, for every node of
+    ``levels``; ``node_ids[i]`` is the id of bit rank i."""
+    hops = {}
+    for h, level in enumerate(levels):
+        while level:
+            low = level & -level
+            hops[node_ids[low.bit_length() - 1]] = h
+            level ^= low
+    return hops
 
 
 @dataclass(slots=True)
@@ -188,23 +232,25 @@ class SubstrateNetwork:
             self.adj[v].append(u)
         for nid in self.adj:
             self.adj[nid].sort()
-        # Bit ranks for secvne.routing's bitset search: bit i of a node mask
-        # stands for the i-th smallest node id.
+        # Bit ranks for bfs_levels: bit i of a node mask stands for the i-th
+        # smallest node id.  adj_masks holds each node's neighbours as a mask,
+        # by rank.  It is built here, not on first use: an attribute stored
+        # later goes through the instance __dict__, which CPython 3.11 then
+        # builds from the inline attribute values, and every later attribute
+        # read of the network leaves the specialised fast path.
         self.node_ids: list[int] = sorted(self.nodes)
         self.rank: dict[int, int] = {nid: i for i, nid in enumerate(self.node_ids)}
-        # Min-hop path table over the bare topology, filled lazily by
-        # secvne.routing: hop distances to each destination, and the path of
-        # each (src, dst) pair.  The topology is fixed from here on, so
-        # residual changes never make an entry stale.
-        self.hop_dist: dict[int, dict[int, int]] = {}
-        self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    @cached_property
-    def adj_masks(self) -> list[int]:
-        """Each node's neighbours as a bit-rank mask, indexed by rank.  Built
-        on first use, so a run whose bandwidth never binds never pays for it."""
         rank = self.rank
-        return [sum(1 << rank[nbr] for nbr in self.adj[nid]) for nid in self.node_ids]
+        self.adj_masks: list[int] = [sum(1 << rank[nbr] for nbr in self.adj[nid])
+                                     for nid in self.node_ids]
+        # Min-hop path table over the bare topology, filled lazily by
+        # secvne.routing: per destination, the hop distances and the
+        # bfs_levels they come from, and the path of each (src, dst) pair.
+        # The topology is fixed from here on, so residual changes never make
+        # an entry stale.
+        self.hop_dist: dict[int, dict[int, int]] = {}
+        self.hop_levels: dict[int, list[int]] = {}
+        self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def link(self, u: int, v: int) -> SubstrateLink:
         return self.links[link_key(u, v)]
@@ -220,22 +266,22 @@ class SubstrateNetwork:
                 out.add(l.v)
         return out
 
+    def _domain_masks(self) -> tuple[list[int], list[int]]:
+        """Each domain's members as a mask, by domain, and each node's
+        neighbours in its own domain as a mask, by rank: the masks of a
+        breadth-first search that never leaves the domain it starts in."""
+        members = [0] * self.domain_count
+        for i, nid in enumerate(self.node_ids):
+            members[self.nodes[nid].domain] |= 1 << i
+        intra = [mask & members[self.nodes[nid].domain]
+                 for nid, mask in zip(self.node_ids, self.adj_masks)]
+        return members, intra
+
     def domains_connected(self) -> bool:
         """True when the graph restricted to each domain is connected."""
-        for d in range(self.domain_count):
-            members = self.domain_nodes(d)
-            if not members:
-                continue
-            seen = {members[0]}
-            queue = deque([members[0]])
-            while queue:
-                cur = queue.popleft()
-                for nbr in self.adj[cur]:
-                    if nbr in seen or self.nodes[nbr].domain != d:
-                        continue
-                    seen.add(nbr)
-                    queue.append(nbr)
-            if len(seen) != len(members):
+        members, intra = self._domain_masks()
+        for mask in members:
+            if mask and sum(bfs_levels(mask & -mask, intra)) != mask:
                 return False
         return True
 
@@ -266,27 +312,19 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     Inter-domain links define boundary membership but are never traversed.
     Raises NoBoundaryNode when a domain has no inter-domain attachment.
     """
-    boundary = net.boundary_nodes()
+    rank = net.rank
+    boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
+    members, intra = net._domain_masks()
     hops: dict[int, int] = {}
-    for d in range(net.domain_count):
-        members = net.domain_nodes(d)
-        if not members:
+    for d, mask in enumerate(members):
+        if not mask:
             continue
-        sources = [nid for nid in members if nid in boundary]
-        if not sources:
+        if not mask & boundary:
             raise NoBoundaryNode(f"domain {d} has no boundary node")
-        dist = {nid: 0 for nid in sources}
-        queue = deque(sources)
-        while queue:
-            cur = queue.popleft()
-            for nbr in net.adj[cur]:
-                if nbr in dist or net.nodes[nbr].domain != d:
-                    continue
-                dist[nbr] = dist[cur] + 1
-                queue.append(nbr)
-        if len(dist) != len(members):
+        levels = bfs_levels(mask & boundary, intra)
+        if sum(levels) != mask:
             raise InternalConsistencyError(f"domain {d} is not intra-connected")
-        hops.update(dist)
+        hops.update(level_hops(levels, net.node_ids))
     for nid, h in hops.items():
         net.nodes[nid].hop_to_boundary = h
     return hops

@@ -36,7 +36,10 @@ debits on any substrate link come from other virtual links and total at
 most the request's demand minus this link's, and every table path stays
 feasible.  The routed cost is then the sum of bandwidth x topology hop
 distance, which ``fitness`` reads from the substrate's hop-distance table
-without building paths or debits.
+without building paths or debits.  The table (``routing.hop_distances``)
+holds, per destination, the hop count of every node that reaches it, filled
+by one breadth-first search the first time the destination is asked for;
+after that a lookup is one dict read.
 
 Otherwise ``evaluation_plan`` builds, once per search, each substrate node's
 component label at every distinct demand d of the request: two nodes share

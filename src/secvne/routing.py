@@ -9,10 +9,10 @@ the combined paths respect every link's residual cumulatively without
 mutating the network.  Each link first tries its entry in the substrate's
 min-hop path table (``min_hop_path``): the path the same rule picks in the
 bare topology, bandwidth ignored.  The table lives as long as the substrate
-and is filled lazily, one full breadth-first search per destination plus a
-greedy descent per (src, dst) pair.  The table path is taken when every link
-on it still has the demand left after residuals and debits; only otherwise
-does ``route_link`` search the feasible subgraph.
+and is filled lazily: one full search per destination, whose hop distances
+and levels it keeps, plus one descent per (src, dst) pair.  The table path
+is taken when every link on it still has the demand left after residuals
+and debits; only otherwise does ``route_link`` search the feasible subgraph.
 
 This is exact.  The feasible subgraph is a subgraph of the topology, so a
 topology min-hop path that is feasible is min-hop in the feasible subgraph
@@ -21,31 +21,37 @@ topology candidate.  Both descents therefore pick the same next node, and
 ``route_link`` would return the table path.  Residual changes never
 invalidate the table, because the topology is fixed after construction.
 
-``route_link`` searches over bitmasks.  Bit i stands for the substrate node
-of bit rank i, the i-th smallest node id (``SubstrateNetwork.rank``), and a
-node's usable mask at demand d holds the neighbours joined to it by links
-with residual >= d.  A search takes these masks from the caller
-(``usable_subgraphs`` builds them for every demand of a request in one sweep)
-or computes each on its node's first visit, then clears from a copy the
-debited links that can no longer carry d.  Breadth-first search from dst is
-level-synchronous: a level is the OR of its predecessor's masks minus the
-nodes seen so far, so level k holds exactly the nodes k hops from dst in the
-feasible subgraph.  It stops at the first level k that meets src's mask:
-src lies k + 1 hops from dst, and the levels the descent reads are complete.
-The descent from src steps, at each level, to the lowest set bit of its
-mask AND the level below.  That bit is the neighbour with the smallest id
-among the feasible neighbours one hop closer to dst, the node a descent over
-ascending adjacency lists would pick, so the bitset search returns the
-lexicographically smallest min-hop path.
+There is one search and one descent.  The search is ``model.bfs_levels``, a
+level-synchronous breadth-first search over node bitmasks: bit i stands for
+the substrate node of bit rank i, the i-th smallest node id
+(``SubstrateNetwork.rank``), and ``levels[k]`` holds exactly the nodes k
+hops from dst.  The table's search reads the topology's masks
+(``SubstrateNetwork.adj_masks``) and runs to the end.  ``route_link`` reads
+the usable masks at its demand d, in which a node's mask holds the
+neighbours joined to it by links with residual >= d.  It takes them from
+the caller (``usable_subgraphs`` builds them for every demand of a request
+in one sweep) or builds them itself, clears from a copy the debited links
+that can no longer carry d, and stops at the first level k that meets src's
+mask: src lies k + 1 hops from dst, and the levels the descent reads are
+complete.  The descent (``_descend``) from src steps, at each level, to the
+lowest set bit of its mask AND the level below.  That bit is the neighbour
+with the smallest id among the neighbours one hop closer to dst, so both
+paths are the lexicographically smallest min-hop paths of their graphs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 
 from .errors import LinkMappingInfeasible, NoFeasiblePath
-from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, link_key
+from .model import (
+    Embedding,
+    SubstrateNetwork,
+    VirtualNetworkRequest,
+    bfs_levels,
+    level_hops,
+    link_key,
+)
 
 
 class RoutingResult:
@@ -58,28 +64,16 @@ class RoutingResult:
         self.total_bw_cost = total_bw_cost
 
 
-class _UsableMasks(dict):
-    """Bit rank -> usable mask at one demand, each computed from the
-    residuals on first access: the masks of a search without the caller's."""
-
-    __slots__ = ("net", "bw")
-
-    def __init__(self, net: SubstrateNetwork, bw: int):
-        super().__init__()
-        self.net = net
-        self.bw = bw
-
-    def __missing__(self, r: int) -> int:
-        net = self.net
-        links = net.links
-        rank = net.rank
-        a = net.node_ids[r]
-        mask = 0
-        for b in net.adj[a]:
-            if links[(a, b) if a < b else (b, a)].bw_residual >= self.bw:
-                mask |= 1 << rank[b]
-        self[r] = mask
-        return mask
+def _descend(cur: int, levels: list[int], masks, node_ids: list[int]) -> tuple[int, ...]:
+    """The path from the node of bit rank ``cur`` one level below it per hop,
+    down ``levels`` from the last to the first, through the lowest set bit
+    of its mask AND each level: the smallest-id neighbour one hop closer."""
+    path = [node_ids[cur]]
+    for k in range(len(levels) - 1, -1, -1):
+        step = masks[cur] & levels[k]
+        cur = (step & -step).bit_length() - 1
+        path.append(node_ids[cur])
+    return tuple(path)
 
 
 def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
@@ -87,7 +81,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     """Minimum-hop path from src to dst over links with enough residual.
 
     ``masks`` lists each node's usable mask at ``bw`` by bit rank (see the
-    module docstring); None computes each mask on its node's first visit.
+    module docstring); None builds them with ``usable_subgraphs``.
     ``debits`` holds extra bandwidth already claimed by earlier paths of the
     same request.  Raises NoFeasiblePath when src and dst are disconnected in
     the feasible subgraph.
@@ -96,7 +90,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
         raise ValueError("route_link endpoints must differ")
     rank = net.rank
     if masks is None:
-        masks = _UsableMasks(net, bw)
+        masks = usable_subgraphs((bw,), net)[1][bw]
     elif debits:
         masks = masks.copy()
     if debits:
@@ -107,74 +101,28 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
                 a, b = rank[k[0]], rank[k[1]]
                 masks[a] &= ~(1 << b)
                 masks[b] &= ~(1 << a)
-
-    # Level-synchronous breadth-first search from dst: levels[k] is the set
-    # of nodes k hops from dst.  It stops at the first level that holds a
-    # usable neighbour of src, so src lies one level further.
+    # Search from dst until a level holds a usable neighbour of src, so src
+    # lies one level further.
     cur = rank[src]
     near = masks[cur]
-    frontier = visited = 1 << rank[dst]
-    levels = [frontier]
-    while not frontier & near:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~visited
-        if not frontier:
-            raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
-        visited |= frontier
-        levels.append(frontier)
-
-    # Descend one level per hop to the smallest-id usable neighbour there.
-    node_ids = net.node_ids
-    path = [src]
-    for k in range(len(levels) - 1, -1, -1):
-        step = masks[cur] & levels[k]
-        cur = (step & -step).bit_length() - 1
-        path.append(node_ids[cur])
-    return tuple(path)
+    levels = bfs_levels(1 << rank[dst], masks, near)
+    if not levels[-1] & near:
+        raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
+    return _descend(cur, levels, masks, net.node_ids)
 
 
 def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
     """Hop count to dst from every node that reaches it, bandwidth ignored.
 
     Read from, or added to, the substrate's distance table: one full
-    breadth-first search per destination.
+    breadth-first search per destination, whose levels the table keeps too.
     """
     dist = net.hop_dist.get(dst)
     if dist is not None:
         return dist
-    adj = net.adj
-    dist = net.hop_dist[dst] = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nbr in adj[cur]:
-            if nbr not in dist:
-                dist[nbr] = d
-                queue.append(nbr)
+    levels = net.hop_levels[dst] = bfs_levels(1 << net.rank[dst], net.adj_masks)
+    dist = net.hop_dist[dst] = level_hops(levels, net.node_ids)
     return dist
-
-
-def _descend(src: int, dst: int, dist: dict[int, int],
-             adj: dict[int, list[int]]) -> tuple[int, ...]:
-    """Greedy descent from src down ``dist`` (hop counts to dst): always step
-    to the smallest-id neighbour one hop closer."""
-    path = [src]
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        for nbr in adj[cur]:
-            if dist.get(nbr) == want:
-                break
-        else:  # pragma: no cover - contradicts the breadth-first labelling
-            raise NoFeasiblePath(f"walk from {src} toward {dst} lost the gradient")
-        path.append(nbr)
-        cur = nbr
-    return tuple(path)
 
 
 def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
@@ -186,10 +134,11 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     path = net.min_hop_paths.get((src, dst))
     if path is not None:
         return path
-    dist = hop_distances(dst, net)
-    if src not in dist:
+    hops = hop_distances(dst, net).get(src)
+    if hops is None:
         raise NoFeasiblePath(f"no path {src} -> {dst}: the substrate does not join them")
-    path = net.min_hop_paths[(src, dst)] = _descend(src, dst, dist, net.adj)
+    path = net.min_hop_paths[(src, dst)] = _descend(
+        net.rank[src], net.hop_levels[dst][:hops], net.adj_masks, net.node_ids)
     return path
 
 

@@ -37,6 +37,23 @@ def make_substrate(node_specs, link_specs, domain_count=2, hops=True):
     return net
 
 
+def scattered_net():
+    """Four domains whose node ids are non-contiguous and given out of order,
+    as are the links.  Domains 0 and 1 join each other and so do domains 2
+    and 3, but no link joins the two pairs; domain 0 is a 4-cycle, so
+    equal-hop paths tie across it."""
+    return make_substrate(
+        node_specs=[(105, 0, 10, 0, 0), (3, 1, 10, 0, 0), (40, 0, 10, 0, 0),
+                    (88, 2, 10, 0, 0), (12, 1, 10, 0, 0), (7, 0, 10, 0, 0),
+                    (200, 3, 10, 0, 0), (61, 1, 10, 0, 0), (23, 0, 10, 0, 0),
+                    (50, 2, 10, 0, 0), (9, 3, 10, 0, 0)],
+        link_specs=[(105, 23, 10), (61, 105, 10), (7, 40, 10), (3, 61, 10),
+                    (50, 88, 10), (23, 7, 10), (12, 3, 10), (40, 105, 10),
+                    (200, 9, 10), (9, 50, 10)],
+        domain_count=4, hops=False,
+    )
+
+
 def make_vnr(node_specs, link_specs, vnr_id=0, arrival=0.0, lifetime=100.0):
     """node_specs: (id, cpu, vsd, vsl, cd); link_specs: (u, v, bw)."""
     nodes = [VirtualNode(i, c, vsd, vsl, frozenset(cd)) for (i, c, vsd, vsl, cd) in node_specs]

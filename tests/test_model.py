@@ -15,7 +15,7 @@ from secvne.model import (
 )
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr
+from conftest import make_substrate, make_vnr, scattered_net
 from oracles import boundary_hops_brute
 
 
@@ -162,10 +162,10 @@ class TestBoundaryHops:
     def test_matches_brute_force_on_random_networks(self):
         from secvne.generate import GeneratorConfig, generate_substrate
 
-        for seed in range(5):
-            cfg = GeneratorConfig(seed=seed, node_count=40, domain_count=3,
-                                  intra_link_rate=0.2)
-            net = generate_substrate(cfg)
+        nets = [generate_substrate(GeneratorConfig(seed=seed, node_count=40, domain_count=3,
+                                                   intra_link_rate=0.2))
+                for seed in range(5)]
+        for net in nets + [scattered_net()]:
             expected = boundary_hops_brute(net)
             got = compute_boundary_hops(net)
             assert got == expected

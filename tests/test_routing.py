@@ -9,9 +9,10 @@ from secvne import routing
 from secvne.errors import LinkMappingInfeasible, NoFeasiblePath
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
-from secvne.routing import min_hop_path, route_all_links, route_link, usable_subgraphs
+from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_link,
+                            usable_subgraphs)
 
-from conftest import contended_net, make_substrate, make_vnr
+from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (component_labels_sweep, labels_separate, route_all_brute,
                      shortest_feasible_path_brute, usable_masks_brute)
 
@@ -350,6 +351,25 @@ class TestMinHopPath:
                     if src != dst:
                         assert (min_hop_path(src, dst, net)
                                 == shortest_feasible_path_brute(net, src, dst, 0))
+
+    def test_hop_distances_and_paths_on_scattered_ids(self):
+        net = scattered_net()
+        unjoined = 0
+        for dst in net.nodes:
+            expected = {dst: 0}
+            for src in net.nodes:
+                if src == dst:
+                    continue
+                path = shortest_feasible_path_brute(net, src, dst, 0)
+                if path is None:
+                    unjoined += 1
+                    with pytest.raises(NoFeasiblePath):
+                        min_hop_path(src, dst, net)
+                else:
+                    expected[src] = len(path) - 1
+                    assert min_hop_path(src, dst, net) == path
+            assert hop_distances(dst, net) == expected
+        assert unjoined
 
     def test_ignores_bandwidth(self):
         net = grid_net([2, 10, 10, 10])

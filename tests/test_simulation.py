@@ -24,6 +24,23 @@ def mini_instance(seed=0, horizon=600.0):
     return net, vnrs
 
 
+@pytest.mark.parametrize("strategy,overrides", [
+    ("stec-iot", {"substrate_bw_range": (20, 60)}), ("greedy", {})],
+    ids=["stec-iot-bw-bound", "greedy"])
+def test_a_run_adds_no_substrate_attribute(strategy, overrides):
+    # Every SubstrateNetwork attribute is set in __init__.  One stored later
+    # (by a cached_property, say) goes through the instance __dict__, which
+    # CPython 3.11 then builds out of the inline attribute values; from then
+    # on every attribute read of that network misses the specialised fast
+    # path, whether or not it reads the late attribute.
+    cfg = GeneratorConfig(seed=0, **overrides)
+    net = generate_substrate(cfg)
+    before = set(vars(net))
+    trace = run(net, generate_vnr_stream(cfg, 300.0), make_strategy(strategy), 300.0)
+    assert trace.accepted
+    assert set(vars(net)) == before
+
+
 def test_empty_stream_leaves_network_untouched(toy_net):
     before = toy_net.state_signature()
     trace = run(toy_net, [], make_strategy("greedy"), horizon=100.0)
