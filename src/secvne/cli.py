@@ -17,7 +17,7 @@ from pathlib import Path
 from . import fileio, metrics
 from .errors import InternalConsistencyError, InvalidConfig, SecVneError
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from .simulation import STRATEGY_NAMES, VALIDATE_FULL, VALIDATE_OFF, make_strategy, run
+from .simulation import STRATEGY_NAMES, make_strategy, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=metrics.COST_HOP)
     runp.add_argument("--eq20-literal", action="store_true",
                       help="score raw boundary distance instead of proximity")
-    runp.add_argument("--validate", choices=(VALIDATE_FULL, VALIDATE_OFF),
-                      default=VALIDATE_FULL,
-                      help="shadow-validate every acceptance, or none")
     runp.add_argument("--out", required=True, help="output directory")
 
     cmp_ = sub.add_parser("compare", help="mean/stddev metric tables over strategies x seeds")
@@ -148,7 +145,7 @@ def cmd_run(args) -> int:
         horizon = args.horizon
     _check_window_count(horizon, args.window)
     strategy = make_strategy(args.strategy, seed=args.seed, invert_hop=not args.eq20_literal)
-    trace = run(net, vnrs, strategy, horizon, validate=args.validate)
+    trace = run(net, vnrs, strategy, horizon)
     rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
     cum = metrics.cumulative_series(trace, args.window, mode=args.cost_mode)
     out = Path(args.out)
@@ -179,6 +176,9 @@ def cmd_compare(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"bad --seeds list {args.seeds!r}: {exc}") from exc
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise InvalidConfig(f"seed {seed} is listed twice in --seeds")
     if not strategies or not seeds:
         raise InvalidConfig("need at least one strategy and one seed")
 

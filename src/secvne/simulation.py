@@ -39,9 +39,6 @@ from .validation import validate_embedding
 
 STRATEGY_NAMES = ("stec-iot", "greedy", "random")
 
-VALIDATE_FULL = "full"
-VALIDATE_OFF = "off"
-
 AUDIT_EVERY = 1000  # events between residual audits
 
 _DEPARTURE = 0  # sorts before arrivals at equal timestamps
@@ -101,11 +98,13 @@ def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy
     return Strategy(name, embed)
 
 
-def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
-        validate: str = VALIDATE_FULL) -> SimulationTrace:
-    """Process the stream against `net` (mutated in place) and return the trace."""
-    if validate not in (VALIDATE_FULL, VALIDATE_OFF):
-        raise ValueError(f"unknown validate mode {validate!r}")
+def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy,
+        horizon: float) -> SimulationTrace:
+    """Process the stream against `net` (mutated in place) and return the trace.
+
+    Every acceptance is shadow-validated before it is allocated, and the
+    residuals are audited every ``AUDIT_EVERY`` events and at the end.
+    """
     by_id: dict[int, VirtualNetworkRequest] = {}
     heap: list[tuple[float, int, int]] = []
     for vnr in vnr_stream:
@@ -133,14 +132,13 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy, horizon: float,
             except EmbeddingInfeasible:
                 trace.records.append(EventRecord(time, "arrival", vnr_id, "rejected"))
             else:
-                if validate == VALIDATE_FULL:
-                    violations = validate_embedding(net, vnr, emb)
-                    if violations:
-                        detail = "; ".join(str(v) for v in violations)
-                        raise InternalConsistencyError(
-                            f"strategy {strategy.name} produced an invalid embedding "
-                            f"for request {vnr_id} at t={time}: {detail}")
-                    trace.validated += 1
+                violations = validate_embedding(net, vnr, emb)
+                if violations:
+                    detail = "; ".join(str(v) for v in violations)
+                    raise InternalConsistencyError(
+                        f"strategy {strategy.name} produced an invalid embedding "
+                        f"for request {vnr_id} at t={time}: {detail}")
+                trace.validated += 1
                 allocate(net, emb)
                 trace.accepted += 1
                 heapq.heappush(heap, (time + vnr.lifetime, _DEPARTURE, vnr_id))

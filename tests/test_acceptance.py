@@ -65,8 +65,9 @@ def test_criterion_1_constraint_soundness():
     vnrs = generate_vnr_stream(cfg, horizon)
     assert len(vnrs) >= 2000, "workload too small for the soundness criterion"
     t0 = time.perf_counter()
-    # validate="full" raises InternalConsistencyError on any violation
-    trace = run(net, vnrs, make_strategy("stec-iot", seed=101), horizon, validate="full")
+    # run shadow-validates every acceptance and raises InternalConsistencyError
+    # on any violation
+    trace = run(net, vnrs, make_strategy("stec-iot", seed=101), horizon)
     elapsed = time.perf_counter() - t0
     ok = (trace.validated == trace.accepted and trace.arrived >= 2000
           and elapsed < 180.0)

@@ -179,6 +179,16 @@ def test_compare_rejects_a_repeated_strategy(tmp_path, mini_config, capsys):
     assert not out.exists()
 
 
+def test_compare_rejects_a_repeated_seed(tmp_path, mini_config, capsys):
+    out = tmp_path / "cmprepseed"
+    code = main(["compare", "--config", str(mini_config), "--strategies", "greedy",
+                 "--seeds", "0,0,1", "--horizon", "800", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "seed 0 is listed twice" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_compare_rejects_config_with_a_fixed_instance(tmp_path, mini_config, generated,
                                                       capsys):
     out = tmp_path / "cmpboth"
