@@ -23,7 +23,7 @@ vnrs = generate_vnr_stream(cfg, HORIZON)
 trace = run(net, vnrs, make_strategy("stec-iot", seed=9), HORIZON)
 print(f"arrived {trace.arrived}, accepted {trace.accepted} "
       f"(acceptance {trace.acceptance:.3f}), "
-      f"{trace.validated} embeddings shadow-validated\n")
+      f"{trace.accepted} embeddings shadow-validated\n")
 
 print("window        arrived accepted acceptance avg_rev avg_cost  r/c")
 for row in windowed_series(trace, 500.0):

@@ -19,11 +19,13 @@ Every id, capacity, demand, security level and domain in the substrate and
 workload files is read through ``read_int``: a JSON integer, never a
 boolean, a fraction or a string, and non-negative (``domain_count`` at
 least 1), and every time through ``read_number``: a finite JSON number,
-never a boolean or a string.  The generator config is read through both.
+never a boolean or a string.  A substrate's domains are each connected and
+each hold a boundary node, both checked by ``model.compute_boundary_hops``.
 A workload's horizon is positive, its header's ``vnr_count`` is the number
 of request lines, its request ids are distinct, each request has a virtual
-node and each node a candidate domain.  A malformed file raises
-``InvalidConfig``.
+node and each node a candidate domain.  A generator config names only
+``GeneratorConfig`` fields, and ``GeneratorConfig.validate`` checks their
+types and values.  A malformed file raises ``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
 truncated file behind, and all output is byte-deterministic.
@@ -69,17 +71,16 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def read_int(value, name: str, lo: float = 0) -> int:
+def read_int(value, name: str, lo: int = 0) -> int:
     """``value``, read from a file field ``name``, as an integer of at least
-    ``lo`` (any integer for ``-math.inf``); else ValueError.
+    ``lo``; else ValueError.
 
     JSON booleans and numbers with a fraction are rejected, not coerced:
     Python reads ``true`` as 1 (``bool`` is a subclass of ``int``, hence the
     exact type test), and residual bookkeeping needs exact integers.
     """
     if type(value) is not int or value < lo:
-        bound = ("a non-negative integer" if lo == 0 else "an integer" if lo == -math.inf
-                 else f"an integer >= {lo}")
+        bound = "a non-negative integer" if lo == 0 else f"an integer >= {lo}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
 
@@ -145,11 +146,9 @@ def load_substrate(path) -> SubstrateNetwork:
         net = SubstrateNetwork(read_int(doc["domain_count"], "domain_count", lo=1), nodes, links)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed substrate file {path}: {exc}") from exc
-    if not net.domains_connected():
-        raise InvalidConfig(f"substrate file {path}: some domain is not connected")
     try:
         compute_boundary_hops(net)
-    except NoBoundaryNode as exc:
+    except (NoBoundaryNode, ValueError) as exc:
         raise InvalidConfig(f"substrate file {path}: {exc}") from exc
     return net
 
@@ -231,10 +230,8 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
 
 # -- generator config ----------------------------------------------------
 
-_INT_FIELDS = {"domain_count", "node_count", "inter_link_count_per_domain_pair"}
 _RANGE_FIELDS = {"substrate_cpu_range", "substrate_bw_range", "security_range",
                  "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range"}
-_NUMBER_FIELDS = {"intra_link_rate", "vnr_arrival_rate", "vnr_mean_lifetime"}
 
 
 def config_to_dict(cfg: GeneratorConfig) -> dict:
@@ -245,31 +242,16 @@ def config_to_dict(cfg: GeneratorConfig) -> dict:
     return out
 
 
-def _read_config_value(key: str, value):
-    """One config field's value, typed; ValueError when it is malformed."""
-    if key == "seed":  # any integer: seeding maps it onto 64 bits
-        return read_int(value, key, lo=-math.inf)
-    if key in _INT_FIELDS:
-        return read_int(value, key)
-    if key in _NUMBER_FIELDS:
-        return read_number(value, key)
-    if key == "cd_size_range" and value is None:
-        return None
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ValueError(f"config key {key!r} must be a [min, max] pair, got {value!r}")
-    return (read_int(value[0], f"{key} min"), read_int(value[1], f"{key} max"))
-
-
 def config_from_dict(doc: dict) -> GeneratorConfig:
+    """The config a JSON object describes.  JSON lists of the range fields
+    become tuples, so a loaded config equals one written out in code;
+    ``validate`` types and bounds every value."""
     known = set(GeneratorConfig.field_names())
-    kwargs = {}
-    for key, value in doc.items():
+    for key in doc:
         if key not in known:
             raise InvalidConfig(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = _read_config_value(key, value)
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+    kwargs = {key: tuple(value) if key in _RANGE_FIELDS and isinstance(value, list) else value
+              for key, value in doc.items()}
     cfg = GeneratorConfig(**kwargs)
     cfg.validate()
     return cfg

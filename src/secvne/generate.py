@@ -16,12 +16,16 @@ material never pins these, so rate and mean lifetime are config knobs with
 defaults chosen to load the default substrate into a contended steady state.
 All draws are PCG64 streams split from one root seed (see ``seeding``), so
 identical configs reproduce identical networks on any platform.
+
+Each domain and each request graph is repaired to be connected: the
+components of its random graph are found with ``model.bfs_levels`` over node
+bitmasks and joined, in order of their smallest member, by links between
+random endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -33,6 +37,7 @@ from .model import (
     VirtualLink,
     VirtualNetworkRequest,
     VirtualNode,
+    bfs_levels,
     compute_boundary_hops,
     link_key,
 )
@@ -65,10 +70,11 @@ class GeneratorConfig:
     def validate(self) -> None:
         self._check_types()
         if self.domain_count < 2:
-            raise InvalidConfig("domain_count must be at least 2 (boundary distances "
-                                "need inter-domain links)")
+            raise InvalidConfig(f"domain_count must be at least 2 (boundary distances "
+                                f"need inter-domain links), got {self.domain_count}")
         if self.node_count < self.domain_count:
-            raise InvalidConfig("node_count must be at least domain_count")
+            raise InvalidConfig(f"node_count must be at least domain_count "
+                                f"({self.domain_count}), got {self.node_count}")
         if not 0.0 <= self.intra_link_rate <= 1.0:
             raise InvalidConfig("intra_link_rate must lie in [0, 1]")
         if self.vnr_arrival_rate <= 0:
@@ -76,7 +82,8 @@ class GeneratorConfig:
         if self.vnr_mean_lifetime <= 0:
             raise InvalidConfig("vnr_mean_lifetime must be positive")
         if self.inter_link_count_per_domain_pair < 1:
-            raise InvalidConfig("inter_link_count_per_domain_pair must be at least 1")
+            raise InvalidConfig(f"inter_link_count_per_domain_pair must be at least 1, "
+                                f"got {self.inter_link_count_per_domain_pair}")
         for name in ("substrate_cpu_range", "substrate_bw_range", "security_range",
                      "vnr_node_range", "vnr_cpu_range", "vnr_bw_range"):
             lo, hi = getattr(self, name)
@@ -133,30 +140,22 @@ def _domain_sizes(node_count: int, domain_count: int) -> list[int]:
 
 
 def _connect_components(members: list[int], edges: set, rng) -> list[tuple[int, int]]:
-    """Edges that stitch the partition of `members` induced by `edges` into one
-    component; random endpoints, deterministic merge order."""
-    adj: dict[int, list[int]] = {m: [] for m in members}
+    """Edges that stitch the partition of the ascending `members` induced by
+    `edges` (each joining two members) into one component; random endpoints,
+    deterministic merge order."""
+    rank = {m: i for i, m in enumerate(members)}
+    masks = [0] * len(members)
     for (u, v) in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen: set[int] = set()
+        masks[rank[u]] |= 1 << rank[v]
+        masks[rank[v]] |= 1 << rank[u]
+    # Each search starts from the lowest unvisited bit, so the components
+    # come out ordered by their smallest member, each one ascending.
     comps: list[list[int]] = []
-    for m in members:
-        if m in seen:
-            continue
-        comp = [m]
-        seen.add(m)
-        queue = deque([m])
-        while queue:
-            cur = queue.popleft()
-            for nbr in adj[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.append(nbr)
-                    queue.append(nbr)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
+    unvisited = (1 << len(members)) - 1
+    while unvisited:
+        comp = sum(bfs_levels(unvisited & -unvisited, masks))
+        unvisited ^= comp
+        comps.append([m for i, m in enumerate(members) if comp >> i & 1])
     added = []
     merged = comps[0]
     for comp in comps[1:]:

@@ -7,12 +7,15 @@ level they demand from a tenant (``ssd``).  Virtual requests mirror this with
 node may be placed.  Capacities and residuals are tracked separately and kept
 as integers so repeated allocate/release cycles restore state bit-exactly.
 
-Every breadth-first search over the substrate is ``bfs_levels``, over node
+Every breadth-first search in the package is ``bfs_levels``, over node
 bitmasks: bit i stands for the node of bit rank i, the i-th smallest node id
 (``SubstrateNetwork.rank``), and a search reads one neighbour mask per node,
-indexed by rank.  The topology's masks are ``SubstrateNetwork.adj_masks``;
-the domain checks here mask them down to one domain, and ``secvne.routing``
-to the links with enough residual.
+indexed by rank.  The topology's only adjacency is
+``SubstrateNetwork.adj_masks``, built from the links.
+``compute_boundary_hops`` masks it down to one domain, in one pass per
+domain that checks the domain is connected and has a boundary node and then
+measures the boundary distances; ``secvne.routing`` masks it down to the
+links with enough residual.
 """
 
 from __future__ import annotations
@@ -225,24 +228,21 @@ class SubstrateNetwork:
             dv = self.nodes[k[1]].domain
             kind = INTRA_DOMAIN if du == dv else INTER_DOMAIN
             self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual, kind)
-        # neighbor lists sorted ascending so every traversal is deterministic
-        self.adj: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for (u, v) in self.links:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-        for nid in self.adj:
-            self.adj[nid].sort()
         # Bit ranks for bfs_levels: bit i of a node mask stands for the i-th
         # smallest node id.  adj_masks holds each node's neighbours as a mask,
-        # by rank.  It is built here, not on first use: an attribute stored
-        # later goes through the instance __dict__, which CPython 3.11 then
-        # builds from the inline attribute values, and every later attribute
-        # read of the network leaves the specialised fast path.
+        # by rank, and is the topology's only adjacency.  It is built here,
+        # not on first use: an attribute stored later goes through the
+        # instance __dict__, which CPython 3.11 then builds from the inline
+        # attribute values, and every later attribute read of the network
+        # leaves the specialised fast path.
         self.node_ids: list[int] = sorted(self.nodes)
         self.rank: dict[int, int] = {nid: i for i, nid in enumerate(self.node_ids)}
         rank = self.rank
-        self.adj_masks: list[int] = [sum(1 << rank[nbr] for nbr in self.adj[nid])
-                                     for nid in self.node_ids]
+        masks = [0] * len(self.node_ids)
+        for (u, v) in self.links:
+            masks[rank[u]] |= 1 << rank[v]
+            masks[rank[v]] |= 1 << rank[u]
+        self.adj_masks: list[int] = masks
         # Min-hop path table over the bare topology, filled lazily by
         # secvne.routing: per destination, the hop distances and the
         # bfs_levels they come from, and the path of each (src, dst) pair.
@@ -256,7 +256,7 @@ class SubstrateNetwork:
         return self.links[link_key(u, v)]
 
     def domain_nodes(self, domain: int) -> list[int]:
-        return sorted(nid for nid, n in self.nodes.items() if n.domain == domain)
+        return [nid for nid in self.node_ids if self.nodes[nid].domain == domain]
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -266,28 +266,9 @@ class SubstrateNetwork:
                 out.add(l.v)
         return out
 
-    def _domain_masks(self) -> tuple[list[int], list[int]]:
-        """Each domain's members as a mask, by domain, and each node's
-        neighbours in its own domain as a mask, by rank: the masks of a
-        breadth-first search that never leaves the domain it starts in."""
-        members = [0] * self.domain_count
-        for i, nid in enumerate(self.node_ids):
-            members[self.nodes[nid].domain] |= 1 << i
-        intra = [mask & members[self.nodes[nid].domain]
-                 for nid, mask in zip(self.node_ids, self.adj_masks)]
-        return members, intra
-
-    def domains_connected(self) -> bool:
-        """True when the graph restricted to each domain is connected."""
-        members, intra = self._domain_masks()
-        for mask in members:
-            if mask and sum(bfs_levels(mask & -mask, intra)) != mask:
-                return False
-        return True
-
     def state_signature(self) -> tuple:
         """Hashable snapshot of all residuals, used by audits and tests."""
-        nodes = tuple((nid, self.nodes[nid].cpu_residual) for nid in sorted(self.nodes))
+        nodes = tuple((nid, self.nodes[nid].cpu_residual) for nid in self.node_ids)
         links = tuple((k, self.links[k].bw_residual) for k in sorted(self.links))
         return (nodes, links)
 
@@ -309,22 +290,27 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     """Cache, for every substrate node, the intra-domain hop count to the
     nearest boundary node (0 for boundary nodes themselves).
 
-    Inter-domain links define boundary membership but are never traversed.
-    Raises NoBoundaryNode when a domain has no inter-domain attachment.
+    Inter-domain links define boundary membership but are never traversed:
+    every search runs over masks restricted to the domain it starts in.
+    Raises NoBoundaryNode when a domain has no inter-domain attachment, and
+    ValueError when the graph restricted to some domain is not connected.
     """
     rank = net.rank
     boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
-    members, intra = net._domain_masks()
+    members = [0] * net.domain_count
+    for i, nid in enumerate(net.node_ids):
+        members[net.nodes[nid].domain] |= 1 << i
+    intra = [mask & members[net.nodes[nid].domain]
+             for nid, mask in zip(net.node_ids, net.adj_masks)]
     hops: dict[int, int] = {}
     for d, mask in enumerate(members):
         if not mask:
             continue
         if not mask & boundary:
             raise NoBoundaryNode(f"domain {d} has no boundary node")
-        levels = bfs_levels(mask & boundary, intra)
-        if sum(levels) != mask:
-            raise InternalConsistencyError(f"domain {d} is not intra-connected")
-        hops.update(level_hops(levels, net.node_ids))
+        if sum(bfs_levels(mask & -mask, intra)) != mask:
+            raise ValueError(f"some domain is not connected: domain {d}")
+        hops.update(level_hops(bfs_levels(mask & boundary, intra), net.node_ids))
     for nid, h in hops.items():
         net.nodes[nid].hop_to_boundary = h
     return hops

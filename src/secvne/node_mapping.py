@@ -43,7 +43,7 @@ def virtual_node_priority(v: VirtualNode) -> int:
 def candidate_nodes(v: VirtualNode, net: SubstrateNetwork) -> list[int]:
     """Substrate nodes that could host v right now, ascending by id."""
     out = []
-    for sid in sorted(net.nodes):
+    for sid in net.node_ids:
         s = net.nodes[sid]
         if (s.domain in v.cd
                 and s.cpu_residual >= v.cpu_demand

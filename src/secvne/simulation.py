@@ -10,11 +10,11 @@ arrivals, then ties break by request id, so a run is fully reproducible.
 Accepted records keep their embedding, from which ``metrics`` and the trace
 writer derive revenue and cost.
 
-The independent validator shadows every acceptance ("full", the default;
-"off" skips it) - any violation it finds means the fast path and the
-re-checker disagree, which aborts the run as an internal error.  The
-audit recomputes all residuals from the active-embedding set every
-``AUDIT_EVERY`` events and once at the end, and likewise aborts on drift.
+The independent validator shadows every acceptance - any violation it
+finds means the fast path and the re-checker disagree, which aborts the run
+as an internal error.  The audit recomputes all residuals from the
+active-embedding set every ``AUDIT_EVERY`` events and once at the end, and
+likewise aborts on drift.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class SimulationTrace:
     records: list[EventRecord] = field(default_factory=list)
     arrived: int = 0
     accepted: int = 0
-    validated: int = 0
 
     @property
     def acceptance(self) -> float | None:
@@ -138,7 +137,6 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy,
                     raise InternalConsistencyError(
                         f"strategy {strategy.name} produced an invalid embedding "
                         f"for request {vnr_id} at t={time}: {detail}")
-                trace.validated += 1
                 allocate(net, emb)
                 trace.accepted += 1
                 heapq.heappush(heap, (time + vnr.lifetime, _DEPARTURE, vnr_id))

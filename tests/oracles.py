@@ -25,15 +25,16 @@ def position_subtract(a, b):
     return [1 if x == y else 0 for x, y in zip(a, b)]
 
 
-def vnr_is_connected(vnr):
-    """True when the request's virtual links join all its virtual nodes."""
-    if not vnr.nodes:
+def is_connected(nodes, links):
+    """True when the links, pairs of node ids, join all the given nodes."""
+    nodes = set(nodes)
+    if not nodes:
         return False
-    adj = {nid: [] for nid in vnr.nodes}
-    for (u, v) in vnr.links:
+    adj = {nid: [] for nid in nodes}
+    for (u, v) in links:
         adj[u].append(v)
         adj[v].append(u)
-    start = next(iter(vnr.nodes))
+    start = min(nodes)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -42,12 +43,22 @@ def vnr_is_connected(vnr):
             if nbr not in seen:
                 seen.add(nbr)
                 queue.append(nbr)
-    return len(seen) == len(vnr.nodes)
+    return seen == nodes
+
+
+def neighbours(net):
+    """Node id -> its neighbours' ids, ascending, read off ``net.links``."""
+    out = {nid: [] for nid in net.nodes}
+    for (u, v) in net.links:
+        out[u].append(v)
+        out[v].append(u)
+    return {nid: sorted(nbrs) for nid, nbrs in out.items()}
 
 
 def boundary_hops_brute(net):
     """Per-node boundary distance via one full BFS per node."""
     boundary = net.boundary_nodes()
+    adj = neighbours(net)
     out = {}
     for start in net.nodes:
         domain = net.nodes[start].domain
@@ -59,7 +70,7 @@ def boundary_hops_brute(net):
         best = None
         while queue and best is None:
             cur = queue.popleft()
-            for nbr in net.adj[cur]:
+            for nbr in adj[cur]:
                 if nbr in dist or net.nodes[nbr].domain != domain:
                     continue
                 if net.links[link_key(cur, nbr)].kind != "intra-domain":
@@ -75,13 +86,14 @@ def boundary_hops_brute(net):
 
 def all_simple_paths(net, src, dst, max_len=None):
     """Every simple path between src and dst as node tuples."""
+    adj = neighbours(net)
     paths = []
     stack = [(src, (src,))]
     while stack:
         cur, path = stack.pop()
         if max_len is not None and len(path) > max_len:
             continue
-        for nbr in net.adj[cur]:
+        for nbr in adj[cur]:
             if nbr in path:
                 continue
             if nbr == dst:

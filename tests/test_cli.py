@@ -68,14 +68,16 @@ def test_generate_rejects_malformed_config(tmp_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"node_count": 12.5}, "node_count must be a non-negative integer, got 12.5"),
+    ({"node_count": 12.5}, "node_count must be an integer, got 12.5"),
     ({"vnr_arrival_rate": "0.1"}, "vnr_arrival_rate must be a finite number, got '0.1'"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
     ({"seed": True}, "seed must be an integer, got True"),
-    ({"vnr_bw_range": [1.5, 3]}, "vnr_bw_range min must be a non-negative integer, got 1.5"),
+    ({"vnr_bw_range": [1.5, 3]},
+     "vnr_bw_range must be a (min, max) pair of integers, got (1.5, 3)"),
     ({"vnr_mean_lifetime": float("nan")}, "vnr_mean_lifetime must be a finite number, got nan"),
+    ({"node_count": -3}, "node_count must be at least domain_count (2), got -3"),
 ], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
-        "fractional-range-bound", "nan-lifetime"])
+        "fractional-range-bound", "nan-lifetime", "negative-node-count"])
 def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MINI_CONFIG, **override}))

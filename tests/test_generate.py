@@ -10,7 +10,7 @@ from secvne.errors import InvalidConfig
 from secvne.fileio import load_config, save_substrate, save_workload
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 
-from oracles import vnr_is_connected
+from oracles import is_connected
 
 TABLE1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "table1.json"
 
@@ -40,7 +40,9 @@ def test_every_domain_connected():
     for seed in range(8):
         cfg = GeneratorConfig(seed=seed, intra_link_rate=0.05)  # sparse: repair must kick in
         net = generate_substrate(cfg)
-        assert net.domains_connected()
+        for d in range(net.domain_count):
+            members = {nid for nid, n in net.nodes.items() if n.domain == d}
+            assert is_connected(members, [k for k in net.links if set(k) <= members])
 
 
 def test_substrate_determinism(tmp_path):
@@ -89,7 +91,7 @@ def test_vnr_node_counts_in_range():
             assert n.cd and all(0 <= d < 4 for d in n.cd)
         for l in vnr.links.values():
             assert 1 <= l.bw_demand <= 10
-        assert vnr_is_connected(vnr)
+        assert is_connected(vnr.nodes, vnr.links)
         assert vnr.lifetime > 0
 
 

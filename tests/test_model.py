@@ -16,7 +16,7 @@ from secvne.model import (
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr, scattered_net
-from oracles import boundary_hops_brute
+from oracles import boundary_hops_brute, neighbours
 
 
 def embed_on_toy(net, vnr, node_map, link_map):
@@ -125,6 +125,15 @@ def test_routing_order_is_descending_demand_then_link_key():
     assert all(l is vnr.links[l.key] for l in vnr.routing_order)
 
 
+def test_adj_masks_are_the_link_neighbours():
+    from secvne.generate import GeneratorConfig, generate_substrate
+
+    for net in (scattered_net(), generate_substrate(GeneratorConfig(seed=2, node_count=40))):
+        ids = sorted(net.nodes)
+        nbrs = neighbours(net)
+        assert net.adj_masks == [sum(1 << ids.index(m) for m in nbrs[nid]) for nid in ids]
+
+
 class TestBoundaryHops:
     def test_boundary_node_has_zero(self, toy_net):
         assert toy_net.nodes[2].hop_to_boundary == 0
@@ -155,9 +164,10 @@ class TestBoundaryHops:
             node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
                         (3, 1, 10, 0, 0)],
             link_specs=[(0, 2, 10), (1, 3, 10), (2, 3, 10)],
+            hops=False,
         )
-        assert [net.nodes[i].hop_to_boundary for i in range(4)] == [0, 0, 0, 0]
-        assert not net.domains_connected()
+        with pytest.raises(ValueError, match="some domain is not connected: domain 0"):
+            compute_boundary_hops(net)
 
     def test_matches_brute_force_on_random_networks(self):
         from secvne.generate import GeneratorConfig, generate_substrate
