@@ -1,5 +1,6 @@
 """Generator: determinism, parameter ranges, connectivity, arrival process."""
 
+import hashlib
 import statistics
 from dataclasses import replace
 from pathlib import Path
@@ -182,3 +183,40 @@ def test_numpy_integers_are_integers():
     cfg = GeneratorConfig(seed=np.int64(3), node_count=np.int64(12), domain_count=2,
                           substrate_bw_range=(np.int32(20), 60))
     assert len(generate_substrate(cfg).nodes) == 12
+
+
+# SHA-256 of (saved substrate, saved workload) per generator config, each
+# generated up to its horizon.  The cases cover the defaults, the benchmark's
+# churn and bandwidth-bound overrides, candidate-domain sets drawn from seven
+# domains, sub-unit lifetimes and a bandwidth range wider than 32 bits.
+GENERATOR_GOLDEN = {
+    "default": (dict(seed=3), 2000.0, (
+        "c13dd3a7c78d8b8eaff156f80e8942f489e963a902f4cfc80ae70085110bf800",
+        "88fa8affa33d74664532aa7ff753e9d22c896e953fcd7637fd114011f7b823c8")),
+    "greedy-churn": (dict(seed=1, vnr_arrival_rate=0.5, vnr_mean_lifetime=100.0), 400.0, (
+        "fc58c2f6c4502920c3157967bca9f286e0c4de156662295a611f863658c8bc2f",
+        "fcc84ae8b2a79958871e4ab3259508e9e0d35f7b5110b68e062a9622fc5332d7")),
+    "stec-bwbound": (dict(seed=0, substrate_bw_range=(20, 60)), 2000.0, (
+        "51fba9758b79e4618cde4557abd4549eb6a77410de904c62434d95c8034b5df8",
+        "4398e6f04a35202acc4782a50a2a9286d88f72068fa8e8ea20baef4b2aad8255")),
+    "seven-domains": (dict(seed=5, node_count=70, domain_count=7, cd_size_range=(2, 7)),
+                      2000.0, (
+        "c9dec7213330278cdce27847e4884d47695d0779ed6d51e0e3866a898634de6c",
+        "814add2ee2afa35b424451d16dd3108dab51010922d3beea70308db91b5304d2")),
+    "tiny-lifetime": (dict(seed=8, vnr_mean_lifetime=0.001), 2000.0, (
+        "0c14b97ad7afea864e2612bdca4228238c1e58105de225988be04ea1438fe588",
+        "dc0fb25dacd4efcc5b375719597a3a54111e62af033616a31451dcf1202758fe")),
+    "wide-bandwidth": (dict(seed=13, substrate_bw_range=(0, 2**40)), 2000.0, (
+        "6201563a9a885827419ff607fda037770aa624254efebc3e281cfaa624665b21",
+        "d1fd7110cab4b502932ffd70ad8503ac6f8d95a16c38504fbeac5eac1f075535")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_GOLDEN))
+def test_generated_files_are_pinned(name, tmp_path):
+    overrides, horizon, digests = GENERATOR_GOLDEN[name]
+    cfg = GeneratorConfig(**overrides)
+    save_substrate(generate_substrate(cfg), tmp_path / "substrate.json")
+    save_workload(generate_vnr_stream(cfg, horizon), horizon, tmp_path / "workload.jsonl")
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("substrate.json", "workload.jsonl")) == digests
