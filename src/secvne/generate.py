@@ -14,8 +14,11 @@ as the config file ``configs/table1.json`` does.
 Arrivals form a Poisson process and lifetimes are exponential; the source
 material never pins these, so rate and mean lifetime are config knobs with
 defaults chosen to load the default substrate into a contended steady state.
-All draws are PCG64 streams split from one root seed (see ``seeding``), so
-identical configs reproduce identical networks on any platform.
+All draws come from two PCG64 streams split from one root seed, read through
+``seeding.Draws``: the substrate from (seed, 0) and the request stream from
+(seed, 1).  ``Draws`` gives the values numpy's ``Generator`` would for the
+same calls, so identical configs reproduce identical networks on any
+platform.  A range bound may be at most numpy's int64 limit, 2**63 - 1.
 
 Each domain and each request graph is repaired to be connected: the
 components of its random graph are found with ``model.bfs_levels`` over node
@@ -41,10 +44,13 @@ from .model import (
     compute_boundary_hops,
     link_key,
 )
-from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, rng_from
+from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, Draws, draws_from
 
 # Link probability inside generated request graphs (before connectivity repair).
 VNR_LINK_RATE = 0.5
+# The largest range bound a config may give: numpy's int64 limit, which the
+# draws follow.
+MAX_RANGE_BOUND = (1 << 63) - 1
 
 
 @dataclass
@@ -91,6 +97,8 @@ class GeneratorConfig:
                 raise InvalidConfig(f"{name} has min {lo} > max {hi}")
             if lo < 0:
                 raise InvalidConfig(f"{name} has negative min {lo}")
+            if hi > MAX_RANGE_BOUND:
+                raise InvalidConfig(f"{name} has max {hi} above 2**63 - 1")
         if self.vnr_node_range[0] < 1:
             raise InvalidConfig("vnr_node_range min must be at least 1")
         if self.vnr_cpu_range[0] < 1:
@@ -130,8 +138,9 @@ class GeneratorConfig:
         return [f.name for f in fields(cls)]
 
 
-def _draw(rng, lo: int, hi: int) -> int:
-    return int(rng.integers(lo, hi + 1))
+def _draw(draws: Draws, lo: int, hi: int) -> int:
+    """Uniform int in [lo, hi], as ``Generator.integers(lo, hi + 1)``."""
+    return int(lo) + draws.integers(int(hi) - int(lo) + 1)
 
 
 def _domain_sizes(node_count: int, domain_count: int) -> list[int]:
@@ -139,7 +148,7 @@ def _domain_sizes(node_count: int, domain_count: int) -> list[int]:
     return [base + (1 if d < rem else 0) for d in range(domain_count)]
 
 
-def _connect_components(members: list[int], edges: set, rng) -> list[tuple[int, int]]:
+def _connect_components(members: list[int], edges: set, draws: Draws) -> list[tuple[int, int]]:
     """Edges that stitch the partition of the ascending `members` induced by
     `edges` (each joining two members) into one component; random endpoints,
     deterministic merge order."""
@@ -159,8 +168,8 @@ def _connect_components(members: list[int], edges: set, rng) -> list[tuple[int, 
     added = []
     merged = comps[0]
     for comp in comps[1:]:
-        u = merged[int(rng.integers(len(merged)))]
-        v = comp[int(rng.integers(len(comp)))]
+        u = merged[draws.integers(len(merged))]
+        v = comp[draws.integers(len(comp))]
         added.append((u, v))
         merged = sorted(merged + comp)
     return added
@@ -170,7 +179,7 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
     """Multi-domain substrate: per-domain random graphs repaired to be
     connected, plus inter-domain links between random node pairs."""
     cfg.validate()
-    rng = rng_from(cfg.seed, SUBSTRATE_STREAM)
+    draws = draws_from(cfg.seed, SUBSTRATE_STREAM)
     cpu_lo, cpu_hi = cfg.substrate_cpu_range
     bw_lo, bw_hi = cfg.substrate_bw_range
     sec_lo, sec_hi = cfg.security_range
@@ -183,16 +192,16 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
         next_id += size
         domain_members.append(members)
         for nid in members:
-            cpu = _draw(rng, cpu_lo, cpu_hi)
+            cpu = _draw(draws, cpu_lo, cpu_hi)
             nodes.append(SubstrateNode(nid, d, cpu, cpu,
-                                       _draw(rng, sec_lo, sec_hi),
-                                       _draw(rng, sec_lo, sec_hi)))
+                                       _draw(draws, sec_lo, sec_hi),
+                                       _draw(draws, sec_lo, sec_hi)))
 
     links: list[SubstrateLink] = []
     keys: set = set()
 
     def add_link(u: int, v: int) -> None:
-        bw = _draw(rng, bw_lo, bw_hi)
+        bw = _draw(draws, bw_lo, bw_hi)
         links.append(SubstrateLink(u, v, bw, bw))
         keys.add(link_key(u, v))
 
@@ -200,18 +209,18 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
         domain_keys: set = set()
         for i, u in enumerate(members):
             for v in members[i + 1:]:
-                if rng.random() < cfg.intra_link_rate:
+                if draws.random() < cfg.intra_link_rate:
                     add_link(u, v)
                     domain_keys.add(link_key(u, v))
-        for (u, v) in _connect_components(members, domain_keys, rng):
+        for (u, v) in _connect_components(members, domain_keys, draws):
             add_link(u, v)
 
     for d1 in range(cfg.domain_count):
         for d2 in range(d1 + 1, cfg.domain_count):
             for _ in range(cfg.inter_link_count_per_domain_pair):
                 for _attempt in range(1000):
-                    u = domain_members[d1][int(rng.integers(len(domain_members[d1])))]
-                    v = domain_members[d2][int(rng.integers(len(domain_members[d2])))]
+                    u = domain_members[d1][draws.integers(len(domain_members[d1]))]
+                    v = domain_members[d2][draws.integers(len(domain_members[d2]))]
                     if link_key(u, v) not in keys:
                         add_link(u, v)
                         break
@@ -231,7 +240,7 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     cfg.validate()
     if not (math.isfinite(horizon) and horizon >= 0):
         raise InvalidConfig(f"horizon must be finite and non-negative, got {horizon}")
-    rng = rng_from(cfg.seed, WORKLOAD_STREAM)
+    draws = draws_from(cfg.seed, WORKLOAD_STREAM)
     cpu_lo, cpu_hi = cfg.vnr_cpu_range
     bw_lo, bw_hi = cfg.vnr_bw_range
     sec_lo, sec_hi = cfg.security_range
@@ -241,7 +250,7 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     arrivals: list[float] = []
     t = 0.0
     while True:
-        t += float(rng.exponential(1.0 / cfg.vnr_arrival_rate))
+        t += draws.exponential(1.0 / cfg.vnr_arrival_rate)
         if t >= horizon:
             break
         arrivals.append(t)
@@ -250,25 +259,24 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     for vnr_id, arrival in enumerate(arrivals):
         lifetime = 0.0
         while lifetime <= 0.0:
-            lifetime = float(rng.exponential(cfg.vnr_mean_lifetime))
-        n = _draw(rng, n_lo, n_hi)
+            lifetime = draws.exponential(cfg.vnr_mean_lifetime)
+        n = _draw(draws, n_lo, n_hi)
         vnodes = []
         for vid in range(n):
-            cpu = _draw(rng, cpu_lo, cpu_hi)
-            vsd = _draw(rng, sec_lo, sec_hi)
-            vsl = _draw(rng, sec_lo, sec_hi)
-            cd_size = _draw(rng, cd_lo, cd_hi)
-            cd = frozenset(int(d) for d in rng.choice(cfg.domain_count, size=cd_size,
-                                                      replace=False))
+            cpu = _draw(draws, cpu_lo, cpu_hi)
+            vsd = _draw(draws, sec_lo, sec_hi)
+            vsl = _draw(draws, sec_lo, sec_hi)
+            cd_size = _draw(draws, cd_lo, cd_hi)
+            cd = frozenset(draws.choice(cfg.domain_count, cd_size))
             vnodes.append(VirtualNode(vid, cpu, vsd, vsl, cd))
         vlinks = []
         vkeys: set = set()
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < VNR_LINK_RATE:
-                    vlinks.append(VirtualLink(i, j, _draw(rng, bw_lo, bw_hi)))
+                if draws.random() < VNR_LINK_RATE:
+                    vlinks.append(VirtualLink(i, j, _draw(draws, bw_lo, bw_hi)))
                     vkeys.add((i, j))
-        for (u, v) in _connect_components(list(range(n)), vkeys, rng):
-            vlinks.append(VirtualLink(min(u, v), max(u, v), _draw(rng, bw_lo, bw_hi)))
+        for (u, v) in _connect_components(list(range(n)), vkeys, draws):
+            vlinks.append(VirtualLink(min(u, v), max(u, v), _draw(draws, bw_lo, bw_hi)))
         out.append(VirtualNetworkRequest(vnr_id, vnodes, vlinks, arrival, lifetime))
     return out

@@ -56,7 +56,8 @@ position whose hosts some virtual link's labels separate, and routes the
 rest in full.  The same sweep that labels the components gives each
 substrate node's usable mask at every demand, which ``fitness`` hands to
 ``route_all_links`` so that a breadth-first search reads them instead of
-testing residuals link by link.
+testing residuals link by link; ``optimize`` routes the winner over them
+too.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once: the virtual-node order, the candidate
@@ -121,12 +122,14 @@ class Particle:
 
 @dataclass
 class SwarmResult:
-    """Best assignment found plus the per-iteration gbest fitness series."""
+    """Best assignment found plus the per-iteration gbest fitness series,
+    and the plan's usable masks (None under bandwidth slack) for routing it."""
 
     vnode_order: list[int]
     position: list[int]
     fitness: float
     gbest_history: list[float]
+    masks: dict[int, list[int]] | None = None
 
     @property
     def assignment(self) -> dict[int, int]:
@@ -457,7 +460,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 gbest_position = list(p.pbest_position)
         history.append(gbest_fitness)
 
-    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history)
+    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history, plan.masks)
 
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
@@ -472,4 +475,4 @@ def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
     if result.fitness == INFEASIBLE:
         raise EmbeddingInfeasible(f"no particle found a routable embedding for "
                                   f"request {vnr.id}")
-    return build_embedding(vnr, result.assignment, net)
+    return build_embedding(vnr, result.assignment, net, result.masks)

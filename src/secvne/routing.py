@@ -240,7 +240,9 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
 
 
 def build_embedding(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork) -> Embedding:
-    """Route a node assignment and wrap it into an Embedding."""
-    routing = route_all_links(vnr, assignment, net)
+                    net: SubstrateNetwork,
+                    masks: dict[int, list[int]] | None = None) -> Embedding:
+    """Route a node assignment, over ``masks`` as ``route_all_links`` does,
+    and wrap it into an Embedding."""
+    routing = route_all_links(vnr, assignment, net, masks)
     return Embedding(vnr, dict(assignment), routing.paths)

@@ -61,10 +61,11 @@ def make_vnr(node_specs, link_specs, vnr_id=0, arrival=0.0, lifetime=100.0):
     return VirtualNetworkRequest(vnr_id, nodes, links, arrival, lifetime)
 
 
-def contended_net(seed):
-    """An 8-node random graph with bandwidth U[20, 60], every link's residual
-    then lowered to a random value in [0, capacity]."""
-    cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+def contended_net(seed, node_count=8):
+    """A two-domain random graph of 8 nodes, or ``node_count``, with bandwidth
+    U[20, 60], every link's residual then lowered to a random value in
+    [0, capacity]."""
+    cfg = GeneratorConfig(seed=seed, node_count=node_count, domain_count=2,
                           intra_link_rate=0.5, substrate_bw_range=(20, 60))
     net = generate_substrate(cfg)
     rnd = random.Random(seed)

@@ -7,11 +7,21 @@ implementation under test beyond the domain types.
 
 from collections import deque
 
+import numpy as np
+
 from secvne.errors import LengthMismatch
 from secvne.metrics import cost as metric_cost
 from secvne.metrics import revenue as metric_revenue
 from secvne.model import link_key
 from secvne.node_mapping import candidate_nodes, virtual_node_priority
+from secvne.seeding import normalize_seed
+
+
+def rng_from(seed, *keys):
+    """numpy's own ``Generator`` over the (seed, *keys) stream: the reference
+    ``seeding.Draws`` is checked against."""
+    entropy = [normalize_seed(k) for k in (seed, *keys)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def position_subtract(a, b):

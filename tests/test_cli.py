@@ -76,8 +76,11 @@ def test_generate_rejects_malformed_config(tmp_path):
      "vnr_bw_range must be a (min, max) pair of integers, got (1.5, 3)"),
     ({"vnr_mean_lifetime": float("nan")}, "vnr_mean_lifetime must be a finite number, got nan"),
     ({"node_count": -3}, "node_count must be at least domain_count (2), got -3"),
+    ({"substrate_bw_range": [0, 2**63]},
+     "substrate_bw_range has max 9223372036854775808 above 2**63 - 1"),
 ], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
-        "fractional-range-bound", "nan-lifetime", "negative-node-count"])
+        "fractional-range-bound", "nan-lifetime", "negative-node-count",
+        "oversized-range-bound"])
 def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MINI_CONFIG, **override}))

@@ -146,10 +146,19 @@ def test_table1_config_file_restores_published_cpu_ranges():
     dict(cd_size_range=(0, 4)),
     dict(cd_size_range=(1, 9)),
     dict(inter_link_count_per_domain_pair=0),
+    dict(substrate_bw_range=(0, 2**63)),
+    dict(vnr_cpu_range=(1, 2**64)),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(InvalidConfig):
         GeneratorConfig(**bad).validate()
+
+
+def test_largest_range_bound_generates():
+    cfg = GeneratorConfig(seed=2, node_count=12, domain_count=2,
+                          substrate_bw_range=(2**63 - 2, 2**63 - 1))
+    net = generate_substrate(cfg)
+    assert {l.bw_capacity for l in net.links.values()} <= {2**63 - 2, 2**63 - 1}
 
 
 @pytest.mark.parametrize("overrides, message", [
