@@ -17,6 +17,7 @@ from pathlib import Path
 from . import fileio, metrics
 from .errors import InternalConsistencyError, InvalidConfig, SecVneError
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from .seeding import check_seed
 from .simulation import STRATEGY_NAMES, make_strategy, run
 
 EXIT_OK = 0
@@ -56,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="metric window width in time units")
     runp.add_argument("--horizon", type=float,
                       help="override the horizon stored in the workload file")
-    runp.add_argument("--cost-mode", choices=(metrics.COST_LITERAL, metrics.COST_HOP),
-                      default=metrics.COST_HOP)
-    runp.add_argument("--eq20-literal", action="store_true",
-                      help="score raw boundary distance instead of proximity")
     runp.add_argument("--out", required=True, help="output directory")
 
     cmp_ = sub.add_parser("compare", help="mean/stddev metric tables over strategies x seeds")
@@ -75,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--window", type=float, default=500.0)
     cmp_.add_argument("--warmup-frac", type=float, default=0.2,
                       help="fraction of the horizon discarded as warmup")
-    cmp_.add_argument("--cost-mode", choices=(metrics.COST_LITERAL, metrics.COST_HOP),
-                      default=metrics.COST_HOP)
-    cmp_.add_argument("--eq20-literal", action="store_true")
     cmp_.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -100,6 +94,17 @@ def _check_window_count(horizon: float, width: float) -> None:
         metrics.check_window_count(horizon, width)
     except ValueError as exc:
         raise InvalidConfig(f"--window {width}: {exc}") from exc
+
+
+def _check_steady_state(horizon: float, width: float, warmup_t: float) -> None:
+    """Reject a horizon and window whose windows all start before the warmup
+    ends.  Window i starts at i * width for each i with i * width < horizon."""
+    i = 0
+    while i * width < warmup_t:
+        i += 1
+    if not i * width < horizon:
+        raise InvalidConfig(f"--horizon {horizon} and --window {width} leave no window "
+                            f"starting at or after the warmup time {warmup_t}")
 
 
 def _load_or_default_config(path, seed=None) -> GeneratorConfig:
@@ -140,16 +145,17 @@ def _load_instance(substrate_path, workload_path):
 
 
 def cmd_run(args) -> int:
+    check_seed(args.seed, "--seed")
     net, vnrs, horizon = _load_instance(args.substrate, args.workload)
     if args.horizon is not None:
         horizon = args.horizon
     _check_window_count(horizon, args.window)
-    strategy = make_strategy(args.strategy, seed=args.seed, invert_hop=not args.eq20_literal)
+    strategy = make_strategy(args.strategy, seed=args.seed)
     trace = run(net, vnrs, strategy, horizon)
-    rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
-    cum = metrics.cumulative_series(trace, args.window, mode=args.cost_mode)
+    rows = metrics.windowed_series(trace, args.window)
+    cum = metrics.cumulative_series(trace, args.window)
     out = Path(args.out)
-    fileio.write_trace(trace, out / "trace.jsonl", mode=args.cost_mode)
+    fileio.write_trace(trace, out / "trace.jsonl")
     fileio.write_window_csv(rows, out / "windows.csv")
     fileio.write_cumulative_csv(cum, out / "cumulative.csv")
     acc = trace.acceptance
@@ -177,6 +183,7 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         raise InvalidConfig(f"bad --seeds list {args.seeds!r}: {exc}") from exc
     for i, seed in enumerate(seeds):
+        check_seed(seed, "--seeds entry")
         if seed in seeds[:i]:
             raise InvalidConfig(f"seed {seed} is listed twice in --seeds")
     if not strategies or not seeds:
@@ -202,6 +209,7 @@ def cmd_compare(args) -> int:
         horizon = 6000.0
     _check_window_count(horizon, args.window)
     warmup_t = args.warmup_frac * horizon
+    _check_steady_state(horizon, args.window, warmup_t)
     results: dict[str, dict[str, list[float | None]]] = {
         s: {m: [] for m in METRIC_NAMES} for s in strategies}
     for seed in seeds:
@@ -212,9 +220,9 @@ def cmd_compare(args) -> int:
         else:
             base_net, vnrs = fixed[0], fixed[1]
         for name in strategies:
-            strategy = make_strategy(name, seed=seed, invert_hop=not args.eq20_literal)
+            strategy = make_strategy(name, seed=seed)
             trace = run(base_net.copy(), vnrs, strategy, horizon)
-            rows = metrics.windowed_series(trace, args.window, mode=args.cost_mode)
+            rows = metrics.windowed_series(trace, args.window)
             means = metrics.steady_state_means(rows, warmup_t)
             for m in METRIC_NAMES:
                 results[name][m].append(means[m])

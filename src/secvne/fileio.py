@@ -42,7 +42,7 @@ from pathlib import Path
 
 from . import metrics
 from .errors import InvalidConfig, NoBoundaryNode
-from .generate import GeneratorConfig
+from .generate import RANGE_FIELDS, GeneratorConfig
 from .model import (
     SubstrateLink,
     SubstrateNetwork,
@@ -230,13 +230,9 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
 
 # -- generator config ----------------------------------------------------
 
-_RANGE_FIELDS = {"substrate_cpu_range", "substrate_bw_range", "security_range",
-                 "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range"}
-
-
 def config_to_dict(cfg: GeneratorConfig) -> dict:
     out = dataclasses.asdict(cfg)
-    for name in _RANGE_FIELDS:
+    for name in RANGE_FIELDS:
         if out[name] is not None:
             out[name] = list(out[name])
     return out
@@ -250,7 +246,7 @@ def config_from_dict(doc: dict) -> GeneratorConfig:
     for key in doc:
         if key not in known:
             raise InvalidConfig(f"unknown config key {key!r}")
-    kwargs = {key: tuple(value) if key in _RANGE_FIELDS and isinstance(value, list) else value
+    kwargs = {key: tuple(value) if key in RANGE_FIELDS and isinstance(value, list) else value
               for key, value in doc.items()}
     cfg = GeneratorConfig(**kwargs)
     cfg.validate()
@@ -273,14 +269,14 @@ def save_config(cfg: GeneratorConfig, path) -> None:
 
 # -- traces and metric series --------------------------------------------
 
-def write_trace(trace, path, mode: str = metrics.COST_HOP) -> None:
-    """One line per record; accepted arrivals are priced under cost ``mode``."""
+def write_trace(trace, path) -> None:
+    """One line per record; accepted arrivals carry their revenue and cost."""
     lines = []
     for rec in trace.records:
         revenue = cost = None
         if rec.outcome == "accepted":
             revenue = metrics.revenue(rec.embedding.vnr)
-            cost = metrics.cost(rec.embedding, mode)
+            cost = metrics.cost(rec.embedding)
         lines.append(json.dumps({"time": rec.time, "kind": rec.kind, "vnr_id": rec.vnr_id,
                                  "outcome": rec.outcome, "revenue": revenue, "cost": cost}))
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

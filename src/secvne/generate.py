@@ -44,13 +44,16 @@ from .model import (
     compute_boundary_hops,
     link_key,
 )
-from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, Draws, draws_from
+from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, Draws, check_seed, draws_from
 
 # Link probability inside generated request graphs (before connectivity repair).
 VNR_LINK_RATE = 0.5
 # The largest range bound a config may give: numpy's int64 limit, which the
 # draws follow.
 MAX_RANGE_BOUND = (1 << 63) - 1
+# The config fields holding a (min, max) pair; only cd_size_range may be None.
+RANGE_FIELDS = ("substrate_cpu_range", "substrate_bw_range", "security_range",
+                "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range")
 
 
 @dataclass
@@ -75,6 +78,7 @@ class GeneratorConfig:
 
     def validate(self) -> None:
         self._check_types()
+        check_seed(self.seed, "seed")
         if self.domain_count < 2:
             raise InvalidConfig(f"domain_count must be at least 2 (boundary distances "
                                 f"need inter-domain links), got {self.domain_count}")
@@ -90,8 +94,9 @@ class GeneratorConfig:
         if self.inter_link_count_per_domain_pair < 1:
             raise InvalidConfig(f"inter_link_count_per_domain_pair must be at least 1, "
                                 f"got {self.inter_link_count_per_domain_pair}")
-        for name in ("substrate_cpu_range", "substrate_bw_range", "security_range",
-                     "vnr_node_range", "vnr_cpu_range", "vnr_bw_range"):
+        for name in RANGE_FIELDS:
+            if name == "cd_size_range":
+                continue  # bounded by domain_count below
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InvalidConfig(f"{name} has min {lo} > max {hi}")
@@ -123,8 +128,7 @@ class GeneratorConfig:
             if not (isinstance(value, Real) and not isinstance(value, bool)
                     and math.isfinite(value)):
                 raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-        for name in ("substrate_cpu_range", "substrate_bw_range", "security_range",
-                     "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range"):
+        for name in RANGE_FIELDS:
             value = getattr(self, name)
             if name == "cd_size_range" and value is None:
                 continue

@@ -1,14 +1,10 @@
 """Windowed evaluation metrics: acceptance rate, revenue, cost, and their ratio.
 
 Revenue weights a request's total CPU and bandwidth demand with the paper's
-fixed ALPHA = BETA = 0.5.  Cost comes in two modes:
-
-    literal  node demand + link demand, counting each mapped item once
-    hop      node demand + link demand multiplied by its path's hop count
-
-``hop`` is the default: under the literal mode every embedding of the same
-request costs the same no matter where it lands, which makes cost useless for
-comparing placement strategies.  Both modes are reported by the CLI.
+fixed ALPHA = BETA = 0.5.  Cost is the node demand plus each link's demand
+multiplied by its path's hop count, so a placement that stretches its links
+over more substrate hops costs more.  (Counting each link's demand once
+would price every embedding of a request at exactly twice its revenue.)
 
 ``revenue`` and ``cost`` are the one pricing rule: strategies return unpriced
 embeddings, and only the series here and the trace writer price them.
@@ -24,9 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-COST_LITERAL = "literal"
-COST_HOP = "hop"
 
 # Revenue weights of CPU and bandwidth demand.
 ALPHA = 0.5
@@ -78,18 +71,12 @@ def revenue(vnr) -> float:
     return ALPHA * vnr.cpu_total + BETA * vnr.bw_total
 
 
-def cost(emb, mode: str = COST_HOP) -> float:
-    """Substrate resources consumed by one embedding."""
-    if mode not in (COST_LITERAL, COST_HOP):
-        raise ValueError(f"unknown cost mode {mode!r}")
-    cpu = emb.vnr.cpu_total
-    if mode == COST_LITERAL:
-        bw = emb.vnr.bw_total
-    else:
-        bw = 0
-        for vkey, path in emb.link_map.items():
-            bw += emb.vnr.links[vkey].bw_demand * (len(path) - 1)
-    return float(cpu + bw)
+def cost(emb) -> float:
+    """CPU demand plus each link's bandwidth demand times its path's hops."""
+    bw = 0
+    for vkey, path in emb.link_map.items():
+        bw += emb.vnr.links[vkey].bw_demand * (len(path) - 1)
+    return float(emb.vnr.cpu_total + bw)
 
 
 def check_window_count(horizon: float, width: float) -> None:
@@ -105,7 +92,7 @@ def check_window_count(horizon: float, width: float) -> None:
                          f"{count} windows, more than the {MAX_WINDOWS} allowed")
 
 
-def _filled_windows(trace, width: float, mode: str) -> list[MetricWindow]:
+def _filled_windows(trace, width: float) -> list[MetricWindow]:
     """The windows over ``trace.horizon`` with each arrival counted and each
     acceptance priced in the window that contains its time."""
     horizon = trace.horizon
@@ -130,19 +117,18 @@ def _filled_windows(trace, width: float, mode: str) -> list[MetricWindow]:
         if rec.outcome == "accepted":
             w.accepted += 1
             w.revenue_sum += revenue(rec.embedding.vnr)
-            w.cost_sum += cost(rec.embedding, mode)
+            w.cost_sum += cost(rec.embedding)
     return windows
 
 
-def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[WindowRow]:
+def windowed_series(trace, window_width: float) -> list[WindowRow]:
     """Per-window acceptance, unit revenue, unit cost, and revenue/cost ratio.
 
     ``trace`` must expose ``horizon`` and chronological ``records``; accepted
-    arrival records must carry their embedding so revenue and cost can be
-    re-derived under either cost mode without rerunning the simulation.
+    arrival records carry the embedding that revenue and cost are derived from.
     """
     rows = []
-    for w in _filled_windows(trace, window_width, mode):
+    for w in _filled_windows(trace, window_width):
         span = w.t_end - w.t_start
         avg_rev = w.revenue_sum / span
         avg_cost = w.cost_sum / span
@@ -151,12 +137,12 @@ def windowed_series(trace, window_width: float, mode: str = COST_HOP) -> list[Wi
     return rows
 
 
-def cumulative_series(trace, window_width: float, mode: str = COST_HOP) -> list[CumulativeRow]:
+def cumulative_series(trace, window_width: float) -> list[CumulativeRow]:
     """Running totals over the windowed series' windows, one row per window."""
     rows = []
     arrived = accepted = 0
     rev = cst = 0.0
-    for w in _filled_windows(trace, window_width, mode):
+    for w in _filled_windows(trace, window_width):
         arrived += w.arrived
         accepted += w.accepted
         rev += w.revenue_sum

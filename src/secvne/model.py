@@ -188,7 +188,7 @@ class Embedding:
     """A placed request: node assignment and one substrate path per virtual link.
 
     Pricing is not part of a placement: ``metrics.revenue``/``metrics.cost``
-    derive revenue and cost from an embedding under either cost mode.
+    derive revenue and cost from an embedding.
     """
 
     vnr: VirtualNetworkRequest

@@ -12,8 +12,8 @@ different scales (security 0-4, CPU up to ~100, hops 0-6), so each term is
 min-max normalized over the candidate set being ranked before the paper's
 fixed weights GAMMA/DELTA/THETA = 0.5/0.3/0.2 are applied; otherwise CPU
 slack would drown out the security term the weighting is supposed to
-prioritize.  The boundary term is inverted by default so boundary-proximal
-nodes score higher (set ``invert_hop=False`` to score raw distance instead).
+prioritize.  The boundary term scores proximity, ``max_hop - hop_to_boundary``
+over the candidate set, so boundary-proximal nodes score higher.
 """
 
 from __future__ import annotations
@@ -62,18 +62,14 @@ def _normalized(values: dict[int, float]) -> dict[int, float]:
     return {sid: (val - lo) / span for sid, val in values.items()}
 
 
-def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork,
-                     invert_hop: bool = True) -> dict[int, float]:
+def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork) -> dict[int, float]:
     """Score of each candidate for v, relative to the given (non-empty)
     candidate set."""
     nodes = net.nodes
     sec = {sid: float(nodes[sid].ssl - v.vsd) for sid in candidates}
     cpu = {sid: float(nodes[sid].cpu_residual - v.cpu_demand) for sid in candidates}
-    if invert_hop:
-        max_hop = max(nodes[sid].hop_to_boundary for sid in candidates)
-        hop = {sid: float(max_hop - nodes[sid].hop_to_boundary) for sid in candidates}
-    else:
-        hop = {sid: float(nodes[sid].hop_to_boundary) for sid in candidates}
+    max_hop = max(nodes[sid].hop_to_boundary for sid in candidates)
+    hop = {sid: float(max_hop - nodes[sid].hop_to_boundary) for sid in candidates}
     sec = _normalized(sec)
     cpu = _normalized(cpu)
     hop = _normalized(hop)
@@ -81,8 +77,7 @@ def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork,
             for sid in candidates}
 
 
-def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-              invert_hop: bool = True) -> NodeMappingResult:
+def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> NodeMappingResult:
     """Greedy assignment in descending virtual-priority order.
 
     Ties in virtual priority break by ascending virtual id; ties in candidate
@@ -96,7 +91,7 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
         if not cands:
             raise NodeMappingInfeasible(f"no unused candidate for virtual node {v.id}")
-        scores = candidate_scores(v, cands, net, invert_hop)
+        scores = candidate_scores(v, cands, net)
         best = min(cands, key=lambda sid: (-scores[sid], sid))
         assignment[v.id] = best
         used.add(best)

@@ -378,7 +378,7 @@ def _inertia(iteration: int) -> float:
 
 
 def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
-                 cfg: PsoConfig, invert_hop: bool = True) -> SwarmResult:
+                 cfg: PsoConfig) -> SwarmResult:
     """Run the swarm and return the best assignment found.
 
     Particle 0 is seeded from the deterministic priority mapping when that is
@@ -419,7 +419,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     seeded: list[int] | None = None
     try:
-        mapped = map_nodes(vnr, net, invert_hop)
+        mapped = map_nodes(vnr, net)
         seeded = [mapped.assignment[vid] for vid in vnode_order]
     except NodeMappingInfeasible:
         seeded = None
@@ -463,15 +463,14 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     return SwarmResult(vnode_order, gbest_position, gbest_fitness, history, plan.masks)
 
 
-def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig,
-             invert_hop: bool = True) -> Embedding:
+def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) -> Embedding:
     """Swarm-search the request and return the best placement found, routed.
 
     A pure placement function: the embedding carries no prices, which
     ``metrics`` derives from it.  Raises EmbeddingInfeasible when no particle
     found a routable assignment.
     """
-    result = swarm_search(vnr, net, cfg, invert_hop)
+    result = swarm_search(vnr, net, cfg)
     if result.fitness == INFEASIBLE:
         raise EmbeddingInfeasible(f"no particle found a routable embedding for "
                                   f"request {vnr.id}")

@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 # The largest bound numpy's int64 ``integers`` accepts, and PCG64's period.
@@ -69,6 +71,13 @@ DRAW_BLOCK = 256
 def normalize_seed(seed: int) -> int:
     """Map any Python int onto the unsigned 64-bit range SeedSequence needs."""
     return int(seed) & _MASK64
+
+
+def check_seed(seed: int, name: str) -> None:
+    """InvalidConfig unless ``seed`` lies in [0, 2**64): ``normalize_seed``
+    would map a seed outside it onto the stream of one inside it."""
+    if not 0 <= seed <= _MASK64:
+        raise InvalidConfig(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def _bit_generator(seed: int, *keys: int) -> np.random.PCG64:

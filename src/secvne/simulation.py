@@ -76,8 +76,8 @@ class Strategy:
     embed: Callable[[VirtualNetworkRequest, SubstrateNetwork], Embedding]
 
 
-def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy:
-    """Strategy `name` with `seed` (and, for stec-iot, `invert_hop`) bound.
+def make_strategy(name: str, seed: int = 0) -> Strategy:
+    """Strategy `name` with `seed` bound.
 
     ``embed`` looks ``optimize``, ``greedy_embed`` or ``random_embed`` up in
     this module at each call, so rebinding one reaches strategies built before.
@@ -85,7 +85,7 @@ def make_strategy(name: str, seed: int = 0, invert_hop: bool = True) -> Strategy
     if name == "stec-iot":
         def embed(vnr, net):
             cfg = PsoConfig(seed=derive_seed(seed, SWARM_STREAM, vnr.id))
-            return optimize(vnr, net, cfg, invert_hop)
+            return optimize(vnr, net, cfg)
     elif name == "greedy":
         def embed(vnr, net):
             return greedy_embed(vnr, net)

@@ -263,7 +263,7 @@ def best_fitness_brute(vnr, net):
     return best
 
 
-def map_nodes_brute(vnr, net, invert_hop=True):
+def map_nodes_brute(vnr, net):
     """Replays the greedy priority mapping by explicit per-step argmax.
 
     Scores every unused candidate with an independently coded version of the
@@ -277,11 +277,8 @@ def map_nodes_brute(vnr, net, invert_hop=True):
 
         sec_vals = [net.nodes[s].ssl - v.vsd for s in pool]
         cpu_vals = [net.nodes[s].cpu_residual - v.cpu_demand for s in pool]
-        if invert_hop:
-            mh = max(net.nodes[s].hop_to_boundary for s in pool)
-            hop_vals = [mh - net.nodes[s].hop_to_boundary for s in pool]
-        else:
-            hop_vals = [net.nodes[s].hop_to_boundary for s in pool]
+        mh = max(net.nodes[s].hop_to_boundary for s in pool)
+        hop_vals = [mh - net.nodes[s].hop_to_boundary for s in pool]
         i = pool.index(sid)
         return (0.5 * norm(sec_vals[i], sec_vals)
                 + 0.3 * norm(cpu_vals[i], cpu_vals)
@@ -300,7 +297,7 @@ def map_nodes_brute(vnr, net, invert_hop=True):
     return assignment
 
 
-def windowed_metrics_brute(trace, width, mode):
+def windowed_metrics_brute(trace, width):
     """Per-window metrics by filtering the raw event list window by window."""
     rows = []
     i = 0
@@ -310,7 +307,7 @@ def windowed_metrics_brute(trace, width, mode):
                     if r.kind == "arrival" and t <= r.time < end]
         accepted = [r for r in arrivals if r.outcome == "accepted"]
         rev = sum(metric_revenue(r.embedding.vnr) for r in accepted)
-        cst = sum(metric_cost(r.embedding, mode) for r in accepted)
+        cst = sum(metric_cost(r.embedding) for r in accepted)
         acc = len(accepted) / len(arrivals) if arrivals else None
         avg_rev = rev / (end - t)
         avg_cst = cst / (end - t)

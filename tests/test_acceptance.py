@@ -54,8 +54,8 @@ def battery():
     return out
 
 
-def steady(trace, mode="hop"):
-    return steady_state_means(windowed_series(trace, WINDOW, mode=mode), WARMUP)
+def steady(trace):
+    return steady_state_means(windowed_series(trace, WINDOW), WARMUP)
 
 
 def test_criterion_1_constraint_soundness(monkeypatch):
@@ -163,16 +163,15 @@ def test_criterion_4_metric_oracle_equivalence(battery):
     """Streaming windowed metrics equal an independent from-trace recompute."""
     checked = 0
     for (name, seed), trace in battery.items():
-        for mode in ("hop", "literal"):
-            rows = windowed_series(trace, WINDOW, mode=mode)
-            expected = windowed_metrics_brute(trace, WINDOW, mode)
-            assert len(rows) == len(expected)
-            for row, exp in zip(rows, expected):
-                assert (row.window.t_start, row.window.t_end,
-                        row.window.arrived, row.window.accepted,
-                        row.acceptance, row.avg_revenue, row.avg_cost,
-                        row.rc_ratio) == exp
-                checked += 1
+        rows = windowed_series(trace, WINDOW)
+        expected = windowed_metrics_brute(trace, WINDOW)
+        assert len(rows) == len(expected)
+        for row, exp in zip(rows, expected):
+            assert (row.window.t_start, row.window.t_end,
+                    row.window.arrived, row.window.accepted,
+                    row.acceptance, row.avg_revenue, row.avg_cost,
+                    row.rc_ratio) == exp
+            checked += 1
     assert report("4 metric-oracle", True, f"{checked} windows matched exactly")
 
 
@@ -199,19 +198,11 @@ def test_criterion_5_acceptance_ordering(battery):
 
 
 def test_criterion_6_rc_ratio_gap(battery):
-    """Steady-state revenue/cost: swarm strategy over greedy by >= 0.1 (hop mode)."""
-    gap_by_mode = {}
-    for mode in ("hop", "literal"):
-        stec = statistics.fmean(steady(battery[("stec-iot", s)], mode)["rc_ratio"]
-                                for s in SEEDS)
-        greedy = statistics.fmean(steady(battery[("greedy", s)], mode)["rc_ratio"]
-                                  for s in SEEDS)
-        gap_by_mode[mode] = (stec, greedy, stec - greedy)
-    s, g, gap = gap_by_mode["hop"]
-    sl, gl, gapl = gap_by_mode["literal"]
-    detail = (f"hop mode: stec {s:.3f} vs greedy {g:.3f}, gap {gap:+.3f} "
-              f"(need >= +0.1); literal mode: stec {sl:.3f} vs greedy {gl:.3f}, "
-              f"gap {gapl:+.3f}")
+    """Steady-state revenue/cost: swarm strategy over greedy by >= 0.1."""
+    stec = statistics.fmean(steady(battery[("stec-iot", s)])["rc_ratio"] for s in SEEDS)
+    greedy = statistics.fmean(steady(battery[("greedy", s)])["rc_ratio"] for s in SEEDS)
+    gap = stec - greedy
+    detail = f"stec {stec:.3f} vs greedy {greedy:.3f}, gap {gap:+.3f} (need >= +0.1)"
     ok = gap >= 0.1
     report("6 rc-ratio-gap", ok, detail)
     assert ok, detail

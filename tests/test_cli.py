@@ -1,10 +1,11 @@
 """End-to-end CLI coverage on a miniature instance (2 domains, 12 nodes)."""
 
+import argparse
 import json
 
 import pytest
 
-from secvne.cli import main
+from secvne.cli import build_parser, main
 
 from conftest import SPLIT_DOMAIN_SUBSTRATE
 
@@ -78,9 +79,10 @@ def test_generate_rejects_malformed_config(tmp_path):
     ({"node_count": -3}, "node_count must be at least domain_count (2), got -3"),
     ({"substrate_bw_range": [0, 2**63]},
      "substrate_bw_range has max 9223372036854775808 above 2**63 - 1"),
+    ({"seed": -1}, "seed must lie in [0, 2**64), got -1"),
 ], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
         "fractional-range-bound", "nan-lifetime", "negative-node-count",
-        "oversized-range-bound"])
+        "oversized-range-bound", "negative-seed"])
 def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MINI_CONFIG, **override}))
@@ -207,13 +209,49 @@ def test_compare_rejects_config_with_a_fixed_instance(tmp_path, mini_config, gen
     assert not out.exists()
 
 
-def test_eq20_literal_flag_accepted(tmp_path, generated):
-    out = tmp_path / "lit"
-    code = main(["run", "--substrate", str(generated / "substrate.json"),
-                 "--workload", str(generated / "workload.jsonl"),
-                 "--strategy", "stec-iot", "--eq20-literal", "--cost-mode", "literal",
-                 "--out", str(out)])
-    assert code == 0
+def test_subcommand_options_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(opt for action in p._actions for opt in action.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == {
+        "generate": ["--config", "--help", "--horizon", "--out", "--seed", "-h"],
+        "run": ["--help", "--horizon", "--out", "--seed", "--strategy", "--substrate",
+                "--window", "--workload", "-h"],
+        "compare": ["--config", "--help", "--horizon", "--out", "--seeds", "--strategies",
+                    "--substrate", "--warmup-frac", "--window", "--workload", "-h"],
+    }
+
+
+@pytest.mark.parametrize("command", ["generate", "run", "compare"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_infeasible(tmp_path, mini_config, generated, capsys,
+                                            command, seed):
+    # normalize_seed masks to 64 bits, so 2**64 would run seed 0's stream again.
+    instance = ["--substrate", str(generated / "substrate.json"),
+                "--workload", str(generated / "workload.jsonl")]
+    flags = {"generate": ["--config", str(mini_config), "--seed", str(seed)],
+             "run": [*instance, "--strategy", "random", "--seed", str(seed)],
+             "compare": [*instance, "--strategies", "random", "--seeds", f"0,{seed}"]}
+    out = tmp_path / "out"
+    code = main([command, *flags[command], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"must lie in [0, 2**64), got {seed}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_rejects_a_horizon_with_no_steady_state_window(tmp_path, mini_config,
+                                                               capsys):
+    # The one window, [0, 200), starts before the warmup ends at 0.2 * 200.
+    out = tmp_path / "cmpshort"
+    code = main(["compare", "--config", str(mini_config), "--strategies", "greedy",
+                 "--seeds", "1", "--horizon", "200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--horizon 200.0 and --window 500.0 leave no window starting at or after " \
+           "the warmup time 40.0" in err
+    assert not out.exists()
 
 
 def _edit_first_request(tmp_path, generated, edit):

@@ -2,9 +2,8 @@
 
 `generate` + `run` on a 2-domain, 12-node config (seed 11, horizon 1500),
 once with the default link bandwidth and once with bandwidth U[20, 60] so
-that routes contend, for every strategy under both cost modes; the SHA-256
-of each output file is pinned.  A refactor that claims to keep behaviour
-must keep these digests.
+that routes contend, for every strategy; the SHA-256 of each output file is
+pinned.  A refactor that claims to keep behaviour must keep these digests.
 
 Two more cases run `stec-iot` on the default 120-node `GeneratorConfig`
 (seed 0, horizon 300), once as it stands and once with bandwidth U[20, 60],
@@ -36,56 +35,32 @@ REGIMES = {
 HORIZON = "1500"
 OUTPUTS = ("trace.jsonl", "windows.csv", "cumulative.csv")
 
-# (regime, strategy, cost mode) -> SHA-256 of (trace.jsonl, windows.csv, cumulative.csv)
+# (regime, strategy) -> SHA-256 of (trace.jsonl, windows.csv, cumulative.csv)
 GOLDEN = {
-    ("default", "stec-iot", "hop"): (
+    ("default", "stec-iot"): (
         "784314fbb56b6898dd7d9ee3d8dd2b708ecd5a373c72bd7b9f8648d77b9ed575",
         "de376585c0b48fa53d93960ac2ad4ed7886068e483f6584eef82c948e02f95cf",
         "f237f2d4f854312d24445c87379e8df0a9b70241c4e117021fc6615e929200bc"),
-    ("default", "stec-iot", "literal"): (
-        "cf0437a9cf2d0fdcd8035b9b0eb5c8f4639f027f68e4a11f1146c732461797cb",
-        "d7947111134c6f7d83b30e21b2132077f6e09ecbdc54bf25b7e6c83f3b7f49b8",
-        "89d19848d6c2383300ae0ac43e71fb5036217848cb84473292de43fcece24f3d"),
-    ("default", "greedy", "hop"): (
+    ("default", "greedy"): (
         "f1bcf92abdeab40c712008eb0f6f0fadfc7ead6156aee1831dd1a36f8075b882",
         "057db8238152e71cded261908219138becbef1ffc8871f258fec7da71657fa9e",
         "31a9278da5ede45a150ad515e9b99ed1f25c4e91f8d1ef2e58b55bfcae4499ca"),
-    ("default", "greedy", "literal"): (
-        "5b0061087fac1b06b5362dce0dbcdf9217dfb1b9996e33adfd230881a4eef875",
-        "0c725c35bc751302e55153af24ccb5f5b0b5bd6b2307daacc6c3f7b9586c59d2",
-        "52433c648f810e5ce7c4f83ab2b27134db4966bdb98c5d6de85d8d46416b45f4"),
-    ("default", "random", "hop"): (
+    ("default", "random"): (
         "e4d9db356b53ce474d1a17ca33de35794f8021d395fe949012796106d462e7be",
         "99ab747b7919b6bb5782d57c948b054ed263cd54e171ddce49fd35b277107dae",
         "01915a4eda11e2c46bceab29cce283844bee6b2e41fcee090cb368d9b8e6eebd"),
-    ("default", "random", "literal"): (
-        "a547f218948d33dbbef84df238da56590a1fa230e20c0458dd58178d817c1e1f",
-        "09af0131e427ac59f280d0c1b40d890427f9d554b43697affeab4fcf7ce62826",
-        "4eacb8a4b0bb0879c88e01d2fdb252f667a7b88c63ece94b89b2570c240a17ae"),
-    ("bw-bound", "stec-iot", "hop"): (
+    ("bw-bound", "stec-iot"): (
         "784314fbb56b6898dd7d9ee3d8dd2b708ecd5a373c72bd7b9f8648d77b9ed575",
         "de376585c0b48fa53d93960ac2ad4ed7886068e483f6584eef82c948e02f95cf",
         "f237f2d4f854312d24445c87379e8df0a9b70241c4e117021fc6615e929200bc"),
-    ("bw-bound", "stec-iot", "literal"): (
-        "cf0437a9cf2d0fdcd8035b9b0eb5c8f4639f027f68e4a11f1146c732461797cb",
-        "d7947111134c6f7d83b30e21b2132077f6e09ecbdc54bf25b7e6c83f3b7f49b8",
-        "89d19848d6c2383300ae0ac43e71fb5036217848cb84473292de43fcece24f3d"),
-    ("bw-bound", "greedy", "hop"): (
+    ("bw-bound", "greedy"): (
         "37c09c73726b34d017f00a4c687118346c1ac31d76daeba30b274f98ef6ef4d0",
         "4970e3a9d5fe3283a4f98e76c21775e650f7cfc8980d84a2ff8edb735735f1bb",
         "0eb28ed9e2e3c7623e8ff9cb0173cd9a5664a968fc489be7230b389de12feb97"),
-    ("bw-bound", "greedy", "literal"): (
-        "2db383d4db635be7768f3489d87fa9da37e9bed033d773724764e13ad9c05338",
-        "94802c6946557f51b7eda4518ff9474ef4d41a2b55c4e33c4752acdc66a40eb1",
-        "8e6b7c3c058ef1cecf8b6244812c6bc64c208449e6c7ed5b2a9bcb7604ac6268"),
-    ("bw-bound", "random", "hop"): (
+    ("bw-bound", "random"): (
         "dd73e509b959bf6ac6871b5a8d42bcb4fc5a60ce728b0b583f6b9f9a6f556f8c",
         "e67bb6bd3c53774245f0eaa07b1df43e70a3c95cd717c41fefa4fbc727032e0f",
         "a927e8aafb477bfaa068a6e606415eda044dfa627f1eeec17e08580ca2fae3e4"),
-    ("bw-bound", "random", "literal"): (
-        "a547f218948d33dbbef84df238da56590a1fa230e20c0458dd58178d817c1e1f",
-        "09af0131e427ac59f280d0c1b40d890427f9d554b43697affeab4fcf7ce62826",
-        "4eacb8a4b0bb0879c88e01d2fdb252f667a7b88c63ece94b89b2570c240a17ae"),
 }
 
 
@@ -102,16 +77,16 @@ def instances(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("regime,strategy,mode", sorted(GOLDEN))
-def test_outputs_match_pinned_digests(tmp_path, instances, regime, strategy, mode):
+@pytest.mark.parametrize("regime,strategy", sorted(GOLDEN))
+def test_outputs_match_pinned_digests(tmp_path, instances, regime, strategy):
     gen = instances[regime]
     out = tmp_path / "run"
     assert main(["run", "--substrate", str(gen / "substrate.json"),
                  "--workload", str(gen / "workload.jsonl"),
-                 "--strategy", strategy, "--cost-mode", mode, "--out", str(out)]) == 0
+                 "--strategy", strategy, "--out", str(out)]) == 0
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in OUTPUTS)
-    assert digests == GOLDEN[(regime, strategy, mode)]
+    assert digests == GOLDEN[(regime, strategy)]
 
 
 # SHA-256 of (trace.jsonl, windows.csv, cumulative.csv) of `stec-iot` on the

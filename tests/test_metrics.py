@@ -50,25 +50,16 @@ class TestCost:
         vnr = make_vnr([(0, 12, 0, 4, (0,)), (1, 8, 0, 4, (0,))], [(0, 1, 10)])
         return Embedding(vnr, {0: path[0], 1: path[-1]}, {(0, 1): path})
 
-    def test_one_hop_modes_agree(self):
-        emb = self._embedding((0, 1))
-        assert cost(emb, "literal") == 30.0
-        assert cost(emb, "hop") == 30.0
+    def test_one_hop_link_costs_its_demand_once(self):
+        assert cost(self._embedding((0, 1))) == 30.0
 
-    def test_three_hop_modes_differ(self):
-        emb = self._embedding((0, 1, 2, 3))
-        assert cost(emb, "literal") == 30.0
-        assert cost(emb, "hop") == 50.0
+    def test_three_hop_link_costs_its_demand_per_hop(self):
+        assert cost(self._embedding((0, 1, 2, 3))) == 50.0
 
     def test_zero_link_vnr(self):
         vnr = make_vnr([(0, 25, 0, 4, (0,))], [])
         emb = Embedding(vnr, {0: 0}, {})
-        assert cost(emb, "literal") == 25.0
-        assert cost(emb, "hop") == 25.0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            cost(self._embedding((0, 1)), "bogus")
+        assert cost(emb) == 25.0
 
 
 class _FakeTrace:
@@ -164,7 +155,7 @@ class TestWindowedSeries:
         records = [_accepted(t, 1 + k % 7, 1 + k % 3, 1 + k % 2) if k % 3 else
                    _FakeRecord(t, "rejected") for k, t in enumerate(sorted(times))]
         trace = _FakeTrace(horizon, records)
-        expected = windowed_metrics_brute(trace, width, "hop")
+        expected = windowed_metrics_brute(trace, width)
         rows = windowed_series(trace, width)
         assert [(r.window.t_start, r.window.t_end, r.window.arrived, r.window.accepted,
                  r.acceptance, r.avg_revenue, r.avg_cost, r.rc_ratio) for r in rows] == expected
@@ -207,23 +198,22 @@ class TestOracleEquivalence:
         net = generate_substrate(cfg)
         vnrs = generate_vnr_stream(cfg, horizon=800)
         trace = run(net, vnrs, make_strategy(strategy_name, seed=6), 800)
-        for mode in ("hop", "literal"):
-            rows = windowed_series(trace, 100.0, mode)
-            expected = windowed_metrics_brute(trace, 100.0, mode)
-            assert len(rows) == len(expected)
-            for row, exp in zip(rows, expected):
-                assert (row.window.t_start, row.window.t_end) == exp[:2]
-                assert (row.window.arrived, row.window.accepted) == exp[2:4]
-                assert row.acceptance == exp[4]
-                assert row.avg_revenue == exp[5]
-                assert row.avg_cost == exp[6]
-                assert row.rc_ratio == exp[7]
+        rows = windowed_series(trace, 100.0)
+        expected = windowed_metrics_brute(trace, 100.0)
+        assert len(rows) == len(expected)
+        for row, exp in zip(rows, expected):
+            assert (row.window.t_start, row.window.t_end) == exp[:2]
+            assert (row.window.arrived, row.window.accepted) == exp[2:4]
+            assert row.acceptance == exp[4]
+            assert row.avg_revenue == exp[5]
+            assert row.avg_cost == exp[6]
+            assert row.rc_ratio == exp[7]
 
     def test_rc_ratio_bounded_by_one_under_default_weights(self):
         cfg = GeneratorConfig(seed=8, node_count=24, domain_count=2, cd_size_range=(1, 2))
         net = generate_substrate(cfg)
         vnrs = generate_vnr_stream(cfg, horizon=600)
         trace = run(net, vnrs, make_strategy("greedy"), 600)
-        for row in windowed_series(trace, 100.0, "hop"):
+        for row in windowed_series(trace, 100.0):
             if row.rc_ratio is not None:
                 assert row.rc_ratio <= 1.0

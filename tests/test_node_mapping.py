@@ -105,18 +105,6 @@ class TestSubstratePriority:
             best = min(cands, key=lambda sid: (-scores[sid], sid))
             assert best == 1  # highest surplus wins at every scale
 
-    def test_literal_hop_mode_prefers_distance(self):
-        # with invert_hop=False the raw boundary distance scores positively,
-        # so the far node wins the tie instead of the near one
-        net = make_substrate(
-            node_specs=[(0, 0, 50, 2, 0), (1, 0, 50, 2, 0), (2, 0, 50, 2, 0),
-                        (3, 1, 50, 2, 0)],
-            link_specs=[(0, 1, 10), (1, 2, 10), (0, 3, 10)],
-        )
-        v = vn(0, 10, 1, 4, (0,))
-        scores = candidate_scores(v, [0, 2], net, invert_hop=False)
-        assert scores[2] - scores[0] == pytest.approx(THETA)
-
 
 class TestMapNodes:
     def test_single_node_forced_choice(self):

@@ -212,7 +212,7 @@ def test_embed_calls_the_function_bound_when_it_runs(toy_net, monkeypatch, name,
     """A strategy looks its library function up in `secvne.simulation` at each
     call, so a function patched there after `make_strategy` (as the traced
     benchmark does) is the one that runs, with the per-request seed."""
-    strategy = make_strategy(name, seed=5, invert_hop=False)
+    strategy = make_strategy(name, seed=5)
     assert strategy.name == name
     calls = []
     placed = object()
@@ -226,8 +226,8 @@ def test_embed_calls_the_function_bound_when_it_runs(toy_net, monkeypatch, name,
     assert strategy.embed(vnr, toy_net) is placed
     assert len(calls) == 1 and calls[0][:2] == (vnr, toy_net)
     if name == "stec-iot":
+        assert len(calls[0]) == 3
         assert calls[0][2].seed == derive_seed(5, SWARM_STREAM, 3)
-        assert calls[0][3] is False
     elif name == "random":
         assert calls[0][2] == derive_seed(5, RANDOM_BASELINE_STREAM, 3)
     else:
