@@ -10,6 +10,9 @@ Two more cases run `stec-iot` on the default 120-node `GeneratorConfig`
 so that the swarm's evaluation path is pinned at the paper's scale in both
 regimes.  Only the second makes routes fail over to the breadth-first
 search at that scale.
+
+`compare`'s five tables are pinned on the same 12-node config, in both of its
+modes: an instance generated per seed, and one fixed instance for all seeds.
 """
 
 import hashlib
@@ -125,3 +128,45 @@ def test_paper_scale_stec_iot_matches_pinned_digests(tmp_path):
 def test_paper_scale_bw_bound_stec_iot_matches_pinned_digests(tmp_path):
     config = {"seed": 0, "substrate_bw_range": [20, 60]}
     assert paper_scale_digests(tmp_path, config) == PAPER_SCALE_BW_BOUND_GOLDEN
+
+
+COMPARE_OUTPUTS = ("acceptance.csv", "avg_revenue.csv", "avg_cost.csv", "rc_ratio.csv",
+                   "summary.csv")
+COMPARE_ARGS = ["--strategies", "stec-iot,greedy,random", "--seeds", "1,2",
+                "--horizon", "1200", "--window", "200"]
+
+# mode -> SHA-256 of `compare`'s tables (COMPARE_OUTPUTS) for all three
+# strategies, seeds 1 and 2, horizon 1200, window 200 on the default regime:
+# "config" generates an instance per seed from BASE_CONFIG, "fixed" runs every
+# seed on the instance generated above (--substrate/--workload).
+COMPARE_GOLDEN = {
+    "config": (
+        "44ec0db9da0942173723e05066656842f1252667c86ccb6971eb013d5c0e6809",
+        "583dce3f407edb410b1f256184e57df0bb7189ec21ea678d7f8005f0632ec54c",
+        "50c328ca1abfb616a12b6e84b1b08d011be9f998801632fc90da1d7fcc42e741",
+        "e331c53206c0696bdc03641557683f09b9184d80095190ba8f5a418c69f5e6d1",
+        "c92b51d494fa77b1b3ec2bb1148640d15cb29bf69d4beea6c3678f812e3be299"),
+    "fixed": (
+        "42d878a77a79a8a2b9383c52c7f905e8a7c81705eee93b4ba1faa41c917ef7d1",
+        "b9dd090efe067f15902a4000da144ba1c8ad4294e05c1bfbc83c9f1085b7833d",
+        "2468dbe450e19b1361f60b95a626e4317e00d022173cf76ed6ba036180b1be56",
+        "549f31aee7a75c1911ecbcadc91254e6b90b5ab214f96385becf8aa0c7300ea1",
+        "387996c6d1fe26b2c805b3f6c697189928b68ddceafad92138d50ed6c2d1ac54"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(COMPARE_GOLDEN))
+def test_compare_tables_match_pinned_digests(tmp_path, instances, mode):
+    if mode == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        source = ["--config", str(config)]
+    else:
+        gen = instances["default"]
+        source = ["--substrate", str(gen / "substrate.json"),
+                  "--workload", str(gen / "workload.jsonl")]
+    out = tmp_path / "compare"
+    assert main(["compare", *source, *COMPARE_ARGS, "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in COMPARE_OUTPUTS)
+    assert digests == COMPARE_GOLDEN[mode]
