@@ -8,30 +8,23 @@ The same comparison at full scale is available from the command line:
 
 import statistics
 
-from secvne import (
-    GeneratorConfig,
-    generate_substrate,
-    generate_vnr_stream,
-    make_strategy,
-    run,
-    steady_state_means,
-    windowed_series,
-)
+from secvne import GeneratorConfig, compare, generate_substrate, generate_vnr_stream
 
 HORIZON, WARMUP, WINDOW = 3000.0, 1000.0, 300.0
 SEEDS = (0, 1, 2)
 
-results = {}
-for seed in SEEDS:
+
+def instance_of(seed):
     cfg = GeneratorConfig(seed=seed, node_count=48, domain_count=2,
                           cd_size_range=(1, 2), vnr_arrival_rate=0.08,
                           vnr_mean_lifetime=400.0)
-    net = generate_substrate(cfg)
-    vnrs = generate_vnr_stream(cfg, HORIZON)
-    for name in ("stec-iot", "greedy", "random"):
-        trace = run(net.copy(), vnrs, make_strategy(name, seed=seed), HORIZON)
-        means = steady_state_means(windowed_series(trace, WINDOW), WARMUP)
-        results.setdefault(name, []).append(means)
+    return generate_substrate(cfg), generate_vnr_stream(cfg, HORIZON)
+
+
+results = {}
+for name, _, _, means in compare(instance_of, ("stec-iot", "greedy", "random"), SEEDS,
+                                 HORIZON, WINDOW, WARMUP):
+    results.setdefault(name, []).append(means)
 
 print(f"steady-state means over seeds {SEEDS} "
       f"(horizon {HORIZON:.0f}, warmup {WARMUP:.0f}):\n")

@@ -69,6 +69,7 @@ from .simulation import (
     SimulationTrace,
     Strategy,
     audit_residuals,
+    compare,
     make_strategy,
     run,
 )

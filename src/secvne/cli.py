@@ -18,7 +18,7 @@ from . import fileio, metrics
 from .errors import InternalConsistencyError, InvalidConfig, SecVneError
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from .seeding import check_seed
-from .simulation import STRATEGY_NAMES, make_strategy, run
+from .simulation import STRATEGY_NAMES, compare, make_strategy, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--window", type=float, default=500.0,
                       help="metric window width in time units")
     runp.add_argument("--horizon", type=float,
-                      help="override the horizon stored in the workload file")
+                      help="simulation horizon, at most the one stored in the "
+                           "workload file (default: that one)")
     runp.add_argument("--out", required=True, help="output directory")
 
     cmp_ = sub.add_parser("compare", help="mean/stddev metric tables over strategies x seeds")
@@ -68,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     cmp_.add_argument("--horizon", type=float,
                       help="simulation horizon (default 6000, or the workload "
-                           "file's horizon in fixed-instance mode)")
+                           "file's horizon, which it may not exceed, in "
+                           "fixed-instance mode)")
     cmp_.add_argument("--window", type=float, default=500.0)
     cmp_.add_argument("--warmup-frac", type=float, default=0.2,
                       help="fraction of the horizon discarded as warmup")
@@ -128,11 +130,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_instance(substrate_path, workload_path):
+def _load_instance(substrate_path, workload_path, horizon):
     """Load a substrate and a workload; every candidate domain the workload
-    names must be a domain of the substrate."""
+    names must be a domain of the substrate.  Return them with the horizon to
+    simulate: `horizon`, or the workload file's when it is None.  A horizon
+    past the file's is rejected, since the file holds no arrivals after its
+    own horizon and the windows there would be empty."""
     net = fileio.load_substrate(substrate_path)
-    vnrs, horizon = fileio.load_workload(workload_path)
+    vnrs, file_horizon = fileio.load_workload(workload_path)
+    if horizon is None:
+        horizon = file_horizon
+    elif horizon > file_horizon:
+        raise InvalidConfig(f"--horizon {horizon} is past the horizon {file_horizon} of "
+                            f"the workload file {workload_path}")
     domains = {n.domain for n in net.nodes.values()}
     for vnr in vnrs:
         for vid in sorted(vnr.nodes):
@@ -146,9 +156,7 @@ def _load_instance(substrate_path, workload_path):
 
 def cmd_run(args) -> int:
     check_seed(args.seed, "--seed")
-    net, vnrs, horizon = _load_instance(args.substrate, args.workload)
-    if args.horizon is not None:
-        horizon = args.horizon
+    net, vnrs, horizon = _load_instance(args.substrate, args.workload, args.horizon)
     _check_window_count(horizon, args.window)
     strategy = make_strategy(args.strategy, seed=args.seed)
     trace = run(net, vnrs, strategy, horizon)
@@ -189,43 +197,33 @@ def cmd_compare(args) -> int:
     if not strategies or not seeds:
         raise InvalidConfig("need at least one strategy and one seed")
 
-    fixed = None
     if args.substrate or args.workload:
         if args.config:
             raise InvalidConfig("--config and --substrate/--workload are alternatives; "
                                 "give one of them")
         if not (args.substrate and args.workload):
             raise InvalidConfig("--substrate and --workload must be given together")
-        fixed = _load_instance(args.substrate, args.workload)
-    base_cfg = None
-    if fixed is None:
-        base_cfg = _load_or_default_config(args.config)
+        net, vnrs, horizon = _load_instance(args.substrate, args.workload, args.horizon)
 
-    if args.horizon is not None:
-        horizon = args.horizon
-    elif fixed is not None:
-        horizon = fixed[2]
+        def instance_of(seed):
+            return net, vnrs
     else:
-        horizon = 6000.0
+        base_cfg = _load_or_default_config(args.config)
+        horizon = 6000.0 if args.horizon is None else args.horizon
+
+        def instance_of(seed):
+            cfg = replace(base_cfg, seed=seed)
+            return generate_substrate(cfg), generate_vnr_stream(cfg, horizon)
+
     _check_window_count(horizon, args.window)
     warmup_t = args.warmup_frac * horizon
     _check_steady_state(horizon, args.window, warmup_t)
     results: dict[str, dict[str, list[float | None]]] = {
         s: {m: [] for m in METRIC_NAMES} for s in strategies}
-    for seed in seeds:
-        if fixed is None:
-            cfg = replace(base_cfg, seed=seed)
-            base_net = generate_substrate(cfg)
-            vnrs = generate_vnr_stream(cfg, horizon)
-        else:
-            base_net, vnrs = fixed[0], fixed[1]
-        for name in strategies:
-            strategy = make_strategy(name, seed=seed)
-            trace = run(base_net.copy(), vnrs, strategy, horizon)
-            rows = metrics.windowed_series(trace, args.window)
-            means = metrics.steady_state_means(rows, warmup_t)
-            for m in METRIC_NAMES:
-                results[name][m].append(means[m])
+    for name, _, _, means in compare(instance_of, strategies, seeds, horizon, args.window,
+                                     warmup_t):
+        for m in METRIC_NAMES:
+            results[name][m].append(means[m])
 
     out = Path(args.out)
     seed_cols = ",".join(f"seed_{s}" for s in seeds)

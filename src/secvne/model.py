@@ -252,9 +252,6 @@ class SubstrateNetwork:
         self.hop_levels: dict[int, list[int]] = {}
         self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def link(self, u: int, v: int) -> SubstrateLink:
-        return self.links[link_key(u, v)]
-
     def domain_nodes(self, domain: int) -> list[int]:
         return [nid for nid in self.node_ids if self.nodes[nid].domain == domain]
 
@@ -267,7 +264,7 @@ class SubstrateNetwork:
         return out
 
     def state_signature(self) -> tuple:
-        """Hashable snapshot of all residuals, used by audits and tests."""
+        """Hashable snapshot of all residuals, used by tests."""
         nodes = tuple((nid, self.nodes[nid].cpu_residual) for nid in self.node_ids)
         links = tuple((k, self.links[k].bw_residual) for k in sorted(self.links))
         return (nodes, links)

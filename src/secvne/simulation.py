@@ -15,16 +15,20 @@ finds means the fast path and the re-checker disagree, which aborts the run
 as an internal error.  The audit recomputes all residuals from the
 active-embedding set every ``AUDIT_EVERY`` events and once at the end, and
 likewise aborts on drift.
+
+``compare`` is the steady-state experiment: every strategy, seeded with each
+seed, on a fresh copy of that seed's instance.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .baselines import greedy_embed, random_embed
 from .errors import EmbeddingInfeasible, InternalConsistencyError
+from .metrics import steady_state_means, windowed_series
 from .model import (
     Embedding,
     SubstrateNetwork,
@@ -34,7 +38,7 @@ from .model import (
     release,
 )
 from .pso import PsoConfig, optimize
-from .seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
+from .seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, check_seed, derive_seed
 from .validation import validate_embedding
 
 STRATEGY_NAMES = ("stec-iot", "greedy", "random")
@@ -81,7 +85,10 @@ def make_strategy(name: str, seed: int = 0) -> Strategy:
 
     ``embed`` looks ``optimize``, ``greedy_embed`` or ``random_embed`` up in
     this module at each call, so rebinding one reaches strategies built before.
+    A seed outside [0, 2**64) raises InvalidConfig: ``derive_seed`` would map
+    it onto the stream of a seed inside.
     """
+    check_seed(seed, "strategy seed")
     if name == "stec-iot":
         def embed(vnr, net):
             cfg = PsoConfig(seed=derive_seed(seed, SWARM_STREAM, vnr.id))
@@ -146,6 +153,27 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy,
             audit_residuals(net)
     audit_residuals(net)
     return trace
+
+
+def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNetworkRequest]]],
+            strategies: Sequence[str], seeds: Sequence[int], horizon: float,
+            window: float, warmup: float,
+            ) -> Iterator[tuple[str, int, SimulationTrace, dict[str, float | None]]]:
+    """Yield ``(name, seed, trace, means)`` for each seed in order and, within
+    it, each strategy in order.
+
+    ``instance_of(seed)`` gives the seed's ``(net, vnrs)``, once per seed.
+    Strategy `name` is built with `seed` and runs to `horizon` on a fresh copy
+    of ``net``.  ``means`` are the steady-state means of its `window`-wide
+    windows that start at or after `warmup`.  Runs happen as the caller
+    iterates, so a caller that drops each trace keeps none.
+    """
+    for seed in seeds:
+        net, vnrs = instance_of(seed)
+        for name in strategies:
+            trace = run(net.copy(), vnrs, make_strategy(name, seed=seed), horizon)
+            means = steady_state_means(windowed_series(trace, window), warmup)
+            yield name, seed, trace, means
 
 
 def audit_residuals(net: SubstrateNetwork) -> None:

@@ -21,10 +21,10 @@ import pytest
 
 from secvne import simulation
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.metrics import cumulative_series, steady_state_means, windowed_series
+from secvne.metrics import cumulative_series, windowed_series
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import PsoConfig, injective_assignment, swarm_search
-from secvne.simulation import make_strategy, run
+from secvne.simulation import compare, make_strategy, run
 
 from oracles import best_fitness_brute, windowed_metrics_brute
 
@@ -42,20 +42,14 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="session")
 def battery():
-    """Five seeded default instances, each run under all three strategies."""
-    out = {}
-    for seed in SEEDS:
+    """Five seeded default instances, each run under all three strategies:
+    (strategy, seed) -> (trace, steady-state means)."""
+    def instance_of(seed):
         cfg = GeneratorConfig(seed=seed)
-        net = generate_substrate(cfg)
-        vnrs = generate_vnr_stream(cfg, HORIZON)
-        for name in STRATEGIES:
-            trace = run(net.copy(), vnrs, make_strategy(name, seed=seed), HORIZON)
-            out[(name, seed)] = trace
-    return out
+        return generate_substrate(cfg), generate_vnr_stream(cfg, HORIZON)
 
-
-def steady(trace):
-    return steady_state_means(windowed_series(trace, WINDOW), WARMUP)
+    return {(name, seed): (trace, means) for name, seed, trace, means
+            in compare(instance_of, STRATEGIES, SEEDS, HORIZON, WINDOW, WARMUP)}
 
 
 def test_criterion_1_constraint_soundness(monkeypatch):
@@ -162,7 +156,7 @@ def test_criterion_3_pso_matches_brute_force():
 def test_criterion_4_metric_oracle_equivalence(battery):
     """Streaming windowed metrics equal an independent from-trace recompute."""
     checked = 0
-    for (name, seed), trace in battery.items():
+    for trace, _ in battery.values():
         rows = windowed_series(trace, WINDOW)
         expected = windowed_metrics_brute(trace, WINDOW)
         assert len(rows) == len(expected)
@@ -178,9 +172,9 @@ def test_criterion_4_metric_oracle_equivalence(battery):
 def test_criterion_5_acceptance_ordering(battery):
     """Steady-state acceptance: swarm strategy >= greedy on >= 4 of 5 seeds,
     with the conditional floor (greedy > 0.45 implies stec-iot > 0.6)."""
-    stec = [steady(battery[("stec-iot", s)])["acceptance"] for s in SEEDS]
-    greedy = [steady(battery[("greedy", s)])["acceptance"] for s in SEEDS]
-    rand = [steady(battery[("random", s)])["acceptance"] for s in SEEDS]
+    stec = [battery[("stec-iot", s)][1]["acceptance"] for s in SEEDS]
+    greedy = [battery[("greedy", s)][1]["acceptance"] for s in SEEDS]
+    rand = [battery[("random", s)][1]["acceptance"] for s in SEEDS]
     g_mean = statistics.fmean(greedy)
     s_mean = statistics.fmean(stec)
     premise = 0.4 <= g_mean <= 0.7
@@ -199,8 +193,8 @@ def test_criterion_5_acceptance_ordering(battery):
 
 def test_criterion_6_rc_ratio_gap(battery):
     """Steady-state revenue/cost: swarm strategy over greedy by >= 0.1."""
-    stec = statistics.fmean(steady(battery[("stec-iot", s)])["rc_ratio"] for s in SEEDS)
-    greedy = statistics.fmean(steady(battery[("greedy", s)])["rc_ratio"] for s in SEEDS)
+    stec = statistics.fmean(battery[("stec-iot", s)][1]["rc_ratio"] for s in SEEDS)
+    greedy = statistics.fmean(battery[("greedy", s)][1]["rc_ratio"] for s in SEEDS)
     gap = stec - greedy
     detail = f"stec {stec:.3f} vs greedy {greedy:.3f}, gap {gap:+.3f} (need >= +0.1)"
     ok = gap >= 0.1
@@ -212,15 +206,15 @@ def test_cost_ratio_ordering_without_margin(battery):
     """The direction of the revenue/cost comparison (swarm over greedy) holds
     on every seed even though the 0.1-margin criterion does not."""
     for seed in SEEDS:
-        stec = steady(battery[("stec-iot", seed)])["rc_ratio"]
-        greedy = steady(battery[("greedy", seed)])["rc_ratio"]
+        stec = battery[("stec-iot", seed)][1]["rc_ratio"]
+        greedy = battery[("greedy", seed)][1]["rc_ratio"]
         assert stec > greedy
 
 
 def test_criterion_7_monotone_cumulative_series(battery):
     """Cumulative revenue and cost never decrease, for every strategy and seed."""
     ok = True
-    for (name, seed), trace in battery.items():
+    for trace, _ in battery.values():
         rows = cumulative_series(trace, WINDOW)
         revs = [r.revenue for r in rows]
         costs = [r.cost for r in rows]

@@ -458,6 +458,21 @@ def test_window_count_above_the_cap_is_infeasible(tmp_path, generated, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_horizon_past_the_workload_file_is_infeasible(tmp_path, generated, capsys, command):
+    # The workload was generated to horizon 1200; after it every window is empty.
+    flags = (["--strategy", "greedy"] if command == "run"
+             else ["--strategies", "greedy", "--seeds", "1"])
+    code = main([command, "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"), *flags,
+                 "--horizon", "6000", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--horizon 6000.0 is past the horizon 1200.0 of the workload file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--warmup-frac", "1.5"], ["--warmup-frac", "nan"], ["--warmup-frac", "-0.1"],
     ["--warmup-frac", "1"], ["--horizon", "nan"],

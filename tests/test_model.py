@@ -9,8 +9,12 @@ from secvne.model import (
     SubstrateLink,
     SubstrateNetwork,
     SubstrateNode,
+    VirtualLink,
+    VirtualNetworkRequest,
+    VirtualNode,
     allocate,
     compute_boundary_hops,
+    link_key,
     release,
 )
 from secvne.validation import validate_embedding
@@ -38,7 +42,7 @@ def test_allocate_debits_cpu_and_bandwidth(simple_case):
     allocate(net, emb)
     assert net.nodes[0].cpu_residual == 80
     assert net.nodes[1].cpu_residual == 50
-    assert net.link(0, 1).bw_residual == 995
+    assert net.links[link_key(0, 1)].bw_residual == 995
 
 
 def test_allocate_release_roundtrip_is_identity(simple_case):
@@ -63,6 +67,21 @@ def test_allocate_insufficient_cpu_raises(toy_net):
     with pytest.raises(InsufficientResources):
         allocate(toy_net, emb)
     assert toy_net.nodes[0].cpu_residual == 100
+
+
+def test_allocate_overdrawn_link_raises_and_debits_nothing(toy_net):
+    vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 1001)])
+    emb = embed_on_toy(toy_net, vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)})
+    before = toy_net.state_signature()
+    with pytest.raises(InsufficientResources, match=r"link \(0, 1\)"):
+        allocate(toy_net, emb)
+    assert toy_net.state_signature() == before
+
+
+def test_request_link_to_a_missing_lower_endpoint_raises():
+    with pytest.raises(ValueError, match=r"virtual link \(0, 1\) names a node missing"):
+        VirtualNetworkRequest(0, [VirtualNode(1, 5, 0, 4, frozenset({0}))],
+                              [VirtualLink(0, 1, 2)], 0.0, 100.0)
 
 
 def test_release_order_independence(toy_net):
@@ -185,6 +204,12 @@ class TestValidator:
     def test_feasible_embedding_has_no_violations(self, simple_case):
         net, vnr, emb = simple_case
         assert validate_embedding(net, vnr, emb) == []
+
+    def test_missing_link_message_names_the_hop(self, toy_net):
+        vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 2)])
+        emb = Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 4, 1)})
+        assert [str(v) for v in validate_embedding(toy_net, vnr, emb)] == [
+            "[single-path] virtual link (0, 1): path (0, 4, 1) uses missing link (0, 4)"]
 
     def test_two_virtual_nodes_on_one_substrate_node(self, toy_net):
         vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 2)])

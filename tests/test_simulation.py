@@ -5,12 +5,13 @@ import json
 import pytest
 
 from secvne import simulation
-from secvne.errors import EmbeddingInfeasible, InternalConsistencyError
+from secvne.errors import EmbeddingInfeasible, InternalConsistencyError, InvalidConfig
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from secvne.metrics import steady_state_means, windowed_series
 from secvne.model import Embedding
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
-from secvne.simulation import Strategy, audit_residuals, make_strategy, run
+from secvne.simulation import Strategy, audit_residuals, compare, make_strategy, run
 
 from conftest import make_vnr
 
@@ -204,6 +205,27 @@ def test_trace_export_fields(tmp_path):
 def test_unknown_strategy_name_rejected():
     with pytest.raises(ValueError):
         make_strategy("simulated-annealing")
+
+
+@pytest.mark.parametrize("name", ["greedy", "random"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_strategy_seed_outside_64_bits_is_rejected(name, seed):
+    # normalize_seed masks to 64 bits, so -1 would run seed 2**64 - 1's stream.
+    with pytest.raises(InvalidConfig, match=r"must lie in \[0, 2\*\*64\)"):
+        make_strategy(name, seed=seed)
+
+
+def test_compare_runs_each_seeded_strategy_on_each_seeds_instance_in_order():
+    instances = {seed: mini_instance(seed, horizon=300.0) for seed in (4, 2)}
+    runs = list(compare(instances.__getitem__, ("random", "greedy"), (4, 2), 300.0, 100.0,
+                        100.0))
+    assert [(name, seed) for name, seed, _, _ in runs] == [
+        ("random", 4), ("greedy", 4), ("random", 2), ("greedy", 2)]
+    for name, seed, trace, means in runs:
+        fresh_net = mini_instance(seed, horizon=300.0)[0]
+        expected = run(fresh_net, instances[seed][1], make_strategy(name, seed=seed), 300.0)
+        assert trace.records == expected.records
+        assert means == steady_state_means(windowed_series(expected, 100.0), 100.0)
 
 
 @pytest.mark.parametrize("name, target", [
