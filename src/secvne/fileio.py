@@ -19,8 +19,9 @@ Every id, capacity, demand, security level and domain in the substrate and
 workload files is read through ``read_int``: a JSON integer, never a
 boolean, a fraction or a string, and non-negative (``domain_count`` at
 least 1), and every time through ``read_number``: a finite JSON number,
-never a boolean or a string.  A substrate's domains are each connected and
-each hold a boundary node, both checked by ``model.compute_boundary_hops``.
+never a boolean or a string.  Every domain a substrate declares holds a
+node, is connected and holds a boundary node, all checked by
+``model.compute_boundary_hops``.
 A workload's horizon is positive, its header's ``vnr_count`` is the number
 of request lines, its request ids are distinct, each request has a virtual
 node and each node a candidate domain.  A generator config names only

@@ -12,10 +12,11 @@ bitmasks: bit i stands for the node of bit rank i, the i-th smallest node id
 (``SubstrateNetwork.rank``), and a search reads one neighbour mask per node,
 indexed by rank.  The topology's only adjacency is
 ``SubstrateNetwork.adj_masks``, built from the links.
-``compute_boundary_hops`` masks it down to one domain, in one pass per
-domain that checks the domain is connected and has a boundary node and then
-measures the boundary distances; ``secvne.routing`` masks it down to the
-links with enough residual.
+``compute_boundary_hops`` checks that every declared domain holds a node,
+then masks it down to one domain, in one pass per domain that checks the
+domain is connected and has a boundary node and then measures the boundary
+distances; ``secvne.routing`` masks it down to the links with enough
+residual.
 """
 
 from __future__ import annotations
@@ -289,9 +290,17 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
 
     Inter-domain links define boundary membership but are never traversed:
     every search runs over masks restricted to the domain it starts in.
-    Raises NoBoundaryNode when a domain has no inter-domain attachment, and
-    ValueError when the graph restricted to some domain is not connected.
+    Raises NoBoundaryNode when a domain holds no node or has no inter-domain
+    attachment, and ValueError when the graph restricted to some domain is
+    not connected.  An empty domain is found before any per-domain state is
+    allocated, so a huge ``domain_count`` fails at once.
     """
+    present = {n.domain for n in net.nodes.values()}
+    if len(present) < net.domain_count:
+        # SubstrateNetwork keeps every domain in [0, domain_count), so some
+        # domain up to len(present) is missing.
+        empty = min(set(range(len(present) + 1)) - present)
+        raise NoBoundaryNode(f"domain {empty} has no node")
     rank = net.rank
     boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
     members = [0] * net.domain_count
@@ -301,8 +310,6 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
              for nid, mask in zip(net.node_ids, net.adj_masks)]
     hops: dict[int, int] = {}
     for d, mask in enumerate(members):
-        if not mask:
-            continue
         if not mask & boundary:
             raise NoBoundaryNode(f"domain {d} has no boundary node")
         if sum(bfs_levels(mask & -mask, intra)) != mask:

@@ -62,19 +62,42 @@ too.
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once: the virtual-node order, the candidate
 lists and their sets, ``cpu_total``, each virtual link as an (index of u,
-index of v, demand) triple in the request's routing order, the slack flag
-and, without slack, the labels, each link's label dict and the usable
-masks.  ``fitness`` indexes positions with the triples and builds the
-assignment dict only when it routes.  ``position_update`` re-draws a
-component from its candidate list as it stands when no kept or re-drawn
-node lies in the list's set, which leaves the same pool the filter would.
+index of v, demand) triple in the request's routing order, the slack flag,
+the cost bound and, without slack, the labels, each link's label dict and
+the usable masks.  ``fitness`` indexes positions with the triples and
+builds the assignment dict only when it routes.  ``position_update``
+re-draws a component from its candidate list as it stands when no kept or
+re-drawn node lies in the list's set, which leaves the same pool the filter
+would.
+
+Two exact shortcuts skip swarm work that cannot change the result.
+
+- Stop at a certified bound.  ``cost_bound`` is ``cpu_total`` plus, per
+  virtual link, its demand times the topology's hop count between the two
+  candidate sets (one multi-source ``bfs_levels``), at least 1; INFEASIBLE
+  when the topology joins no pair of them.  A link's hosts are distinct and
+  no routed path is shorter than the topology's, so no position costs less,
+  in either regime.  pbest and gbest move only on strict improvement, so
+  once gbest meets the bound nothing can move it: the search stops before
+  the next iteration and pads ``gbest_history`` with gbest.  Each search
+  draws from its own stream, so no other search sees the draws it skips.
+- Short-circuit a particle held on its pbest.  When ``r1 * c1 + 0.5 >= 1.0``
+  (entry 2 of ``velocity_table``, the same expression) and the position
+  equals pbest, every component agrees with pbest and so indexes entry 2,
+  3, 6 or 7.  Each of those sums adds non-negative terms to ``r1 * c1``,
+  and rounding is monotone, so every bit is 1: ``position_update`` would
+  keep the position, its fitness is pbest's, and gbest is at most every
+  pbest, so neither best moves.  The particle's velocity becomes all ones
+  and its update, evaluation and best checks are skipped.
 
 The search draws through a ``seeding.Draws`` stream, which gives the values
 numpy's ``Generator`` would for the same calls, so the draw order alone
 fixes the result: per particle, the initial position's draws (none for a
 particle seeded by the priority mapping), then one ``integers(2)`` per
 component for its velocity; per (iteration, particle), ``r1``, then ``r2``,
-then one ``integers`` per re-drawn component in ascending order.  Particles
+then one ``integers`` per re-drawn component in ascending order.  A
+short-circuited particle still draws ``r1`` and ``r2`` and re-draws nothing,
+and a search that stops at the bound draws nothing more.  Particles
 cannot be vectorised, since gbest moves between particles within an
 iteration.  The operators take any sampler with ``random()`` and
 ``integers(n)``, a numpy ``Generator`` included.
@@ -88,7 +111,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
-from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest
+from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest, bfs_levels
 from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, hop_distances, route_all_links, usable_subgraphs
 from .seeding import draws_from
@@ -274,6 +297,30 @@ class EvaluationPlan:
     labels: dict[int, dict[int, int]] | None
     link_labels: list[dict[int, int]] | None
     masks: dict[int, list[int]] | None
+    # No position costs less: the search stops once gbest meets it.
+    bound: float
+
+
+def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
+               candidate_lists: list[list[int]], net: SubstrateNetwork) -> float:
+    """A lower bound on the fitness of every position drawn from the
+    candidate lists: ``cpu_total`` plus, per virtual link, its demand times
+    the topology's hop count between the two candidate sets, at least 1;
+    INFEASIBLE when the topology joins no pair of them.
+
+    The hosts of a link are distinct and no routed path is shorter than the
+    topology's, so every position costs at least this much.
+    """
+    rank = net.rank
+    cand_masks = [sum(1 << rank[c] for c in cands) for cands in candidate_lists]
+    bound = cpu_total
+    for iu, iv, bw in links:
+        near = cand_masks[iv]
+        levels = bfs_levels(cand_masks[iu], net.adj_masks, near)
+        if not levels[-1] & near:
+            return INFEASIBLE
+        bound += bw * max(1, len(levels) - 1)
+    return float(bound)
 
 
 def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
@@ -296,7 +343,8 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         link_labels = [labels[bw] for _, _, bw in links]
     return EvaluationPlan(vnr, net, vnode_order, candidate_lists,
                           [set(c) for c in candidate_lists], vnr.cpu_total, links,
-                          bw_slack, labels, link_labels, masks)
+                          bw_slack, labels, link_labels, masks,
+                          cost_bound(links, vnr.cpu_total, candidate_lists, net))
 
 
 def fitness(position: list[int], plan: EvaluationPlan) -> float:
@@ -382,7 +430,10 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     """Run the swarm and return the best assignment found.
 
     Particle 0 is seeded from the deterministic priority mapping when that is
-    feasible; the rest start as uniform injective samples.  Raises
+    feasible; the rest start as uniform injective samples.  The search stops
+    before any iteration that finds gbest at the plan's bound, and skips the
+    update of a particle held on its pbest; both leave every result and
+    every draw that reaches one unchanged (module docstring).  Raises
     EmbeddingInfeasible when some virtual node has no candidate at all, no
     injective assignment exists, or the component labels prove that no
     position can be routed.
@@ -443,10 +494,17 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     history = [gbest_fitness]
 
     for it in range(PsoConfig.iterations):
+        if gbest_fitness <= plan.bound:
+            history.extend([gbest_fitness] * (PsoConfig.iterations - it))
+            break
         omega = _inertia(it)
         for p in particles:
             r1 = draws.random()
             r2 = draws.random()
+            if r1 * PsoConfig.c1 + 0.5 >= 1.0 and p.position == p.pbest_position:
+                # Every velocity bit is 1: the particle stays on its pbest.
+                p.velocity = [1] * len(p.position)
+                continue
             v_new = velocity_update(p, gbest_position, omega, r1, r2)
             x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
             f = evaluate(x_new)

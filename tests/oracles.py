@@ -2,9 +2,11 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 repeated BFS, per-window re-filtering.  None of it shares code with the
-implementation under test beyond the domain types.
+implementation under test beyond the domain types and the swarm's
+constants.
 """
 
+import math
 from collections import deque
 
 import numpy as np
@@ -14,6 +16,7 @@ from secvne.metrics import cost as metric_cost
 from secvne.metrics import revenue as metric_revenue
 from secvne.model import link_key
 from secvne.node_mapping import candidate_nodes, virtual_node_priority
+from secvne.pso import RANDOM_INJECTIVE_TRIES, Particle, PsoConfig
 from secvne.seeding import normalize_seed
 
 
@@ -33,6 +36,21 @@ def position_subtract(a, b):
     if len(a) != len(b):
         raise LengthMismatch(f"positions of length {len(a)} and {len(b)}")
     return [1 if x == y else 0 for x, y in zip(a, b)]
+
+
+def scalar_velocity_bit(omega, r1, r2, c1, c2, v, pb, gb):
+    """The update rule for one component, as the ``secvne.pso`` docstring
+    states it."""
+    s = omega * v + r1 * c1 * pb + r2 * c2 * gb
+    return 1 if math.floor(s + 0.5) >= 1 else 0
+
+
+def scalar_velocity_update(p, gbest, omega, r1, r2, c1, c2):
+    """A particle's new velocity, one component at a time by the scalar rule."""
+    pb = position_subtract(p.pbest_position, p.position)
+    gb = position_subtract(gbest, p.position)
+    return [scalar_velocity_bit(omega, r1, r2, c1, c2, p.velocity[k], pb[k], gb[k])
+            for k in range(len(p.position))]
 
 
 def is_connected(nodes, links):
@@ -315,3 +333,100 @@ def windowed_metrics_brute(trace, width):
         rows.append((t, end, len(arrivals), len(accepted), acc, avg_rev, avg_cst, rc))
         i += 1
     return rows
+
+
+def matching_brute(candidate_lists):
+    """The injective assignment Kuhn's augmenting paths find, trying virtual
+    nodes in order and each one's candidates in list order; None when there
+    is none."""
+    owner = {}
+
+    def augment(k, seen):
+        for c in candidate_lists[k]:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = k
+                    return True
+        return False
+
+    if not all(augment(k, set()) for k in range(len(candidate_lists))):
+        return None
+    return [next(c for c, k in owner.items() if k == i) for i in range(len(candidate_lists))]
+
+
+def random_injective_brute(candidate_lists, rng):
+    """Up to RANDOM_INJECTIVE_TRIES passes of uniform draws, each pick
+    excluding the earlier ones and a pass abandoned when a pool empties,
+    then the deterministic matching."""
+    for _ in range(RANDOM_INJECTIVE_TRIES):
+        out = []
+        for cands in candidate_lists:
+            pool = [c for c in cands if c not in out]
+            if not pool:
+                break
+            out.append(pool[rng.integers(len(pool))])
+        else:
+            return out
+    return matching_brute(candidate_lists)
+
+
+def swarm_reference(vnr, net, cfg):
+    """The swarm of ``secvne.pso`` written plainly, with numpy's own
+    ``Generator`` and the scalar velocity rule.  Every position is priced
+    by ``route_all_brute``: no fitness cache, cost bound, short-circuit or
+    label gate.
+
+    Returns (position, fitness, gbest history), positions in ascending
+    virtual-node id order, or None when some virtual node has no candidate
+    or the candidate sets admit no injective assignment.
+    """
+    order = sorted(vnr.nodes)
+    cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
+    if not all(cands) or matching_brute(cands) is None:
+        return None
+    rng = rng_from(cfg.seed)
+
+    def fitness(position):
+        routed = route_all_brute(vnr, dict(zip(order, position)), net)
+        return math.inf if routed is None else float(vnr.cpu_total + routed[1])
+
+    mapped = map_nodes_brute(vnr, net)
+    particles = []
+    for i in range(PsoConfig.particle_count):
+        if i == 0 and mapped is not None:
+            position = [mapped[vid] for vid in order]
+        else:
+            position = random_injective_brute(cands, rng)
+        velocity = [rng.integers(2) for _ in position]
+        particles.append(Particle(position, velocity, list(position), fitness(position)))
+    first = min(particles, key=lambda p: p.pbest_fitness)
+    gbest, gbest_fitness = list(first.pbest_position), first.pbest_fitness
+    history = [gbest_fitness]
+    span = PsoConfig.inertia_max - PsoConfig.inertia_min
+    for it in range(PsoConfig.iterations):
+        omega = PsoConfig.inertia_max - span * (it / (PsoConfig.iterations - 1))
+        for p in particles:
+            r1, r2 = rng.random(), rng.random()
+            velocity = scalar_velocity_update(p, gbest, omega, r1, r2,
+                                              PsoConfig.c1, PsoConfig.c2)
+            # Keep the components of velocity 1, re-draw the rest in order.
+            position = list(p.position)
+            used = {x for x, v in zip(position, velocity) if v == 1}
+            for k, v in enumerate(velocity):
+                if v == 1:
+                    continue
+                pool = [c for c in cands[k] if c not in used]
+                if not pool:
+                    position = random_injective_brute(cands, rng)
+                    break
+                position[k] = pool[rng.integers(len(pool))]
+                used.add(position[k])
+            p.position, p.velocity = position, velocity
+            f = fitness(position)
+            if f < p.pbest_fitness:
+                p.pbest_position, p.pbest_fitness = list(position), f
+            if p.pbest_fitness < gbest_fitness:
+                gbest, gbest_fitness = list(p.pbest_position), p.pbest_fitness
+        history.append(gbest_fitness)
+    return gbest, gbest_fitness, history

@@ -516,9 +516,12 @@ def _drop_inter_domain_links(doc):
      "substrate node 0 has domain 7, outside [0, 2)"),
     (lambda doc: doc.update(domain_count=0), "domain_count must be an integer >= 1, got 0"),
     (lambda doc: doc.update(SPLIT_DOMAIN_SUBSTRATE), "some domain is not connected"),
+    # Nodes sit in domains 0 and 1 only; a file may not declare more domains.
+    (lambda doc: doc.update(domain_count=4), "domain 2 has no node"),
+    (lambda doc: doc.update(domain_count=10**12), "domain 2 has no node"),
 ], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node", "string-ssl",
         "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains",
-        "split-domain"])
+        "split-domain", "empty-domain", "huge-domain-count"])
 def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
     doc = json.loads((generated / "substrate.json").read_text())
     edit(doc)

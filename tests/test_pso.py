@@ -13,6 +13,7 @@ from secvne.errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeas
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
+    INFEASIBLE,
     Particle,
     PsoConfig,
     evaluation_plan,
@@ -31,9 +32,10 @@ from secvne.routing import route_all_links, usable_subgraphs
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
-from conftest import contended_net, make_substrate, make_vnr
+from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (arc_consistency_empties_brute, best_fitness_brute, enumerate_assignments,
-                     labels_separate, position_subtract, route_all_brute)
+                     labels_separate, position_subtract, route_all_brute, scalar_velocity_bit,
+                     scalar_velocity_update, swarm_reference)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
 
@@ -42,19 +44,6 @@ GOLDEN_BW_CONFIG = GeneratorConfig(seed=11, node_count=12, domain_count=2,
                                    cd_size_range=(1, 2), vnr_node_range=(2, 4),
                                    vnr_arrival_rate=0.05, vnr_mean_lifetime=300.0,
                                    substrate_bw_range=(20, 60))
-
-
-def scalar_velocity_bit(omega, r1, r2, c1, c2, v, pb, gb):
-    """The update rule for one component, as the module docstring states it."""
-    s = omega * v + r1 * c1 * pb + r2 * c2 * gb
-    return 1 if math.floor(s + 0.5) >= 1 else 0
-
-
-def scalar_velocity_update(p, gbest, omega, r1, r2, c1, c2):
-    pb = position_subtract(p.pbest_position, p.position)
-    gb = position_subtract(gbest, p.position)
-    return [scalar_velocity_bit(omega, r1, r2, c1, c2, p.velocity[k], pb[k], gb[k])
-            for k in range(len(p.position))]
 
 
 def four_node_vnr():
@@ -684,3 +673,103 @@ class TestSwarm:
         result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=2))
         assert len(result.position) == len(toy_vnr.nodes)
         assert len(set(result.position)) == len(result.position)
+
+
+def small_requests():
+    """(substrate, request) pairs from 40 seeded substrates of 8 to 16
+    nodes, six requests each.  Every seed gives a fresh substrate, under
+    whose bandwidth most requests have slack, and one with narrow links
+    whose residuals are lowered at random, where bandwidth binds and the
+    label gate rejects some requests.  Requests with a virtual node that has
+    no candidate are kept."""
+    for seed in range(20):
+        for contended in (False, True):
+            narrow = {"substrate_bw_range": (20, 60), "vnr_bw_range": (5, 30)}
+            cfg = GeneratorConfig(seed=seed, node_count=8 + seed % 9, domain_count=2,
+                                  intra_link_rate=0.25, security_range=(0, 2),
+                                  vnr_node_range=(2, 4), cd_size_range=(1, 2),
+                                  **(narrow if contended else {}))
+            net = generate_substrate(cfg)
+            if contended:
+                rnd = random.Random(seed)
+                for link in net.links.values():
+                    link.bw_residual = rnd.randint(0, link.bw_capacity)
+            for vnr in generate_vnr_stream(cfg, horizon=400)[:6]:
+                yield net, vnr
+
+
+def has_bw_slack(vnr, net):
+    return vnr.bw_total <= min(l.bw_residual for l in net.links.values())
+
+
+class TestReferenceSwarm:
+    def test_search_matches_the_reference_swarm(self, monkeypatch):
+        """The search returns the plain swarm's position, fitness and whole
+        gbest history, and raises exactly when that swarm has no candidate,
+        no injective assignment or no routable position.  The set holds
+        searches stopped at the bound and skipped particle updates."""
+        # One _inertia call per iteration that runs, one velocity_update
+        # call per particle update that is not short-circuited.
+        iterations = count_calls(monkeypatch, pso, "_inertia")
+        updates = count_calls(monkeypatch, pso, "velocity_update")
+        seen = {"slack": 0, "binding": 0, "gate": 0, "no host": 0}
+        stopped = skipped = 0
+        for net, vnr in small_requests():
+            cfg = PsoConfig(seed=vnr.id)
+            expected = swarm_reference(vnr, net, cfg)
+            iterations.clear()
+            updates.clear()
+            try:
+                result = swarm_search(vnr, net, cfg)
+            except EmbeddingInfeasible:
+                assert expected is None or expected[1] == math.inf
+                seen["no host" if expected is None else "gate"] += 1
+                continue
+            assert (result.position, result.fitness, result.gbest_history) == expected
+            seen["slack" if has_bw_slack(vnr, net) else "binding"] += 1
+            stopped += len(iterations) < PsoConfig.iterations
+            skipped += PsoConfig.particle_count * len(iterations) - len(updates)
+        assert min(seen.values()) > 0, seen
+        assert stopped > 0 and skipped > 0
+
+
+class TestCostBound:
+    def test_bound_is_at_most_the_optimum(self):
+        """In both regimes no assignment costs less than the plan's bound,
+        and on some requests the optimum meets it."""
+        checked = {True: 0, False: 0}
+        met = 0
+        for net, vnr in small_requests():
+            cands = [candidate_nodes(vnr.nodes[vid], net) for vid in sorted(vnr.nodes)]
+            if not all(cands):
+                continue
+            bound = evaluation_plan(vnr, net, cands).bound
+            best = best_fitness_brute(vnr, net)
+            if best is None:
+                continue
+            assert bound <= best
+            checked[has_bw_slack(vnr, net)] += 1
+            met += bound == best
+        assert min(checked.values()) > 10 and met > 10
+
+    def test_link_free_request_is_bounded_by_its_cpu(self, toy_net):
+        vnr = make_vnr([(0, 7, 0, 4, (0, 1)), (1, 5, 0, 4, (0, 1))], [])
+        plan = evaluation_plan(vnr, toy_net, [[0, 1], [1, 2]])
+        assert plan.bound == vnr.cpu_total == 12
+
+    def test_bound_counts_hops_between_candidate_sets(self, toy_net):
+        """One hop at least, since a link's hosts are distinct, even when the
+        candidate sets meet; else the hop count between the sets."""
+        vnr = make_vnr([(0, 1, 0, 4, (0, 1)), (1, 1, 0, 4, (0, 1))], [(0, 1, 5)])
+        assert evaluation_plan(vnr, toy_net, [[0, 1], [1, 2]]).bound == 2 + 5 * 1
+        assert evaluation_plan(vnr, toy_net, [[0, 1], [4, 5]]).bound == 2 + 5 * 3
+        assert evaluation_plan(vnr, toy_net, [[0], [3]]).bound == 2 + 5 * 2
+
+    def test_candidate_sets_the_topology_does_not_join_are_infeasible(self):
+        net = scattered_net()
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (2,)), (2, 1, 0, 4, (1,))],
+                       [(0, 2, 5), (0, 1, 5)])
+        in_domain = [sorted(n for n in net.nodes if net.nodes[n].domain == d) for d in (0, 2, 1)]
+        assert evaluation_plan(vnr, net, in_domain).bound == INFEASIBLE
+        joined = make_vnr([(0, 1, 0, 4, (0,)), (2, 1, 0, 4, (1,))], [(0, 2, 5)])
+        assert evaluation_plan(joined, net, [in_domain[0], in_domain[2]]).bound == 2 + 5
