@@ -40,5 +40,4 @@ for v in order:
     if ranked:
         used.add(ranked[0])
 
-result = map_nodes(vnr, net)
-print(f"\nfinal assignment: {result.assignment}")
+print(f"\nfinal assignment: {map_nodes(vnr, net)}")

@@ -44,7 +44,6 @@ from .model import (
     release,
 )
 from .node_mapping import (
-    NodeMappingResult,
     candidate_nodes,
     candidate_scores,
     map_nodes,

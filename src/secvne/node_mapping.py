@@ -18,8 +18,6 @@ over the candidate set, so boundary-proximal nodes score higher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NodeMappingInfeasible
 from .model import SubstrateNetwork, VirtualNetworkRequest, VirtualNode
 
@@ -27,12 +25,6 @@ from .model import SubstrateNetwork, VirtualNetworkRequest, VirtualNode
 GAMMA = 0.5
 DELTA = 0.3
 THETA = 0.2
-
-
-@dataclass
-class NodeMappingResult:
-    assignment: dict[int, int]
-    ordered_virtual_nodes: list[int] = field(default_factory=list)
 
 
 def virtual_node_priority(v: VirtualNode) -> int:
@@ -77,8 +69,9 @@ def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork) -> dict[
             for sid in candidates}
 
 
-def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> NodeMappingResult:
-    """Greedy assignment in descending virtual-priority order.
+def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> dict[int, int]:
+    """Greedy assignment, virtual node id -> substrate node id, with the
+    virtual nodes placed, and keyed, in descending priority order.
 
     Ties in virtual priority break by ascending virtual id; ties in candidate
     score break by ascending substrate id.  Fails atomically with
@@ -95,4 +88,4 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> NodeMappingR
         best = min(cands, key=lambda sid: (-scores[sid], sid))
         assignment[v.id] = best
         used.add(best)
-    return NodeMappingResult(assignment, [v.id for v in order])
+    return assignment

@@ -42,42 +42,41 @@ by one breadth-first search the first time the destination is asked for;
 after that a lookup is one dict read.
 
 Otherwise ``evaluation_plan`` builds, once per search, each substrate node's
-component label at every distinct demand d of the request: two nodes share
-a label at d when links with residual >= d join them (``usable_subgraphs``).
+component label and usable mask at every distinct demand d of the request:
+two nodes share a label at d when links with residual >= d join them, and a
+node's mask at d holds its neighbours over those links (``usable_subgraphs``).
 Debits only shrink that subgraph, so hosts with different labels at a
 virtual link's demand can never route it, under any routing order.  The
-labels serve twice.  Before the swarm runs, ``unsupported_link`` prunes the
-candidate sets by arc consistency over the labels; when a set empties no
-position is routable and the search raises ``EmbeddingInfeasible`` instead
-of spending its evaluations on a certain INFEASIBLE.  The pruned sets serve
-only this proof: the swarm draws from the full candidate lists, so its
-random stream is unchanged.  Then ``fitness`` returns INFEASIBLE for a
-position whose hosts some virtual link's labels separate, and routes the
-rest in full.  The same sweep that labels the components gives each
-substrate node's usable mask at every demand, which ``fitness`` hands to
-``route_all_links`` so that a breadth-first search reads them instead of
-testing residuals link by link; ``optimize`` routes the winner over them
-too.
+labels serve once: ``fitness`` returns INFEASIBLE for a position whose
+hosts some virtual link's labels separate, and routes the rest in full.  It
+hands the masks to ``route_all_links`` so that a breadth-first search reads
+them instead of testing residuals link by link; ``optimize`` routes the
+winner over them too.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once: the virtual-node order, the candidate
 lists and their sets, ``cpu_total``, each virtual link as an (index of u,
 index of v, demand) triple in the request's routing order, the slack flag,
-the cost bound and, without slack, the labels, each link's label dict and
-the usable masks.  ``fitness`` indexes positions with the triples and
-builds the assignment dict only when it routes.  ``position_update``
-re-draws a component from its candidate list as it stands when no kept or
-re-drawn node lies in the list's set, which leaves the same pool the filter
-would.
+the cost bound and, without slack, each link's label dict and the usable
+masks.  ``fitness`` indexes positions with the triples and builds the
+assignment dict only when it routes.  ``position_update`` re-draws a
+component from its candidate list as it stands when no kept or re-drawn
+node lies in the list's set, which leaves the same pool the filter would.
+
+The cost bound is the search's one proof about all positions at once.
+``cost_bound`` is ``cpu_total`` plus, per virtual link of demand d, d times
+the hop count between the two candidate sets (one multi-source
+``bfs_levels``), at least 1: over the usable masks at d without slack, over
+the whole topology under it.  A link's hosts are distinct, and debits only
+shrink the usable subgraph, so no routed path is shorter and no position
+costs less, in either regime.  When those links join no pair of the
+candidate sets the bound is INFEASIBLE: no position routes that link, and
+the search raises ``EmbeddingInfeasible`` before the swarm runs instead of
+spending its evaluations on a certain INFEASIBLE.
 
 Two exact shortcuts skip swarm work that cannot change the result.
 
-- Stop at a certified bound.  ``cost_bound`` is ``cpu_total`` plus, per
-  virtual link, its demand times the topology's hop count between the two
-  candidate sets (one multi-source ``bfs_levels``), at least 1; INFEASIBLE
-  when the topology joins no pair of them.  A link's hosts are distinct and
-  no routed path is shorter than the topology's, so no position costs less,
-  in either regime.  pbest and gbest move only on strict improvement, so
+- Stop at the bound.  pbest and gbest move only on strict improvement, so
   once gbest meets the bound nothing can move it: the search stops before
   the next iteration and pads ``gbest_history`` with gbest.  Each search
   draws from its own stream, so no other search sees the draws it skips.
@@ -106,12 +105,11 @@ iteration.  The operators take any sampler with ``random()`` and
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
-from .model import Embedding, SubstrateNetwork, VirtualLink, VirtualNetworkRequest, bfs_levels
+from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels
 from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, hop_distances, route_all_links, usable_subgraphs
 from .seeding import draws_from
@@ -291,32 +289,36 @@ class EvaluationPlan:
     # (index of u, index of v, bw demand) per virtual link, in routing order
     links: list[tuple[int, int, int]]
     bw_slack: bool
-    # Without slack: the request's component labels, each link's labels at
-    # its demand, aligned with ``links``, and the usable masks per demand,
-    # all from usable_subgraphs; None under slack.
-    labels: dict[int, dict[int, int]] | None
+    # Without slack: each link's component labels at its demand, aligned
+    # with ``links``, and the usable masks per demand, both from
+    # usable_subgraphs; None under slack.
     link_labels: list[dict[int, int]] | None
     masks: dict[int, list[int]] | None
-    # No position costs less: the search stops once gbest meets it.
+    # No position costs less: the search stops once gbest meets it, and
+    # INFEASIBLE proves that no position routes.
     bound: float
 
 
 def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
-               candidate_lists: list[list[int]], net: SubstrateNetwork) -> float:
+               candidate_lists: list[list[int]], net: SubstrateNetwork,
+               masks: dict[int, list[int]] | None) -> float:
     """A lower bound on the fitness of every position drawn from the
-    candidate lists: ``cpu_total`` plus, per virtual link, its demand times
-    the topology's hop count between the two candidate sets, at least 1;
-    INFEASIBLE when the topology joins no pair of them.
+    candidate lists: ``cpu_total`` plus, per virtual link of demand d, d
+    times the hop count between the two candidate sets over the links with
+    residual >= d (``masks[d]``; the whole topology when ``masks`` is None),
+    at least 1; INFEASIBLE when those links join no pair of them.
 
-    The hosts of a link are distinct and no routed path is shorter than the
-    topology's, so every position costs at least this much.
+    The hosts of a link are distinct, and debits only shrink the usable
+    subgraph, so no routed path is shorter than this hop count and every
+    position costs at least the bound.
     """
     rank = net.rank
     cand_masks = [sum(1 << rank[c] for c in cands) for cands in candidate_lists]
     bound = cpu_total
     for iu, iv, bw in links:
         near = cand_masks[iv]
-        levels = bfs_levels(cand_masks[iu], net.adj_masks, near)
+        levels = bfs_levels(cand_masks[iu], net.adj_masks if masks is None else masks[bw],
+                            near)
         if not levels[-1] & near:
             return INFEASIBLE
         bound += bw * max(1, len(levels) - 1)
@@ -330,21 +332,21 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     Bandwidth slack holds when the request's total demand is at most every
     substrate link's residual; only without it are the labels and masks
-    built.
+    built, and the bound taken over the masks.
     """
     vnode_order = sorted(vnr.nodes)
     index = {vid: i for i, vid in enumerate(vnode_order)}
     links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
     bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
                                    default=math.inf)
-    labels = link_labels = masks = None
+    link_labels = masks = None
     if not bw_slack:
         labels, masks = usable_subgraphs([bw for _, _, bw in links], net)
         link_labels = [labels[bw] for _, _, bw in links]
     return EvaluationPlan(vnr, net, vnode_order, candidate_lists,
                           [set(c) for c in candidate_lists], vnr.cpu_total, links,
-                          bw_slack, labels, link_labels, masks,
-                          cost_bound(links, vnr.cpu_total, candidate_lists, net))
+                          bw_slack, link_labels, masks,
+                          cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
 
 
 def fitness(position: list[int], plan: EvaluationPlan) -> float:
@@ -375,51 +377,6 @@ def fitness(position: list[int], plan: EvaluationPlan) -> float:
     return float(plan.cpu_total + routing.total_bw_cost)
 
 
-def unsupported_link(vnr: VirtualNetworkRequest, vnode_order: list[int],
-                     candidate_lists: list[list[int]],
-                     labels: dict[int, dict[int, int]]) -> VirtualLink | None:
-    """A virtual link that no injective position drawn from the candidate
-    lists can route, or None when arc consistency finds none.
-
-    AC-3 over the component labels: a candidate c of virtual node u keeps its
-    place only while, for every virtual link (u, v, d), some remaining
-    candidate of v other than c has c's label at d.  Every host of a
-    routable position keeps its place, so a set that empties proves that the
-    link whose check emptied it is never routed.
-    """
-    index = {vid: i for i, vid in enumerate(vnode_order)}
-    domains = [set(c) for c in candidate_lists]
-    # Arc (a, b, link): the candidates of a need support among those of b.
-    arcs = []
-    watchers: list[list[int]] = [[] for _ in vnode_order]
-    for vlink in vnr.routing_order:
-        iu, iv = index[vlink.u], index[vlink.v]
-        for a, b in ((iu, iv), (iv, iu)):
-            watchers[b].append(len(arcs))
-            arcs.append((a, b, vlink))
-    queue = deque(range(len(arcs)))
-    queued = set(queue)
-    while queue:
-        arc = queue.popleft()
-        queued.discard(arc)
-        a, b, vlink = arcs[arc]
-        label = labels[vlink.bw_demand]
-        support = domains[b]
-        per_label = Counter(label[c] for c in support)
-        kept = {c for c in domains[a]
-                if per_label[label[c]] > (1 if c in support else 0)}
-        if len(kept) == len(domains[a]):
-            continue
-        if not kept:
-            return vlink
-        domains[a] = kept
-        for other in watchers[a]:
-            if other not in queued:
-                queued.add(other)
-                queue.append(other)
-    return None
-
-
 def _inertia(iteration: int) -> float:
     frac = iteration / (PsoConfig.iterations - 1)
     return PsoConfig.inertia_max - (PsoConfig.inertia_max - PsoConfig.inertia_min) * frac
@@ -435,7 +392,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     update of a particle held on its pbest; both leave every result and
     every draw that reaches one unchanged (module docstring).  Raises
     EmbeddingInfeasible when some virtual node has no candidate at all, no
-    injective assignment exists, or the component labels prove that no
+    injective assignment exists, or the plan's bound proves that no
     position can be routed.
     """
     candidate_lists = []
@@ -448,14 +405,11 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible("candidate sets admit no injective assignment")
 
     plan = evaluation_plan(vnr, net, candidate_lists)
+    if plan.bound == INFEASIBLE:
+        raise EmbeddingInfeasible(f"request {vnr.id}: some virtual link has no candidate "
+                                  f"hosts joined by links with its demand in residual")
     vnode_order = plan.vnode_order
     candidate_sets = plan.candidate_sets
-    if plan.labels is not None:
-        vlink = unsupported_link(vnr, vnode_order, candidate_lists, plan.labels)
-        if vlink is not None:
-            raise EmbeddingInfeasible(f"virtual link {vlink.key} with demand "
-                                      f"{vlink.bw_demand}: no candidate hosts are joined "
-                                      f"by links with that much residual")
 
     draws = draws_from(cfg.seed)
     fitness_cache: dict[tuple[int, ...], float] = {}
@@ -468,10 +422,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             fitness_cache[key] = val
         return val
 
-    seeded: list[int] | None = None
     try:
         mapped = map_nodes(vnr, net)
-        seeded = [mapped.assignment[vid] for vid in vnode_order]
+        seeded = [mapped[vid] for vid in vnode_order]
     except NodeMappingInfeasible:
         seeded = None
 
@@ -485,12 +438,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         f = evaluate(position)
         particles.append(Particle(position, velocity, list(position), f))
 
-    gbest_position = list(particles[0].pbest_position)
-    gbest_fitness = particles[0].pbest_fitness
-    for p in particles[1:]:
-        if gbest_fitness > p.pbest_fitness:
-            gbest_fitness = p.pbest_fitness
-            gbest_position = list(p.pbest_position)
+    # min keeps the first of equal bests, as strict improvement would.
+    first = min(particles, key=lambda p: p.pbest_fitness)
+    gbest_position, gbest_fitness = list(first.pbest_position), first.pbest_fitness
     history = [gbest_fitness]
 
     for it in range(PsoConfig.iterations):

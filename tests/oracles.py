@@ -239,28 +239,6 @@ def route_all_brute(vnr, assignment, net):
     return paths, total
 
 
-def arc_consistency_empties_brute(vnr, vnode_order, candidate_lists, labels):
-    """True when pruning the candidate sets to a fixpoint empties one.
-
-    Sweeps every virtual link in both directions, again and again until a
-    sweep removes nothing: a candidate c of u stays while some candidate of
-    v other than c shares c's label at the link's demand.
-    """
-    domains = {vid: set(c) for vid, c in zip(vnode_order, candidate_lists)}
-    changed = True
-    while changed:
-        changed = False
-        for vlink in vnr.links.values():
-            label = labels[vlink.bw_demand]
-            for u, v in ((vlink.u, vlink.v), (vlink.v, vlink.u)):
-                kept = {c for c in domains[u]
-                        if any(o != c and label[o] == label[c] for o in domains[v])}
-                if kept != domains[u]:
-                    domains[u] = kept
-                    changed = True
-    return any(not d for d in domains.values())
-
-
 def labels_separate(vnr, labels, assignment):
     """True when some virtual link's hosts have different component labels
     at the link's demand."""
@@ -375,7 +353,7 @@ def swarm_reference(vnr, net, cfg):
     """The swarm of ``secvne.pso`` written plainly, with numpy's own
     ``Generator`` and the scalar velocity rule.  Every position is priced
     by ``route_all_brute``: no fitness cache, cost bound, short-circuit or
-    label gate.
+    component labels.
 
     Returns (position, fitness, gbest history), positions in ascending
     virtual-node id order, or None when some virtual node has no candidate

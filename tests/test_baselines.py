@@ -15,7 +15,7 @@ def test_single_candidate_matches_priority_mapping(toy_net):
     vnr = make_vnr([(0, 10, 4, 4, (0,))], [])  # only node 1 has ssl=4 in domain 0
     greedy = greedy_embed(vnr, toy_net)
     mapped = map_nodes(vnr, toy_net)
-    assert greedy.node_map == mapped.assignment == {0: 1}
+    assert greedy.node_map == mapped == {0: 1}
 
 
 def test_greedy_prefers_max_residual():

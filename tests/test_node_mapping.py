@@ -113,8 +113,7 @@ class TestMapNodes:
             link_specs=[(0, 1, 10)],
         )
         vnr = make_vnr([(0, 10, 2, 3, (0,))], [])
-        result = map_nodes(vnr, net)
-        assert result.assignment == {0: 0}
+        assert map_nodes(vnr, net) == {0: 0}
 
     def test_exhausted_candidates_fail_atomically(self):
         net = make_substrate(
@@ -127,8 +126,7 @@ class TestMapNodes:
 
     def test_matches_stepwise_oracle_on_toy(self, toy_net, toy_vnr):
         expected = map_nodes_brute(toy_vnr, toy_net)
-        got = map_nodes(toy_vnr, toy_net)
-        assert got.assignment == expected
+        assert map_nodes(toy_vnr, toy_net) == expected
 
     def test_matches_stepwise_oracle_on_random_instances(self):
         hits = 0
@@ -143,27 +141,24 @@ class TestMapNodes:
                     with pytest.raises(NodeMappingInfeasible):
                         map_nodes(vnr, net)
                 else:
-                    assert map_nodes(vnr, net).assignment == expected
+                    assert map_nodes(vnr, net) == expected
                     hits += 1
         assert hits > 10
 
     def test_priority_order_and_injectivity(self, toy_net, toy_vnr):
-        result = map_nodes(toy_vnr, toy_net)
-        prios = [virtual_node_priority(toy_vnr.nodes[vid])
-                 for vid in result.ordered_virtual_nodes]
+        assignment = map_nodes(toy_vnr, toy_net)
+        prios = [virtual_node_priority(toy_vnr.nodes[vid]) for vid in assignment]
         assert prios == sorted(prios, reverse=True)
-        assert len(set(result.assignment.values())) == len(result.assignment)
+        assert len(set(assignment.values())) == len(assignment)
 
     def test_output_passes_node_level_validation(self, toy_net, toy_vnr):
         from secvne.routing import build_embedding
         from secvne.validation import validate_embedding
 
-        result = map_nodes(toy_vnr, toy_net)
-        emb = build_embedding(toy_vnr, result.assignment, toy_net)
+        emb = build_embedding(toy_vnr, map_nodes(toy_vnr, toy_net), toy_net)
         assert validate_embedding(toy_net, toy_vnr, emb) == []
 
     def test_determinism(self, toy_net, toy_vnr):
         a = map_nodes(toy_vnr, toy_net)
         b = map_nodes(toy_vnr, toy_net)
-        assert a.assignment == b.assignment
-        assert a.ordered_virtual_nodes == b.ordered_virtual_nodes
+        assert list(a.items()) == list(b.items())

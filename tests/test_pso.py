@@ -24,7 +24,6 @@ from secvne.pso import (
     random_injective,
     sample_injective,
     swarm_search,
-    unsupported_link,
     velocity_table,
     velocity_update,
 )
@@ -33,8 +32,8 @@ from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
-from oracles import (arc_consistency_empties_brute, best_fitness_brute, enumerate_assignments,
-                     labels_separate, position_subtract, route_all_brute, scalar_velocity_bit,
+from oracles import (best_fitness_brute, enumerate_assignments, labels_separate,
+                     position_subtract, route_all_brute, scalar_velocity_bit,
                      scalar_velocity_update, swarm_reference)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
@@ -257,10 +256,11 @@ class TestEvaluationPlan:
         assert plan.links == [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
         assert plan.cpu_total == vnr.cpu_total
         assert not plan.bw_slack
-        assert plan.link_labels == [plan.labels[l.bw_demand] for l in vnr.routing_order]
+        labels = request_labels(vnr, net)
+        assert plan.link_labels == [labels[l.bw_demand] for l in vnr.routing_order]
         slack = plan_for(vnr, generate_substrate(GeneratorConfig(seed=0, node_count=8,
                                                                  domain_count=2)))
-        assert slack.bw_slack and slack.labels is None and slack.link_labels is None
+        assert slack.bw_slack and slack.link_labels is None and slack.masks is None
 
     def test_fitness_equals_cpu_total_plus_routed_bandwidth_cost(self):
         """On random positions, shared hosts included, the plan-driven cost is
@@ -420,8 +420,8 @@ def request_labels(vnr, net):
 
 class TestComponentLabelGate:
     """Without bandwidth slack the search labels each substrate node's
-    component per demand, and rejects positions (fitness) and whole requests
-    (unsupported_link) that the labels prove unroutable."""
+    component per demand, and fitness rejects the positions that the labels
+    prove unroutable; whole requests are rejected by the plan's bound."""
 
     def test_label_rejected_position_is_not_routed(self, monkeypatch):
         calls = count_calls(monkeypatch, pso, "route_all_links")
@@ -431,7 +431,8 @@ class TestComponentLabelGate:
             net = contended_net(seed)
             labels = request_labels(vnr, net)
             plan = plan_for(vnr, net)
-            assert not plan.bw_slack and plan.labels == labels
+            assert not plan.bw_slack
+            assert plan.link_labels == [labels[l.bw_demand] for l in vnr.routing_order]
             for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::11]:
                 position = list(nodes)
                 expected = routed_cost(position, plan)
@@ -487,102 +488,21 @@ class TestComponentLabelGate:
         assert seen == {True, False}
         assert sum(winner_searches) > 0
 
-    def test_gate_names_the_unroutable_link_and_its_demand(self):
-        # Domain 0 (nodes 0-1) and domain 1 (nodes 2-3) are joined only by the
-        # 9-unit link 1-2, so a 10-unit virtual link across them never routes.
-        net = make_substrate(
-            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0),
-                        (3, 1, 50, 0, 0)],
-            link_specs=[(0, 1, 100), (1, 2, 9), (2, 3, 100)],
-        )
-        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,)), (2, 1, 0, 4, (1,))],
-                       [(0, 1, 10), (1, 2, 5)])
-        order = sorted(vnr.nodes)
-        cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
-        gate = unsupported_link(vnr, order, cands, request_labels(vnr, net))
-        assert gate is vnr.links[(0, 1)]
-        with pytest.raises(EmbeddingInfeasible, match=r"virtual link \(0, 1\) with demand 10"):
-            swarm_search(vnr, net, PsoConfig(seed=0))
-        net.links[(1, 2)].bw_residual = 10
-        assert unsupported_link(vnr, order, cands, request_labels(vnr, net)) is None
-        assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 10 * 1 + 5 * 1
-
-    def test_gate_needs_a_host_other_than_the_candidate_itself(self):
-        # Virtual node 0 may use host 0 only, virtual node 1 host 0 or 1; both
-        # hosts share a label at demand 5.  Host 1 supports host 0 and back,
-        # so the gate keeps both; but a candidate cannot support itself, so
-        # with host 0 the only candidate of both, the gate fires.
-        net = make_substrate(
-            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0)],
-            link_specs=[(0, 1, 100), (1, 2, 1)],
-        )
-        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
-        assert unsupported_link(vnr, [0, 1], [[0], [0, 1]], request_labels(vnr, net)) is None
-        assert (unsupported_link(vnr, [0, 1], [[0], [0]], request_labels(vnr, net))
-                is vnr.links[(0, 1)])
-
-    def test_gate_rechecks_a_link_when_its_support_shrinks(self):
-        # At demand 5 the substrate splits into A = {0, 1, 2} and B = {3, 4, 5}.
-        # In routing order, link (0, 1) first keeps host 0 (A) for virtual
-        # node 0, supported by host 1; link (0, 3) drops host 3 (B); link
-        # (1, 2) then drops host 1, so (0, 1) must be checked again, and
-        # virtual node 0 is left with no host.
-        net = make_substrate(
-            node_specs=[(i, 0 if i < 3 else 1, 50, 0, 0) for i in range(6)],
-            link_specs=[(0, 1, 100), (1, 2, 100), (2, 3, 1), (3, 4, 100), (4, 5, 100)],
-        )
-        vnr = make_vnr([(i, 1, 0, 4, (0, 1)) for i in range(4)],
-                       [(0, 1, 5), (1, 2, 5), (0, 3, 5)])
-        order = [0, 1, 2, 3]
-        cands = [[0, 3], [1, 4], [5], [2]]
-        labels = request_labels(vnr, net)
-        assert unsupported_link(vnr, order, cands, labels) is vnr.links[(0, 1)]
-        assert arc_consistency_empties_brute(vnr, order, cands, labels)
-        assert all(route_all_brute(vnr, dict(zip(order, hosts)), net) is None
-                   for hosts in itertools.product(*cands))
-
-    def test_gate_is_sound_against_brute_force(self):
-        """The gate fires exactly when arc consistency to a fixpoint empties a
-        candidate set, and then no assignment routes."""
-        fired = 0
-        for seed in range(12):
-            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
-                                  intra_link_rate=0.4, substrate_bw_range=(20, 60),
-                                  vnr_node_range=(3, 4), vnr_bw_range=(10, 45))
-            net = generate_substrate(cfg)
-            rnd = random.Random(seed)
-            for link in net.links.values():
-                link.bw_residual = rnd.randint(0, link.bw_capacity)
-            for vnr in generate_vnr_stream(cfg, horizon=300)[:4]:
-                order = sorted(vnr.nodes)
-                cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
-                if not all(cands):
-                    continue
-                labels = request_labels(vnr, net)
-                gate = unsupported_link(vnr, order, cands, labels)
-                assert (gate is not None) == arc_consistency_empties_brute(vnr, order, cands,
-                                                                           labels)
-                if gate is None:
-                    continue
-                fired += 1
-                assert all(route_all_brute(vnr, a, net) is None
-                           for a in enumerate_assignments(vnr, net))
-        assert fired > 5
-
     @pytest.mark.parametrize("cfg,horizon", [
         (GOLDEN_BW_CONFIG, 1500),
         (GeneratorConfig(seed=0, substrate_bw_range=(20, 60)), 600),
     ], ids=["golden-bw-bound", "paper-scale-bw-bound"])
     def test_gate_rejections_are_infeasible_when_routed(self, monkeypatch, cfg, horizon):
-        """Every request the gate rejects during a simulated stream, searched
-        again with the gate off and every fitness call routed, is INFEASIBLE."""
+        """Every request the plan's bound rejects during a simulated stream,
+        searched again with a bound of 0 (which proves nothing and stops no
+        search) and every fitness call routed, is INFEASIBLE."""
         plain_search = pso.swarm_search
-        plain_gate = pso.unsupported_link
+        plain_bound = pso.cost_bound
         verdicts = []
         forced = []
 
-        def recording_gate(*args):
-            verdicts.append(plain_gate(*args))
+        def recording_bound(*args):
+            verdicts.append(plain_bound(*args))
             return verdicts[-1]
 
         def checked_search(vnr, net, pso_cfg, *rest):
@@ -590,14 +510,14 @@ class TestComponentLabelGate:
             try:
                 return plain_search(vnr, net, pso_cfg, *rest)
             except EmbeddingInfeasible:
-                if verdicts and verdicts[-1] is not None:
+                if verdicts and verdicts[-1] == INFEASIBLE:
                     with monkeypatch.context() as m:
-                        m.setattr(pso, "unsupported_link", lambda *args: None)
+                        m.setattr(pso, "cost_bound", lambda *args: 0.0)
                         m.setattr(pso, "fitness", routed_cost)
                         forced.append(plain_search(vnr, net, pso_cfg, *rest).fitness)
                 raise
 
-        monkeypatch.setattr(pso, "unsupported_link", recording_gate)
+        monkeypatch.setattr(pso, "cost_bound", recording_bound)
         monkeypatch.setattr(pso, "swarm_search", checked_search)
         run(generate_substrate(cfg), generate_vnr_stream(cfg, horizon),
             make_strategy("stec-iot", seed=0), horizon)
@@ -680,7 +600,7 @@ def small_requests():
     nodes, six requests each.  Every seed gives a fresh substrate, under
     whose bandwidth most requests have slack, and one with narrow links
     whose residuals are lowered at random, where bandwidth binds and the
-    label gate rejects some requests.  Requests with a virtual node that has
+    plan's bound rejects some requests.  Requests with a virtual node that has
     no candidate are kept."""
     for seed in range(20):
         for contended in (False, True):
@@ -712,7 +632,7 @@ class TestReferenceSwarm:
         # call per particle update that is not short-circuited.
         iterations = count_calls(monkeypatch, pso, "_inertia")
         updates = count_calls(monkeypatch, pso, "velocity_update")
-        seen = {"slack": 0, "binding": 0, "gate": 0, "no host": 0}
+        seen = {"slack": 0, "binding": 0, "bound": 0, "no host": 0}
         stopped = skipped = 0
         for net, vnr in small_requests():
             cfg = PsoConfig(seed=vnr.id)
@@ -723,7 +643,7 @@ class TestReferenceSwarm:
                 result = swarm_search(vnr, net, cfg)
             except EmbeddingInfeasible:
                 assert expected is None or expected[1] == math.inf
-                seen["no host" if expected is None else "gate"] += 1
+                seen["no host" if expected is None else "bound"] += 1
                 continue
             assert (result.position, result.fitness, result.gbest_history) == expected
             seen["slack" if has_bw_slack(vnr, net) else "binding"] += 1
@@ -773,3 +693,53 @@ class TestCostBound:
         assert evaluation_plan(vnr, net, in_domain).bound == INFEASIBLE
         joined = make_vnr([(0, 1, 0, 4, (0,)), (2, 1, 0, 4, (1,))], [(0, 2, 5)])
         assert evaluation_plan(joined, net, [in_domain[0], in_domain[2]]).bound == 2 + 5
+
+    def test_bound_counts_hops_over_the_links_that_carry_the_demand(self):
+        # Hosts 0 and 3 are joined directly by a 9-unit link and over three
+        # hops by 100-unit links; a 10-unit virtual link takes the long way.
+        net = make_substrate(
+            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0),
+                        (3, 1, 50, 0, 0)],
+            link_specs=[(0, 3, 9), (0, 1, 100), (1, 2, 100), (2, 3, 100)],
+        )
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 10)])
+        plan = evaluation_plan(vnr, net, [[0], [3]])
+        assert not plan.bw_slack
+        assert plan.bound == 2 + 10 * 3
+        assert fitness([0, 3], plan) == plan.bound
+
+    def test_infeasible_bound_is_sound_against_brute_force(self):
+        """Every plan whose bound is INFEASIBLE has no routable assignment."""
+        proved = 0
+        for seed in range(12):
+            cfg = GeneratorConfig(seed=seed, node_count=8, domain_count=2,
+                                  intra_link_rate=0.4, substrate_bw_range=(20, 60),
+                                  vnr_node_range=(3, 4), vnr_bw_range=(10, 45))
+            net = generate_substrate(cfg)
+            rnd = random.Random(seed)
+            for link in net.links.values():
+                link.bw_residual = rnd.randint(0, link.bw_capacity)
+            for vnr in generate_vnr_stream(cfg, horizon=300)[:4]:
+                cands = [candidate_nodes(vnr.nodes[vid], net) for vid in sorted(vnr.nodes)]
+                if not all(cands) or evaluation_plan(vnr, net, cands).bound != INFEASIBLE:
+                    continue
+                proved += 1
+                assert all(route_all_brute(vnr, a, net) is None
+                           for a in enumerate_assignments(vnr, net))
+        assert proved > 5
+
+    def test_search_rejects_a_request_whose_link_cannot_cross_a_bridge(self):
+        # Domain 0 (nodes 0-1) and domain 1 (nodes 2-3) are joined only by the
+        # 9-unit link 1-2, so a 10-unit virtual link across them never routes.
+        net = make_substrate(
+            node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0),
+                        (3, 1, 50, 0, 0)],
+            link_specs=[(0, 1, 100), (1, 2, 9), (2, 3, 100)],
+        )
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,)), (2, 1, 0, 4, (1,))],
+                       [(0, 1, 10), (1, 2, 5)])
+        with pytest.raises(EmbeddingInfeasible, match=r"request 0: some virtual link has no "
+                                                      r"candidate hosts joined"):
+            swarm_search(vnr, net, PsoConfig(seed=0))
+        net.links[(1, 2)].bw_residual = 10
+        assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 10 * 1 + 5 * 1
