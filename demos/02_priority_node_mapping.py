@@ -12,6 +12,7 @@ from secvne import (
     generate_substrate,
     generate_vnr_stream,
     map_nodes,
+    request_candidates,
     virtual_node_priority,
 )
 
@@ -40,4 +41,4 @@ for v in order:
     if ranked:
         used.add(ranked[0])
 
-print(f"\nfinal assignment: {map_nodes(vnr, net)}")
+print(f"\nfinal assignment: {map_nodes(vnr, net, request_candidates(vnr, net))}")

@@ -17,7 +17,6 @@ from .errors import (
     LinkMappingInfeasible,
     NoBoundaryNode,
     NodeMappingInfeasible,
-    NoFeasiblePath,
     SecVneError,
 )
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
@@ -58,6 +57,7 @@ from .pso import (
     fitness,
     optimize,
     position_update,
+    request_candidates,
     swarm_search,
     velocity_update,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import EmbeddingInfeasible, LinkMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
-from .pso import sample_injective
+from .pso import request_candidates, sample_injective
 from .routing import build_embedding
 from .seeding import draws_from
 
@@ -31,21 +31,13 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
         best = min(cands, key=lambda sid: (-net.nodes[sid].cpu_residual, sid))
         assignment[v.id] = best
         used.add(best)
-    try:
-        return build_embedding(vnr, assignment, net)
-    except LinkMappingInfeasible as exc:
-        raise EmbeddingInfeasible(f"greedy: {exc}") from exc
+    return build_embedding(vnr, assignment, net)
 
 
 def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -> Embedding:
     """Uniform injective draws; a few retries absorb routing dead ends."""
     vnode_order = sorted(vnr.nodes)
-    candidate_lists = []
-    for vid in vnode_order:
-        cands = candidate_nodes(vnr.nodes[vid], net)
-        if not cands:
-            raise EmbeddingInfeasible(f"random: no candidate for virtual node {vid}")
-        candidate_lists.append(cands)
+    candidate_lists = request_candidates(vnr, net)
     draws = draws_from(seed)
     for _ in range(RANDOM_EMBED_ATTEMPTS):
         position = sample_injective(candidate_lists, draws)

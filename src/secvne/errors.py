@@ -33,10 +33,6 @@ class LengthMismatch(SecVneError):
     """Two particle vectors that must align component-wise do not."""
 
 
-class NoFeasiblePath(SecVneError):
-    """No substrate path with enough residual bandwidth exists."""
-
-
 class EmbeddingInfeasible(SecVneError):
     """No complete embedding could be produced for the request."""
 

@@ -10,8 +10,8 @@ Field names are pinned for cross-implementation compatibility:
                 lifetime, nodes[(id, cpu, vsd, vsl, cd)], links[(u, v, bw)])
     trace       newline-delimited JSON, one event per line with
                 (time, kind, vnr_id, outcome, revenue, cost); revenue and
-                cost are priced by the writer from each accepted record's
-                embedding (null for other records)
+                cost are the prices each accepted record was given when it
+                was made (null for other records)
     window CSV  header t_start,t_end,arrived,accepted,acceptance,avg_revenue,
                 avg_cost,rc_ratio; no-sample cells are left empty
 
@@ -24,7 +24,8 @@ node, is connected and holds a boundary node, all checked by
 ``model.compute_boundary_hops``.
 A workload's horizon is positive, its header's ``vnr_count`` is the number
 of request lines, its request ids are distinct, each request has a virtual
-node and each node a candidate domain.  A generator config names only
+node, each node a candidate domain, and each virtual link appears once
+(``u, v`` and ``v, u`` name the same link).  A generator config names only
 ``GeneratorConfig`` fields, and ``GeneratorConfig.validate`` checks their
 types and values.  A malformed file raises ``InvalidConfig``.
 
@@ -41,7 +42,6 @@ import os
 import tempfile
 from pathlib import Path
 
-from . import metrics
 from .errors import InvalidConfig, NoBoundaryNode
 from .generate import RANGE_FIELDS, GeneratorConfig
 from .model import (
@@ -272,14 +272,9 @@ def save_config(cfg: GeneratorConfig, path) -> None:
 
 def write_trace(trace, path) -> None:
     """One line per record; accepted arrivals carry their revenue and cost."""
-    lines = []
-    for rec in trace.records:
-        revenue = cost = None
-        if rec.outcome == "accepted":
-            revenue = metrics.revenue(rec.embedding.vnr)
-            cost = metrics.cost(rec.embedding)
-        lines.append(json.dumps({"time": rec.time, "kind": rec.kind, "vnr_id": rec.vnr_id,
-                                 "outcome": rec.outcome, "revenue": revenue, "cost": cost}))
+    lines = [json.dumps({"time": rec.time, "kind": rec.kind, "vnr_id": rec.vnr_id,
+                         "outcome": rec.outcome, "revenue": rec.revenue, "cost": rec.cost})
+             for rec in trace.records]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

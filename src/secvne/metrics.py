@@ -7,7 +7,8 @@ over more substrate hops costs more.  (Counting each link's demand once
 would price every embedding of a request at exactly twice its revenue.)
 
 ``revenue`` and ``cost`` are the one pricing rule: strategies return unpriced
-embeddings, and only the series here and the trace writer price them.
+embeddings, and ``simulation.run`` prices each acceptance once, on its
+record, which the series here and the trace writer read.
 
 Window i is the half-open slice [i * width, min((i + 1) * width, horizon))
 for every i with i * width < horizon.  Revenue and cost are counted once, at
@@ -94,7 +95,7 @@ def check_window_count(horizon: float, width: float) -> None:
 
 def _filled_windows(trace, width: float) -> list[MetricWindow]:
     """The windows over ``trace.horizon`` with each arrival counted and each
-    acceptance priced in the window that contains its time."""
+    acceptance's price added in the window that contains its time."""
     horizon = trace.horizon
     check_window_count(horizon, width)
     windows = []
@@ -116,8 +117,8 @@ def _filled_windows(trace, width: float) -> list[MetricWindow]:
         w.arrived += 1
         if rec.outcome == "accepted":
             w.accepted += 1
-            w.revenue_sum += revenue(rec.embedding.vnr)
-            w.cost_sum += cost(rec.embedding)
+            w.revenue_sum += rec.revenue
+            w.cost_sum += rec.cost
     return windows
 
 
@@ -125,7 +126,7 @@ def windowed_series(trace, window_width: float) -> list[WindowRow]:
     """Per-window acceptance, unit revenue, unit cost, and revenue/cost ratio.
 
     ``trace`` must expose ``horizon`` and chronological ``records``; accepted
-    arrival records carry the embedding that revenue and cost are derived from.
+    arrival records carry their ``revenue`` and ``cost``.
     """
     rows = []
     for w in _filled_windows(trace, window_width):

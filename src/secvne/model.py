@@ -151,6 +151,8 @@ class VirtualNetworkRequest:
                 raise ValueError(f"virtual link {k} is a self-loop")
             if k[0] not in self.nodes or k[1] not in self.nodes:
                 raise ValueError(f"virtual link {k} names a node missing from request {id}")
+            if k in self.links:
+                raise ValueError(f"request {id}: duplicate virtual link {k}")
             if l.bw_demand < 0:
                 raise ValueError(f"request {id}: virtual link {k} has negative bw "
                                  f"demand {l.bw_demand}")
@@ -188,8 +190,8 @@ class VirtualNetworkRequest:
 class Embedding:
     """A placed request: node assignment and one substrate path per virtual link.
 
-    Pricing is not part of a placement: ``metrics.revenue``/``metrics.cost``
-    derive revenue and cost from an embedding.
+    Pricing is not part of a placement: ``simulation.run`` prices each
+    acceptance once, with ``metrics.revenue``/``metrics.cost``.
     """
 
     vnr: VirtualNetworkRequest

@@ -69,19 +69,24 @@ def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork) -> dict[
             for sid in candidates}
 
 
-def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> dict[int, int]:
+def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
+              candidate_lists: list[list[int]]) -> dict[int, int]:
     """Greedy assignment, virtual node id -> substrate node id, with the
     virtual nodes placed, and keyed, in descending priority order.
 
-    Ties in virtual priority break by ascending virtual id; ties in candidate
-    score break by ascending substrate id.  Fails atomically with
-    NodeMappingInfeasible naming the first unmappable virtual node.
+    ``candidate_lists`` holds ``candidate_nodes`` of each virtual node in
+    ascending id order (``pso.request_candidates``); each node picks from its
+    list less the nodes already used.  Ties in virtual priority break by
+    ascending virtual id; ties in candidate score break by ascending
+    substrate id.  Fails atomically with NodeMappingInfeasible naming the
+    first unmappable virtual node.
     """
+    candidates = dict(zip(sorted(vnr.nodes), candidate_lists))
     order = sorted(vnr.nodes.values(), key=lambda v: (-virtual_node_priority(v), v.id))
     assignment: dict[int, int] = {}
     used: set[int] = set()
     for v in order:
-        cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
+        cands = [sid for sid in candidates[v.id] if sid not in used]
         if not cands:
             raise NodeMappingInfeasible(f"no unused candidate for virtual node {v.id}")
         scores = candidate_scores(v, cands, net)

@@ -252,6 +252,19 @@ def random_injective(candidate_lists: list[list[int]], rng) -> list[int]:
     return matched
 
 
+def request_candidates(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> list[list[int]]:
+    """``candidate_nodes`` of each virtual node in ascending id order: the
+    one candidate filter of a search.  Raises NodeMappingInfeasible naming
+    the first virtual node with no candidate."""
+    candidate_lists = []
+    for vid in sorted(vnr.nodes):
+        cands = candidate_nodes(vnr.nodes[vid], net)
+        if not cands:
+            raise NodeMappingInfeasible(f"virtual node {vid} has no candidate substrate node")
+        candidate_lists.append(cands)
+    return candidate_lists
+
+
 def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
     """One injective assignment via augmenting paths, or None if impossible."""
     owner: dict[int, int] = {}
@@ -395,12 +408,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     injective assignment exists, or the plan's bound proves that no
     position can be routed.
     """
-    candidate_lists = []
-    for vid in sorted(vnr.nodes):
-        cands = candidate_nodes(vnr.nodes[vid], net)
-        if not cands:
-            raise EmbeddingInfeasible(f"virtual node {vid} has no candidate substrate node")
-        candidate_lists.append(cands)
+    candidate_lists = request_candidates(vnr, net)
     if injective_assignment(candidate_lists) is None:
         raise EmbeddingInfeasible("candidate sets admit no injective assignment")
 
@@ -423,7 +431,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         return val
 
     try:
-        mapped = map_nodes(vnr, net)
+        mapped = map_nodes(vnr, net, candidate_lists)
         seeded = [mapped[vid] for vid in vnode_order]
     except NodeMappingInfeasible:
         seeded = None
@@ -475,8 +483,8 @@ def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) 
     """Swarm-search the request and return the best placement found, routed.
 
     A pure placement function: the embedding carries no prices, which
-    ``metrics`` derives from it.  Raises EmbeddingInfeasible when no particle
-    found a routable assignment.
+    ``simulation.run`` sets on its record.  Raises EmbeddingInfeasible when
+    no particle found a routable assignment.
     """
     result = swarm_search(vnr, net, cfg)
     if result.fitness == INFEASIBLE:

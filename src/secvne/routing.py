@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import LinkMappingInfeasible, NoFeasiblePath
+from .errors import LinkMappingInfeasible
 from .model import (
     Embedding,
     SubstrateNetwork,
@@ -83,8 +83,8 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     ``masks`` lists each node's usable mask at ``bw`` by bit rank (see the
     module docstring); None builds them with ``usable_subgraphs``.
     ``debits`` holds extra bandwidth already claimed by earlier paths of the
-    same request.  Raises NoFeasiblePath when src and dst are disconnected in
-    the feasible subgraph.
+    same request.  Raises LinkMappingInfeasible when src and dst are
+    disconnected in the feasible subgraph.
     """
     if src == dst:
         raise ValueError("route_link endpoints must differ")
@@ -107,7 +107,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     near = masks[cur]
     levels = bfs_levels(1 << rank[dst], masks, near)
     if not levels[-1] & near:
-        raise NoFeasiblePath(f"no path {src} -> {dst} with bandwidth {bw}")
+        raise LinkMappingInfeasible(f"no path {src} -> {dst} with bandwidth {bw}")
     return _descend(cur, levels, masks, net.node_ids)
 
 
@@ -129,14 +129,14 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     """The path ``route_link`` picks from src to dst in the bare topology.
 
     Read from, or added to, the substrate's path table.  Raises
-    NoFeasiblePath when the topology does not join src and dst.
+    LinkMappingInfeasible when the topology does not join src and dst.
     """
     path = net.min_hop_paths.get((src, dst))
     if path is not None:
         return path
     hops = hop_distances(dst, net).get(src)
     if hops is None:
-        raise NoFeasiblePath(f"no path {src} -> {dst}: the substrate does not join them")
+        raise LinkMappingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
     path = net.min_hop_paths[(src, dst)] = _descend(
         net.rank[src], net.hop_levels[dst][:hops], net.adj_masks, net.node_ids)
     return path
@@ -224,13 +224,9 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
         bw = vlink.bw_demand
         if src == dst:
             raise LinkMappingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
-        try:
-            path = min_hop_path(src, dst, net)
-            if not _path_feasible(path, bw, net, debits):
-                path = route_link(src, dst, bw, net, debits,
-                                  None if masks is None else masks[bw])
-        except NoFeasiblePath as exc:
-            raise LinkMappingInfeasible(str(exc)) from exc
+        path = min_hop_path(src, dst, net)
+        if not _path_feasible(path, bw, net, debits):
+            path = route_link(src, dst, bw, net, debits, None if masks is None else masks[bw])
         for i in range(len(path) - 1):
             k = link_key(path[i], path[i + 1])
             debits[k] = debits.get(k, 0) + bw

@@ -7,8 +7,10 @@ seeds bound.  A successful embedding is allocated and its departure
 scheduled, a failure is recorded as a rejection (no queueing, no retry).
 Departures release resources.  At equal timestamps departures process before
 arrivals, then ties break by request id, so a run is fully reproducible.
-Accepted records keep their embedding, from which ``metrics`` and the trace
-writer derive revenue and cost.
+An accepted record is priced once, when it is made: it carries
+``metrics.revenue`` and ``metrics.cost`` of its request and embedding, which
+the windowed series and the trace writer read; every other record carries
+None for both.
 
 The independent validator shadows every acceptance - any violation it
 finds means the fast path and the re-checker disagree, which aborts the run
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .baselines import greedy_embed, random_embed
 from .errors import EmbeddingInfeasible, InternalConsistencyError
-from .metrics import steady_state_means, windowed_series
+from .metrics import cost, revenue, steady_state_means, windowed_series
 from .model import (
     Embedding,
     SubstrateNetwork,
@@ -55,7 +57,8 @@ class EventRecord:
     kind: str                      # "arrival" | "departure"
     vnr_id: int
     outcome: str                   # "accepted" | "rejected" | "released"
-    embedding: Embedding | None = field(default=None, repr=False)
+    revenue: float | None = None   # priced at acceptance, None otherwise
+    cost: float | None = None
 
 
 @dataclass
@@ -147,7 +150,8 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy,
                 allocate(net, emb)
                 trace.accepted += 1
                 heapq.heappush(heap, (time + vnr.lifetime, _DEPARTURE, vnr_id))
-                trace.records.append(EventRecord(time, "arrival", vnr_id, "accepted", emb))
+                trace.records.append(EventRecord(time, "arrival", vnr_id, "accepted",
+                                                 revenue(vnr), cost(emb)))
         processed += 1
         if processed % AUDIT_EVERY == 0:
             audit_residuals(net)

@@ -12,8 +12,6 @@ from collections import deque
 import numpy as np
 
 from secvne.errors import LengthMismatch
-from secvne.metrics import cost as metric_cost
-from secvne.metrics import revenue as metric_revenue
 from secvne.model import link_key
 from secvne.node_mapping import candidate_nodes, virtual_node_priority
 from secvne.pso import RANDOM_INJECTIVE_TRIES, Particle, PsoConfig
@@ -302,8 +300,8 @@ def windowed_metrics_brute(trace, width):
         arrivals = [r for r in trace.records
                     if r.kind == "arrival" and t <= r.time < end]
         accepted = [r for r in arrivals if r.outcome == "accepted"]
-        rev = sum(metric_revenue(r.embedding.vnr) for r in accepted)
-        cst = sum(metric_cost(r.embedding) for r in accepted)
+        rev = sum(r.revenue for r in accepted)
+        cst = sum(r.cost for r in accepted)
         acc = len(accepted) / len(arrivals) if arrivals else None
         avg_rev = rev / (end - t)
         avg_cst = cst / (end - t)

@@ -3,9 +3,9 @@
 import pytest
 
 from secvne.baselines import greedy_embed, random_embed
-from secvne.errors import EmbeddingInfeasible
+from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
 from secvne.node_mapping import map_nodes
-from secvne.pso import PsoConfig, optimize
+from secvne.pso import PsoConfig, optimize, request_candidates
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr
@@ -14,7 +14,7 @@ from conftest import make_substrate, make_vnr
 def test_single_candidate_matches_priority_mapping(toy_net):
     vnr = make_vnr([(0, 10, 4, 4, (0,))], [])  # only node 1 has ssl=4 in domain 0
     greedy = greedy_embed(vnr, toy_net)
-    mapped = map_nodes(vnr, toy_net)
+    mapped = map_nodes(vnr, toy_net, request_candidates(vnr, toy_net))
     assert greedy.node_map == mapped == {0: 1}
 
 
@@ -74,3 +74,10 @@ def test_random_validates(toy_net, toy_vnr):
     for seed in range(10):
         emb = random_embed(toy_vnr, toy_net, seed=seed)
         assert validate_embedding(toy_net, toy_vnr, emb) == []
+
+
+def test_random_names_the_first_virtual_node_without_a_candidate(toy_net):
+    # vsd 4 in domain 1 leaves only node 5, whose ssd 1 exceeds vsl 0.
+    vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [(0, 1, 5)])
+    with pytest.raises(NodeMappingInfeasible, match="virtual node 1 has no candidate"):
+        random_embed(vnr, toy_net, seed=0)

@@ -329,8 +329,11 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     (lambda doc: doc.update(arrival_time=True),
      "arrival_time must be a finite number, got True"),
     (lambda doc: doc["nodes"][0].update(cd=[]), "virtual node 0 has no candidate domain"),
+    (lambda doc: doc["links"].append({"u": doc["links"][0]["v"], "v": doc["links"][0]["u"],
+                                      "bw": doc["links"][0]["bw"] + 100}),
+     "duplicate virtual link"),
 ], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes",
-        "boolean-lifetime", "boolean-arrival-time", "empty-cd"])
+        "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link"])
 def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
     code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
     assert code == 2

@@ -69,11 +69,15 @@ class _FakeTrace:
 
 
 class _FakeRecord:
+    """An arrival record, priced from `embedding` as ``simulation.run``
+    prices an acceptance."""
+
     def __init__(self, time, outcome, embedding=None):
         self.time = time
         self.kind = "arrival"
         self.outcome = outcome
-        self.embedding = embedding
+        self.revenue = None if embedding is None else revenue(embedding.vnr)
+        self.cost = None if embedding is None else cost(embedding)
 
 
 def _accepted(time, cpu, bw, hops):

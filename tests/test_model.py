@@ -84,6 +84,15 @@ def test_request_link_to_a_missing_lower_endpoint_raises():
                               [VirtualLink(0, 1, 2)], 0.0, 100.0)
 
 
+def test_request_listing_a_virtual_link_twice_raises():
+    # Either direction names the same link; keeping the last entry would
+    # silently drop the first entry's demand.
+    nodes = [VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, 5, 0, 4, frozenset({0}))]
+    with pytest.raises(ValueError, match=r"request 4: duplicate virtual link \(0, 1\)"):
+        VirtualNetworkRequest(4, nodes, [VirtualLink(0, 1, 7), VirtualLink(1, 0, 107)],
+                              0.0, 100.0)
+
+
 def test_release_order_independence(toy_net):
     """allocate A, allocate B, release A leaves exactly B's footprint."""
     vnr_a = make_vnr([(0, 20, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 7)], vnr_id=1)

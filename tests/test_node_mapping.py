@@ -12,6 +12,7 @@ from secvne.node_mapping import (
     map_nodes,
     virtual_node_priority,
 )
+from secvne.pso import request_candidates
 
 from conftest import make_substrate, make_vnr
 from oracles import map_nodes_brute
@@ -19,6 +20,11 @@ from oracles import map_nodes_brute
 
 def vn(vid, cpu, vsd, vsl, cd):
     return VirtualNode(vid, cpu, vsd, vsl, frozenset(cd))
+
+
+def mapped(vnr, net):
+    """``map_nodes`` over the request's candidate lists, as a search calls it."""
+    return map_nodes(vnr, net, request_candidates(vnr, net))
 
 
 class TestVirtualPriority:
@@ -113,7 +119,7 @@ class TestMapNodes:
             link_specs=[(0, 1, 10)],
         )
         vnr = make_vnr([(0, 10, 2, 3, (0,))], [])
-        assert map_nodes(vnr, net) == {0: 0}
+        assert mapped(vnr, net) == {0: 0}
 
     def test_exhausted_candidates_fail_atomically(self):
         net = make_substrate(
@@ -122,11 +128,11 @@ class TestMapNodes:
         )
         vnr = make_vnr([(0, 10, 2, 4, (0,)), (1, 10, 2, 4, (0,))], [(0, 1, 1)])
         with pytest.raises(NodeMappingInfeasible):
-            map_nodes(vnr, net)
+            mapped(vnr, net)
 
     def test_matches_stepwise_oracle_on_toy(self, toy_net, toy_vnr):
         expected = map_nodes_brute(toy_vnr, toy_net)
-        assert map_nodes(toy_vnr, toy_net) == expected
+        assert mapped(toy_vnr, toy_net) == expected
 
     def test_matches_stepwise_oracle_on_random_instances(self):
         hits = 0
@@ -139,14 +145,14 @@ class TestMapNodes:
                 expected = map_nodes_brute(vnr, net)
                 if expected is None:
                     with pytest.raises(NodeMappingInfeasible):
-                        map_nodes(vnr, net)
+                        mapped(vnr, net)
                 else:
-                    assert map_nodes(vnr, net) == expected
+                    assert mapped(vnr, net) == expected
                     hits += 1
         assert hits > 10
 
     def test_priority_order_and_injectivity(self, toy_net, toy_vnr):
-        assignment = map_nodes(toy_vnr, toy_net)
+        assignment = mapped(toy_vnr, toy_net)
         prios = [virtual_node_priority(toy_vnr.nodes[vid]) for vid in assignment]
         assert prios == sorted(prios, reverse=True)
         assert len(set(assignment.values())) == len(assignment)
@@ -155,10 +161,10 @@ class TestMapNodes:
         from secvne.routing import build_embedding
         from secvne.validation import validate_embedding
 
-        emb = build_embedding(toy_vnr, map_nodes(toy_vnr, toy_net), toy_net)
+        emb = build_embedding(toy_vnr, mapped(toy_vnr, toy_net), toy_net)
         assert validate_embedding(toy_net, toy_vnr, emb) == []
 
     def test_determinism(self, toy_net, toy_vnr):
-        a = map_nodes(toy_vnr, toy_net)
-        b = map_nodes(toy_vnr, toy_net)
+        a = mapped(toy_vnr, toy_net)
+        b = mapped(toy_vnr, toy_net)
         assert list(a.items()) == list(b.items())

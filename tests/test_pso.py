@@ -8,8 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from secvne import metrics, pso, routing
-from secvne.errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible
+from secvne import metrics, node_mapping, pso, routing
+from secvne.errors import (EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible,
+                           NodeMappingInfeasible)
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
@@ -22,6 +23,7 @@ from secvne.pso import (
     optimize,
     position_update,
     random_injective,
+    request_candidates,
     sample_injective,
     swarm_search,
     velocity_table,
@@ -593,6 +595,42 @@ class TestSwarm:
         result = swarm_search(toy_vnr, toy_net, PsoConfig(seed=2))
         assert len(result.position) == len(toy_vnr.nodes)
         assert len(set(result.position)) == len(result.position)
+
+
+class TestRequestCandidates:
+    def test_one_list_per_virtual_node_in_ascending_id_order(self, toy_net):
+        vnr = make_vnr([(2, 10, 0, 4, (1,)), (0, 10, 3, 4, (0,)), (1, 10, 0, 4, (0, 1))], [])
+        assert request_candidates(vnr, toy_net) == [
+            candidate_nodes(vnr.nodes[vid], toy_net) for vid in (0, 1, 2)]
+        assert request_candidates(vnr, toy_net)[0] == [0, 1]
+
+    def test_names_the_first_virtual_node_without_a_candidate(self, toy_net):
+        # vsd 4 in domain 1 leaves only node 5, whose ssd 1 exceeds vsl 0.
+        vnr = make_vnr([(3, 10, 4, 0, (1,)), (0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [])
+        with pytest.raises(NodeMappingInfeasible, match="virtual node 1 has no candidate"):
+            request_candidates(vnr, toy_net)
+
+    def test_a_search_filters_each_virtual_node_once(self, monkeypatch):
+        """The priority mapping reuses the search's candidate lists: across
+        both bindings, a search whose priority mapping runs calls
+        ``candidate_nodes`` once per virtual node."""
+        in_pso = count_calls(monkeypatch, pso, "candidate_nodes")
+        in_mapping = count_calls(monkeypatch, node_mapping, "candidate_nodes")
+        mapped = count_calls(monkeypatch, pso, "map_nodes")
+        searches = 0
+        for net, vnr in small_requests():
+            in_pso.clear()
+            in_mapping.clear()
+            mapped.clear()
+            try:
+                swarm_search(vnr, net, PsoConfig(seed=vnr.id))
+            except EmbeddingInfeasible:
+                pass
+            if not mapped:
+                continue
+            searches += 1
+            assert len(in_pso) + len(in_mapping) == len(vnr.nodes)
+        assert searches > 100
 
 
 def small_requests():

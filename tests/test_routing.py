@@ -6,7 +6,7 @@ import random
 import pytest
 
 from secvne import routing
-from secvne.errors import LinkMappingInfeasible, NoFeasiblePath
+from secvne.errors import LinkMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
 from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_link,
@@ -34,7 +34,7 @@ class TestRouteLink:
 
     def test_saturated_links_raise(self):
         net = grid_net([3, 3, 3, 3])
-        with pytest.raises(NoFeasiblePath):
+        with pytest.raises(LinkMappingInfeasible):
             route_link(0, 2, 5, net)
 
     def test_detour_when_direct_side_lacks_bandwidth(self):
@@ -65,7 +65,7 @@ class TestRouteLink:
                     for bw in (1, 4, 8):
                         expected = shortest_feasible_path_brute(net, src, dst, bw)
                         if expected is None:
-                            with pytest.raises(NoFeasiblePath):
+                            with pytest.raises(LinkMappingInfeasible):
                                 route_link(src, dst, bw, net)
                         else:
                             assert route_link(src, dst, bw, net) == expected
@@ -84,7 +84,7 @@ class TestRouteLink:
                     for bw in (10, 25, 40):
                         expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
                         if expected is None:
-                            with pytest.raises(NoFeasiblePath):
+                            with pytest.raises(LinkMappingInfeasible):
                                 route_link(src, dst, bw, net, debits)
                             failed += 1
                         else:
@@ -114,7 +114,7 @@ class TestRouteLink:
         debits = {(0, 1): 3, (1, 2): 5}
         assert shortest_feasible_path_brute(net, 0, 1, 8, debits) is None
         for given in (None, masks):
-            with pytest.raises(NoFeasiblePath):
+            with pytest.raises(LinkMappingInfeasible):
                 route_link(0, 1, 8, net, debits, given)
         assert shortest_feasible_path_brute(net, 0, 1, 8, {(0, 1): 3}) == (0, 2, 1)
         assert route_link(0, 1, 8, net, {(0, 1): 3}, masks) == (0, 2, 1)
@@ -143,7 +143,7 @@ class TestRouteLink:
                             for masks in (None, plan_masks[bw]):
                                 try:
                                     got = route_link(src, dst, bw, net, debits, masks)
-                                except NoFeasiblePath:
+                                except LinkMappingInfeasible:
                                     got = None
                                 assert got == expected
                             seen.add(expected is None)
@@ -363,7 +363,7 @@ class TestMinHopPath:
                 path = shortest_feasible_path_brute(net, src, dst, 0)
                 if path is None:
                     unjoined += 1
-                    with pytest.raises(NoFeasiblePath):
+                    with pytest.raises(LinkMappingInfeasible):
                         min_hop_path(src, dst, net)
                 else:
                     expected[src] = len(path) - 1
@@ -389,7 +389,7 @@ class TestMinHopPath:
             link_specs=[(0, 1, 100), (2, 3, 100)],
             hops=False,
         )
-        with pytest.raises(NoFeasiblePath):
+        with pytest.raises(LinkMappingInfeasible):
             min_hop_path(1, 2, net)
         vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 5)])
         with pytest.raises(LinkMappingInfeasible):

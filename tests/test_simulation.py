@@ -8,7 +8,7 @@ from secvne import simulation
 from secvne.errors import EmbeddingInfeasible, InternalConsistencyError, InvalidConfig
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.metrics import steady_state_means, windowed_series
+from secvne.metrics import cost, revenue, steady_state_means, windowed_series
 from secvne.model import Embedding
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import Strategy, audit_residuals, compare, make_strategy, run
@@ -200,6 +200,29 @@ def test_trace_export_fields(tmp_path):
                 if json.loads(l)["outcome"] == "accepted"]
     assert all(doc["revenue"] is not None and doc["cost"] is not None
                for doc in accepted)
+
+
+@pytest.mark.parametrize("name", simulation.STRATEGY_NAMES)
+def test_each_acceptance_is_priced_on_its_record(name):
+    """An accepted record carries the revenue and cost of the embedding its
+    strategy returned; every other record carries None for both."""
+    net, vnrs = mini_instance(seed=3, horizon=400.0)
+    strategy = make_strategy(name, seed=3)
+    returned = {}
+
+    def keep(vnr, net):
+        emb = returned[vnr.id] = strategy.embed(vnr, net)
+        return emb
+
+    trace = run(net, vnrs, Strategy(name, keep), 400.0)
+    outcomes = {r.outcome for r in trace.records}
+    assert outcomes == {"accepted", "rejected", "released"}
+    for rec in trace.records:
+        if rec.outcome == "accepted":
+            emb = returned[rec.vnr_id]
+            assert (rec.revenue, rec.cost) == (revenue(emb.vnr), cost(emb))
+        else:
+            assert rec.revenue is None and rec.cost is None
 
 
 def test_unknown_strategy_name_rejected():
