@@ -19,7 +19,7 @@ print(f"  intra-domain links: {kind_counts['intra-domain']}, "
 print(f"  boundary nodes: {sorted(net.boundary_nodes())}")
 
 for d in range(net.domain_count):
-    members = net.domain_nodes(d)
+    members = [nid for nid in net.node_ids if net.nodes[nid].domain == d]
     cpu = sum(net.nodes[n].cpu_capacity for n in members)
     hops = [net.nodes[n].hop_to_boundary for n in members]
     print(f"  domain {d}: {len(members)} nodes, {cpu} total cpu, "

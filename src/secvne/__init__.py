@@ -49,10 +49,8 @@ from .node_mapping import (
     virtual_node_priority,
 )
 from .pso import (
-    EvaluationPlan,
     Particle,
     PsoConfig,
-    SwarmResult,
     evaluation_plan,
     fitness,
     optimize,
@@ -61,7 +59,7 @@ from .pso import (
     swarm_search,
     velocity_update,
 )
-from .routing import RoutingResult, build_embedding, route_all_links, route_link
+from .routing import build_embedding, route_all_links, route_link
 from .simulation import (
     STRATEGY_NAMES,
     EventRecord,

@@ -228,23 +228,12 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     seed_cols = ",".join(f"seed_{s}" for s in seeds)
     for m in METRIC_NAMES:
-        lines = [f"strategy,mean,stddev,{seed_cols}"]
-        for name in strategies:
-            values = results[name][m]
-            mean, std = _mean_std(values)
-            cells = [name, fileio.format_cell(mean), fileio.format_cell(std)]
-            cells += [fileio.format_cell(v) for v in values]
-            lines.append(",".join(cells))
-        fileio.atomic_write_text(out / f"{m}.csv", "\n".join(lines) + "\n")
-
-    summary = ["strategy," + ",".join(METRIC_NAMES)]
-    for name in strategies:
-        cells = [name]
-        for m in METRIC_NAMES:
-            mean, _ = _mean_std(results[name][m])
-            cells.append(fileio.format_cell(mean))
-        summary.append(",".join(cells))
-    fileio.atomic_write_text(out / "summary.csv", "\n".join(summary) + "\n")
+        fileio.write_csv(f"strategy,mean,stddev,{seed_cols}",
+                         ([name, *_mean_std(results[name][m]), *results[name][m]]
+                          for name in strategies), out / f"{m}.csv")
+    summary = fileio.write_csv("strategy," + ",".join(METRIC_NAMES),
+                               ([name, *(_mean_std(results[name][m])[0] for m in METRIC_NAMES)]
+                                for name in strategies), out / "summary.csv")
 
     print(f"compare: strategies={strategies} seeds={seeds} -> {out}")
     for line in summary:

@@ -14,6 +14,11 @@ Field names are pinned for cross-implementation compatibility:
                 was made (null for other records)
     window CSV  header t_start,t_end,arrived,accepted,acceptance,avg_revenue,
                 avg_cost,rc_ratio; no-sample cells are left empty
+    cumulative  header t_end,arrived,accepted,acceptance,revenue,cost,
+    CSV         rc_ratio, the same cells
+
+Every CSV, ``compare``'s tables included, goes through ``write_csv``: one
+header line, then one line per row whose cells ``format_cell`` writes.
 
 Every id, capacity, demand, security level and domain in the substrate and
 workload files is read through ``read_int``: a JSON integer, never a
@@ -278,19 +283,21 @@ def write_trace(trace, path) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def write_window_csv(rows, path) -> None:
-    lines = [WINDOW_CSV_HEADER]
-    for r in rows:
-        w = r.window
-        cells = (w.t_start, w.t_end, w.arrived, w.accepted, r.acceptance, r.avg_revenue,
-                 r.avg_cost, r.rc_ratio)
-        lines.append(",".join(format_cell(c) for c in cells))
+def write_csv(header: str, rows, path) -> list[str]:
+    """The one CSV writer: ``header``, then one line of ``format_cell``
+    cells per row of ``rows``; returns the lines written."""
+    lines = [header] + [",".join(format_cell(c) for c in cells) for cells in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+    return lines
+
+
+def write_window_csv(rows, path) -> None:
+    write_csv(WINDOW_CSV_HEADER,
+              ((r.window.t_start, r.window.t_end, r.window.arrived, r.window.accepted,
+                r.acceptance, r.avg_revenue, r.avg_cost, r.rc_ratio) for r in rows), path)
 
 
 def write_cumulative_csv(rows, path) -> None:
-    lines = [CUMULATIVE_CSV_HEADER]
-    for r in rows:
-        cells = (r.t_end, r.arrived, r.accepted, r.acceptance, r.revenue, r.cost, r.rc_ratio)
-        lines.append(",".join(format_cell(c) for c in cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(CUMULATIVE_CSV_HEADER,
+              ((r.t_end, r.arrived, r.accepted, r.acceptance, r.revenue, r.cost, r.rc_ratio)
+               for r in rows), path)

@@ -255,9 +255,6 @@ class SubstrateNetwork:
         self.hop_levels: dict[int, list[int]] = {}
         self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def domain_nodes(self, domain: int) -> list[int]:
-        return [nid for nid in self.node_ids if self.nodes[nid].domain == domain]
-
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
         for l in self.links.values():
@@ -265,12 +262,6 @@ class SubstrateNetwork:
                 out.add(l.u)
                 out.add(l.v)
         return out
-
-    def state_signature(self) -> tuple:
-        """Hashable snapshot of all residuals, used by tests."""
-        nodes = tuple((nid, self.nodes[nid].cpu_residual) for nid in self.node_ids)
-        links = tuple((k, self.links[k].bw_residual) for k in sorted(self.links))
-        return (nodes, links)
 
     def copy(self) -> "SubstrateNetwork":
         """Independent copy with current residuals and no active embeddings."""

@@ -54,14 +54,27 @@ them instead of testing residuals link by link; ``optimize`` routes the
 winner over them too.
 
 Everything a search evaluates against is fixed per search, so
-``evaluation_plan`` derives it once: the virtual-node order, the candidate
-lists and their sets, ``cpu_total``, each virtual link as an (index of u,
-index of v, demand) triple in the request's routing order, the slack flag,
-the cost bound and, without slack, each link's label dict and the usable
-masks.  ``fitness`` indexes positions with the triples and builds the
-assignment dict only when it routes.  ``position_update`` re-draws a
-component from its candidate list as it stands when no kept or re-drawn
-node lies in the list's set, which leaves the same pool the filter would.
+``evaluation_plan`` derives it once, and holds only what ``fitness`` and
+the bound stop read: the virtual-node order, ``cpu_total``, each virtual
+link as an (index of u, index of v, demand) triple in the request's routing
+order, the slack flag, the cost bound and, without slack, each link's label
+dict and the usable masks.  ``fitness`` indexes positions with the triples
+and builds the assignment dict only when it routes.
+
+Every injective draw goes through one loop, ``draw_injective``.  For each
+component it draws, in ascending order, its pool is the candidate list as
+it stands when the list's set shares no node with ``used`` (the nodes kept
+or picked so far), else the list filtered, which leaves the same pool; an
+empty pool is a dead end, and otherwise it picks
+``pool[rng.integers(len(pool))]`` and adds the pick to ``used``.
+``position_update`` runs it over the velocity-0 components, with the kept
+nodes already in ``used``, and falls back to ``random_injective`` at a
+dead end.  ``sample_injective`` runs it over every component from an empty
+``used`` and returns None at a dead end; ``random_injective`` (each initial
+particle not seeded by the priority mapping) and the random baseline draw
+through it.  ``swarm_search`` builds the candidate sets once, next to the
+lists, so the swarm's test is one set against another;
+``sample_injective`` tests against the lists themselves.
 
 The cost bound is the search's one proof about all positions at once.
 ``cost_bound`` is ``cpu_total`` plus, per virtual link of demand d, d times
@@ -106,6 +119,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
@@ -188,51 +202,53 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
 
-def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
-                    candidate_sets: list[set[int]], rng) -> list[int]:
-    """Keep components with velocity 1; re-draw the rest injectively.
+def draw_injective(out: list[int], keep: list[int], candidate_lists: list[list[int]],
+                   candidate_sets, used: set[int], rng) -> list[int] | None:
+    """The one exclude-and-draw loop: re-draw each component k of ``out``
+    whose ``keep[k]`` is 0, in ascending order, from candidate list k less
+    ``used``; ``out``, or None at a dead end (an empty pool).
 
-    Re-draws run in ascending component order, each excluding every kept node
-    and every earlier re-drawn node: from the candidate list itself when its
-    set holds none of them, else from the list filtered.  A component whose
-    pool empties triggers a full re-randomization of the particle, so the
-    update never fails.
+    The pool is the list as it stands when ``used`` shares no node with
+    ``candidate_sets[k]`` (any collection of list k's nodes), else the list
+    filtered: both pools are equal, so only the filter's cost differs.  Each
+    pick is ``pool[rng.integers(len(pool))]`` and joins ``used``.
     """
-    position = p.position
-    if len(v_new) != len(position):
-        raise LengthMismatch(f"velocity of length {len(v_new)} for position of "
-                             f"length {len(position)}")
-    if v_new.count(1) == len(v_new):
-        return list(position)
-    used = {x for x, v in zip(position, v_new) if v == 1}
-    out = list(position)
-    for k, v in enumerate(v_new):
-        if v == 1:
+    for k, v in enumerate(keep):
+        if v:
             continue
         pool = candidate_lists[k]
         if not used.isdisjoint(candidate_sets[k]):
             pool = [c for c in pool if c not in used]
         if not pool:
-            return random_injective(candidate_lists, rng)
+            return None
         pick = pool[rng.integers(len(pool))]
         out[k] = pick
         used.add(pick)
     return out
 
 
+def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
+                    candidate_sets: list[set[int]], rng) -> list[int]:
+    """Keep components with velocity 1; re-draw the rest injectively.
+
+    ``draw_injective`` re-draws them with every kept node already used.  A
+    dead end triggers a full re-randomization of the particle, so the update
+    never fails.
+    """
+    position = p.position
+    if len(v_new) != len(position):
+        raise LengthMismatch(f"velocity of length {len(v_new)} for position of "
+                             f"length {len(position)}")
+    out = draw_injective(list(position), v_new, candidate_lists, candidate_sets,
+                         set(compress(position, v_new)), rng)
+    return random_injective(candidate_lists, rng) if out is None else out
+
+
 def sample_injective(candidate_lists: list[list[int]], rng) -> list[int] | None:
     """One pass of uniform draws, one pick per candidate list in order, each
     excluding the earlier picks; None as soon as some pool empties."""
-    used: set[int] = set()
-    out = []
-    for cands in candidate_lists:
-        pool = [c for c in cands if c not in used]
-        if not pool:
-            return None
-        pick = pool[rng.integers(len(pool))]
-        out.append(pick)
-        used.add(pick)
-    return out
+    n = len(candidate_lists)
+    return draw_injective([0] * n, [0] * n, candidate_lists, candidate_lists, set(), rng)
 
 
 def random_injective(candidate_lists: list[list[int]], rng) -> list[int]:
@@ -296,8 +312,6 @@ class EvaluationPlan:
     vnr: VirtualNetworkRequest
     net: SubstrateNetwork
     vnode_order: list[int]
-    candidate_lists: list[list[int]]
-    candidate_sets: list[set[int]]
     cpu_total: int
     # (index of u, index of v, bw demand) per virtual link, in routing order
     links: list[tuple[int, int, int]]
@@ -356,10 +370,8 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     if not bw_slack:
         labels, masks = usable_subgraphs([bw for _, _, bw in links], net)
         link_labels = [labels[bw] for _, _, bw in links]
-    return EvaluationPlan(vnr, net, vnode_order, candidate_lists,
-                          [set(c) for c in candidate_lists], vnr.cpu_total, links,
-                          bw_slack, link_labels, masks,
-                          cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
+    return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, link_labels,
+                          masks, cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
 
 
 def fitness(position: list[int], plan: EvaluationPlan) -> float:
@@ -383,11 +395,11 @@ def fitness(position: list[int], plan: EvaluationPlan) -> float:
         if label[position[iu]] != label[position[iv]]:
             return INFEASIBLE
     try:
-        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
-                                  plan.masks)
+        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
+                                     plan.masks)
     except LinkMappingInfeasible:
         return INFEASIBLE
-    return float(plan.cpu_total + routing.total_bw_cost)
+    return float(plan.cpu_total + bw_cost)
 
 
 def _inertia(iteration: int) -> float:
@@ -417,7 +429,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible(f"request {vnr.id}: some virtual link has no candidate "
                                   f"hosts joined by links with its demand in residual")
     vnode_order = plan.vnode_order
-    candidate_sets = plan.candidate_sets
+    candidate_sets = [set(c) for c in candidate_lists]
 
     draws = draws_from(cfg.seed)
     fitness_cache: dict[tuple[int, ...], float] = {}

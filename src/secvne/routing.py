@@ -54,16 +54,6 @@ from .model import (
 )
 
 
-class RoutingResult:
-    """Paths for every virtual link plus the total bandwidth-hop cost."""
-
-    __slots__ = ("paths", "total_bw_cost")
-
-    def __init__(self, paths: dict, total_bw_cost: int):
-        self.paths = paths
-        self.total_bw_cost = total_bw_cost
-
-
 def _descend(cur: int, levels: list[int], masks, node_ids: list[int]) -> tuple[int, ...]:
     """The path from the node of bit rank ``cur`` one level below it per hop,
     down ``levels`` from the last to the first, through the lowest set bit
@@ -205,8 +195,9 @@ def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
 
 def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
                     net: SubstrateNetwork,
-                    masks: dict[int, list[int]] | None = None) -> RoutingResult:
-    """Route every virtual link, debiting residuals cumulatively.
+                    masks: dict[int, list[int]] | None = None) -> tuple[dict, int]:
+    """Route every virtual link, debiting residuals cumulatively: the path
+    of each virtual link by key, and the total bandwidth-hop cost.
 
     Links are processed in the request's ``routing_order``: descending demand
     (ties by link key), so the largest flows claim scarce capacity first.
@@ -232,7 +223,7 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
             debits[k] = debits.get(k, 0) + bw
         paths[vlink.key] = path
         total += bw * (len(path) - 1)
-    return RoutingResult(paths, total)
+    return paths, total
 
 
 def build_embedding(vnr: VirtualNetworkRequest, assignment: dict[int, int],
@@ -240,5 +231,5 @@ def build_embedding(vnr: VirtualNetworkRequest, assignment: dict[int, int],
                     masks: dict[int, list[int]] | None = None) -> Embedding:
     """Route a node assignment, over ``masks`` as ``route_all_links`` does,
     and wrap it into an Embedding."""
-    routing = route_all_links(vnr, assignment, net, masks)
-    return Embedding(vnr, dict(assignment), routing.paths)
+    paths, _ = route_all_links(vnr, assignment, net, masks)
+    return Embedding(vnr, dict(assignment), paths)

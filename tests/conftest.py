@@ -54,6 +54,13 @@ def scattered_net():
     )
 
 
+def state_signature(net):
+    """Hashable snapshot of every node's and link's residual."""
+    nodes = tuple((nid, net.nodes[nid].cpu_residual) for nid in net.node_ids)
+    links = tuple((k, net.links[k].bw_residual) for k in sorted(net.links))
+    return (nodes, links)
+
+
 def make_vnr(node_specs, link_specs, vnr_id=0, arrival=0.0, lifetime=100.0):
     """node_specs: (id, cpu, vsd, vsl, cd); link_specs: (u, v, bw)."""
     nodes = [VirtualNode(i, c, vsd, vsl, frozenset(cd)) for (i, c, vsd, vsl, cd) in node_specs]

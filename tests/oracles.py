@@ -331,18 +331,24 @@ def matching_brute(candidate_lists):
     return [next(c for c, k in owner.items() if k == i) for i in range(len(candidate_lists))]
 
 
+def sample_injective_brute(candidate_lists, rng):
+    """One pass of uniform draws, each pick excluding the earlier ones; None
+    when a pool empties."""
+    out = []
+    for cands in candidate_lists:
+        pool = [c for c in cands if c not in out]
+        if not pool:
+            return None
+        out.append(pool[rng.integers(len(pool))])
+    return out
+
+
 def random_injective_brute(candidate_lists, rng):
-    """Up to RANDOM_INJECTIVE_TRIES passes of uniform draws, each pick
-    excluding the earlier ones and a pass abandoned when a pool empties,
+    """Up to RANDOM_INJECTIVE_TRIES passes of ``sample_injective_brute``,
     then the deterministic matching."""
     for _ in range(RANDOM_INJECTIVE_TRIES):
-        out = []
-        for cands in candidate_lists:
-            pool = [c for c in cands if c not in out]
-            if not pool:
-                break
-            out.append(pool[rng.integers(len(pool))])
-        else:
+        out = sample_injective_brute(candidate_lists, rng)
+        if out is not None:
             return out
     return matching_brute(candidate_lists)
 

@@ -22,7 +22,7 @@ from secvne.fileio import (
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import CumulativeRow, MetricWindow, WindowRow
 
-from conftest import SPLIT_DOMAIN_SUBSTRATE
+from conftest import SPLIT_DOMAIN_SUBSTRATE, state_signature
 
 
 def test_substrate_round_trip(tmp_path):
@@ -31,7 +31,7 @@ def test_substrate_round_trip(tmp_path):
     save_substrate(net, path)
     loaded = load_substrate(path)
     assert loaded.domain_count == net.domain_count
-    assert loaded.state_signature() == net.state_signature()
+    assert state_signature(loaded) == state_signature(net)
     for nid, n in net.nodes.items():
         m = loaded.nodes[nid]
         assert (m.domain, m.cpu_capacity, m.ssl, m.ssd, m.hop_to_boundary) == \

@@ -21,7 +21,7 @@ def test_default_substrate_shape():
     assert net.domain_count == 4
     assert len(net.nodes) == 120
     for d in range(4):
-        assert len(net.domain_nodes(d)) == 30
+        assert sum(n.domain == d for n in net.nodes.values()) == 30
 
 
 def test_attributes_within_ranges():

@@ -19,7 +19,7 @@ from secvne.model import (
 )
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr, scattered_net
+from conftest import make_substrate, make_vnr, scattered_net, state_signature
 from oracles import boundary_hops_brute, neighbours
 
 
@@ -47,10 +47,10 @@ def test_allocate_debits_cpu_and_bandwidth(simple_case):
 
 def test_allocate_release_roundtrip_is_identity(simple_case):
     net, vnr, emb = simple_case
-    before = net.state_signature()
+    before = state_signature(net)
     allocate(net, emb)
     release(net, emb)
-    assert net.state_signature() == before
+    assert state_signature(net) == before
 
 
 def test_release_twice_raises(simple_case):
@@ -72,10 +72,10 @@ def test_allocate_insufficient_cpu_raises(toy_net):
 def test_allocate_overdrawn_link_raises_and_debits_nothing(toy_net):
     vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 1001)])
     emb = embed_on_toy(toy_net, vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)})
-    before = toy_net.state_signature()
+    before = state_signature(toy_net)
     with pytest.raises(InsufficientResources, match=r"link \(0, 1\)"):
         allocate(toy_net, emb)
-    assert toy_net.state_signature() == before
+    assert state_signature(toy_net) == before
 
 
 def test_request_link_to_a_missing_lower_endpoint_raises():
@@ -103,18 +103,18 @@ def test_release_order_independence(toy_net):
     allocate(toy_net, emb_a)
     allocate(toy_net, emb_b)
     release(toy_net, emb_a)
-    after_mixed = toy_net.state_signature()
+    after_mixed = state_signature(toy_net)
     release(toy_net, emb_b)
 
     only_b = toy_net.copy()
     allocate(only_b, Embedding(vnr_b, emb_b.node_map, emb_b.link_map))
-    assert after_mixed == only_b.state_signature()
+    assert after_mixed == state_signature(only_b)
 
 
 def test_conservation_over_random_sequences(toy_net):
     """Any interleaving of allocates and matching releases restores residuals."""
     rng = np.random.default_rng(42)
-    base = toy_net.state_signature()
+    base = state_signature(toy_net)
     for _ in range(50):
         active = []
         for step in range(12):
@@ -132,7 +132,7 @@ def test_conservation_over_random_sequences(toy_net):
                     active.append(emb)
         for emb in active:
             release(toy_net, emb)
-        assert toy_net.state_signature() == base
+        assert state_signature(toy_net) == base
 
 
 def test_residuals_stay_within_bounds(toy_net):

@@ -30,13 +30,14 @@ from secvne.pso import (
     velocity_update,
 )
 from secvne.routing import route_all_links, usable_subgraphs
+from secvne.seeding import draws_from
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (best_fitness_brute, enumerate_assignments, labels_separate,
-                     position_subtract, route_all_brute, scalar_velocity_bit,
-                     scalar_velocity_update, swarm_reference)
+                     position_subtract, rng_from, route_all_brute, sample_injective_brute,
+                     scalar_velocity_bit, scalar_velocity_update, swarm_reference)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
 
@@ -68,10 +69,10 @@ def routed_cost(position, plan):
     paths: cpu_total plus the bandwidth cost of route_all_links, or +inf
     when it cannot route the links."""
     try:
-        routing = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
     except LinkMappingInfeasible:
         return math.inf
-    return float(plan.vnr.cpu_total + routing.total_bw_cost)
+    return float(plan.vnr.cpu_total + bw_cost)
 
 
 def sets_of(candidate_lists):
@@ -217,6 +218,21 @@ class TestInjectiveSampling:
         rng = np.random.default_rng(5)
         assert sample_injective([[1], [1, 2], [2]], rng) is None
         assert sample_injective([[1], [1, 2]], rng) == [1, 2]
+
+    def test_sample_injective_draws_what_one_reference_pass_draws(self):
+        """Draw for draw, on a twin stream, the pass of the plain reference,
+        dead ends included, and both streams end at the same point."""
+        rnd = random.Random(7)
+        outcomes = {True: 0, False: 0}
+        for seed in range(400):
+            n = rnd.randint(1, 7)
+            cands = [sorted(rnd.sample(range(10), rnd.randint(1, 5))) for _ in range(n)]
+            fast, plain = draws_from(seed), rng_from(seed)
+            out = sample_injective(cands, fast)
+            assert out == sample_injective_brute(cands, plain)
+            assert fast.random() == plain.random()
+            outcomes[out is None] += 1
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestFitness:

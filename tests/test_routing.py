@@ -200,9 +200,7 @@ class TestComponentLabels:
 class TestRouteAllLinks:
     def test_zero_link_vnr_costs_nothing(self, toy_net):
         vnr = make_vnr([(0, 5, 0, 4, (0,))], [])
-        result = route_all_links(vnr, {0: 0}, toy_net)
-        assert result.paths == {}
-        assert result.total_bw_cost == 0
+        assert route_all_links(vnr, {0: 0}, toy_net) == ({}, 0)
 
     def test_two_hop_path_cost(self):
         net = make_substrate(
@@ -211,9 +209,7 @@ class TestRouteAllLinks:
             link_specs=[(0, 1, 100), (1, 2, 100), (0, 3, 100)],
         )
         vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 10)])
-        result = route_all_links(vnr, {0: 0, 1: 2}, net)
-        assert result.paths[(0, 1)] == (0, 1, 2)
-        assert result.total_bw_cost == 20
+        assert route_all_links(vnr, {0: 0, 1: 2}, net) == ({(0, 1): (0, 1, 2)}, 20)
 
     def test_shared_bottleneck_fails_atomically(self):
         # two virtual links must both cross the single 0-1 bridge of capacity 12
@@ -235,9 +231,9 @@ class TestRouteAllLinks:
             [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,)), (2, 1, 0, 4, (1,))],
             [(0, 1, 400), (1, 2, 400), (0, 2, 400)],
         )
-        result = route_all_links(vnr, {0: 0, 1: 2, 2: 3}, toy_net)
+        paths, _ = route_all_links(vnr, {0: 0, 1: 2, 2: 3}, toy_net)
         load = {}
-        for vkey, path in result.paths.items():
+        for vkey, path in paths.items():
             for i in range(len(path) - 1):
                 k = link_key(path[i], path[i + 1])
                 load[k] = load.get(k, 0) + vnr.links[vkey].bw_demand
@@ -260,9 +256,7 @@ class TestRouteAllLinks:
                 with pytest.raises(LinkMappingInfeasible):
                     route_all_links(vnr, assignment, net)
             else:
-                result = route_all_links(vnr, assignment, net)
-                assert result.paths == expected[0]
-                assert result.total_bw_cost == expected[1]
+                assert route_all_links(vnr, assignment, net) == expected
 
     def test_path_table_revalidates_under_debits(self):
         """A table path that an earlier link's debit saturates must be
@@ -278,8 +272,7 @@ class TestRouteAllLinks:
         )
         # fill the table with the route R -> S (via the 12-capacity link)
         warm = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
-        warmed = route_all_links(warm, {0: 4, 1: 5}, net)
-        assert warmed.paths[(0, 1)] == (4, 1, 2, 5)
+        assert route_all_links(warm, {0: 4, 1: 5}, net) == ({(0, 1): (4, 1, 2, 5)}, 15)
         assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)
         # now a request whose 9-unit link saturates 1-2 before the 5-unit
         # link needs it; the table's (4, ..., 5) route must be re-derived
@@ -290,11 +283,9 @@ class TestRouteAllLinks:
         )
         assignment = {0: 0, 1: 3, 2: 4, 3: 5}
         routed = route_all_links(vnr, assignment, net)
-        expected_paths, expected_cost = route_all_brute(vnr, assignment, net)
-        assert routed.paths == expected_paths
-        assert routed.paths[(0, 1)] == (0, 1, 2, 3)       # debits 1-2 down to 3
-        assert routed.paths[(2, 3)] == (4, 1, 6, 2, 5)    # forced detour
-        assert routed.total_bw_cost == expected_cost
+        assert routed == route_all_brute(vnr, assignment, net)
+        assert routed[0][(0, 1)] == (0, 1, 2, 3)       # debits 1-2 down to 3
+        assert routed[0][(2, 3)] == (4, 1, 6, 2, 5)    # forced detour
         assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)  # debits leave the table alone
 
     def test_path_table_gives_identical_results(self, toy_net):
@@ -304,10 +295,8 @@ class TestRouteAllLinks:
         )
         assignments = [{0: 0, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 5}, {0: 0, 1: 2, 2: 3}]
         for assignment in assignments:
-            fresh = route_all_links(vnr, assignment, toy_net.copy())
-            shared = route_all_links(vnr, assignment, toy_net)
-            assert fresh.paths == shared.paths
-            assert fresh.total_bw_cost == shared.total_bw_cost
+            assert (route_all_links(vnr, assignment, toy_net.copy())
+                    == route_all_links(vnr, assignment, toy_net))
 
     def test_matches_brute_force_when_bandwidth_binds(self, monkeypatch):
         bfs_calls = []
@@ -334,9 +323,7 @@ class TestRouteAllLinks:
                     with pytest.raises(LinkMappingInfeasible):
                         route_all_links(vnr, assignment, net)
                 else:
-                    result = route_all_links(vnr, assignment, net)
-                    assert result.paths == expected[0]
-                    assert result.total_bw_cost == expected[1]
+                    assert route_all_links(vnr, assignment, net) == expected
         assert bfs_calls
 
 

@@ -13,7 +13,7 @@ from secvne.model import Embedding
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import Strategy, audit_residuals, compare, make_strategy, run
 
-from conftest import make_vnr
+from conftest import make_vnr, state_signature
 
 
 def mini_instance(seed=0, horizon=600.0):
@@ -43,22 +43,22 @@ def test_a_run_adds_no_substrate_attribute(strategy, overrides):
 
 
 def test_empty_stream_leaves_network_untouched(toy_net):
-    before = toy_net.state_signature()
+    before = state_signature(toy_net)
     trace = run(toy_net, [], make_strategy("greedy"), horizon=100.0)
     assert trace.records == []
     assert trace.arrived == 0
-    assert toy_net.state_signature() == before
+    assert state_signature(toy_net) == before
 
 
 def test_single_vnr_accept_then_release(toy_net):
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)],
                    vnr_id=0, arrival=1.0, lifetime=10.0)
-    before = toy_net.state_signature()
+    before = state_signature(toy_net)
     trace = run(toy_net, [vnr], make_strategy("greedy"), horizon=100.0)
     assert [r.kind for r in trace.records] == ["arrival", "departure"]
     assert trace.records[0].outcome == "accepted"
     assert trace.records[1].time == pytest.approx(11.0)
-    assert toy_net.state_signature() == before
+    assert state_signature(toy_net) == before
 
 
 def test_identical_runs_produce_identical_traces(tmp_path):
@@ -90,21 +90,21 @@ def test_rejection_does_not_mutate_state(toy_net):
 
     RejectingStrategy = Strategy("rejector", reject)
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
-    before = toy_net.state_signature()
+    before = state_signature(toy_net)
     trace = run(toy_net, [vnr], RejectingStrategy, horizon=10.0)
     assert trace.records[0].outcome == "rejected"
-    assert toy_net.state_signature() == before
+    assert state_signature(toy_net) == before
 
 
 def test_real_strategy_rejections_leave_state_untouched():
     """Hash the substrate around every rejected attempt of the real strategies."""
     def HashChecking(inner, rejections_checked):
         def embed(vnr, net):
-            before = net.state_signature()
+            before = state_signature(net)
             try:
                 return inner.embed(vnr, net)
             except EmbeddingInfeasible:
-                assert net.state_signature() == before
+                assert state_signature(net) == before
                 rejections_checked.append(vnr.id)
                 raise
 
