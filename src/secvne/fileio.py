@@ -28,11 +28,12 @@ never a boolean or a string.  Every domain a substrate declares holds a
 node, is connected and holds a boundary node, all checked by
 ``model.compute_boundary_hops``.
 A workload's horizon is positive, its header's ``vnr_count`` is the number
-of request lines, its request ids are distinct, each request has a virtual
-node, each node a candidate domain, and each virtual link appears once
-(``u, v`` and ``v, u`` name the same link).  A generator config names only
-``GeneratorConfig`` fields, and ``GeneratorConfig.validate`` checks their
-types and values.  A malformed file raises ``InvalidConfig``.
+of request lines, its request ids are distinct, and ``VirtualNetworkRequest``
+checks that each request has a virtual node, each node a candidate domain,
+and each virtual link appears once (``u, v`` and ``v, u`` name the same
+link).  A generator config names only ``GeneratorConfig`` fields, and
+``GeneratorConfig.validate`` checks their types and values.  A malformed
+file raises ``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
 truncated file behind, and all output is byte-deterministic.
@@ -186,11 +187,6 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
                          read_int(n["vsl"], "virtual node vsl"),
                          frozenset([read_int(d, "candidate domain") for d in n["cd"]]))
              for n in doc["nodes"]]
-    if not nodes:
-        raise ValueError("a request needs at least one virtual node")
-    for node in nodes:
-        if not node.cd:
-            raise ValueError(f"virtual node {node.id} has no candidate domain")
     links = [VirtualLink(read_int(l["u"], "virtual link u"), read_int(l["v"], "virtual link v"),
                          read_int(l["bw"], "virtual link bw"))
              for l in doc["links"]]
@@ -236,14 +232,6 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
 
 # -- generator config ----------------------------------------------------
 
-def config_to_dict(cfg: GeneratorConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for name in RANGE_FIELDS:
-        if out[name] is not None:
-            out[name] = list(out[name])
-    return out
-
-
 def config_from_dict(doc: dict) -> GeneratorConfig:
     """The config a JSON object describes.  JSON lists of the range fields
     become tuples, so a loaded config equals one written out in code;
@@ -270,7 +258,7 @@ def load_config(path) -> GeneratorConfig:
 
 
 def save_config(cfg: GeneratorConfig, path) -> None:
-    atomic_write_text(path, json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    atomic_write_text(path, json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")
 
 
 # -- traces and metric series --------------------------------------------

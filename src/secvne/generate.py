@@ -21,7 +21,7 @@ same calls, so identical configs reproduce identical networks on any
 platform.  A range bound may be at most numpy's int64 limit, 2**63 - 1.
 
 Each domain and each request graph is repaired to be connected: the
-components of its random graph are found with ``model.bfs_levels`` over node
+components of its random graph are found with ``model.components`` over node
 bitmasks and joined, in order of their smallest member, by links between
 random endpoints.
 """
@@ -40,7 +40,7 @@ from .model import (
     VirtualLink,
     VirtualNetworkRequest,
     VirtualNode,
-    bfs_levels,
+    components,
     compute_boundary_hops,
     link_key,
 )
@@ -161,14 +161,10 @@ def _connect_components(members: list[int], edges: set, draws: Draws) -> list[tu
     for (u, v) in edges:
         masks[rank[u]] |= 1 << rank[v]
         masks[rank[v]] |= 1 << rank[u]
-    # Each search starts from the lowest unvisited bit, so the components
-    # come out ordered by their smallest member, each one ascending.
-    comps: list[list[int]] = []
-    unvisited = (1 << len(members)) - 1
-    while unvisited:
-        comp = sum(bfs_levels(unvisited & -unvisited, masks))
-        unvisited ^= comp
-        comps.append([m for i, m in enumerate(members) if comp >> i & 1])
+    # The components come out ordered by their smallest member, each one
+    # ascending.
+    comps = [[m for i, m in enumerate(members) if comp >> i & 1]
+             for comp in components(masks)]
     added = []
     merged = comps[0]
     for comp in comps[1:]:

@@ -7,10 +7,13 @@ level they demand from a tenant (``ssd``).  Virtual requests mirror this with
 node may be placed.  Capacities and residuals are tracked separately and kept
 as integers so repeated allocate/release cycles restore state bit-exactly.
 
-Every breadth-first search in the package is ``bfs_levels``, over node
-bitmasks: bit i stands for the node of bit rank i, the i-th smallest node id
-(``SubstrateNetwork.rank``), and a search reads one neighbour mask per node,
-indexed by rank.  The topology's only adjacency is
+Every breadth-first search and component split in the package is
+``bfs_levels``, over node bitmasks: bit i stands for the node of bit rank i,
+the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
+one neighbour mask per node, indexed by rank.  ``components`` repeats it
+from the lowest node not yet reached until every node is reached; a
+component label in ``secvne.routing`` is an index into its list, reused by
+a demand that drops no further link.  The topology's only adjacency is
 ``SubstrateNetwork.adj_masks``, built from the links.
 ``compute_boundary_hops`` checks that every declared domain holds a node,
 then masks it down to one domain, in one pass per domain that checks the
@@ -75,6 +78,20 @@ def bfs_levels(start_mask: int, masks, near: int = 0) -> list[int]:
     return levels
 
 
+def components(masks) -> list[int]:
+    """The connected components of the graph whose node of bit rank i has
+    neighbour mask ``masks[i]``, as node masks ordered by their lowest bit:
+    one ``bfs_levels`` from the lowest node not yet reached, repeated until
+    every node is reached."""
+    comps = []
+    unreached = (1 << len(masks)) - 1
+    while unreached:
+        comp = sum(bfs_levels(unreached & -unreached, masks))
+        unreached ^= comp
+        comps.append(comp)
+    return comps
+
+
 def level_hops(levels: list[int], node_ids: list[int]) -> dict[int, int]:
     """Node id -> index of the level that holds it, for every node of
     ``levels``; ``node_ids[i]`` is the id of bit rank i."""
@@ -105,10 +122,6 @@ class SubstrateLink:
     bw_capacity: int
     bw_residual: int
     kind: str = INTRA_DOMAIN
-
-    @property
-    def key(self) -> LinkKey:
-        return (self.u, self.v)
 
 
 @dataclass(slots=True)
@@ -143,7 +156,11 @@ class VirtualNetworkRequest:
             if n.cpu_demand < 0:
                 raise ValueError(f"request {id}: virtual node {n.id} has negative cpu "
                                  f"demand {n.cpu_demand}")
+            if not n.cd:
+                raise ValueError(f"virtual node {n.id} has no candidate domain")
             self.nodes[n.id] = n
+        if not self.nodes:
+            raise ValueError("a request needs at least one virtual node")
         self.links: dict[LinkKey, VirtualLink] = {}
         for l in links:
             k = link_key(l.u, l.v)
@@ -268,7 +285,7 @@ class SubstrateNetwork:
         nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual,
                                n.ssl, n.ssd, n.hop_to_boundary)
                  for n in self.nodes.values()]
-        links = [SubstrateLink(l.u, l.v, l.bw_capacity, l.bw_residual, l.kind)
+        links = [SubstrateLink(l.u, l.v, l.bw_capacity, l.bw_residual)
                  for l in self.links.values()]
         return SubstrateNetwork(self.domain_count, nodes, links)
 

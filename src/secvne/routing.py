@@ -21,8 +21,9 @@ topology candidate.  Both descents therefore pick the same next node, and
 ``route_link`` would return the table path.  Residual changes never
 invalidate the table, because the topology is fixed after construction.
 
-There is one search and one descent.  The search is ``model.bfs_levels``, a
-level-synchronous breadth-first search over node bitmasks: bit i stands for
+There is one search and one descent.  The search, here and in every
+component split, is ``model.bfs_levels``, a level-synchronous breadth-first
+search over node bitmasks: bit i stands for
 the substrate node of bit rank i, the i-th smallest node id
 (``SubstrateNetwork.rank``), and ``levels[k]`` holds exactly the nodes k
 hops from dst.  The table's search reads the topology's masks
@@ -37,6 +38,11 @@ complete.  The descent (``_descend``) from src steps, at each level, to the
 lowest set bit of its mask AND the level below.  That bit is the neighbour
 with the smallest id among the neighbours one hop closer to dst, so both
 paths are the lexicographically smallest min-hop paths of their graphs.
+
+``usable_subgraphs`` also labels every node at each demand d: its label is
+the index of its component in ``model.components`` of the usable masks at
+d.  A demand that drops no link that the next smaller demand keeps has the
+same masks, and reuses that demand's labels.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .model import (
     SubstrateNetwork,
     VirtualNetworkRequest,
     bfs_levels,
+    components,
     level_hops,
     link_key,
 )
@@ -141,11 +148,11 @@ def usable_subgraphs(demands, net: SubstrateNetwork
     One bucketing pass files each link under the largest demand it carries,
     or under none.  The masks are then built in ascending demand order, from
     the topology's masks less the links each demand drops, so only the links
-    short of the largest demand are touched.  The labels come from a
-    union-find sweep that merges the buckets in descending demand order.  A
-    merge relabels the smaller component, so the sweep relabels each node
-    O(log n) times.  Two nodes share a label at d exactly when links with
-    residual >= d join them.
+    short of the largest demand are touched.  A node's label at d is the
+    index of its component in ``model.components`` of the masks at d, so
+    two nodes share a label at d exactly when links with residual >= d join
+    them.  A demand that drops no link has the masks of the demand below
+    it, and reuses its labels.
     """
     thresholds = sorted(set(demands), reverse=True)
     # ascending negated thresholds: bisect_left finds the largest demand <= r
@@ -156,29 +163,18 @@ def usable_subgraphs(demands, net: SubstrateNetwork
     for k, link in net.links.items():
         buckets[bisect_left(keys, -link.bw_residual)].append(k)
     rank = net.rank
-    masks = {}
+    labels, masks = {}, {}
     mask = list(net.adj_masks)
+    label = None
     for d, bucket in zip(reversed(thresholds), reversed(buckets)):
         for a, b in bucket:
             ra, rb = rank[a], rank[b]
             mask[ra] &= ~(1 << rb)
             mask[rb] &= ~(1 << ra)
+        if bucket or label is None:
+            label = level_hops(components(mask), net.node_ids)
+        labels[d] = label
         masks[d] = mask.copy()
-    label = {n: n for n in net.nodes}
-    members = {n: [n] for n in net.nodes}
-    labels = {}
-    for d, bucket in zip(thresholds, buckets):
-        for a, b in bucket:
-            keep, gone = label[a], label[b]
-            if keep == gone:
-                continue
-            if len(members[keep]) < len(members[gone]):
-                keep, gone = gone, keep
-            moved = members.pop(gone)
-            for n in moved:
-                label[n] = keep
-            members[keep].extend(moved)
-        labels[d] = label.copy()
     return labels, masks
 
 

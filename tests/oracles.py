@@ -6,6 +6,7 @@ implementation under test beyond the domain types and the swarm's
 constants.
 """
 
+import itertools
 import math
 from collections import deque
 
@@ -164,10 +165,37 @@ def usable_masks_brute(net, bw, debits=None):
     return masks
 
 
+def components_brute(masks):
+    """The connected components of the graph whose node i has neighbour mask
+    ``masks[i]``, as node masks ordered by their lowest bit: every node
+    starts alone, and two parts joined by an edge merge until none are."""
+    parts = [1 << i for i in range(len(masks))]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(parts)), 2):
+            if any(parts[a] >> i & 1 and masks[i] & parts[b] for i in range(len(masks))):
+                parts[a] |= parts.pop(b)
+                merged = True
+                break
+    return sorted(parts, key=lambda m: m & -m)
+
+
+def label_partition(label):
+    """The node sets that share a label: what a label dict means, whatever
+    values it uses."""
+    groups = {}
+    for nid, lab in label.items():
+        groups.setdefault(lab, set()).add(nid)
+    return {frozenset(g) for g in groups.values()}
+
+
 def component_labels_sweep(demands, net):
     """Component labels per demand from a union-find sweep over the links in
-    descending residual order, labels alone: the reference for the labels of
-    ``routing.usable_subgraphs``, which merges the same sweep with the masks."""
+    descending residual order: the independent union-find reference for the
+    labels of ``routing.usable_subgraphs``, which splits each demand's usable
+    masks with ``model.components`` instead.  Only the partition a label
+    dict induces is compared, never its values."""
     thresholds = sorted(set(demands), reverse=True)
     buckets = {d: [] for d in thresholds}
     for k, link in net.links.items():

@@ -9,7 +9,6 @@ from secvne.fileio import (
     CUMULATIVE_CSV_HEADER,
     WINDOW_CSV_HEADER,
     config_from_dict,
-    config_to_dict,
     load_config,
     load_substrate,
     load_workload,
@@ -87,9 +86,13 @@ def test_config_bad_range_shape_rejected():
         config_from_dict({"substrate_cpu_range": [1, 2, 3]})
 
 
-def test_config_dict_round_trip():
+def test_config_dict_round_trip(tmp_path):
     cfg = GeneratorConfig(seed=9)
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    doc = json.loads(path.read_text())
+    assert doc["substrate_bw_range"] == list(cfg.substrate_bw_range)
+    assert config_from_dict(doc) == cfg
 
 
 def test_window_csv_format(tmp_path):

@@ -1,5 +1,8 @@
 """Substrate model: residual bookkeeping, boundary hops, embedding validator."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from secvne.model import (
     VirtualNetworkRequest,
     VirtualNode,
     allocate,
+    components,
     compute_boundary_hops,
     link_key,
     release,
@@ -20,7 +24,7 @@ from secvne.model import (
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr, scattered_net, state_signature
-from oracles import boundary_hops_brute, neighbours
+from oracles import boundary_hops_brute, components_brute, neighbours
 
 
 def embed_on_toy(net, vnr, node_map, link_map):
@@ -93,6 +97,17 @@ def test_request_listing_a_virtual_link_twice_raises():
                               0.0, 100.0)
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ([], "a request needs at least one virtual node"),
+    ([VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, 5, 0, 4, frozenset())],
+     "virtual node 1 has no candidate domain"),
+], ids=["no-nodes", "empty-cd"])
+def test_request_without_a_node_or_a_candidate_domain_raises(nodes, message):
+    # Such a request could only be placed as an empty embedding priced 0.
+    with pytest.raises(ValueError, match=message):
+        VirtualNetworkRequest(0, nodes, [], 0.0, 100.0)
+
+
 def test_release_order_independence(toy_net):
     """allocate A, allocate B, release A leaves exactly B's footprint."""
     vnr_a = make_vnr([(0, 20, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 7)], vnr_id=1)
@@ -160,6 +175,27 @@ def test_adj_masks_are_the_link_neighbours():
         ids = sorted(net.nodes)
         nbrs = neighbours(net)
         assert net.adj_masks == [sum(1 << ids.index(m) for m in nbrs[nid]) for nid in ids]
+
+
+def test_components_are_the_brute_force_partition():
+    rnd = random.Random(0)
+    graphs = [[], [0], [0, 0, 0]]
+    for _ in range(80):
+        n = rnd.randint(1, 14)
+        rate = rnd.random() * 0.4
+        masks = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if rnd.random() < rate:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        graphs.append(masks)
+    isolated = split = 0
+    for masks in graphs:
+        comps = components(masks)
+        assert comps == components_brute(masks)
+        isolated += sum(1 for c in comps if c & (c - 1) == 0)
+        split += len(comps) > 1
+    assert isolated > 50 and split > 40
 
 
 class TestBoundaryHops:

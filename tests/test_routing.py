@@ -13,8 +13,8 @@ from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_
                             usable_subgraphs)
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
-from oracles import (component_labels_sweep, labels_separate, route_all_brute,
-                     shortest_feasible_path_brute, usable_masks_brute)
+from oracles import (component_labels_sweep, label_partition, labels_separate,
+                     route_all_brute, shortest_feasible_path_brute, usable_masks_brute)
 
 
 def grid_net(bws):
@@ -172,10 +172,46 @@ class TestComponentLabels:
             for net in (contended_net(seed), TestRouteLink.scattered_net(seed)):
                 demands = [15, 30, 45, 30, 60, 1]
                 labels, masks = usable_subgraphs(demands, net)
-                assert labels == component_labels_sweep(demands, net)
+                reference = component_labels_sweep(demands, net)
+                assert sorted(labels) == sorted(reference)
+                for d, label in labels.items():
+                    assert label_partition(label) == label_partition(reference[d])
                 assert sorted(masks) == [1, 15, 30, 45, 60]
                 for d, mask in masks.items():
                     assert mask == usable_masks_brute(net, d)
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
+    def test_labels_match_the_sweep_whether_or_not_a_demand_drops_a_link(
+            self, monkeypatch, reuse):
+        """A demand that drops no link beyond the next smaller demand reuses
+        its labels, so only the other demands split the masks anew."""
+        splits = []
+        plain = routing.components
+
+        def counting(masks):
+            splits.append(masks)
+            return plain(masks)
+
+        monkeypatch.setattr(routing, "components", counting)
+        for seed in range(6):
+            net = contended_net(seed, node_count=12)
+            if reuse:
+                # Residuals 5, 10 and 20: demands 5, 10 and 20 drop no link.
+                for i, k in enumerate(sorted(net.links)):
+                    net.links[k].bw_residual = (5, 10, 20)[i % 3]
+                demands = [3, 5, 8, 10, 15, 20, 25]
+                expected_splits = 4
+            else:
+                # Demand r + 1 drops every link of residual r.
+                demands = sorted({l.bw_residual + 1 for l in net.links.values()})
+                expected_splits = len(demands)
+            splits.clear()
+            labels, masks = usable_subgraphs(demands, net)
+            assert len(splits) == expected_splits
+            reference = component_labels_sweep(demands, net)
+            for d in demands:
+                assert label_partition(labels[d]) == label_partition(reference[d])
+                assert masks[d] == usable_masks_brute(net, d)
 
     def test_label_rejected_position_makes_route_all_links_raise(self):
         vnr = make_vnr(
