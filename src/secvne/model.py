@@ -157,10 +157,10 @@ class VirtualNetworkRequest:
                 raise ValueError(f"request {id}: virtual node {n.id} has negative cpu "
                                  f"demand {n.cpu_demand}")
             if not n.cd:
-                raise ValueError(f"virtual node {n.id} has no candidate domain")
+                raise ValueError(f"request {id}: virtual node {n.id} has no candidate domain")
             self.nodes[n.id] = n
         if not self.nodes:
-            raise ValueError("a request needs at least one virtual node")
+            raise ValueError(f"request {id}: a request needs at least one virtual node")
         self.links: dict[LinkKey, VirtualLink] = {}
         for l in links:
             k = link_key(l.u, l.v)

@@ -98,9 +98,9 @@ def test_request_listing_a_virtual_link_twice_raises():
 
 
 @pytest.mark.parametrize("nodes, message", [
-    ([], "a request needs at least one virtual node"),
+    ([], "request 0: a request needs at least one virtual node"),
     ([VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, 5, 0, 4, frozenset())],
-     "virtual node 1 has no candidate domain"),
+     "request 0: virtual node 1 has no candidate domain"),
 ], ids=["no-nodes", "empty-cd"])
 def test_request_without_a_node_or_a_candidate_domain_raises(nodes, message):
     # Such a request could only be placed as an empty embedding priced 0.
