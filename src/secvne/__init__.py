@@ -59,7 +59,7 @@ from .pso import (
     swarm_search,
     velocity_update,
 )
-from .routing import build_embedding, route_all_links, route_link
+from .routing import build_embedding, route_all_links, route_link, usable_masks
 from .simulation import (
     STRATEGY_NAMES,
     EventRecord,

@@ -12,14 +12,14 @@ Every breadth-first search and component split in the package is
 the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
 one neighbour mask per node, indexed by rank.  ``components`` repeats it
 from the lowest node not yet reached until every node is reached; a
-component label in ``secvne.routing`` is an index into its list, reused by
-a demand that drops no further link.  The topology's only adjacency is
+component label in ``secvne.pso`` is an index into its list, shared by
+demands that share their usable masks.  The topology's only adjacency is
 ``SubstrateNetwork.adj_masks``, built from the links.
 ``compute_boundary_hops`` checks that every declared domain holds a node,
 then masks it down to one domain, in one pass per domain that checks the
 domain is connected and has a boundary node and then measures the boundary
-distances; ``secvne.routing`` masks it down to the links with enough
-residual.
+distances; ``secvne.routing.usable_masks``, the one mask builder, masks it
+down to the links with enough residual.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ class VirtualNetworkRequest:
         for l in links:
             k = link_key(l.u, l.v)
             if k[0] == k[1]:
-                raise ValueError(f"virtual link {k} is a self-loop")
+                raise ValueError(f"request {id}: virtual link {k} is a self-loop")
             if k[0] not in self.nodes or k[1] not in self.nodes:
-                raise ValueError(f"virtual link {k} names a node missing from request {id}")
+                raise ValueError(f"request {id}: virtual link {k} names a node missing "
+                                 f"from request {id}")
             if k in self.links:
                 raise ValueError(f"request {id}: duplicate virtual link {k}")
             if l.bw_demand < 0:

@@ -41,17 +41,19 @@ holds, per destination, the hop count of every node that reaches it, filled
 by one breadth-first search the first time the destination is asked for;
 after that a lookup is one dict read.
 
-Otherwise ``evaluation_plan`` builds, once per search, each substrate node's
-component label and usable mask at every distinct demand d of the request:
-two nodes share a label at d when links with residual >= d join them, and a
-node's mask at d holds its neighbours over those links (``usable_subgraphs``).
-Debits only shrink that subgraph, so hosts with different labels at a
-virtual link's demand can never route it, under any routing order.  The
-labels serve once: ``fitness`` returns INFEASIBLE for a position whose
-hosts some virtual link's labels separate, and routes the rest in full.  It
-hands the masks to ``route_all_links`` so that a breadth-first search reads
-them instead of testing residuals link by link; ``optimize`` routes the
-winner over them too.
+Otherwise ``evaluation_plan`` builds, once per search, each substrate
+node's usable mask at every distinct demand d of the request, which holds
+its neighbours over links with residual >= d (``routing.usable_masks``),
+and from them each node's component label at d (``component_labels``): two
+nodes share a label at d when links with residual >= d join them.  The
+labels are built here and nowhere else.  Debits only shrink that subgraph,
+so hosts with different labels at a virtual link's demand can never route
+it, under any routing order.  The labels serve once: ``fitness`` returns
+INFEASIBLE for a position whose hosts some virtual link's labels separate,
+and routes the rest in full.  It hands the masks to ``route_all_links`` so
+that a breadth-first search reads them instead of testing residuals link by
+link.  ``optimize`` routes the winner as every strategy does, through
+``build_embedding``, which builds masks only if a table path falls short.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
@@ -123,9 +125,10 @@ from itertools import compress
 from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
-from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels
+from .model import (Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels, components,
+                    level_hops)
 from .node_mapping import candidate_nodes, map_nodes
-from .routing import build_embedding, hop_distances, route_all_links, usable_subgraphs
+from .routing import build_embedding, hop_distances, route_all_links, usable_masks
 from .seeding import draws_from
 
 INFEASIBLE = math.inf
@@ -157,14 +160,12 @@ class Particle:
 
 @dataclass
 class SwarmResult:
-    """Best assignment found plus the per-iteration gbest fitness series,
-    and the plan's usable masks (None under bandwidth slack) for routing it."""
+    """Best assignment found plus the per-iteration gbest fitness series."""
 
     vnode_order: list[int]
     position: list[int]
     fitness: float
     gbest_history: list[float]
-    masks: dict[int, list[int]] | None = None
 
     @property
     def assignment(self) -> dict[int, int]:
@@ -317,8 +318,8 @@ class EvaluationPlan:
     links: list[tuple[int, int, int]]
     bw_slack: bool
     # Without slack: each link's component labels at its demand, aligned
-    # with ``links``, and the usable masks per demand, both from
-    # usable_subgraphs; None under slack.
+    # with ``links``, and the usable masks per demand (usable_masks); None
+    # under slack.
     link_labels: list[dict[int, int]] | None
     masks: dict[int, list[int]] | None
     # No position costs less: the search stops once gbest meets it, and
@@ -352,6 +353,20 @@ def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
     return float(bound)
 
 
+def component_labels(masks, net: SubstrateNetwork) -> dict[int, dict[int, int]]:
+    """Per demand d of ``masks`` (``usable_masks``), every substrate node's
+    component label: the index of its component in ``model.components`` of
+    the masks at d, so two nodes share a label at d exactly when links with
+    residual >= d join them.  A demand that shares the list of the demand
+    before it shares its labels, so each distinct list is split once."""
+    labels, last = {}, None
+    for d, m in masks.items():
+        if m is not last:
+            label, last = level_hops(components(m), net.node_ids), m
+        labels[d] = label
+    return labels
+
+
 def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                     candidate_lists: list[list[int]]) -> EvaluationPlan:
     """The plan of a search of ``vnr`` over ``net``, with one candidate list
@@ -368,7 +383,8 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                                    default=math.inf)
     link_labels = masks = None
     if not bw_slack:
-        labels, masks = usable_subgraphs([bw for _, _, bw in links], net)
+        masks = usable_masks([bw for _, _, bw in links], net)
+        labels = component_labels(masks, net)
         link_labels = [labels[bw] for _, _, bw in links]
     return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, link_labels,
                           masks, cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
@@ -488,7 +504,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 gbest_position = list(p.pbest_position)
         history.append(gbest_fitness)
 
-    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history, plan.masks)
+    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history)
 
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) -> Embedding:
@@ -502,4 +518,4 @@ def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) 
     if result.fitness == INFEASIBLE:
         raise EmbeddingInfeasible(f"no particle found a routable embedding for "
                                   f"request {vnr.id}")
-    return build_embedding(vnr, result.assignment, net, result.masks)
+    return build_embedding(vnr, result.assignment, net)

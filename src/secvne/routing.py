@@ -23,26 +23,27 @@ invalidate the table, because the topology is fixed after construction.
 
 There is one search and one descent.  The search, here and in every
 component split, is ``model.bfs_levels``, a level-synchronous breadth-first
-search over node bitmasks: bit i stands for
-the substrate node of bit rank i, the i-th smallest node id
-(``SubstrateNetwork.rank``), and ``levels[k]`` holds exactly the nodes k
-hops from dst.  The table's search reads the topology's masks
-(``SubstrateNetwork.adj_masks``) and runs to the end.  ``route_link`` reads
-the usable masks at its demand d, in which a node's mask holds the
-neighbours joined to it by links with residual >= d.  It takes them from
-the caller (``usable_subgraphs`` builds them for every demand of a request
-in one sweep) or builds them itself, clears from a copy the debited links
-that can no longer carry d, and stops at the first level k that meets src's
-mask: src lies k + 1 hops from dst, and the levels the descent reads are
-complete.  The descent (``_descend``) from src steps, at each level, to the
-lowest set bit of its mask AND the level below.  That bit is the neighbour
-with the smallest id among the neighbours one hop closer to dst, so both
-paths are the lexicographically smallest min-hop paths of their graphs.
+search over node bitmasks: bit i stands for the substrate node of bit rank
+i, the i-th smallest node id (``SubstrateNetwork.rank``), and ``levels[k]``
+holds exactly the nodes k hops from dst.  The table's search reads the
+topology's masks (``SubstrateNetwork.adj_masks``) and runs to the end.
+``route_link`` reads the usable masks at its demand d, in which a node's
+mask holds the neighbours joined to it by links with residual >= d.  It
+clears from a copy the debited links that can no longer carry d, and stops
+at the first level k that meets src's mask: src lies k + 1 hops from dst,
+and the levels the descent reads are complete.  The descent (``_descend``)
+from src steps, at each level, to the lowest set bit of its mask AND the
+level below.  That bit is the neighbour with the smallest id among the
+neighbours one hop closer to dst, so both paths are the lexicographically
+smallest min-hop paths of their graphs.
 
-``usable_subgraphs`` also labels every node at each demand d: its label is
-the index of its component in ``model.components`` of the usable masks at
-d.  A demand that drops no link that the next smaller demand keeps has the
-same masks, and reuses that demand's labels.
+``usable_masks`` is the one mask builder: one bucketing pass gives the
+masks at every distinct demand of a request.  ``route_all_links`` calls it
+once, for the whole request, the first time a table path lacks bandwidth,
+unless its caller hands the masks in (the swarm hands in those of its
+search plan, which also labels each node's component per demand).  A
+demand that drops no link beyond the next smaller demand shares that
+demand's list, so no caller may change a list it is given.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .model import (
     SubstrateNetwork,
     VirtualNetworkRequest,
     bfs_levels,
-    components,
     level_hops,
     link_key,
 )
@@ -74,27 +74,22 @@ def _descend(cur: int, levels: list[int], masks, node_ids: list[int]) -> tuple[i
 
 
 def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
-               debits: dict | None = None, masks: list[int] | None = None) -> tuple[int, ...]:
+               debits: dict | None, masks: list[int]) -> tuple[int, ...]:
     """Minimum-hop path from src to dst over links with enough residual.
 
-    ``masks`` lists each node's usable mask at ``bw`` by bit rank (see the
-    module docstring); None builds them with ``usable_subgraphs``.
-    ``debits`` holds extra bandwidth already claimed by earlier paths of the
-    same request.  Raises LinkMappingInfeasible when src and dst are
-    disconnected in the feasible subgraph.
+    ``masks`` lists each node's usable mask at ``bw`` by bit rank, as
+    ``usable_masks`` builds it (see the module docstring); it is read, never
+    changed.  ``debits`` holds extra bandwidth already claimed by earlier
+    paths of the same request.  Raises LinkMappingInfeasible when src and
+    dst are disconnected in the feasible subgraph.
     """
     if src == dst:
         raise ValueError("route_link endpoints must differ")
     rank = net.rank
-    if masks is None:
-        masks = usable_subgraphs((bw,), net)[1][bw]
-    elif debits:
-        masks = masks.copy()
     if debits:
-        links = net.links
+        masks = masks.copy()
         for k, debit in debits.items():
-            residual = links[k].bw_residual
-            if residual >= bw > residual - debit:
+            if net.links[k].bw_residual - debit < bw:
                 a, b = rank[k[0]], rank[k[1]]
                 masks[a] &= ~(1 << b)
                 masks[b] &= ~(1 << a)
@@ -139,20 +134,17 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     return path
 
 
-def usable_subgraphs(demands, net: SubstrateNetwork
-                     ) -> tuple[dict[int, dict[int, int]], dict[int, list[int]]]:
-    """For each demand d of ``demands``, the subgraph of links whose residual
-    is at least d, twice: every substrate node's component label, and every
-    node's usable mask by bit rank (see the module docstring).
+def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
+    """For each demand d of ``demands``, in ascending order, every node's
+    usable mask by bit rank: its neighbours over links whose residual is at
+    least d (see the module docstring).
 
     One bucketing pass files each link under the largest demand it carries,
     or under none.  The masks are then built in ascending demand order, from
     the topology's masks less the links each demand drops, so only the links
-    short of the largest demand are touched.  A node's label at d is the
-    index of its component in ``model.components`` of the masks at d, so
-    two nodes share a label at d exactly when links with residual >= d join
-    them.  A demand that drops no link has the masks of the demand below
-    it, and reuses its labels.
+    short of the largest demand are touched.  A demand that drops no link
+    shares the list of the demand below it (a smallest demand that drops
+    none shares the topology's own list), so the lists are only to be read.
     """
     thresholds = sorted(set(demands), reverse=True)
     # ascending negated thresholds: bisect_left finds the largest demand <= r
@@ -163,19 +155,16 @@ def usable_subgraphs(demands, net: SubstrateNetwork
     for k, link in net.links.items():
         buckets[bisect_left(keys, -link.bw_residual)].append(k)
     rank = net.rank
-    labels, masks = {}, {}
-    mask = list(net.adj_masks)
-    label = None
+    masks, mask = {}, net.adj_masks
     for d, bucket in zip(reversed(thresholds), reversed(buckets)):
-        for a, b in bucket:
-            ra, rb = rank[a], rank[b]
-            mask[ra] &= ~(1 << rb)
-            mask[rb] &= ~(1 << ra)
-        if bucket or label is None:
-            label = level_hops(components(mask), net.node_ids)
-        labels[d] = label
-        masks[d] = mask.copy()
-    return labels, masks
+        if bucket:
+            mask = mask.copy()
+            for a, b in bucket:
+                ra, rb = rank[a], rank[b]
+                mask[ra] &= ~(1 << rb)
+                mask[rb] &= ~(1 << ra)
+        masks[d] = mask
+    return masks
 
 
 def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
@@ -198,9 +187,10 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
     Links are processed in the request's ``routing_order``: descending demand
     (ties by link key), so the largest flows claim scarce capacity first.
     Each takes its table path if that is still feasible, else a breadth-first
-    search over the feasible subgraph, given the usable masks of its demand
-    when ``masks`` (from ``usable_subgraphs``) holds them.  Fails atomically:
-    no partial result escapes.
+    search over the usable masks of its demand: from ``masks`` when given
+    (``usable_masks`` of the request's demands), else from one
+    ``usable_masks`` call at the first such link.  Fails atomically: no
+    partial result escapes.
     """
     debits: dict = {}
     paths: dict = {}
@@ -213,7 +203,8 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
             raise LinkMappingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
         path = min_hop_path(src, dst, net)
         if not _path_feasible(path, bw, net, debits):
-            path = route_link(src, dst, bw, net, debits, None if masks is None else masks[bw])
+            masks = masks or usable_masks([l.bw_demand for l in vnr.routing_order], net)
+            path = route_link(src, dst, bw, net, debits, masks[bw])
         for i in range(len(path) - 1):
             k = link_key(path[i], path[i + 1])
             debits[k] = debits.get(k, 0) + bw
@@ -223,9 +214,8 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
 
 
 def build_embedding(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork,
-                    masks: dict[int, list[int]] | None = None) -> Embedding:
-    """Route a node assignment, over ``masks`` as ``route_all_links`` does,
-    and wrap it into an Embedding."""
-    paths, _ = route_all_links(vnr, assignment, net, masks)
+                    net: SubstrateNetwork) -> Embedding:
+    """Route a node assignment with ``route_all_links`` and wrap it into an
+    Embedding."""
+    paths, _ = route_all_links(vnr, assignment, net)
     return Embedding(vnr, dict(assignment), paths)

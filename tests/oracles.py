@@ -193,7 +193,7 @@ def label_partition(label):
 def component_labels_sweep(demands, net):
     """Component labels per demand from a union-find sweep over the links in
     descending residual order: the independent union-find reference for the
-    labels of ``routing.usable_subgraphs``, which splits each demand's usable
+    labels of ``pso.component_labels``, which splits each demand's usable
     masks with ``model.components`` instead.  Only the partition a label
     dict induces is compared, never its values."""
     thresholds = sorted(set(demands), reverse=True)

@@ -2,10 +2,13 @@
 
 import pytest
 
+from secvne import routing
 from secvne.baselines import greedy_embed, random_embed
 from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
+from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.node_mapping import map_nodes
 from secvne.pso import PsoConfig, optimize, request_candidates
+from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr
@@ -81,3 +84,38 @@ def test_random_names_the_first_virtual_node_without_a_candidate(toy_net):
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [(0, 1, 5)])
     with pytest.raises(NodeMappingInfeasible, match="virtual node 1 has no candidate"):
         random_embed(vnr, toy_net, seed=0)
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "random"])
+def test_routing_builds_masks_at_most_once_per_call(monkeypatch, strategy):
+    """On a bandwidth-bound stream a baseline's routing builds the usable
+    masks once per ``route_all_links`` call, at its first fallback search,
+    and never when every table path fits, however many links fall back."""
+    calls = []
+    masks_built, searches = [], []
+    plain_route_all = routing.route_all_links
+    plain_masks, plain_route_link = routing.usable_masks, routing.route_link
+
+    def route_all_links(*args):
+        built, searched = len(masks_built), len(searches)
+        try:
+            return plain_route_all(*args)
+        finally:
+            calls.append((len(searches) - searched, len(masks_built) - built))
+
+    def usable_masks(*args):
+        masks_built.append(args[0])
+        return plain_masks(*args)
+
+    def route_link(*args):
+        searches.append(args[:3])
+        return plain_route_link(*args)
+
+    monkeypatch.setattr(routing, "route_all_links", route_all_links)
+    monkeypatch.setattr(routing, "usable_masks", usable_masks)
+    monkeypatch.setattr(routing, "route_link", route_link)
+    cfg = GeneratorConfig(seed=0, node_count=30, substrate_bw_range=(20, 60))
+    run(generate_substrate(cfg), generate_vnr_stream(cfg, 1000.0), make_strategy(strategy),
+        1000.0)
+    assert all(built == min(1, searched) for searched, built in calls)
+    assert max(searched for searched, _ in calls) >= 2

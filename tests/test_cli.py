@@ -332,8 +332,11 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     (lambda doc: doc["links"].append({"u": doc["links"][0]["v"], "v": doc["links"][0]["u"],
                                       "bw": doc["links"][0]["bw"] + 100}),
      "duplicate virtual link"),
+    (lambda doc: doc["links"].append({"u": doc["nodes"][0]["id"], "v": doc["nodes"][0]["id"],
+                                      "bw": 1}),
+     "request 0: virtual link (0, 0) is a self-loop"),
 ], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes",
-        "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link"])
+        "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link", "self-loop"])
 def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
     code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
     assert code == 2

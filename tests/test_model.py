@@ -88,6 +88,13 @@ def test_request_link_to_a_missing_lower_endpoint_raises():
                               [VirtualLink(0, 1, 2)], 0.0, 100.0)
 
 
+def test_request_with_a_virtual_self_loop_raises():
+    nodes = [VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, 5, 0, 4, frozenset({0}))]
+    with pytest.raises(ValueError, match=r"^request 3: virtual link \(1, 1\) is a self-loop$"):
+        VirtualNetworkRequest(3, nodes, [VirtualLink(0, 1, 2), VirtualLink(1, 1, 2)],
+                              0.0, 100.0)
+
+
 def test_request_listing_a_virtual_link_twice_raises():
     # Either direction names the same link; keeping the last entry would
     # silently drop the first entry's demand.

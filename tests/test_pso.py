@@ -17,6 +17,7 @@ from secvne.pso import (
     INFEASIBLE,
     Particle,
     PsoConfig,
+    component_labels,
     evaluation_plan,
     fitness,
     injective_assignment,
@@ -29,7 +30,7 @@ from secvne.pso import (
     velocity_table,
     velocity_update,
 )
-from secvne.routing import route_all_links, usable_subgraphs
+from secvne.routing import route_all_links, usable_masks
 from secvne.seeding import draws_from
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
@@ -433,7 +434,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def request_labels(vnr, net):
-    return usable_subgraphs([l.bw_demand for l in vnr.links.values()], net)[0]
+    return component_labels(usable_masks([l.bw_demand for l in vnr.links.values()], net), net)
 
 
 class TestComponentLabelGate:
@@ -463,21 +464,22 @@ class TestComponentLabelGate:
         assert rejected > 50 and routed > 50
 
     def test_labels_are_never_built_under_bandwidth_slack(self, monkeypatch):
-        """``optimize`` sweeps ``usable_subgraphs`` once per search without
-        slack and never under it: the winner is routed over the plan's
-        masks, so a fallback search builds none of its own.  The sweeps
-        are counted under both modules' names; ``route_link`` reaches the
-        function under routing's own when it is given no masks."""
-        sweeps = count_calls(monkeypatch, pso, "usable_subgraphs")
-        fallback_sweeps = count_calls(monkeypatch, routing, "usable_subgraphs")
+        """A search sweeps ``usable_masks`` once without slack and never
+        under it.  Routing the winner sweeps it at most once more, and not
+        at all when every table path of the winner fits, so only a winner
+        that searches the feasible subgraph builds masks.  The sweeps are
+        counted under both modules' names: ``route_all_links`` reaches the
+        function under routing's own."""
+        sweeps = count_calls(monkeypatch, pso, "usable_masks")
+        routing_sweeps = count_calls(monkeypatch, routing, "usable_masks")
         searches = count_calls(monkeypatch, routing, "route_link")
-        winner_searches = []
+        winners = []
         plain_build = pso.build_embedding
 
         def build(*args):
-            start = len(searches)
+            searched, swept = len(searches), len(routing_sweeps)
             embedding = plain_build(*args)
-            winner_searches.append(len(searches) - start)
+            winners.append((len(searches) - searched, len(routing_sweeps) - swept))
             return embedding
 
         monkeypatch.setattr(pso, "build_embedding", build)
@@ -494,17 +496,20 @@ class TestComponentLabelGate:
             min_residual = min(l.bw_residual for l in net.links.values())
             for vnr in stream:
                 sweeps.clear()
-                fallback_sweeps.clear()
+                routing_sweeps.clear()
+                searched = len(winners)
                 try:
                     optimize(vnr, net, PsoConfig(seed=vnr.id))
                 except EmbeddingInfeasible:
                     continue
                 slack = vnr.bw_total <= min_residual
                 assert len(sweeps) == (0 if slack else 1)
-                assert fallback_sweeps == []
+                assert len(winners) == searched + 1
+                assert len(routing_sweeps) == winners[-1][1]
                 seen.add(slack)
         assert seen == {True, False}
-        assert sum(winner_searches) > 0
+        assert all(swept == min(1, searched) for searched, swept in winners)
+        assert sum(searched > 0 for searched, _ in winners) > 0
 
     @pytest.mark.parametrize("cfg,horizon", [
         (GOLDEN_BW_CONFIG, 1500),

@@ -9,12 +9,18 @@ from secvne import routing
 from secvne.errors import LinkMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
+from secvne.pso import component_labels
 from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_link,
-                            usable_subgraphs)
+                            usable_masks)
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (component_labels_sweep, label_partition, labels_separate,
                      route_all_brute, shortest_feasible_path_brute, usable_masks_brute)
+
+
+def route(src, dst, bw, net, debits=None):
+    """``route_link`` over the usable masks ``usable_masks`` builds at ``bw``."""
+    return route_link(src, dst, bw, net, debits, usable_masks((bw,), net)[bw])
 
 
 def grid_net(bws):
@@ -30,27 +36,27 @@ def grid_net(bws):
 class TestRouteLink:
     def test_adjacent_nodes_take_direct_link(self):
         net = grid_net([10, 10, 10, 10])
-        assert route_link(0, 1, 5, net) == (0, 1)
+        assert route(0, 1, 5, net) == (0, 1)
 
     def test_saturated_links_raise(self):
         net = grid_net([3, 3, 3, 3])
         with pytest.raises(LinkMappingInfeasible):
-            route_link(0, 2, 5, net)
+            route(0, 2, 5, net)
 
     def test_detour_when_direct_side_lacks_bandwidth(self):
         # 1-hop side 0-1 too small; 3-hop side 0-3-2-1 suffices
         net = grid_net([2, 10, 10, 10])
-        assert route_link(0, 1, 5, net) == (0, 3, 2, 1)
+        assert route(0, 1, 5, net) == (0, 3, 2, 1)
 
     def test_equal_length_ties_break_lexicographically(self):
         net = grid_net([10, 10, 10, 10])
         # 0->2 has two 2-hop routes: (0,1,2) and (0,3,2)
-        assert route_link(0, 2, 5, net) == (0, 1, 2)
+        assert route(0, 2, 5, net) == (0, 1, 2)
 
     def test_same_endpoint_rejected(self):
         net = grid_net([10, 10, 10, 10])
         with pytest.raises(ValueError):
-            route_link(0, 0, 1, net)
+            route(0, 0, 1, net)
 
     def test_matches_brute_force_on_random_graphs(self):
         for seed in range(6):
@@ -66,9 +72,9 @@ class TestRouteLink:
                         expected = shortest_feasible_path_brute(net, src, dst, bw)
                         if expected is None:
                             with pytest.raises(LinkMappingInfeasible):
-                                route_link(src, dst, bw, net)
+                                route(src, dst, bw, net)
                         else:
-                            assert route_link(src, dst, bw, net) == expected
+                            assert route(src, dst, bw, net) == expected
 
     def test_matches_brute_force_under_debits_when_bandwidth_binds(self):
         checked = failed = 0
@@ -85,10 +91,10 @@ class TestRouteLink:
                         expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
                         if expected is None:
                             with pytest.raises(LinkMappingInfeasible):
-                                route_link(src, dst, bw, net, debits)
+                                route(src, dst, bw, net, debits)
                             failed += 1
                         else:
-                            assert route_link(src, dst, bw, net, debits) == expected
+                            assert route(src, dst, bw, net, debits) == expected
                         checked += 1
         assert 0 < failed < checked
 
@@ -109,21 +115,21 @@ class TestRouteLink:
         net = make_substrate([(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 0, 10, 0, 0),
                               (3, 1, 10, 0, 0)],
                              [(0, 1, 10), (0, 2, 10), (1, 2, 10), (2, 3, 10)], hops=False)
-        masks = usable_subgraphs([8], net)[1][8]
-        assert route_link(0, 1, 8, net) == route_link(0, 1, 8, net, {}, masks) == (0, 1)
+        masks = usable_masks([8], net)[8]
+        assert route_link(0, 1, 8, net, {}, masks) == (0, 1)
         debits = {(0, 1): 3, (1, 2): 5}
         assert shortest_feasible_path_brute(net, 0, 1, 8, debits) is None
-        for given in (None, masks):
-            with pytest.raises(LinkMappingInfeasible):
-                route_link(0, 1, 8, net, debits, given)
+        with pytest.raises(LinkMappingInfeasible):
+            route_link(0, 1, 8, net, debits, masks)
         assert shortest_feasible_path_brute(net, 0, 1, 8, {(0, 1): 3}) == (0, 2, 1)
         assert route_link(0, 1, 8, net, {(0, 1): 3}, masks) == (0, 2, 1)
         assert masks == usable_masks_brute(net, 8)  # the debits went to a copy
 
     def test_plan_and_on_the_fly_masks_match_brute_force_under_debits(self):
-        """Also on substrates with scattered node ids inserted out of order:
-        bit ranks follow ascending node id, so ties still break toward the
-        smallest ids."""
+        """The masks at a demand route the same whether they are built for it
+        alone or for every demand of a request.  Also on substrates with
+        scattered node ids inserted out of order: bit ranks follow ascending
+        node id, so ties still break toward the smallest ids."""
         seen = set()
         for seed in range(6):
             scattered = self.scattered_net(seed)
@@ -132,7 +138,7 @@ class TestRouteLink:
                 rnd = random.Random(seed)
                 keys = sorted(net.links)
                 demands = (10, 25, 40)
-                plan_masks = usable_subgraphs(demands, net)[1]
+                plan_masks = usable_masks(demands, net)
                 before = {d: list(m) for d, m in plan_masks.items()}
                 for debits in [{}] + [{k: rnd.randint(1, 30)
                                        for k in rnd.sample(keys, len(keys) // 3)}
@@ -140,7 +146,7 @@ class TestRouteLink:
                     for src, dst in itertools.permutations(net.node_ids, 2):
                         for bw in demands:
                             expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
-                            for masks in (None, plan_masks[bw]):
+                            for masks in (usable_masks((bw,), net)[bw], plan_masks[bw]):
                                 try:
                                     got = route_link(src, dst, bw, net, debits, masks)
                                 except LinkMappingInfeasible:
@@ -156,7 +162,7 @@ class TestComponentLabels:
         for seed in range(6):
             net = contended_net(seed)
             demands = [15, 30, 45, 30, 60]
-            labels = usable_subgraphs(demands, net)[0]
+            labels = component_labels(usable_masks(demands, net), net)
             assert sorted(labels) == [15, 30, 45, 60]
             for d, label in labels.items():
                 assert sorted(label) == sorted(net.nodes)
@@ -165,13 +171,15 @@ class TestComponentLabels:
                     assert (label[a] == label[b]) == joined
 
     def test_no_demands_give_no_labels(self, toy_net):
-        assert usable_subgraphs([], toy_net) == ({}, {})
+        assert usable_masks([], toy_net) == {}
+        assert component_labels({}, toy_net) == {}
 
     def test_sweep_gives_the_labels_only_sweep_and_the_usable_links(self):
         for seed in range(6):
             for net in (contended_net(seed), TestRouteLink.scattered_net(seed)):
                 demands = [15, 30, 45, 30, 60, 1]
-                labels, masks = usable_subgraphs(demands, net)
+                masks = usable_masks(demands, net)
+                labels = component_labels(masks, net)
                 reference = component_labels_sweep(demands, net)
                 assert sorted(labels) == sorted(reference)
                 for d, label in labels.items():
@@ -194,11 +202,15 @@ class TestComponentLabels:
             else:
                 # Demand r + 1 drops every link of residual r.
                 demands = sorted({l.bw_residual + 1 for l in net.links.values()})
-            labels, masks = usable_subgraphs(demands, net)
+            masks = usable_masks(demands, net)
+            labels = component_labels(masks, net)
             reference = component_labels_sweep(demands, net)
             for d in demands:
                 assert label_partition(labels[d]) == label_partition(reference[d])
                 assert masks[d] == usable_masks_brute(net, d)
+            if reuse:
+                for below, d in ((3, 5), (8, 10), (15, 20)):
+                    assert masks[d] is masks[below] and labels[d] is labels[below]
 
     def test_label_rejected_position_makes_route_all_links_raise(self):
         vnr = make_vnr(
@@ -208,7 +220,8 @@ class TestComponentLabels:
         rejected = 0
         for seed in range(6):
             net = contended_net(seed)
-            labels = usable_subgraphs([l.bw_demand for l in vnr.links.values()], net)[0]
+            labels = component_labels(
+                usable_masks([l.bw_demand for l in vnr.links.values()], net), net)
             for nodes in itertools.permutations(sorted(net.nodes), 3):
                 assignment = dict(enumerate(nodes))
                 if not labels_separate(vnr, labels, assignment):
@@ -384,7 +397,7 @@ class TestMinHopPath:
     def test_ignores_bandwidth(self):
         net = grid_net([2, 10, 10, 10])
         assert min_hop_path(0, 1, net) == (0, 1)
-        assert route_link(0, 1, 5, net) == (0, 3, 2, 1)
+        assert route(0, 1, 5, net) == (0, 3, 2, 1)
 
     def test_copy_starts_with_an_empty_table(self, toy_net):
         assert min_hop_path(0, 5, toy_net) == (0, 2, 3, 5)
