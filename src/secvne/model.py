@@ -235,6 +235,8 @@ class SubstrateNetwork:
                                  f"[0, {domain_count})")
             self.nodes[n.id] = n
         self.links: dict[LinkKey, SubstrateLink] = {}
+        # The inter-domain links, which alone join one domain to another.
+        self.inter_links: list[SubstrateLink] = []
         self.active: dict[int, Embedding] = {}
         for l in links:
             k = link_key(l.u, l.v)
@@ -248,7 +250,9 @@ class SubstrateNetwork:
             du = self.nodes[k[0]].domain
             dv = self.nodes[k[1]].domain
             kind = INTRA_DOMAIN if du == dv else INTER_DOMAIN
-            self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual, kind)
+            link = self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual, kind)
+            if kind == INTER_DOMAIN:
+                self.inter_links.append(link)
         # Bit ranks for bfs_levels: bit i of a node mask stands for the i-th
         # smallest node id.  adj_masks holds each node's neighbours as a mask,
         # by rank, and is the topology's only adjacency.  It is built here,
@@ -275,10 +279,9 @@ class SubstrateNetwork:
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
-        for l in self.links.values():
-            if l.kind == INTER_DOMAIN:
-                out.add(l.u)
-                out.add(l.v)
+        for l in self.inter_links:
+            out.add(l.u)
+            out.add(l.v)
         return out
 
     def copy(self) -> "SubstrateNetwork":

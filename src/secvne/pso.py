@@ -46,22 +46,47 @@ node's usable mask at every distinct demand d of the request, which holds
 its neighbours over links with residual >= d (``routing.usable_masks``),
 and from them each node's component label at d (``component_labels``): two
 nodes share a label at d when links with residual >= d join them.  The
-labels are built here and nowhere else.  Debits only shrink that subgraph,
-so hosts with different labels at a virtual link's demand can never route
-it, under any routing order.  The labels serve once: ``fitness`` returns
-INFEASIBLE for a position whose hosts some virtual link's labels separate,
-and routes the rest in full.  It hands the masks to ``route_all_links`` so
-that a breadth-first search reads them instead of testing residuals link by
-link.  ``optimize`` routes the winner as every strategy does, through
-``build_embedding``, which builds masks only if a table path falls short.
+labels are built here and nowhere else.  It also sums, per domain, the
+residual of the inter-domain links that touch the domain, its cut
+(``SubstrateNetwork.inter_links`` lists those links once per substrate).
+``fitness`` then settles a position by the first of four steps that
+applies, in this order:
+
+1. Labels.  Debits only shrink the usable subgraph, so hosts with different
+   labels at a virtual link's demand can never route it, under any routing
+   order: INFEASIBLE.
+2. Domain cut.  Per domain, the demands of the virtual links with exactly
+   one host in the domain are summed.  Every path that leaves a domain
+   debits its demand on at least one of that domain's cut links, so when
+   the sum exceeds the cut no routing order fits: INFEASIBLE.  Steps 1 and
+   2 run in one pass over the links.
+3. Cutoff.  When ``cutoff`` is finite, the topology hop sum ``cpu_total +
+   sum(bw * hops)`` is read from the hop-distance table, and returned
+   without routing when it is at least ``cutoff``.  No routed path is
+   shorter than the topology's min-hop path, so the sum is a lower bound
+   on the routed cost.  ``swarm_search`` passes the particle's pbest
+   fitness as the cutoff, and pbest and gbest move only on strict
+   improvement, so such a value moves neither, as the routed cost would
+   not.
+4. Route.  ``route_all_links`` routes the position in full, with the
+   plan's masks, so that a breadth-first search reads them instead of
+   testing residuals link by link.
+
+Steps 1, 2 and 4 give the exact cost or an exact INFEASIBLE, step 3 only a
+bound.  So the search's fitness cache never keeps a finite value at or
+above the cutoff, and a particle that reaches that position again
+evaluates it again.  Under slack the cutoff is not used, since there the
+hop sum is the exact cost, and every value is kept.  ``optimize`` routes
+the winner as every strategy does, through ``build_embedding``, which
+builds masks only if a table path falls short.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
 the bound stop read: the virtual-node order, ``cpu_total``, each virtual
 link as an (index of u, index of v, demand) triple in the request's routing
 order, the slack flag, the cost bound and, without slack, each link's label
-dict and the usable masks.  ``fitness`` indexes positions with the triples
-and builds the assignment dict only when it routes.
+dict, the usable masks and the domain cuts.  ``fitness`` indexes positions
+with the triples and builds the assignment dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
 component it draws, in ascending order, its pool is the candidate list as
@@ -89,7 +114,7 @@ candidate sets the bound is INFEASIBLE: no position routes that link, and
 the search raises ``EmbeddingInfeasible`` before the swarm runs instead of
 spending its evaluations on a certain INFEASIBLE.
 
-Two exact shortcuts skip swarm work that cannot change the result.
+Three exact shortcuts skip swarm work that cannot change the result.
 
 - Stop at the bound.  pbest and gbest move only on strict improvement, so
   once gbest meets the bound nothing can move it: the search stops before
@@ -103,6 +128,13 @@ Two exact shortcuts skip swarm work that cannot change the result.
   keep the position, its fitness is pbest's, and gbest is at most every
   pbest, so neither best moves.  The particle's velocity becomes all ones
   and its update, evaluation and best checks are skipped.
+- Skip an all-ones update.  When ``velocity_update`` gives all ones,
+  ``position_update`` would draw nothing and keep the position.  Its
+  fitness was seen when the particle reached it: the cost, or a bound at
+  least the pbest of that time.  pbest is at most that cost and gbest at
+  most every pbest, so neither best moves.  The particle takes the new
+  velocity, and its position update, evaluation and best checks are
+  skipped.
 
 The search draws through a ``seeding.Draws`` stream, which gives the values
 numpy's ``Generator`` would for the same calls, so the draw order alone
@@ -110,8 +142,9 @@ fixes the result: per particle, the initial position's draws (none for a
 particle seeded by the priority mapping), then one ``integers(2)`` per
 component for its velocity; per (iteration, particle), ``r1``, then ``r2``,
 then one ``integers`` per re-drawn component in ascending order.  A
-short-circuited particle still draws ``r1`` and ``r2`` and re-draws nothing,
-and a search that stops at the bound draws nothing more.  Particles
+short-circuited particle and an all-ones update still draw ``r1`` and
+``r2`` and re-draw nothing, and a search that stops at the bound draws
+nothing more.  Particles
 cannot be vectorised, since gbest moves between particles within an
 iteration.  The operators take any sampler with ``random()`` and
 ``integers(n)``, a numpy ``Generator`` included.
@@ -318,10 +351,12 @@ class EvaluationPlan:
     links: list[tuple[int, int, int]]
     bw_slack: bool
     # Without slack: each link's component labels at its demand, aligned
-    # with ``links``, and the usable masks per demand (usable_masks); None
-    # under slack.
+    # with ``links``, the usable masks per demand (usable_masks) and, per
+    # domain, the summed residual of the inter-domain links that touch it;
+    # None under slack.
     link_labels: list[dict[int, int]] | None
     masks: dict[int, list[int]] | None
+    cut: list[int] | None
     # No position costs less: the search stops once gbest meets it, and
     # INFEASIBLE proves that no position routes.
     bound: float
@@ -373,29 +408,38 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     per virtual node in ascending id order.
 
     Bandwidth slack holds when the request's total demand is at most every
-    substrate link's residual; only without it are the labels and masks
-    built, and the bound taken over the masks.
+    substrate link's residual; only without it are the labels, masks and
+    domain cuts built, and the bound taken over the masks.
     """
     vnode_order = sorted(vnr.nodes)
     index = {vid: i for i, vid in enumerate(vnode_order)}
     links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
     bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
                                    default=math.inf)
-    link_labels = masks = None
+    link_labels = masks = cut = None
     if not bw_slack:
         masks = usable_masks([bw for _, _, bw in links], net)
         labels = component_labels(masks, net)
         link_labels = [labels[bw] for _, _, bw in links]
+        nodes = net.nodes
+        cut = [0] * net.domain_count
+        for l in net.inter_links:
+            cut[nodes[l.u].domain] += l.bw_residual
+            cut[nodes[l.v].domain] += l.bw_residual
     return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, link_labels,
-                          masks, cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
+                          masks, cut,
+                          cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
 
 
-def fitness(position: list[int], plan: EvaluationPlan) -> float:
+def fitness(position: list[int], plan: EvaluationPlan,
+            cutoff: float = INFEASIBLE) -> float:
     """Embedding cost of a position; +inf when its links cannot be routed.
 
     Under bandwidth slack the cost is read from hop distances, with no paths
-    routed; otherwise a position the labels prove unroutable is +inf without
-    routing, and the rest are routed (see the module docstring).
+    routed.  Otherwise a position the labels or a domain cut prove
+    unroutable is +inf without routing; a position whose topology hop sum
+    is at least ``cutoff`` returns that sum, a lower bound on its cost,
+    without routing; the rest are routed (see the module docstring).
     """
     if plan.bw_slack:
         net = plan.net
@@ -407,9 +451,26 @@ def fitness(position: list[int], plan: EvaluationPlan) -> float:
                 return INFEASIBLE
             total += bw * hops
         return float(total)
-    for (iu, iv, _), label in zip(plan.links, plan.link_labels):
-        if label[position[iu]] != label[position[iv]]:
+    nodes = plan.net.nodes
+    cut = plan.cut
+    need = [0] * len(cut)
+    for (iu, iv, bw), label in zip(plan.links, plan.link_labels):
+        hu, hv = position[iu], position[iv]
+        if label[hu] != label[hv]:
             return INFEASIBLE
+        du, dv = nodes[hu].domain, nodes[hv].domain
+        if du != dv:
+            need[du] += bw
+            need[dv] += bw
+            if need[du] > cut[du] or need[dv] > cut[dv]:
+                return INFEASIBLE
+    if cutoff < INFEASIBLE:
+        net = plan.net
+        total = plan.cpu_total
+        for iu, iv, bw in plan.links:
+            total += bw * hop_distances(position[iv], net)[position[iu]]
+        if total >= cutoff:
+            return float(total)
     try:
         _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
                                      plan.masks)
@@ -429,9 +490,11 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     Particle 0 is seeded from the deterministic priority mapping when that is
     feasible; the rest start as uniform injective samples.  The search stops
-    before any iteration that finds gbest at the plan's bound, and skips the
-    update of a particle held on its pbest; both leave every result and
-    every draw that reaches one unchanged (module docstring).  Raises
+    before any iteration that finds gbest at the plan's bound, skips the
+    update of a particle held on its pbest or whose new velocity is all
+    ones, and passes each evaluation the particle's pbest as the cutoff;
+    all of these leave every result and every draw that reaches one
+    unchanged (module docstring).  Raises
     EmbeddingInfeasible when some virtual node has no candidate at all, no
     injective assignment exists, or the plan's bound proves that no
     position can be routed.
@@ -450,12 +513,15 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     draws = draws_from(cfg.seed)
     fitness_cache: dict[tuple[int, ...], float] = {}
 
-    def evaluate(position: list[int]) -> float:
+    def evaluate(position: list[int], cutoff: float = INFEASIBLE) -> float:
         key = tuple(position)
         val = fitness_cache.get(key)
         if val is None:
-            val = fitness(position, plan)
-            fitness_cache[key] = val
+            val = fitness(position, plan, cutoff)
+            # Without slack, a finite value at or above the cutoff may be a
+            # bound, not a cost.
+            if plan.bw_slack or not cutoff <= val < INFEASIBLE:
+                fitness_cache[key] = val
         return val
 
     try:
@@ -492,8 +558,12 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 p.velocity = [1] * len(p.position)
                 continue
             v_new = velocity_update(p, gbest_position, omega, r1, r2)
+            if 0 not in v_new:
+                # The update keeps the position, whose fitness was seen.
+                p.velocity = v_new
+                continue
             x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
-            f = evaluate(x_new)
+            f = evaluate(x_new, p.pbest_fitness)
             p.velocity = v_new
             p.position = x_new
             if p.pbest_fitness > f:

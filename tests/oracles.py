@@ -272,6 +272,22 @@ def labels_separate(vnr, labels, assignment):
                for l in vnr.links.values())
 
 
+def domain_cut_short(vnr, assignment, net):
+    """True when, for some domain, the virtual links with exactly one host in
+    it demand more bandwidth than the substrate links with exactly one end
+    in it have in residual: every path out of the domain crosses one of
+    those links, so no routing fits."""
+    domain = {nid: n.domain for nid, n in net.nodes.items()}
+    for d in range(net.domain_count):
+        capacity = sum(l.bw_residual for (u, v), l in net.links.items()
+                       if (domain[u] == d) != (domain[v] == d))
+        demand = sum(l.bw_demand for l in vnr.links.values()
+                     if (domain[assignment[l.u]] == d) != (domain[assignment[l.v]] == d))
+        if demand > capacity:
+            return True
+    return False
+
+
 def best_fitness_brute(vnr, net):
     """Minimum embedding cost over every injective assignment, or None."""
     best = None

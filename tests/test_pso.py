@@ -32,13 +32,14 @@ from secvne.pso import (
 )
 from secvne.routing import route_all_links, usable_masks
 from secvne.seeding import draws_from
-from secvne.simulation import make_strategy, run
+from secvne.simulation import Strategy, make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
-from oracles import (best_fitness_brute, enumerate_assignments, labels_separate,
-                     position_subtract, rng_from, route_all_brute, sample_injective_brute,
-                     scalar_velocity_bit, scalar_velocity_update, swarm_reference)
+from oracles import (best_fitness_brute, domain_cut_short, enumerate_assignments,
+                     labels_separate, position_subtract, rng_from, route_all_brute,
+                     sample_injective_brute, scalar_velocity_bit, scalar_velocity_update,
+                     swarm_reference)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
 
@@ -65,10 +66,11 @@ def plan_for(vnr, net):
     return evaluation_plan(vnr, net, [sorted(net.nodes)] * len(vnr.nodes))
 
 
-def routed_cost(position, plan):
+def routed_cost(position, plan, cutoff=INFEASIBLE):
     """A position's cost routed in full, the reference for the plan's fast
     paths: cpu_total plus the bandwidth cost of route_all_links, or +inf
-    when it cannot route the links."""
+    when it cannot route the links.  It takes ``fitness``'s cutoff and
+    ignores it, so that it can stand in for ``fitness`` in a search."""
     try:
         _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
     except LinkMappingInfeasible:
@@ -400,6 +402,9 @@ class TestBandwidthSlack:
             assert result == self.routed_search(monkeypatch, toy_vnr, toy_net, PsoConfig(seed=4))
 
     def test_bandwidth_bound_stream_takes_both_paths(self, monkeypatch):
+        """A search under slack never routes.  A binding search routes
+        unless the labels, a domain cut or the pbest cutoff settles every
+        position it evaluates, and the stream holds searches that route."""
         calls = self.count_routing(monkeypatch)
         cfg = GeneratorConfig(seed=11, node_count=12, domain_count=2, cd_size_range=(1, 2),
                               vnr_node_range=(2, 4), vnr_arrival_rate=0.05,
@@ -414,10 +419,10 @@ class TestBandwidthSlack:
             except EmbeddingInfeasible:
                 continue
             slack = vnr.bw_total <= min_residual
-            assert bool(calls) != slack
-            seen.add(slack)
+            assert not (slack and calls)
+            seen.add((slack, bool(calls)))
             assert result == self.routed_search(monkeypatch, vnr, net, PsoConfig(seed=vnr.id))
-        assert seen == {True, False}
+        assert {(True, False), (False, True)} <= seen
 
 
 def count_calls(monkeypatch, module, name):
@@ -437,16 +442,148 @@ def request_labels(vnr, net):
     return component_labels(usable_masks([l.bw_demand for l in vnr.links.values()], net), net)
 
 
+def count_proofs(monkeypatch):
+    """Wrap ``pso.fitness`` to count the calls without slack that return
+    without routing by one of its two proofs: ``cut``, an INFEASIBLE that
+    the labels do not give, which must be a domain cut's; ``cutoff``, a
+    finite value, which must be at least the cutoff."""
+    proofs = {"cut": 0, "cutoff": 0}
+    routes = count_calls(monkeypatch, pso, "route_all_links")
+    plain = pso.fitness
+
+    def counting(position, plan, cutoff=INFEASIBLE):
+        routed = len(routes)
+        value = plain(position, plan, cutoff)
+        if plan.bw_slack or len(routes) > routed:
+            return value
+        if value < INFEASIBLE:
+            assert value >= cutoff
+            proofs["cutoff"] += 1
+        elif all(label[position[iu]] == label[position[iv]]
+                 for (iu, iv, _), label in zip(plan.links, plan.link_labels)):
+            assert domain_cut_short(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+            proofs["cut"] += 1
+        return value
+
+    monkeypatch.setattr(pso, "fitness", counting)
+    return proofs
+
+
+def bandwidth_bound_family():
+    """(substrate, request) pairs from 24 seeded substrates of 8 to 10 nodes
+    in two or three domains, bandwidth U[20, 60], each link's residual then
+    lowered to a random value in [0, capacity]; four requests each."""
+    for seed in range(24):
+        cfg = GeneratorConfig(seed=seed, node_count=8 + seed % 3, domain_count=2 + seed % 2,
+                              intra_link_rate=0.4, substrate_bw_range=(20, 60),
+                              vnr_node_range=(3, 4), vnr_bw_range=(5, 30))
+        net = generate_substrate(cfg)
+        rnd = random.Random(seed)
+        for link in net.links.values():
+            link.bw_residual = rnd.randint(0, link.bw_capacity)
+        for vnr in generate_vnr_stream(cfg, horizon=300)[:4]:
+            yield net, vnr
+
+
+class TestRoutingProofs:
+    """Without slack, ``fitness`` settles a position without routing when a
+    domain cut proves it unroutable, or when its topology hop sum reaches
+    the cutoff; both checked against the brute-force router."""
+
+    def test_domain_cut_and_cutoff_agree_with_brute_force_routing(self, monkeypatch):
+        """Every position the cut rejects is unroutable; a value below the
+        cutoff is the routed cost, and one at or above it is at most that
+        cost.  The cutoff is the least routed cost seen so far on the
+        request, as a particle's pbest would be."""
+        routes = count_calls(monkeypatch, pso, "route_all_links")
+        fired = {"cut": 0, "cutoff": 0}
+        for i, (net, vnr) in enumerate(bandwidth_bound_family()):
+            plan = plan_for(vnr, net)
+            if plan.bw_slack:
+                continue
+            labels = request_labels(vnr, net)
+            rnd = random.Random(i)
+            best = INFEASIBLE
+            for _ in range(30):
+                position = rnd.sample(sorted(net.nodes), len(plan.vnode_order))
+                assignment = dict(zip(plan.vnode_order, position))
+                brute = route_all_brute(vnr, assignment, net)
+                cost = INFEASIBLE if brute is None else float(vnr.cpu_total + brute[1])
+                routes.clear()
+                assert fitness(position, plan) == cost
+                if not routes and not labels_separate(vnr, labels, assignment):
+                    assert cost == INFEASIBLE and domain_cut_short(vnr, assignment, net)
+                    fired["cut"] += 1
+                routes.clear()
+                value = fitness(position, plan, best)
+                if value < best:
+                    assert value == cost
+                else:
+                    assert value <= cost
+                    fired["cutoff"] += not routes and value < INFEASIBLE
+                best = min(best, cost)
+        assert min(fired.values()) >= 50, fired
+
+    def test_a_bound_is_never_served_from_the_cache(self, monkeypatch):
+        """A value at or above the cutoff may be a bound, not a cost, so a
+        particle that reaches its position again evaluates it again, while a
+        cost is evaluated once per search and then read from the cache."""
+        events = []
+        plain_plan, plain_update, plain_fitness = (pso.evaluation_plan, pso.position_update,
+                                                   pso.fitness)
+
+        def new_search(*args):
+            events.append(("search",))
+            return plain_plan(*args)
+
+        def update(*args):
+            out = plain_update(*args)
+            events.append(("move", tuple(out)))
+            return out
+
+        def recording_fitness(position, plan, cutoff=INFEASIBLE):
+            value = plain_fitness(position, plan, cutoff)
+            exact = plan.bw_slack or not cutoff <= value < INFEASIBLE
+            events.append(("fitness", tuple(position), exact))
+            return value
+
+        monkeypatch.setattr(pso, "evaluation_plan", new_search)
+        monkeypatch.setattr(pso, "position_update", update)
+        monkeypatch.setattr(pso, "fitness", recording_fitness)
+        for net, vnr in small_requests():
+            try:
+                swarm_search(vnr, net, PsoConfig(seed=vnr.id))
+            except EmbeddingInfeasible:
+                pass
+        costs, bounded, revisits = set(), set(), 0
+        for event, following in zip(events, events[1:] + [("search",)]):
+            if event[0] == "search":
+                costs.clear()
+                bounded.clear()
+            elif event[0] == "fitness":
+                assert event[1] not in costs
+                (costs if event[2] else bounded).add(event[1])
+            elif event[1] in costs:
+                assert following[0] != "fitness"
+            else:
+                assert following[:2] == ("fitness", event[1])
+                revisits += event[1] in bounded
+        assert revisits > 0
+
+
 class TestComponentLabelGate:
     """Without bandwidth slack the search labels each substrate node's
     component per demand, and fitness rejects the positions that the labels
-    prove unroutable; whole requests are rejected by the plan's bound."""
+    or a domain cut prove unroutable; whole requests are rejected by the
+    plan's bound."""
 
     def test_label_rejected_position_is_not_routed(self, monkeypatch):
+        """A position is routed only if neither the labels nor a domain cut
+        prove it unroutable."""
         calls = count_calls(monkeypatch, pso, "route_all_links")
         vnr = four_node_vnr()
-        rejected = routed = 0
-        for seed in range(4):
+        rejected = cut = routed = 0
+        for seed in range(8):
             net = contended_net(seed)
             labels = request_labels(vnr, net)
             plan = plan_for(vnr, net)
@@ -458,10 +595,12 @@ class TestComponentLabelGate:
                 calls.clear()
                 assert fitness(position, plan) == expected
                 separated = labels_separate(vnr, labels, nodes)
-                assert calls == ([] if separated else [vnr])
+                short = domain_cut_short(vnr, nodes, net)
+                assert calls == ([] if separated or short else [vnr])
                 rejected += separated
-                routed += not separated
-        assert rejected > 50 and routed > 50
+                cut += short and not separated
+                routed += not (separated or short)
+        assert rejected > 50 and cut > 50 and routed > 50
 
     def test_labels_are_never_built_under_bandwidth_slack(self, monkeypatch):
         """A search sweeps ``usable_masks`` once without slack and never
@@ -686,18 +825,30 @@ class TestReferenceSwarm:
         """The search returns the plain swarm's position, fitness and whole
         gbest history, and raises exactly when that swarm has no candidate,
         no injective assignment or no routable position.  The set holds
-        searches stopped at the bound and skipped particle updates."""
+        searches stopped at the bound, skipped particle updates, skipped
+        all-ones updates, and positions settled by a domain cut or by the
+        pbest cutoff without routing."""
         # One _inertia call per iteration that runs, one velocity_update
         # call per particle update that is not short-circuited.
         iterations = count_calls(monkeypatch, pso, "_inertia")
         updates = count_calls(monkeypatch, pso, "velocity_update")
+        moves = []
+        plain_update = pso.position_update
+
+        def position_update(p, v_new, *rest):
+            moves.append(v_new)
+            return plain_update(p, v_new, *rest)
+
+        monkeypatch.setattr(pso, "position_update", position_update)
+        proofs = count_proofs(monkeypatch)
         seen = {"slack": 0, "binding": 0, "bound": 0, "no host": 0}
-        stopped = skipped = 0
+        stopped = skipped = all_ones = 0
         for net, vnr in small_requests():
             cfg = PsoConfig(seed=vnr.id)
             expected = swarm_reference(vnr, net, cfg)
             iterations.clear()
             updates.clear()
+            moves.clear()
             try:
                 result = swarm_search(vnr, net, cfg)
             except EmbeddingInfeasible:
@@ -708,8 +859,41 @@ class TestReferenceSwarm:
             seen["slack" if has_bw_slack(vnr, net) else "binding"] += 1
             stopped += len(iterations) < PsoConfig.iterations
             skipped += PsoConfig.particle_count * len(iterations) - len(updates)
+            all_ones += len(updates) - len(moves)
+            assert all(0 in v_new for v_new in moves)
         assert min(seen.values()) > 0, seen
-        assert stopped > 0 and skipped > 0
+        assert stopped > 0 and skipped > 0 and all_ones > 0
+        assert min(proofs.values()) > 0, proofs
+
+    def test_paper_scale_bandwidth_bound_run_matches_routed_fitness(self, monkeypatch):
+        """At paper scale with binding bandwidth, a run places every request
+        as the same run with every fitness call routed does, and both proofs
+        fire in it."""
+        cfg = GeneratorConfig(seed=0, substrate_bw_range=(20, 60))
+        horizon = 600
+
+        def simulate():
+            plain = make_strategy("stec-iot", seed=0)
+            placed = []
+
+            def embed(vnr, net):
+                emb = plain.embed(vnr, net)
+                placed.append((vnr.id, emb.node_map, emb.link_map))
+                return emb
+
+            trace = run(generate_substrate(cfg), generate_vnr_stream(cfg, horizon),
+                        Strategy(plain.name, embed), horizon)
+            return trace.records, placed
+
+        with monkeypatch.context() as m:
+            proofs = count_proofs(m)
+            fast = simulate()
+        with monkeypatch.context() as m:
+            m.setattr(pso, "fitness", routed_cost)
+            routed = simulate()
+        assert fast == routed
+        assert fast[1]
+        assert min(proofs.values()) > 0, proofs
 
 
 class TestCostBound:
