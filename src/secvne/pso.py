@@ -84,7 +84,7 @@ Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
 the bound stop read: the virtual-node order, ``cpu_total``, each virtual
 link as an (index of u, index of v, demand) triple in the request's routing
-order, the slack flag, the cost bound and, without slack, each link's label
+order, the slack flag, the bound and, without slack, each link's label
 dict, the usable masks and the domain cuts.  ``fitness`` indexes positions
 with the triples and builds the assignment dict only when it routes.
 
@@ -103,16 +103,36 @@ through it.  ``swarm_search`` builds the candidate sets once, next to the
 lists, so the swarm's test is one set against another;
 ``sample_injective`` tests against the lists themselves.
 
-The cost bound is the search's one proof about all positions at once.
-``cost_bound`` is ``cpu_total`` plus, per virtual link of demand d, d times
-the hop count between the two candidate sets (one multi-source
-``bfs_levels``), at least 1: over the usable masks at d without slack, over
-the whole topology under it.  A link's hosts are distinct, and debits only
-shrink the usable subgraph, so no routed path is shorter and no position
-costs less, in either regime.  When those links join no pair of the
-candidate sets the bound is INFEASIBLE: no position routes that link, and
-the search raises ``EmbeddingInfeasible`` before the swarm runs instead of
-spending its evaluations on a certain INFEASIBLE.
+Two proofs speak about all positions at once, and either makes the plan's
+bound INFEASIBLE, so that the search raises ``EmbeddingInfeasible`` before
+the swarm runs instead of spending its evaluations on a certain INFEASIBLE.
+
+- The cost bound.  ``cost_bound`` is ``cpu_total`` plus, per virtual link
+  of demand d, d times the hop count between the two candidate sets (one
+  multi-source ``bfs_levels``), at least 1: over the usable masks at d
+  without slack, over the whole topology under it.  A link's hosts are
+  distinct, and debits only shrink the usable subgraph, so no routed path
+  is shorter and no position costs less, in either regime.  When those
+  links join no pair of the candidate sets the bound is INFEASIBLE: no
+  position routes that link.
+- The request's domain cut, tried without slack once the cost bound is
+  finite (``cut_proves_infeasible``).  For a domain D and a demand t of the
+  request, the virtual nodes whose candidates all lie in D are inside D in
+  every position, those with none there outside, and the rest on either
+  side; the least demand of the links of demand >= t that cross D's border
+  is then a minimum cut of the request (``request_cut``, a max flow).  Each
+  such link leaves D over an inter-domain link that holds its demand, so
+  one with residual >= t, and the debits on a link total at most its
+  residual: when the cut exceeds the residual of D's inter-domain links
+  with residual >= t, no position routes.  Under slack the cut is not
+  tried, and skipping it changes no result: every link's residual is then
+  at least the request's total demand, so a domain that any link leaves
+  has room for every cut and the proof cannot fire there, while a domain
+  no link leaves is one that ``compute_boundary_hops`` rejects in every
+  generated or loaded substrate, and even there the proof would only
+  reject what the swarm, every position being unroutable, ends INFEASIBLE
+  on.  A proof never changes a placement, and each search draws from its
+  own stream, so no trace moves when it fires.
 
 Three exact shortcuts skip swarm work that cannot change the result.
 
@@ -310,7 +330,8 @@ def request_candidates(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> lis
     for vid in sorted(vnr.nodes):
         cands = candidate_nodes(vnr.nodes[vid], net)
         if not cands:
-            raise NodeMappingInfeasible(f"virtual node {vid} has no candidate substrate node")
+            raise NodeMappingInfeasible(f"request {vnr.id}: virtual node {vid} has no candidate "
+                                        f"substrate node")
         candidate_lists.append(cands)
     return candidate_lists
 
@@ -358,7 +379,8 @@ class EvaluationPlan:
     masks: dict[int, list[int]] | None
     cut: list[int] | None
     # No position costs less: the search stops once gbest meets it, and
-    # INFEASIBLE proves that no position routes.
+    # INFEASIBLE (the cost bound's or the request's domain cut's) proves
+    # that no position routes.
     bound: float
 
 
@@ -388,6 +410,86 @@ def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
     return float(bound)
 
 
+def request_cut(links: list[tuple[int, int, int]], domains: list[set[int]], domain: int,
+                threshold: int, limit: float = INFEASIBLE) -> int:
+    """The least demand, over the virtual links of demand >= ``threshold``,
+    crossing ``domain``'s border in any placement whose virtual node k lies
+    in one of ``domains[k]``; a value above ``limit`` once the count passes
+    it.
+
+    The virtual nodes whose domains are only ``domain`` lie inside, those
+    without it outside, and the rest on either side, so the least crossing
+    demand is a minimum cut between the first two sets, each link an
+    undirected edge of capacity its demand.  By max-flow min-cut it is the
+    flow that shortest augmenting paths (Edmonds-Karp) find: O(V E^2) steps
+    whatever the demands, and no side assignment is enumerated.
+    """
+    source = [k for k, ds in enumerate(domains) if ds == {domain}]
+    sink = {k for k, ds in enumerate(domains) if domain not in ds}
+    room: dict[int, dict[int, int]] = {k: {} for k in range(len(domains))}
+    for iu, iv, bw in links:
+        if bw >= threshold:
+            room[iu][iv] = room[iv][iu] = bw
+    flow = 0
+    while flow <= limit:
+        parent = dict.fromkeys(source)
+        queue = list(source)
+        for a in queue:
+            for b, c in room[a].items():
+                if c and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        end = next((k for k in queue if k in sink), None)
+        if end is None:
+            break
+        path = []
+        while parent[end] is not None:
+            path.append((parent[end], end))
+            end = parent[end]
+        push = min(room[a][b] for a, b in path)
+        for a, b in path:
+            room[a][b] -= push
+            room[b][a] += push
+        flow += push
+    return flow
+
+
+def cut_proves_infeasible(links: list[tuple[int, int, int]],
+                          candidate_lists: list[list[int]], net: SubstrateNetwork) -> bool:
+    """True when, for some domain D and some demand t of the request, the
+    least demand of the virtual links of demand >= t that must cross D's
+    border (``request_cut``, over the domains of each candidate list)
+    exceeds the summed residual of D's inter-domain links with residual
+    >= t.
+
+    A virtual link of demand b >= t routed across the border leaves D over
+    one of those links, which then holds b >= t, and the debits on a link
+    total at most its residual, which debits only shrink: no placement the
+    candidate lists allow routes.  Only a domain that holds every candidate
+    of some virtual node can have a virtual node inside for sure, so only
+    such domains are tried.  Cutting those virtual nodes off is one cut, so
+    a (D, t) where the demand of the links leaving them fits under the
+    residual is skipped without a flow.
+    """
+    nodes = net.nodes
+    domains = [{nodes[c].domain for c in cands} for cands in candidate_lists]
+    held: dict[int, list[int]] = {min(ds): [] for ds in domains if len(ds) == 1}
+    for l in net.inter_links:
+        for d in (nodes[l.u].domain, nodes[l.v].domain):
+            if d in held:
+                held[d].append(l.bw_residual)
+    thresholds = {bw for _, _, bw in links}
+    for d, residuals in held.items():
+        inside = {k for k, ds in enumerate(domains) if ds == {d}}
+        for t in thresholds:
+            capacity = sum(r for r in residuals if r >= t)
+            leaving = sum(bw for iu, iv, bw in links
+                          if bw >= t and (iu in inside) != (iv in inside))
+            if leaving > capacity and request_cut(links, domains, d, t, capacity) > capacity:
+                return True
+    return False
+
+
 def component_labels(masks, net: SubstrateNetwork) -> dict[int, dict[int, int]]:
     """Per demand d of ``masks`` (``usable_masks``), every substrate node's
     component label: the index of its component in ``model.components`` of
@@ -409,7 +511,8 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
     Bandwidth slack holds when the request's total demand is at most every
     substrate link's residual; only without it are the labels, masks and
-    domain cuts built, and the bound taken over the masks.
+    domain cuts built, the bound taken over the masks, and a finite bound
+    made INFEASIBLE when ``cut_proves_infeasible``.
     """
     vnode_order = sorted(vnr.nodes)
     index = {vid: i for i, vid in enumerate(vnode_order)}
@@ -426,9 +529,11 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         for l in net.inter_links:
             cut[nodes[l.u].domain] += l.bw_residual
             cut[nodes[l.v].domain] += l.bw_residual
+    bound = cost_bound(links, vnr.cpu_total, candidate_lists, net, masks)
+    if not bw_slack and bound < INFEASIBLE and cut_proves_infeasible(links, candidate_lists, net):
+        bound = INFEASIBLE
     return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, link_labels,
-                          masks, cut,
-                          cost_bound(links, vnr.cpu_total, candidate_lists, net, masks))
+                          masks, cut, bound)
 
 
 def fitness(position: list[int], plan: EvaluationPlan,
@@ -501,12 +606,13 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     """
     candidate_lists = request_candidates(vnr, net)
     if injective_assignment(candidate_lists) is None:
-        raise EmbeddingInfeasible("candidate sets admit no injective assignment")
+        raise EmbeddingInfeasible(f"request {vnr.id}: candidate sets admit no injective "
+                                  f"assignment")
 
     plan = evaluation_plan(vnr, net, candidate_lists)
     if plan.bound == INFEASIBLE:
-        raise EmbeddingInfeasible(f"request {vnr.id}: some virtual link has no candidate "
-                                  f"hosts joined by links with its demand in residual")
+        raise EmbeddingInfeasible(f"request {vnr.id}: no placement its candidate lists allow "
+                                  f"can carry its virtual links' demand in residual")
     vnode_order = plan.vnode_order
     candidate_sets = [set(c) for c in candidate_lists]
 

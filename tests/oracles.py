@@ -3,7 +3,8 @@
 Everything here favors obviousness over speed: exhaustive enumeration,
 repeated BFS, per-window re-filtering.  None of it shares code with the
 implementation under test beyond the domain types and the swarm's
-constants.
+constants, save ``embeddable_brute``, whose routing rule is the program's
+own ``route_all_links``.
 """
 
 import itertools
@@ -12,10 +13,11 @@ from collections import deque
 
 import numpy as np
 
-from secvne.errors import LengthMismatch
+from secvne.errors import LengthMismatch, LinkMappingInfeasible
 from secvne.model import link_key
 from secvne.node_mapping import candidate_nodes, virtual_node_priority
 from secvne.pso import RANDOM_INJECTIVE_TRIES, Particle, PsoConfig
+from secvne.routing import route_all_links
 from secvne.seeding import normalize_seed
 
 
@@ -279,12 +281,56 @@ def domain_cut_short(vnr, assignment, net):
     those links, so no routing fits."""
     domain = {nid: n.domain for nid, n in net.nodes.items()}
     for d in range(net.domain_count):
-        capacity = sum(l.bw_residual for (u, v), l in net.links.items()
-                       if (domain[u] == d) != (domain[v] == d))
+        capacity = cut_residual_brute(net, d, 0)
         demand = sum(l.bw_demand for l in vnr.links.values()
                      if (domain[assignment[l.u]] == d) != (domain[assignment[l.v]] == d))
         if demand > capacity:
             return True
+    return False
+
+
+def request_cut_brute(vnr, net):
+    """Per (domain d, demand t of the request), the least summed demand of
+    the virtual links of demand >= t with exactly one host inside d, over
+    every inside/outside choice of each virtual node that its candidate
+    list allows: inside when some candidate lies in d, outside when some
+    lies elsewhere.  Every virtual node needs a candidate."""
+    vids = sorted(vnr.nodes)
+    doms = [{net.nodes[c].domain for c in candidate_nodes(vnr.nodes[vid], net)} for vid in vids]
+    out = {}
+    for d in range(net.domain_count):
+        choices = [[side for side in (True, False) if (d in ds if side else ds != {d})]
+                   for ds in doms]
+        for t in {l.bw_demand for l in vnr.links.values()}:
+            crossing = []
+            for combo in itertools.product(*choices):
+                inside = dict(zip(vids, combo))
+                crossing.append(sum(l.bw_demand for l in vnr.links.values()
+                                    if l.bw_demand >= t and inside[l.u] != inside[l.v]))
+            out[d, t] = min(crossing)
+    return out
+
+
+def cut_residual_brute(net, d, t):
+    """The summed residual of the substrate links with exactly one end in
+    domain d and residual >= t."""
+    return sum(l.bw_residual for (u, v), l in net.links.items()
+               if (net.nodes[u].domain == d) != (net.nodes[v].domain == d) and l.bw_residual >= t)
+
+
+def embeddable_brute(vnr, net):
+    """True when some injective assignment from the candidate lists routes:
+    every assignment is tried, in candidate order, until one does.  Routable
+    means that the program's own ``route_all_links`` succeeds, the rule a
+    placement must meet, checked against ``route_all_brute`` elsewhere; on
+    six instances of the whole-run family of ``tests/test_pso.py`` the
+    brute-force router took about 35 times as long."""
+    for assignment in enumerate_assignments(vnr, net):
+        try:
+            route_all_links(vnr, assignment, net)
+        except LinkMappingInfeasible:
+            continue
+        return True
     return False
 
 

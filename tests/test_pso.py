@@ -36,8 +36,9 @@ from secvne.simulation import Strategy, make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
-from oracles import (best_fitness_brute, domain_cut_short, enumerate_assignments,
-                     labels_separate, position_subtract, rng_from, route_all_brute,
+from oracles import (best_fitness_brute, cut_residual_brute, domain_cut_short,
+                     embeddable_brute, enumerate_assignments, labels_separate,
+                     position_subtract, request_cut_brute, rng_from, route_all_brute,
                      sample_injective_brute, scalar_velocity_bit, scalar_velocity_update,
                      swarm_reference)
 
@@ -571,6 +572,173 @@ class TestRoutingProofs:
         assert revisits > 0
 
 
+def cut_family():
+    """(substrate, request, candidate lists) triples from 40 seeded
+    substrates of 6 to 8 nodes in two or three domains, bandwidth U[20, 60],
+    each inter-domain link's residual then lowered to a random value in
+    [0, capacity]; up to eight requests of 3 to 5 virtual nodes each, those
+    with links and a candidate for every virtual node."""
+    for seed in range(40):
+        cfg = GeneratorConfig(seed=seed, node_count=6 + seed % 3, domain_count=2 + seed % 2,
+                              intra_link_rate=0.4, substrate_bw_range=(20, 60),
+                              vnr_node_range=(3, 5), vnr_bw_range=(5, 30))
+        net = generate_substrate(cfg)
+        rnd = random.Random(seed)
+        for link in net.inter_links:
+            link.bw_residual = rnd.randint(0, link.bw_capacity)
+        for vnr in generate_vnr_stream(cfg, horizon=300)[:8]:
+            cands = [candidate_nodes(vnr.nodes[vid], net) for vid in sorted(vnr.nodes)]
+            if vnr.links and all(cands):
+                yield net, vnr, cands
+
+
+def bridged_net(residual):
+    """Domain 0 (nodes 0-1) and domain 1 (nodes 2-3), each joined inside by
+    a 100-unit link, and to each other by the links 0-2, of ``residual``,
+    and 1-3, of 10."""
+    return make_substrate(
+        node_specs=[(0, 0, 50, 0, 0), (1, 0, 50, 0, 0), (2, 1, 50, 0, 0), (3, 1, 50, 0, 0)],
+        link_specs=[(0, 1, 100), (2, 3, 100), (0, 2, residual), (1, 3, 10)],
+    )
+
+
+class TestRequestCut:
+    """Without slack, a plan whose cost bound is finite is INFEASIBLE when
+    some domain's request-level cut is short; checked against brute force
+    over the side assignments and over every placement."""
+
+    def test_max_flow_is_the_least_crossing_demand(self):
+        """For every domain and demand of the request, ``request_cut`` equals
+        the least crossing demand over every side assignment the candidate
+        lists allow."""
+        nonzero = 0
+        for net, vnr, cands in cut_family():
+            plan = evaluation_plan(vnr, net, cands)
+            domains = [{net.nodes[c].domain for c in cs} for cs in cands]
+            for (d, t), least in request_cut_brute(vnr, net).items():
+                assert pso.request_cut(plan.links, domains, d, t) == least
+                nonzero += least > 0
+        assert nonzero > 100
+
+    def test_cut_rejects_exactly_when_some_domain_is_short(self):
+        """The proof fires exactly when, for some domain d and demand t, the
+        least crossing demand exceeds the residual of d's border links with
+        residual >= t; the family holds rejections that need the
+        threshold."""
+        fired = needs_threshold = 0
+        for net, vnr, cands in cut_family():
+            least = request_cut_brute(vnr, net)
+            short = {(d, t) for (d, t), v in least.items() if v > cut_residual_brute(net, d, t)}
+            proved = pso.cut_proves_infeasible(evaluation_plan(vnr, net, cands).links, cands, net)
+            assert proved == bool(short)
+            fired += proved
+            needs_threshold += proved and all(least[d, t] <= cut_residual_brute(net, d, 0)
+                                              for d, t in short)
+        assert fired > 20 and needs_threshold > 0, (fired, needs_threshold)
+
+    def test_a_cut_rejection_routes_nothing(self):
+        """Whenever the cut fires, no injective assignment routes; the plan's
+        bound is INFEASIBLE exactly when the cost bound is, or, without
+        slack, when the cut fires."""
+        caught = 0
+        for net, vnr, cands in cut_family():
+            plan = evaluation_plan(vnr, net, cands)
+            proved = pso.cut_proves_infeasible(plan.links, cands, net)
+            if proved:
+                assert all(route_all_brute(vnr, a, net) is None
+                           for a in enumerate_assignments(vnr, net))
+            costed = pso.cost_bound(plan.links, vnr.cpu_total, cands, net, plan.masks)
+            assert (plan.bound == INFEASIBLE) == (costed == INFEASIBLE
+                                                   or (proved and not plan.bw_slack))
+            caught += plan.bound == INFEASIBLE and costed < INFEASIBLE
+        assert caught > 5
+
+    def test_search_rejects_a_request_whose_domain_cut_is_short(self):
+        """Every link is routable on its own, and the two border links hold
+        20 in all, but neither holds 15: the cut at demand 15 is empty, so
+        the search rejects before the swarm.  At a residual of 15 the least
+        crossing demand, 15, equals the border's residual at 15, which is no
+        proof, though the 20 units leaving virtual node 0 exceed it."""
+        # Virtual node 0 lies in domain 0, node 2 in domain 1 and node 1 in
+        # either, so one of the two links crosses between them: the 15-unit
+        # one when node 1 sits in domain 0.
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,))],
+                       [(0, 1, 20), (1, 2, 15)])
+        net = bridged_net(10)
+        cands = request_candidates(vnr, net)
+        plan = evaluation_plan(vnr, net, cands)
+        assert not plan.bw_slack and plan.cut == [20, 20]
+        assert pso.cost_bound(plan.links, vnr.cpu_total, cands, net, plan.masks) == 3 + 20 + 15
+        assert plan.bound == INFEASIBLE
+        with pytest.raises(EmbeddingInfeasible, match=r"^request 0: no placement its candidate "
+                                                      r"lists allow can carry its virtual "
+                                                      r"links' demand in residual$"):
+            swarm_search(vnr, net, PsoConfig(seed=0))
+        net = bridged_net(15)
+        assert pso.request_cut(plan.links, [{0}, {0, 1}, {1}], 0, 15) == 15
+        assert not pso.cut_proves_infeasible(plan.links, cands, net)
+        assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 20 + 15
+
+
+class TestProvedRejectionsInWholeRuns:
+    """Over whole bandwidth-bound runs, every rejection the search proves is
+    not embeddable by brute force."""
+
+    def test_every_proved_rejection_is_not_embeddable(self, monkeypatch):
+        """Twenty seeded substrates of 10 to 16 nodes in two or three
+        domains, bandwidth U[20, 60], and requests of 2 to 6 virtual nodes
+        run through ``simulation.run`` with ``stec-iot``.  A rejection is
+        proved when a virtual node has no candidate, the candidate sets
+        admit no injective assignment or the plan's bound is INFEASIBLE,
+        by the cost bound or by a domain cut; each is checked against
+        ``embeddable_brute`` on the residuals of its arrival.  A search
+        whose swarm ends INFEASIBLE is an unproven rejection, and the test
+        prints how many of them brute force embeds (shown under ``pytest
+        -s``; README.md states the count)."""
+        plain_search, plain_plan = pso.swarm_search, pso.evaluation_plan
+        plans, proved, unproven = [], {}, []
+
+        def recording_plan(*args):
+            plans.append(plain_plan(*args))
+            return plans[-1]
+
+        def checked_search(vnr, net, cfg):
+            plans.clear()
+            try:
+                result = plain_search(vnr, net, cfg)
+            except EmbeddingInfeasible as error:
+                if isinstance(error, NodeMappingInfeasible):
+                    kind = "no candidate"
+                elif not plans:
+                    kind = "injectivity"
+                else:
+                    assert plans[-1].bound == INFEASIBLE
+                    costed = pso.cost_bound(plans[-1].links, vnr.cpu_total,
+                                            request_candidates(vnr, net), net, plans[-1].masks)
+                    kind = "cost bound" if costed == INFEASIBLE else "domain cut"
+                proved.setdefault(kind, []).append(embeddable_brute(vnr, net))
+                raise
+            if result.fitness == INFEASIBLE:
+                unproven.append(embeddable_brute(vnr, net))
+            return result
+
+        monkeypatch.setattr(pso, "evaluation_plan", recording_plan)
+        monkeypatch.setattr(pso, "swarm_search", checked_search)
+        for seed in range(20):
+            cfg = GeneratorConfig(seed=seed, node_count=10 + seed % 7, domain_count=2 + seed % 2,
+                                  substrate_bw_range=(20, 60), security_range=(0, 2),
+                                  vnr_node_range=(2, 6), vnr_cpu_range=(1, 10),
+                                  vnr_bw_range=(5, 20), vnr_mean_lifetime=300.0)
+            run(generate_substrate(cfg), generate_vnr_stream(cfg, 1000),
+                make_strategy("stec-iot", seed=0), 1000)
+        assert {kind: any(embeddable) for kind, embeddable in proved.items()} == {
+            "no candidate": False, "injectivity": False, "cost bound": False,
+            "domain cut": False}
+        assert unproven
+        print(f"unproven rejections embeddable by brute force: {sum(unproven)} of "
+              f"{len(unproven)}")
+
+
 class TestComponentLabelGate:
     """Without bandwidth slack the search labels each substrate node's
     component per demand, and fitness rejects the positions that the labels
@@ -656,16 +824,18 @@ class TestComponentLabelGate:
     ], ids=["golden-bw-bound", "paper-scale-bw-bound"])
     def test_gate_rejections_are_infeasible_when_routed(self, monkeypatch, cfg, horizon):
         """Every request the plan's bound rejects during a simulated stream,
-        searched again with a bound of 0 (which proves nothing and stops no
-        search) and every fitness call routed, is INFEASIBLE."""
+        by the cost bound or by a domain cut, searched again with a plan
+        bound of 0 (which proves nothing and stops no search) and every
+        fitness call routed, is INFEASIBLE."""
         plain_search = pso.swarm_search
-        plain_bound = pso.cost_bound
+        plain_plan = pso.evaluation_plan
         verdicts = []
         forced = []
 
-        def recording_bound(*args):
-            verdicts.append(plain_bound(*args))
-            return verdicts[-1]
+        def recording_plan(*args):
+            plan = plain_plan(*args)
+            verdicts.append(plan.bound)
+            return plan
 
         def checked_search(vnr, net, pso_cfg, *rest):
             verdicts.clear()
@@ -674,12 +844,13 @@ class TestComponentLabelGate:
             except EmbeddingInfeasible:
                 if verdicts and verdicts[-1] == INFEASIBLE:
                     with monkeypatch.context() as m:
-                        m.setattr(pso, "cost_bound", lambda *args: 0.0)
+                        m.setattr(pso, "evaluation_plan",
+                                  lambda *args: dataclasses.replace(plain_plan(*args), bound=0.0))
                         m.setattr(pso, "fitness", routed_cost)
                         forced.append(plain_search(vnr, net, pso_cfg, *rest).fitness)
                 raise
 
-        monkeypatch.setattr(pso, "cost_bound", recording_bound)
+        monkeypatch.setattr(pso, "evaluation_plan", recording_plan)
         monkeypatch.setattr(pso, "swarm_search", checked_search)
         run(generate_substrate(cfg), generate_vnr_stream(cfg, horizon),
             make_strategy("stec-iot", seed=0), horizon)
@@ -710,6 +881,13 @@ class TestSwarm:
         # vsd=4 but domain 1 tops out at ssl=4 on node 5 with ssd=1 > vsl=0
         with pytest.raises(EmbeddingInfeasible):
             optimize(vnr, toy_net, PsoConfig(seed=1))
+
+    def test_no_injective_assignment_names_the_request(self, toy_net):
+        # Only node 5 meets vsd 4 in domain 1, and both virtual nodes need it.
+        vnr = make_vnr([(0, 10, 4, 1, (1,)), (1, 10, 4, 1, (1,))], [(0, 1, 5)], vnr_id=8)
+        with pytest.raises(EmbeddingInfeasible, match=r"^request 8: candidate sets admit no "
+                                                      r"injective assignment$"):
+            swarm_search(vnr, toy_net, PsoConfig(seed=0))
 
     def test_gbest_history_non_increasing(self, toy_net, toy_vnr):
         for seed in range(10):
@@ -766,8 +944,10 @@ class TestRequestCandidates:
 
     def test_names_the_first_virtual_node_without_a_candidate(self, toy_net):
         # vsd 4 in domain 1 leaves only node 5, whose ssd 1 exceeds vsl 0.
-        vnr = make_vnr([(3, 10, 4, 0, (1,)), (0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [])
-        with pytest.raises(NodeMappingInfeasible, match="virtual node 1 has no candidate"):
+        vnr = make_vnr([(3, 10, 4, 0, (1,)), (0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [],
+                       vnr_id=7)
+        with pytest.raises(NodeMappingInfeasible, match=r"^request 7: virtual node 1 has no "
+                                                        r"candidate substrate node$"):
             request_candidates(vnr, toy_net)
 
     def test_a_search_filters_each_virtual_node_once(self, monkeypatch):
@@ -981,8 +1161,8 @@ class TestCostBound:
         )
         vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,)), (2, 1, 0, 4, (1,))],
                        [(0, 1, 10), (1, 2, 5)])
-        with pytest.raises(EmbeddingInfeasible, match=r"request 0: some virtual link has no "
-                                                      r"candidate hosts joined"):
+        with pytest.raises(EmbeddingInfeasible, match=r"^request 0: no placement its candidate "
+                                                      r"lists allow can carry"):
             swarm_search(vnr, net, PsoConfig(seed=0))
         net.links[(1, 2)].bw_residual = 10
         assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 10 * 1 + 5 * 1
