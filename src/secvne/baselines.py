@@ -27,7 +27,8 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
     for v in order:
         cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
         if not cands:
-            raise EmbeddingInfeasible(f"greedy: no unused candidate for virtual node {v.id}")
+            raise EmbeddingInfeasible(f"request {vnr.id}: greedy: no unused candidate for "
+                                      f"virtual node {v.id}")
         best = min(cands, key=lambda sid: (-net.nodes[sid].cpu_residual, sid))
         assignment[v.id] = best
         used.add(best)
@@ -47,5 +48,5 @@ def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -
             return build_embedding(vnr, dict(zip(vnode_order, position)), net)
         except LinkMappingInfeasible:
             continue
-    raise EmbeddingInfeasible(
-        f"random: no routable assignment within {RANDOM_EMBED_ATTEMPTS} attempts")
+    raise EmbeddingInfeasible(f"request {vnr.id}: random: no routable assignment within "
+                              f"{RANDOM_EMBED_ATTEMPTS} attempts")

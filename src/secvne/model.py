@@ -11,10 +11,9 @@ Every breadth-first search and component split in the package is
 ``bfs_levels``, over node bitmasks: bit i stands for the node of bit rank i,
 the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
 one neighbour mask per node, indexed by rank.  ``components`` repeats it
-from the lowest node not yet reached until every node is reached; a
-component label in ``secvne.pso`` is an index into its list, shared by
-demands that share their usable masks.  The topology's only adjacency is
-``SubstrateNetwork.adj_masks``, built from the links.
+from the lowest node not yet reached until every node is reached; the
+generator's connectivity repair is its one user.  The topology's only
+adjacency is ``SubstrateNetwork.adj_masks``, built from the links.
 ``compute_boundary_hops`` checks that every declared domain holds a node,
 then masks it down to one domain, in one pass per domain that checks the
 domain is connected and has a boundary node and then measures the boundary

@@ -36,57 +36,52 @@ debits on any substrate link come from other virtual links and total at
 most the request's demand minus this link's, and every table path stays
 feasible.  The routed cost is then the sum of bandwidth x topology hop
 distance, which ``fitness`` reads from the substrate's hop-distance table
-without building paths or debits.  The table (``routing.hop_distances``)
-holds, per destination, the hop count of every node that reaches it, filled
-by one breadth-first search the first time the destination is asked for;
-after that a lookup is one dict read.
+(``hop_sum``) without building paths or debits.  The table
+(``routing.hop_distances``) holds, per destination, the hop count of every
+node that reaches it, filled by one breadth-first search the first time the
+destination is asked for; after that a lookup is one dict read.
 
 Otherwise ``evaluation_plan`` builds, once per search, each substrate
 node's usable mask at every distinct demand d of the request, which holds
-its neighbours over links with residual >= d (``routing.usable_masks``),
-and from them each node's component label at d (``component_labels``): two
-nodes share a label at d when links with residual >= d join them.  The
-labels are built here and nowhere else.  It also sums, per domain, the
-residual of the inter-domain links that touch the domain, its cut
-(``SubstrateNetwork.inter_links`` lists those links once per substrate).
-``fitness`` then settles a position by the first of four steps that
-applies, in this order:
+its neighbours over links with residual >= d (``routing.usable_masks``).
+It also sums, per domain, the residual of the inter-domain links that touch
+the domain, its cut (``SubstrateNetwork.inter_links`` lists those links
+once per substrate).  ``fitness`` then settles a position by the first of
+three steps that applies, in this order:
 
-1. Labels.  Debits only shrink the usable subgraph, so hosts with different
-   labels at a virtual link's demand can never route it, under any routing
-   order: INFEASIBLE.
-2. Domain cut.  Per domain, the demands of the virtual links with exactly
+1. Domain cut.  Per domain, the demands of the virtual links with exactly
    one host in the domain are summed.  Every path that leaves a domain
    debits its demand on at least one of that domain's cut links, so when
-   the sum exceeds the cut no routing order fits: INFEASIBLE.  Steps 1 and
-   2 run in one pass over the links.
-3. Cutoff.  When ``cutoff`` is finite, the topology hop sum ``cpu_total +
-   sum(bw * hops)`` is read from the hop-distance table, and returned
-   without routing when it is at least ``cutoff``.  No routed path is
-   shorter than the topology's min-hop path, so the sum is a lower bound
-   on the routed cost.  ``swarm_search`` passes the particle's pbest
-   fitness as the cutoff, and pbest and gbest move only on strict
-   improvement, so such a value moves neither, as the routed cost would
-   not.
-4. Route.  ``route_all_links`` routes the position in full, with the
+   the sum exceeds the cut no routing order fits: INFEASIBLE.
+2. Cutoff.  When ``cutoff`` is finite, the topology hop sum ``cpu_total +
+   sum(bw * hops)`` is read from the hop-distance table (``hop_sum``), and
+   returned without routing when it is at least ``cutoff``.  No routed
+   path is shorter than the topology's min-hop path, so the sum is a lower
+   bound on the routed cost; when the topology does not join some link's
+   hosts no route joins them either, and the sum is INFEASIBLE.
+   ``swarm_search`` passes the particle's pbest fitness as the cutoff, and
+   pbest and gbest move only on strict improvement, so such a value moves
+   neither, as the routed cost would not.
+3. Route.  ``route_all_links`` routes the position in full, with the
    plan's masks, so that a breadth-first search reads them instead of
    testing residuals link by link.
 
-Steps 1, 2 and 4 give the exact cost or an exact INFEASIBLE, step 3 only a
-bound.  So the search's fitness cache never keeps a finite value at or
-above the cutoff, and a particle that reaches that position again
-evaluates it again.  Under slack the cutoff is not used, since there the
-hop sum is the exact cost, and every value is kept.  ``optimize`` routes
-the winner as every strategy does, through ``build_embedding``, which
-builds masks only if a table path falls short.
+The cut, an INFEASIBLE hop sum and the route give the exact cost or an
+exact INFEASIBLE, a finite hop sum at the cutoff only a bound.  So the
+search's fitness cache never keeps a finite value at or above the cutoff,
+and a particle that reaches that position again evaluates it again.  Under
+slack the cutoff is not used, since there the hop sum is the exact cost,
+and every value is kept.  ``optimize`` routes the winner as every strategy
+does, through ``build_embedding``, which builds masks only if a table path
+falls short.
 
 Everything a search evaluates against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
 the bound stop read: the virtual-node order, ``cpu_total``, each virtual
 link as an (index of u, index of v, demand) triple in the request's routing
-order, the slack flag, the bound and, without slack, each link's label
-dict, the usable masks and the domain cuts.  ``fitness`` indexes positions
-with the triples and builds the assignment dict only when it routes.
+order, the slack flag, the bound and, without slack, the usable masks and
+the domain cuts.  ``fitness`` indexes positions with the triples and builds
+the assignment dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
 component it draws, in ascending order, its pool is the candidate list as
@@ -178,8 +173,7 @@ from itertools import compress
 from typing import ClassVar
 
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
-from .model import (Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels, components,
-                    level_hops)
+from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels
 from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, hop_distances, route_all_links, usable_masks
 from .seeding import draws_from
@@ -337,21 +331,35 @@ def request_candidates(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> lis
 
 
 def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
-    """One injective assignment via augmenting paths, or None if impossible."""
-    owner: dict[int, int] = {}
+    """One injective assignment via augmenting paths, or None if impossible.
 
-    def assign(k: int, seen: set[int]) -> bool:
-        for c in candidate_lists[k]:
-            if c in seen:
+    Each virtual node in turn searches depth first for an augmenting path,
+    trying candidates in list order and, at a candidate another node owns,
+    that owner's untried candidates first.  The path is an explicit stack of
+    (virtual node, its candidate iterator) frames, so its length is bounded
+    by memory, not by the interpreter's recursion limit.
+    """
+    owner: dict[int, int] = {}
+    for k in range(len(candidate_lists)):
+        seen: set[int] = set()
+        stack = [(k, iter(candidate_lists[k]))]
+        path: list[int] = []  # path[i]: the candidate stack[i] is trying
+        while stack:
+            c = next((c for c in stack[-1][1] if c not in seen), None)
+            if c is None:
+                # Every candidate of the top node failed: its parent moves on.
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(c)
-            if c not in owner or assign(owner[c], seen):
-                owner[c] = k
-                return True
-        return False
-
-    for k in range(len(candidate_lists)):
-        if not assign(k, set()):
+            path.append(c)
+            if c not in owner:
+                for (j, _), taken in zip(stack, path):
+                    owner[taken] = j
+                break
+            stack.append((owner[c], iter(candidate_lists[owner[c]])))
+        else:
             return None
     position = [0] * len(candidate_lists)
     for c, k in owner.items():
@@ -371,11 +379,9 @@ class EvaluationPlan:
     # (index of u, index of v, bw demand) per virtual link, in routing order
     links: list[tuple[int, int, int]]
     bw_slack: bool
-    # Without slack: each link's component labels at its demand, aligned
-    # with ``links``, the usable masks per demand (usable_masks) and, per
+    # Without slack: the usable masks per demand (usable_masks) and, per
     # domain, the summed residual of the inter-domain links that touch it;
     # None under slack.
-    link_labels: list[dict[int, int]] | None
     masks: dict[int, list[int]] | None
     cut: list[int] | None
     # No position costs less: the search stops once gbest meets it, and
@@ -490,28 +496,14 @@ def cut_proves_infeasible(links: list[tuple[int, int, int]],
     return False
 
 
-def component_labels(masks, net: SubstrateNetwork) -> dict[int, dict[int, int]]:
-    """Per demand d of ``masks`` (``usable_masks``), every substrate node's
-    component label: the index of its component in ``model.components`` of
-    the masks at d, so two nodes share a label at d exactly when links with
-    residual >= d join them.  A demand that shares the list of the demand
-    before it shares its labels, so each distinct list is split once."""
-    labels, last = {}, None
-    for d, m in masks.items():
-        if m is not last:
-            label, last = level_hops(components(m), net.node_ids), m
-        labels[d] = label
-    return labels
-
-
 def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                     candidate_lists: list[list[int]]) -> EvaluationPlan:
     """The plan of a search of ``vnr`` over ``net``, with one candidate list
     per virtual node in ascending id order.
 
     Bandwidth slack holds when the request's total demand is at most every
-    substrate link's residual; only without it are the labels, masks and
-    domain cuts built, the bound taken over the masks, and a finite bound
+    substrate link's residual; only without it are the masks and domain
+    cuts built, the bound taken over the masks, and a finite bound
     made INFEASIBLE when ``cut_proves_infeasible``.
     """
     vnode_order = sorted(vnr.nodes)
@@ -519,11 +511,9 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
     bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
                                    default=math.inf)
-    link_labels = masks = cut = None
+    masks = cut = None
     if not bw_slack:
         masks = usable_masks([bw for _, _, bw in links], net)
-        labels = component_labels(masks, net)
-        link_labels = [labels[bw] for _, _, bw in links]
         nodes = net.nodes
         cut = [0] * net.domain_count
         for l in net.inter_links:
@@ -532,50 +522,52 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     bound = cost_bound(links, vnr.cpu_total, candidate_lists, net, masks)
     if not bw_slack and bound < INFEASIBLE and cut_proves_infeasible(links, candidate_lists, net):
         bound = INFEASIBLE
-    return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, link_labels,
-                          masks, cut, bound)
+    return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, masks, cut,
+                          bound)
+
+
+def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
+    """``cpu_total`` plus each virtual link's demand times the topology hop
+    distance between its hosts, read from the hop-distance table;
+    INFEASIBLE when the topology does not join some link's hosts or they
+    coincide, since then no route joins them."""
+    net = plan.net
+    total = plan.cpu_total
+    for iu, iv, bw in plan.links:
+        # None: the topology does not join the hosts; 0: they coincide.
+        hops = hop_distances(position[iv], net).get(position[iu])
+        if not hops:
+            return INFEASIBLE
+        total += bw * hops
+    return float(total)
 
 
 def fitness(position: list[int], plan: EvaluationPlan,
             cutoff: float = INFEASIBLE) -> float:
     """Embedding cost of a position; +inf when its links cannot be routed.
 
-    Under bandwidth slack the cost is read from hop distances, with no paths
-    routed.  Otherwise a position the labels or a domain cut prove
-    unroutable is +inf without routing; a position whose topology hop sum
-    is at least ``cutoff`` returns that sum, a lower bound on its cost,
-    without routing; the rest are routed (see the module docstring).
+    Under bandwidth slack the cost is the hop sum, with no paths routed.
+    Otherwise a position a domain cut proves unroutable is +inf without
+    routing; a position whose hop sum is at least ``cutoff`` returns that
+    sum, a lower bound on its cost (or an exact +inf), without routing; the
+    rest are routed (see the module docstring).
     """
     if plan.bw_slack:
-        net = plan.net
-        total = plan.cpu_total
-        for iu, iv, bw in plan.links:
-            # None: the topology does not join the hosts; 0: they coincide.
-            hops = hop_distances(position[iv], net).get(position[iu])
-            if not hops:
-                return INFEASIBLE
-            total += bw * hops
-        return float(total)
+        return hop_sum(position, plan)
     nodes = plan.net.nodes
     cut = plan.cut
     need = [0] * len(cut)
-    for (iu, iv, bw), label in zip(plan.links, plan.link_labels):
-        hu, hv = position[iu], position[iv]
-        if label[hu] != label[hv]:
-            return INFEASIBLE
-        du, dv = nodes[hu].domain, nodes[hv].domain
+    for iu, iv, bw in plan.links:
+        du, dv = nodes[position[iu]].domain, nodes[position[iv]].domain
         if du != dv:
             need[du] += bw
             need[dv] += bw
             if need[du] > cut[du] or need[dv] > cut[dv]:
                 return INFEASIBLE
     if cutoff < INFEASIBLE:
-        net = plan.net
-        total = plan.cpu_total
-        for iu, iv, bw in plan.links:
-            total += bw * hop_distances(position[iv], net)[position[iu]]
+        total = hop_sum(position, plan)
         if total >= cutoff:
-            return float(total)
+            return total
     try:
         _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
                                      plan.masks)

@@ -41,9 +41,8 @@ smallest min-hop paths of their graphs.
 masks at every distinct demand of a request.  ``route_all_links`` calls it
 once, for the whole request, the first time a table path lacks bandwidth,
 unless its caller hands the masks in (the swarm hands in those of its
-search plan, which also labels each node's component per demand).  A
-demand that drops no link beyond the next smaller demand shares that
-demand's list, so no caller may change a list it is given.
+search plan).  A demand that drops no link beyond the next smaller demand
+shares that demand's list, so no caller may change a list it is given.
 """
 
 from __future__ import annotations

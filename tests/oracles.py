@@ -183,45 +183,6 @@ def components_brute(masks):
     return sorted(parts, key=lambda m: m & -m)
 
 
-def label_partition(label):
-    """The node sets that share a label: what a label dict means, whatever
-    values it uses."""
-    groups = {}
-    for nid, lab in label.items():
-        groups.setdefault(lab, set()).add(nid)
-    return {frozenset(g) for g in groups.values()}
-
-
-def component_labels_sweep(demands, net):
-    """Component labels per demand from a union-find sweep over the links in
-    descending residual order: the independent union-find reference for the
-    labels of ``pso.component_labels``, which splits each demand's usable
-    masks with ``model.components`` instead.  Only the partition a label
-    dict induces is compared, never its values."""
-    thresholds = sorted(set(demands), reverse=True)
-    buckets = {d: [] for d in thresholds}
-    for k, link in net.links.items():
-        carried = [d for d in thresholds if d <= link.bw_residual]
-        if carried:
-            buckets[max(carried)].append(k)
-    label = {n: n for n in net.nodes}
-    members = {n: [n] for n in net.nodes}
-    labels = {}
-    for d in thresholds:
-        for a, b in buckets[d]:
-            keep, gone = label[a], label[b]
-            if keep == gone:
-                continue
-            if len(members[keep]) < len(members[gone]):
-                keep, gone = gone, keep
-            moved = members.pop(gone)
-            for n in moved:
-                label[n] = keep
-            members[keep].extend(moved)
-        labels[d] = label.copy()
-    return labels
-
-
 def enumerate_assignments(vnr, net):
     """All injective candidate-respecting node assignments."""
     vids = sorted(vnr.nodes)
@@ -267,11 +228,22 @@ def route_all_brute(vnr, assignment, net):
     return paths, total
 
 
-def labels_separate(vnr, labels, assignment):
-    """True when some virtual link's hosts have different component labels
-    at the link's demand."""
-    return any(labels[l.bw_demand][assignment[l.u]] != labels[l.bw_demand][assignment[l.v]]
-               for l in vnr.links.values())
+def unjoined_hosts(vnr, assignment, net):
+    """True when the bare topology, bandwidth ignored, joins the hosts of
+    some virtual link by no path: the nodes reachable from one host, grown
+    link by link until none is added, miss the other."""
+    for l in vnr.links.values():
+        reached = {assignment[l.u]}
+        grown = True
+        while grown:
+            grown = False
+            for a, b in net.links:
+                if (a in reached) != (b in reached):
+                    reached |= {a, b}
+                    grown = True
+        if assignment[l.v] not in reached:
+            return True
+    return False
 
 
 def domain_cut_short(vnr, assignment, net):

@@ -45,6 +45,14 @@ def test_greedy_bottleneck_rejects_where_swarm_recovers():
     assert validate_embedding(net, vnr, emb) == []
 
 
+def test_greedy_rejection_names_the_request(toy_net):
+    # Node 1 is the only domain-0 node with ssl 4, and both virtual nodes need it.
+    vnr = make_vnr([(0, 10, 4, 4, (0,)), (1, 5, 4, 4, (0,))], [], vnr_id=7)
+    with pytest.raises(EmbeddingInfeasible, match=r"^request 7: greedy: no unused candidate "
+                                                  r"for virtual node 1$"):
+        greedy_embed(vnr, toy_net)
+
+
 def test_greedy_validates(toy_net, toy_vnr):
     emb = greedy_embed(toy_vnr, toy_net)
     assert validate_embedding(toy_net, toy_vnr, emb) == []
@@ -64,6 +72,19 @@ def test_random_unique_assignment_found_within_retries():
     vnr = make_vnr([(0, 10, 3, 4, (0,)), (1, 10, 3, 4, (1,))], [(0, 1, 5)])
     emb = random_embed(vnr, net, seed=123)
     assert emb.node_map == {0: 0, 1: 2}
+
+
+def test_random_rejection_names_the_request():
+    # Every draw is the one injective pair, and its link cannot cross the
+    # 3-unit bridge.
+    net = make_substrate(
+        node_specs=[(0, 0, 30, 0, 0), (1, 1, 30, 0, 0)],
+        link_specs=[(0, 1, 3)],
+    )
+    vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (1,))], [(0, 1, 5)], vnr_id=9)
+    with pytest.raises(EmbeddingInfeasible, match=r"^request 9: random: no routable assignment "
+                                                  r"within 10 attempts$"):
+        random_embed(vnr, net, seed=0)
 
 
 def test_random_is_deterministic_per_seed(toy_net, toy_vnr):

@@ -12,12 +12,12 @@ from secvne import metrics, node_mapping, pso, routing
 from secvne.errors import (EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible,
                            NodeMappingInfeasible)
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from secvne.model import compute_boundary_hops
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
     INFEASIBLE,
     Particle,
     PsoConfig,
-    component_labels,
     evaluation_plan,
     fitness,
     injective_assignment,
@@ -37,10 +37,10 @@ from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (best_fitness_brute, cut_residual_brute, domain_cut_short,
-                     embeddable_brute, enumerate_assignments, labels_separate,
+                     embeddable_brute, enumerate_assignments, matching_brute,
                      position_subtract, request_cut_brute, rng_from, route_all_brute,
                      sample_injective_brute, scalar_velocity_bit, scalar_velocity_update,
-                     swarm_reference)
+                     swarm_reference, unjoined_hosts)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
 
@@ -205,6 +205,29 @@ class TestInjectiveSampling:
         assert injective_assignment([[1], [1, 2]]) == [1, 2]
         assert injective_assignment([[1], [1]]) is None
 
+    def test_matching_is_iterative_on_a_long_chain(self):
+        """Virtual node k may take k or k + 1 and the last only 0, so the
+        last one's augmenting path displaces all 1,999 owners before it, far
+        past the interpreter's recursion limit."""
+        n = 2000
+        chain = [[k, k + 1] for k in range(n - 1)] + [[0]]
+        assert injective_assignment(chain) == list(range(1, n)) + [0]
+
+    def test_matching_equals_the_recursive_matching(self):
+        """On small random lists, the assignment of the recursive augmenting
+        paths of ``oracles.matching_brute``, and None exactly when no choice
+        of one candidate per list is injective."""
+        rnd = random.Random(3)
+        found = {True: 0, False: 0}
+        for _ in range(1000):
+            lists = [rnd.sample(range(6), rnd.randint(1, 3)) for _ in range(rnd.randint(0, 6))]
+            out = injective_assignment(lists)
+            assert out == matching_brute(lists)
+            exists = any(len(set(p)) == len(p) for p in itertools.product(*lists))
+            assert (out is not None) == exists
+            found[exists] += 1
+        assert min(found.values()) > 100, found
+
     def test_random_injective_respects_candidates(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -265,7 +288,7 @@ class TestFitness:
 
 
 class TestEvaluationPlan:
-    """One plan per search: the link triples, the slack flag and the labels
+    """One plan per search: the link triples, the slack flag and the masks
     are derived once, and the plan-driven operators agree with the plain
     computations they replace."""
 
@@ -278,11 +301,10 @@ class TestEvaluationPlan:
         assert plan.links == [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
         assert plan.cpu_total == vnr.cpu_total
         assert not plan.bw_slack
-        labels = request_labels(vnr, net)
-        assert plan.link_labels == [labels[l.bw_demand] for l in vnr.routing_order]
+        assert plan.masks == usable_masks([l.bw_demand for l in vnr.routing_order], net)
         slack = plan_for(vnr, generate_substrate(GeneratorConfig(seed=0, node_count=8,
                                                                  domain_count=2)))
-        assert slack.bw_slack and slack.link_labels is None and slack.masks is None
+        assert slack.bw_slack and slack.masks is None and slack.cut is None
 
     def test_fitness_equals_cpu_total_plus_routed_bandwidth_cost(self):
         """On random positions, shared hosts included, the plan-driven cost is
@@ -404,8 +426,8 @@ class TestBandwidthSlack:
 
     def test_bandwidth_bound_stream_takes_both_paths(self, monkeypatch):
         """A search under slack never routes.  A binding search routes
-        unless the labels, a domain cut or the pbest cutoff settles every
-        position it evaluates, and the stream holds searches that route."""
+        unless a domain cut or the pbest cutoff settles every position it
+        evaluates, and the stream holds searches that route."""
         calls = self.count_routing(monkeypatch)
         cfg = GeneratorConfig(seed=11, node_count=12, domain_count=2, cd_size_range=(1, 2),
                               vnr_node_range=(2, 4), vnr_arrival_rate=0.05,
@@ -425,6 +447,54 @@ class TestBandwidthSlack:
             assert result == self.routed_search(monkeypatch, vnr, net, PsoConfig(seed=vnr.id))
         assert {(True, False), (False, True)} <= seen
 
+    def test_masks_are_never_built_under_bandwidth_slack(self, monkeypatch):
+        """A search sweeps ``usable_masks`` once without slack and never
+        under it.  Routing the winner sweeps it at most once more, and not
+        at all when every table path of the winner fits, so only a winner
+        that searches the feasible subgraph builds masks.  The sweeps are
+        counted under both modules' names: ``route_all_links`` reaches the
+        function under routing's own."""
+        sweeps = count_calls(monkeypatch, pso, "usable_masks")
+        routing_sweeps = count_calls(monkeypatch, routing, "usable_masks")
+        searches = count_calls(monkeypatch, routing, "route_link")
+        winners = []
+        plain_build = pso.build_embedding
+
+        def build(*args):
+            searched, swept = len(searches), len(routing_sweeps)
+            embedding = plain_build(*args)
+            winners.append((len(searches) - searched, len(routing_sweeps) - swept))
+            return embedding
+
+        monkeypatch.setattr(pso, "build_embedding", build)
+        golden_stream = generate_vnr_stream(GOLDEN_BW_CONFIG, horizon=1500)
+        # Random residuals on 20 nodes make some winners' table paths fall
+        # short, so their routing searches the feasible subgraph.
+        loaded_stream = generate_vnr_stream(
+            GeneratorConfig(seed=1, node_count=20, domain_count=2, cd_size_range=(1, 2),
+                            vnr_node_range=(2, 5)), horizon=400)
+        instances = [(generate_substrate(GOLDEN_BW_CONFIG), golden_stream)]
+        instances += [(contended_net(seed, node_count=20), loaded_stream) for seed in (0, 1)]
+        seen = set()
+        for net, stream in instances:
+            min_residual = min(l.bw_residual for l in net.links.values())
+            for vnr in stream:
+                sweeps.clear()
+                routing_sweeps.clear()
+                searched = len(winners)
+                try:
+                    optimize(vnr, net, PsoConfig(seed=vnr.id))
+                except EmbeddingInfeasible:
+                    continue
+                slack = vnr.bw_total <= min_residual
+                assert len(sweeps) == (0 if slack else 1)
+                assert len(winners) == searched + 1
+                assert len(routing_sweeps) == winners[-1][1]
+                seen.add(slack)
+        assert seen == {True, False}
+        assert all(swept == min(1, searched) for searched, swept in winners)
+        assert sum(searched > 0 for searched, _ in winners) > 0
+
 
 def count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's first argument."""
@@ -439,15 +509,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def request_labels(vnr, net):
-    return component_labels(usable_masks([l.bw_demand for l in vnr.links.values()], net), net)
-
-
 def count_proofs(monkeypatch):
     """Wrap ``pso.fitness`` to count the calls without slack that return
     without routing by one of its two proofs: ``cut``, an INFEASIBLE that
-    the labels do not give, which must be a domain cut's; ``cutoff``, a
-    finite value, which must be at least the cutoff."""
+    must be a domain cut's unless the cutoff is finite and the topology
+    does not join some link's hosts; ``cutoff``, a finite value, which
+    must be at least the cutoff."""
     proofs = {"cut": 0, "cutoff": 0}
     routes = count_calls(monkeypatch, pso, "route_all_links")
     plain = pso.fitness
@@ -460,10 +527,12 @@ def count_proofs(monkeypatch):
         if value < INFEASIBLE:
             assert value >= cutoff
             proofs["cutoff"] += 1
-        elif all(label[position[iu]] == label[position[iv]]
-                 for (iu, iv, _), label in zip(plan.links, plan.link_labels)):
-            assert domain_cut_short(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
-            proofs["cut"] += 1
+        else:
+            assignment = dict(zip(plan.vnode_order, position))
+            short = domain_cut_short(plan.vnr, assignment, plan.net)
+            assert short or (cutoff < INFEASIBLE
+                             and unjoined_hosts(plan.vnr, assignment, plan.net))
+            proofs["cut"] += short
         return value
 
     monkeypatch.setattr(pso, "fitness", counting)
@@ -502,7 +571,6 @@ class TestRoutingProofs:
             plan = plan_for(vnr, net)
             if plan.bw_slack:
                 continue
-            labels = request_labels(vnr, net)
             rnd = random.Random(i)
             best = INFEASIBLE
             for _ in range(30):
@@ -512,7 +580,7 @@ class TestRoutingProofs:
                 cost = INFEASIBLE if brute is None else float(vnr.cpu_total + brute[1])
                 routes.clear()
                 assert fitness(position, plan) == cost
-                if not routes and not labels_separate(vnr, labels, assignment):
+                if not routes:
                     assert cost == INFEASIBLE and domain_cut_short(vnr, assignment, net)
                     fired["cut"] += 1
                 routes.clear()
@@ -570,6 +638,61 @@ class TestRoutingProofs:
                 assert following[:2] == ("fitness", event[1])
                 revisits += event[1] in bounded
         assert revisits > 0
+
+    def test_cut_rejected_position_is_not_routed(self, monkeypatch):
+        """A position is routed exactly when no domain cut proves it
+        unroutable, and its fitness is the routed cost either way."""
+        calls = count_calls(monkeypatch, pso, "route_all_links")
+        vnr = four_node_vnr()
+        cut = routed = 0
+        for seed in range(8):
+            net = contended_net(seed)
+            plan = plan_for(vnr, net)
+            assert not plan.bw_slack
+            for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::11]:
+                position = list(nodes)
+                expected = routed_cost(position, plan)
+                calls.clear()
+                assert fitness(position, plan) == expected
+                short = domain_cut_short(vnr, nodes, net)
+                assert calls == ([] if short else [vnr])
+                cut += short
+                routed += not short
+        assert cut > 50 and routed > 50
+
+
+class TestDisconnectedSubstrate:
+    """A loaded substrate need not be connected: each domain is, but
+    ``scattered_net`` joins domains 0 and 1, and 2 and 3, never the two
+    pairs.  Virtual node 0 lies in domain 0 and nodes 1 and 2 in domain 0
+    or 2, so some positions put a link's hosts where no path joins them."""
+
+    def test_search_over_hosts_the_topology_does_not_join(self, monkeypatch):
+        """Every search embeds a placement that passes the validator, and
+        every INFEASIBLE on a position with unjoined hosts, the pbest cutoff's
+        included, is the brute-force router's verdict."""
+        net = scattered_net()
+        compute_boundary_hops(net)
+        vnr = make_vnr([(0, 1, 0, 0, (0,)), (1, 1, 0, 0, (0, 2)), (2, 1, 0, 0, (0, 2))],
+                       [(0, 1, 5), (1, 2, 6)])
+        plan = evaluation_plan(vnr, net, request_candidates(vnr, net))
+        assert not plan.bw_slack and plan.bound == 14.0
+        plain = pso.fitness
+        unjoined = {"cutoff": 0, "no cutoff": 0}
+
+        def checked(position, plan, cutoff=INFEASIBLE):
+            value = plain(position, plan, cutoff)
+            assignment = dict(zip(plan.vnode_order, position))
+            if value == INFEASIBLE and unjoined_hosts(vnr, assignment, net):
+                assert route_all_brute(vnr, assignment, net) is None
+                unjoined["cutoff" if cutoff < INFEASIBLE else "no cutoff"] += 1
+            return value
+
+        monkeypatch.setattr(pso, "fitness", checked)
+        for seed in range(40):
+            emb = optimize(vnr, net, PsoConfig(seed=seed))
+            assert validate_embedding(net, vnr, emb) == []
+        assert min(unjoined.values()) > 0, unjoined
 
 
 def cut_family():
@@ -738,91 +861,11 @@ class TestProvedRejectionsInWholeRuns:
         print(f"unproven rejections embeddable by brute force: {sum(unproven)} of "
               f"{len(unproven)}")
 
-
-class TestComponentLabelGate:
-    """Without bandwidth slack the search labels each substrate node's
-    component per demand, and fitness rejects the positions that the labels
-    or a domain cut prove unroutable; whole requests are rejected by the
-    plan's bound."""
-
-    def test_label_rejected_position_is_not_routed(self, monkeypatch):
-        """A position is routed only if neither the labels nor a domain cut
-        prove it unroutable."""
-        calls = count_calls(monkeypatch, pso, "route_all_links")
-        vnr = four_node_vnr()
-        rejected = cut = routed = 0
-        for seed in range(8):
-            net = contended_net(seed)
-            labels = request_labels(vnr, net)
-            plan = plan_for(vnr, net)
-            assert not plan.bw_slack
-            assert plan.link_labels == [labels[l.bw_demand] for l in vnr.routing_order]
-            for nodes in list(itertools.permutations(sorted(net.nodes), 4))[::11]:
-                position = list(nodes)
-                expected = routed_cost(position, plan)
-                calls.clear()
-                assert fitness(position, plan) == expected
-                separated = labels_separate(vnr, labels, nodes)
-                short = domain_cut_short(vnr, nodes, net)
-                assert calls == ([] if separated or short else [vnr])
-                rejected += separated
-                cut += short and not separated
-                routed += not (separated or short)
-        assert rejected > 50 and cut > 50 and routed > 50
-
-    def test_labels_are_never_built_under_bandwidth_slack(self, monkeypatch):
-        """A search sweeps ``usable_masks`` once without slack and never
-        under it.  Routing the winner sweeps it at most once more, and not
-        at all when every table path of the winner fits, so only a winner
-        that searches the feasible subgraph builds masks.  The sweeps are
-        counted under both modules' names: ``route_all_links`` reaches the
-        function under routing's own."""
-        sweeps = count_calls(monkeypatch, pso, "usable_masks")
-        routing_sweeps = count_calls(monkeypatch, routing, "usable_masks")
-        searches = count_calls(monkeypatch, routing, "route_link")
-        winners = []
-        plain_build = pso.build_embedding
-
-        def build(*args):
-            searched, swept = len(searches), len(routing_sweeps)
-            embedding = plain_build(*args)
-            winners.append((len(searches) - searched, len(routing_sweeps) - swept))
-            return embedding
-
-        monkeypatch.setattr(pso, "build_embedding", build)
-        golden_stream = generate_vnr_stream(GOLDEN_BW_CONFIG, horizon=1500)
-        # Random residuals on 20 nodes make some winners' table paths fall
-        # short, so their routing searches the feasible subgraph.
-        loaded_stream = generate_vnr_stream(
-            GeneratorConfig(seed=1, node_count=20, domain_count=2, cd_size_range=(1, 2),
-                            vnr_node_range=(2, 5)), horizon=400)
-        instances = [(generate_substrate(GOLDEN_BW_CONFIG), golden_stream)]
-        instances += [(contended_net(seed, node_count=20), loaded_stream) for seed in (0, 1)]
-        seen = set()
-        for net, stream in instances:
-            min_residual = min(l.bw_residual for l in net.links.values())
-            for vnr in stream:
-                sweeps.clear()
-                routing_sweeps.clear()
-                searched = len(winners)
-                try:
-                    optimize(vnr, net, PsoConfig(seed=vnr.id))
-                except EmbeddingInfeasible:
-                    continue
-                slack = vnr.bw_total <= min_residual
-                assert len(sweeps) == (0 if slack else 1)
-                assert len(winners) == searched + 1
-                assert len(routing_sweeps) == winners[-1][1]
-                seen.add(slack)
-        assert seen == {True, False}
-        assert all(swept == min(1, searched) for searched, swept in winners)
-        assert sum(searched > 0 for searched, _ in winners) > 0
-
     @pytest.mark.parametrize("cfg,horizon", [
         (GOLDEN_BW_CONFIG, 1500),
         (GeneratorConfig(seed=0, substrate_bw_range=(20, 60)), 600),
     ], ids=["golden-bw-bound", "paper-scale-bw-bound"])
-    def test_gate_rejections_are_infeasible_when_routed(self, monkeypatch, cfg, horizon):
+    def test_bound_rejections_are_infeasible_when_routed(self, monkeypatch, cfg, horizon):
         """Every request the plan's bound rejects during a simulated stream,
         by the cost bound or by a domain cut, searched again with a plan
         bound of 0 (which proves nothing and stops no search) and every

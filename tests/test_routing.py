@@ -9,13 +9,12 @@ from secvne import routing
 from secvne.errors import LinkMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import link_key
-from secvne.pso import component_labels
 from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_link,
                             usable_masks)
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
-from oracles import (component_labels_sweep, label_partition, labels_separate,
-                     route_all_brute, shortest_feasible_path_brute, usable_masks_brute)
+from oracles import (domain_cut_short, route_all_brute, shortest_feasible_path_brute,
+                     usable_masks_brute)
 
 
 def route(src, dst, bw, net, debits=None):
@@ -157,41 +156,28 @@ class TestRouteLink:
         assert seen == {True, False}
 
 
-class TestComponentLabels:
-    def test_labels_join_exactly_the_nodes_a_feasible_path_joins(self):
-        for seed in range(6):
-            net = contended_net(seed)
-            demands = [15, 30, 45, 30, 60]
-            labels = component_labels(usable_masks(demands, net), net)
-            assert sorted(labels) == [15, 30, 45, 60]
-            for d, label in labels.items():
-                assert sorted(label) == sorted(net.nodes)
-                for a, b in itertools.combinations(sorted(net.nodes), 2):
-                    joined = shortest_feasible_path_brute(net, a, b, d) is not None
-                    assert (label[a] == label[b]) == joined
-
-    def test_no_demands_give_no_labels(self, toy_net):
+class TestUsableMasks:
+    def test_no_demands_give_no_masks(self, toy_net):
         assert usable_masks([], toy_net) == {}
-        assert component_labels({}, toy_net) == {}
 
-    def test_sweep_gives_the_labels_only_sweep_and_the_usable_links(self):
+    def test_masks_match_brute_force(self):
+        """One mask list per distinct demand, each the brute-force usable
+        masks, also on substrates whose node ids are scattered or whose
+        topology is disconnected."""
+        nets = [scattered_net()]
         for seed in range(6):
-            for net in (contended_net(seed), TestRouteLink.scattered_net(seed)):
-                demands = [15, 30, 45, 30, 60, 1]
-                masks = usable_masks(demands, net)
-                labels = component_labels(masks, net)
-                reference = component_labels_sweep(demands, net)
-                assert sorted(labels) == sorted(reference)
-                for d, label in labels.items():
-                    assert label_partition(label) == label_partition(reference[d])
-                assert sorted(masks) == [1, 15, 30, 45, 60]
-                for d, mask in masks.items():
-                    assert mask == usable_masks_brute(net, d)
+            nets += [contended_net(seed), TestRouteLink.scattered_net(seed)]
+        for net in nets:
+            masks = usable_masks([15, 30, 45, 30, 60, 1], net)
+            assert sorted(masks) == [1, 15, 30, 45, 60]
+            for d, mask in masks.items():
+                assert mask == usable_masks_brute(net, d)
 
     @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
-    def test_labels_match_the_sweep_whether_or_not_a_demand_drops_a_link(self, reuse):
-        """A demand that drops no link beyond the next smaller demand reuses
-        its labels; the others split their masks anew."""
+    def test_a_demand_that_drops_no_link_shares_the_list_below(self, reuse):
+        """A demand that drops no link beyond the next smaller demand shares
+        its list; the others get a list of their own, and every list is the
+        brute-force usable masks."""
         for seed in range(6):
             net = contended_net(seed, node_count=12)
             if reuse:
@@ -203,16 +189,19 @@ class TestComponentLabels:
                 # Demand r + 1 drops every link of residual r.
                 demands = sorted({l.bw_residual + 1 for l in net.links.values()})
             masks = usable_masks(demands, net)
-            labels = component_labels(masks, net)
-            reference = component_labels_sweep(demands, net)
             for d in demands:
-                assert label_partition(labels[d]) == label_partition(reference[d])
                 assert masks[d] == usable_masks_brute(net, d)
             if reuse:
                 for below, d in ((3, 5), (8, 10), (15, 20)):
-                    assert masks[d] is masks[below] and labels[d] is labels[below]
+                    assert masks[d] is masks[below]
+            else:
+                assert len({id(m) for m in masks.values()}) == len(demands)
 
-    def test_label_rejected_position_makes_route_all_links_raise(self):
+
+class TestRouteAllLinks:
+    def test_cut_short_position_makes_route_all_links_raise(self):
+        """A position whose virtual links leaving some domain demand more
+        than the residual of its inter-domain links does not route."""
         vnr = make_vnr(
             [(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0, 1)), (2, 1, 0, 4, (1,))],
             [(0, 1, 30), (1, 2, 20), (0, 2, 10)],
@@ -220,11 +209,9 @@ class TestComponentLabels:
         rejected = 0
         for seed in range(6):
             net = contended_net(seed)
-            labels = component_labels(
-                usable_masks([l.bw_demand for l in vnr.links.values()], net), net)
             for nodes in itertools.permutations(sorted(net.nodes), 3):
                 assignment = dict(enumerate(nodes))
-                if not labels_separate(vnr, labels, assignment):
+                if not domain_cut_short(vnr, assignment, net):
                     continue
                 rejected += 1
                 assert route_all_brute(vnr, assignment, net) is None
@@ -232,8 +219,6 @@ class TestComponentLabels:
                     route_all_links(vnr, assignment, net)
         assert rejected > 100
 
-
-class TestRouteAllLinks:
     def test_zero_link_vnr_costs_nothing(self, toy_net):
         vnr = make_vnr([(0, 5, 0, 4, (0,))], [])
         assert route_all_links(vnr, {0: 0}, toy_net) == ({}, 0)
