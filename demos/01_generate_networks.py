@@ -13,9 +13,8 @@ net = generate_substrate(cfg)
 
 print(f"substrate: {len(net.nodes)} nodes in {net.domain_count} domains, "
       f"{len(net.links)} links")
-kind_counts = Counter(l.kind for l in net.links.values())
-print(f"  intra-domain links: {kind_counts['intra-domain']}, "
-      f"inter-domain links: {kind_counts['inter-domain']}")
+print(f"  intra-domain links: {len(net.links) - len(net.inter_links)}, "
+      f"inter-domain links: {len(net.inter_links)}")
 print(f"  boundary nodes: {sorted(net.boundary_nodes())}")
 
 for d in range(net.domain_count):

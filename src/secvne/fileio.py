@@ -236,7 +236,7 @@ def config_from_dict(doc: dict) -> GeneratorConfig:
     """The config a JSON object describes.  JSON lists of the range fields
     become tuples, so a loaded config equals one written out in code;
     ``validate`` types and bounds every value."""
-    known = set(GeneratorConfig.field_names())
+    known = {f.name for f in dataclasses.fields(GeneratorConfig)}
     for key in doc:
         if key not in known:
             raise InvalidConfig(f"unknown config key {key!r}")

@@ -11,8 +11,9 @@ virtual U[1, 50]).  To restore the published values, e.g. to demonstrate the
 problem, set ``substrate_cpu_range=(0, 50)`` and ``vnr_cpu_range=(50, 100)``,
 as the config file ``configs/table1.json`` does.
 
-Arrivals form a Poisson process and lifetimes are exponential; the source
-material never pins these, so rate and mean lifetime are config knobs with
+Arrivals form a Poisson process and lifetimes are exponential, a lifetime of
+0 or one that overflows to infinity being drawn again; the source material
+never pins these, so rate and mean lifetime are config knobs with
 defaults chosen to load the default substrate into a contended steady state.
 All draws come from two PCG64 streams split from one root seed, read through
 ``seeding.Draws``: the substrate from (seed, 0) and the request stream from
@@ -23,13 +24,14 @@ platform.  A range bound may be at most numpy's int64 limit, 2**63 - 1.
 Each domain and each request graph is repaired to be connected: the
 components of its random graph are found with ``model.components`` over node
 bitmasks and joined, in order of their smallest member, by links between
-random endpoints.
+random endpoints.  The domains are then joined by one inter-domain link per
+domain pair, between a random node of each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 from .errors import InvalidConfig
@@ -42,7 +44,6 @@ from .model import (
     VirtualNode,
     components,
     compute_boundary_hops,
-    link_key,
 )
 from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, Draws, check_seed, draws_from
 
@@ -51,6 +52,13 @@ VNR_LINK_RATE = 0.5
 # The largest range bound a config may give: numpy's int64 limit, which the
 # draws follow.
 MAX_RANGE_BOUND = (1 << 63) - 1
+# Size limits, so that no config makes generation run for hours: at most
+# MAX_NODE_COUNT substrate nodes (2 domains of 1,000 nodes take about 5 s on a
+# 2-core x86-64 VM), and a stream whose expected arrival count times
+# n * (n + 1) / 2, for requests of up to n nodes, is at most MAX_STREAM_DRAWS
+# (each request draws its n nodes and a link for each of its node pairs).
+MAX_NODE_COUNT = 2_000
+MAX_STREAM_DRAWS = 10**6
 # The config fields holding a (min, max) pair; only cd_size_range may be None.
 RANGE_FIELDS = ("substrate_cpu_range", "substrate_bw_range", "security_range",
                 "vnr_node_range", "vnr_cpu_range", "vnr_bw_range", "cd_size_range")
@@ -71,7 +79,6 @@ class GeneratorConfig:
     vnr_arrival_rate: float = 0.05
     vnr_mean_lifetime: float = 1000.0
     cd_size_range: tuple[int, int] | None = None  # None -> (1, domain_count)
-    inter_link_count_per_domain_pair: int = 1
 
     def effective_cd_size_range(self) -> tuple[int, int]:
         return self.cd_size_range if self.cd_size_range is not None else (1, self.domain_count)
@@ -85,15 +92,15 @@ class GeneratorConfig:
         if self.node_count < self.domain_count:
             raise InvalidConfig(f"node_count must be at least domain_count "
                                 f"({self.domain_count}), got {self.node_count}")
+        if self.node_count > MAX_NODE_COUNT:
+            raise InvalidConfig(f"node_count must be at most {MAX_NODE_COUNT}, "
+                                f"got {self.node_count}")
         if not 0.0 <= self.intra_link_rate <= 1.0:
             raise InvalidConfig("intra_link_rate must lie in [0, 1]")
         if self.vnr_arrival_rate <= 0:
             raise InvalidConfig("vnr_arrival_rate must be positive")
         if self.vnr_mean_lifetime <= 0:
             raise InvalidConfig("vnr_mean_lifetime must be positive")
-        if self.inter_link_count_per_domain_pair < 1:
-            raise InvalidConfig(f"inter_link_count_per_domain_pair must be at least 1, "
-                                f"got {self.inter_link_count_per_domain_pair}")
         for name in RANGE_FIELDS:
             if name == "cd_size_range":
                 continue  # bounded by domain_count below
@@ -119,7 +126,7 @@ class GeneratorConfig:
         def integer(value) -> bool:
             return isinstance(value, Integral) and not isinstance(value, bool)
 
-        for name in ("seed", "domain_count", "node_count", "inter_link_count_per_domain_pair"):
+        for name in ("seed", "domain_count", "node_count"):
             value = getattr(self, name)
             if not integer(value):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
@@ -136,10 +143,6 @@ class GeneratorConfig:
                     and all(integer(bound) for bound in value)):
                 raise InvalidConfig(f"{name} must be a (min, max) pair of integers, "
                                     f"got {value!r}")
-
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
 
 
 def _draw(draws: Draws, lo: int, hi: int) -> int:
@@ -177,7 +180,8 @@ def _connect_components(members: list[int], edges: set, draws: Draws) -> list[tu
 
 def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
     """Multi-domain substrate: per-domain random graphs repaired to be
-    connected, plus inter-domain links between random node pairs."""
+    connected, plus one inter-domain link per domain pair, between a random
+    node of each domain."""
     cfg.validate()
     draws = draws_from(cfg.seed, SUBSTRATE_STREAM)
     cpu_lo, cpu_hi = cfg.substrate_cpu_range
@@ -198,12 +202,10 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
                                        _draw(draws, sec_lo, sec_hi)))
 
     links: list[SubstrateLink] = []
-    keys: set = set()
 
     def add_link(u: int, v: int) -> None:
         bw = _draw(draws, bw_lo, bw_hi)
         links.append(SubstrateLink(u, v, bw, bw))
-        keys.add(link_key(u, v))
 
     for members in domain_members:
         domain_keys: set = set()
@@ -211,23 +213,15 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
             for v in members[i + 1:]:
                 if draws.random() < cfg.intra_link_rate:
                     add_link(u, v)
-                    domain_keys.add(link_key(u, v))
+                    domain_keys.add((u, v))
         for (u, v) in _connect_components(members, domain_keys, draws):
             add_link(u, v)
 
     for d1 in range(cfg.domain_count):
         for d2 in range(d1 + 1, cfg.domain_count):
-            for _ in range(cfg.inter_link_count_per_domain_pair):
-                for _attempt in range(1000):
-                    u = domain_members[d1][draws.integers(len(domain_members[d1]))]
-                    v = domain_members[d2][draws.integers(len(domain_members[d2]))]
-                    if link_key(u, v) not in keys:
-                        add_link(u, v)
-                        break
-                else:
-                    raise InvalidConfig(
-                        f"cannot place {cfg.inter_link_count_per_domain_pair} distinct "
-                        f"inter-domain links between domains {d1} and {d2}")
+            u = domain_members[d1][draws.integers(len(domain_members[d1]))]
+            v = domain_members[d2][draws.integers(len(domain_members[d2]))]
+            add_link(u, v)
 
     net = SubstrateNetwork(cfg.domain_count, nodes, links)
     compute_boundary_hops(net)
@@ -240,11 +234,15 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     cfg.validate()
     if not (math.isfinite(horizon) and horizon >= 0):
         raise InvalidConfig(f"horizon must be finite and non-negative, got {horizon}")
+    n_lo, n_hi = cfg.vnr_node_range
+    expected = cfg.vnr_arrival_rate * horizon * (n_hi * (n_hi + 1) // 2)
+    if not expected <= MAX_STREAM_DRAWS:
+        raise InvalidConfig(f"vnr_arrival_rate x horizon x n(n+1)/2, for requests of up to "
+                            f"{n_hi} nodes, is {expected:.4g}, above {MAX_STREAM_DRAWS}")
     draws = draws_from(cfg.seed, WORKLOAD_STREAM)
     cpu_lo, cpu_hi = cfg.vnr_cpu_range
     bw_lo, bw_hi = cfg.vnr_bw_range
     sec_lo, sec_hi = cfg.security_range
-    n_lo, n_hi = cfg.vnr_node_range
     cd_lo, cd_hi = cfg.effective_cd_size_range()
 
     arrivals: list[float] = []
@@ -258,7 +256,7 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
     out: list[VirtualNetworkRequest] = []
     for vnr_id, arrival in enumerate(arrivals):
         lifetime = 0.0
-        while lifetime <= 0.0:
+        while not 0.0 < lifetime < math.inf:
             lifetime = draws.exponential(cfg.vnr_mean_lifetime)
         n = _draw(draws, n_lo, n_hi)
         vnodes = []

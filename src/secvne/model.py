@@ -37,9 +37,6 @@ from .errors import (
 
 LinkKey = tuple[int, int]
 
-INTRA_DOMAIN = "intra-domain"
-INTER_DOMAIN = "inter-domain"
-
 
 def link_key(u: int, v: int) -> LinkKey:
     """Canonical unordered key for the link between nodes u and v."""
@@ -120,7 +117,6 @@ class SubstrateLink:
     v: int
     bw_capacity: int
     bw_residual: int
-    kind: str = INTRA_DOMAIN
 
 
 @dataclass(slots=True)
@@ -246,11 +242,8 @@ class SubstrateNetwork:
             for end in k:
                 if end not in self.nodes:
                     raise ValueError(f"substrate link {k} names unknown node {end}")
-            du = self.nodes[k[0]].domain
-            dv = self.nodes[k[1]].domain
-            kind = INTRA_DOMAIN if du == dv else INTER_DOMAIN
-            link = self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual, kind)
-            if kind == INTER_DOMAIN:
+            link = self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual)
+            if self.nodes[k[0]].domain != self.nodes[k[1]].domain:
                 self.inter_links.append(link)
         # Bit ranks for bfs_levels: bit i of a node mask stands for the i-th
         # smallest node id.  adj_masks holds each node's neighbours as a mask,

@@ -102,8 +102,6 @@ def boundary_hops_brute(net):
             for nbr in adj[cur]:
                 if nbr in dist or net.nodes[nbr].domain != domain:
                     continue
-                if net.links[link_key(cur, nbr)].kind != "intra-domain":
-                    continue
                 dist[nbr] = dist[cur] + 1
                 if nbr in boundary:
                     best = dist[nbr]
@@ -418,8 +416,8 @@ def random_injective_brute(candidate_lists, rng):
 def swarm_reference(vnr, net, cfg):
     """The swarm of ``secvne.pso`` written plainly, with numpy's own
     ``Generator`` and the scalar velocity rule.  Every position is priced
-    by ``route_all_brute``: no fitness cache, cost bound, short-circuit or
-    component labels.
+    by ``route_all_brute``: no fitness cache, cost bound, domain cut,
+    cutoff or short-circuit.
 
     Returns (position, fitness, gbest history), positions in ascending
     virtual-node id order, or None when some virtual node has no candidate

@@ -80,9 +80,13 @@ def test_generate_rejects_malformed_config(tmp_path):
     ({"substrate_bw_range": [0, 2**63]},
      "substrate_bw_range has max 9223372036854775808 above 2**63 - 1"),
     ({"seed": -1}, "seed must lie in [0, 2**64), got -1"),
+    # The generator places one inter-domain link per domain pair; a config
+    # that still names the count it once took is refused, not ignored.
+    ({"inter_link_count_per_domain_pair": 1},
+     "unknown config key 'inter_link_count_per_domain_pair'"),
 ], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
         "fractional-range-bound", "nan-lifetime", "negative-node-count",
-        "oversized-range-bound", "negative-seed"])
+        "oversized-range-bound", "negative-seed", "retired-inter-link-count"])
 def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MINI_CONFIG, **override}))
@@ -539,3 +543,36 @@ def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, me
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def _chain_instance(tmp_path, n=1200):
+    """A valid instance whose one request needs an augmenting path through
+    all of its n virtual nodes: virtual node k may go to substrate node k or
+    k + 1 and the last only to node 0, so every other node must shift over."""
+    nodes = [{"id": i, "domain": 2 * i // (n + 2), "cpu": 10, "ssl": i + 1, "ssd": i}
+             for i in range(n + 2)]
+    links = [{"u": i, "v": i + 1, "bw": 10} for i in range(n + 1)]
+    substrate = tmp_path / "chain_substrate.json"
+    substrate.write_text(json.dumps({"domain_count": 2, "nodes": nodes, "links": links}))
+    vnodes = [{"id": k, "cpu": 1, "vsd": (k + 1) % n, "vsl": (k + 1) % n, "cd": [0, 1]}
+              for k in range(n)]
+    request = {"id": 0, "arrival_time": 1.0, "lifetime": 10.0, "nodes": vnodes, "links": []}
+    workload = tmp_path / "chain_workload.jsonl"
+    workload.write_text(json.dumps({"horizon": 100.0, "vnr_count": 1}) + "\n"
+                        + json.dumps(request) + "\n")
+    return substrate, workload
+
+
+@pytest.mark.parametrize("strategy", ["stec-iot", "greedy", "random"])
+def test_run_places_a_long_chain_request(tmp_path, capsys, strategy):
+    substrate, workload = _chain_instance(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--substrate", str(substrate), "--workload", str(workload),
+                 "--strategy", strategy, "--window", "50", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    for name in ("trace.jsonl", "windows.csv", "cumulative.csv"):
+        assert (out / name).exists()
+    if strategy == "stec-iot":
+        records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        assert [r["outcome"] for r in records if r["kind"] == "arrival"] == ["accepted"]

@@ -1,0 +1,197 @@
+"""Seeded mutation fuzzing of the CLI's input files.
+
+A small valid substrate, workload and generator config are mutated from one
+fixed seed and fed to ``cli.main`` in process: a key dropped or written
+twice, a list item dropped or repeated, a value swapped for another type or
+for a negative, huge, boolean or NaN one, or the file cut short.  Every case
+must exit 0 or 2, never print a traceback, and on exit 2 say why with the
+``secvne: infeasible config:`` prefix.  A failing case is named by its
+index, file and mutation, so it can be replayed from the seed alone.
+"""
+
+import contextlib
+import io
+import json
+import random
+import signal
+
+import pytest
+
+from secvne.cli import main
+
+SEED = 2027
+CASES_PER_FILE = 200
+# Seconds one case may run before it counts as a failure.
+CASE_SECONDS = 5
+
+BASE_CONFIG = {
+    "seed": 3,
+    "domain_count": 2,
+    "node_count": 8,
+    "cd_size_range": [1, 2],
+    "vnr_node_range": [2, 3],
+    "vnr_arrival_rate": 0.05,
+    "vnr_mean_lifetime": 200.0,
+}
+HORIZON = "300"
+STRATEGIES = ("greedy", "random", "stec-iot")
+
+NEGATIVE = (-1, -(10**6), -0.5)
+HUGE = (2**31, 2**63, 2**64, 10**30, 1e300, 1e308)
+BOOLEAN = (True, False)
+
+
+class Obj(list):
+    """A JSON object kept as its (key, value) pairs, so a key may repeat."""
+
+
+def parse(text):
+    return json.loads(text, object_pairs_hook=Obj)
+
+
+def dump(value) -> str:
+    if isinstance(value, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(dump(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def slots(value, out):
+    """Every (container, index) below `value`, containers first."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            out.append((value, i))
+            slots(item, out)
+    return out
+
+
+def swapped(value, rng):
+    """`value` as another JSON type."""
+    options = [str(value), [value], Obj([("value", value)]), None]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        options.append(value + 0.5)
+    return rng.choice(options)
+
+
+def mutate_doc(doc, rng) -> str:
+    """Apply one mutation at a random place of `doc`; describe it."""
+    container, i = rng.choice(slots(doc, []))
+    is_obj = isinstance(container, Obj)
+    key, value = container[i] if is_obj else (i, container[i])
+    op = rng.choice(("drop", "repeat", "swap", "negative", "huge", "boolean", "nan"))
+    if op == "drop":
+        del container[i]
+    elif op == "repeat":
+        if is_obj:
+            container.insert(i + 1, (key, rng.choice((value, swapped(value, rng)))))
+        else:
+            container.insert(i + 1, value)
+    else:
+        new = {"swap": lambda: swapped(value, rng), "negative": lambda: rng.choice(NEGATIVE),
+               "huge": lambda: rng.choice(HUGE), "boolean": lambda: rng.choice(BOOLEAN),
+               "nan": lambda: float("nan")}[op]()
+        container[i] = (key, new) if is_obj else new
+    return f"{op} at {key!r}"
+
+
+def mutate_text(text: str, rng, lines: bool) -> tuple[str, str]:
+    """`text` with one mutation: a JSON mutation of the whole document, or
+    of one line when `lines`, or the text cut short."""
+    if rng.random() < 0.15:
+        cut = rng.randrange(len(text))
+        return text[:cut], f"cut at character {cut}"
+    if not lines:
+        doc = parse(text)
+        what = mutate_doc(doc, rng)
+        return dump(doc) + "\n", what
+    rows = text.splitlines()
+    row = rng.randrange(len(rows))
+    doc = parse(rows[row])
+    what = mutate_doc(doc, rng)
+    rows[row] = dump(doc)
+    return "\n".join(rows) + "\n", f"{what} on line {row + 1}"
+
+
+class _Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran
+
+
+def run_case(argv) -> tuple[object, str]:
+    """(exit code, or the exception raised, and stderr) of one ``main`` call."""
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(CASE_SECONDS)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except Exception as exc:  # recorded and reported as the case's fault
+        code = exc
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def fault(code, err: str):
+    """Why a case's outcome breaks the contract, or None."""
+    if isinstance(code, _Overran):
+        return f"ran over {CASE_SECONDS} s"
+    if not isinstance(code, int):
+        return f"raised {type(code).__name__}: {code}"
+    if code not in (0, 2):
+        return f"exited {code}: {err.strip()[-200:]}"
+    if "Traceback" in err:
+        return "printed a traceback"
+    if code == 2 and "secvne: infeasible config:" not in err:
+        return f"exited 2 without an infeasible-config message: {err.strip()[-200:]}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(BASE_CONFIG))
+    code, err = run_case(["generate", "--config", str(config), "--horizon", HORIZON,
+                          "--out", str(root / "base")])
+    assert code == 0, err
+    return root
+
+
+@pytest.mark.parametrize("target", ["substrate.json", "workload.jsonl", "config.json"])
+def test_mutated_inputs_exit_cleanly(base, target):
+    rng = random.Random(f"{SEED}:{target}")
+    files = {name: (base / "base" / name).read_text()
+             for name in ("substrate.json", "workload.jsonl", "config.json")}
+    failures = []
+    exits = {0: 0, 2: 0}
+    for case in range(CASES_PER_FILE):
+        text, what = mutate_text(files[target], rng, lines=target == "workload.jsonl")
+        case_dir = base / f"{target}-{case}"
+        case_dir.mkdir()
+        mutated = case_dir / target
+        mutated.write_text(text)
+        out = str(case_dir / "out")
+        if target == "config.json":
+            argv = ["generate", "--config", str(mutated), "--horizon", HORIZON, "--out", out]
+        else:
+            inputs = {name: str(base / "base" / name)
+                      for name in ("substrate.json", "workload.jsonl")}
+            inputs[target] = str(mutated)
+            argv = ["run", "--substrate", inputs["substrate.json"],
+                    "--workload", inputs["workload.jsonl"],
+                    "--strategy", STRATEGIES[case % len(STRATEGIES)], "--out", out]
+        code, err = run_case(argv)
+        problem = fault(code, err)
+        if problem is None:
+            exits[code] += 1
+        else:
+            failures.append(f"case {case} ({what}): {problem}")
+    assert not failures, "\n".join(failures)
+    # Both outcomes occur, so the mutations neither all miss nor all break.
+    assert exits[0] and exits[2], exits

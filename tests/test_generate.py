@@ -1,6 +1,7 @@
 """Generator: determinism, parameter ranges, connectivity, arrival process."""
 
 import hashlib
+import math
 import statistics
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from secvne.errors import InvalidConfig
 from secvne.fileio import load_config, save_substrate, save_workload
-from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from secvne.generate import (MAX_NODE_COUNT, MAX_STREAM_DRAWS, GeneratorConfig,
+                             generate_substrate, generate_vnr_stream)
 
 from oracles import is_connected
 
@@ -63,21 +65,25 @@ def test_intra_density_matches_link_rate():
     densities = []
     for seed in range(100):
         net = generate_substrate(GeneratorConfig(seed=seed))
-        intra = sum(1 for l in net.links.values() if l.kind == "intra-domain")
+        intra = len(net.links) - len(net.inter_links)
         pairs = 4 * (30 * 29 // 2)
         densities.append(intra / pairs)
     assert abs(statistics.fmean(densities) - 0.6) < 0.05
 
 
 def test_inter_links_per_domain_pair():
-    cfg = GeneratorConfig(seed=5, inter_link_count_per_domain_pair=3)
-    net = generate_substrate(cfg)
-    counts = {}
-    for l in net.links.values():
-        if l.kind == "inter-domain":
-            pair = tuple(sorted((net.nodes[l.u].domain, net.nodes[l.v].domain)))
-            counts[pair] = counts.get(pair, 0) + 1
-    assert counts == {(a, b): 3 for a in range(4) for b in range(a + 1, 4)}
+    """Exactly one inter-domain link joins each pair of domains, and
+    ``inter_links`` holds every link whose ends lie in different domains."""
+    for domain_count in range(2, 6):
+        for seed in range(10):
+            net = generate_substrate(GeneratorConfig(seed=seed, domain_count=domain_count,
+                                                     node_count=10 * domain_count))
+            pairs = sorted(tuple(sorted((net.nodes[l.u].domain, net.nodes[l.v].domain)))
+                           for l in net.inter_links)
+            assert pairs == [(a, b) for a in range(domain_count)
+                             for b in range(a + 1, domain_count)]
+            assert net.inter_links == [l for l in net.links.values()
+                                       if net.nodes[l.u].domain != net.nodes[l.v].domain]
 
 
 def test_vnr_node_counts_in_range():
@@ -145,13 +151,36 @@ def test_table1_config_file_restores_published_cpu_ranges():
     dict(substrate_bw_range=(10, 5)),
     dict(cd_size_range=(0, 4)),
     dict(cd_size_range=(1, 9)),
-    dict(inter_link_count_per_domain_pair=0),
     dict(substrate_bw_range=(0, 2**63)),
     dict(vnr_cpu_range=(1, 2**64)),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(InvalidConfig):
         GeneratorConfig(**bad).validate()
+
+
+def test_node_count_is_capped():
+    GeneratorConfig(node_count=MAX_NODE_COUNT).validate()
+    with pytest.raises(InvalidConfig, match=f"node_count must be at most {MAX_NODE_COUNT}, "
+                                            f"got {10**30}"):
+        GeneratorConfig(node_count=10**30).validate()
+
+
+def test_stream_size_is_capped():
+    # 1,000 expected arrivals of up to 45 nodes ask for 1000 * 45 * 46 / 2 draws.
+    cfg = GeneratorConfig(vnr_arrival_rate=1.0, vnr_node_range=(1, 45))
+    with pytest.raises(InvalidConfig, match=f"up to 45 nodes, is 1.035e\\+06, above "
+                                            f"{MAX_STREAM_DRAWS}"):
+        generate_vnr_stream(cfg, horizon=1000.0)
+    with pytest.raises(InvalidConfig, match="n\\(n\\+1\\)/2"):
+        generate_vnr_stream(GeneratorConfig(vnr_node_range=(2, 2**63 - 1)), horizon=1.0)
+
+
+def test_infinite_lifetime_is_drawn_again():
+    # A mean lifetime this close to the float limit draws infinity about one
+    # time in six; such a lifetime is drawn again, as a zero one is.
+    vnrs = generate_vnr_stream(GeneratorConfig(seed=7, vnr_mean_lifetime=1e308), horizon=1000.0)
+    assert vnrs and all(0.0 < v.lifetime < math.inf for v in vnrs)
 
 
 def test_largest_range_bound_generates():
@@ -165,8 +194,6 @@ def test_largest_range_bound_generates():
     ({"node_count": 12.5, "domain_count": 2}, "node_count must be an integer, got 12.5"),
     ({"domain_count": 2.0}, "domain_count must be an integer, got 2.0"),
     ({"domain_count": True}, "domain_count must be an integer, got True"),
-    ({"inter_link_count_per_domain_pair": "1"},
-     "inter_link_count_per_domain_pair must be an integer, got '1'"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"substrate_bw_range": (20.5, 60)},
      "substrate_bw_range must be a (min, max) pair of integers, got (20.5, 60)"),
@@ -176,7 +203,7 @@ def test_largest_range_bound_generates():
     ({"vnr_arrival_rate": float("inf")}, "vnr_arrival_rate must be a finite number, got inf"),
     ({"vnr_mean_lifetime": float("inf")}, "vnr_mean_lifetime must be a finite number"),
     ({"intra_link_rate": "0.5"}, "intra_link_rate must be a finite number, got '0.5'"),
-], ids=["fractional-nodes", "float-domains", "boolean-domains", "string-inter-links",
+], ids=["fractional-nodes", "float-domains", "boolean-domains",
         "fractional-seed", "fractional-bw-bound", "short-range", "float-cd-bound",
         "nan-rate", "infinite-rate", "infinite-lifetime", "string-link-rate"])
 def test_mistyped_config_is_invalid(overrides, message):
