@@ -29,7 +29,8 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
         if not cands:
             raise EmbeddingInfeasible(f"request {vnr.id}: greedy: no unused candidate for "
                                       f"virtual node {v.id}")
-        best = min(cands, key=lambda sid: (-net.nodes[sid].cpu_residual, sid))
+        # max keeps the first of equal residuals, the lowest id.
+        best = max(cands, key=lambda sid: net.nodes[sid].cpu_residual)
         assignment[v.id] = best
         used.add(best)
     return build_embedding(vnr, assignment, net)

@@ -32,7 +32,10 @@ of request lines, its request ids are distinct, and ``VirtualNetworkRequest``
 checks that each request has a virtual node, each node a candidate domain,
 and each virtual link appears once (``u, v`` and ``v, u`` name the same
 link).  A generator config names only ``GeneratorConfig`` fields, and
-``GeneratorConfig.validate`` checks their types and values.  A malformed
+``GeneratorConfig.validate`` checks their types and values.  No object of a
+substrate file, a generator config or a workload header repeats a key
+(``_unique_keys``); request lines are parsed without that check, which would
+cost a measurable share of a large workload's load time.  A malformed
 file raises ``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
@@ -101,6 +104,18 @@ def read_number(value, name: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object's pairs as a
+    dict, or ValueError naming a key the object repeats, which plain
+    ``json.loads`` would resolve silently to its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def format_cell(value) -> str:
     """One CSV cell: empty for no-sample, repr for floats (round-trips)."""
     if value is None:
@@ -134,8 +149,8 @@ def save_substrate(net: SubstrateNetwork, path) -> None:
 
 def load_substrate(path) -> SubstrateNetwork:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read substrate file {path}: {exc}") from exc
     try:
         nodes = []
@@ -198,12 +213,12 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read workload file {path}: {exc}") from exc
     if not lines:
         raise InvalidConfig(f"workload file {path} is empty")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0], object_pairs_hook=_unique_keys)
         horizon = float(read_number(header["horizon"], "horizon"))
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
@@ -249,8 +264,8 @@ def config_from_dict(doc: dict) -> GeneratorConfig:
 
 def load_config(path) -> GeneratorConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidConfig(f"config file {path} must hold a JSON object")

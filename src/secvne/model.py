@@ -217,6 +217,10 @@ class SubstrateNetwork:
 
     Single-writer: all mutations (allocate/release) must come from one logical
     thread of control.  Read-only snapshots may be shared freely.
+
+    Only residuals change after construction: the node set, the links and
+    each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
+    ``adj_masks``, the path table and ``candidate_index`` all rely on.
     """
 
     def __init__(self, domain_count: int, nodes, links):
@@ -268,6 +272,10 @@ class SubstrateNetwork:
         self.hop_dist: dict[int, dict[int, int]] = {}
         self.hop_levels: dict[int, list[int]] = {}
         self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Per (cd, vsd, vsl), the nodes in node_ids order that pass the
+        # domain and both security tests, filled lazily by
+        # secvne.node_mapping.candidate_nodes.
+        self.candidate_index: dict[tuple[frozenset[int], int, int], list[SubstrateNode]] = {}
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()

@@ -4,7 +4,10 @@ Virtual nodes are ranked by security demand times CPU demand and placed one
 by one, hardest first.  Each one goes to its best-scoring unused candidate,
 where a candidate must sit in an allowed domain, have enough residual CPU,
 offer at least the demanded security level, and itself demand no more
-security than the virtual node offers.
+security than the virtual node offers.  Only the CPU test reads state that
+changes during a run, so ``candidate_nodes`` applies the other three once
+per substrate and key ``(cd, vsd, vsl)``, in the substrate's candidate
+index, and re-tests residual CPU alone on each call.
 
 The candidate score blends three terms: security surplus, CPU slack, and
 proximity to the domain boundary.  The raw attributes live on wildly
@@ -33,16 +36,21 @@ def virtual_node_priority(v: VirtualNode) -> int:
 
 
 def candidate_nodes(v: VirtualNode, net: SubstrateNetwork) -> list[int]:
-    """Substrate nodes that could host v right now, ascending by id."""
-    out = []
-    for sid in net.node_ids:
-        s = net.nodes[sid]
-        if (s.domain in v.cd
-                and s.cpu_residual >= v.cpu_demand
-                and s.ssl >= v.vsd
-                and v.vsl >= s.ssd):
-            out.append(sid)
-    return out
+    """Substrate nodes that could host v right now, ascending by id.
+
+    The domain and both security tests read only attributes fixed when the
+    substrate is built, so the nodes that pass them are kept in
+    ``net.candidate_index`` under ``(v.cd, v.vsd, v.vsl)``, filled on the
+    key's first lookup; each call then tests residual CPU alone.
+    """
+    key = (v.cd, v.vsd, v.vsl)
+    static = net.candidate_index.get(key)
+    if static is None:
+        static = net.candidate_index[key] = [
+            s for s in (net.nodes[sid] for sid in net.node_ids)
+            if s.domain in v.cd and s.ssl >= v.vsd and v.vsl >= s.ssd]
+    demand = v.cpu_demand
+    return [s.id for s in static if s.cpu_residual >= demand]
 
 
 def _normalized(values: dict[int, float]) -> dict[int, float]:

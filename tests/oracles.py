@@ -15,7 +15,7 @@ import numpy as np
 
 from secvne.errors import LengthMismatch, LinkMappingInfeasible
 from secvne.model import link_key
-from secvne.node_mapping import candidate_nodes, virtual_node_priority
+from secvne.node_mapping import virtual_node_priority
 from secvne.pso import RANDOM_INJECTIVE_TRIES, Particle, PsoConfig
 from secvne.routing import route_all_links
 from secvne.seeding import normalize_seed
@@ -181,10 +181,21 @@ def components_brute(masks):
     return sorted(parts, key=lambda m: m & -m)
 
 
+def candidate_nodes_brute(v, net):
+    """The substrate nodes that could host virtual node v now, ascending by
+    id: every node tested afresh for an allowed domain, enough residual CPU,
+    the demanded security level, and a security demand v meets."""
+    return [sid for sid in sorted(net.nodes)
+            if net.nodes[sid].domain in v.cd
+            and net.nodes[sid].cpu_residual >= v.cpu_demand
+            and net.nodes[sid].ssl >= v.vsd
+            and v.vsl >= net.nodes[sid].ssd]
+
+
 def enumerate_assignments(vnr, net):
     """All injective candidate-respecting node assignments."""
     vids = sorted(vnr.nodes)
-    cand = [candidate_nodes(vnr.nodes[vid], net) for vid in vids]
+    cand = [candidate_nodes_brute(vnr.nodes[vid], net) for vid in vids]
     out = []
 
     def rec(idx, used, acc):
@@ -266,7 +277,8 @@ def request_cut_brute(vnr, net):
     list allows: inside when some candidate lies in d, outside when some
     lies elsewhere.  Every virtual node needs a candidate."""
     vids = sorted(vnr.nodes)
-    doms = [{net.nodes[c].domain for c in candidate_nodes(vnr.nodes[vid], net)} for vid in vids]
+    doms = [{net.nodes[c].domain for c in candidate_nodes_brute(vnr.nodes[vid], net)}
+            for vid in vids]
     out = {}
     for d in range(net.domain_count):
         choices = [[side for side in (True, False) if (d in ds if side else ds != {d})]
@@ -342,7 +354,7 @@ def map_nodes_brute(vnr, net):
     used = set()
     assignment = {}
     for v in order:
-        pool = [s for s in candidate_nodes(v, net) if s not in used]
+        pool = [s for s in candidate_nodes_brute(v, net) if s not in used]
         if not pool:
             return None
         best = max(pool, key=lambda sid: (step_score(v, sid, pool), -sid))
@@ -424,7 +436,7 @@ def swarm_reference(vnr, net, cfg):
     or the candidate sets admit no injective assignment.
     """
     order = sorted(vnr.nodes)
-    cands = [candidate_nodes(vnr.nodes[vid], net) for vid in order]
+    cands = [candidate_nodes_brute(vnr.nodes[vid], net) for vid in order]
     if not all(cands) or matching_brute(cands) is None:
         return None
     rng = rng_from(cfg.seed)

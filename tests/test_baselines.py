@@ -11,7 +11,7 @@ from secvne.pso import PsoConfig, optimize, request_candidates
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr
+from conftest import make_substrate, make_vnr, scattered_net
 
 
 def test_single_candidate_matches_priority_mapping(toy_net):
@@ -28,6 +28,19 @@ def test_greedy_prefers_max_residual():
     )
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [])
     assert greedy_embed(vnr, net).node_map == {0: 1}
+
+
+def test_greedy_breaks_equal_residuals_by_lowest_id():
+    """Equal residuals go to the lowest id, though the substrate lists its
+    nodes out of id order: ``scattered_net``'s domain 0 is 105, 40, 7, 23,
+    all with residual 10."""
+    net = scattered_net()
+    vnr = make_vnr([(0, 5, 0, 0, (0,)), (1, 5, 0, 0, (0,))], [(0, 1, 1)])
+    emb = greedy_embed(vnr, net)
+    assert emb.node_map == {0: 7, 1: 23}
+    # Once 7 is down to 5, the next request's first pick skips it for 23.
+    net.nodes[7].cpu_residual = 5
+    assert greedy_embed(vnr, net).node_map == {0: 23, 1: 40}
 
 
 def test_greedy_bottleneck_rejects_where_swarm_recovers():

@@ -97,6 +97,17 @@ def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_rejects_a_repeated_config_key(tmp_path, capsys):
+    # Read by plain json.loads, the later seed would win and generate exit 0.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MINI_CONFIG).replace('"seed": 7', '"seed": 3, "seed": 5'))
+    code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "repeated key 'seed'" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_emits_trace_and_metrics(tmp_path, generated):
     out = tmp_path / "run"
     code = main(["run", "--substrate", str(generated / "substrate.json"),
@@ -543,6 +554,42 @@ def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, me
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, key", [("substrate.json", "bw"),
+                                       ("workload.jsonl", "horizon")])
+def test_repeated_key_is_infeasible(tmp_path, generated, capsys, name, key):
+    """A substrate object or the workload header naming a key twice exits
+    2; the first link's ``bw`` and the header's ``horizon`` each gain an
+    earlier value."""
+    paths = {n: generated / n for n in ("substrate.json", "workload.jsonl")}
+    text = paths[name].read_text()
+    assert f'"{key}": ' in text
+    paths[name] = tmp_path / name
+    paths[name].write_text(text.replace(f'"{key}": ', f'"{key}": 1, "{key}": ', 1))
+    code = main(["run", "--substrate", str(paths["substrate.json"]),
+                 "--workload", str(paths["workload.jsonl"]), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"repeated key '{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["substrate.json", "workload.jsonl", "config.json"])
+def test_file_that_is_not_utf8_is_infeasible(tmp_path, generated, capsys, name):
+    paths = {n: generated / n for n in ("substrate.json", "workload.jsonl", "config.json")}
+    paths[name] = tmp_path / name
+    paths[name].write_bytes(b"\xff\xfe{}\n")
+    if name == "config.json":
+        argv = ["generate", "--config", str(paths[name]), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["run", "--substrate", str(paths["substrate.json"]),
+                "--workload", str(paths["workload.jsonl"]), "--strategy", "greedy",
+                "--out", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "codec can't decode byte 0xff" in err and "Traceback" not in err
 
 
 def _chain_instance(tmp_path, n=1200):

@@ -5,8 +5,10 @@ fixed seed and fed to ``cli.main`` in process: a key dropped or written
 twice, a list item dropped or repeated, a value swapped for another type or
 for a negative, huge, boolean or NaN one, or the file cut short.  Every case
 must exit 0 or 2, never print a traceback, and on exit 2 say why with the
-``secvne: infeasible config:`` prefix.  A failing case is named by its
-index, file and mutation, so it can be replayed from the seed alone.
+``secvne: infeasible config:`` prefix.  A key written twice in a substrate,
+a config or a workload's header line must exit 2: a loader that kept either
+value would run a file whose meaning is ambiguous.  A failing case is named
+by its index, file and mutation, so it can be replayed from the seed alone.
 """
 
 import contextlib
@@ -58,11 +60,13 @@ def dump(value) -> str:
 
 
 def slots(value, out):
-    """Every (container, index) below `value`, containers first."""
+    """Every (container, index) below `value`, containers first; an
+    object's slots hold (key, value) pairs, and the search goes on into
+    each value."""
     if isinstance(value, list):
         for i, item in enumerate(value):
             out.append((value, i))
-            slots(item, out)
+            slots(item[1] if isinstance(value, Obj) else item, out)
     return out
 
 
@@ -74,8 +78,9 @@ def swapped(value, rng):
     return rng.choice(options)
 
 
-def mutate_doc(doc, rng) -> str:
-    """Apply one mutation at a random place of `doc`; describe it."""
+def mutate_doc(doc, rng) -> tuple[str, bool]:
+    """Apply one mutation at a random place of `doc`; describe it, and say
+    whether some object of `doc` now names a key twice."""
     container, i = rng.choice(slots(doc, []))
     is_obj = isinstance(container, Obj)
     key, value = container[i] if is_obj else (i, container[i])
@@ -92,25 +97,27 @@ def mutate_doc(doc, rng) -> str:
                "huge": lambda: rng.choice(HUGE), "boolean": lambda: rng.choice(BOOLEAN),
                "nan": lambda: float("nan")}[op]()
         container[i] = (key, new) if is_obj else new
-    return f"{op} at {key!r}"
+    return f"{op} at {key!r}", op == "repeat" and is_obj
 
 
-def mutate_text(text: str, rng, lines: bool) -> tuple[str, str]:
+def mutate_text(text: str, rng, lines: bool) -> tuple[str, str, bool]:
     """`text` with one mutation: a JSON mutation of the whole document, or
-    of one line when `lines`, or the text cut short."""
+    of one line when `lines`, or the text cut short.  The flag is set when
+    the mutation repeats a key where the loaders must refuse it: anywhere
+    in a whole document, and on a workload's header line only."""
     if rng.random() < 0.15:
         cut = rng.randrange(len(text))
-        return text[:cut], f"cut at character {cut}"
+        return text[:cut], f"cut at character {cut}", False
     if not lines:
         doc = parse(text)
-        what = mutate_doc(doc, rng)
-        return dump(doc) + "\n", what
+        what, repeats = mutate_doc(doc, rng)
+        return dump(doc) + "\n", what, repeats
     rows = text.splitlines()
     row = rng.randrange(len(rows))
     doc = parse(rows[row])
-    what = mutate_doc(doc, rng)
+    what, repeats = mutate_doc(doc, rng)
     rows[row] = dump(doc)
-    return "\n".join(rows) + "\n", f"{what} on line {row + 1}"
+    return "\n".join(rows) + "\n", f"{what} on line {row + 1}", repeats and row == 0
 
 
 class _Overran(Exception):
@@ -170,8 +177,9 @@ def test_mutated_inputs_exit_cleanly(base, target):
              for name in ("substrate.json", "workload.jsonl", "config.json")}
     failures = []
     exits = {0: 0, 2: 0}
+    repeated = 0
     for case in range(CASES_PER_FILE):
-        text, what = mutate_text(files[target], rng, lines=target == "workload.jsonl")
+        text, what, repeats = mutate_text(files[target], rng, lines=target == "workload.jsonl")
         case_dir = base / f"{target}-{case}"
         case_dir.mkdir()
         mutated = case_dir / target
@@ -188,6 +196,9 @@ def test_mutated_inputs_exit_cleanly(base, target):
                     "--strategy", STRATEGIES[case % len(STRATEGIES)], "--out", out]
         code, err = run_case(argv)
         problem = fault(code, err)
+        repeated += repeats
+        if problem is None and repeats and code != 2:
+            problem = f"a repeated key exited {code}"
         if problem is None:
             exits[code] += 1
         else:
@@ -195,3 +206,6 @@ def test_mutated_inputs_exit_cleanly(base, target):
     assert not failures, "\n".join(failures)
     # Both outcomes occur, so the mutations neither all miss nor all break.
     assert exits[0] and exits[2], exits
+    # A whole-document file draws repeated keys often enough to check them;
+    # a workload draws its header line in few cases.
+    assert repeated or target == "workload.jsonl"

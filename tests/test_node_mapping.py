@@ -1,10 +1,13 @@
 """Priority formulas, candidate filtering, and the greedy priority mapping."""
 
+import random
+
 import pytest
 
-from secvne.errors import NodeMappingInfeasible
+from secvne.baselines import greedy_embed
+from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.model import VirtualNode
+from secvne.model import VirtualNode, allocate, release
 from secvne.node_mapping import (
     THETA,
     candidate_nodes,
@@ -15,7 +18,7 @@ from secvne.node_mapping import (
 from secvne.pso import request_candidates
 
 from conftest import make_substrate, make_vnr
-from oracles import map_nodes_brute
+from oracles import candidate_nodes_brute, map_nodes_brute
 
 
 def vn(vid, cpu, vsd, vsl, cd):
@@ -69,6 +72,51 @@ class TestCandidates:
             toy_net.nodes[sid].cpu_residual += 50
         after = set(candidate_nodes(v, toy_net))
         assert before <= after
+
+    def test_index_matches_a_full_scan(self):
+        """``candidate_nodes`` answers from the substrate's candidate index
+        and must equal a full scan of every node: between allocations and
+        releases, while CPU residuals move; on a copy, whose index starts
+        empty; for a domain the substrate lacks; and for a security demand
+        above every node's ssl, where no node qualifies."""
+        checked = 0
+
+        def check(net, vnodes):
+            nonlocal checked
+            for v in vnodes:
+                assert candidate_nodes(v, net) == candidate_nodes_brute(v, net)
+                checked += 1
+
+        for seed in range(4):
+            cfg = GeneratorConfig(seed=seed, node_count=30, domain_count=3,
+                                  vnr_node_range=(2, 5), cd_size_range=(1, 3))
+            net = generate_substrate(cfg)
+            vnrs = generate_vnr_stream(cfg, horizon=400)
+            top = max(n.ssl for n in net.nodes.values())
+            absent, above = vn(0, 1, 0, 4, (3,)), vn(1, 0, top + 1, 4, (0, 1, 2))
+            vnodes = [v for vnr in vnrs for v in vnr.nodes.values()]
+            vnodes += [absent, vn(2, 1, 0, 4, (0, 7)), above]
+            assert candidate_nodes(absent, net) == candidate_nodes(above, net) == []
+            check(net, vnodes)
+            placed = []
+            for vnr in vnrs:
+                try:
+                    emb = greedy_embed(vnr, net)
+                except EmbeddingInfeasible:
+                    continue
+                allocate(net, emb)
+                placed.append(emb)
+                check(net, vnodes)
+            assert len(placed) > 5
+            snapshot = net.copy()
+            assert snapshot.candidate_index == {}
+            check(snapshot, vnodes)
+            for emb in random.Random(seed).sample(placed, len(placed)):
+                release(net, emb)
+                check(net, vnodes)
+            check(snapshot, vnodes)
+            assert net.candidate_index
+        assert checked > 1000
 
 
 class TestSubstratePriority:
