@@ -212,11 +212,14 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
 
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read workload file {path}: {exc}") from exc
-    if not lines:
+    if not text:
         raise InvalidConfig(f"workload file {path} is empty")
+    # Only "\n" ends a line: str.splitlines would also split inside a JSON
+    # string that holds U+2028, U+2029 or U+0085, which JSON allows raw.
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0], object_pairs_hook=_unique_keys)
         horizon = float(read_number(header["horizon"], "horizon"))

@@ -66,16 +66,11 @@ three steps that applies, in this order:
    plan's masks, so that a breadth-first search reads them instead of
    testing residuals link by link.
 
-The cut, an INFEASIBLE hop sum and the route give the exact cost or an
-exact INFEASIBLE, a finite hop sum at the cutoff only a bound.  So the
-search's fitness cache never keeps a finite value at or above the cutoff,
-and a particle that reaches that position again evaluates it again.  Under
-slack the cutoff is not used, since there the hop sum is the exact cost,
-and every value is kept.  ``optimize`` routes the winner as every strategy
-does, through ``build_embedding``, which builds masks only if a table path
-falls short.
+A finite hop sum at the cutoff is a bound, not a cost, and moves no best.
+``optimize`` routes the winner as every strategy does, through
+``build_embedding``, which builds masks only if a table path falls short.
 
-Everything a search evaluates against is fixed per search, so
+Everything a search scores positions against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
 the bound stop read: the virtual-node order, ``cpu_total``, each virtual
 link as an (index of u, index of v, demand) triple in the request's routing
@@ -369,7 +364,7 @@ def injective_assignment(candidate_lists: list[list[int]]) -> list[int] | None:
 
 @dataclass(slots=True)
 class EvaluationPlan:
-    """What a search evaluates positions against, derived once per search
+    """What a search scores positions against, derived once per search
     (see the module docstring)."""
 
     vnr: VirtualNetworkRequest
@@ -609,19 +604,6 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     candidate_sets = [set(c) for c in candidate_lists]
 
     draws = draws_from(cfg.seed)
-    fitness_cache: dict[tuple[int, ...], float] = {}
-
-    def evaluate(position: list[int], cutoff: float = INFEASIBLE) -> float:
-        key = tuple(position)
-        val = fitness_cache.get(key)
-        if val is None:
-            val = fitness(position, plan, cutoff)
-            # Without slack, a finite value at or above the cutoff may be a
-            # bound, not a cost.
-            if plan.bw_slack or not cutoff <= val < INFEASIBLE:
-                fitness_cache[key] = val
-        return val
-
     try:
         mapped = map_nodes(vnr, net, candidate_lists)
         seeded = [mapped[vid] for vid in vnode_order]
@@ -635,7 +617,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         else:
             position = random_injective(candidate_lists, draws)
         velocity = [draws.integers(2) for _ in position]
-        f = evaluate(position)
+        f = fitness(position, plan)
         particles.append(Particle(position, velocity, list(position), f))
 
     # min keeps the first of equal bests, as strict improvement would.
@@ -661,7 +643,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 p.velocity = v_new
                 continue
             x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
-            f = evaluate(x_new, p.pbest_fitness)
+            f = fitness(x_new, plan, p.pbest_fitness)
             p.velocity = v_new
             p.position = x_new
             if p.pbest_fitness > f:

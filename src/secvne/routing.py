@@ -41,8 +41,7 @@ smallest min-hop paths of their graphs.
 masks at every distinct demand of a request.  ``route_all_links`` calls it
 once, for the whole request, the first time a table path lacks bandwidth,
 unless its caller hands the masks in (the swarm hands in those of its
-search plan).  A demand that drops no link beyond the next smaller demand
-shares that demand's list, so no caller may change a list it is given.
+search plan).
 """
 
 from __future__ import annotations
@@ -141,9 +140,8 @@ def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     One bucketing pass files each link under the largest demand it carries,
     or under none.  The masks are then built in ascending demand order, from
     the topology's masks less the links each demand drops, so only the links
-    short of the largest demand are touched.  A demand that drops no link
-    shares the list of the demand below it (a smallest demand that drops
-    none shares the topology's own list), so the lists are only to be read.
+    short of the largest demand are touched.  Each demand gets a list of its
+    own, never the topology's.
     """
     thresholds = sorted(set(demands), reverse=True)
     # ascending negated thresholds: bisect_left finds the largest demand <= r
@@ -156,12 +154,11 @@ def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     rank = net.rank
     masks, mask = {}, net.adj_masks
     for d, bucket in zip(reversed(thresholds), reversed(buckets)):
-        if bucket:
-            mask = mask.copy()
-            for a, b in bucket:
-                ra, rb = rank[a], rank[b]
-                mask[ra] &= ~(1 << rb)
-                mask[rb] &= ~(1 << ra)
+        mask = mask.copy()
+        for a, b in bucket:
+            ra, rb = rank[a], rank[b]
+            mask[ra] &= ~(1 << rb)
+            mask[rb] &= ~(1 << ra)
         masks[d] = mask
     return masks
 

@@ -427,9 +427,9 @@ def random_injective_brute(candidate_lists, rng):
 
 def swarm_reference(vnr, net, cfg):
     """The swarm of ``secvne.pso`` written plainly, with numpy's own
-    ``Generator`` and the scalar velocity rule.  Every position is priced
-    by ``route_all_brute``: no fitness cache, cost bound, domain cut,
-    cutoff or short-circuit.
+    ``Generator`` and the scalar velocity rule.  Every position a particle
+    reaches, repeats included, is priced by ``route_all_brute``: no cost
+    bound, domain cut, cutoff or short-circuit.
 
     Returns (position, fitness, gbest history), positions in ascending
     virtual-node id order, or None when some virtual node has no candidate

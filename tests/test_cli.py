@@ -395,6 +395,46 @@ def test_workload_repeated_request_id_is_infeasible(tmp_path, generated, capsys)
     assert f"line 3: duplicate request id {second['id']}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"],
+                         ids=["line-separator", "paragraph-separator", "next-line"])
+def test_workload_splits_lines_only_at_newline(tmp_path, generated, capsys, separator):
+    """A JSON string may hold U+2028, U+2029 or U+0085 raw; a key the loader
+    ignores holding one leaves the run as it was, and a later line keeps its
+    number."""
+    lines = (generated / "workload.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    doc["note"] = f"a{separator}b"
+    lines[1] = json.dumps(doc, ensure_ascii=False)
+    workload = tmp_path / "noted.jsonl"
+    traces = []
+    for text in ((generated / "workload.jsonl").read_text(), "\n".join(lines) + "\n"):
+        workload.write_text(text, encoding="utf-8")
+        assert main(["run", "--substrate", str(generated / "substrate.json"),
+                     "--workload", str(workload), "--strategy", "greedy",
+                     "--out", str(tmp_path / "out")]) == 0
+        traces.append((tmp_path / "out" / "trace.jsonl").read_bytes())
+    assert traces[1] == traces[0]
+    lines[2] = "{"
+    workload.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{workload}, line 3:" in err and "Traceback" not in err
+
+
+def test_empty_workload_is_infeasible(tmp_path, generated, capsys):
+    workload = tmp_path / "empty.jsonl"
+    workload.write_text("")
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"workload file {workload} is empty" in err and "Traceback" not in err
+
+
 def _run_greedy(tmp_path, generated, lines):
     workload = tmp_path / "bad_workload.jsonl"
     workload.write_text("\n".join(lines) + "\n")

@@ -7,19 +7,25 @@ for a negative, huge, boolean or NaN one, or the file cut short.  Every case
 must exit 0 or 2, never print a traceback, and on exit 2 say why with the
 ``secvne: infeasible config:`` prefix.  A key written twice in a substrate,
 a config or a workload's header line must exit 2: a loader that kept either
-value would run a file whose meaning is ambiguous.  A failing case is named
-by its index, file and mutation, so it can be replayed from the seed alone.
+value would run a file whose meaning is ambiguous.  A case that exits 0
+must leave a well-formed file: ``well_formed``, a stdlib reading of
+README's "File formats" written apart from ``secvne.fileio``, must accept
+it.  A failing case is named by its index, file and mutation, so it can be
+replayed from the seed alone.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import random
 import signal
 
 import pytest
 
 from secvne.cli import main
+from secvne.generate import GeneratorConfig
 
 SEED = 2027
 CASES_PER_FILE = 200
@@ -120,6 +126,171 @@ def mutate_text(text: str, rng, lines: bool) -> tuple[str, str, bool]:
     return "\n".join(rows) + "\n", f"{what} on line {row + 1}", repeats and row == 0
 
 
+class Malformed(Exception):
+    """A file breaks a rule of README's "File formats"."""
+
+
+def strict_json(text: str, unique: bool = True):
+    """`text` as JSON; Malformed when it is not JSON (NaN and Infinity
+    included) or, when `unique`, some object names a key twice."""
+    def pairs(items):
+        doc = {}
+        for key, value in items:
+            if unique and key in doc:
+                raise Malformed(f"repeated key {key!r}")
+            doc[key] = value
+        return doc
+
+    def constant(name):
+        raise Malformed(f"{name} is not JSON")
+
+    try:
+        return json.loads(text, object_pairs_hook=pairs, parse_constant=constant)
+    except ValueError as exc:
+        raise Malformed(f"not JSON: {exc}") from None
+
+
+def field(doc, key):
+    if type(doc) is not dict or key not in doc:
+        raise Malformed(f"no object with {key!r}: {doc!r:.80}")
+    return doc[key]
+
+
+def objects(doc, key) -> list:
+    value = field(doc, key)
+    if type(value) is not list or any(type(item) is not dict for item in value):
+        raise Malformed(f"{key} is not a list of objects")
+    return value
+
+
+def integer(value, name: str, lo: int = 0) -> int:
+    if type(value) is not int or value < lo:
+        raise Malformed(f"{name} is not an integer >= {lo}: {value!r}")
+    return value
+
+
+def number(value, name: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise Malformed(f"{name} is not a finite number: {value!r}")
+    return value
+
+
+def check_substrate(text: str) -> set[int]:
+    """The domains of a well-formed substrate file: integers at their
+    bounds, distinct node ids, links between known distinct nodes, each
+    listed once, and every domain non-empty, connected within itself and
+    holding a boundary node."""
+    doc = strict_json(text)
+    count = integer(field(doc, "domain_count"), "domain_count", 1)
+    domain: dict[int, int] = {}
+    for n in objects(doc, "nodes"):
+        nid = integer(field(n, "id"), "node id")
+        for key in ("cpu", "ssl", "ssd"):
+            integer(field(n, key), f"node {key}")
+        d = integer(field(n, "domain"), "node domain")
+        if nid in domain or d >= count:
+            raise Malformed(f"node {nid} repeated or its domain {d} out of range")
+        domain[nid] = d
+    adjacent: dict[int, set[int]] = {nid: set() for nid in domain}
+    boundary = set()
+    for l in objects(doc, "links"):
+        u, v = integer(field(l, "u"), "link u"), integer(field(l, "v"), "link v")
+        integer(field(l, "bw"), "link bw")
+        if u not in domain or v not in domain or u == v or v in adjacent[u]:
+            raise Malformed(f"link ({u}, {v}) names an unknown node, loops or repeats")
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+        if domain[u] != domain[v]:
+            boundary |= {u, v}
+    domains = set(domain.values())
+    if len(domains) < count:
+        raise Malformed("some domain holds no node")
+    for d in domains:
+        members = {nid for nid, e in domain.items() if e == d}
+        if not members & boundary:
+            raise Malformed(f"domain {d} has no boundary node")
+        reached, stack = {min(members)}, [min(members)]
+        while stack:
+            for b in adjacent[stack.pop()] & members - reached:
+                reached.add(b)
+                stack.append(b)
+        if reached != members:
+            raise Malformed(f"domain {d} is not connected")
+    return domains
+
+
+def check_workload(text: str, domains: set[int]) -> None:
+    """A well-formed workload over a substrate of `domains`: the header, then
+    `vnr_count` requests of distinct ids, each with distinct virtual nodes
+    whose `cd` name substrate domains, and links between distinct nodes of
+    the request, each listed once.  Request lines may repeat a key (README,
+    "File formats"): JSON keeps the last value."""
+    lines = text.split("\n")
+    header = strict_json(lines[0])
+    if number(field(header, "horizon"), "horizon") <= 0:
+        raise Malformed("horizon is not positive")
+    count = integer(field(header, "vnr_count"), "vnr_count")
+    ids = set()
+    for line in lines[1:]:
+        if not line.strip(" \t\r"):
+            continue
+        req = strict_json(line, unique=False)
+        rid = integer(field(req, "id"), "request id")
+        if rid in ids:
+            raise Malformed(f"request id {rid} repeated")
+        ids.add(rid)
+        if number(field(req, "arrival_time"), "arrival_time") < 0:
+            raise Malformed("arrival_time is negative")
+        if number(field(req, "lifetime"), "lifetime") <= 0:
+            raise Malformed("lifetime is not positive")
+        vids = set()
+        for n in objects(req, "nodes"):
+            vid = integer(field(n, "id"), "virtual node id")
+            for key in ("cpu", "vsd", "vsl"):
+                integer(field(n, key), f"virtual node {key}")
+            cd = field(n, "cd")
+            if (vid in vids or type(cd) is not list or not cd
+                    or any(integer(d, "cd entry") not in domains for d in cd)):
+                raise Malformed(f"virtual node {vid} repeated, or its cd {cd!r} invalid")
+            vids.add(vid)
+        if not vids:
+            raise Malformed(f"request {rid} has no node")
+        keys = set()
+        for l in objects(req, "links"):
+            u, v = integer(field(l, "u"), "virtual link u"), integer(field(l, "v"), "virtual link v")
+            integer(field(l, "bw"), "virtual link bw")
+            if u not in vids or v not in vids or u == v or (min(u, v), max(u, v)) in keys:
+                raise Malformed(f"virtual link ({u}, {v}) names an unknown node, loops or "
+                                f"repeats")
+            keys.add((min(u, v), max(u, v)))
+    if len(ids) != count:
+        raise Malformed(f"vnr_count {count} but {len(ids)} requests")
+
+
+def check_config(text: str) -> None:
+    """A well-formed generator config: one object whose keys are
+    ``GeneratorConfig`` fields, none repeated."""
+    doc = strict_json(text)
+    known = {f.name for f in dataclasses.fields(GeneratorConfig)}
+    if type(doc) is not dict or not doc.keys() <= known:
+        raise Malformed(f"not an object of GeneratorConfig fields: {doc!r:.80}")
+
+
+def well_formed(target: str, text: str, substrate: str) -> str | None:
+    """Why `text`, the file `target` of a case, breaks README's "File
+    formats", or None; `substrate` is the text of the case's substrate."""
+    try:
+        if target == "config.json":
+            check_config(text)
+        elif target == "substrate.json":
+            check_substrate(text)
+        else:
+            check_workload(text, check_substrate(substrate))
+    except Malformed as exc:
+        return str(exc)
+    return None
+
+
 class _Overran(Exception):
     pass
 
@@ -177,7 +348,7 @@ def test_mutated_inputs_exit_cleanly(base, target):
              for name in ("substrate.json", "workload.jsonl", "config.json")}
     failures = []
     exits = {0: 0, 2: 0}
-    repeated = 0
+    repeated = refused = 0
     for case in range(CASES_PER_FILE):
         text, what, repeats = mutate_text(files[target], rng, lines=target == "workload.jsonl")
         case_dir = base / f"{target}-{case}"
@@ -200,7 +371,12 @@ def test_mutated_inputs_exit_cleanly(base, target):
         if problem is None and repeats and code != 2:
             problem = f"a repeated key exited {code}"
         if problem is None:
+            why = well_formed(target, text, files["substrate.json"])
+            if code == 0 and why is not None:
+                problem = f"exited 0 on a malformed file: {why}"
+        if problem is None:
             exits[code] += 1
+            refused += why is not None
         else:
             failures.append(f"case {case} ({what}): {problem}")
     assert not failures, "\n".join(failures)
@@ -209,3 +385,5 @@ def test_mutated_inputs_exit_cleanly(base, target):
     # A whole-document file draws repeated keys often enough to check them;
     # a workload draws its header line in few cases.
     assert repeated or target == "workload.jsonl"
+    # The check refuses files, so exit 0 passing it says something.
+    assert refused, "well_formed refused no case"

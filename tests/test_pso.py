@@ -593,52 +593,6 @@ class TestRoutingProofs:
                 best = min(best, cost)
         assert min(fired.values()) >= 50, fired
 
-    def test_a_bound_is_never_served_from_the_cache(self, monkeypatch):
-        """A value at or above the cutoff may be a bound, not a cost, so a
-        particle that reaches its position again evaluates it again, while a
-        cost is evaluated once per search and then read from the cache."""
-        events = []
-        plain_plan, plain_update, plain_fitness = (pso.evaluation_plan, pso.position_update,
-                                                   pso.fitness)
-
-        def new_search(*args):
-            events.append(("search",))
-            return plain_plan(*args)
-
-        def update(*args):
-            out = plain_update(*args)
-            events.append(("move", tuple(out)))
-            return out
-
-        def recording_fitness(position, plan, cutoff=INFEASIBLE):
-            value = plain_fitness(position, plan, cutoff)
-            exact = plan.bw_slack or not cutoff <= value < INFEASIBLE
-            events.append(("fitness", tuple(position), exact))
-            return value
-
-        monkeypatch.setattr(pso, "evaluation_plan", new_search)
-        monkeypatch.setattr(pso, "position_update", update)
-        monkeypatch.setattr(pso, "fitness", recording_fitness)
-        for net, vnr in small_requests():
-            try:
-                swarm_search(vnr, net, PsoConfig(seed=vnr.id))
-            except EmbeddingInfeasible:
-                pass
-        costs, bounded, revisits = set(), set(), 0
-        for event, following in zip(events, events[1:] + [("search",)]):
-            if event[0] == "search":
-                costs.clear()
-                bounded.clear()
-            elif event[0] == "fitness":
-                assert event[1] not in costs
-                (costs if event[2] else bounded).add(event[1])
-            elif event[1] in costs:
-                assert following[0] != "fitness"
-            else:
-                assert following[:2] == ("fitness", event[1])
-                revisits += event[1] in bounded
-        assert revisits > 0
-
     def test_cut_rejected_position_is_not_routed(self, monkeypatch):
         """A position is routed exactly when no domain cut proves it
         unroutable, and its fitness is the routed cost either way."""

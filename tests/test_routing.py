@@ -173,15 +173,16 @@ class TestUsableMasks:
             for d, mask in masks.items():
                 assert mask == usable_masks_brute(net, d)
 
-    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
-    def test_a_demand_that_drops_no_link_shares_the_list_below(self, reuse):
-        """A demand that drops no link beyond the next smaller demand shares
-        its list; the others get a list of their own, and every list is the
-        brute-force usable masks."""
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal-masks", "distinct-masks"])
+    def test_every_demand_gets_a_list_of_its_own(self, equal):
+        """Every demand gets a list of its own, never the topology's, also
+        when it drops no link beyond the next smaller demand; every list is
+        the brute-force usable masks."""
         for seed in range(6):
             net = contended_net(seed, node_count=12)
-            if reuse:
-                # Residuals 5, 10 and 20: demands 5, 10 and 20 drop no link.
+            if equal:
+                # Residuals 5, 10 and 20: demand 3 drops no link, and
+                # demands 5, 10 and 20 none beyond 3, 8 and 15.
                 for i, k in enumerate(sorted(net.links)):
                     net.links[k].bw_residual = (5, 10, 20)[i % 3]
                 demands = [3, 5, 8, 10, 15, 20, 25]
@@ -191,11 +192,12 @@ class TestUsableMasks:
             masks = usable_masks(demands, net)
             for d in demands:
                 assert masks[d] == usable_masks_brute(net, d)
-            if reuse:
+            if equal:
+                assert masks[3] == net.adj_masks
                 for below, d in ((3, 5), (8, 10), (15, 20)):
-                    assert masks[d] is masks[below]
-            else:
-                assert len({id(m) for m in masks.values()}) == len(demands)
+                    assert masks[d] == masks[below]
+            assert len({id(m) for m in masks.values()}) == len(demands)
+            assert all(m is not net.adj_masks for m in masks.values())
 
 
 class TestRouteAllLinks:
