@@ -21,11 +21,14 @@ All draws come from two PCG64 streams split from one root seed, read through
 same calls, so identical configs reproduce identical networks on any
 platform.  A range bound may be at most numpy's int64 limit, 2**63 - 1.
 
-Each domain and each request graph is repaired to be connected: the
-components of its random graph are found with ``model.components`` over node
-bitmasks and joined, in order of their smallest member, by links between
-random endpoints.  The domains are then joined by one inter-domain link per
-domain pair, between a random node of each.
+One builder, ``_random_connected_links``, draws every domain's graph and
+every request graph, in one draw order: each node pair, in ascending order,
+draws ``random()`` and a joined pair draws its bandwidth at once; the
+components (``model.components`` over node bitmasks) are then joined, in
+order of their smallest member, by links between random endpoints, all the
+joins' endpoints being drawn before any join's bandwidth.  The domains are
+then joined by one inter-domain link per domain pair, between a random node
+of each, whose endpoints and then bandwidth are drawn pair by pair.
 """
 
 from __future__ import annotations
@@ -155,27 +158,33 @@ def _domain_sizes(node_count: int, domain_count: int) -> list[int]:
     return [base + (1 if d < rem else 0) for d in range(domain_count)]
 
 
-def _connect_components(members: list[int], edges: set, draws: Draws) -> list[tuple[int, int]]:
-    """Edges that stitch the partition of the ascending `members` induced by
-    `edges` (each joining two members) into one component; random endpoints,
-    deterministic merge order."""
-    rank = {m: i for i, m in enumerate(members)}
-    masks = [0] * len(members)
-    for (u, v) in edges:
-        masks[rank[u]] |= 1 << rank[v]
-        masks[rank[v]] |= 1 << rank[u]
+def _random_connected_links(members: list[int], rate: float, bw_lo: int, bw_hi: int,
+                            draws: Draws) -> list[tuple[int, int, int]]:
+    """(u, v, bw) for the links of a connected random graph over the
+    ascending ``members``: each pair, in ascending order, is joined with
+    probability ``rate`` and draws its bandwidth at once; then the
+    components are joined, in order of their smallest member, each by a link
+    from a random node of those joined so far to a random node of its own,
+    every join's endpoints drawn before any join's bandwidth."""
+    n = len(members)
+    masks = [0] * n
+    links = []
+    for i, u in enumerate(members):
+        for j in range(i + 1, n):
+            if draws.random() < rate:
+                links.append((u, members[j], _draw(draws, bw_lo, bw_hi)))
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     # The components come out ordered by their smallest member, each one
     # ascending.
     comps = [[m for i, m in enumerate(members) if comp >> i & 1]
              for comp in components(masks)]
-    added = []
+    joins = []
     merged = comps[0]
     for comp in comps[1:]:
-        u = merged[draws.integers(len(merged))]
-        v = comp[draws.integers(len(comp))]
-        added.append((u, v))
+        joins.append((merged[draws.integers(len(merged))], comp[draws.integers(len(comp))]))
         merged = sorted(merged + comp)
-    return added
+    return links + [(u, v, _draw(draws, bw_lo, bw_hi)) for u, v in joins]
 
 
 def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
@@ -201,27 +210,15 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
                                        _draw(draws, sec_lo, sec_hi),
                                        _draw(draws, sec_lo, sec_hi)))
 
-    links: list[SubstrateLink] = []
-
-    def add_link(u: int, v: int) -> None:
-        bw = _draw(draws, bw_lo, bw_hi)
-        links.append(SubstrateLink(u, v, bw, bw))
-
-    for members in domain_members:
-        domain_keys: set = set()
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if draws.random() < cfg.intra_link_rate:
-                    add_link(u, v)
-                    domain_keys.add((u, v))
-        for (u, v) in _connect_components(members, domain_keys, draws):
-            add_link(u, v)
-
+    links = [SubstrateLink(u, v, bw, bw) for members in domain_members
+             for u, v, bw in _random_connected_links(members, cfg.intra_link_rate,
+                                                     bw_lo, bw_hi, draws)]
     for d1 in range(cfg.domain_count):
         for d2 in range(d1 + 1, cfg.domain_count):
             u = domain_members[d1][draws.integers(len(domain_members[d1]))]
             v = domain_members[d2][draws.integers(len(domain_members[d2]))]
-            add_link(u, v)
+            bw = _draw(draws, bw_lo, bw_hi)
+            links.append(SubstrateLink(u, v, bw, bw))
 
     net = SubstrateNetwork(cfg.domain_count, nodes, links)
     compute_boundary_hops(net)
@@ -267,14 +264,7 @@ def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNet
             cd_size = _draw(draws, cd_lo, cd_hi)
             cd = frozenset(draws.choice(cfg.domain_count, cd_size))
             vnodes.append(VirtualNode(vid, cpu, vsd, vsl, cd))
-        vlinks = []
-        vkeys: set = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if draws.random() < VNR_LINK_RATE:
-                    vlinks.append(VirtualLink(i, j, _draw(draws, bw_lo, bw_hi)))
-                    vkeys.add((i, j))
-        for (u, v) in _connect_components(list(range(n)), vkeys, draws):
-            vlinks.append(VirtualLink(min(u, v), max(u, v), _draw(draws, bw_lo, bw_hi)))
+        vlinks = [VirtualLink(u, v, bw) for u, v, bw in
+                  _random_connected_links(list(range(n)), VNR_LINK_RATE, bw_lo, bw_hi, draws)]
         out.append(VirtualNetworkRequest(vnr_id, vnodes, vlinks, arrival, lifetime))
     return out

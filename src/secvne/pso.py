@@ -276,7 +276,9 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
 
     ``draw_injective`` re-draws them with every kept node already used.  A
     dead end triggers a full re-randomization of the particle, so the update
-    never fails.
+    never fails.  The result is a new list and ``p``'s lists are left as
+    they are, so ``swarm_search`` shares one list between a position and
+    the bests it becomes.
     """
     position = p.position
     if len(v_new) != len(position):
@@ -613,16 +615,16 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     particles: list[Particle] = []
     for i in range(PsoConfig.particle_count):
         if i == 0 and seeded is not None:
-            position = list(seeded)
+            position = seeded
         else:
             position = random_injective(candidate_lists, draws)
         velocity = [draws.integers(2) for _ in position]
         f = fitness(position, plan)
-        particles.append(Particle(position, velocity, list(position), f))
+        particles.append(Particle(position, velocity, position, f))
 
     # min keeps the first of equal bests, as strict improvement would.
     first = min(particles, key=lambda p: p.pbest_fitness)
-    gbest_position, gbest_fitness = list(first.pbest_position), first.pbest_fitness
+    gbest_position, gbest_fitness = first.pbest_position, first.pbest_fitness
     history = [gbest_fitness]
 
     for it in range(PsoConfig.iterations):
@@ -648,10 +650,10 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             p.position = x_new
             if p.pbest_fitness > f:
                 p.pbest_fitness = f
-                p.pbest_position = list(x_new)
+                p.pbest_position = x_new
             if gbest_fitness > p.pbest_fitness:
                 gbest_fitness = p.pbest_fitness
-                gbest_position = list(p.pbest_position)
+                gbest_position = p.pbest_position
         history.append(gbest_fitness)
 
     return SwarmResult(vnode_order, gbest_position, gbest_fitness, history)

@@ -38,9 +38,11 @@ algorithms (numpy 2.x, ``distributions.c`` and ``_generator.pyx``):
   algorithm, then a shuffle.  Floyd's step j, for j in [pop - k, pop),
   draws ``integers(j + 1)`` and takes j itself when the draw repeats.  The
   shuffle then swaps place i with place ``integers(i + 1)`` for i = k - 1
-  down to 1.  For pop > 10000 and k > pop // 50 numpy instead shuffles all
-  of [0, pop) the same way, for i = pop - 1 down to max(pop - k, 1), and
-  returns its last k places.
+  down to 1.  For pop > 10000 and k > pop // 50 numpy instead shuffles the
+  whole population; the stream refuses that range with ValueError rather
+  than return values that differ from numpy's.  No config reaches it: the
+  one caller, ``generate_vnr_stream``, draws from at most ``MAX_NODE_COUNT``
+  domains.
 
 A scalar numpy call costs microseconds of dispatch; the stream's costs a
 few hundred nanoseconds.  Draws past the last one a caller uses are
@@ -194,12 +196,8 @@ class Draws:
         if not 0 <= k <= pop:
             raise ValueError(f"choice: k must lie in [0, pop], got k={k}, pop={pop}")
         if pop > 10000 and k > pop // 50:
-            # Shuffle the last k places of [0, pop) and return them.
-            out = list(range(pop))
-            for i in range(pop - 1, max(pop - k, 1) - 1, -1):
-                j = self.integers(i + 1)
-                out[i], out[j] = out[j], out[i]
-            return out[pop - k:]
+            # numpy shuffles the whole population here; the stream does not.
+            raise ValueError(f"choice: k > pop // 50 for pop > 10000, got k={k}, pop={pop}")
         # Floyd's algorithm: step j draws from [0, j] and takes j itself on
         # a repeat; then a shuffle of the k picks.
         out = []

@@ -11,7 +11,9 @@ value would run a file whose meaning is ambiguous.  A case that exits 0
 must leave a well-formed file: ``well_formed``, a stdlib reading of
 README's "File formats" written apart from ``secvne.fileio``, must accept
 it.  A failing case is named by its index, file and mutation, so it can be
-replayed from the seed alone.
+replayed from the seed alone.  A size-scaled family grows seeded valid
+configs to a few hundred nodes and runs each through every strategy, which
+must exit 0.
 """
 
 import contextlib
@@ -387,3 +389,39 @@ def test_mutated_inputs_exit_cleanly(base, target):
     assert repeated or target == "workload.jsonl"
     # The check refuses files, so exit 0 passing it says something.
     assert refused, "well_formed refused no case"
+
+
+# The size-scaled family: configs grown from BASE_CONFIG to a few hundred
+# nodes, up to 8 domains and requests of up to 30 nodes, so that a defect
+# that only large inputs reach (a deep recursion, a quadratic pass) shows.
+SCALED_CASES = 6
+SCALED_HORIZON = "200"
+
+
+def scaled_config(rng) -> dict:
+    """A seeded valid config larger than BASE_CONFIG in every size."""
+    domains = rng.randint(3, 8)
+    lo = rng.randint(5, 15)
+    return dict(BASE_CONFIG, seed=rng.randrange(2**32), domain_count=domains,
+                node_count=rng.randint(30 * domains, 300), cd_size_range=[1, domains],
+                vnr_node_range=[lo, rng.randint(max(lo, 10), 30)])
+
+
+@pytest.mark.parametrize("case", range(SCALED_CASES))
+def test_scaled_inputs_run_for_every_strategy(tmp_path, case):
+    """Each scaled config generates a well-formed instance, and every
+    strategy runs it to exit 0, with no traceback, within CASE_SECONDS."""
+    config = scaled_config(random.Random(f"{SEED}:scaled:{case}"))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, err = run_case(["generate", "--config", str(tmp_path / "config.json"),
+                          "--horizon", SCALED_HORIZON, "--out", str(tmp_path / "instance")])
+    assert (fault(code, err), code) == (None, 0), config
+    substrate = (tmp_path / "instance" / "substrate.json").read_text()
+    for target in ("substrate.json", "workload.jsonl"):
+        text = (tmp_path / "instance" / target).read_text()
+        assert well_formed(target, text, substrate) is None, (config, target)
+    for strategy in STRATEGIES:
+        code, err = run_case(["run", "--substrate", str(tmp_path / "instance" / "substrate.json"),
+                              "--workload", str(tmp_path / "instance" / "workload.jsonl"),
+                              "--strategy", strategy, "--out", str(tmp_path / strategy)])
+        assert (fault(code, err), code) == (None, 0), (config, strategy)

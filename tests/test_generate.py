@@ -71,6 +71,44 @@ def test_intra_density_matches_link_rate():
     assert abs(statistics.fmean(densities) - 0.6) < 0.05
 
 
+def domain_links(net, d):
+    """The members of domain ``d``, ascending, and its intra-domain link keys."""
+    members = sorted(nid for nid, n in net.nodes.items() if n.domain == d)
+    return members, [k for k in net.links if set(k) <= set(members)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_link_rate_zero_joins_each_domain_into_a_tree(seed):
+    """At rate 0 no pair draws a link, so every intra-domain link is a join:
+    size - 1 of them, the domain connected, and (every component a single
+    node, joined in ascending order) each member but the smallest linked to
+    exactly one smaller member."""
+    cfg = GeneratorConfig(seed=seed, node_count=23, domain_count=3, intra_link_rate=0.0,
+                          substrate_bw_range=(7, 9))
+    net = generate_substrate(cfg)
+    for d in range(cfg.domain_count):
+        members, keys = domain_links(net, d)
+        assert len(keys) == len(members) - 1
+        assert is_connected(set(members), keys)
+        assert sorted(v for u, v in keys) == members[1:]
+    assert len(net.inter_links) == 3
+    assert all(7 <= l.bw_capacity <= 9 for l in net.links.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_link_rate_one_makes_each_domain_complete(seed):
+    """At rate 1 every pair draws a link, so each domain is complete and no
+    join is added."""
+    cfg = GeneratorConfig(seed=seed, node_count=23, domain_count=3, intra_link_rate=1.0,
+                          substrate_bw_range=(7, 9))
+    net = generate_substrate(cfg)
+    for d in range(cfg.domain_count):
+        members, keys = domain_links(net, d)
+        assert sorted(keys) == [(u, v) for i, u in enumerate(members) for v in members[i + 1:]]
+    assert len(net.links) == 2 * (8 * 7 // 2) + 7 * 6 // 2 + 3
+    assert all(7 <= l.bw_capacity <= 9 for l in net.links.values())
+
+
 def test_inter_links_per_domain_pair():
     """Exactly one inter-domain link joins each pair of domains, and
     ``inter_links`` holds every link whose ends lie in different domains."""

@@ -153,6 +153,36 @@ class TestOperators:
         out = position_update(p, [0, 0], cands, sets_of(cands), rng)
         assert sorted(out) == [5, 6]
 
+    def test_position_update_leaves_the_particles_lists_as_they_were(self, monkeypatch):
+        """``swarm_search`` lets a particle's position and its bests share
+        one list, which holds only while the update never writes the lists
+        it reads: over mixed velocities, re-draws that reach the end and
+        re-draws that dead-end (then re-randomize), position and pbest stay
+        equal to copies taken before each call."""
+        dead_ends = []
+        plain = pso.random_injective
+
+        def random_injective(candidate_lists, rng):
+            dead_ends.append(candidate_lists)
+            return plain(candidate_lists, rng)
+
+        monkeypatch.setattr(pso, "random_injective", random_injective)
+        # Keeping node 5 leaves component 2 only node 7, which component 1
+        # takes half the time: a dead end.
+        cands = [[5, 6], [6, 7], [5, 7]]
+        calls = 0
+        for seed in range(20):
+            draws = draws_from(seed)
+            for v_new in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 0]):
+                p = particle_at([5, 6, 7], velocity=[1, 1, 0], pbest=[6, 7, 5])
+                position, pbest = list(p.position), list(p.pbest_position)
+                out = position_update(p, v_new, cands, sets_of(cands), draws)
+                calls += 1
+                assert (p.position, p.pbest_position) == (position, pbest)
+                assert out is not p.position and out is not p.pbest_position
+                assert len(set(out)) == 3
+        assert 0 < len(dead_ends) < calls
+
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(LengthMismatch):

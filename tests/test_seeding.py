@@ -156,16 +156,27 @@ def test_exponential_on_a_fresh_or_drained_stream():
 
 @pytest.mark.parametrize("pop, k", [
     (1, 0), (1, 1), (4, 4), (7, 3), (10000, 200), (10000, 10000),
-    (10001, 200), (10001, 201), (20000, 401), (20000, 20000), (12000, 1)])
+    (10001, 200), (12000, 1)])
 def test_choice_equals_numpy(pop, k):
-    """Floyd's algorithm below pop 10000 or k <= pop // 50, the tail
-    shuffle above both."""
+    """Floyd's algorithm: at pop 10000 or below, and above it for
+    k <= pop // 50."""
     for seed in range(3):
         rng, draws = rng_from(seed, 3), draws_from(seed, 3)
         picks = draws.choice(pop, k)
         assert picks == rng.choice(pop, size=k, replace=False).tolist()
         assert len(set(picks)) == k
         assert draws.integers(1000) == rng.integers(1000)
+
+
+@pytest.mark.parametrize("pop, k", [(10001, 201), (20000, 401), (20000, 20000)])
+def test_choice_refuses_the_whole_population_shuffle(pop, k):
+    """Above pop 10000 with k > pop // 50 numpy shuffles the whole
+    population; the stream raises rather than return other values."""
+    draws = draws_from(0, 3)
+    with pytest.raises(ValueError, match="choice"):
+        draws.choice(pop, k)
+    # Nothing was drawn.
+    assert draws.integers(1000) == rng_from(0, 3).integers(1000)
 
 
 def test_choice_of_more_than_the_population_raises():
