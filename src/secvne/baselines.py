@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import EmbeddingInfeasible, LinkMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
-from .pso import request_candidates, sample_injective
+from .pso import index_maps, request_candidates, sample_injective
 from .routing import build_embedding
 from .seeding import draws_from
 
@@ -40,9 +40,10 @@ def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -
     """Uniform injective draws; a few retries absorb routing dead ends."""
     vnode_order = sorted(vnr.nodes)
     candidate_lists = request_candidates(vnr, net)
+    maps = index_maps(candidate_lists)
     draws = draws_from(seed)
     for _ in range(RANDOM_EMBED_ATTEMPTS):
-        position = sample_injective(candidate_lists, draws)
+        position = sample_injective(candidate_lists, maps, draws)
         if position is None:
             continue
         try:

@@ -39,7 +39,10 @@ cost a measurable share of a large workload's load time.  A malformed
 file raises ``InvalidConfig``.
 
 All writers go through an atomic replace so a crashed run never leaves a
-truncated file behind, and all output is byte-deterministic.
+truncated file behind, and all output is byte-deterministic.  Every file is
+read and written as UTF-8, and every line ends in ``"\n"``, whatever the
+host's locale or platform, so the same inputs give the same bytes on every
+host.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def atomic_write_text(path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -149,7 +152,7 @@ def save_substrate(net: SubstrateNetwork, path) -> None:
 
 def load_substrate(path) -> SubstrateNetwork:
     try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read substrate file {path}: {exc}") from exc
     try:
@@ -212,7 +215,7 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
 
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read workload file {path}: {exc}") from exc
     if not text:
@@ -267,7 +270,7 @@ def config_from_dict(doc: dict) -> GeneratorConfig:
 
 def load_config(path) -> GeneratorConfig:
     try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):

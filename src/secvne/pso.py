@@ -37,9 +37,10 @@ most the request's demand minus this link's, and every table path stays
 feasible.  The routed cost is then the sum of bandwidth x topology hop
 distance, which ``fitness`` reads from the substrate's hop-distance table
 (``hop_sum``) without building paths or debits.  The table
-(``routing.hop_distances``) holds, per destination, the hop count of every
-node that reaches it, filled by one breadth-first search the first time the
-destination is asked for; after that a lookup is one dict read.
+(``SubstrateNetwork.hop_dist``) holds, per destination, the hop count of
+every node that reaches it.  ``hop_sum`` reads its rows directly and calls
+``routing.hop_distances``, one breadth-first search, only to fill a row the
+first time its destination is asked for.
 
 Otherwise ``evaluation_plan`` builds, once per search, each substrate
 node's usable mask at every distinct demand d of the request, which holds
@@ -79,19 +80,21 @@ the domain cuts.  ``fitness`` indexes positions with the triples and builds
 the assignment dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
-component it draws, in ascending order, its pool is the candidate list as
-it stands when the list's set shares no node with ``used`` (the nodes kept
-or picked so far), else the list filtered, which leaves the same pool; an
-empty pool is a dead end, and otherwise it picks
-``pool[rng.integers(len(pool))]`` and adds the pick to ``used``.
-``position_update`` runs it over the velocity-0 components, with the kept
-nodes already in ``used``, and falls back to ``random_injective`` at a
-dead end.  ``sample_injective`` runs it over every component from an empty
-``used`` and returns None at a dead end; ``random_injective`` (each initial
-particle not seeded by the priority mapping) and the random baseline draw
-through it.  ``swarm_search`` builds the candidate sets once, next to the
-lists, so the swarm's test is one set against another;
-``sample_injective`` tests against the lists themselves.
+component it draws, in ascending order, its pool is the candidate list less
+``used`` (the nodes kept or picked so far): an empty pool is a dead end, and
+otherwise it picks ``pool[rng.integers(len(pool))]`` and adds the pick to
+``used``.  The pool is never built.  Each list has a map from its nodes to
+their indices (``index_maps``; a list holds distinct nodes), so the used
+nodes in list k are a few indices, the hits.  The loop draws ``j`` below the
+list's length less the hits and steps ``j`` past each hit index ``<= j`` in
+ascending order, which lands on the j-th node of the filtered list: the same
+pick from the same one ``integers`` call.  ``position_update`` runs it over
+the velocity-0 components, with the kept nodes already in ``used``, and
+falls back to ``random_injective`` at a dead end.  ``sample_injective`` runs
+it over every component from an empty ``used`` and returns None at a dead
+end; ``random_injective`` (each initial particle not seeded by the priority
+mapping) and the random baseline draw through it.  ``swarm_search`` builds
+the maps once per search and ``baselines.random_embed`` once per request.
 
 Two proofs speak about all positions at once, and either makes the plan's
 bound INFEASIBLE, so that the search raises ``EmbeddingInfeasible`` before
@@ -144,7 +147,13 @@ Three exact shortcuts skip swarm work that cannot change the result.
   least the pbest of that time.  pbest is at most that cost and gbest at
   most every pbest, so neither best moves.  The particle takes the new
   velocity, and its position update, evaluation and best checks are
-  skipped.
+  skipped.  Both this and the held particle give the velocity as the
+  search's one shared all-ones list, so the O(1) form needs no update at
+  all: when ``omega + 0.5 >= 1.0`` (entry 4 of ``velocity_table``, the same
+  expression) and the particle's velocity is that list, every component
+  indexes entry 4, 5, 6 or 7, which add non-negative terms to ``omega``, so
+  the update would give all ones again.  The particle is skipped without
+  calling ``velocity_update``.  The held test comes first.
 
 The search draws through a ``seeding.Draws`` stream, which gives the values
 numpy's ``Generator`` would for the same calls, so the draw order alone
@@ -152,9 +161,9 @@ fixes the result: per particle, the initial position's draws (none for a
 particle seeded by the priority mapping), then one ``integers(2)`` per
 component for its velocity; per (iteration, particle), ``r1``, then ``r2``,
 then one ``integers`` per re-drawn component in ascending order.  A
-short-circuited particle and an all-ones update still draw ``r1`` and
-``r2`` and re-draw nothing, and a search that stops at the bound draws
-nothing more.  Particles
+short-circuited particle and an all-ones update, computed or not, still
+draw ``r1`` and ``r2`` and re-draw nothing, and a search that stops at the
+bound draws nothing more.  Particles
 cannot be vectorised, since gbest moves between particles within an
 iteration.  The operators take any sampler with ``random()`` and
 ``integers(n)``, a numpy ``Generator`` included.
@@ -245,33 +254,49 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
 
+def index_maps(candidate_lists: list[list[int]]) -> list[dict[int, int]]:
+    """Per candidate list, each node's index in it; the lists hold distinct
+    nodes."""
+    return [{c: i for i, c in enumerate(cands)} for cands in candidate_lists]
+
+
 def draw_injective(out: list[int], keep: list[int], candidate_lists: list[list[int]],
-                   candidate_sets, used: set[int], rng) -> list[int] | None:
+                   maps: list[dict[int, int]], used: set[int], rng) -> list[int] | None:
     """The one exclude-and-draw loop: re-draw each component k of ``out``
     whose ``keep[k]`` is 0, in ascending order, from candidate list k less
     ``used``; ``out``, or None at a dead end (an empty pool).
 
-    The pool is the list as it stands when ``used`` shares no node with
-    ``candidate_sets[k]`` (any collection of list k's nodes), else the list
-    filtered: both pools are equal, so only the filter's cost differs.  Each
-    pick is ``pool[rng.integers(len(pool))]`` and joins ``used``.
+    The pool is never built: ``maps[k]`` gives each node's index in list k,
+    so the used nodes in the list are a few indices, the hits.  The draw
+    ``j = rng.integers(len(list) - len(hit))``, stepped past each hit index
+    ``<= j`` in ascending order, is the index in list k of the j-th node of
+    the filtered list: the pick ``pool[rng.integers(len(pool))]`` of the
+    filtered pool, from the same one call.  The pick joins ``used``.
     """
     for k, v in enumerate(keep):
         if v:
             continue
-        pool = candidate_lists[k]
-        if not used.isdisjoint(candidate_sets[k]):
-            pool = [c for c in pool if c not in used]
-        if not pool:
+        cands = candidate_lists[k]
+        at = maps[k]
+        hit = [at[c] for c in used if c in at]
+        free = len(cands) - len(hit)
+        if not free:
             return None
-        pick = pool[rng.integers(len(pool))]
+        j = rng.integers(free)
+        if hit:
+            hit.sort()
+            for h in hit:
+                if h > j:
+                    break
+                j += 1
+        pick = cands[j]
         out[k] = pick
         used.add(pick)
     return out
 
 
 def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
-                    candidate_sets: list[set[int]], rng) -> list[int]:
+                    maps: list[dict[int, int]], rng) -> list[int]:
     """Keep components with velocity 1; re-draw the rest injectively.
 
     ``draw_injective`` re-draws them with every kept node already used.  A
@@ -284,19 +309,21 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
     if len(v_new) != len(position):
         raise LengthMismatch(f"velocity of length {len(v_new)} for position of "
                              f"length {len(position)}")
-    out = draw_injective(list(position), v_new, candidate_lists, candidate_sets,
+    out = draw_injective(list(position), v_new, candidate_lists, maps,
                          set(compress(position, v_new)), rng)
-    return random_injective(candidate_lists, rng) if out is None else out
+    return random_injective(candidate_lists, maps, rng) if out is None else out
 
 
-def sample_injective(candidate_lists: list[list[int]], rng) -> list[int] | None:
+def sample_injective(candidate_lists: list[list[int]], maps: list[dict[int, int]],
+                     rng) -> list[int] | None:
     """One pass of uniform draws, one pick per candidate list in order, each
     excluding the earlier picks; None as soon as some pool empties."""
     n = len(candidate_lists)
-    return draw_injective([0] * n, [0] * n, candidate_lists, candidate_lists, set(), rng)
+    return draw_injective([0] * n, [0] * n, candidate_lists, maps, set(), rng)
 
 
-def random_injective(candidate_lists: list[list[int]], rng) -> list[int]:
+def random_injective(candidate_lists: list[list[int]], maps: list[dict[int, int]],
+                     rng) -> list[int]:
     """Uniform injective sample, one pick per candidate list.
 
     Rejection-samples dead ends; after RANDOM_INJECTIVE_TRIES passes it falls
@@ -304,7 +331,7 @@ def random_injective(candidate_lists: list[list[int]], rng) -> list[int]:
     injective assignment exists at all.
     """
     for _ in range(RANDOM_INJECTIVE_TRIES):
-        out = sample_injective(candidate_lists, rng)
+        out = sample_injective(candidate_lists, maps, rng)
         if out is not None:
             return out
     matched = injective_assignment(candidate_lists)
@@ -525,14 +552,19 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
 def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
     """``cpu_total`` plus each virtual link's demand times the topology hop
-    distance between its hosts, read from the hop-distance table;
-    INFEASIBLE when the topology does not join some link's hosts or they
-    coincide, since then no route joins them."""
+    distance between its hosts, read from the rows of the hop-distance
+    table (``hop_distances`` only fills a missing row); INFEASIBLE when the
+    topology does not join some link's hosts or they coincide, since then no
+    route joins them."""
     net = plan.net
+    rows = net.hop_dist
     total = plan.cpu_total
     for iu, iv, bw in plan.links:
+        # A row always holds its destination, so only a missing row is empty.
+        dst = position[iv]
+        row = rows.get(dst) or hop_distances(dst, net)
         # None: the topology does not join the hosts; 0: they coincide.
-        hops = hop_distances(position[iv], net).get(position[iu])
+        hops = row.get(position[iu])
         if not hops:
             return INFEASIBLE
         total += bw * hops
@@ -585,8 +617,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     Particle 0 is seeded from the deterministic priority mapping when that is
     feasible; the rest start as uniform injective samples.  The search stops
     before any iteration that finds gbest at the plan's bound, skips the
-    update of a particle held on its pbest or whose new velocity is all
-    ones, and passes each evaluation the particle's pbest as the cutoff;
+    update of a particle held on its pbest, whose all-ones velocity stays
+    all ones, or whose new velocity is all ones, and passes each evaluation
+    the particle's pbest as the cutoff;
     all of these leave every result and every draw that reaches one
     unchanged (module docstring).  Raises
     EmbeddingInfeasible when some virtual node has no candidate at all, no
@@ -603,7 +636,10 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible(f"request {vnr.id}: no placement its candidate lists allow "
                                   f"can carry its virtual links' demand in residual")
     vnode_order = plan.vnode_order
-    candidate_sets = [set(c) for c in candidate_lists]
+    maps = index_maps(candidate_lists)
+    # The one all-ones velocity of the search: a particle holds it exactly
+    # when a short-circuit or an all-ones update gave it.
+    ones = [1] * len(vnode_order)
 
     draws = draws_from(cfg.seed)
     try:
@@ -617,7 +653,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         if i == 0 and seeded is not None:
             position = seeded
         else:
-            position = random_injective(candidate_lists, draws)
+            position = random_injective(candidate_lists, maps, draws)
         velocity = [draws.integers(2) for _ in position]
         f = fitness(position, plan)
         particles.append(Particle(position, velocity, position, f))
@@ -632,19 +668,24 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
             history.extend([gbest_fitness] * (PsoConfig.iterations - it))
             break
         omega = _inertia(it)
+        # Entry 4 of velocity_table: when it is 1, all ones stay all ones.
+        ones_stay = omega + 0.5 >= 1.0
         for p in particles:
             r1 = draws.random()
             r2 = draws.random()
             if r1 * PsoConfig.c1 + 0.5 >= 1.0 and p.position == p.pbest_position:
                 # Every velocity bit is 1: the particle stays on its pbest.
-                p.velocity = [1] * len(p.position)
+                p.velocity = ones
+                continue
+            if ones_stay and p.velocity is ones:
+                # The update would give all ones again and keep the position.
                 continue
             v_new = velocity_update(p, gbest_position, omega, r1, r2)
             if 0 not in v_new:
                 # The update keeps the position, whose fitness was seen.
-                p.velocity = v_new
+                p.velocity = ones
                 continue
-            x_new = position_update(p, v_new, candidate_lists, candidate_sets, draws)
+            x_new = position_update(p, v_new, candidate_lists, maps, draws)
             f = fitness(x_new, plan, p.pbest_fitness)
             p.velocity = v_new
             p.position = x_new

@@ -84,6 +84,21 @@ def neighbours(net):
     return {nid: sorted(nbrs) for nid, nbrs in out.items()}
 
 
+def hop_distances_brute(net, dst):
+    """Hop count to dst from every node that reaches it, by one plain
+    breadth-first search over ``neighbours``."""
+    adj = neighbours(net)
+    dist = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        cur = queue.popleft()
+        for nbr in adj[cur]:
+            if nbr not in dist:
+                dist[nbr] = dist[cur] + 1
+                queue.append(nbr)
+    return dist
+
+
 def boundary_hops_brute(net):
     """Per-node boundary distance via one full BFS per node."""
     boundary = net.boundary_nodes()

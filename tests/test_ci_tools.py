@@ -6,6 +6,7 @@ tests are exactly acceptance criteria 5 and 6; ``.github/code_lines.py``
 counts the lines of a file that hold code.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,22 @@ def test_known_failures_passes_exactly_criteria_5_and_6(tmp_path, cases, code):
     else:
         assert "only the known failures" in proc.stdout
     assert ("holds no test case" in proc.stdout) == (not cases)
+
+
+def test_known_failures_rejects_an_empty_report_with_no_known_failure(tmp_path, monkeypatch):
+    """With ``KNOWN`` emptied, no known failure passing is left to fail an
+    empty report: only the script's own check that the report holds a test
+    case does."""
+    spec = importlib.util.spec_from_file_location("known_failures",
+                                                  ROOT / ".github" / "known_failures.py")
+    known_failures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(known_failures)
+    monkeypatch.setattr(known_failures, "KNOWN", set())
+    report = tmp_path / "tier1.xml"
+    report.write_text(junit())
+    assert known_failures.main(str(report)) == 1
+    report.write_text(junit(PASSED))
+    assert known_failures.main(str(report)) == 0
 
 
 def test_known_failures_names_the_new_and_the_fixed_test(tmp_path):

@@ -1,10 +1,16 @@
 """End-to-end CLI coverage on a miniature instance (2 domains, 12 nodes)."""
 
 import argparse
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secvne
 from secvne.cli import build_parser, main
 
 from conftest import SPLIT_DOMAIN_SUBSTRATE
@@ -663,3 +669,58 @@ def test_run_places_a_long_chain_request(tmp_path, capsys, strategy):
     if strategy == "stec-iot":
         records = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         assert [r["outcome"] for r in records if r["kind"] == "arrival"] == ["accepted"]
+
+
+# A locale whose encoding is ASCII: no UTF-8 mode, no coercion of the C
+# locale to a UTF-8 one.
+C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def run_in_c_locale(*args) -> subprocess.CompletedProcess:
+    """``python *args`` under the C locale, importing this checkout's
+    secvne."""
+    src = str(Path(secvne.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, **C_LOCALE, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+
+
+def digests(out, names):
+    return [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+
+
+def test_c_locale_encodes_in_ascii():
+    """The locale of the tests below is not UTF-8, so they test the files'
+    own encoding."""
+    proc = run_in_c_locale("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert proc.returncode == 0, proc.stderr
+    assert "utf" not in proc.stdout.lower().replace("-", ""), proc.stdout
+
+
+def test_generate_in_the_c_locale_writes_the_same_bytes(tmp_path, mini_config, generated):
+    out = tmp_path / "c-locale"
+    proc = run_in_c_locale("-m", "secvne", "generate", "--config", str(mini_config),
+                           "--horizon", "1200", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    names = ("substrate.json", "workload.jsonl", "config.json")
+    assert digests(out, names) == digests(generated, names)
+
+
+@pytest.mark.parametrize("strategy", ["stec-iot", "greedy"])
+def test_run_in_the_c_locale_writes_the_same_bytes(tmp_path, generated, strategy):
+    """A workload that holds a raw non-ASCII character (U+2028 in a key the
+    loader ignores) runs under the C locale as it runs here."""
+    lines = (generated / "workload.jsonl").read_text(encoding="utf-8").split("\n")
+    doc = json.loads(lines[1])
+    doc["note"] = "a\u2028b"
+    lines[1] = json.dumps(doc, ensure_ascii=False)
+    workload = tmp_path / "noted.jsonl"
+    workload.write_text("\n".join(lines), encoding="utf-8")
+    args = ["run", "--substrate", str(generated / "substrate.json"), "--workload",
+            str(workload), "--strategy", strategy, "--window", "200"]
+    assert main([*args, "--out", str(tmp_path / "here")]) == 0
+    proc = run_in_c_locale("-m", "secvne", *args, "--out", str(tmp_path / "c-locale"))
+    assert proc.returncode == 0, proc.stderr
+    names = ("trace.jsonl", "windows.csv", "cumulative.csv")
+    assert digests(tmp_path / "c-locale", names) == digests(tmp_path / "here", names)

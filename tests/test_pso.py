@@ -37,10 +37,11 @@ from secvne.validation import validate_embedding
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (best_fitness_brute, cut_residual_brute, domain_cut_short,
-                     embeddable_brute, enumerate_assignments, matching_brute,
-                     position_subtract, request_cut_brute, rng_from, route_all_brute,
-                     sample_injective_brute, scalar_velocity_bit, scalar_velocity_update,
-                     swarm_reference, unjoined_hosts)
+                     embeddable_brute, enumerate_assignments, hop_distances_brute,
+                     matching_brute, position_subtract, random_injective_brute,
+                     request_cut_brute, rng_from, route_all_brute, sample_injective_brute,
+                     scalar_velocity_bit, scalar_velocity_update, swarm_reference,
+                     unjoined_hosts)
 
 BITS = [(v, pb, gb) for v in (0, 1) for pb in (0, 1) for gb in (0, 1)]
 
@@ -79,8 +80,9 @@ def routed_cost(position, plan, cutoff=INFEASIBLE):
     return float(plan.vnr.cpu_total + bw_cost)
 
 
-def sets_of(candidate_lists):
-    return [set(c) for c in candidate_lists]
+def maps_of(candidate_lists):
+    """Each list's {node: index in the list}, as ``index_maps`` builds it."""
+    return [{c: i for i, c in enumerate(cands)} for cands in candidate_lists]
 
 
 def particle_at(position, velocity=None, pbest=None):
@@ -125,13 +127,13 @@ class TestOperators:
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
         cands = [[3, 9], [4, 9]]
-        assert position_update(p, [1, 1], cands, sets_of(cands), rng) == [3, 4]
+        assert position_update(p, [1, 1], cands, maps_of(cands), rng) == [3, 4]
 
     def test_position_update_all_zeros_is_fresh_injective_sample(self):
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
         cands = [[3, 9], [4, 9]]
-        out = position_update(p, [0, 0], cands, sets_of(cands), rng)
+        out = position_update(p, [0, 0], cands, maps_of(cands), rng)
         assert out[0] in cands[0] and out[1] in cands[1]
         assert out[0] != out[1]
 
@@ -141,7 +143,7 @@ class TestOperators:
         p = particle_at([5, 6])
         cands = [[5], [5, 6, 7]]
         for _ in range(20):
-            out = position_update(p, [1, 0], cands, sets_of(cands), rng)
+            out = position_update(p, [1, 0], cands, maps_of(cands), rng)
             assert out[0] == 5
             assert out[1] in (6, 7)
 
@@ -150,7 +152,7 @@ class TestOperators:
         p = particle_at([5, 6])
         # component 1 keeps 6? no: velocity 0 on both, candidates force collision
         cands = [[5, 6], [5, 6]]
-        out = position_update(p, [0, 0], cands, sets_of(cands), rng)
+        out = position_update(p, [0, 0], cands, maps_of(cands), rng)
         assert sorted(out) == [5, 6]
 
     def test_position_update_leaves_the_particles_lists_as_they_were(self, monkeypatch):
@@ -162,9 +164,9 @@ class TestOperators:
         dead_ends = []
         plain = pso.random_injective
 
-        def random_injective(candidate_lists, rng):
+        def random_injective(candidate_lists, maps, rng):
             dead_ends.append(candidate_lists)
-            return plain(candidate_lists, rng)
+            return plain(candidate_lists, maps, rng)
 
         monkeypatch.setattr(pso, "random_injective", random_injective)
         # Keeping node 5 leaves component 2 only node 7, which component 1
@@ -176,7 +178,7 @@ class TestOperators:
             for v_new in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 0]):
                 p = particle_at([5, 6, 7], velocity=[1, 1, 0], pbest=[6, 7, 5])
                 position, pbest = list(p.position), list(p.pbest_position)
-                out = position_update(p, v_new, cands, sets_of(cands), draws)
+                out = position_update(p, v_new, cands, maps_of(cands), draws)
                 calls += 1
                 assert (p.position, p.pbest_position) == (position, pbest)
                 assert out is not p.position and out is not p.pbest_position
@@ -186,7 +188,7 @@ class TestOperators:
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(LengthMismatch):
-            position_update(particle_at([1]), [0, 1], [[1]], [{1}], rng)
+            position_update(particle_at([1]), [0, 1], [[1]], [{1: 0}], rng)
         with pytest.raises(LengthMismatch):
             velocity_update(particle_at([1]), [1, 2], 0.5, 0.5, 0.5)
 
@@ -260,21 +262,22 @@ class TestInjectiveSampling:
 
     def test_random_injective_respects_candidates(self):
         rng = np.random.default_rng(3)
+        cands = [[1, 2], [2, 3], [1, 3]]
         for _ in range(50):
-            out = random_injective([[1, 2], [2, 3], [1, 3]], rng)
+            out = random_injective(cands, maps_of(cands), rng)
             assert len(set(out)) == 3
-            for k, pool in enumerate([[1, 2], [2, 3], [1, 3]]):
+            for k, pool in enumerate(cands):
                 assert out[k] in pool
 
     def test_random_injective_impossible_raises(self):
         rng = np.random.default_rng(4)
         with pytest.raises(EmbeddingInfeasible):
-            random_injective([[1], [1]], rng)
+            random_injective([[1], [1]], maps_of([[1], [1]]), rng)
 
     def test_sample_injective_returns_none_when_a_pool_empties(self):
         rng = np.random.default_rng(5)
-        assert sample_injective([[1], [1, 2], [2]], rng) is None
-        assert sample_injective([[1], [1, 2]], rng) == [1, 2]
+        assert sample_injective([[1], [1, 2], [2]], maps_of([[1], [1, 2], [2]]), rng) is None
+        assert sample_injective([[1], [1, 2]], maps_of([[1], [1, 2]]), rng) == [1, 2]
 
     def test_sample_injective_draws_what_one_reference_pass_draws(self):
         """Draw for draw, on a twin stream, the pass of the plain reference,
@@ -285,7 +288,7 @@ class TestInjectiveSampling:
             n = rnd.randint(1, 7)
             cands = [sorted(rnd.sample(range(10), rnd.randint(1, 5))) for _ in range(n)]
             fast, plain = draws_from(seed), rng_from(seed)
-            out = sample_injective(cands, fast)
+            out = sample_injective(cands, maps_of(cands), fast)
             assert out == sample_injective_brute(cands, plain)
             assert fast.random() == plain.random()
             outcomes[out is None] += 1
@@ -358,8 +361,11 @@ class TestEvaluationPlan:
         assert min(seen.values()) > 20, seen
 
     def test_position_update_draws_the_filtered_pools(self):
-        """Taking an untouched candidate list as the pool leaves the pool, and
-        so every draw, the filtering update would give."""
+        """Draw for draw, on twin streams, ``position_update`` and
+        ``sample_injective`` pick what picking from each candidate list
+        filtered of the used nodes picks, on lists in no particular order,
+        dead ends included (the update's full re-draw, the sample's None),
+        and both streams end at the same point."""
         def filtered_update(p, v_new, candidate_lists, rng):
             used = {x for x, v in zip(p.position, v_new) if v == 1}
             out = list(p.position)
@@ -368,23 +374,30 @@ class TestEvaluationPlan:
                     continue
                 pool = [c for c in candidate_lists[k] if c not in used]
                 if not pool:
-                    return random_injective(candidate_lists, rng)
+                    dead_ends["update"] += 1
+                    return random_injective_brute(candidate_lists, rng)
                 out[k] = pool[int(rng.integers(len(pool)))]
                 used.add(out[k])
             return out
 
         rnd = random.Random(3)
+        dead_ends = {"update": 0, "sample": 0}
         for seed in range(300):
             n = rnd.randint(1, 6)
-            cands = [rnd.sample(range(12), rnd.randint(1, 6)) for _ in range(n)]
+            cands = [rnd.sample(range(8), rnd.randint(1, 6)) for _ in range(n)]
             position = injective_assignment(cands)
             if position is None:
                 continue
             v_new = [rnd.randrange(2) for _ in range(n)]
             fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = position_update(particle_at(position), v_new, cands, sets_of(cands), fast)
+            out = position_update(particle_at(position), v_new, cands, maps_of(cands), fast)
             assert out == filtered_update(particle_at(position), v_new, cands, plain)
             assert fast.random() == plain.random()
+            sample = sample_injective(cands, maps_of(cands), fast)
+            assert sample == sample_injective_brute(cands, plain)
+            assert fast.random() == plain.random()
+            dead_ends["sample"] += sample is None
+        assert min(dead_ends.values()) > 10, dead_ends
 
 
 class TestBandwidthSlack:
@@ -409,6 +422,31 @@ class TestBandwidthSlack:
                 checked += routed != math.inf
             assert not fast_net.min_hop_paths
         assert checked > 100
+
+    def test_hop_sum_fills_the_rows_it_reads(self):
+        """On a fresh copy, whose table is empty, ``hop_sum`` fills each row
+        it reads, and gives what it gives over a filled table and what plain
+        breadth-first distances give: INFEASIBLE when some link's hosts are
+        not joined (the substrate has two parts) or coincide."""
+        vnr = four_node_vnr()
+        filled = scattered_net()
+        for dst in filled.nodes:
+            routing.hop_distances(dst, filled)
+        fresh = filled.copy()
+        assert fresh.hop_dist == {}
+        fresh_plan, filled_plan = plan_for(vnr, fresh), plan_for(vnr, filled)
+        brute = {dst: hop_distances_brute(filled, dst) for dst in filled.nodes}
+        seen = {True: 0, False: 0}
+        for nodes in itertools.permutations(sorted(filled.nodes), 4):
+            hops = [brute[nodes[iv]].get(nodes[iu]) for iu, iv, _ in filled_plan.links]
+            expected = (INFEASIBLE if not all(hops) else
+                        float(vnr.cpu_total + sum(bw * h for (_, _, bw), h
+                                                  in zip(filled_plan.links, hops))))
+            cost = pso.hop_sum(list(nodes), fresh_plan)
+            assert cost == pso.hop_sum(list(nodes), filled_plan) == expected
+            seen[cost == INFEASIBLE] += 1
+        assert fresh.hop_dist == brute
+        assert min(seen.values()) > 500, seen
 
     def test_unjoined_or_shared_hosts_are_infeasible(self):
         net = make_substrate(
@@ -1032,11 +1070,12 @@ class TestReferenceSwarm:
         """The search returns the plain swarm's position, fitness and whole
         gbest history, and raises exactly when that swarm has no candidate,
         no injective assignment or no routable position.  The set holds
-        searches stopped at the bound, skipped particle updates, skipped
-        all-ones updates, and positions settled by a domain cut or by the
-        pbest cutoff without routing."""
+        searches stopped at the bound, particles held on their pbest,
+        all-ones velocities kept without an update, all-ones updates, and
+        positions settled by a domain cut or by the pbest cutoff without
+        routing."""
         # One _inertia call per iteration that runs, one velocity_update
-        # call per particle update that is not short-circuited.
+        # call per particle update that is not skipped.
         iterations = count_calls(monkeypatch, pso, "_inertia")
         updates = count_calls(monkeypatch, pso, "velocity_update")
         moves = []
@@ -1047,15 +1086,27 @@ class TestReferenceSwarm:
             return plain_update(p, v_new, *rest)
 
         monkeypatch.setattr(pso, "position_update", position_update)
+        # A velocity is set after construction by a held particle, an
+        # all-ones update and a move, and by nothing else.
+        velocity_sets = []
+
+        class CountingParticle(pso.Particle):
+            def __setattr__(self, name, value):
+                if name == "velocity" and "pbest_fitness" in self.__dict__:
+                    velocity_sets.append(value)
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(pso, "Particle", CountingParticle)
         proofs = count_proofs(monkeypatch)
         seen = {"slack": 0, "binding": 0, "bound": 0, "no host": 0}
-        stopped = skipped = all_ones = 0
+        stopped = held = kept = all_ones = 0
         for net, vnr in small_requests():
             cfg = PsoConfig(seed=vnr.id)
             expected = swarm_reference(vnr, net, cfg)
             iterations.clear()
             updates.clear()
             moves.clear()
+            velocity_sets.clear()
             try:
                 result = swarm_search(vnr, net, cfg)
             except EmbeddingInfeasible:
@@ -1065,11 +1116,13 @@ class TestReferenceSwarm:
             assert (result.position, result.fitness, result.gbest_history) == expected
             seen["slack" if has_bw_slack(vnr, net) else "binding"] += 1
             stopped += len(iterations) < PsoConfig.iterations
-            skipped += PsoConfig.particle_count * len(iterations) - len(updates)
+            held += len(velocity_sets) - len(updates)
+            kept += PsoConfig.particle_count * len(iterations) - len(velocity_sets)
             all_ones += len(updates) - len(moves)
             assert all(0 in v_new for v_new in moves)
+            assert sum(0 not in v for v in velocity_sets) == len(velocity_sets) - len(moves)
         assert min(seen.values()) > 0, seen
-        assert stopped > 0 and skipped > 0 and all_ones > 0
+        assert stopped > 0 and held > 0 and kept > 0 and all_ones > 0, (held, kept, all_ones)
         assert min(proofs.values()) > 0, proofs
 
     def test_paper_scale_bandwidth_bound_run_matches_routed_fitness(self, monkeypatch):
