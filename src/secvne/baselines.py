@@ -33,7 +33,10 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
         best = max(cands, key=lambda sid: net.nodes[sid].cpu_residual)
         assignment[v.id] = best
         used.add(best)
-    return build_embedding(vnr, assignment, net)
+    try:
+        return build_embedding(vnr, assignment, net)
+    except LinkMappingInfeasible as exc:
+        raise LinkMappingInfeasible(f"request {vnr.id}: greedy: {exc}") from exc
 
 
 def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -> Embedding:

@@ -215,7 +215,10 @@ def _read_request(doc: dict) -> VirtualNetworkRequest:
 
 def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # newline="" keeps a raw "\r", which JSON allows as whitespace,
+        # inside its line: only "\n" ends a line below.
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read workload file {path}: {exc}") from exc
     if not text:
@@ -234,7 +237,9 @@ def load_workload(path) -> tuple[list[VirtualNetworkRequest], float]:
     vnrs = []
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        # Blank means JSON whitespace alone; any other character goes to the
+        # parser, which names the line if it is not JSON.
+        if not line.strip(" \t\r"):
             continue
         try:
             vnr = _read_request(json.loads(line))

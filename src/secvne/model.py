@@ -18,7 +18,10 @@ adjacency is ``SubstrateNetwork.adj_masks``, built from the links.
 then masks it down to one domain, in one pass per domain that checks the
 domain is connected and has a boundary node and then measures the boundary
 distances; ``secvne.routing.usable_masks``, the one mask builder, masks it
-down to the links with enough residual.
+down to the links with enough residual.  ``SubstrateNetwork.mask_store``
+keeps those masks per demand, and ``allocate`` and ``release``, the only
+writers of a residual, flip the bits of each link whose residual crosses a
+stored demand, so the store stays equal to a fresh build.
 """
 
 from __future__ import annotations
@@ -221,6 +224,8 @@ class SubstrateNetwork:
     Only residuals change after construction: the node set, the links and
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the path table and ``candidate_index`` all rely on.
+    Residuals change only in ``allocate`` and ``release``, which keep
+    ``mask_store`` current.
     """
 
     def __init__(self, domain_count: int, nodes, links):
@@ -276,6 +281,11 @@ class SubstrateNetwork:
         # domain and both security tests, filled lazily by
         # secvne.node_mapping.candidate_nodes.
         self.candidate_index: dict[tuple[frozenset[int], int, int], list[SubstrateNode]] = {}
+        # Per demand d, every node's usable mask at d by rank: its
+        # neighbours over links with residual >= d.  Filled by
+        # secvne.routing.stored_masks and kept current by allocate and
+        # release, the only writers of a residual.
+        self.mask_store: dict[int, list[int]] = {}
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -347,6 +357,23 @@ def _embedding_deltas(emb: Embedding):
     return cpu, bw
 
 
+def _flip_crossed(net: SubstrateNetwork, bw: dict[LinkKey, int], released: bool) -> None:
+    """Keep the mask store current after each link k of ``bw`` had its
+    residual moved by ``bw[k]``, down by allocate or up by release: in the
+    masks of every stored demand d that the move crossed, one side >= d and
+    the other below it, flip both end bits of the link."""
+    store = net.mask_store
+    links, rank = net.links, net.rank
+    for k, amount in bw.items():
+        low = links[k].bw_residual - (amount if released else 0)
+        high = low + amount
+        for d, masks in store.items():
+            if high >= d > low:
+                a, b = rank[k[0]], rank[k[1]]
+                masks[a] ^= 1 << b
+                masks[b] ^= 1 << a
+
+
 def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     """Debit the embedding's demands from the substrate residuals.
 
@@ -368,6 +395,8 @@ def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
         net.nodes[sid].cpu_residual -= amount
     for k, amount in bw.items():
         net.links[k].bw_residual -= amount
+    if net.mask_store:
+        _flip_crossed(net, bw, False)
     net.active[emb.vnr.id] = emb
     return net
 
@@ -389,5 +418,7 @@ def release(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
         net.nodes[sid].cpu_residual += amount
     for k, amount in bw.items():
         net.links[k].bw_residual += amount
+    if net.mask_store:
+        _flip_crossed(net, bw, True)
     del net.active[emb.vnr.id]
     return net

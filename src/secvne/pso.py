@@ -29,8 +29,8 @@ pbest/gbest only move on strict improvement, which makes the gbest series
 non-increasing by construction.
 
 A search never changes residuals, so ``evaluation_plan`` tests once per
-search whether the request's total bandwidth demand is at most the smallest
-residual of any substrate link.  If so, bandwidth cannot bind: every path
+search whether the request's total bandwidth demand is at most every
+substrate link's residual.  If so, bandwidth cannot bind: every path
 ``route_all_links`` picks is simple, so when it routes a virtual link the
 debits on any substrate link come from other virtual links and total at
 most the request's demand minus this link's, and every table path stays
@@ -42,9 +42,10 @@ every node that reaches it.  ``hop_sum`` reads its rows directly and calls
 ``routing.hop_distances``, one breadth-first search, only to fill a row the
 first time its destination is asked for.
 
-Otherwise ``evaluation_plan`` builds, once per search, each substrate
-node's usable mask at every distinct demand d of the request, which holds
-its neighbours over links with residual >= d (``routing.usable_masks``).
+Otherwise ``evaluation_plan`` makes sure, once per search, that the
+substrate's mask store holds each node's usable mask at every distinct
+demand d of the request, its neighbours over links with residual >= d
+(``routing.stored_masks``, which builds only the demands the store lacks).
 It also sums, per domain, the residual of the inter-domain links that touch
 the domain, its cut (``SubstrateNetwork.inter_links`` lists those links
 once per substrate).  ``fitness`` then settles a position by the first of
@@ -63,21 +64,22 @@ three steps that applies, in this order:
    ``swarm_search`` passes the particle's pbest fitness as the cutoff, and
    pbest and gbest move only on strict improvement, so such a value moves
    neither, as the routed cost would not.
-3. Route.  ``route_all_links`` routes the position in full, with the
-   plan's masks, so that a breadth-first search reads them instead of
-   testing residuals link by link.
+3. Route.  ``route_all_links`` routes the position in full, and a
+   breadth-first search reads the stored masks instead of testing
+   residuals link by link.
 
 A finite hop sum at the cutoff is a bound, not a cost, and moves no best.
 ``optimize`` routes the winner as every strategy does, through
-``build_embedding``, which builds masks only if a table path falls short.
+``build_embedding``, which reads the store only if a table path falls
+short.
 
 Everything a search scores positions against is fixed per search, so
 ``evaluation_plan`` derives it once, and holds only what ``fitness`` and
 the bound stop read: the virtual-node order, ``cpu_total``, each virtual
 link as an (index of u, index of v, demand) triple in the request's routing
-order, the slack flag, the bound and, without slack, the usable masks and
-the domain cuts.  ``fitness`` indexes positions with the triples and builds
-the assignment dict only when it routes.
+order, the slack flag, the bound and, without slack, the domain cuts.
+``fitness`` indexes positions with the triples and builds the assignment
+dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
 component it draws, in ascending order, its pool is the candidate list less
@@ -102,12 +104,12 @@ the swarm runs instead of spending its evaluations on a certain INFEASIBLE.
 
 - The cost bound.  ``cost_bound`` is ``cpu_total`` plus, per virtual link
   of demand d, d times the hop count between the two candidate sets (one
-  multi-source ``bfs_levels``), at least 1: over the usable masks at d
-  without slack, over the whole topology under it.  A link's hosts are
-  distinct, and debits only shrink the usable subgraph, so no routed path
-  is shorter and no position costs less, in either regime.  When those
-  links join no pair of the candidate sets the bound is INFEASIBLE: no
-  position routes that link.
+  multi-source ``bfs_levels``), at least 1: over the stored usable masks
+  at d without slack, over the whole topology under it.  A link's hosts
+  are distinct, and debits only shrink the usable subgraph, so no routed
+  path is shorter and no position costs less, in either regime.  When
+  those links join no pair of the candidate sets the bound is INFEASIBLE:
+  no position routes that link.
 - The request's domain cut, tried without slack once the cost bound is
   finite (``cut_proves_infeasible``).  For a domain D and a demand t of the
   request, the virtual nodes whose candidates all lie in D are inside D in
@@ -179,7 +181,7 @@ from typing import ClassVar
 from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels
 from .node_mapping import candidate_nodes, map_nodes
-from .routing import build_embedding, hop_distances, route_all_links, usable_masks
+from .routing import build_embedding, hop_distances, route_all_links, stored_masks
 from .seeding import draws_from
 
 INFEASIBLE = math.inf
@@ -403,10 +405,8 @@ class EvaluationPlan:
     # (index of u, index of v, bw demand) per virtual link, in routing order
     links: list[tuple[int, int, int]]
     bw_slack: bool
-    # Without slack: the usable masks per demand (usable_masks) and, per
-    # domain, the summed residual of the inter-domain links that touch it;
-    # None under slack.
-    masks: dict[int, list[int]] | None
+    # Without slack, per domain, the summed residual of the inter-domain
+    # links that touch it; None under slack.
     cut: list[int] | None
     # No position costs less: the search stops once gbest meets it, and
     # INFEASIBLE (the cost bound's or the request's domain cut's) proves
@@ -420,8 +420,9 @@ def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
     """A lower bound on the fitness of every position drawn from the
     candidate lists: ``cpu_total`` plus, per virtual link of demand d, d
     times the hop count between the two candidate sets over the links with
-    residual >= d (``masks[d]``; the whole topology when ``masks`` is None),
-    at least 1; INFEASIBLE when those links join no pair of them.
+    residual >= d (``masks[d]``, as the mask store holds them; the whole
+    topology when ``masks`` is None), at least 1; INFEASIBLE when those
+    links join no pair of them.
 
     The hosts of a link are distinct, and debits only shrink the usable
     subgraph, so no routed path is shorter than this hop count and every
@@ -526,18 +527,19 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     per virtual node in ascending id order.
 
     Bandwidth slack holds when the request's total demand is at most every
-    substrate link's residual; only without it are the masks and domain
-    cuts built, the bound taken over the masks, and a finite bound
-    made INFEASIBLE when ``cut_proves_infeasible``.
+    substrate link's residual; only without it does the mask store get the
+    request's demands, are the domain cuts built and the bound taken over
+    the stored masks, and is a finite bound made INFEASIBLE when
+    ``cut_proves_infeasible``.
     """
     vnode_order = sorted(vnr.nodes)
     index = {vid: i for i, vid in enumerate(vnode_order)}
     links = [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
-    bw_slack = vnr.bw_total <= min((l.bw_residual for l in net.links.values()),
-                                   default=math.inf)
+    bw_total = vnr.bw_total
+    bw_slack = all(l.bw_residual >= bw_total for l in net.links.values())
     masks = cut = None
     if not bw_slack:
-        masks = usable_masks([bw for _, _, bw in links], net)
+        masks = stored_masks([bw for _, _, bw in links], net)
         nodes = net.nodes
         cut = [0] * net.domain_count
         for l in net.inter_links:
@@ -546,8 +548,7 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     bound = cost_bound(links, vnr.cpu_total, candidate_lists, net, masks)
     if not bw_slack and bound < INFEASIBLE and cut_proves_infeasible(links, candidate_lists, net):
         bound = INFEASIBLE
-    return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, masks, cut,
-                          bound)
+    return EvaluationPlan(vnr, net, vnode_order, vnr.cpu_total, links, bw_slack, cut, bound)
 
 
 def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
@@ -598,8 +599,7 @@ def fitness(position: list[int], plan: EvaluationPlan,
         if total >= cutoff:
             return total
     try:
-        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net,
-                                     plan.masks)
+        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
     except LinkMappingInfeasible:
         return INFEASIBLE
     return float(plan.cpu_total + bw_cost)
@@ -709,6 +709,6 @@ def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) 
     """
     result = swarm_search(vnr, net, cfg)
     if result.fitness == INFEASIBLE:
-        raise EmbeddingInfeasible(f"no particle found a routable embedding for "
-                                  f"request {vnr.id}")
+        raise EmbeddingInfeasible(f"request {vnr.id}: no particle found a routable "
+                                  f"embedding")
     return build_embedding(vnr, result.assignment, net)

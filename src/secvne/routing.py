@@ -37,11 +37,16 @@ level below.  That bit is the neighbour with the smallest id among the
 neighbours one hop closer to dst, so both paths are the lexicographically
 smallest min-hop paths of their graphs.
 
-``usable_masks`` is the one mask builder: one bucketing pass gives the
-masks at every distinct demand of a request.  ``route_all_links`` calls it
-once, for the whole request, the first time a table path lacks bandwidth,
-unless its caller hands the masks in (the swarm hands in those of its
-search plan).
+``usable_masks`` is the one mask builder: one bucketing pass gives fresh
+masks at every distinct demand of a request.  The substrate keeps them per
+demand in its mask store (``SubstrateNetwork.mask_store``), which
+``model.allocate`` and ``model.release`` keep current, so a demand's masks
+are built once and then read until the store is emptied.
+``stored_masks`` is the store's one accessor: it builds a request's
+missing demands in one pass, after emptying the store when they would take
+it past ``MASK_STORE_LIMIT`` lists, so the store stays bounded whatever
+the demands.  ``route_all_links`` calls it the first time a table path
+lacks bandwidth, and a search plan without slack calls it once.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ from .model import (
     level_hops,
     link_key,
 )
+
+# The most demands the mask store holds, unless one request has more.
+MASK_STORE_LIMIT = 32
 
 
 def _descend(cur: int, levels: list[int], masks, node_ids: list[int]) -> tuple[int, ...]:
@@ -163,6 +171,24 @@ def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     return masks
 
 
+def stored_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
+    """The substrate's mask store, holding the usable masks at every demand
+    of ``demands``.
+
+    The missing demands are built in one ``usable_masks`` pass.  When they
+    would take the store past ``MASK_STORE_LIMIT`` lists, the store is
+    emptied first and every demand of ``demands`` is built.
+    """
+    store = net.mask_store
+    missing = set(demands).difference(store)
+    if missing:
+        if len(store) + len(missing) > MASK_STORE_LIMIT:
+            store.clear()
+            missing = set(demands)
+        store.update(usable_masks(missing, net))
+    return store
+
+
 def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
                    debits: dict) -> bool:
     links = net.links
@@ -175,22 +201,21 @@ def _path_feasible(path: tuple[int, ...], bw: int, net: SubstrateNetwork,
 
 
 def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
-                    net: SubstrateNetwork,
-                    masks: dict[int, list[int]] | None = None) -> tuple[dict, int]:
+                    net: SubstrateNetwork) -> tuple[dict, int]:
     """Route every virtual link, debiting residuals cumulatively: the path
     of each virtual link by key, and the total bandwidth-hop cost.
 
     Links are processed in the request's ``routing_order``: descending demand
     (ties by link key), so the largest flows claim scarce capacity first.
     Each takes its table path if that is still feasible, else a breadth-first
-    search over the usable masks of its demand: from ``masks`` when given
-    (``usable_masks`` of the request's demands), else from one
-    ``usable_masks`` call at the first such link.  Fails atomically: no
-    partial result escapes.
+    search over the usable masks of its demand, read from the mask store;
+    a demand the store lacks calls ``stored_masks`` for all of the
+    request's demands.  Fails atomically: no partial result escapes.
     """
     debits: dict = {}
     paths: dict = {}
     total = 0
+    store = net.mask_store
     for vlink in vnr.routing_order:
         src = assignment[vlink.u]
         dst = assignment[vlink.v]
@@ -199,8 +224,9 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
             raise LinkMappingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
         path = min_hop_path(src, dst, net)
         if not _path_feasible(path, bw, net, debits):
-            masks = masks or usable_masks([l.bw_demand for l in vnr.routing_order], net)
-            path = route_link(src, dst, bw, net, debits, masks[bw])
+            masks = store.get(bw) or stored_masks([l.bw_demand for l in vnr.routing_order],
+                                                  net)[bw]
+            path = route_link(src, dst, bw, net, debits, masks)
         for i in range(len(path) - 1):
             k = link_key(path[i], path[i + 1])
             debits[k] = debits.get(k, 0) + bw

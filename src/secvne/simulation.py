@@ -15,8 +15,9 @@ None for both.
 The independent validator shadows every acceptance - any violation it
 finds means the fast path and the re-checker disagree, which aborts the run
 as an internal error.  The audit recomputes all residuals from the
-active-embedding set every ``AUDIT_EVERY`` events and once at the end, and
-likewise aborts on drift.
+active-embedding set, and the substrate's mask store from the residuals,
+every ``AUDIT_EVERY`` events and once at the end, and likewise aborts on
+drift.
 
 ``compare`` is the steady-state experiment: every strategy, seeded with each
 seed, on a fresh copy of that seed's instance.
@@ -40,6 +41,7 @@ from .model import (
     release,
 )
 from .pso import PsoConfig, optimize
+from .routing import usable_masks
 from .seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, check_seed, derive_seed
 from .validation import validate_embedding
 
@@ -181,7 +183,8 @@ def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNet
 
 
 def audit_residuals(net: SubstrateNetwork) -> None:
-    """Recompute residuals from the active embeddings; abort on any drift."""
+    """Recompute residuals from the active embeddings, and the mask store
+    from the residuals; abort on any drift."""
     cpu_used: dict[int, int] = {}
     bw_used: dict[tuple[int, int], int] = {}
     for emb in net.active.values():
@@ -201,3 +204,5 @@ def audit_residuals(net: SubstrateNetwork) -> None:
         if link.bw_residual != expect:
             raise InternalConsistencyError(
                 f"link {k} residual {link.bw_residual}, expected {expect}")
+    if net.mask_store != usable_masks(net.mask_store, net):
+        raise InternalConsistencyError("the mask store differs from the residuals' masks")

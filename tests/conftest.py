@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from secvne import routing
 from secvne.generate import GeneratorConfig, generate_substrate
 from secvne.model import (
     SubstrateLink,
@@ -79,6 +80,22 @@ def contended_net(seed, node_count=8):
     for link in net.links.values():
         link.bw_residual = rnd.randint(0, link.bw_capacity)
     return net
+
+
+def count_mask_builds(monkeypatch):
+    """Wrap ``routing.usable_masks`` to record the demands of each build,
+    asserting that the substrate's mask store lacks every one of them."""
+    builds = []
+    plain = routing.usable_masks
+
+    def usable_masks(demands, net):
+        demands = set(demands)
+        assert not demands & net.mask_store.keys()
+        builds.append(demands)
+        return plain(demands, net)
+
+    monkeypatch.setattr(routing, "usable_masks", usable_masks)
+    return builds
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from secvne import routing
+from secvne import baselines, routing
 from secvne.baselines import greedy_embed, random_embed
 from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
@@ -11,7 +11,7 @@ from secvne.pso import PsoConfig, optimize, request_candidates
 from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr, scattered_net
+from conftest import count_mask_builds, make_substrate, make_vnr, scattered_net
 
 
 def test_single_candidate_matches_priority_mapping(toy_net):
@@ -122,34 +122,61 @@ def test_random_names_the_first_virtual_node_without_a_candidate(toy_net):
 
 @pytest.mark.parametrize("strategy", ["greedy", "random"])
 def test_routing_builds_masks_at_most_once_per_call(monkeypatch, strategy):
-    """On a bandwidth-bound stream a baseline's routing builds the usable
-    masks once per ``route_all_links`` call, at its first fallback search,
-    and never when every table path fits, however many links fall back."""
+    """On a bandwidth-bound stream a baseline's routing builds usable masks
+    at most once per ``route_all_links`` call, only when a link falls back
+    to a search, and only for demands missing from the substrate's mask
+    store.  Allocate and release keep the store current and the default
+    demands (1 to 10) stay under its limit, so no demand is built twice in
+    the whole run."""
     calls = []
-    masks_built, searches = [], []
-    plain_route_all = routing.route_all_links
-    plain_masks, plain_route_link = routing.usable_masks, routing.route_link
+    searches = []
+    builds = count_mask_builds(monkeypatch)
+    plain_route_all, plain_route_link = routing.route_all_links, routing.route_link
 
     def route_all_links(*args):
-        built, searched = len(masks_built), len(searches)
+        built, searched = len(builds), len(searches)
         try:
             return plain_route_all(*args)
         finally:
-            calls.append((len(searches) - searched, len(masks_built) - built))
-
-    def usable_masks(*args):
-        masks_built.append(args[0])
-        return plain_masks(*args)
+            calls.append((len(searches) - searched, len(builds) - built))
 
     def route_link(*args):
         searches.append(args[:3])
         return plain_route_link(*args)
 
     monkeypatch.setattr(routing, "route_all_links", route_all_links)
-    monkeypatch.setattr(routing, "usable_masks", usable_masks)
     monkeypatch.setattr(routing, "route_link", route_link)
     cfg = GeneratorConfig(seed=0, node_count=30, substrate_bw_range=(20, 60))
     run(generate_substrate(cfg), generate_vnr_stream(cfg, 1000.0), make_strategy(strategy),
         1000.0)
-    assert all(built == min(1, searched) for searched, built in calls)
+    assert all(built <= min(1, searched) for searched, built in calls)
     assert max(searched for searched, _ in calls) >= 2
+    built = [d for demands in builds for d in demands]
+    assert built and len(built) == len(set(built))
+
+
+def test_random_builds_each_demand_once_per_substrate(monkeypatch):
+    """On eight bandwidth-bound instances, where the random baseline
+    retries requests whose routing fails, each demand's masks are built
+    at most once per substrate: retries and later requests read the
+    store."""
+    builds = count_mask_builds(monkeypatch)
+    attempts = []
+    plain_build = baselines.build_embedding
+
+    def build_embedding(*args):
+        attempts.append(args[0].id)
+        return plain_build(*args)
+
+    monkeypatch.setattr(baselines, "build_embedding", build_embedding)
+    retries = 0
+    for seed in range(8):
+        builds.clear()
+        attempts.clear()
+        cfg = GeneratorConfig(seed=seed, substrate_bw_range=(20, 60))
+        run(generate_substrate(cfg), generate_vnr_stream(cfg, 1000.0),
+            make_strategy("random", seed=seed), 1000.0)
+        built = [d for demands in builds for d in demands]
+        assert built and len(built) == len(set(built))
+        retries += len(attempts) - len(set(attempts))
+    assert retries > 0

@@ -430,6 +430,45 @@ def test_workload_splits_lines_only_at_newline(tmp_path, generated, capsys, sepa
     assert f"{workload}, line 3:" in err and "Traceback" not in err
 
 
+def _run_workload_bytes(tmp_path, generated, data: bytes) -> int:
+    workload = tmp_path / "workload_bytes.jsonl"
+    workload.write_bytes(data)
+    return main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(workload), "--strategy", "greedy",
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("edit", ["cr-inside-line", "crlf-line-ends"])
+def test_workload_carriage_return_is_json_whitespace(tmp_path, generated, edit):
+    """A raw carriage return is JSON whitespace and does not end a line: a
+    request line holding one, or a file whose lines end in CRLF, runs as
+    the plain file does."""
+    plain = (generated / "workload.jsonl").read_bytes()
+    if edit == "cr-inside-line":
+        lines = plain.split(b"\n")
+        assert b', "lifetime"' in lines[1]
+        lines[1] = lines[1].replace(b', "lifetime"', b',\r"lifetime"')
+        data = b"\n".join(lines)
+    else:
+        data = plain.replace(b"\n", b"\r\n")
+    traces = []
+    for text in (plain, data):
+        assert _run_workload_bytes(tmp_path, generated, text) == 0
+        traces.append((tmp_path / "out" / "trace.jsonl").read_bytes())
+    assert traces[1] == traces[0]
+
+
+def test_workload_line_of_non_json_whitespace_is_infeasible(tmp_path, generated, capsys):
+    """A line holding only a form feed is not blank: JSON whitespace is
+    space, tab, carriage return and newline, so the parser rejects it and
+    the message names its line."""
+    lines = (generated / "workload.jsonl").read_bytes().split(b"\n")
+    lines.insert(3, b"\x0c")
+    assert _run_workload_bytes(tmp_path, generated, b"\n".join(lines)) == 2
+    err = capsys.readouterr().err
+    assert "workload_bytes.jsonl, line 4:" in err and "Traceback" not in err
+
+
 def test_empty_workload_is_infeasible(tmp_path, generated, capsys):
     workload = tmp_path / "empty.jsonl"
     workload.write_text("")

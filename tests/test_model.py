@@ -1,11 +1,14 @@
 """Substrate model: residual bookkeeping, boundary hops, embedding validator."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secvne
 from secvne.errors import DoubleRelease, InsufficientResources, NoBoundaryNode
 from secvne.model import (
     Embedding,
@@ -55,6 +58,46 @@ def test_allocate_release_roundtrip_is_identity(simple_case):
     allocate(net, emb)
     release(net, emb)
     assert state_signature(net) == before
+
+
+def residual_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing top-level function, or "" at module level, line) of each
+    assignment or augmented assignment to a ``bw_residual`` or
+    ``cpu_residual`` attribute in ``source``."""
+    writes = []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr in ("bw_residual", "cpu_residual"):
+                        writes.append((name, t.lineno))
+    return writes
+
+
+def test_only_allocate_and_release_write_residuals():
+    """The mask store is kept current by allocate and release alone, so no
+    other code of the library may write a residual: every assignment to a
+    ``bw_residual`` or ``cpu_residual`` attribute in ``src/secvne`` lies in
+    ``model.allocate`` or ``model.release``, and both write."""
+    package = Path(secvne.__file__).parent
+    writers = set()
+    for path in sorted(package.rglob("*.py")):
+        for function, line in residual_writes(path.read_text(encoding="utf-8")):
+            writers.add((path.name, function))
+            assert (path.name, function) in {("model.py", "allocate"), ("model.py", "release")}, (
+                f"{path.name}:{line} writes a residual outside allocate and release")
+    assert writers == {("model.py", "allocate"), ("model.py", "release")}
+    # The scan sees each form of write.
+    assert [w for w, _ in residual_writes("def f(n, l):\n    n.cpu_residual = 1\n"
+                                          "    l.bw_residual += 2\n    a, l.bw_residual = 1, 2\n"
+                                          "n.cpu_residual: int = 3\n")] == ["f", "f", "f", ""]
 
 
 def test_release_twice_raises(simple_case):

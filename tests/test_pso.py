@@ -35,7 +35,7 @@ from secvne.seeding import draws_from
 from secvne.simulation import Strategy, make_strategy, run
 from secvne.validation import validate_embedding
 
-from conftest import contended_net, make_substrate, make_vnr, scattered_net
+from conftest import contended_net, count_mask_builds, make_substrate, make_vnr, scattered_net
 from oracles import (best_fitness_brute, cut_residual_brute, domain_cut_short,
                      embeddable_brute, enumerate_assignments, hop_distances_brute,
                      matching_brute, position_subtract, random_injective_brute,
@@ -334,10 +334,10 @@ class TestEvaluationPlan:
         assert plan.links == [(index[l.u], index[l.v], l.bw_demand) for l in vnr.routing_order]
         assert plan.cpu_total == vnr.cpu_total
         assert not plan.bw_slack
-        assert plan.masks == usable_masks([l.bw_demand for l in vnr.routing_order], net)
-        slack = plan_for(vnr, generate_substrate(GeneratorConfig(seed=0, node_count=8,
-                                                                 domain_count=2)))
-        assert slack.bw_slack and slack.masks is None and slack.cut is None
+        assert net.mask_store == usable_masks([l.bw_demand for l in vnr.routing_order], net)
+        slack_net = generate_substrate(GeneratorConfig(seed=0, node_count=8, domain_count=2))
+        slack = plan_for(vnr, slack_net)
+        assert slack.bw_slack and not slack_net.mask_store and slack.cut is None
 
     def test_fitness_equals_cpu_total_plus_routed_bandwidth_cost(self):
         """On random positions, shared hosts included, the plan-driven cost is
@@ -516,22 +516,20 @@ class TestBandwidthSlack:
         assert {(True, False), (False, True)} <= seen
 
     def test_masks_are_never_built_under_bandwidth_slack(self, monkeypatch):
-        """A search sweeps ``usable_masks`` once without slack and never
-        under it.  Routing the winner sweeps it at most once more, and not
-        at all when every table path of the winner fits, so only a winner
-        that searches the feasible subgraph builds masks.  The sweeps are
-        counted under both modules' names: ``route_all_links`` reaches the
-        function under routing's own."""
-        sweeps = count_calls(monkeypatch, pso, "usable_masks")
-        routing_sweeps = count_calls(monkeypatch, routing, "usable_masks")
+        """A search builds no usable masks under slack.  Without slack it
+        builds them once, for the demands of the request that the
+        substrate's mask store lacks, and only those; routing the winner
+        then builds none, though some winners search the feasible
+        subgraph, since the store already holds every demand."""
+        builds = count_mask_builds(monkeypatch)
         searches = count_calls(monkeypatch, routing, "route_link")
         winners = []
         plain_build = pso.build_embedding
 
         def build(*args):
-            searched, swept = len(searches), len(routing_sweeps)
+            searched, built = len(searches), len(builds)
             embedding = plain_build(*args)
-            winners.append((len(searches) - searched, len(routing_sweeps) - swept))
+            winners.append((len(searches) - searched, len(builds) - built))
             return embedding
 
         monkeypatch.setattr(pso, "build_embedding", build)
@@ -547,20 +545,19 @@ class TestBandwidthSlack:
         for net, stream in instances:
             min_residual = min(l.bw_residual for l in net.links.values())
             for vnr in stream:
-                sweeps.clear()
-                routing_sweeps.clear()
+                builds.clear()
+                stored = set(net.mask_store)
                 searched = len(winners)
                 try:
                     optimize(vnr, net, PsoConfig(seed=vnr.id))
                 except EmbeddingInfeasible:
                     continue
                 slack = vnr.bw_total <= min_residual
-                assert len(sweeps) == (0 if slack else 1)
-                assert len(winners) == searched + 1
-                assert len(routing_sweeps) == winners[-1][1]
-                seen.add(slack)
-        assert seen == {True, False}
-        assert all(swept == min(1, searched) for searched, swept in winners)
+                missing = {l.bw_demand for l in vnr.links.values()} - stored
+                assert builds == ([missing] if missing and not slack else [])
+                assert len(winners) == searched + 1 and winners[-1][1] == 0
+                seen.add((slack, bool(builds)))
+        assert seen == {(True, False), (False, True), (False, False)}
         assert sum(searched > 0 for searched, _ in winners) > 0
 
 
@@ -792,7 +789,8 @@ class TestRequestCut:
             if proved:
                 assert all(route_all_brute(vnr, a, net) is None
                            for a in enumerate_assignments(vnr, net))
-            costed = pso.cost_bound(plan.links, vnr.cpu_total, cands, net, plan.masks)
+            costed = pso.cost_bound(plan.links, vnr.cpu_total, cands, net,
+                                    None if plan.bw_slack else net.mask_store)
             assert (plan.bound == INFEASIBLE) == (costed == INFEASIBLE
                                                    or (proved and not plan.bw_slack))
             caught += plan.bound == INFEASIBLE and costed < INFEASIBLE
@@ -813,7 +811,7 @@ class TestRequestCut:
         cands = request_candidates(vnr, net)
         plan = evaluation_plan(vnr, net, cands)
         assert not plan.bw_slack and plan.cut == [20, 20]
-        assert pso.cost_bound(plan.links, vnr.cpu_total, cands, net, plan.masks) == 3 + 20 + 15
+        assert pso.cost_bound(plan.links, vnr.cpu_total, cands, net, net.mask_store) == 3 + 20 + 15
         assert plan.bound == INFEASIBLE
         with pytest.raises(EmbeddingInfeasible, match=r"^request 0: no placement its candidate "
                                                       r"lists allow can carry its virtual "
@@ -858,8 +856,9 @@ class TestProvedRejectionsInWholeRuns:
                     kind = "injectivity"
                 else:
                     assert plans[-1].bound == INFEASIBLE
+                    masks = None if plans[-1].bw_slack else net.mask_store
                     costed = pso.cost_bound(plans[-1].links, vnr.cpu_total,
-                                            request_candidates(vnr, net), net, plans[-1].masks)
+                                            request_candidates(vnr, net), net, masks)
                     kind = "cost bound" if costed == INFEASIBLE else "domain cut"
                 proved.setdefault(kind, []).append(embeddable_brute(vnr, net))
                 raise
@@ -1244,5 +1243,8 @@ class TestCostBound:
         with pytest.raises(EmbeddingInfeasible, match=r"^request 0: no placement its candidate "
                                                       r"lists allow can carry"):
             swarm_search(vnr, net, PsoConfig(seed=0))
+        # A residual written outside allocate leaves the mask store stale: a
+        # copy starts with an empty store.
         net.links[(1, 2)].bw_residual = 10
+        net = net.copy()
         assert swarm_search(vnr, net, PsoConfig(seed=0)).fitness == 3 + 10 * 1 + 5 * 1

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from secvne import routing
-from secvne.errors import LinkMappingInfeasible
-from secvne.generate import GeneratorConfig, generate_substrate
-from secvne.model import link_key
-from secvne.routing import (hop_distances, min_hop_path, route_all_links, route_link,
-                            usable_masks)
+from secvne.baselines import greedy_embed
+from secvne.errors import EmbeddingInfeasible, LinkMappingInfeasible
+from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
+from secvne.model import allocate, link_key, release
+from secvne.routing import (MASK_STORE_LIMIT, hop_distances, min_hop_path, route_all_links,
+                            route_link, stored_masks, usable_masks)
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net
 from oracles import (domain_cut_short, route_all_brute, shortest_feasible_path_brute,
@@ -404,3 +405,78 @@ class TestMinHopPath:
         vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 5)])
         with pytest.raises(LinkMappingInfeasible):
             route_all_links(vnr, {0: 1, 1: 2}, net)
+
+
+class TestMaskStore:
+    """The substrate's mask store: filled by ``stored_masks``, kept equal
+    to a fresh build by allocate and release, bounded, and never shared."""
+
+    @staticmethod
+    def check(net, demands):
+        store = net.mask_store
+        assert store.keys() == set(demands)
+        for d, masks in store.items():
+            assert masks == usable_masks_brute(net, d)
+            assert masks is not net.adj_masks
+
+    def test_allocate_and_release_keep_the_store_current(self):
+        """On binding substrates whose store holds every demand 1 to
+        ``MASK_STORE_LIMIT``, so that residuals often land on a stored
+        demand exactly, the store equals the brute-force masks after every
+        allocate and after every release, released in shuffled order.  A
+        copy starts empty, builds its own lists, and later events on the
+        original leave it as it was."""
+        demands = range(1, MASK_STORE_LIMIT + 1)
+        moves = 0
+        for seed in range(6):
+            cfg = GeneratorConfig(seed=seed, node_count=16, domain_count=2,
+                                  substrate_bw_range=(20, 60), vnr_node_range=(2, 4),
+                                  vnr_bw_range=(1, 12))
+            net = generate_substrate(cfg)
+            assert stored_masks(demands, net) is net.mask_store
+            self.check(net, demands)
+            rnd = random.Random(seed)
+            placed = []
+            for i, vnr in enumerate(generate_vnr_stream(cfg, horizon=1500)):
+                try:
+                    emb = greedy_embed(vnr, net)
+                except EmbeddingInfeasible:
+                    continue
+                allocate(net, emb)
+                placed.append(emb)
+                self.check(net, demands)
+                if i % 3 == 0:
+                    release(net, placed.pop(rnd.randrange(len(placed))))
+                    self.check(net, demands)
+                    moves += 1
+                moves += 1
+            snapshot = net.copy()
+            assert snapshot.mask_store == {}
+            stored_masks(demands, snapshot)
+            self.check(snapshot, demands)
+            assert not {id(m) for m in snapshot.mask_store.values()} & {
+                id(m) for m in net.mask_store.values()}
+            frozen = {d: list(m) for d, m in snapshot.mask_store.items()}
+            rnd.shuffle(placed)
+            for emb in placed:
+                release(net, emb)
+                self.check(net, demands)
+                moves += 1
+            assert snapshot.mask_store == frozen
+        assert moves > 100
+
+    def test_store_is_emptied_before_it_would_pass_the_limit(self, toy_net):
+        """Missing demands that would take the store past the limit empty it
+        first, and then every demand asked for is built; up to the limit
+        the store only grows."""
+        full = range(1, MASK_STORE_LIMIT + 1)
+        stored_masks(full[:10], toy_net)
+        stored_masks(full, toy_net)
+        self.check(toy_net, full)
+        stored_masks([1, 2, 40], toy_net)
+        self.check(toy_net, [1, 2, 40])
+        many = range(100, 100 + MASK_STORE_LIMIT + 5)
+        stored_masks(many, toy_net)
+        self.check(toy_net, many)
+        stored_masks([7], toy_net)
+        self.check(toy_net, [7])

@@ -1,6 +1,7 @@
 """Discrete-event loop: ordering, conservation, determinism, shadow checks."""
 
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import cost, revenue, steady_state_means, windowed_series
 from secvne.model import Embedding
+from secvne.routing import MASK_STORE_LIMIT, stored_masks
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import Strategy, audit_residuals, compare, make_strategy, run
 
@@ -164,6 +166,69 @@ def test_audit_detects_tampering(toy_net):
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
     with pytest.raises(InternalConsistencyError):
         run(toy_net, [vnr], TamperingStrategy, horizon=10.0)
+
+
+def test_audit_detects_a_flipped_mask_store_bit(toy_net):
+    """The audit rebuilds the stored masks from the residuals: one bit
+    flipped behind allocate and release makes it raise."""
+    stored_masks([5, 100], toy_net)
+    audit_residuals(toy_net)
+    toy_net.mask_store[5][0] ^= 1 << 1
+    with pytest.raises(InternalConsistencyError, match="mask store"):
+        audit_residuals(toy_net)
+
+
+def test_mask_store_stays_bounded_under_many_distinct_demands():
+    """With demands drawn from 1 to 100,000, nearly every request brings
+    demands the store lacks, yet after every arrival the store holds at
+    most ``MASK_STORE_LIMIT`` lists, or the request's distinct demands if
+    they are more; only ``stored_masks``, which arrivals reach, adds lists.
+    The run's audits find the store equal to a fresh build."""
+    cfg = GeneratorConfig(seed=3, substrate_bw_range=(200_000, 600_000),
+                          vnr_bw_range=(1, 100_000))
+    inner = make_strategy("stec-iot", seed=0)
+    sizes = []
+
+    def embed(vnr, net):
+        try:
+            return inner.embed(vnr, net)
+        finally:
+            demands = {l.bw_demand for l in vnr.links.values()}
+            assert len(net.mask_store) <= max(MASK_STORE_LIMIT, len(demands))
+            sizes.append(len(net.mask_store))
+
+    run(generate_substrate(cfg), generate_vnr_stream(cfg, 1500.0), Strategy("stec-iot", embed),
+        1500.0)
+    assert max(sizes) > MASK_STORE_LIMIT // 2
+
+
+@pytest.mark.parametrize("strategy,kind", [
+    ("stec-iot", "no particle found a routable embedding"),
+    ("greedy", "greedy: no path"),
+    ("random", "random: no routable assignment"),
+])
+def test_every_rejection_names_its_request(strategy, kind):
+    """On a bandwidth-bound run every strategy's rejection message starts
+    with its request's id, routing failures included."""
+    cfg = GeneratorConfig(seed=0, node_count=10, domain_count=2, substrate_bw_range=(20, 60),
+                          security_range=(0, 2), vnr_node_range=(2, 6), vnr_cpu_range=(1, 10),
+                          vnr_bw_range=(5, 20), vnr_mean_lifetime=300.0)
+    inner = make_strategy(strategy, seed=0)
+    messages = []
+
+    def embed(vnr, net):
+        try:
+            return inner.embed(vnr, net)
+        except EmbeddingInfeasible as error:
+            messages.append((vnr.id, str(error)))
+            raise
+
+    run(generate_substrate(cfg), generate_vnr_stream(cfg, 1000.0), Strategy(strategy, embed),
+        1000.0)
+    assert messages
+    for vnr_id, message in messages:
+        assert re.match(rf"request {vnr_id}: ", message), message
+    assert any(message.startswith(f"request {vnr_id}: {kind}") for vnr_id, message in messages)
 
 
 def test_audit_fires_every_audit_every_events(toy_net):
