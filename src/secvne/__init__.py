@@ -7,18 +7,7 @@ deterministic discrete-event simulator with greedy/random baselines.
 """
 
 from .baselines import greedy_embed, random_embed
-from .errors import (
-    DoubleRelease,
-    EmbeddingInfeasible,
-    InsufficientResources,
-    InternalConsistencyError,
-    InvalidConfig,
-    LengthMismatch,
-    LinkMappingInfeasible,
-    NoBoundaryNode,
-    NodeMappingInfeasible,
-    SecVneError,
-)
+from .errors import EmbeddingInfeasible, InternalConsistencyError, InvalidConfig, SecVneError
 from .generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from .metrics import (
     MetricWindow,

@@ -9,7 +9,7 @@ security-aware embedding literature.
 
 from __future__ import annotations
 
-from .errors import EmbeddingInfeasible, LinkMappingInfeasible
+from .errors import EmbeddingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
 from .pso import index_maps, request_candidates, sample_injective
@@ -35,8 +35,8 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
         used.add(best)
     try:
         return build_embedding(vnr, assignment, net)
-    except LinkMappingInfeasible as exc:
-        raise LinkMappingInfeasible(f"request {vnr.id}: greedy: {exc}") from exc
+    except EmbeddingInfeasible as exc:
+        raise EmbeddingInfeasible(f"request {vnr.id}: greedy: {exc}") from exc
 
 
 def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -> Embedding:
@@ -51,7 +51,7 @@ def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -
             continue
         try:
             return build_embedding(vnr, dict(zip(vnode_order, position)), net)
-        except LinkMappingInfeasible:
+        except EmbeddingInfeasible:
             continue
     raise EmbeddingInfeasible(f"request {vnr.id}: random: no routable assignment within "
                               f"{RANDOM_EMBED_ATTEMPTS} attempts")

@@ -1,4 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""Exception classes shared across the package, one per outcome.
+
+- ``InvalidConfig``: a generator, file or CLI value is out of its legal
+  range.  ``secvne`` exits 2 on it.
+- ``EmbeddingInfeasible``: no complete embedding could be produced for a
+  request, whichever step failed (candidate filter, node mapping, routing
+  or search).  It is a rejection: ``simulation.run`` records it and goes on.
+- ``InternalConsistencyError``: the simulator's bookkeeping disagrees with
+  itself or with an independent recheck, such as an ``allocate`` that
+  would drive a residual negative or a ``release`` of an embedding that is
+  not active.  It is a bug, never an expected path.  ``secvne`` exits 3 on
+  it.
+
+A malformed library argument or structure raises the builtin
+``ValueError``; the file loaders report it as ``InvalidConfig``.
+"""
 
 
 class SecVneError(Exception):
@@ -9,41 +24,10 @@ class InvalidConfig(SecVneError):
     """A generator or CLI configuration value is out of its legal range."""
 
 
-class InsufficientResources(SecVneError):
-    """An allocation would drive a residual negative.
-
-    Raised only when the validator and the allocator disagree, which is a bug
-    in the caller, not an expected rejection path.
-    """
-
-
-class AlreadyAllocated(SecVneError):
-    """The embedding for this request is already active on the substrate."""
-
-
-class DoubleRelease(SecVneError):
-    """Release was called for an embedding that is not currently active."""
-
-
-class NoBoundaryNode(SecVneError):
-    """A substrate domain has no node incident to an inter-domain link."""
-
-
-class LengthMismatch(SecVneError):
-    """Two particle vectors that must align component-wise do not."""
-
-
 class EmbeddingInfeasible(SecVneError):
     """No complete embedding could be produced for the request."""
 
 
-class NodeMappingInfeasible(EmbeddingInfeasible):
-    """A virtual node ran out of unused candidate substrate nodes."""
-
-
-class LinkMappingInfeasible(EmbeddingInfeasible):
-    """A virtual link could not be routed under cumulative bandwidth debits."""
-
-
 class InternalConsistencyError(SecVneError):
-    """The simulator's bookkeeping disagrees with an independent recheck."""
+    """The simulator's bookkeeping disagrees with itself or an independent
+    recheck."""

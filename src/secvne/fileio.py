@@ -54,7 +54,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .errors import InvalidConfig, NoBoundaryNode
+from .errors import InvalidConfig
 from .generate import RANGE_FIELDS, GeneratorConfig
 from .model import (
     SubstrateLink,
@@ -173,7 +173,7 @@ def load_substrate(path) -> SubstrateNetwork:
         raise InvalidConfig(f"malformed substrate file {path}: {exc}") from exc
     try:
         compute_boundary_hops(net)
-    except (NoBoundaryNode, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidConfig(f"substrate file {path}: {exc}") from exc
     return net
 

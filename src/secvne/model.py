@@ -30,13 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    AlreadyAllocated,
-    DoubleRelease,
-    InsufficientResources,
-    InternalConsistencyError,
-    NoBoundaryNode,
-)
+from .errors import InternalConsistencyError
 
 LinkKey = tuple[int, int]
 
@@ -146,6 +140,10 @@ class VirtualNetworkRequest:
     """One virtual network plus its arrival time and lifetime."""
 
     def __init__(self, id: int, nodes, links, arrival_time: float, lifetime: float):
+        # The strategy streams key on the id as a 64-bit integer, so ids
+        # outside [0, 2**64) would share a stream with one inside it.
+        if not 0 <= id < 1 << 64:
+            raise ValueError(f"request id {id} must lie in [0, 2**64)")
         self.id = id
         self.nodes: dict[int, VirtualNode] = {}
         for n in nodes:
@@ -314,17 +312,17 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
 
     Inter-domain links define boundary membership but are never traversed:
     every search runs over masks restricted to the domain it starts in.
-    Raises NoBoundaryNode when a domain holds no node or has no inter-domain
-    attachment, and ValueError when the graph restricted to some domain is
-    not connected.  An empty domain is found before any per-domain state is
-    allocated, so a huge ``domain_count`` fails at once.
+    Raises ValueError when a domain holds no node, has no inter-domain
+    attachment, or is not connected in the graph restricted to it.  An
+    empty domain is found before any per-domain state is allocated, so a
+    huge ``domain_count`` fails at once.
     """
     present = {n.domain for n in net.nodes.values()}
     if len(present) < net.domain_count:
         # SubstrateNetwork keeps every domain in [0, domain_count), so some
         # domain up to len(present) is missing.
         empty = min(set(range(len(present) + 1)) - present)
-        raise NoBoundaryNode(f"domain {empty} has no node")
+        raise ValueError(f"domain {empty} has no node")
     rank = net.rank
     boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
     members = [0] * net.domain_count
@@ -335,7 +333,7 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     hops: dict[int, int] = {}
     for d, mask in enumerate(members):
         if not mask & boundary:
-            raise NoBoundaryNode(f"domain {d} has no boundary node")
+            raise ValueError(f"domain {d} has no boundary node")
         if sum(bfs_levels(mask & -mask, intra)) != mask:
             raise ValueError(f"some domain is not connected: domain {d}")
         hops.update(level_hops(bfs_levels(mask & boundary, intra), net.node_ids))
@@ -381,15 +379,15 @@ def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     that would go negative here means the validator and allocator disagree.
     """
     if emb.vnr.id in net.active:
-        raise AlreadyAllocated(f"request {emb.vnr.id} is already embedded")
+        raise InternalConsistencyError(f"request {emb.vnr.id} is already embedded")
     cpu, bw = _embedding_deltas(emb)
     for sid, amount in cpu.items():
         if net.nodes[sid].cpu_residual - amount < 0:
-            raise InsufficientResources(
+            raise InternalConsistencyError(
                 f"node {sid}: residual {net.nodes[sid].cpu_residual} < demand {amount}")
     for k, amount in bw.items():
         if net.links[k].bw_residual - amount < 0:
-            raise InsufficientResources(
+            raise InternalConsistencyError(
                 f"link {k}: residual {net.links[k].bw_residual} < demand {amount}")
     for sid, amount in cpu.items():
         net.nodes[sid].cpu_residual -= amount
@@ -404,7 +402,7 @@ def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
 def release(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     """Exact inverse of allocate for a currently active embedding."""
     if net.active.get(emb.vnr.id) is not emb:
-        raise DoubleRelease(f"request {emb.vnr.id} is not active")
+        raise InternalConsistencyError(f"request {emb.vnr.id} is not active")
     cpu, bw = _embedding_deltas(emb)
     for sid, amount in cpu.items():
         node = net.nodes[sid]

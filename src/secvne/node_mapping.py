@@ -21,7 +21,7 @@ over the candidate set, so boundary-proximal nodes score higher.
 
 from __future__ import annotations
 
-from .errors import NodeMappingInfeasible
+from .errors import EmbeddingInfeasible
 from .model import SubstrateNetwork, VirtualNetworkRequest, VirtualNode
 
 # Weights of the security-surplus, CPU-slack and boundary terms.
@@ -86,7 +86,7 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     ascending id order (``pso.request_candidates``); each node picks from its
     list less the nodes already used.  Ties in virtual priority break by
     ascending virtual id; ties in candidate score break by ascending
-    substrate id.  Fails atomically with NodeMappingInfeasible naming the
+    substrate id.  Fails atomically with EmbeddingInfeasible naming the
     first unmappable virtual node.
     """
     candidates = dict(zip(sorted(vnr.nodes), candidate_lists))
@@ -96,7 +96,7 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     for v in order:
         cands = [sid for sid in candidates[v.id] if sid not in used]
         if not cands:
-            raise NodeMappingInfeasible(f"no unused candidate for virtual node {v.id}")
+            raise EmbeddingInfeasible(f"no unused candidate for virtual node {v.id}")
         scores = candidate_scores(v, cands, net)
         best = min(cands, key=lambda sid: (-scores[sid], sid))
         assignment[v.id] = best

@@ -178,7 +178,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import ClassVar
 
-from .errors import EmbeddingInfeasible, LengthMismatch, LinkMappingInfeasible, NodeMappingInfeasible
+from .errors import EmbeddingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, bfs_levels
 from .node_mapping import candidate_nodes, map_nodes
 from .routing import build_embedding, hop_distances, route_all_links, stored_masks
@@ -248,9 +248,9 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
     position = p.position
     n = len(position)
     if len(p.velocity) != n or len(p.pbest_position) != n or len(gbest_position) != n:
-        raise LengthMismatch(f"velocity, pbest and gbest of lengths {len(p.velocity)}, "
-                             f"{len(p.pbest_position)} and {len(gbest_position)} for "
-                             f"position of length {n}")
+        raise ValueError(f"velocity, pbest and gbest of lengths {len(p.velocity)}, "
+                         f"{len(p.pbest_position)} and {len(gbest_position)} for "
+                         f"position of length {n}")
     table = velocity_table(omega, r1, r2)
     return [table[4 * v + 2 * (b == x) + (g == x)]
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
@@ -309,8 +309,8 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
     """
     position = p.position
     if len(v_new) != len(position):
-        raise LengthMismatch(f"velocity of length {len(v_new)} for position of "
-                             f"length {len(position)}")
+        raise ValueError(f"velocity of length {len(v_new)} for position of "
+                         f"length {len(position)}")
     out = draw_injective(list(position), v_new, candidate_lists, maps,
                          set(compress(position, v_new)), rng)
     return random_injective(candidate_lists, maps, rng) if out is None else out
@@ -344,14 +344,14 @@ def random_injective(candidate_lists: list[list[int]], maps: list[dict[int, int]
 
 def request_candidates(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> list[list[int]]:
     """``candidate_nodes`` of each virtual node in ascending id order: the
-    one candidate filter of a search.  Raises NodeMappingInfeasible naming
+    one candidate filter of a search.  Raises EmbeddingInfeasible naming
     the first virtual node with no candidate."""
     candidate_lists = []
     for vid in sorted(vnr.nodes):
         cands = candidate_nodes(vnr.nodes[vid], net)
         if not cands:
-            raise NodeMappingInfeasible(f"request {vnr.id}: virtual node {vid} has no candidate "
-                                        f"substrate node")
+            raise EmbeddingInfeasible(f"request {vnr.id}: virtual node {vid} has no candidate "
+                                      f"substrate node")
         candidate_lists.append(cands)
     return candidate_lists
 
@@ -600,7 +600,7 @@ def fitness(position: list[int], plan: EvaluationPlan,
             return total
     try:
         _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
-    except LinkMappingInfeasible:
+    except EmbeddingInfeasible:
         return INFEASIBLE
     return float(plan.cpu_total + bw_cost)
 
@@ -645,7 +645,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     try:
         mapped = map_nodes(vnr, net, candidate_lists)
         seeded = [mapped[vid] for vid in vnode_order]
-    except NodeMappingInfeasible:
+    except EmbeddingInfeasible:
         seeded = None
 
     particles: list[Particle] = []

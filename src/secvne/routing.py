@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import LinkMappingInfeasible
+from .errors import EmbeddingInfeasible
 from .model import (
     Embedding,
     SubstrateNetwork,
@@ -86,7 +86,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     ``masks`` lists each node's usable mask at ``bw`` by bit rank, as
     ``usable_masks`` builds it (see the module docstring); it is read, never
     changed.  ``debits`` holds extra bandwidth already claimed by earlier
-    paths of the same request.  Raises LinkMappingInfeasible when src and
+    paths of the same request.  Raises EmbeddingInfeasible when src and
     dst are disconnected in the feasible subgraph.
     """
     if src == dst:
@@ -105,7 +105,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     near = masks[cur]
     levels = bfs_levels(1 << rank[dst], masks, near)
     if not levels[-1] & near:
-        raise LinkMappingInfeasible(f"no path {src} -> {dst} with bandwidth {bw}")
+        raise EmbeddingInfeasible(f"no path {src} -> {dst} with bandwidth {bw}")
     return _descend(cur, levels, masks, net.node_ids)
 
 
@@ -127,14 +127,14 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     """The path ``route_link`` picks from src to dst in the bare topology.
 
     Read from, or added to, the substrate's path table.  Raises
-    LinkMappingInfeasible when the topology does not join src and dst.
+    EmbeddingInfeasible when the topology does not join src and dst.
     """
     path = net.min_hop_paths.get((src, dst))
     if path is not None:
         return path
     hops = hop_distances(dst, net).get(src)
     if hops is None:
-        raise LinkMappingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
+        raise EmbeddingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
     path = net.min_hop_paths[(src, dst)] = _descend(
         net.rank[src], net.hop_levels[dst][:hops], net.adj_masks, net.node_ids)
     return path
@@ -221,7 +221,7 @@ def route_all_links(vnr: VirtualNetworkRequest, assignment: dict[int, int],
         dst = assignment[vlink.v]
         bw = vlink.bw_demand
         if src == dst:
-            raise LinkMappingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
+            raise EmbeddingInfeasible(f"virtual link {vlink.key} endpoints share node {src}")
         path = min_hop_path(src, dst, net)
         if not _path_feasible(path, bw, net, debits):
             masks = store.get(bw) or stored_masks([l.bw_demand for l in vnr.routing_order],

@@ -62,6 +62,15 @@ def state_signature(net):
     return (nodes, links)
 
 
+def write_bw_residual(net, link, residual):
+    """Set ``link``'s residual on ``net`` directly, for a state no run of
+    ``allocate`` reaches.  The one writer of a bandwidth residual in the
+    tests: it fails once ``net``'s mask store holds masks, which a direct
+    write would leave stale without error."""
+    assert not net.mask_store, "a direct bw_residual write would leave the mask store stale"
+    link.bw_residual = residual
+
+
 def make_vnr(node_specs, link_specs, vnr_id=0, arrival=0.0, lifetime=100.0):
     """node_specs: (id, cpu, vsd, vsl, cd); link_specs: (u, v, bw)."""
     nodes = [VirtualNode(i, c, vsd, vsl, frozenset(cd)) for (i, c, vsd, vsl, cd) in node_specs]
@@ -78,7 +87,7 @@ def contended_net(seed, node_count=8):
     net = generate_substrate(cfg)
     rnd = random.Random(seed)
     for link in net.links.values():
-        link.bw_residual = rnd.randint(0, link.bw_capacity)
+        write_bw_residual(net, link, rnd.randint(0, link.bw_capacity))
     return net
 
 

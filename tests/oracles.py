@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from secvne.errors import LengthMismatch, LinkMappingInfeasible
+from secvne.errors import EmbeddingInfeasible
 from secvne.model import link_key
 from secvne.node_mapping import virtual_node_priority
 from secvne.pso import RANDOM_INJECTIVE_TRIES, Particle, PsoConfig
@@ -35,7 +35,7 @@ def position_subtract(a, b):
     it, the reference its 8-entry velocity table is checked against.
     """
     if len(a) != len(b):
-        raise LengthMismatch(f"positions of length {len(a)} and {len(b)}")
+        raise ValueError(f"positions of length {len(a)} and {len(b)}")
     return [1 if x == y else 0 for x, y in zip(a, b)]
 
 
@@ -325,7 +325,7 @@ def embeddable_brute(vnr, net):
     for assignment in enumerate_assignments(vnr, net):
         try:
             route_all_links(vnr, assignment, net)
-        except LinkMappingInfeasible:
+        except EmbeddingInfeasible:
             continue
         return True
     return False

@@ -4,7 +4,7 @@ import pytest
 
 from secvne import baselines, routing
 from secvne.baselines import greedy_embed, random_embed
-from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
+from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.node_mapping import map_nodes
 from secvne.pso import PsoConfig, optimize, request_candidates
@@ -116,7 +116,7 @@ def test_random_validates(toy_net, toy_vnr):
 def test_random_names_the_first_virtual_node_without_a_candidate(toy_net):
     # vsd 4 in domain 1 leaves only node 5, whose ssd 1 exceeds vsl 0.
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 4, 0, (1,))], [(0, 1, 5)])
-    with pytest.raises(NodeMappingInfeasible, match="virtual node 1 has no candidate"):
+    with pytest.raises(EmbeddingInfeasible, match="virtual node 1 has no candidate"):
         random_embed(vnr, toy_net, seed=0)
 
 

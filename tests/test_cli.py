@@ -158,6 +158,20 @@ def test_unknown_strategy_is_usage_error(tmp_path, generated):
     assert code == 1
 
 
+def test_invalid_embedding_is_an_internal_consistency_failure(tmp_path, generated, capsys,
+                                                             monkeypatch):
+    # make_strategy looks greedy_embed up in secvne.simulation at each call.
+    monkeypatch.setattr(secvne.simulation, "greedy_embed",
+                        lambda vnr, net: secvne.Embedding(vnr, {}, {}))
+    code = main(["run", "--substrate", str(generated / "substrate.json"),
+                 "--workload", str(generated / "workload.jsonl"),
+                 "--strategy", "greedy", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "secvne: internal consistency failure: strategy greedy produced an invalid " \
+           "embedding for request 0" in err and "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 
@@ -356,8 +370,12 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     (lambda doc: doc["links"].append({"u": doc["nodes"][0]["id"], "v": doc["nodes"][0]["id"],
                                       "bw": 1}),
      "request 0: virtual link (0, 0) is a self-loop"),
+    # The strategy streams key on the id as a 64-bit integer, so 2**64 would
+    # share request 0's streams.
+    (lambda doc: doc.update(id=2**64), f"request id {2**64} must lie in [0, 2**64)"),
 ], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes",
-        "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link", "self-loop"])
+        "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link", "self-loop",
+        "id-past-64-bits"])
 def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
     code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
     assert code == 2

@@ -240,6 +240,8 @@ def check_workload(text: str, domains: set[int]) -> None:
         rid = integer(field(req, "id"), "request id")
         if rid in ids:
             raise Malformed(f"request id {rid} repeated")
+        if rid >= 2**64:
+            raise Malformed(f"request id {rid} is not below 2**64")
         ids.add(rid)
         if number(field(req, "arrival_time"), "arrival_time") < 0:
             raise Malformed("arrival_time is negative")

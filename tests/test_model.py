@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import secvne
-from secvne.errors import DoubleRelease, InsufficientResources, NoBoundaryNode
+from secvne.errors import InternalConsistencyError
 from secvne.model import (
     Embedding,
     SubstrateLink,
@@ -24,9 +24,11 @@ from secvne.model import (
     link_key,
     release,
 )
+from secvne.routing import stored_masks
+from secvne.seeding import SWARM_STREAM, derive_seed
 from secvne.validation import validate_embedding
 
-from conftest import make_substrate, make_vnr, scattered_net, state_signature
+from conftest import make_substrate, make_vnr, scattered_net, state_signature, write_bw_residual
 from oracles import boundary_hops_brute, components_brute, neighbours
 
 
@@ -60,10 +62,10 @@ def test_allocate_release_roundtrip_is_identity(simple_case):
     assert state_signature(net) == before
 
 
-def residual_writes(source: str) -> list[tuple[str, int]]:
+def residual_writes(source: str, attrs=("bw_residual", "cpu_residual")) -> list[tuple[str, int]]:
     """(enclosing top-level function, or "" at module level, line) of each
-    assignment or augmented assignment to a ``bw_residual`` or
-    ``cpu_residual`` attribute in ``source``."""
+    assignment or augmented assignment to an attribute named in ``attrs``
+    in ``source``."""
     writes = []
     for top in ast.parse(source).body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else ""
@@ -76,7 +78,7 @@ def residual_writes(source: str) -> list[tuple[str, int]]:
                 continue
             for target in targets:
                 for t in ast.walk(target):
-                    if isinstance(t, ast.Attribute) and t.attr in ("bw_residual", "cpu_residual"):
+                    if isinstance(t, ast.Attribute) and t.attr in attrs:
                         writes.append((name, t.lineno))
     return writes
 
@@ -100,18 +102,52 @@ def test_only_allocate_and_release_write_residuals():
                                           "n.cpu_residual: int = 3\n")] == ["f", "f", "f", ""]
 
 
+def test_tests_write_bandwidth_residuals_through_one_helper():
+    """A test's bandwidth residual written after the mask store is filled
+    would leave the store stale without error, so every ``bw_residual``
+    write in the tests lies in ``conftest.write_bw_residual``, which
+    refuses a filled store.  Tests that corrupt a CPU residual on purpose
+    write it directly."""
+    writers = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for function, line in residual_writes(path.read_text(encoding="utf-8"), ("bw_residual",)):
+            writers.add((path.name, function))
+            assert (path.name, function) == ("conftest.py", "write_bw_residual"), (
+                f"{path.name}:{line} writes a bw_residual outside conftest.write_bw_residual")
+    assert writers == {("conftest.py", "write_bw_residual")}
+
+
+def test_write_bw_residual_refuses_a_filled_mask_store(toy_net):
+    link = toy_net.links[(0, 1)]
+    write_bw_residual(toy_net, link, 7)
+    assert link.bw_residual == 7
+    stored_masks([5], toy_net)
+    with pytest.raises(AssertionError, match="mask store stale"):
+        write_bw_residual(toy_net, link, 8)
+    assert link.bw_residual == 7
+
+
 def test_release_twice_raises(simple_case):
     net, vnr, emb = simple_case
     allocate(net, emb)
     release(net, emb)
-    with pytest.raises(DoubleRelease):
+    with pytest.raises(InternalConsistencyError, match="request 0 is not active"):
         release(net, emb)
+
+
+def test_allocate_of_an_active_request_raises_and_debits_nothing(simple_case):
+    net, vnr, emb = simple_case
+    allocate(net, emb)
+    before = state_signature(net)
+    with pytest.raises(InternalConsistencyError, match="request 0 is already embedded"):
+        allocate(net, Embedding(vnr, dict(emb.node_map), dict(emb.link_map)))
+    assert state_signature(net) == before and net.active == {vnr.id: emb}
 
 
 def test_allocate_insufficient_cpu_raises(toy_net):
     vnr = make_vnr([(0, 1000, 0, 4, (0,))], [])
     emb = embed_on_toy(toy_net, vnr, {0: 0}, {})
-    with pytest.raises(InsufficientResources):
+    with pytest.raises(InternalConsistencyError, match="node 0: residual 100 < demand 1000"):
         allocate(toy_net, emb)
     assert toy_net.nodes[0].cpu_residual == 100
 
@@ -120,7 +156,7 @@ def test_allocate_overdrawn_link_raises_and_debits_nothing(toy_net):
     vnr = make_vnr([(0, 5, 0, 4, (0,)), (1, 5, 0, 4, (0,))], [(0, 1, 1001)])
     emb = embed_on_toy(toy_net, vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)})
     before = state_signature(toy_net)
-    with pytest.raises(InsufficientResources, match=r"link \(0, 1\)"):
+    with pytest.raises(InternalConsistencyError, match=r"link \(0, 1\): residual"):
         allocate(toy_net, emb)
     assert state_signature(toy_net) == before
 
@@ -145,6 +181,16 @@ def test_request_listing_a_virtual_link_twice_raises():
     with pytest.raises(ValueError, match=r"request 4: duplicate virtual link \(0, 1\)"):
         VirtualNetworkRequest(4, nodes, [VirtualLink(0, 1, 7), VirtualLink(1, 0, 107)],
                               0.0, 100.0)
+
+
+@pytest.mark.parametrize("vnr_id", [-1, -(2**64) + 5, 2**64])
+def test_request_id_outside_64_bits_raises(vnr_id):
+    # derive_seed masks its keys to 64 bits, so such an id would share its
+    # strategy streams with an id inside [0, 2**64).
+    assert derive_seed(0, SWARM_STREAM, vnr_id) == derive_seed(0, SWARM_STREAM, vnr_id % 2**64)
+    with pytest.raises(ValueError, match=rf"^request id {vnr_id} must lie in \[0, 2\*\*64\)$"):
+        make_vnr([(0, 5, 0, 4, (0,))], [], vnr_id=vnr_id)
+    assert make_vnr([(0, 5, 0, 4, (0,))], [], vnr_id=2**64 - 1).id == 2**64 - 1
 
 
 @pytest.mark.parametrize("nodes, message", [
@@ -268,7 +314,7 @@ class TestBoundaryHops:
                  SubstrateNode(2, 1, 10, 10, 0, 0)]
         links = [SubstrateLink(0, 1, 5, 5)]  # domain 1 node is isolated
         net = SubstrateNetwork(2, nodes, links)
-        with pytest.raises(NoBoundaryNode):
+        with pytest.raises(ValueError, match="has no boundary node"):
             compute_boundary_hops(net)
 
     def test_domain_in_two_components_is_not_connected(self):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from secvne.baselines import greedy_embed
-from secvne.errors import EmbeddingInfeasible, NodeMappingInfeasible
+from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.model import VirtualNode, allocate, release
 from secvne.node_mapping import (
@@ -175,7 +175,7 @@ class TestMapNodes:
             link_specs=[(0, 1, 10)],
         )
         vnr = make_vnr([(0, 10, 2, 4, (0,)), (1, 10, 2, 4, (0,))], [(0, 1, 1)])
-        with pytest.raises(NodeMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="no unused candidate"):
             mapped(vnr, net)
 
     def test_matches_stepwise_oracle_on_toy(self, toy_net, toy_vnr):
@@ -192,7 +192,7 @@ class TestMapNodes:
             for vnr in vnrs[:5]:
                 expected = map_nodes_brute(vnr, net)
                 if expected is None:
-                    with pytest.raises(NodeMappingInfeasible):
+                    with pytest.raises(EmbeddingInfeasible, match="no (unused )?candidate"):
                         mapped(vnr, net)
                 else:
                     assert mapped(vnr, net) == expected

@@ -7,13 +7,13 @@ import pytest
 
 from secvne import routing
 from secvne.baselines import greedy_embed
-from secvne.errors import EmbeddingInfeasible, LinkMappingInfeasible
+from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.model import allocate, link_key, release
 from secvne.routing import (MASK_STORE_LIMIT, hop_distances, min_hop_path, route_all_links,
                             route_link, stored_masks, usable_masks)
 
-from conftest import contended_net, make_substrate, make_vnr, scattered_net
+from conftest import contended_net, make_substrate, make_vnr, scattered_net, write_bw_residual
 from oracles import (domain_cut_short, route_all_brute, shortest_feasible_path_brute,
                      usable_masks_brute)
 
@@ -40,7 +40,7 @@ class TestRouteLink:
 
     def test_saturated_links_raise(self):
         net = grid_net([3, 3, 3, 3])
-        with pytest.raises(LinkMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="no path"):
             route(0, 2, 5, net)
 
     def test_detour_when_direct_side_lacks_bandwidth(self):
@@ -71,7 +71,7 @@ class TestRouteLink:
                     for bw in (1, 4, 8):
                         expected = shortest_feasible_path_brute(net, src, dst, bw)
                         if expected is None:
-                            with pytest.raises(LinkMappingInfeasible):
+                            with pytest.raises(EmbeddingInfeasible, match="no path"):
                                 route(src, dst, bw, net)
                         else:
                             assert route(src, dst, bw, net) == expected
@@ -90,7 +90,7 @@ class TestRouteLink:
                     for bw in (10, 25, 40):
                         expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
                         if expected is None:
-                            with pytest.raises(LinkMappingInfeasible):
+                            with pytest.raises(EmbeddingInfeasible, match="no path"):
                                 route(src, dst, bw, net, debits)
                             failed += 1
                         else:
@@ -119,7 +119,7 @@ class TestRouteLink:
         assert route_link(0, 1, 8, net, {}, masks) == (0, 1)
         debits = {(0, 1): 3, (1, 2): 5}
         assert shortest_feasible_path_brute(net, 0, 1, 8, debits) is None
-        with pytest.raises(LinkMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="no path"):
             route_link(0, 1, 8, net, debits, masks)
         assert shortest_feasible_path_brute(net, 0, 1, 8, {(0, 1): 3}) == (0, 2, 1)
         assert route_link(0, 1, 8, net, {(0, 1): 3}, masks) == (0, 2, 1)
@@ -149,7 +149,7 @@ class TestRouteLink:
                             for masks in (usable_masks((bw,), net)[bw], plan_masks[bw]):
                                 try:
                                     got = route_link(src, dst, bw, net, debits, masks)
-                                except LinkMappingInfeasible:
+                                except EmbeddingInfeasible:
                                     got = None
                                 assert got == expected
                             seen.add(expected is None)
@@ -185,7 +185,7 @@ class TestUsableMasks:
                 # Residuals 5, 10 and 20: demand 3 drops no link, and
                 # demands 5, 10 and 20 none beyond 3, 8 and 15.
                 for i, k in enumerate(sorted(net.links)):
-                    net.links[k].bw_residual = (5, 10, 20)[i % 3]
+                    write_bw_residual(net, net.links[k], (5, 10, 20)[i % 3])
                 demands = [3, 5, 8, 10, 15, 20, 25]
             else:
                 # Demand r + 1 drops every link of residual r.
@@ -218,7 +218,7 @@ class TestRouteAllLinks:
                     continue
                 rejected += 1
                 assert route_all_brute(vnr, assignment, net) is None
-                with pytest.raises(LinkMappingInfeasible):
+                with pytest.raises(EmbeddingInfeasible, match="no path"):
                     route_all_links(vnr, assignment, net)
         assert rejected > 100
 
@@ -247,8 +247,14 @@ class TestRouteAllLinks:
             [(0, 3, 8), (1, 3, 8), (0, 1, 1), (1, 2, 1), (2, 3, 1)],
         )
         # 8 + 8 = 16 > 12 on the bridge; the second 8-demand link must fail
-        with pytest.raises(LinkMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="no path"):
             route_all_links(vnr, {0: 2, 1: 3, 2: 1, 3: 4}, net)
+
+    def test_endpoints_on_one_host_raise(self, toy_net):
+        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
+        with pytest.raises(EmbeddingInfeasible,
+                           match=r"^virtual link \(0, 1\) endpoints share node 2$"):
+            route_all_links(vnr, {0: 2, 1: 2}, toy_net)
 
     def test_cumulative_debits_never_oversubscribe(self, toy_net):
         vnr = make_vnr(
@@ -277,7 +283,7 @@ class TestRouteAllLinks:
             assignment = {0: ids[0], 1: ids[2], 2: ids[-1]}
             expected = route_all_brute(vnr, assignment, net)
             if expected is None:
-                with pytest.raises(LinkMappingInfeasible):
+                with pytest.raises(EmbeddingInfeasible, match="no path"):
                     route_all_links(vnr, assignment, net)
             else:
                 assert route_all_links(vnr, assignment, net) == expected
@@ -344,7 +350,7 @@ class TestRouteAllLinks:
                 assignment = dict(enumerate(nodes))
                 expected = route_all_brute(vnr, assignment, net)
                 if expected is None:
-                    with pytest.raises(LinkMappingInfeasible):
+                    with pytest.raises(EmbeddingInfeasible, match="no path"):
                         route_all_links(vnr, assignment, net)
                 else:
                     assert route_all_links(vnr, assignment, net) == expected
@@ -374,7 +380,7 @@ class TestMinHopPath:
                 path = shortest_feasible_path_brute(net, src, dst, 0)
                 if path is None:
                     unjoined += 1
-                    with pytest.raises(LinkMappingInfeasible):
+                    with pytest.raises(EmbeddingInfeasible, match="does not join"):
                         min_hop_path(src, dst, net)
                 else:
                     expected[src] = len(path) - 1
@@ -400,10 +406,10 @@ class TestMinHopPath:
             link_specs=[(0, 1, 100), (2, 3, 100)],
             hops=False,
         )
-        with pytest.raises(LinkMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="does not join"):
             min_hop_path(1, 2, net)
         vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 5)])
-        with pytest.raises(LinkMappingInfeasible):
+        with pytest.raises(EmbeddingInfeasible, match="does not join"):
             route_all_links(vnr, {0: 1, 1: 2}, net)
 
 

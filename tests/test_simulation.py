@@ -153,7 +153,7 @@ def test_shadow_validator_catches_broken_strategy(toy_net):
     BrokenStrategy = Strategy("broken", broken)
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)],
                    vnr_id=0, arrival=1.0, lifetime=5.0)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="produced an invalid embedding"):
         run(toy_net, [vnr], BrokenStrategy, horizon=10.0)
 
 
@@ -164,7 +164,7 @@ def test_audit_detects_tampering(toy_net):
 
     TamperingStrategy = Strategy("tamper", tamper)
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match=r"^node 5 residual \d+, expected \d+$"):
         run(toy_net, [vnr], TamperingStrategy, horizon=10.0)
 
 
@@ -246,7 +246,7 @@ def test_audit_fires_every_audit_every_events(toy_net):
     count = simulation.AUDIT_EVERY + 5
     vnrs = [make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=i, arrival=float(i), lifetime=1.0)
             for i in range(count)]
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match=r"^node 5 residual \d+, expected \d+$"):
         run(toy_net, vnrs, Strategy("tamper-once", tamper_once), horizon=float(count))
     assert len(calls) == simulation.AUDIT_EVERY
 
