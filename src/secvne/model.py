@@ -10,10 +10,17 @@ as integers so repeated allocate/release cycles restore state bit-exactly.
 Every breadth-first search and component split in the package is
 ``bfs_levels``, over node bitmasks: bit i stands for the node of bit rank i,
 the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
-one neighbour mask per node, indexed by rank.  ``components`` repeats it
-from the lowest node not yet reached until every node is reached; the
-generator's connectivity repair is its one user.  The topology's only
-adjacency is ``SubstrateNetwork.adj_masks``, built from the links.
+one neighbour mask per node, indexed by rank.  ``level_hops`` reads a
+search's levels into a list by rank.  The substrate's hop table is indexed
+the same way: ``SubstrateNetwork.hop_dist`` holds, per destination rank, a
+row of hop counts by source rank, None where the topology does not join
+the two, and ``hop_levels`` the levels each row comes from;
+``secvne.routing.hop_distances`` fills both on a destination's first use,
+and ``domain_of`` gives each rank's domain.  ``components`` repeats
+``bfs_levels`` from the lowest node not yet reached until every node is
+reached; the generator's connectivity repair is its one user.  The
+topology's only adjacency is ``SubstrateNetwork.adj_masks``, built from the
+links.
 ``compute_boundary_hops`` checks that every declared domain holds a node,
 then masks it down to one domain, in one pass per domain that checks the
 domain is connected and has a boundary node and then measures the boundary
@@ -85,14 +92,13 @@ def components(masks) -> list[int]:
     return comps
 
 
-def level_hops(levels: list[int], node_ids: list[int]) -> dict[int, int]:
-    """Node id -> index of the level that holds it, for every node of
-    ``levels``; ``node_ids[i]`` is the id of bit rank i."""
-    hops = {}
+def level_hops(levels: list[int], hops: list) -> list:
+    """``hops``, with ``hops[i]`` set to the index of the level that holds
+    the node of bit rank i, for every node of ``levels``."""
     for h, level in enumerate(levels):
         while level:
             low = level & -level
-            hops[node_ids[low.bit_length() - 1]] = h
+            hops[low.bit_length() - 1] = h
             level ^= low
     return hops
 
@@ -267,13 +273,17 @@ class SubstrateNetwork:
             masks[rank[u]] |= 1 << rank[v]
             masks[rank[v]] |= 1 << rank[u]
         self.adj_masks: list[int] = masks
+        # Each node's domain by rank, for the swarm's per-position domain cut.
+        self.domain_of: list[int] = [self.nodes[nid].domain for nid in self.node_ids]
         # Min-hop path table over the bare topology, filled lazily by
-        # secvne.routing: per destination, the hop distances and the
-        # bfs_levels they come from, and the path of each (src, dst) pair.
-        # The topology is fixed from here on, so residual changes never make
-        # an entry stale.
-        self.hop_dist: dict[int, dict[int, int]] = {}
-        self.hop_levels: dict[int, list[int]] = {}
+        # secvne.routing.  Per destination rank, None until filled: in
+        # hop_dist, the hop count from each source rank, None where the
+        # topology does not join the two; in hop_levels, the bfs_levels
+        # the counts come from.  Per (src, dst) id pair, the path.  The
+        # topology is fixed from here on, so residual changes never make an
+        # entry stale.
+        self.hop_dist: list[list[int | None] | None] = [None] * len(masks)
+        self.hop_levels: list[list[int] | None] = [None] * len(masks)
         self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         # Per (cd, vsd, vsl), the nodes in node_ids order that pass the
         # domain and both security tests, filled lazily by
@@ -317,7 +327,7 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     empty domain is found before any per-domain state is allocated, so a
     huge ``domain_count`` fails at once.
     """
-    present = {n.domain for n in net.nodes.values()}
+    present = set(net.domain_of)
     if len(present) < net.domain_count:
         # SubstrateNetwork keeps every domain in [0, domain_count), so some
         # domain up to len(present) is missing.
@@ -326,17 +336,19 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     rank = net.rank
     boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
     members = [0] * net.domain_count
-    for i, nid in enumerate(net.node_ids):
-        members[net.nodes[nid].domain] |= 1 << i
-    intra = [mask & members[net.nodes[nid].domain]
-             for nid, mask in zip(net.node_ids, net.adj_masks)]
-    hops: dict[int, int] = {}
+    for i, d in enumerate(net.domain_of):
+        members[d] |= 1 << i
+    intra = [mask & members[d] for d, mask in zip(net.domain_of, net.adj_masks)]
+    # Every domain is connected and holds a boundary node, so every rank
+    # gets a distance.
+    by_rank = [0] * len(net.node_ids)
     for d, mask in enumerate(members):
         if not mask & boundary:
             raise ValueError(f"domain {d} has no boundary node")
         if sum(bfs_levels(mask & -mask, intra)) != mask:
             raise ValueError(f"some domain is not connected: domain {d}")
-        hops.update(level_hops(bfs_levels(mask & boundary, intra), net.node_ids))
+        level_hops(bfs_levels(mask & boundary, intra), by_rank)
+    hops = dict(zip(net.node_ids, by_rank))
     for nid, h in hops.items():
         net.nodes[nid].hop_to_boundary = h
     return hops

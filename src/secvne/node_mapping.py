@@ -53,28 +53,25 @@ def candidate_nodes(v: VirtualNode, net: SubstrateNetwork) -> list[int]:
     return [s.id for s in static if s.cpu_residual >= demand]
 
 
-def _normalized(values: dict[int, float]) -> dict[int, float]:
-    lo = min(values.values())
-    hi = max(values.values())
+def _normalized(values: list[float]) -> list[float]:
+    lo = min(values)
+    hi = max(values)
     if hi == lo:
-        return {sid: 0.0 for sid in values}
+        return [0.0] * len(values)
     span = hi - lo
-    return {sid: (val - lo) / span for sid, val in values.items()}
+    return [(val - lo) / span for val in values]
 
 
 def candidate_scores(v: VirtualNode, candidates, net: SubstrateNetwork) -> dict[int, float]:
     """Score of each candidate for v, relative to the given (non-empty)
     candidate set."""
-    nodes = net.nodes
-    sec = {sid: float(nodes[sid].ssl - v.vsd) for sid in candidates}
-    cpu = {sid: float(nodes[sid].cpu_residual - v.cpu_demand) for sid in candidates}
-    max_hop = max(nodes[sid].hop_to_boundary for sid in candidates)
-    hop = {sid: float(max_hop - nodes[sid].hop_to_boundary) for sid in candidates}
-    sec = _normalized(sec)
-    cpu = _normalized(cpu)
-    hop = _normalized(hop)
-    return {sid: GAMMA * sec[sid] + DELTA * cpu[sid] + THETA * hop[sid]
-            for sid in candidates}
+    nodes = [net.nodes[sid] for sid in candidates]
+    sec = _normalized([float(s.ssl - v.vsd) for s in nodes])
+    cpu = _normalized([float(s.cpu_residual - v.cpu_demand) for s in nodes])
+    max_hop = max(s.hop_to_boundary for s in nodes)
+    hop = _normalized([float(max_hop - s.hop_to_boundary) for s in nodes])
+    return {sid: GAMMA * a + DELTA * b + THETA * c
+            for sid, a, b, c in zip(candidates, sec, cpu, hop)}
 
 
 def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
@@ -98,7 +95,8 @@ def map_nodes(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         if not cands:
             raise EmbeddingInfeasible(f"no unused candidate for virtual node {v.id}")
         scores = candidate_scores(v, cands, net)
-        best = min(cands, key=lambda sid: (-scores[sid], sid))
+        # max keeps the first of equal scores, and cands ascend.
+        best = max(cands, key=scores.__getitem__)
         assignment[v.id] = best
         used.add(best)
     return assignment

@@ -18,6 +18,14 @@ subtract(gbest, x) are each 0 or 1, so s takes one of 8 values:
 ``velocity_table`` computes the 8 bits once, with the same expression, and
 each component indexes into them.
 
+Inside a search every substrate node is its bit rank
+(``SubstrateNetwork.rank``), the i-th smallest node id, so rank order is id
+order and every tie break by id holds on ranks.  ``swarm_search`` maps the
+candidate lists to ranks once (``rank_lists``), and the priority seed too;
+positions, pbest and gbest are rank lists, and only ``SwarmResult.position``
+is mapped back to ids.  ``baselines.random_embed`` draws in ranks the same
+way.
+
 Every search runs the swarm that the ``PsoConfig`` class constants fix:
 ``particle_count`` 10 over ``iterations`` 50, ``c1`` = ``c2`` = 1.5, omega
 falling linearly from ``inertia_max`` 0.9 to ``inertia_min`` 0.1 over the
@@ -37,8 +45,9 @@ most the request's demand minus this link's, and every table path stays
 feasible.  The routed cost is then the sum of bandwidth x topology hop
 distance, which ``fitness`` reads from the substrate's hop-distance table
 (``hop_sum``) without building paths or debits.  The table
-(``SubstrateNetwork.hop_dist``) holds, per destination, the hop count of
-every node that reaches it.  ``hop_sum`` reads its rows directly and calls
+(``SubstrateNetwork.hop_dist``) holds, per destination rank, a row listing
+the hop count from each source rank, None where the topology does not join
+the two.  ``hop_sum`` indexes its rows directly and calls
 ``routing.hop_distances``, one breadth-first search, only to fill a row the
 first time its destination is asked for.
 
@@ -52,7 +61,8 @@ once per substrate).  ``fitness`` then settles a position by the first of
 three steps that applies, in this order:
 
 1. Domain cut.  Per domain, the demands of the virtual links with exactly
-   one host in the domain are summed.  Every path that leaves a domain
+   one host in the domain, read from ``SubstrateNetwork.domain_of`` by
+   rank, are summed.  Every path that leaves a domain
    debits its demand on at least one of that domain's cut links, so when
    the sum exceeds the cut no routing order fits: INFEASIBLE.
 2. Cutoff.  When ``cutoff`` is finite, the topology hop sum ``cpu_total +
@@ -64,8 +74,8 @@ three steps that applies, in this order:
    ``swarm_search`` passes the particle's pbest fitness as the cutoff, and
    pbest and gbest move only on strict improvement, so such a value moves
    neither, as the routed cost would not.
-3. Route.  ``route_all_links`` routes the position in full, and a
-   breadth-first search reads the stored masks instead of testing
+3. Route.  ``route_all_links`` routes the position, mapped to ids, in full,
+   and a breadth-first search reads the stored masks instead of testing
    residuals link by link.
 
 A finite hop sum at the cutoff is a bound, not a cost, and moves no best.
@@ -83,16 +93,18 @@ dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
 component it draws, in ascending order, its pool is the candidate list less
-``used`` (the nodes kept or picked so far): an empty pool is a dead end, and
-otherwise it picks ``pool[rng.integers(len(pool))]`` and adds the pick to
-``used``.  The pool is never built.  Each list has a map from its nodes to
-their indices (``index_maps``; a list holds distinct nodes), so the used
-nodes in list k are a few indices, the hits.  The loop draws ``j`` below the
-list's length less the hits and steps ``j`` past each hit index ``<= j`` in
-ascending order, which lands on the j-th node of the filtered list: the same
-pick from the same one ``integers`` call.  ``position_update`` runs it over
-the velocity-0 components, with the kept nodes already in ``used``, and
-falls back to ``random_injective`` at a dead end.  ``sample_injective`` runs
+``used``, the int mask of the ranks kept or picked so far: an empty pool is
+a dead end, and otherwise it picks ``pool[rng.integers(len(pool))]`` and
+sets the pick's bit in ``used``.  The pool is never built.  Each list, of
+strictly ascending ranks, keeps its rank mask beside a map from its ranks
+to their indices (``index_maps``), so the used ranks in list k, the hits,
+are its mask AND ``used``.  The loop draws ``j`` below the list's length
+less the hits' bit count and steps ``j`` past each hit index ``<= j``,
+taking the hits from the lowest bit up, which is ascending index order: it
+lands on the j-th node of the filtered list, the same pick from the same
+one ``integers`` call.  ``position_update`` runs it over the velocity-0
+components, with the kept ranks already in ``used``, and falls back to
+``random_injective`` at a dead end.  ``sample_injective`` runs
 it over every component from an empty ``used`` and returns None at a dead
 end; ``random_injective`` (each initial particle not seeded by the priority
 mapping) and the random baseline draw through it.  ``swarm_search`` builds
@@ -142,7 +154,12 @@ Three exact shortcuts skip swarm work that cannot change the result.
   and rounding is monotone, so every bit is 1: ``position_update`` would
   keep the position, its fitness is pbest's, and gbest is at most every
   pbest, so neither best moves.  The particle's velocity becomes all ones
-  and its update, evaluation and best checks are skipped.
+  and its update, evaluation and best checks are skipped.  The test is
+  widened for a particle whose velocity is the all-ones list: then every
+  component indexes entry 6 or 7, and entry 7 adds ``r2 * c2 >= 0`` to
+  entry 6's ``omega + r1 * c1``, so when ``omega + r1 * c1 + 0.5 >= 1.0``
+  (entry 6, the same expression) every bit is 1 too, and the particle is
+  held without reading r2.
 - Skip an all-ones update.  When ``velocity_update`` gives all ones,
   ``position_update`` would draw nothing and keep the position.  Its
   fitness was seen when the particle reached it: the cost, or a bound at
@@ -155,20 +172,24 @@ Three exact shortcuts skip swarm work that cannot change the result.
   expression) and the particle's velocity is that list, every component
   indexes entry 4, 5, 6 or 7, which add non-negative terms to ``omega``, so
   the update would give all ones again.  The particle is skipped without
-  calling ``velocity_update``.  The held test comes first.
+  calling ``velocity_update``, and before the held test, which would only
+  set the all-ones list again.
 
 The search draws through a ``seeding.Draws`` stream, which gives the values
 numpy's ``Generator`` would for the same calls, so the draw order alone
 fixes the result: per particle, the initial position's draws (none for a
 particle seeded by the priority mapping), then one ``integers(2)`` per
 component for its velocity; per (iteration, particle), ``r1``, then ``r2``,
-then one ``integers`` per re-drawn component in ascending order.  A
-short-circuited particle and an all-ones update, computed or not, still
-draw ``r1`` and ``r2`` and re-draw nothing, and a search that stops at the
-bound draws nothing more.  Particles
-cannot be vectorised, since gbest moves between particles within an
-iteration.  The operators take any sampler with ``random()`` and
-``integers(n)``, a numpy ``Generator`` included.
+then one ``integers`` per re-drawn component in ascending order.  A value
+the particle step does not read is not derived: ``Draws.skip`` steps the
+stream past it, as ``random()`` would, so every later draw is the one the
+plain swarm makes.  A particle kept on the all-ones list skips both ``r1``
+and ``r2``; a held particle draws ``r1`` and skips ``r2``; only an update
+draws both.  An all-ones update re-draws nothing, and a search that stops
+at the bound draws nothing more.  Particles cannot be vectorised, since
+gbest moves between particles within an iteration.  The operators take any
+sampler with ``random()`` and ``integers(n)``, a numpy ``Generator``
+included.
 """
 
 from __future__ import annotations
@@ -185,6 +206,9 @@ from .routing import build_embedding, hop_distances, route_all_links, stored_mas
 from .seeding import draws_from
 
 INFEASIBLE = math.inf
+# Per candidate list of ranks, each rank's index in it and the list's rank
+# mask, as index_maps builds them.
+IndexMaps = list[tuple[dict[int, int], int]]
 # Rejection-sampling passes of random_injective before it falls back to the
 # deterministic matching.
 RANDOM_INJECTIVE_TRIES = 100
@@ -256,76 +280,94 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
 
-def index_maps(candidate_lists: list[list[int]]) -> list[dict[int, int]]:
-    """Per candidate list, each node's index in it; the lists hold distinct
-    nodes."""
-    return [{c: i for i, c in enumerate(cands)} for cands in candidate_lists]
+def rank_lists(candidate_lists: list[list[int]], net: SubstrateNetwork) -> list[list[int]]:
+    """Each candidate list with its node ids replaced by their bit ranks;
+    rank order is id order, so an ascending list stays ascending."""
+    rank = net.rank
+    return [[rank[c] for c in cands] for cands in candidate_lists]
+
+
+def index_maps(candidate_lists: list[list[int]]) -> IndexMaps:
+    """Per candidate list of ranks, each rank's index in it and the mask of
+    its ranks.  Raises ValueError unless every list strictly ascends, which
+    ``draw_injective`` relies on."""
+    maps = []
+    for cands in candidate_lists:
+        if any(a >= b for a, b in zip(cands, cands[1:])):
+            raise ValueError(f"candidate list {cands} does not strictly ascend")
+        maps.append(({c: i for i, c in enumerate(cands)}, sum(1 << c for c in cands)))
+    return maps
 
 
 def draw_injective(out: list[int], keep: list[int], candidate_lists: list[list[int]],
-                   maps: list[dict[int, int]], used: set[int], rng) -> list[int] | None:
+                   maps: IndexMaps, used: int, rng) -> list[int] | None:
     """The one exclude-and-draw loop: re-draw each component k of ``out``
     whose ``keep[k]`` is 0, in ascending order, from candidate list k less
-    ``used``; ``out``, or None at a dead end (an empty pool).
+    the ranks in the mask ``used``; ``out``, or None at a dead end (an empty
+    pool).
 
-    The pool is never built: ``maps[k]`` gives each node's index in list k,
-    so the used nodes in the list are a few indices, the hits.  The draw
-    ``j = rng.integers(len(list) - len(hit))``, stepped past each hit index
-    ``<= j`` in ascending order, is the index in list k of the j-th node of
-    the filtered list: the pick ``pool[rng.integers(len(pool))]`` of the
-    filtered pool, from the same one call.  The pick joins ``used``.
+    The pool is never built.  ``maps[k]`` holds each rank's index in list k
+    and the list's mask, so the used ranks in the list, the hits, are the
+    mask AND ``used``.  The draw ``j = rng.integers(len(list) - hits)``, with
+    hits counted by ``bit_count``, stepped past each hit index ``<= j`` in
+    ascending order, is the index in list k of the j-th node of the filtered
+    list: the pick ``pool[rng.integers(len(pool))]`` of the filtered pool,
+    from the same one call.  The list ascends, so the hits taken from the
+    lowest bit up come in ascending index order.  The pick joins ``used``.
     """
     for k, v in enumerate(keep):
         if v:
             continue
         cands = candidate_lists[k]
-        at = maps[k]
-        hit = [at[c] for c in used if c in at]
-        free = len(cands) - len(hit)
+        at, mask = maps[k]
+        hits = mask & used
+        free = len(cands) - hits.bit_count()
         if not free:
             return None
         j = rng.integers(free)
-        if hit:
-            hit.sort()
-            for h in hit:
-                if h > j:
-                    break
-                j += 1
+        while hits:
+            low = hits & -hits
+            if at[low.bit_length() - 1] > j:
+                break
+            j += 1
+            hits ^= low
         pick = cands[j]
         out[k] = pick
-        used.add(pick)
+        used |= 1 << pick
     return out
 
 
 def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[int]],
-                    maps: list[dict[int, int]], rng) -> list[int]:
+                    maps: IndexMaps, rng) -> list[int]:
     """Keep components with velocity 1; re-draw the rest injectively.
 
-    ``draw_injective`` re-draws them with every kept node already used.  A
-    dead end triggers a full re-randomization of the particle, so the update
-    never fails.  The result is a new list and ``p``'s lists are left as
-    they are, so ``swarm_search`` shares one list between a position and
-    the bests it becomes.
+    Positions and candidates are ranks.  ``draw_injective`` re-draws the
+    components with every kept rank already used.  A dead end triggers a
+    full re-randomization of the particle, so the update never fails.  The
+    result is a new list and ``p``'s lists are left as they are, so
+    ``swarm_search`` shares one list between a position and the bests it
+    becomes.
     """
     position = p.position
     if len(v_new) != len(position):
         raise ValueError(f"velocity of length {len(v_new)} for position of "
                          f"length {len(position)}")
-    out = draw_injective(list(position), v_new, candidate_lists, maps,
-                         set(compress(position, v_new)), rng)
+    used = 0
+    for x in compress(position, v_new):
+        used |= 1 << x
+    out = draw_injective(list(position), v_new, candidate_lists, maps, used, rng)
     return random_injective(candidate_lists, maps, rng) if out is None else out
 
 
-def sample_injective(candidate_lists: list[list[int]], maps: list[dict[int, int]],
+def sample_injective(candidate_lists: list[list[int]], maps: IndexMaps,
                      rng) -> list[int] | None:
     """One pass of uniform draws, one pick per candidate list in order, each
     excluding the earlier picks; None as soon as some pool empties."""
     n = len(candidate_lists)
-    return draw_injective([0] * n, [0] * n, candidate_lists, maps, set(), rng)
+    return draw_injective([0] * n, [0] * n, candidate_lists, maps, 0, rng)
 
 
-def random_injective(candidate_lists: list[list[int]], maps: list[dict[int, int]],
-                     rng) -> list[int]:
+def random_injective(candidate_lists: list[list[int]], maps: IndexMaps, rng) -> list[int]:
     """Uniform injective sample, one pick per candidate list.
 
     Rejection-samples dead ends; after RANDOM_INJECTIVE_TRIES passes it falls
@@ -553,19 +595,19 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
 def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
     """``cpu_total`` plus each virtual link's demand times the topology hop
-    distance between its hosts, read from the rows of the hop-distance
-    table (``hop_distances`` only fills a missing row); INFEASIBLE when the
-    topology does not join some link's hosts or they coincide, since then no
-    route joins them."""
+    distance between its hosts, ranks in ``position``, read from the rows of
+    the hop-distance table (``hop_distances`` only fills a missing row);
+    INFEASIBLE when the topology does not join some link's hosts or they
+    coincide, since then no route joins them."""
     net = plan.net
     rows = net.hop_dist
     total = plan.cpu_total
     for iu, iv, bw in plan.links:
-        # A row always holds its destination, so only a missing row is empty.
+        # A row is a non-empty list, so only a missing row is false.
         dst = position[iv]
-        row = rows.get(dst) or hop_distances(dst, net)
+        row = rows[dst] or hop_distances(net.node_ids[dst], net)
         # None: the topology does not join the hosts; 0: they coincide.
-        hops = row.get(position[iu])
+        hops = row[position[iu]]
         if not hops:
             return INFEASIBLE
         total += bw * hops
@@ -574,7 +616,8 @@ def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
 
 def fitness(position: list[int], plan: EvaluationPlan,
             cutoff: float = INFEASIBLE) -> float:
-    """Embedding cost of a position; +inf when its links cannot be routed.
+    """Embedding cost of a position of ranks; +inf when its links cannot be
+    routed.
 
     Under bandwidth slack the cost is the hop sum, with no paths routed.
     Otherwise a position a domain cut proves unroutable is +inf without
@@ -584,11 +627,12 @@ def fitness(position: list[int], plan: EvaluationPlan,
     """
     if plan.bw_slack:
         return hop_sum(position, plan)
-    nodes = plan.net.nodes
+    net = plan.net
+    domain_of = net.domain_of
     cut = plan.cut
     need = [0] * len(cut)
     for iu, iv, bw in plan.links:
-        du, dv = nodes[position[iu]].domain, nodes[position[iv]].domain
+        du, dv = domain_of[position[iu]], domain_of[position[iv]]
         if du != dv:
             need[du] += bw
             need[dv] += bw
@@ -598,8 +642,10 @@ def fitness(position: list[int], plan: EvaluationPlan,
         total = hop_sum(position, plan)
         if total >= cutoff:
             return total
+    node_ids = net.node_ids
+    assignment = {vid: node_ids[r] for vid, r in zip(plan.vnode_order, position)}
     try:
-        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+        _, bw_cost = route_all_links(plan.vnr, assignment, net)
     except EmbeddingInfeasible:
         return INFEASIBLE
     return float(plan.cpu_total + bw_cost)
@@ -615,11 +661,12 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     """Run the swarm and return the best assignment found.
 
     Particle 0 is seeded from the deterministic priority mapping when that is
-    feasible; the rest start as uniform injective samples.  The search stops
-    before any iteration that finds gbest at the plan's bound, skips the
-    update of a particle held on its pbest, whose all-ones velocity stays
-    all ones, or whose new velocity is all ones, and passes each evaluation
-    the particle's pbest as the cutoff;
+    feasible; the rest start as uniform injective samples.  The swarm runs
+    on substrate bit ranks.  The search stops before any iteration that
+    finds gbest at the plan's bound, skips the update of a particle whose
+    all-ones velocity stays all ones, held on its pbest, or whose new
+    velocity is all ones, steps the stream past the r1 and r2 it does not
+    read, and passes each evaluation the particle's pbest as the cutoff;
     all of these leave every result and every draw that reaches one
     unchanged (module docstring).  Raises
     EmbeddingInfeasible when some virtual node has no candidate at all, no
@@ -636,7 +683,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible(f"request {vnr.id}: no placement its candidate lists allow "
                                   f"can carry its virtual links' demand in residual")
     vnode_order = plan.vnode_order
-    maps = index_maps(candidate_lists)
+    # The swarm runs on ranks; only the result is mapped back to ids.
+    ranks = rank_lists(candidate_lists, net)
+    maps = index_maps(ranks)
     # The one all-ones velocity of the search: a particle holds it exactly
     # when a short-circuit or an all-ones update gave it.
     ones = [1] * len(vnode_order)
@@ -644,7 +693,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     draws = draws_from(cfg.seed)
     try:
         mapped = map_nodes(vnr, net, candidate_lists)
-        seeded = [mapped[vid] for vid in vnode_order]
+        seeded = [net.rank[mapped[vid]] for vid in vnode_order]
     except EmbeddingInfeasible:
         seeded = None
 
@@ -653,7 +702,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         if i == 0 and seeded is not None:
             position = seeded
         else:
-            position = random_injective(candidate_lists, maps, draws)
+            position = random_injective(ranks, maps, draws)
         velocity = [draws.integers(2) for _ in position]
         f = fitness(position, plan)
         particles.append(Particle(position, velocity, position, f))
@@ -663,6 +712,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     gbest_position, gbest_fitness = first.pbest_position, first.pbest_fitness
     history = [gbest_fitness]
 
+    c1 = PsoConfig.c1
     for it in range(PsoConfig.iterations):
         if gbest_fitness <= plan.bound:
             history.extend([gbest_fitness] * (PsoConfig.iterations - it))
@@ -671,21 +721,28 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         # Entry 4 of velocity_table: when it is 1, all ones stay all ones.
         ones_stay = omega + 0.5 >= 1.0
         for p in particles:
-            r1 = draws.random()
-            r2 = draws.random()
-            if r1 * PsoConfig.c1 + 0.5 >= 1.0 and p.position == p.pbest_position:
-                # Every velocity bit is 1: the particle stays on its pbest.
-                p.velocity = ones
-                continue
             if ones_stay and p.velocity is ones:
-                # The update would give all ones again and keep the position.
+                # The update would give all ones again and keep the position;
+                # r1 and r2 go unread.
+                draws.skip(2)
                 continue
+            r1 = draws.random()
+            a = r1 * c1
+            if ((a + 0.5 >= 1.0 or (p.velocity is ones and omega + a + 0.5 >= 1.0))
+                    and p.position == p.pbest_position):
+                # Entry 2, or entries 6 and 7 for all ones, of velocity_table:
+                # every velocity bit is 1, the particle stays on its pbest,
+                # and r2 goes unread.
+                p.velocity = ones
+                draws.skip(1)
+                continue
+            r2 = draws.random()
             v_new = velocity_update(p, gbest_position, omega, r1, r2)
             if 0 not in v_new:
                 # The update keeps the position, whose fitness was seen.
                 p.velocity = ones
                 continue
-            x_new = position_update(p, v_new, candidate_lists, maps, draws)
+            x_new = position_update(p, v_new, ranks, maps, draws)
             f = fitness(x_new, plan, p.pbest_fitness)
             p.velocity = v_new
             p.position = x_new
@@ -697,7 +754,9 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 gbest_position = p.pbest_position
         history.append(gbest_fitness)
 
-    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history)
+    node_ids = net.node_ids
+    return SwarmResult(vnode_order, [node_ids[r] for r in gbest_position], gbest_fitness,
+                       history)
 
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) -> Embedding:

@@ -9,8 +9,9 @@ the combined paths respect every link's residual cumulatively without
 mutating the network.  Each link first tries its entry in the substrate's
 min-hop path table (``min_hop_path``): the path the same rule picks in the
 bare topology, bandwidth ignored.  The table lives as long as the substrate
-and is filled lazily: one full search per destination, whose hop distances
-and levels it keeps, plus one descent per (src, dst) pair.  The table path
+and is filled lazily: one full search per destination, whose levels and
+hop distances, a row by source rank (``hop_distances``), it keeps under the
+destination's rank, plus one descent per (src, dst) pair.  The table path
 is taken when every link on it still has the demand left after residuals
 and debits; only otherwise does ``route_link`` search the feasible subgraph.
 
@@ -109,18 +110,20 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     return _descend(cur, levels, masks, net.node_ids)
 
 
-def hop_distances(dst: int, net: SubstrateNetwork) -> dict[int, int]:
-    """Hop count to dst from every node that reaches it, bandwidth ignored.
+def hop_distances(dst: int, net: SubstrateNetwork) -> list[int | None]:
+    """Hop count to dst from each node, by the node's bit rank, bandwidth
+    ignored; None where the topology does not join the node to dst.
 
     Read from, or added to, the substrate's distance table: one full
     breadth-first search per destination, whose levels the table keeps too.
     """
-    dist = net.hop_dist.get(dst)
-    if dist is not None:
-        return dist
-    levels = net.hop_levels[dst] = bfs_levels(1 << net.rank[dst], net.adj_masks)
-    dist = net.hop_dist[dst] = level_hops(levels, net.node_ids)
-    return dist
+    r = net.rank[dst]
+    row = net.hop_dist[r]
+    if row is not None:
+        return row
+    levels = net.hop_levels[r] = bfs_levels(1 << r, net.adj_masks)
+    row = net.hop_dist[r] = level_hops(levels, [None] * len(net.node_ids))
+    return row
 
 
 def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
@@ -132,11 +135,12 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
     path = net.min_hop_paths.get((src, dst))
     if path is not None:
         return path
-    hops = hop_distances(dst, net).get(src)
+    rank = net.rank
+    hops = hop_distances(dst, net)[rank[src]]
     if hops is None:
         raise EmbeddingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
     path = net.min_hop_paths[(src, dst)] = _descend(
-        net.rank[src], net.hop_levels[dst][:hops], net.adj_masks, net.node_ids)
+        rank[src], net.hop_levels[rank[dst]][:hops], net.adj_masks, net.node_ids)
     return path
 
 

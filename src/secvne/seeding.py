@@ -19,7 +19,9 @@ and the strategies both draw from it.  It reproduces, bit for bit, the
 algorithms (numpy 2.x, ``distributions.c`` and ``_generator.pyx``):
 
 * ``random()`` is ``next_double``: the top 53 bits of one raw output, times
-  2**-53.
+  2**-53.  ``skip(k)`` consumes k raw outputs, as k ``random()`` calls do,
+  for a caller that would not read the values; like them, it leaves the
+  carried half word alone.
 * ``integers(n)`` for n <= 2**32 - 1 is Lemire's bounded draw over 32-bit
   words for the range n - 1 (``buffered_bounded_lemire_uint32``).  The
   words come from ``next_uint32``, which splits one raw output into its
@@ -102,8 +104,9 @@ def derive_seed(seed: int, *keys: int) -> int:
 class Draws:
     """``random()``, ``integers(n)``, ``exponential(scale)`` and
     ``choice(pop, k)`` of ``numpy.random.Generator``, bit for bit, from
-    blocks of a PCG64 bit generator's raw outputs (see the module
-    docstring).  The stream must be the bit generator's only reader."""
+    blocks of a PCG64 bit generator's raw outputs, and ``skip(k)``, k
+    ``random()`` calls' worth of outputs unread (see the module docstring).
+    The stream must be the bit generator's only reader."""
 
     __slots__ = ("_bits", "_raw", "_buf", "_pos", "_carry")
 
@@ -135,6 +138,17 @@ class Draws:
             self._pos = pos + 1
             return (self._buf[pos] >> 11) * 1.1102230246251565e-16
         return (self._refill() >> 11) * 1.1102230246251565e-16
+
+    def skip(self, k: int) -> None:
+        """Consume ``k`` raw outputs, as k ``random()`` calls would, without
+        deriving a value; the carried half word stays."""
+        if k < 0:
+            raise ValueError(f"skip: k must be non-negative, got {k}")
+        pos = self._pos + k
+        while pos > len(self._buf):
+            pos -= len(self._buf)
+            self._buf = self._raw(DRAW_BLOCK).tolist()
+        self._pos = pos
 
     def _next32(self) -> int:
         carry = self._carry

@@ -19,6 +19,7 @@ from secvne.pso import (
     PsoConfig,
     evaluation_plan,
     fitness,
+    index_maps,
     injective_assignment,
     optimize,
     position_update,
@@ -30,7 +31,7 @@ from secvne.pso import (
     velocity_update,
 )
 from secvne.routing import route_all_links, usable_masks
-from secvne.seeding import draws_from
+from secvne.seeding import Draws, draws_from
 from secvne.simulation import Strategy, make_strategy, run
 from secvne.validation import validate_embedding
 
@@ -68,21 +69,24 @@ def plan_for(vnr, net):
     return evaluation_plan(vnr, net, [sorted(net.nodes)] * len(vnr.nodes))
 
 
+def assignment_of(position, plan):
+    """The assignment, virtual node id -> substrate node id, of a position
+    of substrate bit ranks, as ``fitness`` reads one."""
+    node_ids = plan.net.node_ids
+    return {vid: node_ids[r] for vid, r in zip(plan.vnode_order, position)}
+
+
 def routed_cost(position, plan, cutoff=INFEASIBLE):
     """A position's cost routed in full, the reference for the plan's fast
     paths: cpu_total plus the bandwidth cost of route_all_links, or +inf
-    when it cannot route the links.  It takes ``fitness``'s cutoff and
-    ignores it, so that it can stand in for ``fitness`` in a search."""
+    when it cannot route the links.  It takes ``fitness``'s position of
+    ranks and its cutoff, which it ignores, so that it can stand in for
+    ``fitness`` in a search."""
     try:
-        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), plan.net)
+        _, bw_cost = route_all_links(plan.vnr, assignment_of(position, plan), plan.net)
     except EmbeddingInfeasible:
         return math.inf
     return float(plan.vnr.cpu_total + bw_cost)
-
-
-def maps_of(candidate_lists):
-    """Each list's {node: index in the list}, as ``index_maps`` builds it."""
-    return [{c: i for i, c in enumerate(cands)} for cands in candidate_lists]
 
 
 def particle_at(position, velocity=None, pbest=None):
@@ -127,13 +131,13 @@ class TestOperators:
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
         cands = [[3, 9], [4, 9]]
-        assert position_update(p, [1, 1], cands, maps_of(cands), rng) == [3, 4]
+        assert position_update(p, [1, 1], cands, index_maps(cands), rng) == [3, 4]
 
     def test_position_update_all_zeros_is_fresh_injective_sample(self):
         rng = np.random.default_rng(0)
         p = particle_at([3, 4])
         cands = [[3, 9], [4, 9]]
-        out = position_update(p, [0, 0], cands, maps_of(cands), rng)
+        out = position_update(p, [0, 0], cands, index_maps(cands), rng)
         assert out[0] in cands[0] and out[1] in cands[1]
         assert out[0] != out[1]
 
@@ -143,7 +147,7 @@ class TestOperators:
         p = particle_at([5, 6])
         cands = [[5], [5, 6, 7]]
         for _ in range(20):
-            out = position_update(p, [1, 0], cands, maps_of(cands), rng)
+            out = position_update(p, [1, 0], cands, index_maps(cands), rng)
             assert out[0] == 5
             assert out[1] in (6, 7)
 
@@ -152,7 +156,7 @@ class TestOperators:
         p = particle_at([5, 6])
         # component 1 keeps 6? no: velocity 0 on both, candidates force collision
         cands = [[5, 6], [5, 6]]
-        out = position_update(p, [0, 0], cands, maps_of(cands), rng)
+        out = position_update(p, [0, 0], cands, index_maps(cands), rng)
         assert sorted(out) == [5, 6]
 
     def test_position_update_leaves_the_particles_lists_as_they_were(self, monkeypatch):
@@ -178,7 +182,7 @@ class TestOperators:
             for v_new in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 0]):
                 p = particle_at([5, 6, 7], velocity=[1, 1, 0], pbest=[6, 7, 5])
                 position, pbest = list(p.position), list(p.pbest_position)
-                out = position_update(p, v_new, cands, maps_of(cands), draws)
+                out = position_update(p, v_new, cands, index_maps(cands), draws)
                 calls += 1
                 assert (p.position, p.pbest_position) == (position, pbest)
                 assert out is not p.position and out is not p.pbest_position
@@ -188,7 +192,7 @@ class TestOperators:
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="length"):
-            position_update(particle_at([1]), [0, 1], [[1]], [{1: 0}], rng)
+            position_update(particle_at([1]), [0, 1], [[1]], index_maps([[1]]), rng)
         with pytest.raises(ValueError, match="length"):
             velocity_update(particle_at([1]), [1, 2], 0.5, 0.5, 0.5)
 
@@ -217,6 +221,53 @@ class TestVelocityTable:
         assert s < 0.5 and s + 0.5 == 1.0
         assert velocity_table(s, 0.0, 0.0)[4] == 1
         assert velocity_table(s, 0.0, 0.0)[:4] == [0, 0, 0, 0]
+
+    def test_all_ones_on_pbest_stays_all_ones_exactly_at_entry_6(self):
+        """With velocity all ones and position equal to pbest, the scalar
+        rule gives all ones whenever ``omega + r1*c1 + 0.5 >= 1.0``
+        (entry 6 of ``velocity_table``, the widened held test of
+        ``swarm_search``), whatever r2 and the gbest agreement; and when it
+        does not hold, a component off gbest gets 0.  Over every omega the
+        swarm uses and r1 on a grid and at the floats around the boundary."""
+        c1, c2 = PsoConfig.c1, PsoConfig.c2
+        omegas = [pso._inertia(it) for it in range(PsoConfig.iterations)] + [0.5 - 2**-54]
+        position = [3, 1, 4, 6]
+        gbests = [list(position), [3, 9, 4, 9], [9, 9, 9, 9]]
+        held = widened = not_held = 0
+        for omega in omegas:
+            r1s = [k / 20 for k in range(20)]
+            # Entry 6's edge and entry 2's, with three floats either side.
+            for edge in ((0.5 - omega) / c1, 0.5 / c1):
+                below = above = edge
+                r1s.append(edge)
+                for _ in range(3):
+                    below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                    r1s += [below, above]
+            for r1 in r1s:
+                if not 0.0 <= r1 < 1.0:
+                    continue
+                for r2 in (0.0, 0.25, math.nextafter(1.0, 0.0)):
+                    for gbest in gbests:
+                        p = particle_at(position, velocity=[1] * 4, pbest=position)
+                        update = scalar_velocity_update(p, gbest, omega, r1, r2, c1, c2)
+                        if omega + r1 * c1 + 0.5 >= 1.0:
+                            assert update == [1] * 4, (omega, r1, r2, gbest)
+                            held += 1
+                            widened += r1 * c1 + 0.5 < 1.0
+                        elif gbest != position:
+                            assert 0 in update, (omega, r1, r2, gbest)
+                            not_held += 1
+        assert held and widened and not_held, (held, widened, not_held)
+        # The boundary itself: a sum of exactly 1.0 holds, and the first
+        # float r1 below it whose sum falls under 1.0 does not.
+        omega, r1 = 0.25, 0.25 / c1
+        assert omega + r1 * c1 + 0.5 == 1.0
+        assert scalar_velocity_update(particle_at([2], [1], [2]), [7], omega, r1, 0.0,
+                                      c1, c2) == [1]
+        while omega + r1 * c1 + 0.5 >= 1.0:
+            r1 = math.nextafter(r1, 0.0)
+        assert scalar_velocity_update(particle_at([2], [1], [2]), [7], omega, r1, 0.0,
+                                      c1, c2) == [0]
 
     def test_velocity_update_matches_scalar_update(self):
         rnd = random.Random(1)
@@ -264,7 +315,7 @@ class TestInjectiveSampling:
         rng = np.random.default_rng(3)
         cands = [[1, 2], [2, 3], [1, 3]]
         for _ in range(50):
-            out = random_injective(cands, maps_of(cands), rng)
+            out = random_injective(cands, index_maps(cands), rng)
             assert len(set(out)) == 3
             for k, pool in enumerate(cands):
                 assert out[k] in pool
@@ -272,12 +323,12 @@ class TestInjectiveSampling:
     def test_random_injective_impossible_raises(self):
         rng = np.random.default_rng(4)
         with pytest.raises(EmbeddingInfeasible):
-            random_injective([[1], [1]], maps_of([[1], [1]]), rng)
+            random_injective([[1], [1]], index_maps([[1], [1]]), rng)
 
     def test_sample_injective_returns_none_when_a_pool_empties(self):
         rng = np.random.default_rng(5)
-        assert sample_injective([[1], [1, 2], [2]], maps_of([[1], [1, 2], [2]]), rng) is None
-        assert sample_injective([[1], [1, 2]], maps_of([[1], [1, 2]]), rng) == [1, 2]
+        assert sample_injective([[1], [1, 2], [2]], index_maps([[1], [1, 2], [2]]), rng) is None
+        assert sample_injective([[1], [1, 2]], index_maps([[1], [1, 2]]), rng) == [1, 2]
 
     def test_sample_injective_draws_what_one_reference_pass_draws(self):
         """Draw for draw, on a twin stream, the pass of the plain reference,
@@ -288,7 +339,7 @@ class TestInjectiveSampling:
             n = rnd.randint(1, 7)
             cands = [sorted(rnd.sample(range(10), rnd.randint(1, 5))) for _ in range(n)]
             fast, plain = draws_from(seed), rng_from(seed)
-            out = sample_injective(cands, maps_of(cands), fast)
+            out = sample_injective(cands, index_maps(cands), fast)
             assert out == sample_injective_brute(cands, plain)
             assert fast.random() == plain.random()
             outcomes[out is None] += 1
@@ -363,9 +414,10 @@ class TestEvaluationPlan:
     def test_position_update_draws_the_filtered_pools(self):
         """Draw for draw, on twin streams, ``position_update`` and
         ``sample_injective`` pick what picking from each candidate list
-        filtered of the used nodes picks, on lists in no particular order,
-        dead ends included (the update's full re-draw, the sample's None),
-        and both streams end at the same point."""
+        filtered of the used nodes picks, dead ends included (the update's
+        full re-draw, the sample's None), and both streams end at the same
+        point.  The lists ascend, as ``index_maps`` requires; it rejects a
+        list that does not."""
         def filtered_update(p, v_new, candidate_lists, rng):
             used = {x for x, v in zip(p.position, v_new) if v == 1}
             out = list(p.position)
@@ -384,16 +436,20 @@ class TestEvaluationPlan:
         dead_ends = {"update": 0, "sample": 0}
         for seed in range(300):
             n = rnd.randint(1, 6)
-            cands = [rnd.sample(range(8), rnd.randint(1, 6)) for _ in range(n)]
+            drawn = [rnd.sample(range(8), rnd.randint(1, 6)) for _ in range(n)]
+            cands = [sorted(pool) for pool in drawn]
+            if drawn != cands:
+                with pytest.raises(ValueError, match="does not strictly ascend"):
+                    index_maps(drawn)
             position = injective_assignment(cands)
             if position is None:
                 continue
             v_new = [rnd.randrange(2) for _ in range(n)]
             fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = position_update(particle_at(position), v_new, cands, maps_of(cands), fast)
+            out = position_update(particle_at(position), v_new, cands, index_maps(cands), fast)
             assert out == filtered_update(particle_at(position), v_new, cands, plain)
             assert fast.random() == plain.random()
-            sample = sample_injective(cands, maps_of(cands), fast)
+            sample = sample_injective(cands, index_maps(cands), fast)
             assert sample == sample_injective_brute(cands, plain)
             assert fast.random() == plain.random()
             dead_ends["sample"] += sample is None
@@ -427,25 +483,30 @@ class TestBandwidthSlack:
         """On a fresh copy, whose table is empty, ``hop_sum`` fills each row
         it reads, and gives what it gives over a filled table and what plain
         breadth-first distances give: INFEASIBLE when some link's hosts are
-        not joined (the substrate has two parts) or coincide."""
+        not joined (the substrate has two parts) or coincide.  Positions
+        and table rows are by rank, which the scattered ids tell apart from
+        ids."""
         vnr = four_node_vnr()
         filled = scattered_net()
         for dst in filled.nodes:
             routing.hop_distances(dst, filled)
         fresh = filled.copy()
-        assert fresh.hop_dist == {}
+        assert fresh.hop_dist == [None] * len(fresh.nodes)
         fresh_plan, filled_plan = plan_for(vnr, fresh), plan_for(vnr, filled)
         brute = {dst: hop_distances_brute(filled, dst) for dst in filled.nodes}
+        rank = filled.rank
         seen = {True: 0, False: 0}
         for nodes in itertools.permutations(sorted(filled.nodes), 4):
             hops = [brute[nodes[iv]].get(nodes[iu]) for iu, iv, _ in filled_plan.links]
             expected = (INFEASIBLE if not all(hops) else
                         float(vnr.cpu_total + sum(bw * h for (_, _, bw), h
                                                   in zip(filled_plan.links, hops))))
-            cost = pso.hop_sum(list(nodes), fresh_plan)
-            assert cost == pso.hop_sum(list(nodes), filled_plan) == expected
+            position = [rank[n] for n in nodes]
+            cost = pso.hop_sum(position, fresh_plan)
+            assert cost == pso.hop_sum(position, filled_plan) == expected
             seen[cost == INFEASIBLE] += 1
-        assert fresh.hop_dist == brute
+        assert fresh.hop_dist == [[brute[dst].get(src) for src in filled.node_ids]
+                                  for dst in filled.node_ids]
         assert min(seen.values()) > 500, seen
 
     def test_unjoined_or_shared_hosts_are_infeasible(self):
@@ -593,7 +654,7 @@ def count_proofs(monkeypatch):
             assert value >= cutoff
             proofs["cutoff"] += 1
         else:
-            assignment = dict(zip(plan.vnode_order, position))
+            assignment = assignment_of(position, plan)
             short = domain_cut_short(plan.vnr, assignment, plan.net)
             assert short or (cutoff < INFEASIBLE
                              and unjoined_hosts(plan.vnr, assignment, plan.net))
@@ -701,7 +762,7 @@ class TestDisconnectedSubstrate:
 
         def checked(position, plan, cutoff=INFEASIBLE):
             value = plain(position, plan, cutoff)
-            assignment = dict(zip(plan.vnode_order, position))
+            assignment = assignment_of(position, plan)
             if value == INFEASIBLE and unjoined_hosts(vnr, assignment, net):
                 assert route_all_brute(vnr, assignment, net) is None
                 unjoined["cutoff" if cutoff < INFEASIBLE else "no cutoff"] += 1
@@ -1078,11 +1139,13 @@ class TestReferenceSwarm:
     def test_search_matches_the_reference_swarm(self, monkeypatch):
         """The search returns the plain swarm's position, fitness and whole
         gbest history, and raises exactly when that swarm has no candidate,
-        no injective assignment or no routable position.  The set holds
-        searches stopped at the bound, particles held on their pbest,
-        all-ones velocities kept without an update, all-ones updates, and
-        positions settled by a domain cut or by the pbest cutoff without
-        routing."""
+        no injective assignment or no routable position.  The plain swarm
+        draws r1 and r2 for every update; the search skips what it does not
+        read.  The set holds searches stopped at the bound, particles held
+        on their pbest, by entry 2 and by the widened test alone (entry 6 on
+        an all-ones velocity, ``r1*c1 + 0.5 < 1``), all-ones velocities kept
+        without an update, all-ones updates, and positions settled by a
+        domain cut or by the pbest cutoff without routing."""
         # One _inertia call per iteration that runs, one velocity_update
         # call per particle update that is not skipped.
         iterations = count_calls(monkeypatch, pso, "_inertia")
@@ -1106,6 +1169,21 @@ class TestReferenceSwarm:
                 super().__setattr__(name, value)
 
         monkeypatch.setattr(pso, "Particle", CountingParticle)
+        # The r1 of each held particle: a skip of one output follows it.
+        held_r1 = []
+
+        class RecordingDraws(Draws):
+            def random(self):
+                self.last = super().random()
+                return self.last
+
+            def skip(self, k):
+                if k == 1:
+                    held_r1.append(self.last)
+                super().skip(k)
+
+        monkeypatch.setattr(pso, "draws_from",
+                            lambda seed: RecordingDraws(rng_from(seed).bit_generator))
         proofs = count_proofs(monkeypatch)
         seen = {"slack": 0, "binding": 0, "bound": 0, "no host": 0}
         stopped = held = kept = all_ones = 0
@@ -1131,7 +1209,10 @@ class TestReferenceSwarm:
             assert all(0 in v_new for v_new in moves)
             assert sum(0 not in v for v in velocity_sets) == len(velocity_sets) - len(moves)
         assert min(seen.values()) > 0, seen
-        assert stopped > 0 and held > 0 and kept > 0 and all_ones > 0, (held, kept, all_ones)
+        widened = sum(r1 * PsoConfig.c1 + 0.5 < 1.0 for r1 in held_r1)
+        assert len(held_r1) == held
+        assert stopped > 0 and 0 < widened < held and kept > 0 and all_ones > 0, (
+            held, widened, kept, all_ones)
         assert min(proofs.values()) > 0, proofs
 
     def test_paper_scale_bandwidth_bound_run_matches_routed_fitness(self, monkeypatch):

@@ -370,10 +370,13 @@ class TestMinHopPath:
                                 == shortest_feasible_path_brute(net, src, dst, 0))
 
     def test_hop_distances_and_paths_on_scattered_ids(self):
+        """The hop row of a destination lists each source by its bit rank,
+        None where no path joins the two."""
         net = scattered_net()
         unjoined = 0
         for dst in net.nodes:
-            expected = {dst: 0}
+            expected = [None] * len(net.nodes)
+            expected[net.rank[dst]] = 0
             for src in net.nodes:
                 if src == dst:
                     continue
@@ -383,7 +386,7 @@ class TestMinHopPath:
                     with pytest.raises(EmbeddingInfeasible, match="does not join"):
                         min_hop_path(src, dst, net)
                 else:
-                    expected[src] = len(path) - 1
+                    expected[net.rank[src]] = len(path) - 1
                     assert min_hop_path(src, dst, net) == path
             assert hop_distances(dst, net) == expected
         assert unjoined
@@ -395,9 +398,10 @@ class TestMinHopPath:
 
     def test_copy_starts_with_an_empty_table(self, toy_net):
         assert min_hop_path(0, 5, toy_net) == (0, 2, 3, 5)
-        assert toy_net.min_hop_paths and toy_net.hop_dist
+        assert toy_net.min_hop_paths and any(toy_net.hop_dist) and any(toy_net.hop_levels)
         clone = toy_net.copy()
-        assert clone.min_hop_paths == {} and clone.hop_dist == {}
+        assert clone.min_hop_paths == {}
+        assert clone.hop_dist == clone.hop_levels == [None] * len(clone.nodes)
 
     def test_disjoint_domains_are_infeasible(self):
         net = make_substrate(

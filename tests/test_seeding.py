@@ -145,6 +145,35 @@ def test_exponential_keeps_the_carried_half_word():
     assert draws.random() == rng.random()
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 5, DRAW_BLOCK, 2 * DRAW_BLOCK + 3])
+def test_skip_consumes_what_random_calls_consume(k):
+    """From a carried half word left by ``integers(n)``, ``skip(k)`` steps
+    where k ``random()`` calls of numpy's ``Generator`` step: the carried
+    half still answers the next 32-bit draw, and the draws that follow are
+    equal, across a block boundary too."""
+    rng, draws = rng_from(24), draws_from(24)
+    # Stand a few outputs short of the block's end, then carry a half word.
+    assert [draws.random() for _ in range(DRAW_BLOCK - 3)] == \
+        rng.random(DRAW_BLOCK - 3).tolist()
+    assert draws.integers(100) == rng.integers(100)
+    draws.skip(k)
+    for _ in range(k):
+        rng.random()
+    assert draws.integers(100) == rng.integers(100)  # the carried half
+    assert [draws.integers(7) for _ in range(5)] == [rng.integers(7) for _ in range(5)]
+    assert [draws.random() for _ in range(DRAW_BLOCK + 1)] == \
+        rng.random(DRAW_BLOCK + 1).tolist()
+
+
+def test_skip_on_a_fresh_stream_and_a_negative_count():
+    rng, draws = rng_from(25), draws_from(25)
+    draws.skip(3)
+    rng.random(3)
+    assert draws.random() == rng.random()
+    with pytest.raises(ValueError, match="non-negative"):
+        draws.skip(-1)
+
+
 def test_exponential_on_a_fresh_or_drained_stream():
     rng, draws = rng_from(23), draws_from(23)
     assert [draws.exponential(2.0) for _ in range(5)] == \

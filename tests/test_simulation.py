@@ -10,10 +10,12 @@ from secvne.errors import EmbeddingInfeasible, InternalConsistencyError, Invalid
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import cost, revenue, steady_state_means, windowed_series
-from secvne.model import Embedding
+from secvne.model import (Embedding, SubstrateLink, SubstrateNetwork, SubstrateNode,
+                          compute_boundary_hops)
 from secvne.routing import MASK_STORE_LIMIT, stored_masks
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
-from secvne.simulation import Strategy, audit_residuals, compare, make_strategy, run
+from secvne.simulation import (STRATEGY_NAMES, Strategy, audit_residuals, compare,
+                               make_strategy, run)
 
 from conftest import make_vnr, state_signature
 
@@ -342,3 +344,56 @@ def test_embed_calls_the_function_bound_when_it_runs(toy_net, monkeypatch, name,
         assert calls[0][2] == derive_seed(5, RANDOM_BASELINE_STREAM, 3)
     else:
         assert len(calls[0]) == 2
+
+
+def relabelled(net, relabel):
+    """``net`` with every node id ``nid`` replaced by ``relabel(nid)``."""
+    nodes = [SubstrateNode(relabel(n.id), n.domain, n.cpu_capacity, n.cpu_residual, n.ssl,
+                           n.ssd) for n in net.nodes.values()]
+    links = [SubstrateLink(relabel(l.u), relabel(l.v), l.bw_capacity, l.bw_residual)
+             for l in net.links.values()]
+    out = SubstrateNetwork(net.domain_count, nodes, links)
+    compute_boundary_hops(out)
+    return out
+
+
+@pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
+def test_whole_runs_are_the_same_on_relabelled_ids(bw_range):
+    """Every generated substrate has ids 0..N-1, so a node's bit rank equals
+    its id there, and no pinned digest would see a rank used as an id or an
+    id as a rank.  On the same substrates with each id moved to 3*id + 5,
+    which keeps the id order, every strategy writes the same trace records
+    and places the same embeddings, under the relabel.  A run releases
+    every request by its end, so each embedding is read when it is placed,
+    while it is active."""
+    def relabel(nid):
+        return 3 * nid + 5
+
+    def placing(name, seed, placed):
+        plain = make_strategy(name, seed=seed)
+
+        def embed(vnr, net):
+            emb = plain.embed(vnr, net)
+            placed.append((vnr.id, emb.node_map, emb.link_map))
+            return emb
+
+        return Strategy(name, embed)
+
+    horizon = 300
+    for seed in range(3):
+        overrides = {} if bw_range is None else {"substrate_bw_range": bw_range}
+        cfg = GeneratorConfig(seed=seed, **overrides)
+        net = generate_substrate(cfg)
+        assert net.node_ids == list(range(len(net.nodes)))
+        moved = relabelled(net, relabel)
+        vnrs = generate_vnr_stream(cfg, horizon)
+        for name in STRATEGY_NAMES:
+            placed, placed_moved = [], []
+            expected = run(net.copy(), vnrs, placing(name, seed, placed), horizon)
+            trace = run(moved.copy(), vnrs, placing(name, seed, placed_moved), horizon)
+            assert trace.records == expected.records
+            assert placed and len(placed) == expected.accepted
+            assert placed_moved == [
+                (vid, {k: relabel(sid) for k, sid in node_map.items()},
+                 {k: tuple(map(relabel, path)) for k, path in link_map.items()})
+                for vid, node_map, link_map in placed]
