@@ -24,13 +24,17 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
     order = sorted(vnr.nodes.values(), key=lambda v: (-v.cpu_demand, v.id))
     assignment: dict[int, int] = {}
     used: set[int] = set()
+    nodes = net.nodes
     for v in order:
-        cands = [sid for sid in candidate_nodes(v, net) if sid not in used]
-        if not cands:
+        # Candidates ascend by id and only a strictly larger residual
+        # replaces the best so far, so equal residuals go to the lowest id.
+        best, most = None, -1
+        for sid in candidate_nodes(v, net):
+            if sid not in used and nodes[sid].cpu_residual > most:
+                best, most = sid, nodes[sid].cpu_residual
+        if best is None:
             raise EmbeddingInfeasible(f"request {vnr.id}: greedy: no unused candidate for "
                                       f"virtual node {v.id}")
-        # max keeps the first of equal residuals, the lowest id.
-        best = max(cands, key=lambda sid: net.nodes[sid].cpu_residual)
         assignment[v.id] = best
         used.add(best)
     try:

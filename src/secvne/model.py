@@ -29,10 +29,15 @@ down to the links with enough residual.  ``SubstrateNetwork.mask_store``
 keeps those masks per demand, and ``allocate`` and ``release``, the only
 writers of a residual, flip the bits of each link whose residual crosses a
 stored demand, so the store stays equal to a fresh build.
+``allocate`` derives an embedding's per-node CPU and per-link bandwidth
+demand once and records what it debited in ``SubstrateNetwork.debited``;
+``release`` credits exactly that record, so it is the literal inverse of
+the debit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -229,7 +234,8 @@ class SubstrateNetwork:
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the path table and ``candidate_index`` all rely on.
     Residuals change only in ``allocate`` and ``release``, which keep
-    ``mask_store`` current.
+    ``mask_store`` current and ``debited`` equal to each active request's
+    debit.
     """
 
     def __init__(self, domain_count: int, nodes, links):
@@ -294,6 +300,9 @@ class SubstrateNetwork:
         # secvne.routing.stored_masks and kept current by allocate and
         # release, the only writers of a residual.
         self.mask_store: dict[int, list[int]] = {}
+        # Per active request id, the (cpu, bw) amounts allocate debited,
+        # which release credits.  Written by allocate and release alone.
+        self.debited: dict[int, tuple[dict[int, int], dict[LinkKey, int]]] = {}
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -358,11 +367,13 @@ def _embedding_deltas(emb: Embedding):
     """Per-node CPU and per-link bandwidth amounts an embedding consumes."""
     cpu: dict[int, int] = {}
     bw: dict[LinkKey, int] = {}
+    nodes, links = emb.vnr.nodes, emb.vnr.links
     for vid, sid in emb.node_map.items():
-        cpu[sid] = cpu.get(sid, 0) + emb.vnr.nodes[vid].cpu_demand
+        cpu[sid] = cpu.get(sid, 0) + nodes[vid].cpu_demand
     for vkey, path in emb.link_map.items():
-        demand = emb.vnr.links[vkey].bw_demand
-        for k in path_links(path):
+        demand = links[vkey].bw_demand
+        for a, b in itertools.pairwise(path):
+            k = (a, b) if a < b else (b, a)
             bw[k] = bw.get(k, 0) + demand
     return cpu, bw
 
@@ -393,42 +404,47 @@ def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     if emb.vnr.id in net.active:
         raise InternalConsistencyError(f"request {emb.vnr.id} is already embedded")
     cpu, bw = _embedding_deltas(emb)
+    nodes, links = net.nodes, net.links
     for sid, amount in cpu.items():
-        if net.nodes[sid].cpu_residual - amount < 0:
+        if nodes[sid].cpu_residual - amount < 0:
             raise InternalConsistencyError(
-                f"node {sid}: residual {net.nodes[sid].cpu_residual} < demand {amount}")
+                f"node {sid}: residual {nodes[sid].cpu_residual} < demand {amount}")
     for k, amount in bw.items():
-        if net.links[k].bw_residual - amount < 0:
+        if links[k].bw_residual - amount < 0:
             raise InternalConsistencyError(
-                f"link {k}: residual {net.links[k].bw_residual} < demand {amount}")
+                f"link {k}: residual {links[k].bw_residual} < demand {amount}")
     for sid, amount in cpu.items():
-        net.nodes[sid].cpu_residual -= amount
+        nodes[sid].cpu_residual -= amount
     for k, amount in bw.items():
-        net.links[k].bw_residual -= amount
+        links[k].bw_residual -= amount
     if net.mask_store:
         _flip_crossed(net, bw, False)
     net.active[emb.vnr.id] = emb
+    net.debited[emb.vnr.id] = (cpu, bw)
     return net
 
 
 def release(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
-    """Exact inverse of allocate for a currently active embedding."""
+    """Exact inverse of allocate for a currently active embedding: credits
+    the amounts allocate recorded in ``net.debited``."""
     if net.active.get(emb.vnr.id) is not emb:
         raise InternalConsistencyError(f"request {emb.vnr.id} is not active")
-    cpu, bw = _embedding_deltas(emb)
+    cpu, bw = net.debited[emb.vnr.id]
+    nodes, links = net.nodes, net.links
     for sid, amount in cpu.items():
-        node = net.nodes[sid]
+        node = nodes[sid]
         if node.cpu_residual + amount > node.cpu_capacity:
             raise InternalConsistencyError(f"release would overfill node {sid}")
     for k, amount in bw.items():
-        link = net.links[k]
+        link = links[k]
         if link.bw_residual + amount > link.bw_capacity:
             raise InternalConsistencyError(f"release would overfill link {k}")
     for sid, amount in cpu.items():
-        net.nodes[sid].cpu_residual += amount
+        nodes[sid].cpu_residual += amount
     for k, amount in bw.items():
-        net.links[k].bw_residual += amount
+        links[k].bw_residual += amount
     if net.mask_store:
         _flip_crossed(net, bw, True)
     del net.active[emb.vnr.id]
+    del net.debited[emb.vnr.id]
     return net

@@ -14,10 +14,10 @@ None for both.
 
 The independent validator shadows every acceptance - any violation it
 finds means the fast path and the re-checker disagree, which aborts the run
-as an internal error.  The audit recomputes all residuals from the
-active-embedding set, and the substrate's mask store from the residuals,
-every ``AUDIT_EVERY`` events and once at the end, and likewise aborts on
-drift.
+as an internal error.  The audit recomputes all residuals, and each
+active request's debit record, from the active-embedding set, and the
+substrate's mask store from the residuals, every ``AUDIT_EVERY`` events and
+once at the end, and likewise aborts on drift.
 
 ``compare`` is the steady-state experiment: every strategy, seeded with each
 seed, on a fresh copy of that seed's instance.
@@ -183,17 +183,33 @@ def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNet
 
 
 def audit_residuals(net: SubstrateNetwork) -> None:
-    """Recompute residuals from the active embeddings, and the mask store
-    from the residuals; abort on any drift."""
+    """Recompute residuals from the active embeddings, each active
+    request's debit record (``net.debited``) from its embedding, and the
+    mask store from the residuals; abort on any drift."""
+    stray = net.debited.keys() - net.active.keys()
+    if stray:
+        raise InternalConsistencyError(
+            f"request {min(stray)} has a debit record but is not active")
     cpu_used: dict[int, int] = {}
     bw_used: dict[tuple[int, int], int] = {}
-    for emb in net.active.values():
+    for rid, emb in net.active.items():
+        # Derived here, not by model._embedding_deltas, so that the audit
+        # re-checks the derivation allocate recorded.
+        cpu: dict[int, int] = {}
+        bw: dict[tuple[int, int], int] = {}
         for vid, sid in emb.node_map.items():
-            cpu_used[sid] = cpu_used.get(sid, 0) + emb.vnr.nodes[vid].cpu_demand
+            cpu[sid] = cpu.get(sid, 0) + emb.vnr.nodes[vid].cpu_demand
         for vkey, path in emb.link_map.items():
             demand = emb.vnr.links[vkey].bw_demand
             for k in path_links(path):
-                bw_used[k] = bw_used.get(k, 0) + demand
+                bw[k] = bw.get(k, 0) + demand
+        if net.debited.get(rid) != (cpu, bw):
+            raise InternalConsistencyError(
+                f"request {rid}: the debit record differs from its embedding's demand")
+        for sid, amount in cpu.items():
+            cpu_used[sid] = cpu_used.get(sid, 0) + amount
+        for k, amount in bw.items():
+            bw_used[k] = bw_used.get(k, 0) + amount
     for nid, node in net.nodes.items():
         expect = node.cpu_capacity - cpu_used.get(nid, 0)
         if node.cpu_residual != expect:

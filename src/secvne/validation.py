@@ -18,9 +18,10 @@ class out of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest, link_key
+from .model import Embedding, LinkKey, SubstrateNetwork, VirtualNetworkRequest
 
 CPU = "cpu"
 INJECTIVITY = "injectivity"
@@ -88,7 +89,7 @@ def validate_embedding(net: SubstrateNetwork, vnr: VirtualNetworkRequest,
 
     # Link-level checks.  Paths that fail structurally are excluded from the
     # cumulative bandwidth accounting below.
-    usable_paths: list[tuple[tuple[int, int], tuple[int, ...]]] = []
+    load: dict[LinkKey, int] = {}
     for vkey in sorted(vnr.links):
         u, v = vkey
         su, sv = emb.node_map.get(u), emb.node_map.get(v)
@@ -100,21 +101,13 @@ def validate_embedding(net: SubstrateNetwork, vnr: VirtualNetworkRequest,
         if path is None:
             out.append(Violation(SINGLE_PATH, f"virtual link {vkey} has no path"))
             continue
-        problem = _path_problem(net, path, su, sv)
+        problem = _path_problem(net, path, su, sv, vnr.links[vkey].bw_demand, load)
         if problem:
             out.append(Violation(SINGLE_PATH, f"virtual link {vkey}: {problem}"))
-            continue
-        usable_paths.append((vkey, path))
     for vkey in sorted(emb.link_map):
         if vkey not in vnr.links:
             out.append(Violation(SINGLE_PATH, f"path for unknown virtual link {vkey}"))
 
-    load: dict[tuple[int, int], int] = {}
-    for vkey, path in usable_paths:
-        demand = vnr.links[vkey].bw_demand
-        for i in range(len(path) - 1):
-            k = link_key(path[i], path[i + 1])
-            load[k] = load.get(k, 0) + demand
     for k in sorted(load):
         if load[k] > net.links[k].bw_residual:
             out.append(Violation(BANDWIDTH,
@@ -123,20 +116,31 @@ def validate_embedding(net: SubstrateNetwork, vnr: VirtualNetworkRequest,
     return out
 
 
-def _path_problem(net: SubstrateNetwork, path: tuple[int, ...],
-                  expect_src, expect_dst) -> str | None:
+def _path_problem(net: SubstrateNetwork, path: tuple[int, ...], expect_src, expect_dst,
+                  demand: int, load: dict[LinkKey, int]) -> str | None:
+    """What is wrong with ``path`` as the one path of a virtual link whose
+    hosts are ``expect_src`` and ``expect_dst``, or None after adding
+    ``demand`` to ``load`` on each of its links.  One walk over the hops
+    finds their link keys."""
     if len(path) < 2:
         return f"path {path} has fewer than two nodes"
-    if len(set(path)) != len(path):
+    visited = set(path)
+    if len(visited) != len(path):
         return f"path {path} repeats a node"
-    for nid in path:
-        if nid not in net.nodes:
-            return f"path {path} visits unknown node {nid}"
-    for i in range(len(path) - 1):
-        if link_key(path[i], path[i + 1]) not in net.links:
-            return f"path {path} uses missing link ({path[i]}, {path[i + 1]})"
+    if not visited <= net.nodes.keys():
+        unknown = next(nid for nid in path if nid not in net.nodes)
+        return f"path {path} visits unknown node {unknown}"
+    links = net.links
+    keys = []
+    for a, b in itertools.pairwise(path):
+        k = (a, b) if a < b else (b, a)
+        if k not in links:
+            return f"path {path} uses missing link ({a}, {b})"
+        keys.append(k)
     ends = {path[0], path[-1]}
     if expect_src is None or expect_dst is None or ends != {expect_src, expect_dst}:
         return (f"path {path} connects {tuple(sorted(ends))}, "
                 f"expected ({expect_src}, {expect_dst})")
+    for k in keys:
+        load[k] = load.get(k, 0) + demand
     return None

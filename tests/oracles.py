@@ -207,6 +207,24 @@ def candidate_nodes_brute(v, net):
             and v.vsl >= net.nodes[sid].ssd]
 
 
+def greedy_brute(vnr, net):
+    """Greedy's node placement as its contract states it: the virtual nodes
+    by descending CPU demand, ties by id, each onto the unused candidate of
+    largest residual CPU, ties by lowest id.  None when some virtual node
+    has no unused candidate."""
+    order = sorted(vnr.nodes.values(), key=lambda v: (-v.cpu_demand, v.id))
+    used = set()
+    assignment = {}
+    for v in order:
+        pool = [s for s in candidate_nodes_brute(v, net) if s not in used]
+        if not pool:
+            return None
+        best = max(pool, key=lambda sid: (net.nodes[sid].cpu_residual, -sid))
+        assignment[v.id] = best
+        used.add(best)
+    return assignment
+
+
 def enumerate_assignments(vnr, net):
     """All injective candidate-respecting node assignments."""
     vids = sorted(vnr.nodes)

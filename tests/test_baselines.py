@@ -2,7 +2,7 @@
 
 import pytest
 
-from secvne import baselines, routing
+from secvne import baselines, routing, simulation
 from secvne.baselines import greedy_embed, random_embed
 from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
@@ -12,6 +12,7 @@ from secvne.simulation import make_strategy, run
 from secvne.validation import validate_embedding
 
 from conftest import count_mask_builds, make_substrate, make_vnr, scattered_net
+from oracles import candidate_nodes_brute, greedy_brute
 
 
 def test_single_candidate_matches_priority_mapping(toy_net):
@@ -69,6 +70,48 @@ def test_greedy_rejection_names_the_request(toy_net):
 def test_greedy_validates(toy_net, toy_vnr):
     emb = greedy_embed(toy_vnr, toy_net)
     assert validate_embedding(toy_net, toy_vnr, emb) == []
+
+
+@pytest.mark.parametrize("bw_range", [(1000, 3000), (20, 60)], ids=["default-bw", "bw-bound"])
+def test_greedy_places_as_the_brute_force_greedy(monkeypatch, bw_range):
+    """On runs whose residuals often tie, every greedy call places each
+    virtual node where ``oracles.greedy_brute`` does, and fails for want
+    of a candidate exactly where it finds none."""
+    placed = []
+    counts = {"calls": 0, "unplaced": 0, "picks": 0, "tied": 0}
+    plain_build, plain_greedy = baselines.build_embedding, simulation.greedy_embed
+
+    def build_embedding(vnr, assignment, net):
+        placed.append(dict(assignment))
+        return plain_build(vnr, assignment, net)
+
+    def greedy_embed(vnr, net):
+        expected = greedy_brute(vnr, net)
+        counts["calls"] += 1
+        counts["unplaced"] += expected is None
+        for v in vnr.nodes.values():
+            residuals = [net.nodes[s].cpu_residual for s in candidate_nodes_brute(v, net)]
+            counts["picks"] += 1
+            counts["tied"] += residuals.count(max(residuals, default=None)) > 1
+        placed.clear()
+        try:
+            return plain_greedy(vnr, net)
+        finally:
+            assert placed == ([] if expected is None else [expected])
+
+    monkeypatch.setattr(baselines, "build_embedding", build_embedding)
+    monkeypatch.setattr(simulation, "greedy_embed", greedy_embed)
+    for seed in range(3):
+        cfg = GeneratorConfig(seed=seed, node_count=16, domain_count=2,
+                              substrate_cpu_range=(10, 11), substrate_bw_range=bw_range,
+                              security_range=(0, 1),
+                              vnr_cpu_range=(1, 2), vnr_node_range=(2, 5),
+                              vnr_arrival_rate=0.2, vnr_mean_lifetime=40.0)
+        run(generate_substrate(cfg), generate_vnr_stream(cfg, 300.0),
+            make_strategy("greedy"), 300.0)
+    # Over a third of the picks have a top residual shared by two candidates.
+    assert counts["calls"] > 150 and counts["unplaced"] > 0
+    assert 3 * counts["tied"] > counts["picks"]
 
 
 def test_random_empty_candidates_immediately_infeasible(toy_net):

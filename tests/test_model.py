@@ -18,18 +18,20 @@ from secvne.model import (
     VirtualLink,
     VirtualNetworkRequest,
     VirtualNode,
+    _embedding_deltas,
     allocate,
     components,
     compute_boundary_hops,
     link_key,
     release,
 )
-from secvne.routing import stored_masks
+from secvne.routing import stored_masks, usable_masks
 from secvne.seeding import SWARM_STREAM, derive_seed
 from secvne.validation import validate_embedding
 
 from conftest import make_substrate, make_vnr, scattered_net, state_signature, write_bw_residual
-from oracles import boundary_hops_brute, components_brute, neighbours
+from oracles import (boundary_hops_brute, components_brute, neighbours,
+                     shortest_feasible_path_brute)
 
 
 def embed_on_toy(net, vnr, node_map, link_map):
@@ -83,23 +85,75 @@ def residual_writes(source: str, attrs=("bw_residual", "cpu_residual")) -> list[
     return writes
 
 
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+
+
+def record_writes(source: str, attr: str = "debited") -> list[tuple[str, int]]:
+    """(enclosing function, as ``Class.method`` inside a class, or "" at
+    module level, line) of each write to an attribute named ``attr`` or to
+    the dict it holds in ``source``: an assignment, augmented assignment or
+    ``del`` of the attribute or of an item of it, or a call of one of its
+    ``MUTATORS``."""
+    def held(node):
+        return isinstance(node, ast.Attribute) and node.attr == attr
+
+    def written(node):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            return isinstance(f, ast.Attribute) and f.attr in MUTATORS and held(f.value)
+        else:
+            return False
+        return any(held(t) or held(getattr(t, "value", None))
+                   for target in targets for t in ast.walk(target))
+
+    scopes = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{f.name}", f) for f in top.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append((top.name, top))
+        else:
+            scopes.append(("", top))
+    return [(name, node.lineno) for name, scope in scopes
+            for node in ast.walk(scope) if written(node)]
+
+
 def test_only_allocate_and_release_write_residuals():
-    """The mask store is kept current by allocate and release alone, so no
-    other code of the library may write a residual: every assignment to a
-    ``bw_residual`` or ``cpu_residual`` attribute in ``src/secvne`` lies in
-    ``model.allocate`` or ``model.release``, and both write."""
+    """The mask store and the debit record are kept current by allocate and
+    release alone, so no other code of the library may write a residual:
+    every assignment to a ``bw_residual`` or ``cpu_residual`` attribute in
+    ``src/secvne`` lies in ``model.allocate`` or ``model.release``, and both
+    write.  Nor may it write the record: ``SubstrateNetwork.__init__``
+    creates it empty, and only allocate and release change it."""
     package = Path(secvne.__file__).parent
     writers = set()
+    record = set()
     for path in sorted(package.rglob("*.py")):
-        for function, line in residual_writes(path.read_text(encoding="utf-8")):
+        source = path.read_text(encoding="utf-8")
+        for function, line in residual_writes(source):
             writers.add((path.name, function))
             assert (path.name, function) in {("model.py", "allocate"), ("model.py", "release")}, (
                 f"{path.name}:{line} writes a residual outside allocate and release")
+        for function, line in record_writes(source):
+            record.add((path.name, function))
     assert writers == {("model.py", "allocate"), ("model.py", "release")}
-    # The scan sees each form of write.
+    assert record == {("model.py", "SubstrateNetwork.__init__"), ("model.py", "allocate"),
+                      ("model.py", "release")}
+    # The scans see each form of write.
     assert [w for w, _ in residual_writes("def f(n, l):\n    n.cpu_residual = 1\n"
                                           "    l.bw_residual += 2\n    a, l.bw_residual = 1, 2\n"
                                           "n.cpu_residual: int = 3\n")] == ["f", "f", "f", ""]
+    assert [w for w, _ in record_writes(
+        "class C:\n    def m(self):\n        self.debited = {}\n"
+        "def f(n):\n    n.debited[1] = 2\n    del n.debited[1]\n    n.debited.pop(1)\n"
+        "    n.debited.update({})\n    n.debited[1][0][2] += 1\n    x = n.debited[1]\n"
+        "    n.debited.get(1)\n"
+        "n.debited: dict = {}\n")] == ["C.m", "f", "f", "f", "f", "f", ""]
 
 
 def test_tests_write_bandwidth_residuals_through_one_helper():
@@ -244,6 +298,63 @@ def test_conservation_over_random_sequences(toy_net):
         for emb in active:
             release(toy_net, emb)
         assert state_signature(toy_net) == base
+
+
+def test_debit_record_follows_random_sequences(toy_net):
+    """Over shuffled allocates and releases of routed embeddings, the record
+    holds ``_embedding_deltas`` of exactly the active embeddings, and the
+    releases restore every residual."""
+    rng = random.Random(7)
+    base = state_signature(toy_net)
+    ids = itertools.count()
+    active = []
+    routed = 0  # allocations with a path of two hops or more
+    for _ in range(300):
+        if active and rng.random() < 0.45:
+            release(toy_net, active.pop(rng.randrange(len(active))))
+        else:
+            hosts = rng.sample(sorted(toy_net.nodes), rng.randint(1, 4))
+            specs = [(i, rng.randint(0, 6), 0, 4, (0, 1)) for i in range(len(hosts))]
+            links = [(i, j, rng.randint(0, 9)) for i, j in itertools.combinations(
+                range(len(hosts)), 2) if rng.random() < 0.6]
+            vnr = make_vnr(specs, links, vnr_id=next(ids))
+            paths = {(i, j): shortest_feasible_path_brute(toy_net, hosts[i], hosts[j], 0)
+                     for i, j, _ in links}
+            emb = Embedding(vnr, dict(enumerate(hosts)), paths)
+            if validate_embedding(toy_net, vnr, emb) == []:
+                allocate(toy_net, emb)
+                active.append(emb)
+                routed += any(len(p) > 2 for p in paths.values())
+        assert toy_net.debited == {emb.vnr.id: _embedding_deltas(emb) for emb in active}
+        assert toy_net.debited.keys() == toy_net.active.keys()
+    assert routed > 20
+    while active:
+        release(toy_net, active.pop())
+    assert toy_net.debited == {} and state_signature(toy_net) == base
+
+
+def test_copy_starts_with_an_empty_debit_record(simple_case):
+    net, vnr, emb = simple_case
+    allocate(net, emb)
+    assert net.debited == {0: ({0: 20, 1: 30}, {(0, 1): 5})}
+    clone = net.copy()
+    assert clone.debited == {} and clone.active == {}
+    assert state_signature(clone) == state_signature(net)
+
+
+def test_release_credits_the_record_though_the_paths_changed(toy_net):
+    """Release credits what allocate debited, so an embedding whose paths
+    were changed while it was active still restores every residual."""
+    vnr = make_vnr([(0, 20, 0, 4, (0, 1)), (1, 30, 0, 4, (0, 1))], [(0, 1, 7)])
+    emb = Embedding(vnr, {0: 0, 1: 4}, {(0, 1): (0, 2, 3, 4)})
+    stored_masks([994, 1000], toy_net)
+    before = state_signature(toy_net)
+    allocate(toy_net, emb)
+    emb.link_map[(0, 1)] = (0, 1, 2, 3, 5, 4)
+    emb.node_map[1] = 5
+    release(toy_net, emb)
+    assert state_signature(toy_net) == before and toy_net.debited == {}
+    assert toy_net.mask_store == usable_masks(toy_net.mask_store, toy_net)
 
 
 def test_residuals_stay_within_bounds(toy_net):
@@ -425,3 +536,101 @@ class TestValidator:
         def mut_missing(net, v2, emb):
             del emb.link_map[(0, 1)]
         assert kinds_after(mut_missing) == ["single-path"]
+
+    # One broken embedding on toy_net per message form: (virtual nodes, virtual
+    # links, node map, link map, every violation in the validator's order).
+    # A node spec is (id, cpu, vsd, vsl, cd), a link spec (u, v, bw).
+    ANY = (0, 1)
+    ONE_NODE = [(0, 5, 0, 4, ANY)]
+    TWO_NODES = [(0, 5, 0, 4, ANY), (1, 5, 0, 4, ANY)]
+    LINKED = (TWO_NODES, [(0, 1, 2)])
+    MESSAGE_FORMS = {
+        "no-host": (TWO_NODES, [], {0: 0}, {},
+                    ["[injectivity] virtual node 1 has no host"]),
+        "unknown-virtual-node": (ONE_NODE, [], {0: 0, 7: 1}, {},
+                                 ["[injectivity] assignment for unknown virtual node 7"]),
+        "hosts": (TWO_NODES, [], {0: 1, 1: 1}, {},
+                  ["[injectivity] substrate node 1 hosts [0, 1]"]),
+        "unknown-substrate-node": (ONE_NODE, [], {0: 9}, {},
+                                   ["[candidate-domain] virtual node 0 mapped to unknown "
+                                    "substrate node 9"]),
+        "candidate-domain": ([(0, 5, 0, 4, (1,))], [], {0: 0}, {},
+                             ["[candidate-domain] virtual node 0 on node 0 in domain 0, "
+                              "candidates [1]"]),
+        "cpu": ([(0, 500, 0, 4, ANY)], [], {0: 0}, {},
+                ["[cpu] virtual node 0 demands 500 cpu, node 0 has 100"]),
+        "security-both": ([(0, 5, 4, 0, ANY)], [], {0: 0}, {},
+                          ["[security-forward] virtual node 0 demands level 4, node 0 offers 3",
+                           "[security-backward] node 0 demands level 1, virtual node 0 "
+                           "offers 0"]),
+        "loop": (*LINKED, {0: 0, 1: 0}, {(0, 1): (0,)},
+                 ["[injectivity] substrate node 0 hosts [0, 1]",
+                  "[loop] virtual link (0, 1) endpoints both on substrate node 0"]),
+        "no-path": (*LINKED, {0: 0, 1: 1}, {},
+                    ["[single-path] virtual link (0, 1) has no path"]),
+        "fewer-than-two-nodes": (*LINKED, {0: 0, 1: 1}, {(0, 1): (0,)},
+                                 ["[single-path] virtual link (0, 1): path (0,) has fewer "
+                                  "than two nodes"]),
+        "repeats-a-node": (*LINKED, {0: 0, 1: 1}, {(0, 1): (0, 2, 0, 1)},
+                           ["[single-path] virtual link (0, 1): path (0, 2, 0, 1) repeats "
+                            "a node"]),
+        "unknown-node-on-path": (*LINKED, {0: 0, 1: 1}, {(0, 1): (0, 9, 1)},
+                                 ["[single-path] virtual link (0, 1): path (0, 9, 1) visits "
+                                  "unknown node 9"]),
+        # The unknown node is named although a missing hop comes first.
+        "unknown-node-after-a-missing-link": (
+            *LINKED, {0: 0, 1: 1}, {(0, 1): (0, 4, 9, 1)},
+            ["[single-path] virtual link (0, 1): path (0, 4, 9, 1) visits unknown node 9"]),
+        "missing-link": (*LINKED, {0: 0, 1: 1}, {(0, 1): (0, 4, 1)},
+                         ["[single-path] virtual link (0, 1): path (0, 4, 1) uses missing "
+                          "link (0, 4)"]),
+        # The hop is named in path order, not as a link key.
+        "missing-link-descending-hop": (*LINKED, {0: 4, 1: 0}, {(0, 1): (4, 0)},
+                                        ["[single-path] virtual link (0, 1): path (4, 0) uses "
+                                         "missing link (4, 0)"]),
+        "wrong-endpoints": (*LINKED, {0: 0, 1: 1}, {(0, 1): (0, 2)},
+                            ["[single-path] virtual link (0, 1): path (0, 2) connects (0, 2), "
+                             "expected (0, 1)"]),
+        "unhosted-endpoint": (TWO_NODES, [(0, 1, 2)], {0: 0}, {(0, 1): (0, 1)},
+                              ["[injectivity] virtual node 1 has no host",
+                               "[single-path] virtual link (0, 1): path (0, 1) connects "
+                               "(0, 1), expected (0, None)"]),
+        "path-for-unknown-virtual-link": (*LINKED, {0: 0, 1: 1},
+                                          {(0, 1): (0, 1), (0, 5): (0, 1)},
+                                          ["[single-path] path for unknown virtual link "
+                                           "(0, 5)"]),
+        "bandwidth": ([(0, 5, 0, 4, ANY), (1, 5, 0, 4, ANY), (2, 5, 0, 4, ANY)],
+                      [(0, 1, 600), (1, 2, 600)], {0: 0, 1: 1, 2: 2},
+                      {(0, 1): (0, 1), (1, 2): (1, 0, 2)},
+                      ["[bandwidth] link (0, 1) carries 1200, residual 1000"]),
+    }
+
+    @pytest.mark.parametrize("form", MESSAGE_FORMS)
+    def test_every_message_form_is_pinned(self, toy_net, form):
+        nodes, links, node_map, link_map, expected = self.MESSAGE_FORMS[form]
+        vnr = make_vnr(nodes, links)
+        emb = Embedding(vnr, node_map, link_map)
+        assert [str(v) for v in validate_embedding(toy_net, vnr, emb)] == expected
+
+    def test_several_violations_keep_their_order(self, toy_net):
+        vnr = make_vnr([(0, 500, 0, 4, (0,)), (1, 5, 4, 0, self.ANY), (2, 5, 0, 4, (1,)),
+                        (3, 5, 0, 4, self.ANY)],
+                       [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 2, 1500)])
+        emb = Embedding(vnr, {0: 0, 1: 0, 2: 1, 9: 5},
+                        {(0, 1): (0, 1), (1, 2): (0, 4, 1), (2, 3): (1, 2),
+                         (0, 2): (0, 1), (0, 3): (0, 2)})
+        assert [str(v) for v in validate_embedding(toy_net, vnr, emb)] == [
+            "[injectivity] virtual node 3 has no host",
+            "[injectivity] assignment for unknown virtual node 9",
+            "[injectivity] substrate node 0 hosts [0, 1]",
+            "[cpu] virtual node 0 demands 500 cpu, node 0 has 100",
+            "[security-forward] virtual node 1 demands level 4, node 0 offers 3",
+            "[security-backward] node 0 demands level 1, virtual node 1 offers 0",
+            "[candidate-domain] virtual node 2 on node 1 in domain 0, candidates [1]",
+            "[loop] virtual link (0, 1) endpoints both on substrate node 0",
+            "[single-path] virtual link (1, 2): path (0, 4, 1) uses missing link (0, 4)",
+            "[single-path] virtual link (2, 3): path (1, 2) connects (1, 2), "
+            "expected (1, None)",
+            "[single-path] path for unknown virtual link (0, 3)",
+            "[bandwidth] link (0, 1) carries 1500, residual 1000",
+        ]

@@ -180,6 +180,28 @@ def test_audit_detects_a_flipped_mask_store_bit(toy_net):
         audit_residuals(toy_net)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda net: net.debited[4][1].__setitem__((0, 1), 3),
+     r"^request 4: the debit record differs from its embedding's demand$"),
+    (lambda net: net.debited[4][0].pop(0),
+     r"^request 4: the debit record differs from its embedding's demand$"),
+    (lambda net: net.debited.pop(4),
+     r"^request 4: the debit record differs from its embedding's demand$"),
+    (lambda net: net.debited.__setitem__(6, ({}, {})),
+     r"^request 6 has a debit record but is not active$"),
+], ids=["link-amount", "node-dropped", "record-dropped", "record-without-request"])
+def test_audit_detects_a_debit_record_that_differs(toy_net, corrupt, message):
+    """The audit derives each active request's demand afresh from its
+    embedding and raises, naming the request, where the record allocate
+    kept for release differs, though every residual is right."""
+    vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)], vnr_id=4)
+    simulation.allocate(toy_net, Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 2, 1)}))
+    audit_residuals(toy_net)
+    corrupt(toy_net)
+    with pytest.raises(InternalConsistencyError, match=message):
+        audit_residuals(toy_net)
+
+
 def test_mask_store_stays_bounded_under_many_distinct_demands():
     """With demands drawn from 1 to 100,000, nearly every request brings
     demands the store lacks, yet after every arrival the store holds at
