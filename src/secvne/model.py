@@ -30,9 +30,9 @@ keeps those masks per demand, and ``allocate`` and ``release``, the only
 writers of a residual, flip the bits of each link whose residual crosses a
 stored demand, so the store stays equal to a fresh build.
 ``allocate`` derives an embedding's per-node CPU and per-link bandwidth
-demand once and records what it debited in ``SubstrateNetwork.debited``;
-``release`` credits exactly that record, so it is the literal inverse of
-the debit.
+demand once and keeps it with the embedding in ``SubstrateNetwork.active``,
+the one record of an active request; ``release`` credits exactly that
+record, so it is the literal inverse of the debit.
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ class SubstrateNetwork:
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the path table and ``candidate_index`` all rely on.
     Residuals change only in ``allocate`` and ``release``, which keep
-    ``mask_store`` current and ``debited`` equal to each active request's
-    debit.
+    ``mask_store`` current and hold each active request's embedding and
+    debit in ``active``.
     """
 
     def __init__(self, domain_count: int, nodes, links):
@@ -251,7 +251,6 @@ class SubstrateNetwork:
         self.links: dict[LinkKey, SubstrateLink] = {}
         # The inter-domain links, which alone join one domain to another.
         self.inter_links: list[SubstrateLink] = []
-        self.active: dict[int, Embedding] = {}
         for l in links:
             k = link_key(l.u, l.v)
             if k[0] == k[1]:
@@ -300,9 +299,10 @@ class SubstrateNetwork:
         # secvne.routing.stored_masks and kept current by allocate and
         # release, the only writers of a residual.
         self.mask_store: dict[int, list[int]] = {}
-        # Per active request id, the (cpu, bw) amounts allocate debited,
-        # which release credits.  Written by allocate and release alone.
-        self.debited: dict[int, tuple[dict[int, int], dict[LinkKey, int]]] = {}
+        # Per active request id, its embedding and the (cpu, bw) amounts
+        # allocate debited, which release credits.  Written by allocate and
+        # release alone.
+        self.active: dict[int, tuple[Embedding, dict[int, int], dict[LinkKey, int]]] = {}
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -378,15 +378,16 @@ def _embedding_deltas(emb: Embedding):
     return cpu, bw
 
 
-def _flip_crossed(net: SubstrateNetwork, bw: dict[LinkKey, int], released: bool) -> None:
-    """Keep the mask store current after each link k of ``bw`` had its
-    residual moved by ``bw[k]``, down by allocate or up by release: in the
-    masks of every stored demand d that the move crossed, one side >= d and
-    the other below it, flip both end bits of the link."""
+def _flip_crossed(net: SubstrateNetwork, bw: dict[LinkKey, int]) -> None:
+    """Keep the mask store current as each link k of ``bw`` moves between
+    its debited residual and that plus ``bw[k]``: called by allocate after
+    the debit and by release before the credit, so each link holds the low
+    side.  In the masks of every stored demand d that the move crosses, one
+    side >= d and the other below it, flip both end bits of the link."""
     store = net.mask_store
     links, rank = net.links, net.rank
     for k, amount in bw.items():
-        low = links[k].bw_residual - (amount if released else 0)
+        low = links[k].bw_residual
         high = low + amount
         for d, masks in store.items():
             if high >= d > low:
@@ -418,18 +419,17 @@ def allocate(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     for k, amount in bw.items():
         links[k].bw_residual -= amount
     if net.mask_store:
-        _flip_crossed(net, bw, False)
-    net.active[emb.vnr.id] = emb
-    net.debited[emb.vnr.id] = (cpu, bw)
+        _flip_crossed(net, bw)
+    net.active[emb.vnr.id] = (emb, cpu, bw)
     return net
 
 
 def release(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
     """Exact inverse of allocate for a currently active embedding: credits
-    the amounts allocate recorded in ``net.debited``."""
-    if net.active.get(emb.vnr.id) is not emb:
+    the amounts allocate recorded with it in ``net.active``."""
+    held, cpu, bw = net.active.get(emb.vnr.id, (None, None, None))
+    if held is not emb:
         raise InternalConsistencyError(f"request {emb.vnr.id} is not active")
-    cpu, bw = net.debited[emb.vnr.id]
     nodes, links = net.nodes, net.links
     for sid, amount in cpu.items():
         node = nodes[sid]
@@ -439,12 +439,11 @@ def release(net: SubstrateNetwork, emb: Embedding) -> SubstrateNetwork:
         link = links[k]
         if link.bw_residual + amount > link.bw_capacity:
             raise InternalConsistencyError(f"release would overfill link {k}")
+    if net.mask_store:
+        _flip_crossed(net, bw)
     for sid, amount in cpu.items():
         nodes[sid].cpu_residual += amount
     for k, amount in bw.items():
         links[k].bw_residual += amount
-    if net.mask_store:
-        _flip_crossed(net, bw, True)
     del net.active[emb.vnr.id]
-    del net.debited[emb.vnr.id]
     return net

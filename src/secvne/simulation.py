@@ -14,8 +14,8 @@ None for both.
 
 The independent validator shadows every acceptance - any violation it
 finds means the fast path and the re-checker disagree, which aborts the run
-as an internal error.  The audit recomputes all residuals, and each
-active request's debit record, from the active-embedding set, and the
+as an internal error.  The audit recomputes all residuals, and the debit
+each active request's record holds, from the active embeddings, and the
 substrate's mask store from the residuals, every ``AUDIT_EVERY`` events and
 once at the end, and likewise aborts on drift.
 
@@ -132,8 +132,7 @@ def run(net: SubstrateNetwork, vnr_stream, strategy: Strategy,
     while heap:
         time, prio, vnr_id = heapq.heappop(heap)
         if prio == _DEPARTURE:
-            emb = net.active[vnr_id]
-            release(net, emb)
+            release(net, net.active[vnr_id][0])
             trace.records.append(EventRecord(time, "departure", vnr_id, "released"))
         else:
             vnr = by_id[vnr_id]
@@ -183,16 +182,12 @@ def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNet
 
 
 def audit_residuals(net: SubstrateNetwork) -> None:
-    """Recompute residuals from the active embeddings, each active
-    request's debit record (``net.debited``) from its embedding, and the
-    mask store from the residuals; abort on any drift."""
-    stray = net.debited.keys() - net.active.keys()
-    if stray:
-        raise InternalConsistencyError(
-            f"request {min(stray)} has a debit record but is not active")
+    """Recompute residuals from the active embeddings, the debit each
+    active request's record (``net.active``) holds from its embedding, and
+    the mask store from the residuals; abort on any drift."""
     cpu_used: dict[int, int] = {}
     bw_used: dict[tuple[int, int], int] = {}
-    for rid, emb in net.active.items():
+    for rid, (emb, debited_cpu, debited_bw) in net.active.items():
         # Derived here, not by model._embedding_deltas, so that the audit
         # re-checks the derivation allocate recorded.
         cpu: dict[int, int] = {}
@@ -203,7 +198,7 @@ def audit_residuals(net: SubstrateNetwork) -> None:
             demand = emb.vnr.links[vkey].bw_demand
             for k in path_links(path):
                 bw[k] = bw.get(k, 0) + demand
-        if net.debited.get(rid) != (cpu, bw):
+        if (debited_cpu, debited_bw) != (cpu, bw):
             raise InternalConsistencyError(
                 f"request {rid}: the debit record differs from its embedding's demand")
         for sid, amount in cpu.items():

@@ -90,9 +90,13 @@ def test_generate_rejects_malformed_config(tmp_path):
     # that still names the count it once took is refused, not ignored.
     ({"inter_link_count_per_domain_pair": 1},
      "unknown config key 'inter_link_count_per_domain_pair'"),
+    ({"substrate_bw_range": [-1, 5]}, "substrate_bw_range has negative min -1"),
+    ({"vnr_node_range": [0, 4]}, "vnr_node_range min must be at least 1"),
+    ({"vnr_cpu_range": [0, 20]}, "vnr_cpu_range min must be at least 1"),
 ], ids=["fractional-node-count", "string-rate", "string-seed", "boolean-seed",
         "fractional-range-bound", "nan-lifetime", "negative-node-count",
-        "oversized-range-bound", "negative-seed", "retired-inter-link-count"])
+        "oversized-range-bound", "negative-seed", "retired-inter-link-count",
+        "negative-range-min", "zero-node-range-min", "zero-cpu-range-min"])
 def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MINI_CONFIG, **override}))
@@ -101,6 +105,28 @@ def test_generate_rejects_mistyped_config(tmp_path, capsys, override, message):
     assert code == 2
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_generate_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config file {bad} must hold a JSON object" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_out_under_a_regular_file_is_an_error(tmp_path, mini_config, capsys):
+    # The OSError reaches main's catch-all, which exits 1 without a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["generate", "--config", str(mini_config), "--horizon", "100",
+                 "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("secvne: error: [Errno 20] Not a directory")
+    assert "Traceback" not in err and blocker.read_text() == ""
 
 
 def test_generate_rejects_a_repeated_config_key(tmp_path, capsys):
@@ -229,6 +255,35 @@ def test_compare_rejects_a_repeated_seed(tmp_path, mini_config, capsys):
     assert code == 2
     assert "seed 0 is listed twice" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--strategies", "greedy,bogus"], "unknown strategy 'bogus'; expected one of"),
+    (["--seeds", "0,x"], "bad --seeds list '0,x'"),
+    (["--strategies", ","], "need at least one strategy and one seed"),
+    (["--substrate", "substrate.json"], "--substrate and --workload must be given together"),
+], ids=["unknown-strategy", "bad-seed", "empty-strategies", "lone-substrate"])
+def test_compare_rejects_a_bad_list_or_a_lone_instance_file(tmp_path, capsys, flags, message):
+    # Each is refused before any instance is read or generated.
+    out = tmp_path / "cmpbad"
+    code = main(["compare", "--strategies", "greedy", "--seeds", "0", *flags,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_leaves_a_metric_blank_when_no_seed_defines_it(tmp_path):
+    # Under table1.json greedy accepts nothing by t=1000, so every window's
+    # rc_ratio is undefined, and so are its mean and spread.
+    config = Path(__file__).resolve().parents[1] / "configs" / "table1.json"
+    out = tmp_path / "cmpnone"
+    code = main(["compare", "--config", str(config), "--strategies", "greedy",
+                 "--seeds", "0", "--horizon", "1000", "--out", str(out)])
+    assert code == 0
+    assert (out / "summary.csv").read_text().splitlines()[1] == "greedy,0.0,0.0,0.0,"
+    assert (out / "rc_ratio.csv").read_text().splitlines()[1] == "greedy,,,"
 
 
 def test_compare_rejects_config_with_a_fixed_instance(tmp_path, mini_config, generated,
@@ -373,9 +428,11 @@ def test_workload_duplicate_virtual_node_is_infeasible(tmp_path, generated, caps
     # The strategy streams key on the id as a 64-bit integer, so 2**64 would
     # share request 0's streams.
     (lambda doc: doc.update(id=2**64), f"request id {2**64} must lie in [0, 2**64)"),
+    (lambda doc: doc.update(arrival_time=-1.0),
+     "request 0: arrival_time -1.0 must be finite and non-negative"),
 ], ids=["fractional-cpu", "string-vsd", "boolean-bw", "boolean-domain", "no-nodes",
         "boolean-lifetime", "boolean-arrival-time", "empty-cd", "duplicate-link", "self-loop",
-        "id-past-64-bits"])
+        "id-past-64-bits", "negative-arrival-time"])
 def test_workload_malformed_request_is_infeasible(tmp_path, generated, capsys, edit, message):
     code, err = _run_with_first_request(tmp_path, generated, capsys, edit)
     assert code == 2
@@ -643,9 +700,11 @@ def _drop_inter_domain_links(doc):
     # Nodes sit in domains 0 and 1 only; a file may not declare more domains.
     (lambda doc: doc.update(domain_count=4), "domain 2 has no node"),
     (lambda doc: doc.update(domain_count=10**12), "domain 2 has no node"),
+    (lambda doc: doc["links"].append({"u": 0, "v": 0, "bw": 10}),
+     "substrate link (0, 0) is a self-loop"),
 ], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node", "string-ssl",
         "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains",
-        "split-domain", "empty-domain", "huge-domain-count"])
+        "split-domain", "empty-domain", "huge-domain-count", "self-loop"])
 def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
     doc = json.loads((generated / "substrate.json").read_text())
     edit(doc)

@@ -8,6 +8,7 @@ from secvne.errors import InvalidConfig
 from secvne.fileio import (
     CUMULATIVE_CSV_HEADER,
     WINDOW_CSV_HEADER,
+    atomic_write_text,
     config_from_dict,
     load_config,
     load_substrate,
@@ -137,3 +138,14 @@ def test_domain_in_two_components_rejected(tmp_path):
 def test_missing_workload_rejected(tmp_path):
     with pytest.raises(InvalidConfig):
         load_workload(tmp_path / "nope.jsonl")
+
+
+def test_failed_atomic_write_leaves_the_target_and_no_temp_file(tmp_path):
+    # A lone surrogate cannot be encoded as UTF-8, so the write fails after
+    # the temp file is made.
+    target = tmp_path / "out.txt"
+    target.write_text("before\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "a\ud800b")
+    assert target.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -88,7 +88,7 @@ def residual_writes(source: str, attrs=("bw_residual", "cpu_residual")) -> list[
 MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
 
 
-def record_writes(source: str, attr: str = "debited") -> list[tuple[str, int]]:
+def record_writes(source: str, attr: str = "active") -> list[tuple[str, int]]:
     """(enclosing function, as ``Class.method`` inside a class, or "" at
     module level, line) of each write to an attribute named ``attr`` or to
     the dict it holds in ``source``: an assignment, augmented assignment or
@@ -124,12 +124,13 @@ def record_writes(source: str, attr: str = "debited") -> list[tuple[str, int]]:
 
 
 def test_only_allocate_and_release_write_residuals():
-    """The mask store and the debit record are kept current by allocate and
-    release alone, so no other code of the library may write a residual:
-    every assignment to a ``bw_residual`` or ``cpu_residual`` attribute in
-    ``src/secvne`` lies in ``model.allocate`` or ``model.release``, and both
-    write.  Nor may it write the record: ``SubstrateNetwork.__init__``
-    creates it empty, and only allocate and release change it."""
+    """The mask store and the record of each active request are kept
+    current by allocate and release alone, so no other code of the library
+    may write a residual: every assignment to a ``bw_residual`` or
+    ``cpu_residual`` attribute in ``src/secvne`` lies in ``model.allocate``
+    or ``model.release``, and both write.  Nor may it write the records
+    (``SubstrateNetwork.active``): ``SubstrateNetwork.__init__`` creates
+    them empty, and only allocate and release change them."""
     package = Path(secvne.__file__).parent
     writers = set()
     record = set()
@@ -149,11 +150,11 @@ def test_only_allocate_and_release_write_residuals():
                                           "    l.bw_residual += 2\n    a, l.bw_residual = 1, 2\n"
                                           "n.cpu_residual: int = 3\n")] == ["f", "f", "f", ""]
     assert [w for w, _ in record_writes(
-        "class C:\n    def m(self):\n        self.debited = {}\n"
-        "def f(n):\n    n.debited[1] = 2\n    del n.debited[1]\n    n.debited.pop(1)\n"
-        "    n.debited.update({})\n    n.debited[1][0][2] += 1\n    x = n.debited[1]\n"
-        "    n.debited.get(1)\n"
-        "n.debited: dict = {}\n")] == ["C.m", "f", "f", "f", "f", "f", ""]
+        "class C:\n    def m(self):\n        self.active = {}\n"
+        "def f(n):\n    n.active[1] = 2\n    del n.active[1]\n    n.active.pop(1)\n"
+        "    n.active.update({})\n    n.active[1][1][2] += 1\n    x = n.active[1]\n"
+        "    n.active.get(1)\n"
+        "n.active: dict = {}\n")] == ["C.m", "f", "f", "f", "f", "f", ""]
 
 
 def test_tests_write_bandwidth_residuals_through_one_helper():
@@ -195,7 +196,8 @@ def test_allocate_of_an_active_request_raises_and_debits_nothing(simple_case):
     before = state_signature(net)
     with pytest.raises(InternalConsistencyError, match="request 0 is already embedded"):
         allocate(net, Embedding(vnr, dict(emb.node_map), dict(emb.link_map)))
-    assert state_signature(net) == before and net.active == {vnr.id: emb}
+    assert state_signature(net) == before
+    assert net.active == {vnr.id: (emb, *_embedding_deltas(emb))} and net.active[vnr.id][0] is emb
 
 
 def test_allocate_insufficient_cpu_raises(toy_net):
@@ -258,6 +260,18 @@ def test_request_without_a_node_or_a_candidate_domain_raises(nodes, message):
         VirtualNetworkRequest(0, nodes, [], 0.0, 100.0)
 
 
+@pytest.mark.parametrize("cpu, bw, message", [
+    (-1, 2, "request 0: virtual node 1 has negative cpu demand -1"),
+    (5, -2, r"request 0: virtual link \(0, 1\) has negative bw demand -2"),
+], ids=["negative-cpu", "negative-bw"])
+def test_request_with_a_negative_demand_raises(cpu, bw, message):
+    # A file reader rejects such a value first; a request built directly
+    # meets this check.
+    nodes = [VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, cpu, 0, 4, frozenset({0}))]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VirtualNetworkRequest(0, nodes, [VirtualLink(0, 1, bw)], 0.0, 100.0)
+
+
 def test_release_order_independence(toy_net):
     """allocate A, allocate B, release A leaves exactly B's footprint."""
     vnr_a = make_vnr([(0, 20, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 7)], vnr_id=1)
@@ -301,9 +315,9 @@ def test_conservation_over_random_sequences(toy_net):
 
 
 def test_debit_record_follows_random_sequences(toy_net):
-    """Over shuffled allocates and releases of routed embeddings, the record
-    holds ``_embedding_deltas`` of exactly the active embeddings, and the
-    releases restore every residual."""
+    """Over shuffled allocates and releases of routed embeddings, the
+    records hold exactly the active embeddings, each with its
+    ``_embedding_deltas``, and the releases restore every residual."""
     rng = random.Random(7)
     base = state_signature(toy_net)
     ids = itertools.count()
@@ -325,20 +339,20 @@ def test_debit_record_follows_random_sequences(toy_net):
                 allocate(toy_net, emb)
                 active.append(emb)
                 routed += any(len(p) > 2 for p in paths.values())
-        assert toy_net.debited == {emb.vnr.id: _embedding_deltas(emb) for emb in active}
-        assert toy_net.debited.keys() == toy_net.active.keys()
+        assert toy_net.active == {emb.vnr.id: (emb, *_embedding_deltas(emb)) for emb in active}
+        assert all(toy_net.active[emb.vnr.id][0] is emb for emb in active)
     assert routed > 20
     while active:
         release(toy_net, active.pop())
-    assert toy_net.debited == {} and state_signature(toy_net) == base
+    assert toy_net.active == {} and state_signature(toy_net) == base
 
 
 def test_copy_starts_with_an_empty_debit_record(simple_case):
     net, vnr, emb = simple_case
     allocate(net, emb)
-    assert net.debited == {0: ({0: 20, 1: 30}, {(0, 1): 5})}
+    assert net.active == {0: (emb, {0: 20, 1: 30}, {(0, 1): 5})}
     clone = net.copy()
-    assert clone.debited == {} and clone.active == {}
+    assert clone.active == {}
     assert state_signature(clone) == state_signature(net)
 
 
@@ -353,8 +367,38 @@ def test_release_credits_the_record_though_the_paths_changed(toy_net):
     emb.link_map[(0, 1)] = (0, 1, 2, 3, 5, 4)
     emb.node_map[1] = 5
     release(toy_net, emb)
-    assert state_signature(toy_net) == before and toy_net.debited == {}
+    assert state_signature(toy_net) == before and toy_net.active == {}
     assert toy_net.mask_store == usable_masks(toy_net.mask_store, toy_net)
+
+
+@pytest.mark.parametrize("kind", ["node", "link"])
+def test_release_that_would_overfill_raises_and_moves_nothing(toy_net, kind):
+    """A residual raised behind allocate's back makes release's overfill
+    guard raise before anything moves: the residuals, the records and the
+    mask store stay as they were.  The node case runs with a filled store,
+    whose masks allocate flipped, so a flip ahead of the guards shows; the
+    link case with an empty one, since its residual is written through
+    ``write_bw_residual``."""
+    vnr = make_vnr([(0, 20, 0, 4, (0, 1)), (1, 30, 0, 4, (0, 1))], [(0, 1, 7)])
+    emb = Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 1)})
+    if kind == "node":
+        stored_masks([994, 1000], toy_net)
+    allocate(toy_net, emb)
+    if kind == "node":
+        toy_net.nodes[1].cpu_residual += 1
+        message = r"^release would overfill node 1$"
+    else:
+        link = toy_net.links[(0, 1)]
+        write_bw_residual(toy_net, link, link.bw_residual + 1)
+        message = r"^release would overfill link \(0, 1\)$"
+    before = state_signature(toy_net)
+    record = dict(toy_net.active)
+    store = {d: list(masks) for d, masks in toy_net.mask_store.items()}
+    with pytest.raises(InternalConsistencyError, match=message):
+        release(toy_net, emb)
+    assert state_signature(toy_net) == before and toy_net.active == record
+    assert toy_net.mask_store == store == usable_masks(toy_net.mask_store, toy_net)
+    assert len(store) == (2 if kind == "node" else 0)
 
 
 def test_residuals_stay_within_bounds(toy_net):

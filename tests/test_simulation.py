@@ -17,7 +17,7 @@ from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import (STRATEGY_NAMES, Strategy, audit_residuals, compare,
                                make_strategy, run)
 
-from conftest import make_vnr, state_signature
+from conftest import make_vnr, state_signature, write_bw_residual
 
 
 def mini_instance(seed=0, horizon=600.0):
@@ -44,6 +44,14 @@ def test_a_run_adds_no_substrate_attribute(strategy, overrides):
     trace = run(net, generate_vnr_stream(cfg, 300.0), make_strategy(strategy), 300.0)
     assert trace.accepted
     assert set(vars(net)) == before
+
+
+def test_two_requests_with_one_id_are_rejected(toy_net):
+    vnrs = [make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=3, arrival=t) for t in (1.0, 2.0)]
+    before = state_signature(toy_net)
+    with pytest.raises(ValueError, match=r"^duplicate request id 3$"):
+        run(toy_net, vnrs, make_strategy("greedy"), horizon=10.0)
+    assert state_signature(toy_net) == before
 
 
 def test_empty_stream_leaves_network_untouched(toy_net):
@@ -160,14 +168,24 @@ def test_shadow_validator_catches_broken_strategy(toy_net):
 
 
 def test_audit_detects_tampering(toy_net):
-    def tamper(vnr, net):
-        net.nodes[5].cpu_residual -= 1  # mutate behind the allocator's back
-        raise EmbeddingInfeasible("reject after tampering")
+    """A node or a link residual moved behind the allocator's back fails the
+    audit at the end of the run."""
+    def lower_node(net):
+        net.nodes[5].cpu_residual -= 1
 
-    TamperingStrategy = Strategy("tamper", tamper)
+    def lower_link(net):
+        link = net.links[(3, 4)]
+        write_bw_residual(net, link, link.bw_residual - 1)
+
     vnr = make_vnr([(0, 10, 0, 4, (0,))], [], vnr_id=0, arrival=1.0, lifetime=5.0)
-    with pytest.raises(InternalConsistencyError, match=r"^node 5 residual \d+, expected \d+$"):
-        run(toy_net, [vnr], TamperingStrategy, horizon=10.0)
+    for mutate, message in [(lower_node, r"^node 5 residual \d+, expected \d+$"),
+                            (lower_link, r"^link \(3, 4\) residual \d+, expected \d+$")]:
+        def tamper(vnr, net):
+            mutate(net)
+            raise EmbeddingInfeasible("reject after tampering")
+
+        with pytest.raises(InternalConsistencyError, match=message):
+            run(toy_net.copy(), [vnr], Strategy("tamper", tamper), horizon=10.0)
 
 
 def test_audit_detects_a_flipped_mask_store_bit(toy_net):
@@ -181,19 +199,18 @@ def test_audit_detects_a_flipped_mask_store_bit(toy_net):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda net: net.debited[4][1].__setitem__((0, 1), 3),
+    (lambda net: net.active[4][2].__setitem__((0, 1), 3),
      r"^request 4: the debit record differs from its embedding's demand$"),
-    (lambda net: net.debited[4][0].pop(0),
+    (lambda net: net.active[4][1].pop(0),
      r"^request 4: the debit record differs from its embedding's demand$"),
-    (lambda net: net.debited.pop(4),
-     r"^request 4: the debit record differs from its embedding's demand$"),
-    (lambda net: net.debited.__setitem__(6, ({}, {})),
-     r"^request 6 has a debit record but is not active$"),
-], ids=["link-amount", "node-dropped", "record-dropped", "record-without-request"])
+    (lambda net: net.active.pop(4),
+     r"^node 0 residual 90, expected 100$"),
+], ids=["link-amount", "node-dropped", "record-dropped"])
 def test_audit_detects_a_debit_record_that_differs(toy_net, corrupt, message):
     """The audit derives each active request's demand afresh from its
-    embedding and raises, naming the request, where the record allocate
-    kept for release differs, though every residual is right."""
+    embedding and raises, naming the request, where the debit its record
+    holds differs, though every residual is right.  A record dropped takes
+    its embedding with it, so the residual audit catches that."""
     vnr = make_vnr([(0, 10, 0, 4, (0,)), (1, 10, 0, 4, (0,))], [(0, 1, 5)], vnr_id=4)
     simulation.allocate(toy_net, Embedding(vnr, {0: 0, 1: 1}, {(0, 1): (0, 2, 1)}))
     audit_residuals(toy_net)
