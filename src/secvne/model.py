@@ -14,11 +14,13 @@ one neighbour mask per node, indexed by rank.  ``level_hops`` reads a
 search's levels into a list by rank.  The substrate's hop table is indexed
 the same way: ``SubstrateNetwork.hop_dist`` holds, per destination rank, a
 row of hop counts by source rank, None where the topology does not join
-the two, and ``hop_levels`` the levels each row comes from;
-``secvne.routing.hop_distances`` fills both on a destination's first use,
-and ``domain_of`` gives each rank's domain.  ``components`` repeats
-``bfs_levels`` from the lowest node not yet reached until every node is
-reached; the generator's connectivity repair is its one user.  The
+the two, and ``hop_next`` a row of next hops toward the destination by
+source rank; ``secvne.routing.hop_distances`` fills both on a
+destination's first use, and ``domain_of`` gives each rank's domain.  The
+topology is fixed, so ``SubstrateNetwork.copy`` hands the clone the same
+two tables, and a row one copy fills serves every copy.  ``components``
+repeats ``bfs_levels`` from the lowest node not yet reached until every
+node is reached; the generator's connectivity repair is its one user.  The
 topology's only adjacency is ``SubstrateNetwork.adj_masks``, built from the
 links.
 ``compute_boundary_hops`` checks that every declared domain holds a node,
@@ -232,7 +234,9 @@ class SubstrateNetwork:
 
     Only residuals change after construction: the node set, the links and
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
-    ``adj_masks``, the path table and ``candidate_index`` all rely on.
+    ``adj_masks``, the min-hop table and ``candidate_index`` all rely on.
+    The min-hop table depends on the topology alone, so every copy shares
+    it; the rest of the state is per copy.
     Residuals change only in ``allocate`` and ``release``, which keep
     ``mask_store`` current and hold each active request's embedding and
     debit in ``active``.
@@ -280,16 +284,15 @@ class SubstrateNetwork:
         self.adj_masks: list[int] = masks
         # Each node's domain by rank, for the swarm's per-position domain cut.
         self.domain_of: list[int] = [self.nodes[nid].domain for nid in self.node_ids]
-        # Min-hop path table over the bare topology, filled lazily by
-        # secvne.routing.  Per destination rank, None until filled: in
-        # hop_dist, the hop count from each source rank, None where the
-        # topology does not join the two; in hop_levels, the bfs_levels
-        # the counts come from.  Per (src, dst) id pair, the path.  The
-        # topology is fixed from here on, so residual changes never make an
-        # entry stale.
+        # Min-hop table over the bare topology, filled lazily by
+        # secvne.routing.hop_distances alone.  Per destination rank, None
+        # until filled: in hop_dist, the hop count from each source rank; in
+        # hop_next, the rank of each source's next node on its min-hop path
+        # (None at the destination).  Both are None where the topology does
+        # not join the two.  The topology is fixed from here on, so residual
+        # changes never make an entry stale, and copy() shares both lists.
         self.hop_dist: list[list[int | None] | None] = [None] * len(masks)
-        self.hop_levels: list[list[int] | None] = [None] * len(masks)
-        self.min_hop_paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.hop_next: list[list[int | None] | None] = [None] * len(masks)
         # Per (cd, vsd, vsl), the nodes in node_ids order that pass the
         # domain and both security tests, filled lazily by
         # secvne.node_mapping.candidate_nodes.
@@ -312,13 +315,23 @@ class SubstrateNetwork:
         return out
 
     def copy(self) -> "SubstrateNetwork":
-        """Independent copy with current residuals and no active embeddings."""
+        """Copy with current residuals and no active embeddings.
+
+        The clone shares the min-hop table (``hop_dist`` and ``hop_next``)
+        by identity, since both networks have the same topology: a row
+        either fills serves both.  Its residuals, ``mask_store``,
+        ``active`` and ``candidate_index``, which holds the clone's own
+        node objects, are its own.
+        """
         nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual,
                                n.ssl, n.ssd, n.hop_to_boundary)
                  for n in self.nodes.values()]
         links = [SubstrateLink(l.u, l.v, l.bw_capacity, l.bw_residual)
                  for l in self.links.values()]
-        return SubstrateNetwork(self.domain_count, nodes, links)
+        clone = SubstrateNetwork(self.domain_count, nodes, links)
+        clone.hop_dist = self.hop_dist
+        clone.hop_next = self.hop_next
+        return clone
 
     def __repr__(self):
         return (f"SubstrateNetwork(domains={self.domain_count}, "

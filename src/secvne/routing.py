@@ -6,14 +6,15 @@ smallest node sequence wins, so routing is fully deterministic.
 
 ``route_all_links`` routes a whole request against a private debit table, so
 the combined paths respect every link's residual cumulatively without
-mutating the network.  Each link first tries its entry in the substrate's
-min-hop path table (``min_hop_path``): the path the same rule picks in the
-bare topology, bandwidth ignored.  The table lives as long as the substrate
-and is filled lazily: one full search per destination, whose levels and
-hop distances, a row by source rank (``hop_distances``), it keeps under the
-destination's rank, plus one descent per (src, dst) pair.  The table path
-is taken when every link on it still has the demand left after residuals
-and debits; only otherwise does ``route_link`` search the feasible subgraph.
+mutating the network.  Each link first tries its path in the substrate's
+min-hop table (``min_hop_path``): the path the same rule picks in the bare
+topology, bandwidth ignored.  The table lives as long as the topology, every
+copy of the substrate shares it, and it is filled lazily: one full search
+per destination, whose hop distances and next hops, each a row by source
+rank (``hop_distances``), it keeps under the destination's rank.  The table
+path is taken when every link on it still has the demand left after
+residuals and debits; only otherwise does ``route_link`` search the
+feasible subgraph.
 
 This is exact.  The feasible subgraph is a subgraph of the topology, so a
 topology min-hop path that is feasible is min-hop in the feasible subgraph
@@ -38,6 +39,14 @@ level below.  That bit is the neighbour with the smallest id among the
 neighbours one hop closer to dst, so both paths are the lexicographically
 smallest min-hop paths of their graphs.
 
+The table stores no path.  ``hop_distances`` gives each node at level
+h >= 1 of the full search the lowest-rank neighbour at level h - 1, the
+step the descent takes there.  That step depends only on the node and dst,
+not on where the descent started, so the descent from src is src followed
+by the descent from its next hop.  ``min_hop_path`` therefore walks the
+next-hop row from src to dst and gets exactly the path ``_descend`` gives
+over the topology's masks.
+
 ``usable_masks`` is the one mask builder: one bucketing pass gives fresh
 masks at every distinct demand of a request.  The substrate keeps them per
 demand in its mask store (``SubstrateNetwork.mask_store``), which
@@ -60,7 +69,6 @@ from .model import (
     SubstrateNetwork,
     VirtualNetworkRequest,
     bfs_levels,
-    level_hops,
     link_key,
 )
 
@@ -114,34 +122,55 @@ def hop_distances(dst: int, net: SubstrateNetwork) -> list[int | None]:
     """Hop count to dst from each node, by the node's bit rank, bandwidth
     ignored; None where the topology does not join the node to dst.
 
-    Read from, or added to, the substrate's distance table: one full
-    breadth-first search per destination, whose levels the table keeps too.
+    Read from, or added to, the substrate's min-hop table: one full
+    breadth-first search per destination fills the hop row and, in the same
+    pass, the next-hop row (see the module docstring).  The only writer of
+    the table's rows.
     """
     r = net.rank[dst]
     row = net.hop_dist[r]
     if row is not None:
         return row
-    levels = net.hop_levels[r] = bfs_levels(1 << r, net.adj_masks)
-    row = net.hop_dist[r] = level_hops(levels, [None] * len(net.node_ids))
+    masks = net.adj_masks
+    levels = bfs_levels(1 << r, masks)
+    row = [None] * len(masks)
+    nxt = [None] * len(masks)
+    row[r] = 0
+    for h in range(1, len(levels)):
+        level, below = levels[h], levels[h - 1]
+        while level:
+            low = level & -level
+            i = low.bit_length() - 1
+            step = masks[i] & below
+            row[i] = h
+            nxt[i] = (step & -step).bit_length() - 1
+            level ^= low
+    net.hop_next[r] = nxt
+    net.hop_dist[r] = row
     return row
 
 
 def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
-    """The path ``route_link`` picks from src to dst in the bare topology.
+    """The path ``route_link`` picks from src to dst in the bare topology:
+    the walk down dst's next-hop row, filled on first use.
 
-    Read from, or added to, the substrate's path table.  Raises
-    EmbeddingInfeasible when the topology does not join src and dst.
+    Raises EmbeddingInfeasible when the topology does not join src and dst.
     """
-    path = net.min_hop_paths.get((src, dst))
-    if path is not None:
-        return path
     rank = net.rank
-    hops = hop_distances(dst, net)[rank[src]]
-    if hops is None:
+    r = rank[dst]
+    nxt = net.hop_next[r]
+    if nxt is None:
+        hop_distances(dst, net)
+        nxt = net.hop_next[r]
+    cur = rank[src]
+    if nxt[cur] is None and cur != r:
         raise EmbeddingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
-    path = net.min_hop_paths[(src, dst)] = _descend(
-        rank[src], net.hop_levels[rank[dst]][:hops], net.adj_masks, net.node_ids)
-    return path
+    node_ids = net.node_ids
+    path = [src]
+    while cur != r:
+        cur = nxt[cur]
+        path.append(node_ids[cur])
+    return tuple(path)
 
 
 def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:

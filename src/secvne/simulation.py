@@ -20,7 +20,7 @@ substrate's mask store from the residuals, every ``AUDIT_EVERY`` events and
 once at the end, and likewise aborts on drift.
 
 ``compare`` is the steady-state experiment: every strategy, seeded with each
-seed, on a fresh copy of that seed's instance.
+seed, on its own copy of that seed's instance.
 """
 
 from __future__ import annotations
@@ -168,10 +168,13 @@ def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNet
     it, each strategy in order.
 
     ``instance_of(seed)`` gives the seed's ``(net, vnrs)``, once per seed.
-    Strategy `name` is built with `seed` and runs to `horizon` on a fresh copy
-    of ``net``.  ``means`` are the steady-state means of its `window`-wide
-    windows that start at or after `warmup`.  Runs happen as the caller
-    iterates, so a caller that drops each trace keeps none.
+    Strategy `name` is built with `seed` and runs to `horizon` on its own
+    copy of ``net``, with the residuals ``net`` has and no active request;
+    the copies share ``net``'s min-hop table, which depends on the topology
+    alone, so a later strategy reads the rows an earlier one filled.
+    ``means`` are the steady-state means of its `window`-wide windows that
+    start at or after `warmup`.  Runs happen as the caller iterates, so a
+    caller that drops each trace keeps none.
     """
     for seed in seeds:
         net, vnrs = instance_of(seed)

@@ -85,15 +85,18 @@ def residual_writes(source: str, attrs=("bw_residual", "cpu_residual")) -> list[
     return writes
 
 
-MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__"}
+# The methods of a dict or a list that change it.
+MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__",
+            "append", "extend", "insert", "remove", "sort", "reverse"}
 
 
-def record_writes(source: str, attr: str = "active") -> list[tuple[str, int]]:
+def record_writes(source: str, attr: str = "active", items: bool = False) -> list[tuple[str, int]]:
     """(enclosing function, as ``Class.method`` inside a class, or "" at
     module level, line) of each write to an attribute named ``attr`` or to
-    the dict it holds in ``source``: an assignment, augmented assignment or
-    ``del`` of the attribute or of an item of it, or a call of one of its
-    ``MUTATORS``."""
+    the dict or list it holds in ``source``: an assignment, augmented
+    assignment or ``del`` of the attribute or of an item of it, or a call
+    of one of its ``MUTATORS``.  With ``items``, binding the attribute
+    itself is not a write: only the writes to what it holds are."""
     def held(node):
         return isinstance(node, ast.Attribute) and node.attr == attr
 
@@ -107,7 +110,7 @@ def record_writes(source: str, attr: str = "active") -> list[tuple[str, int]]:
             return isinstance(f, ast.Attribute) and f.attr in MUTATORS and held(f.value)
         else:
             return False
-        return any(held(t) or held(getattr(t, "value", None))
+        return any((held(t) and not items) or held(getattr(t, "value", None))
                    for target in targets for t in ast.walk(target))
 
     scopes = []
@@ -155,6 +158,31 @@ def test_only_allocate_and_release_write_residuals():
         "    n.active.update({})\n    n.active[1][1][2] += 1\n    x = n.active[1]\n"
         "    n.active.get(1)\n"
         "n.active: dict = {}\n")] == ["C.m", "f", "f", "f", "f", "f", ""]
+
+
+def test_only_hop_distances_writes_the_shared_min_hop_table():
+    """Every copy of a substrate shares its min-hop table, so a row written
+    anywhere but where it is derived from the topology would reach every
+    copy.  ``SubstrateNetwork.__init__`` binds ``hop_dist`` and ``hop_next``
+    to empty tables and ``SubstrateNetwork.copy`` binds the clone's to the
+    original's; ``routing.hop_distances`` alone writes their rows."""
+    package = Path(secvne.__file__).parent
+    for attr in ("hop_dist", "hop_next"):
+        bound, rows = set(), set()
+        for path in sorted(package.rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            bound |= {(path.name, function) for function, _ in record_writes(source, attr)}
+            rows |= {(path.name, function)
+                     for function, _ in record_writes(source, attr, items=True)}
+        assert bound == {("model.py", "SubstrateNetwork.__init__"),
+                         ("model.py", "SubstrateNetwork.copy"), ("routing.py", "hop_distances")}
+        assert rows == {("routing.py", "hop_distances")}
+    # The scan tells a write to a row from a binding of the table.
+    assert [w for w, _ in record_writes(
+        "class C:\n    def m(self):\n        self.hop_next: list = []\n"
+        "def f(n):\n    n.hop_next = []\n    n.hop_next[0] = [1]\n    n.hop_next[0][1] = 2\n"
+        "    n.hop_next.append([])\n    del n.hop_next[0]\n    x = n.hop_next[0]\n",
+        "hop_next", items=True)] == ["f", "f", "f", "f"]
 
 
 def test_tests_write_bandwidth_residuals_through_one_helper():
@@ -270,6 +298,12 @@ def test_request_with_a_negative_demand_raises(cpu, bw, message):
     nodes = [VirtualNode(0, 5, 0, 4, frozenset({0})), VirtualNode(1, cpu, 0, 4, frozenset({0}))]
     with pytest.raises(ValueError, match=f"^{message}$"):
         VirtualNetworkRequest(0, nodes, [VirtualLink(0, 1, bw)], 0.0, 100.0)
+
+
+def test_request_repr_names_its_id_size_and_arrival():
+    vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,)), (2, 1, 0, 4, (1,))],
+                   [(0, 1, 5)], vnr_id=7, arrival=12.34567)
+    assert repr(vnr) == "VirtualNetworkRequest(id=7, nodes=3, links=1, t=12.346)"
 
 
 def test_release_order_independence(toy_net):

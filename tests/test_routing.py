@@ -9,13 +9,14 @@ from secvne import routing
 from secvne.baselines import greedy_embed
 from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.model import allocate, link_key, release
-from secvne.routing import (MASK_STORE_LIMIT, hop_distances, min_hop_path, route_all_links,
-                            route_link, stored_masks, usable_masks)
+from secvne.model import allocate, bfs_levels, link_key, release
+from secvne.node_mapping import candidate_nodes
+from secvne.routing import (MASK_STORE_LIMIT, _descend, hop_distances, min_hop_path,
+                            route_all_links, route_link, stored_masks, usable_masks)
 
 from conftest import contended_net, make_substrate, make_vnr, scattered_net, write_bw_residual
-from oracles import (domain_cut_short, route_all_brute, shortest_feasible_path_brute,
-                     usable_masks_brute)
+from oracles import (domain_cut_short, hop_distances_brute, route_all_brute,
+                     shortest_feasible_path_brute, usable_masks_brute)
 
 
 def route(src, dst, bw, net, debits=None):
@@ -303,7 +304,7 @@ class TestRouteAllLinks:
         # fill the table with the route R -> S (via the 12-capacity link)
         warm = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (0,))], [(0, 1, 5)])
         assert route_all_links(warm, {0: 4, 1: 5}, net) == ({(0, 1): (4, 1, 2, 5)}, 15)
-        assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)
+        assert min_hop_path(4, 5, net) == (4, 1, 2, 5)
         # now a request whose 9-unit link saturates 1-2 before the 5-unit
         # link needs it; the table's (4, ..., 5) route must be re-derived
         vnr = make_vnr(
@@ -316,7 +317,7 @@ class TestRouteAllLinks:
         assert routed == route_all_brute(vnr, assignment, net)
         assert routed[0][(0, 1)] == (0, 1, 2, 3)       # debits 1-2 down to 3
         assert routed[0][(2, 3)] == (4, 1, 6, 2, 5)    # forced detour
-        assert net.min_hop_paths[(4, 5)] == (4, 1, 2, 5)  # debits leave the table alone
+        assert min_hop_path(4, 5, net) == (4, 1, 2, 5)  # debits leave the table alone
 
     def test_path_table_gives_identical_results(self, toy_net):
         vnr = make_vnr(
@@ -391,17 +392,60 @@ class TestMinHopPath:
             assert hop_distances(dst, net) == expected
         assert unjoined
 
+    def test_next_hop_walk_is_the_descent(self):
+        """The walk down a next-hop row gives the path ``_descend`` takes
+        over the levels of a full search from the destination, as long as
+        the plain breadth-first distance, from every source, on scattered
+        ids, on a substrate of two parts and on generated substrates whose
+        equal-hop paths tie."""
+        nets = [scattered_net()] + [
+            generate_substrate(GeneratorConfig(seed=seed, node_count=12, domain_count=3,
+                                               intra_link_rate=0.5))
+            for seed in range(3)]
+        unjoined = 0
+        for net in nets:
+            rank = net.rank
+            for dst in net.nodes:
+                levels = bfs_levels(1 << rank[dst], net.adj_masks)
+                brute = hop_distances_brute(net, dst)
+                for src in net.nodes:
+                    hops = brute.get(src)
+                    if hops is None:
+                        unjoined += 1
+                        with pytest.raises(EmbeddingInfeasible, match="does not join"):
+                            min_hop_path(src, dst, net)
+                        assert net.hop_next[rank[dst]][rank[src]] is None
+                        continue
+                    path = _descend(rank[src], levels[:hops], net.adj_masks, net.node_ids)
+                    assert len(path) == hops + 1
+                    assert min_hop_path(src, dst, net) == path
+        assert unjoined
+
     def test_ignores_bandwidth(self):
         net = grid_net([2, 10, 10, 10])
         assert min_hop_path(0, 1, net) == (0, 1)
         assert route(0, 1, 5, net) == (0, 3, 2, 1)
 
-    def test_copy_starts_with_an_empty_table(self, toy_net):
+    def test_copy_shares_the_table_and_keeps_its_own_state(self, toy_net):
+        """The clone holds the very table lists of the original, so a row
+        either fills serves both, and its residuals, mask store, active
+        records and candidate index are its own."""
         assert min_hop_path(0, 5, toy_net) == (0, 2, 3, 5)
-        assert toy_net.min_hop_paths and any(toy_net.hop_dist) and any(toy_net.hop_levels)
+        stored_masks([5], toy_net)
+        candidate_nodes(make_vnr([(0, 1, 0, 4, (0,))], []).nodes[0], toy_net)
+        assert toy_net.mask_store and toy_net.candidate_index
         clone = toy_net.copy()
-        assert clone.min_hop_paths == {}
-        assert clone.hop_dist == clone.hop_levels == [None] * len(clone.nodes)
+        assert clone.hop_dist is toy_net.hop_dist and clone.hop_next is toy_net.hop_next
+        assert min_hop_path(5, 0, clone) == (5, 3, 2, 0)
+        assert toy_net.hop_dist[toy_net.rank[0]] is not None
+        assert clone.mask_store == {} and clone.candidate_index == {} and clone.active == {}
+        assert clone.mask_store is not toy_net.mask_store
+        assert clone.active is not toy_net.active
+        assert clone.candidate_index is not toy_net.candidate_index
+        for nid, node in clone.nodes.items():
+            assert node is not toy_net.nodes[nid] and node == toy_net.nodes[nid]
+        for k, link in clone.links.items():
+            assert link is not toy_net.links[k] and link == toy_net.links[k]
 
     def test_disjoint_domains_are_infeasible(self):
         net = make_substrate(

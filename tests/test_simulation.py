@@ -385,6 +385,19 @@ def test_embed_calls_the_function_bound_when_it_runs(toy_net, monkeypatch, name,
         assert len(calls[0]) == 2
 
 
+def placing(name, seed, placed):
+    """Strategy ``name`` with ``seed``, which appends each placement it
+    returns to ``placed`` as ``(request id, node map, link map)``."""
+    plain = make_strategy(name, seed=seed)
+
+    def embed(vnr, net):
+        emb = plain.embed(vnr, net)
+        placed.append((vnr.id, emb.node_map, emb.link_map))
+        return emb
+
+    return Strategy(name, embed)
+
+
 def relabelled(net, relabel):
     """``net`` with every node id ``nid`` replaced by ``relabel(nid)``."""
     nodes = [SubstrateNode(relabel(n.id), n.domain, n.cpu_capacity, n.cpu_residual, n.ssl,
@@ -408,16 +421,6 @@ def test_whole_runs_are_the_same_on_relabelled_ids(bw_range):
     def relabel(nid):
         return 3 * nid + 5
 
-    def placing(name, seed, placed):
-        plain = make_strategy(name, seed=seed)
-
-        def embed(vnr, net):
-            emb = plain.embed(vnr, net)
-            placed.append((vnr.id, emb.node_map, emb.link_map))
-            return emb
-
-        return Strategy(name, embed)
-
     horizon = 300
     for seed in range(3):
         overrides = {} if bw_range is None else {"substrate_bw_range": bw_range}
@@ -436,3 +439,33 @@ def test_whole_runs_are_the_same_on_relabelled_ids(bw_range):
                 (vid, {k: relabel(sid) for k, sid in node_map.items()},
                  {k: tuple(map(relabel, path)) for k, path in link_map.items()})
                 for vid, node_map, link_map in placed]
+
+
+@pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
+def test_whole_runs_are_the_same_on_a_copy_with_a_warm_shared_table(bw_range):
+    """Every copy of a substrate shares its min-hop table, so a run on a
+    copy reads rows that runs of other strategies on other copies filled.
+    Each strategy's run there writes the same trace records and places the
+    same embeddings as its run on a freshly built substrate, whose table
+    starts empty."""
+    horizon = 300
+    for seed in range(3):
+        overrides = {} if bw_range is None else {"substrate_bw_range": bw_range}
+        cfg = GeneratorConfig(seed=seed, **overrides)
+        net = generate_substrate(cfg)
+        vnrs = generate_vnr_stream(cfg, horizon)
+        # Warm the table with the strategy that runs last, so that every
+        # strategy's run follows another strategy's.
+        run(net.copy(), vnrs, make_strategy(STRATEGY_NAMES[-1], seed=seed), horizon)
+        for name in STRATEGY_NAMES:
+            assert any(row is not None for row in net.hop_dist)
+            placed, placed_fresh = [], []
+            warm = net.copy()
+            assert warm.hop_dist is net.hop_dist
+            trace = run(warm, vnrs, placing(name, seed, placed), horizon)
+            fresh = generate_substrate(cfg)
+            assert fresh.hop_dist == [None] * len(fresh.nodes)
+            expected = run(fresh, vnrs, placing(name, seed, placed_fresh), horizon)
+            assert trace.records == expected.records
+            assert placed and len(placed) == expected.accepted
+            assert placed == placed_fresh
