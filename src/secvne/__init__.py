@@ -27,7 +27,6 @@ from .model import (
     VirtualNetworkRequest,
     VirtualNode,
     allocate,
-    compute_boundary_hops,
     link_key,
     release,
 )

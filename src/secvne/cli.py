@@ -262,7 +262,3 @@ def main(argv=None) -> int:
     except (OSError, SecVneError, ValueError) as exc:
         print(f"secvne: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,8 +25,9 @@ workload files is read through ``read_int``: a JSON integer, never a
 boolean, a fraction or a string, and non-negative (``domain_count`` at
 least 1), and every time through ``read_number``: a finite JSON number,
 never a boolean or a string.  Every domain a substrate declares holds a
-node, is connected and holds a boundary node, all checked by
-``model.compute_boundary_hops``.
+node, is connected and holds a boundary node, all checked by the
+``SubstrateNetwork`` constructor, which also sets every node's boundary
+distance.
 A workload's horizon is positive, its header's ``vnr_count`` is the number
 of request lines, its request ids are distinct, and ``VirtualNetworkRequest``
 checks that each request has a virtual node, each node a candidate domain,
@@ -63,7 +64,6 @@ from .model import (
     VirtualLink,
     VirtualNetworkRequest,
     VirtualNode,
-    compute_boundary_hops,
 )
 
 WINDOW_CSV_HEADER = "t_start,t_end,arrived,accepted,acceptance,avg_revenue,avg_cost,rc_ratio"
@@ -168,14 +168,9 @@ def load_substrate(path) -> SubstrateNetwork:
             bw = read_int(l["bw"], "substrate link bw")
             links.append(SubstrateLink(read_int(l["u"], "substrate link u"),
                                        read_int(l["v"], "substrate link v"), bw, bw))
-        net = SubstrateNetwork(read_int(doc["domain_count"], "domain_count", lo=1), nodes, links)
+        return SubstrateNetwork(read_int(doc["domain_count"], "domain_count", lo=1), nodes, links)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"malformed substrate file {path}: {exc}") from exc
-    try:
-        compute_boundary_hops(net)
-    except ValueError as exc:
-        raise InvalidConfig(f"substrate file {path}: {exc}") from exc
-    return net
 
 
 # -- workload ------------------------------------------------------------

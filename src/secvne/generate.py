@@ -46,7 +46,6 @@ from .model import (
     VirtualNetworkRequest,
     VirtualNode,
     components,
-    compute_boundary_hops,
 )
 from .seeding import SUBSTRATE_STREAM, WORKLOAD_STREAM, Draws, check_seed, draws_from
 
@@ -190,7 +189,8 @@ def _random_connected_links(members: list[int], rate: float, bw_lo: int, bw_hi: 
 def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
     """Multi-domain substrate: per-domain random graphs repaired to be
     connected, plus one inter-domain link per domain pair, between a random
-    node of each domain."""
+    node of each domain.  The ``SubstrateNetwork`` constructor sets every
+    node's boundary distance."""
     cfg.validate()
     draws = draws_from(cfg.seed, SUBSTRATE_STREAM)
     cpu_lo, cpu_hi = cfg.substrate_cpu_range
@@ -220,9 +220,7 @@ def generate_substrate(cfg: GeneratorConfig) -> SubstrateNetwork:
             bw = _draw(draws, bw_lo, bw_hi)
             links.append(SubstrateLink(u, v, bw, bw))
 
-    net = SubstrateNetwork(cfg.domain_count, nodes, links)
-    compute_boundary_hops(net)
-    return net
+    return SubstrateNetwork(cfg.domain_count, nodes, links)
 
 
 def generate_vnr_stream(cfg: GeneratorConfig, horizon: float) -> list[VirtualNetworkRequest]:

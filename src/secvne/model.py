@@ -10,11 +10,10 @@ as integers so repeated allocate/release cycles restore state bit-exactly.
 Every breadth-first search and component split in the package is
 ``bfs_levels``, over node bitmasks: bit i stands for the node of bit rank i,
 the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
-one neighbour mask per node, indexed by rank.  ``level_hops`` reads a
-search's levels into a list by rank.  The substrate's hop table is indexed
-the same way: ``SubstrateNetwork.hop_dist`` holds, per destination rank, a
-row of hop counts by source rank, None where the topology does not join
-the two, and ``hop_next`` a row of next hops toward the destination by
+one neighbour mask per node, indexed by rank.  The substrate's hop table is
+indexed the same way: ``SubstrateNetwork.hop_dist`` holds, per destination
+rank, a row of hop counts by source rank, None where the topology does not
+join the two, and ``hop_next`` a row of next hops toward the destination by
 source rank; ``secvne.routing.hop_distances`` fills both on a
 destination's first use, and ``domain_of`` gives each rank's domain.  The
 topology is fixed, so ``SubstrateNetwork.copy`` hands the clone the same
@@ -23,14 +22,16 @@ repeats ``bfs_levels`` from the lowest node not yet reached until every
 node is reached; the generator's connectivity repair is its one user.  The
 topology's only adjacency is ``SubstrateNetwork.adj_masks``, built from the
 links.
-``compute_boundary_hops`` checks that every declared domain holds a node,
-then masks it down to one domain, in one pass per domain that checks the
-domain is connected and has a boundary node and then measures the boundary
-distances; ``secvne.routing.usable_masks``, the one mask builder, masks it
-down to the links with enough residual.  ``SubstrateNetwork.mask_store``
-keeps those masks per demand, and ``allocate`` and ``release``, the only
-writers of a residual, flip the bits of each link whose residual crosses a
-stored demand, so the store stays equal to a fresh build.
+A substrate is complete once constructed: the constructor ends with the
+boundary pass, which checks that every declared domain holds a node, then
+masks the adjacency down to one domain, in one pass per domain that checks
+the domain is connected and has a boundary node and then sets each of its
+nodes' ``hop_to_boundary``; ``secvne.routing.usable_masks``, the one mask
+builder, masks it down to the links with enough residual.
+``SubstrateNetwork.mask_store`` keeps those masks per demand, and
+``allocate`` and ``release``, the only writers of a residual, flip the bits
+of each link whose residual crosses a stored demand, so the store stays
+equal to a fresh build.
 ``allocate`` derives an embedding's per-node CPU and per-link bandwidth
 demand once and keeps it with the embedding in ``SubstrateNetwork.active``,
 the one record of an active request; ``release`` credits exactly that
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InternalConsistencyError
@@ -99,17 +100,6 @@ def components(masks) -> list[int]:
     return comps
 
 
-def level_hops(levels: list[int], hops: list) -> list:
-    """``hops``, with ``hops[i]`` set to the index of the level that holds
-    the node of bit rank i, for every node of ``levels``."""
-    for h, level in enumerate(levels):
-        while level:
-            low = level & -level
-            hops[low.bit_length() - 1] = h
-            level ^= low
-    return hops
-
-
 @dataclass(slots=True)
 class SubstrateNode:
     id: int
@@ -118,7 +108,9 @@ class SubstrateNode:
     cpu_residual: int
     ssl: int
     ssd: int
-    hop_to_boundary: int = -1  # -1 until compute_boundary_hops has run
+    # The intra-domain hop count to the nearest boundary node, set by the
+    # constructor of the SubstrateNetwork that holds the node.
+    hop_to_boundary: int = field(init=False)
 
 
 @dataclass(slots=True)
@@ -232,6 +224,9 @@ class SubstrateNetwork:
     Single-writer: all mutations (allocate/release) must come from one logical
     thread of control.  Read-only snapshots may be shared freely.
 
+    Construction is the one step: the constructor rejects a domain that is
+    empty, not connected or without a boundary node, and sets every node's
+    ``hop_to_boundary``.
     Only residuals change after construction: the node set, the links and
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the min-hop table and ``candidate_index`` all rely on.
@@ -306,6 +301,7 @@ class SubstrateNetwork:
         # allocate debited, which release credits.  Written by allocate and
         # release alone.
         self.active: dict[int, tuple[Embedding, dict[int, int], dict[LinkKey, int]]] = {}
+        _set_boundary_hops(self)
 
     def boundary_nodes(self) -> set[int]:
         out: set[int] = set()
@@ -323,8 +319,7 @@ class SubstrateNetwork:
         ``active`` and ``candidate_index``, which holds the clone's own
         node objects, are its own.
         """
-        nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual,
-                               n.ssl, n.ssd, n.hop_to_boundary)
+        nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual, n.ssl, n.ssd)
                  for n in self.nodes.values()]
         links = [SubstrateLink(l.u, l.v, l.bw_capacity, l.bw_residual)
                  for l in self.links.values()]
@@ -338,9 +333,10 @@ class SubstrateNetwork:
                 f"nodes={len(self.nodes)}, links={len(self.links)})")
 
 
-def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
-    """Cache, for every substrate node, the intra-domain hop count to the
-    nearest boundary node (0 for boundary nodes themselves).
+def _set_boundary_hops(net: SubstrateNetwork) -> None:
+    """The boundary pass, the last step of the constructor: set every node's
+    ``hop_to_boundary``, its intra-domain hop count to the nearest boundary
+    node (0 for boundary nodes themselves).
 
     Inter-domain links define boundary membership but are never traversed:
     every search runs over masks restricted to the domain it starts in.
@@ -361,19 +357,19 @@ def compute_boundary_hops(net: SubstrateNetwork) -> dict[int, int]:
     for i, d in enumerate(net.domain_of):
         members[d] |= 1 << i
     intra = [mask & members[d] for d, mask in zip(net.domain_of, net.adj_masks)]
-    # Every domain is connected and holds a boundary node, so every rank
-    # gets a distance.
-    by_rank = [0] * len(net.node_ids)
+    by_rank = [net.nodes[nid] for nid in net.node_ids]
     for d, mask in enumerate(members):
         if not mask & boundary:
             raise ValueError(f"domain {d} has no boundary node")
         if sum(bfs_levels(mask & -mask, intra)) != mask:
             raise ValueError(f"some domain is not connected: domain {d}")
-        level_hops(bfs_levels(mask & boundary, intra), by_rank)
-    hops = dict(zip(net.node_ids, by_rank))
-    for nid, h in hops.items():
-        net.nodes[nid].hop_to_boundary = h
-    return hops
+        # Level h of the search from the domain's boundary nodes holds the
+        # nodes h hops from the nearest one.
+        for h, level in enumerate(bfs_levels(mask & boundary, intra)):
+            while level:
+                low = level & -level
+                by_rank[low.bit_length() - 1].hop_to_boundary = h
+                level ^= low
 
 
 def _embedding_deltas(emb: Embedding):

@@ -135,11 +135,9 @@ the swarm runs instead of spending its evaluations on a certain INFEASIBLE.
   tried, and skipping it changes no result: every link's residual is then
   at least the request's total demand, so a domain that any link leaves
   has room for every cut and the proof cannot fire there, while a domain
-  no link leaves is one that ``compute_boundary_hops`` rejects in every
-  generated or loaded substrate, and even there the proof would only
-  reject what the swarm, every position being unroutable, ends INFEASIBLE
-  on.  A proof never changes a placement, and each search draws from its
-  own stream, so no trace moves when it fires.
+  no link leaves has no boundary node, which the ``SubstrateNetwork``
+  constructor rejects.  A proof never changes a placement, and each
+  search draws from its own stream, so no trace moves when it fires.
 
 Three exact shortcuts skip swarm work that cannot change the result.
 

@@ -13,7 +13,6 @@ from secvne.model import (
     VirtualLink,
     VirtualNetworkRequest,
     VirtualNode,
-    compute_boundary_hops,
 )
 
 
@@ -28,14 +27,11 @@ SPLIT_DOMAIN_SUBSTRATE = {
 }
 
 
-def make_substrate(node_specs, link_specs, domain_count=2, hops=True):
+def make_substrate(node_specs, link_specs, domain_count=2):
     """node_specs: (id, domain, cpu, ssl, ssd); link_specs: (u, v, bw)."""
     nodes = [SubstrateNode(i, d, c, c, ssl, ssd) for (i, d, c, ssl, ssd) in node_specs]
     links = [SubstrateLink(u, v, bw, bw) for (u, v, bw) in link_specs]
-    net = SubstrateNetwork(domain_count, nodes, links)
-    if hops:
-        compute_boundary_hops(net)
-    return net
+    return SubstrateNetwork(domain_count, nodes, links)
 
 
 def scattered_net():
@@ -51,7 +47,7 @@ def scattered_net():
         link_specs=[(105, 23, 10), (61, 105, 10), (7, 40, 10), (3, 61, 10),
                     (50, 88, 10), (23, 7, 10), (12, 3, 10), (40, 105, 10),
                     (200, 9, 10), (9, 50, 10)],
-        domain_count=4, hops=False,
+        domain_count=4,
     )
 
 

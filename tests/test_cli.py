@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -840,3 +842,22 @@ def test_run_in_the_c_locale_writes_the_same_bytes(tmp_path, generated, strategy
     assert proc.returncode == 0, proc.stderr
     names = ("trace.jsonl", "windows.csv", "cumulative.csv")
     assert digests(tmp_path / "c-locale", names) == digests(tmp_path / "here", names)
+
+
+def test_console_script_is_cli_main():
+    """pyproject's one console script names ``secvne.cli.main``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert list(scripts) == ["secvne"]
+    module, attr = scripts["secvne"].split(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_python_m_secvne_calls_cli_main(monkeypatch):
+    """``python -m secvne`` exits with what ``secvne.cli.main`` returns."""
+    calls = []
+    monkeypatch.setattr(secvne.cli, "main", lambda: calls.append(()) or 7)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("secvne", run_name="__main__")
+    assert exc.value.code == 7 and calls == [()]

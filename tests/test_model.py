@@ -21,7 +21,6 @@ from secvne.model import (
     _embedding_deltas,
     allocate,
     components,
-    compute_boundary_hops,
     link_key,
     release,
 )
@@ -502,32 +501,53 @@ class TestBoundaryHops:
         nodes = [SubstrateNode(0, 0, 10, 10, 0, 0), SubstrateNode(1, 0, 10, 10, 0, 0),
                  SubstrateNode(2, 1, 10, 10, 0, 0)]
         links = [SubstrateLink(0, 1, 5, 5)]  # domain 1 node is isolated
-        net = SubstrateNetwork(2, nodes, links)
         with pytest.raises(ValueError, match="has no boundary node"):
-            compute_boundary_hops(net)
+            SubstrateNetwork(2, nodes, links)
 
     def test_domain_in_two_components_is_not_connected(self):
         # Each component of domain 0 holds a boundary node, so the boundary
         # distances alone cannot tell the split.
-        net = make_substrate(
-            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
-                        (3, 1, 10, 0, 0)],
-            link_specs=[(0, 2, 10), (1, 3, 10), (2, 3, 10)],
-            hops=False,
-        )
         with pytest.raises(ValueError, match="some domain is not connected: domain 0"):
-            compute_boundary_hops(net)
+            make_substrate(
+                node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
+                            (3, 1, 10, 0, 0)],
+                link_specs=[(0, 2, 10), (1, 3, 10), (2, 3, 10)],
+            )
 
-    def test_matches_brute_force_on_random_networks(self):
+    @pytest.mark.parametrize("domain_count", [4, 10**12])
+    def test_empty_domain_raises_before_any_per_domain_state(self, domain_count):
+        """A declared domain with no node is found from the nodes alone, so
+        a huge ``domain_count`` fails at once, naming the lowest empty one."""
+        with pytest.raises(ValueError, match="^domain 2 has no node$"):
+            make_substrate(node_specs=[(0, 0, 10, 0, 0), (1, 1, 10, 0, 0), (5, 3, 10, 0, 0)],
+                           link_specs=[(0, 1, 10)], domain_count=domain_count)
+
+    def test_matches_brute_force_on_random_networks(self, tmp_path):
+        """Right after construction every node's boundary distance is the
+        brute-force one: on generated substrates, on each loaded back from
+        its file, on copies, and on the same nodes and links handed to the
+        constructor with ids relabelled and in reverse order."""
+        from secvne.fileio import load_substrate, save_substrate
         from secvne.generate import GeneratorConfig, generate_substrate
 
-        nets = [generate_substrate(GeneratorConfig(seed=seed, node_count=40, domain_count=3,
-                                                   intra_link_rate=0.2))
-                for seed in range(5)]
-        for net in nets + [scattered_net()]:
-            expected = boundary_hops_brute(net)
-            got = compute_boundary_hops(net)
-            assert got == expected
+        generated = [generate_substrate(GeneratorConfig(seed=seed, node_count=40,
+                                                        domain_count=3, intra_link_rate=0.2))
+                     for seed in range(5)]
+        nets = [scattered_net()]
+        for i, net in enumerate(generated):
+            save_substrate(net, tmp_path / f"{i}.json")
+            nodes = [SubstrateNode(1000 - n.id, n.domain, n.cpu_capacity, n.cpu_residual,
+                                   n.ssl, n.ssd) for n in reversed(net.nodes.values())]
+            links = [SubstrateLink(1000 - l.u, 1000 - l.v, l.bw_capacity, l.bw_residual)
+                     for l in net.links.values()]
+            nets += [net, load_substrate(tmp_path / f"{i}.json"), net.copy(),
+                     SubstrateNetwork(net.domain_count, nodes, links)]
+        far = 0
+        for net in nets:
+            got = {nid: node.hop_to_boundary for nid, node in net.nodes.items()}
+            assert got == boundary_hops_brute(net)
+            far += max(got.values()) >= 2
+        assert far > 10
 
 
 class TestValidator:

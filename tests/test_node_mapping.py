@@ -151,7 +151,6 @@ class TestSubstratePriority:
                 node_specs=[(0, 0, 40, 0 + 1 * scale, 0), (1, 0, 45, 0 + 3 * scale, 0),
                             (2, 0, 60, 0 + 2 * scale, 0), (3, 1, 10, 0, 0)],
                 link_specs=[(0, 1, 10), (1, 2, 10), (0, 2, 10), (0, 3, 10)],
-                hops=True,
             )
             v = vn(0, 10, 0, 4, (0,))
             cands = candidate_nodes(v, net)

@@ -11,7 +11,6 @@ import pytest
 from secvne import metrics, node_mapping, pso, routing
 from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.model import compute_boundary_hops
 from secvne.node_mapping import candidate_nodes
 from secvne.pso import (
     INFEASIBLE,
@@ -512,13 +511,15 @@ class TestBandwidthSlack:
         assert min(seen.values()) > 500, seen
 
     def test_unjoined_or_shared_hosts_are_infeasible(self):
+        # Four one-node domains: 0 and 1 joined, 2 and 3 joined, the two
+        # pairs not.
         net = make_substrate(
-            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
-                        (3, 1, 10, 0, 0)],
+            node_specs=[(0, 0, 10, 0, 0), (1, 1, 10, 0, 0), (2, 2, 10, 0, 0),
+                        (3, 3, 10, 0, 0)],
             link_specs=[(0, 1, 100), (2, 3, 100)],
-            hops=False,
+            domain_count=4,
         )
-        vnr = make_vnr([(0, 1, 0, 4, (0, 1)), (1, 1, 0, 4, (0, 1))], [(0, 1, 5)])
+        vnr = make_vnr([(0, 1, 0, 4, (0, 1, 2)), (1, 1, 0, 4, (0, 1, 2))], [(0, 1, 5)])
         plan = plan_for(vnr, net)
         assert plan.bw_slack
         for position in ([1, 2], [1, 1]):
@@ -754,7 +755,6 @@ class TestDisconnectedSubstrate:
         every INFEASIBLE on a position with unjoined hosts, the pbest cutoff's
         included, is the brute-force router's verdict."""
         net = scattered_net()
-        compute_boundary_hops(net)
         vnr = make_vnr([(0, 1, 0, 0, (0,)), (1, 1, 0, 0, (0, 2)), (2, 1, 0, 0, (0, 2))],
                        [(0, 1, 5), (1, 2, 6)])
         plan = evaluation_plan(vnr, net, request_candidates(vnr, net))

@@ -101,21 +101,27 @@ class TestRouteLink:
 
     @staticmethod
     def scattered_net(seed):
-        """A random 10-node substrate whose node ids are neither contiguous
-        nor inserted in ascending order, bandwidth U[20, 60]."""
+        """A random 10-node, two-domain substrate whose node ids are neither
+        contiguous nor inserted in ascending order, bandwidth U[20, 60].
+        Substrates are drawn from one stream seeded with ``seed`` until the
+        constructor accepts one: each domain connected and holding a
+        boundary node."""
         rnd = random.Random(seed)
         ids = [40, 7, 93, 15, 62, 3, 28, 71, 55, 12]
-        links = [(a, b, rnd.randint(20, 60))
-                 for a, b in itertools.combinations(ids, 2) if rnd.random() < 0.35]
-        return make_substrate([(i, rnd.randint(0, 1), 10, 0, 0) for i in ids], links,
-                              hops=False)
+        while True:
+            links = [(a, b, rnd.randint(20, 60))
+                     for a, b in itertools.combinations(ids, 2) if rnd.random() < 0.35]
+            try:
+                return make_substrate([(i, rnd.randint(0, 1), 10, 0, 0) for i in ids], links)
+            except ValueError:
+                pass
 
     def test_debits_alone_can_make_the_route_fail(self):
         # 0-1 direct (residual 10) and 0-2-1 (residual 10 each): both carry
         # 8 until the debits take 3 off the direct link and 5 off 2-1.
         net = make_substrate([(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 0, 10, 0, 0),
                               (3, 1, 10, 0, 0)],
-                             [(0, 1, 10), (0, 2, 10), (1, 2, 10), (2, 3, 10)], hops=False)
+                             [(0, 1, 10), (0, 2, 10), (1, 2, 10), (2, 3, 10)])
         masks = usable_masks([8], net)[8]
         assert route_link(0, 1, 8, net, {}, masks) == (0, 1)
         debits = {(0, 1): 3, (1, 2): 5}
@@ -448,15 +454,17 @@ class TestMinHopPath:
             assert link is not toy_net.links[k] and link == toy_net.links[k]
 
     def test_disjoint_domains_are_infeasible(self):
+        # Four one-node domains: 0 and 1 joined, 2 and 3 joined, the two
+        # pairs not.
         net = make_substrate(
-            node_specs=[(0, 0, 10, 0, 0), (1, 0, 10, 0, 0), (2, 1, 10, 0, 0),
-                        (3, 1, 10, 0, 0)],
+            node_specs=[(0, 0, 10, 0, 0), (1, 1, 10, 0, 0), (2, 2, 10, 0, 0),
+                        (3, 3, 10, 0, 0)],
             link_specs=[(0, 1, 100), (2, 3, 100)],
-            hops=False,
+            domain_count=4,
         )
         with pytest.raises(EmbeddingInfeasible, match="does not join"):
             min_hop_path(1, 2, net)
-        vnr = make_vnr([(0, 1, 0, 4, (0,)), (1, 1, 0, 4, (1,))], [(0, 1, 5)])
+        vnr = make_vnr([(0, 1, 0, 4, (1,)), (1, 1, 0, 4, (2,))], [(0, 1, 5)])
         with pytest.raises(EmbeddingInfeasible, match="does not join"):
             route_all_links(vnr, {0: 1, 1: 2}, net)
 

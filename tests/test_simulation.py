@@ -10,8 +10,7 @@ from secvne.errors import EmbeddingInfeasible, InternalConsistencyError, Invalid
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import cost, revenue, steady_state_means, windowed_series
-from secvne.model import (Embedding, SubstrateLink, SubstrateNetwork, SubstrateNode,
-                          compute_boundary_hops)
+from secvne.model import Embedding, SubstrateLink, SubstrateNetwork, SubstrateNode
 from secvne.routing import MASK_STORE_LIMIT, stored_masks
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import (STRATEGY_NAMES, Strategy, audit_residuals, compare,
@@ -404,9 +403,7 @@ def relabelled(net, relabel):
                            n.ssd) for n in net.nodes.values()]
     links = [SubstrateLink(relabel(l.u), relabel(l.v), l.bw_capacity, l.bw_residual)
              for l in net.links.values()]
-    out = SubstrateNetwork(net.domain_count, nodes, links)
-    compute_boundary_hops(out)
-    return out
+    return SubstrateNetwork(net.domain_count, nodes, links)
 
 
 @pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
