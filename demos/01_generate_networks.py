@@ -18,9 +18,9 @@ print(f"  intra-domain links: {len(net.links) - len(net.inter_links)}, "
 print(f"  boundary nodes: {sorted(net.boundary_nodes())}")
 
 for d in range(net.domain_count):
-    members = [nid for nid in net.node_ids if net.nodes[nid].domain == d]
-    cpu = sum(net.nodes[n].cpu_capacity for n in members)
-    hops = [net.nodes[n].hop_to_boundary for n in members]
+    members = [n for n in net.nodes.values() if n.domain == d]
+    cpu = sum(n.cpu_capacity for n in members)
+    hops = [n.hop_to_boundary for n in members]
     print(f"  domain {d}: {len(members)} nodes, {cpu} total cpu, "
           f"boundary distance 0..{max(hops)}")
 

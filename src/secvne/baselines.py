@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import EmbeddingInfeasible
 from .model import Embedding, SubstrateNetwork, VirtualNetworkRequest
 from .node_mapping import candidate_nodes
-from .pso import index_maps, rank_lists, request_candidates, sample_injective
+from .pso import index_maps, request_candidates, sample_injective
 from .routing import build_embedding
 from .seeding import draws_from
 
@@ -44,20 +44,17 @@ def greedy_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork) -> Embedding
 
 
 def random_embed(vnr: VirtualNetworkRequest, net: SubstrateNetwork, seed: int) -> Embedding:
-    """Uniform injective draws, over substrate bit ranks; a few retries
-    absorb routing dead ends."""
+    """Uniform injective draws; a few retries absorb routing dead ends."""
     vnode_order = sorted(vnr.nodes)
-    ranks = rank_lists(request_candidates(vnr, net), net)
-    maps = index_maps(ranks)
+    candidate_lists = request_candidates(vnr, net)
+    maps = index_maps(candidate_lists)
     draws = draws_from(seed)
-    node_ids = net.node_ids
     for _ in range(RANDOM_EMBED_ATTEMPTS):
-        position = sample_injective(ranks, maps, draws)
+        position = sample_injective(candidate_lists, maps, draws)
         if position is None:
             continue
-        assignment = {vid: node_ids[r] for vid, r in zip(vnode_order, position)}
         try:
-            return build_embedding(vnr, assignment, net)
+            return build_embedding(vnr, dict(zip(vnode_order, position)), net)
         except EmbeddingInfeasible:
             continue
     raise EmbeddingInfeasible(f"request {vnr.id}: random: no routable assignment within "

@@ -7,16 +7,16 @@ level they demand from a tenant (``ssd``).  Virtual requests mirror this with
 node may be placed.  Capacities and residuals are tracked separately and kept
 as integers so repeated allocate/release cycles restore state bit-exactly.
 
+A substrate's node ids are exactly 0..N-1, which the constructor checks.
 Every breadth-first search and component split in the package is
-``bfs_levels``, over node bitmasks: bit i stands for the node of bit rank i,
-the i-th smallest node id (``SubstrateNetwork.rank``), and a search reads
-one neighbour mask per node, indexed by rank.  The substrate's hop table is
-indexed the same way: ``SubstrateNetwork.hop_dist`` holds, per destination
-rank, a row of hop counts by source rank, None where the topology does not
+``bfs_levels``, over node bitmasks: bit i stands for node i, and a search
+reads one neighbour mask per node, indexed by id.  The substrate's hop table
+is indexed the same way: ``SubstrateNetwork.hop_dist`` holds, per
+destination, a row of hop counts by source, None where the topology does not
 join the two, and ``hop_next`` a row of next hops toward the destination by
-source rank; ``secvne.routing.hop_distances`` fills both on a
-destination's first use, and ``domain_of`` gives each rank's domain.  The
-topology is fixed, so ``SubstrateNetwork.copy`` hands the clone the same
+source; ``secvne.routing.hop_distances`` fills both on a destination's
+first use, and ``domain_of`` gives each node's domain.  The topology is
+fixed, so ``SubstrateNetwork.copy`` hands the clone the same
 two tables, and a row one copy fills serves every copy.  ``components``
 repeats ``bfs_levels`` from the lowest node not yet reached until every
 node is reached; the generator's connectivity repair is its one user.  The
@@ -63,10 +63,10 @@ def path_links(path: tuple[int, ...]) -> list[LinkKey]:
 def bfs_levels(start_mask: int, masks, near: int = 0) -> list[int]:
     """Level-synchronous breadth-first search over node bitmasks.
 
-    ``masks[i]`` is the neighbour mask of the node of bit rank i.  Level 0 is
-    ``start_mask``, and each later level is the OR of its predecessor's masks
-    minus the nodes seen so far, so ``levels[k]`` holds exactly the nodes k
-    hops from the start set, and the levels' sum is every node reached.  The
+    ``masks[i]`` is the neighbour mask of node i.  Level 0 is ``start_mask``,
+    and each later level is the OR of its predecessor's masks minus the
+    nodes seen so far, so ``levels[k]`` holds exactly the nodes k hops from
+    the start set, and the levels' sum is every node reached.  The
     search stops at the first level that meets ``near``, or when no new node
     is reached; with ``near`` 0 it returns every level.
     """
@@ -87,10 +87,10 @@ def bfs_levels(start_mask: int, masks, near: int = 0) -> list[int]:
 
 
 def components(masks) -> list[int]:
-    """The connected components of the graph whose node of bit rank i has
-    neighbour mask ``masks[i]``, as node masks ordered by their lowest bit:
-    one ``bfs_levels`` from the lowest node not yet reached, repeated until
-    every node is reached."""
+    """The connected components of the graph whose node i has neighbour mask
+    ``masks[i]``, as node masks ordered by their lowest bit: one
+    ``bfs_levels`` from the lowest node not yet reached, repeated until every
+    node is reached."""
     comps = []
     unreached = (1 << len(masks)) - 1
     while unreached:
@@ -224,9 +224,9 @@ class SubstrateNetwork:
     Single-writer: all mutations (allocate/release) must come from one logical
     thread of control.  Read-only snapshots may be shared freely.
 
-    Construction is the one step: the constructor rejects a domain that is
-    empty, not connected or without a boundary node, and sets every node's
-    ``hop_to_boundary``.
+    Construction is the one step: the constructor rejects node ids other
+    than 0..N-1 and a domain that is empty, not connected or without a
+    boundary node, and sets every node's ``hop_to_boundary``.
     Only residuals change after construction: the node set, the links and
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the min-hop table and ``candidate_index`` all rely on.
@@ -247,6 +247,11 @@ class SubstrateNetwork:
                 raise ValueError(f"substrate node {n.id} has domain {n.domain}, outside "
                                  f"[0, {domain_count})")
             self.nodes[n.id] = n
+        # Node i is bit i of every node mask, so the ids are exactly 0..N-1.
+        missing = next((i for i in range(len(self.nodes)) if i not in self.nodes), None)
+        if missing is not None:
+            raise ValueError(f"substrate node ids must be 0..{len(self.nodes) - 1}, "
+                             f"but id {missing} is missing")
         self.links: dict[LinkKey, SubstrateLink] = {}
         # The inter-domain links, which alone join one domain to another.
         self.inter_links: list[SubstrateLink] = []
@@ -262,37 +267,33 @@ class SubstrateNetwork:
             link = self.links[k] = SubstrateLink(k[0], k[1], l.bw_capacity, l.bw_residual)
             if self.nodes[k[0]].domain != self.nodes[k[1]].domain:
                 self.inter_links.append(link)
-        # Bit ranks for bfs_levels: bit i of a node mask stands for the i-th
-        # smallest node id.  adj_masks holds each node's neighbours as a mask,
-        # by rank, and is the topology's only adjacency.  It is built here,
-        # not on first use: an attribute stored later goes through the
-        # instance __dict__, which CPython 3.11 then builds from the inline
-        # attribute values, and every later attribute read of the network
-        # leaves the specialised fast path.
-        self.node_ids: list[int] = sorted(self.nodes)
-        self.rank: dict[int, int] = {nid: i for i, nid in enumerate(self.node_ids)}
-        rank = self.rank
-        masks = [0] * len(self.node_ids)
+        # adj_masks holds each node's neighbours as a mask, by id, and is the
+        # topology's only adjacency.  It is built here, not on first use: an
+        # attribute stored later goes through the instance __dict__, which
+        # CPython 3.11 then builds from the inline attribute values, and
+        # every later attribute read of the network leaves the specialised
+        # fast path.
+        masks = [0] * len(self.nodes)
         for (u, v) in self.links:
-            masks[rank[u]] |= 1 << rank[v]
-            masks[rank[v]] |= 1 << rank[u]
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.adj_masks: list[int] = masks
-        # Each node's domain by rank, for the swarm's per-position domain cut.
-        self.domain_of: list[int] = [self.nodes[nid].domain for nid in self.node_ids]
+        # Each node's domain by id, for the swarm's per-position domain cut.
+        self.domain_of: list[int] = [self.nodes[i].domain for i in range(len(masks))]
         # Min-hop table over the bare topology, filled lazily by
-        # secvne.routing.hop_distances alone.  Per destination rank, None
-        # until filled: in hop_dist, the hop count from each source rank; in
-        # hop_next, the rank of each source's next node on its min-hop path
-        # (None at the destination).  Both are None where the topology does
-        # not join the two.  The topology is fixed from here on, so residual
+        # secvne.routing.hop_distances alone.  Per destination, None until
+        # filled: in hop_dist, the hop count from each source; in hop_next,
+        # each source's next node on its min-hop path (None at the
+        # destination).  Both are None where the topology does not join the
+        # two.  The topology is fixed from here on, so residual
         # changes never make an entry stale, and copy() shares both lists.
         self.hop_dist: list[list[int | None] | None] = [None] * len(masks)
         self.hop_next: list[list[int | None] | None] = [None] * len(masks)
-        # Per (cd, vsd, vsl), the nodes in node_ids order that pass the
-        # domain and both security tests, filled lazily by
+        # Per (cd, vsd, vsl), the nodes in id order that pass the domain
+        # and both security tests, filled lazily by
         # secvne.node_mapping.candidate_nodes.
         self.candidate_index: dict[tuple[frozenset[int], int, int], list[SubstrateNode]] = {}
-        # Per demand d, every node's usable mask at d by rank: its
+        # Per demand d, every node's usable mask at d by id: its
         # neighbours over links with residual >= d.  Filled by
         # secvne.routing.stored_masks and kept current by allocate and
         # release, the only writers of a residual.
@@ -351,13 +352,11 @@ def _set_boundary_hops(net: SubstrateNetwork) -> None:
         # domain up to len(present) is missing.
         empty = min(set(range(len(present) + 1)) - present)
         raise ValueError(f"domain {empty} has no node")
-    rank = net.rank
-    boundary = sum(1 << rank[nid] for nid in net.boundary_nodes())
+    boundary = sum(1 << nid for nid in net.boundary_nodes())
     members = [0] * net.domain_count
     for i, d in enumerate(net.domain_of):
         members[d] |= 1 << i
     intra = [mask & members[d] for d, mask in zip(net.domain_of, net.adj_masks)]
-    by_rank = [net.nodes[nid] for nid in net.node_ids]
     for d, mask in enumerate(members):
         if not mask & boundary:
             raise ValueError(f"domain {d} has no boundary node")
@@ -368,7 +367,7 @@ def _set_boundary_hops(net: SubstrateNetwork) -> None:
         for h, level in enumerate(bfs_levels(mask & boundary, intra)):
             while level:
                 low = level & -level
-                by_rank[low.bit_length() - 1].hop_to_boundary = h
+                net.nodes[low.bit_length() - 1].hop_to_boundary = h
                 level ^= low
 
 
@@ -394,13 +393,13 @@ def _flip_crossed(net: SubstrateNetwork, bw: dict[LinkKey, int]) -> None:
     side.  In the masks of every stored demand d that the move crosses, one
     side >= d and the other below it, flip both end bits of the link."""
     store = net.mask_store
-    links, rank = net.links, net.rank
+    links = net.links
     for k, amount in bw.items():
         low = links[k].bw_residual
         high = low + amount
         for d, masks in store.items():
             if high >= d > low:
-                a, b = rank[k[0]], rank[k[1]]
+                a, b = k
                 masks[a] ^= 1 << b
                 masks[b] ^= 1 << a
 

@@ -47,7 +47,7 @@ def candidate_nodes(v: VirtualNode, net: SubstrateNetwork) -> list[int]:
     static = net.candidate_index.get(key)
     if static is None:
         static = net.candidate_index[key] = [
-            s for s in (net.nodes[sid] for sid in net.node_ids)
+            s for s in (net.nodes[sid] for sid in range(len(net.nodes)))
             if s.domain in v.cd and s.ssl >= v.vsd and v.vsl >= s.ssd]
     demand = v.cpu_demand
     return [s.id for s in static if s.cpu_residual >= demand]

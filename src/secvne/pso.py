@@ -18,14 +18,6 @@ subtract(gbest, x) are each 0 or 1, so s takes one of 8 values:
 ``velocity_table`` computes the 8 bits once, with the same expression, and
 each component indexes into them.
 
-Inside a search every substrate node is its bit rank
-(``SubstrateNetwork.rank``), the i-th smallest node id, so rank order is id
-order and every tie break by id holds on ranks.  ``swarm_search`` maps the
-candidate lists to ranks once (``rank_lists``), and the priority seed too;
-positions, pbest and gbest are rank lists, and only ``SwarmResult.position``
-is mapped back to ids.  ``baselines.random_embed`` draws in ranks the same
-way.
-
 Every search runs the swarm that the ``PsoConfig`` class constants fix:
 ``particle_count`` 10 over ``iterations`` 50, ``c1`` = ``c2`` = 1.5, omega
 falling linearly from ``inertia_max`` 0.9 to ``inertia_min`` 0.1 over the
@@ -45,9 +37,9 @@ most the request's demand minus this link's, and every table path stays
 feasible.  The routed cost is then the sum of bandwidth x topology hop
 distance, which ``fitness`` reads from the substrate's hop-distance table
 (``hop_sum``) without building paths or debits.  The table
-(``SubstrateNetwork.hop_dist``) holds, per destination rank, a row listing
-the hop count from each source rank, None where the topology does not join
-the two.  ``hop_sum`` indexes its rows directly and calls
+(``SubstrateNetwork.hop_dist``) holds, per destination, a row listing the
+hop count from each source, None where the topology does not join the two.
+``hop_sum`` indexes its rows directly and calls
 ``routing.hop_distances``, one breadth-first search, only to fill a row the
 first time its destination is asked for.
 
@@ -61,10 +53,10 @@ once per substrate).  ``fitness`` then settles a position by the first of
 three steps that applies, in this order:
 
 1. Domain cut.  Per domain, the demands of the virtual links with exactly
-   one host in the domain, read from ``SubstrateNetwork.domain_of`` by
-   rank, are summed.  Every path that leaves a domain
-   debits its demand on at least one of that domain's cut links, so when
-   the sum exceeds the cut no routing order fits: INFEASIBLE.
+   one host in the domain, read from ``SubstrateNetwork.domain_of``, are
+   summed.  Every path that leaves a domain debits its demand on at least
+   one of that domain's cut links, so when the sum exceeds the cut no
+   routing order fits: INFEASIBLE.
 2. Cutoff.  When ``cutoff`` is finite, the topology hop sum ``cpu_total +
    sum(bw * hops)`` is read from the hop-distance table (``hop_sum``), and
    returned without routing when it is at least ``cutoff``.  No routed
@@ -74,8 +66,8 @@ three steps that applies, in this order:
    ``swarm_search`` passes the particle's pbest fitness as the cutoff, and
    pbest and gbest move only on strict improvement, so such a value moves
    neither, as the routed cost would not.
-3. Route.  ``route_all_links`` routes the position, mapped to ids, in full,
-   and a breadth-first search reads the stored masks instead of testing
+3. Route.  ``route_all_links`` routes the position in full, and a
+   breadth-first search reads the stored masks instead of testing
    residuals link by link.
 
 A finite hop sum at the cutoff is a bound, not a cost, and moves no best.
@@ -93,17 +85,17 @@ dict only when it routes.
 
 Every injective draw goes through one loop, ``draw_injective``.  For each
 component it draws, in ascending order, its pool is the candidate list less
-``used``, the int mask of the ranks kept or picked so far: an empty pool is
+``used``, the int mask of the nodes kept or picked so far: an empty pool is
 a dead end, and otherwise it picks ``pool[rng.integers(len(pool))]`` and
 sets the pick's bit in ``used``.  The pool is never built.  Each list, of
-strictly ascending ranks, keeps its rank mask beside a map from its ranks
-to their indices (``index_maps``), so the used ranks in list k, the hits,
+strictly ascending ids, keeps its node mask beside a map from its nodes
+to their indices (``index_maps``), so the used nodes in list k, the hits,
 are its mask AND ``used``.  The loop draws ``j`` below the list's length
 less the hits' bit count and steps ``j`` past each hit index ``<= j``,
 taking the hits from the lowest bit up, which is ascending index order: it
 lands on the j-th node of the filtered list, the same pick from the same
 one ``integers`` call.  ``position_update`` runs it over the velocity-0
-components, with the kept ranks already in ``used``, and falls back to
+components, with the kept nodes already in ``used``, and falls back to
 ``random_injective`` at a dead end.  ``sample_injective`` runs
 it over every component from an empty ``used`` and returns None at a dead
 end; ``random_injective`` (each initial particle not seeded by the priority
@@ -204,8 +196,8 @@ from .routing import build_embedding, hop_distances, route_all_links, stored_mas
 from .seeding import draws_from
 
 INFEASIBLE = math.inf
-# Per candidate list of ranks, each rank's index in it and the list's rank
-# mask, as index_maps builds them.
+# Per candidate list, each node's index in it and the list's node mask, as
+# index_maps builds them.
 IndexMaps = list[tuple[dict[int, int], int]]
 # Rejection-sampling passes of random_injective before it falls back to the
 # deterministic matching.
@@ -278,16 +270,9 @@ def velocity_update(p: Particle, gbest_position: list[int], omega: float,
             for x, v, b, g in zip(position, p.velocity, p.pbest_position, gbest_position)]
 
 
-def rank_lists(candidate_lists: list[list[int]], net: SubstrateNetwork) -> list[list[int]]:
-    """Each candidate list with its node ids replaced by their bit ranks;
-    rank order is id order, so an ascending list stays ascending."""
-    rank = net.rank
-    return [[rank[c] for c in cands] for cands in candidate_lists]
-
-
 def index_maps(candidate_lists: list[list[int]]) -> IndexMaps:
-    """Per candidate list of ranks, each rank's index in it and the mask of
-    its ranks.  Raises ValueError unless every list strictly ascends, which
+    """Per candidate list, each node's index in it and the mask of its
+    nodes.  Raises ValueError unless every list strictly ascends, which
     ``draw_injective`` relies on."""
     maps = []
     for cands in candidate_lists:
@@ -301,11 +286,11 @@ def draw_injective(out: list[int], keep: list[int], candidate_lists: list[list[i
                    maps: IndexMaps, used: int, rng) -> list[int] | None:
     """The one exclude-and-draw loop: re-draw each component k of ``out``
     whose ``keep[k]`` is 0, in ascending order, from candidate list k less
-    the ranks in the mask ``used``; ``out``, or None at a dead end (an empty
+    the nodes in the mask ``used``; ``out``, or None at a dead end (an empty
     pool).
 
-    The pool is never built.  ``maps[k]`` holds each rank's index in list k
-    and the list's mask, so the used ranks in the list, the hits, are the
+    The pool is never built.  ``maps[k]`` holds each node's index in list k
+    and the list's mask, so the used nodes in the list, the hits, are the
     mask AND ``used``.  The draw ``j = rng.integers(len(list) - hits)``, with
     hits counted by ``bit_count``, stepped past each hit index ``<= j`` in
     ascending order, is the index in list k of the j-th node of the filtered
@@ -339,10 +324,10 @@ def position_update(p: Particle, v_new: list[int], candidate_lists: list[list[in
                     maps: IndexMaps, rng) -> list[int]:
     """Keep components with velocity 1; re-draw the rest injectively.
 
-    Positions and candidates are ranks.  ``draw_injective`` re-draws the
-    components with every kept rank already used.  A dead end triggers a
-    full re-randomization of the particle, so the update never fails.  The
-    result is a new list and ``p``'s lists are left as they are, so
+    ``draw_injective`` re-draws the components with every kept node
+    already used.  A dead end triggers a full re-randomization of the
+    particle, so the update never fails.  The result is a new list and
+    ``p``'s lists are left as they are, so
     ``swarm_search`` shares one list between a position and the bests it
     becomes.
     """
@@ -468,8 +453,7 @@ def cost_bound(links: list[tuple[int, int, int]], cpu_total: int,
     subgraph, so no routed path is shorter than this hop count and every
     position costs at least the bound.
     """
-    rank = net.rank
-    cand_masks = [sum(1 << rank[c] for c in cands) for cands in candidate_lists]
+    cand_masks = [sum(1 << c for c in cands) for cands in candidate_lists]
     bound = cpu_total
     for iu, iv, bw in links:
         near = cand_masks[iv]
@@ -593,7 +577,7 @@ def evaluation_plan(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
 
 def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
     """``cpu_total`` plus each virtual link's demand times the topology hop
-    distance between its hosts, ranks in ``position``, read from the rows of
+    distance between its hosts in ``position``, read from the rows of
     the hop-distance table (``hop_distances`` only fills a missing row);
     INFEASIBLE when the topology does not join some link's hosts or they
     coincide, since then no route joins them."""
@@ -603,7 +587,7 @@ def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
     for iu, iv, bw in plan.links:
         # A row is a non-empty list, so only a missing row is false.
         dst = position[iv]
-        row = rows[dst] or hop_distances(net.node_ids[dst], net)
+        row = rows[dst] or hop_distances(dst, net)
         # None: the topology does not join the hosts; 0: they coincide.
         hops = row[position[iu]]
         if not hops:
@@ -614,8 +598,7 @@ def hop_sum(position: list[int], plan: EvaluationPlan) -> float:
 
 def fitness(position: list[int], plan: EvaluationPlan,
             cutoff: float = INFEASIBLE) -> float:
-    """Embedding cost of a position of ranks; +inf when its links cannot be
-    routed.
+    """Embedding cost of a position; +inf when its links cannot be routed.
 
     Under bandwidth slack the cost is the hop sum, with no paths routed.
     Otherwise a position a domain cut proves unroutable is +inf without
@@ -640,10 +623,8 @@ def fitness(position: list[int], plan: EvaluationPlan,
         total = hop_sum(position, plan)
         if total >= cutoff:
             return total
-    node_ids = net.node_ids
-    assignment = {vid: node_ids[r] for vid, r in zip(plan.vnode_order, position)}
     try:
-        _, bw_cost = route_all_links(plan.vnr, assignment, net)
+        _, bw_cost = route_all_links(plan.vnr, dict(zip(plan.vnode_order, position)), net)
     except EmbeddingInfeasible:
         return INFEASIBLE
     return float(plan.cpu_total + bw_cost)
@@ -659,17 +640,15 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     """Run the swarm and return the best assignment found.
 
     Particle 0 is seeded from the deterministic priority mapping when that is
-    feasible; the rest start as uniform injective samples.  The swarm runs
-    on substrate bit ranks.  The search stops before any iteration that
-    finds gbest at the plan's bound, skips the update of a particle whose
-    all-ones velocity stays all ones, held on its pbest, or whose new
-    velocity is all ones, steps the stream past the r1 and r2 it does not
-    read, and passes each evaluation the particle's pbest as the cutoff;
-    all of these leave every result and every draw that reaches one
-    unchanged (module docstring).  Raises
-    EmbeddingInfeasible when some virtual node has no candidate at all, no
-    injective assignment exists, or the plan's bound proves that no
-    position can be routed.
+    feasible; the rest start as uniform injective samples.  The search stops
+    before any iteration that finds gbest at the plan's bound, skips the
+    update of a particle whose all-ones velocity stays all ones, held on its
+    pbest, or whose new velocity is all ones, steps the stream past the r1
+    and r2 it does not read, and passes each evaluation the particle's pbest
+    as the cutoff; all of these leave every result and every draw that
+    reaches one unchanged (module docstring).  Raises EmbeddingInfeasible
+    when some virtual node has no candidate at all, no injective assignment
+    exists, or the plan's bound proves that no position can be routed.
     """
     candidate_lists = request_candidates(vnr, net)
     if injective_assignment(candidate_lists) is None:
@@ -681,9 +660,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         raise EmbeddingInfeasible(f"request {vnr.id}: no placement its candidate lists allow "
                                   f"can carry its virtual links' demand in residual")
     vnode_order = plan.vnode_order
-    # The swarm runs on ranks; only the result is mapped back to ids.
-    ranks = rank_lists(candidate_lists, net)
-    maps = index_maps(ranks)
+    maps = index_maps(candidate_lists)
     # The one all-ones velocity of the search: a particle holds it exactly
     # when a short-circuit or an all-ones update gave it.
     ones = [1] * len(vnode_order)
@@ -691,7 +668,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
     draws = draws_from(cfg.seed)
     try:
         mapped = map_nodes(vnr, net, candidate_lists)
-        seeded = [net.rank[mapped[vid]] for vid in vnode_order]
+        seeded = [mapped[vid] for vid in vnode_order]
     except EmbeddingInfeasible:
         seeded = None
 
@@ -700,7 +677,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
         if i == 0 and seeded is not None:
             position = seeded
         else:
-            position = random_injective(ranks, maps, draws)
+            position = random_injective(candidate_lists, maps, draws)
         velocity = [draws.integers(2) for _ in position]
         f = fitness(position, plan)
         particles.append(Particle(position, velocity, position, f))
@@ -740,7 +717,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 # The update keeps the position, whose fitness was seen.
                 p.velocity = ones
                 continue
-            x_new = position_update(p, v_new, ranks, maps, draws)
+            x_new = position_update(p, v_new, candidate_lists, maps, draws)
             f = fitness(x_new, plan, p.pbest_fitness)
             p.velocity = v_new
             p.position = x_new
@@ -752,9 +729,7 @@ def swarm_search(vnr: VirtualNetworkRequest, net: SubstrateNetwork,
                 gbest_position = p.pbest_position
         history.append(gbest_fitness)
 
-    node_ids = net.node_ids
-    return SwarmResult(vnode_order, [node_ids[r] for r in gbest_position], gbest_fitness,
-                       history)
+    return SwarmResult(vnode_order, gbest_position, gbest_fitness, history)
 
 
 def optimize(vnr: VirtualNetworkRequest, net: SubstrateNetwork, cfg: PsoConfig) -> Embedding:

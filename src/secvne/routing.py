@@ -11,10 +11,9 @@ min-hop table (``min_hop_path``): the path the same rule picks in the bare
 topology, bandwidth ignored.  The table lives as long as the topology, every
 copy of the substrate shares it, and it is filled lazily: one full search
 per destination, whose hop distances and next hops, each a row by source
-rank (``hop_distances``), it keeps under the destination's rank.  The table
-path is taken when every link on it still has the demand left after
-residuals and debits; only otherwise does ``route_link`` search the
-feasible subgraph.
+(``hop_distances``), it keeps under the destination.  The table path is
+taken when every link on it still has the demand left after residuals and
+debits; only otherwise does ``route_link`` search the feasible subgraph.
 
 This is exact.  The feasible subgraph is a subgraph of the topology, so a
 topology min-hop path that is feasible is min-hop in the feasible subgraph
@@ -25,10 +24,10 @@ invalidate the table, because the topology is fixed after construction.
 
 There is one search and one descent.  The search, here and in every
 component split, is ``model.bfs_levels``, a level-synchronous breadth-first
-search over node bitmasks: bit i stands for the substrate node of bit rank
-i, the i-th smallest node id (``SubstrateNetwork.rank``), and ``levels[k]``
-holds exactly the nodes k hops from dst.  The table's search reads the
-topology's masks (``SubstrateNetwork.adj_masks``) and runs to the end.
+search over node bitmasks: bit i stands for substrate node i, and
+``levels[k]`` holds exactly the nodes k hops from dst.  The table's search
+reads the topology's masks (``SubstrateNetwork.adj_masks``) and runs to
+the end.
 ``route_link`` reads the usable masks at its demand d, in which a node's
 mask holds the neighbours joined to it by links with residual >= d.  It
 clears from a copy the debited links that can no longer carry d, and stops
@@ -40,7 +39,7 @@ neighbours one hop closer to dst, so both paths are the lexicographically
 smallest min-hop paths of their graphs.
 
 The table stores no path.  ``hop_distances`` gives each node at level
-h >= 1 of the full search the lowest-rank neighbour at level h - 1, the
+h >= 1 of the full search the lowest-id neighbour at level h - 1, the
 step the descent takes there.  That step depends only on the node and dst,
 not on where the descent started, so the descent from src is src followed
 by the descent from its next hop.  ``min_hop_path`` therefore walks the
@@ -76,15 +75,15 @@ from .model import (
 MASK_STORE_LIMIT = 32
 
 
-def _descend(cur: int, levels: list[int], masks, node_ids: list[int]) -> tuple[int, ...]:
-    """The path from the node of bit rank ``cur`` one level below it per hop,
-    down ``levels`` from the last to the first, through the lowest set bit
-    of its mask AND each level: the smallest-id neighbour one hop closer."""
-    path = [node_ids[cur]]
+def _descend(cur: int, levels: list[int], masks) -> tuple[int, ...]:
+    """The path from node ``cur`` one level below it per hop, down
+    ``levels`` from the last to the first, through the lowest set bit of its
+    mask AND each level: the smallest-id neighbour one hop closer."""
+    path = [cur]
     for k in range(len(levels) - 1, -1, -1):
         step = masks[cur] & levels[k]
         cur = (step & -step).bit_length() - 1
-        path.append(node_ids[cur])
+        path.append(cur)
     return tuple(path)
 
 
@@ -92,7 +91,7 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
                debits: dict | None, masks: list[int]) -> tuple[int, ...]:
     """Minimum-hop path from src to dst over links with enough residual.
 
-    ``masks`` lists each node's usable mask at ``bw`` by bit rank, as
+    ``masks`` lists each node's usable mask at ``bw`` by id, as
     ``usable_masks`` builds it (see the module docstring); it is read, never
     changed.  ``debits`` holds extra bandwidth already claimed by earlier
     paths of the same request.  Raises EmbeddingInfeasible when src and
@@ -100,26 +99,24 @@ def route_link(src: int, dst: int, bw: int, net: SubstrateNetwork,
     """
     if src == dst:
         raise ValueError("route_link endpoints must differ")
-    rank = net.rank
     if debits:
         masks = masks.copy()
         for k, debit in debits.items():
             if net.links[k].bw_residual - debit < bw:
-                a, b = rank[k[0]], rank[k[1]]
+                a, b = k
                 masks[a] &= ~(1 << b)
                 masks[b] &= ~(1 << a)
     # Search from dst until a level holds a usable neighbour of src, so src
     # lies one level further.
-    cur = rank[src]
-    near = masks[cur]
-    levels = bfs_levels(1 << rank[dst], masks, near)
+    near = masks[src]
+    levels = bfs_levels(1 << dst, masks, near)
     if not levels[-1] & near:
         raise EmbeddingInfeasible(f"no path {src} -> {dst} with bandwidth {bw}")
-    return _descend(cur, levels, masks, net.node_ids)
+    return _descend(src, levels, masks)
 
 
 def hop_distances(dst: int, net: SubstrateNetwork) -> list[int | None]:
-    """Hop count to dst from each node, by the node's bit rank, bandwidth
+    """Hop count to dst from each node, by the node's id, bandwidth
     ignored; None where the topology does not join the node to dst.
 
     Read from, or added to, the substrate's min-hop table: one full
@@ -127,15 +124,14 @@ def hop_distances(dst: int, net: SubstrateNetwork) -> list[int | None]:
     pass, the next-hop row (see the module docstring).  The only writer of
     the table's rows.
     """
-    r = net.rank[dst]
-    row = net.hop_dist[r]
+    row = net.hop_dist[dst]
     if row is not None:
         return row
     masks = net.adj_masks
-    levels = bfs_levels(1 << r, masks)
+    levels = bfs_levels(1 << dst, masks)
     row = [None] * len(masks)
     nxt = [None] * len(masks)
-    row[r] = 0
+    row[dst] = 0
     for h in range(1, len(levels)):
         level, below = levels[h], levels[h - 1]
         while level:
@@ -145,8 +141,8 @@ def hop_distances(dst: int, net: SubstrateNetwork) -> list[int | None]:
             row[i] = h
             nxt[i] = (step & -step).bit_length() - 1
             level ^= low
-    net.hop_next[r] = nxt
-    net.hop_dist[r] = row
+    net.hop_next[dst] = nxt
+    net.hop_dist[dst] = row
     return row
 
 
@@ -156,26 +152,23 @@ def min_hop_path(src: int, dst: int, net: SubstrateNetwork) -> tuple[int, ...]:
 
     Raises EmbeddingInfeasible when the topology does not join src and dst.
     """
-    rank = net.rank
-    r = rank[dst]
-    nxt = net.hop_next[r]
+    nxt = net.hop_next[dst]
     if nxt is None:
         hop_distances(dst, net)
-        nxt = net.hop_next[r]
-    cur = rank[src]
-    if nxt[cur] is None and cur != r:
+        nxt = net.hop_next[dst]
+    if nxt[src] is None and src != dst:
         raise EmbeddingInfeasible(f"no path {src} -> {dst}: the substrate does not join them")
-    node_ids = net.node_ids
     path = [src]
-    while cur != r:
+    cur = src
+    while cur != dst:
         cur = nxt[cur]
-        path.append(node_ids[cur])
+        path.append(cur)
     return tuple(path)
 
 
 def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     """For each demand d of ``demands``, in ascending order, every node's
-    usable mask by bit rank: its neighbours over links whose residual is at
+    usable mask by id: its neighbours over links whose residual is at
     least d (see the module docstring).
 
     One bucketing pass files each link under the largest demand it carries,
@@ -192,14 +185,12 @@ def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     buckets: list[list] = [[] for _ in range(len(thresholds) + 1)]
     for k, link in net.links.items():
         buckets[bisect_left(keys, -link.bw_residual)].append(k)
-    rank = net.rank
     masks, mask = {}, net.adj_masks
     for d, bucket in zip(reversed(thresholds), reversed(buckets)):
         mask = mask.copy()
         for a, b in bucket:
-            ra, rb = rank[a], rank[b]
-            mask[ra] &= ~(1 << rb)
-            mask[rb] &= ~(1 << ra)
+            mask[a] &= ~(1 << b)
+            mask[b] &= ~(1 << a)
         masks[d] = mask
     return masks
 

@@ -26,6 +26,15 @@ SPLIT_DOMAIN_SUBSTRATE = {
               {"u": 2, "v": 3, "bw": 100}],
 }
 
+# A substrate file that is valid but for its node ids, 0, 1 and 5: a
+# substrate's ids must be exactly 0..N-1.
+SPARSE_ID_SUBSTRATE = {
+    "domain_count": 2,
+    "nodes": [{"id": nid, "domain": d, "cpu": 100, "ssl": 2, "ssd": 2}
+              for nid, d in ((0, 0), (1, 0), (5, 1))],
+    "links": [{"u": 0, "v": 1, "bw": 100}, {"u": 1, "v": 5, "bw": 100}],
+}
+
 
 def make_substrate(node_specs, link_specs, domain_count=2):
     """node_specs: (id, domain, cpu, ssl, ssd); link_specs: (u, v, bw)."""
@@ -35,25 +44,25 @@ def make_substrate(node_specs, link_specs, domain_count=2):
 
 
 def scattered_net():
-    """Four domains whose node ids are non-contiguous and given out of order,
-    as are the links.  Domains 0 and 1 join each other and so do domains 2
-    and 3, but no link joins the two pairs; domain 0 is a 4-cycle, so
-    equal-hop paths tie across it."""
+    """Four domains whose nodes, and links, are given out of id order, the
+    links with either endpoint first.  Domains 0 and 1 join each other and
+    so do domains 2 and 3, but no link joins the two pairs; domain 0 is a
+    4-cycle, so equal-hop paths tie across it."""
     return make_substrate(
-        node_specs=[(105, 0, 10, 0, 0), (3, 1, 10, 0, 0), (40, 0, 10, 0, 0),
-                    (88, 2, 10, 0, 0), (12, 1, 10, 0, 0), (7, 0, 10, 0, 0),
-                    (200, 3, 10, 0, 0), (61, 1, 10, 0, 0), (23, 0, 10, 0, 0),
-                    (50, 2, 10, 0, 0), (9, 3, 10, 0, 0)],
-        link_specs=[(105, 23, 10), (61, 105, 10), (7, 40, 10), (3, 61, 10),
-                    (50, 88, 10), (23, 7, 10), (12, 3, 10), (40, 105, 10),
-                    (200, 9, 10), (9, 50, 10)],
+        node_specs=[(9, 0, 10, 0, 0), (0, 1, 10, 0, 0), (5, 0, 10, 0, 0),
+                    (8, 2, 10, 0, 0), (3, 1, 10, 0, 0), (1, 0, 10, 0, 0),
+                    (10, 3, 10, 0, 0), (7, 1, 10, 0, 0), (4, 0, 10, 0, 0),
+                    (6, 2, 10, 0, 0), (2, 3, 10, 0, 0)],
+        link_specs=[(9, 4, 10), (7, 9, 10), (1, 5, 10), (0, 7, 10),
+                    (6, 8, 10), (4, 1, 10), (3, 0, 10), (5, 9, 10),
+                    (10, 2, 10), (2, 6, 10)],
         domain_count=4,
     )
 
 
 def state_signature(net):
     """Hashable snapshot of every node's and link's residual."""
-    nodes = tuple((nid, net.nodes[nid].cpu_residual) for nid in net.node_ids)
+    nodes = tuple((nid, net.nodes[nid].cpu_residual) for nid in range(len(net.nodes)))
     links = tuple((k, net.links[k].bw_residual) for k in sorted(net.links))
     return (nodes, links)
 

@@ -15,7 +15,7 @@ import pytest
 import secvne
 from secvne.cli import build_parser, main
 
-from conftest import SPLIT_DOMAIN_SUBSTRATE
+from conftest import SPARSE_ID_SUBSTRATE, SPLIT_DOMAIN_SUBSTRATE
 
 MINI_CONFIG = {
     "seed": 7,
@@ -704,9 +704,12 @@ def _drop_inter_domain_links(doc):
     (lambda doc: doc.update(domain_count=10**12), "domain 2 has no node"),
     (lambda doc: doc["links"].append({"u": 0, "v": 0, "bw": 10}),
      "substrate link (0, 0) is a self-loop"),
+    # Node i is bit i of every node mask, so ids must be exactly 0..N-1.
+    (lambda doc: doc.update(SPARSE_ID_SUBSTRATE),
+     "substrate node ids must be 0..2, but id 2 is missing"),
 ], ids=["no-boundary-node", "duplicate-node-id", "link-to-unknown-node", "string-ssl",
         "boolean-cpu", "negative-link-bw", "domain-out-of-range", "no-domains",
-        "split-domain", "empty-domain", "huge-domain-count", "self-loop"])
+        "split-domain", "empty-domain", "huge-domain-count", "self-loop", "sparse-ids"])
 def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, message):
     doc = json.loads((generated / "substrate.json").read_text())
     edit(doc)
@@ -717,7 +720,7 @@ def test_malformed_substrate_is_infeasible(tmp_path, generated, capsys, edit, me
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert message in err and "Traceback" not in err
+    assert message in err and str(substrate) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, key", [("substrate.json", "bw"),

@@ -22,7 +22,7 @@ from secvne.fileio import (
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import CumulativeRow, MetricWindow, WindowRow
 
-from conftest import SPLIT_DOMAIN_SUBSTRATE, state_signature
+from conftest import SPARSE_ID_SUBSTRATE, SPLIT_DOMAIN_SUBSTRATE, state_signature
 
 
 def test_substrate_round_trip(tmp_path):
@@ -132,6 +132,14 @@ def test_domain_in_two_components_rejected(tmp_path):
     path = tmp_path / "split.json"
     path.write_text(json.dumps(SPLIT_DOMAIN_SUBSTRATE))
     with pytest.raises(InvalidConfig, match="some domain is not connected"):
+        load_substrate(path)
+
+
+def test_substrate_ids_other_than_0_to_n_minus_1_rejected(tmp_path):
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(SPARSE_ID_SUBSTRATE))
+    with pytest.raises(InvalidConfig,
+                       match=r"substrate node ids must be 0\.\.2, but id 2 is missing$"):
         load_substrate(path)
 
 

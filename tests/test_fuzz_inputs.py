@@ -179,7 +179,7 @@ def number(value, name: str) -> float:
 
 def check_substrate(text: str) -> set[int]:
     """The domains of a well-formed substrate file: integers at their
-    bounds, distinct node ids, links between known distinct nodes, each
+    bounds, node ids exactly 0..N-1, links between known distinct nodes, each
     listed once, and every domain non-empty, connected within itself and
     holding a boundary node."""
     doc = strict_json(text)
@@ -193,6 +193,8 @@ def check_substrate(text: str) -> set[int]:
         if nid in domain or d >= count:
             raise Malformed(f"node {nid} repeated or its domain {d} out of range")
         domain[nid] = d
+    if set(domain) != set(range(len(domain))):
+        raise Malformed(f"node ids are not 0..{len(domain) - 1}")
     adjacent: dict[int, set[int]] = {nid: set() for nid in domain}
     boundary = set()
     for l in objects(doc, "links"):

@@ -452,13 +452,24 @@ def test_routing_order_is_descending_demand_then_link_key():
     assert all(l is vnr.links[l.key] for l in vnr.routing_order)
 
 
+@pytest.mark.parametrize("ids, missing", [((3, 1, 2), 0), ((2, 0, 3, 4), 1),
+                                            ((0, 1, 5), 2), ((-1, 0, 1), 2)],
+                         ids=["no-zero", "gap", "id-past-the-count", "negative-id"])
+def test_substrate_ids_other_than_0_to_n_minus_1_raise(ids, missing):
+    """Node i is bit i of every node mask, so the ids must be exactly
+    0..N-1, in any order; the message names the first missing one."""
+    message = rf"^substrate node ids must be 0\.\.{len(ids) - 1}, but id {missing} is missing$"
+    with pytest.raises(ValueError, match=message):
+        make_substrate([(i, 0, 10, 0, 0) for i in ids], [], domain_count=1)
+
+
 def test_adj_masks_are_the_link_neighbours():
     from secvne.generate import GeneratorConfig, generate_substrate
 
     for net in (scattered_net(), generate_substrate(GeneratorConfig(seed=2, node_count=40))):
-        ids = sorted(net.nodes)
         nbrs = neighbours(net)
-        assert net.adj_masks == [sum(1 << ids.index(m) for m in nbrs[nid]) for nid in ids]
+        assert net.adj_masks == [sum(1 << m for m in nbrs[nid])
+                                 for nid in range(len(net.nodes))]
 
 
 def test_components_are_the_brute_force_partition():
@@ -519,14 +530,15 @@ class TestBoundaryHops:
         """A declared domain with no node is found from the nodes alone, so
         a huge ``domain_count`` fails at once, naming the lowest empty one."""
         with pytest.raises(ValueError, match="^domain 2 has no node$"):
-            make_substrate(node_specs=[(0, 0, 10, 0, 0), (1, 1, 10, 0, 0), (5, 3, 10, 0, 0)],
+            make_substrate(node_specs=[(0, 0, 10, 0, 0), (1, 1, 10, 0, 0), (2, 3, 10, 0, 0)],
                            link_specs=[(0, 1, 10)], domain_count=domain_count)
 
     def test_matches_brute_force_on_random_networks(self, tmp_path):
         """Right after construction every node's boundary distance is the
         brute-force one: on generated substrates, on each loaded back from
         its file, on copies, and on the same nodes and links handed to the
-        constructor with ids relabelled and in reverse order."""
+        constructor with ids relabelled, i to N - 1 - i, and in reverse
+        order."""
         from secvne.fileio import load_substrate, save_substrate
         from secvne.generate import GeneratorConfig, generate_substrate
 
@@ -536,9 +548,10 @@ class TestBoundaryHops:
         nets = [scattered_net()]
         for i, net in enumerate(generated):
             save_substrate(net, tmp_path / f"{i}.json")
-            nodes = [SubstrateNode(1000 - n.id, n.domain, n.cpu_capacity, n.cpu_residual,
+            top = len(net.nodes) - 1
+            nodes = [SubstrateNode(top - n.id, n.domain, n.cpu_capacity, n.cpu_residual,
                                    n.ssl, n.ssd) for n in reversed(net.nodes.values())]
-            links = [SubstrateLink(1000 - l.u, 1000 - l.v, l.bw_capacity, l.bw_residual)
+            links = [SubstrateLink(top - l.u, top - l.v, l.bw_capacity, l.bw_residual)
                      for l in net.links.values()]
             nets += [net, load_substrate(tmp_path / f"{i}.json"), net.copy(),
                      SubstrateNetwork(net.domain_count, nodes, links)]

@@ -69,18 +69,17 @@ def plan_for(vnr, net):
 
 
 def assignment_of(position, plan):
-    """The assignment, virtual node id -> substrate node id, of a position
-    of substrate bit ranks, as ``fitness`` reads one."""
-    node_ids = plan.net.node_ids
-    return {vid: node_ids[r] for vid, r in zip(plan.vnode_order, position)}
+    """The assignment, virtual node id -> substrate node id, of a position,
+    as ``fitness`` reads one."""
+    return dict(zip(plan.vnode_order, position))
 
 
 def routed_cost(position, plan, cutoff=INFEASIBLE):
     """A position's cost routed in full, the reference for the plan's fast
     paths: cpu_total plus the bandwidth cost of route_all_links, or +inf
-    when it cannot route the links.  It takes ``fitness``'s position of
-    ranks and its cutoff, which it ignores, so that it can stand in for
-    ``fitness`` in a search."""
+    when it cannot route the links.  It takes ``fitness``'s position and
+    its cutoff, which it ignores, so that it can stand in for ``fitness`` in
+    a search."""
     try:
         _, bw_cost = route_all_links(plan.vnr, assignment_of(position, plan), plan.net)
     except EmbeddingInfeasible:
@@ -485,8 +484,8 @@ class TestBandwidthSlack:
         fills each row it reads, and gives what it gives over a filled table
         and what plain breadth-first distances give: INFEASIBLE when some
         link's hosts are not joined (the substrate has two parts) or
-        coincide.  Positions and table rows are by rank, which the scattered
-        ids tell apart from ids."""
+        coincide.  The substrate's nodes are inserted out of id order, and
+        table rows are by id."""
         vnr = four_node_vnr()
         filled = scattered_net()
         for dst in filled.nodes:
@@ -495,19 +494,17 @@ class TestBandwidthSlack:
         assert fresh.hop_dist == [None] * len(fresh.nodes)
         fresh_plan, filled_plan = plan_for(vnr, fresh), plan_for(vnr, filled)
         brute = {dst: hop_distances_brute(filled, dst) for dst in filled.nodes}
-        rank = filled.rank
         seen = {True: 0, False: 0}
         for nodes in itertools.permutations(sorted(filled.nodes), 4):
             hops = [brute[nodes[iv]].get(nodes[iu]) for iu, iv, _ in filled_plan.links]
             expected = (INFEASIBLE if not all(hops) else
                         float(vnr.cpu_total + sum(bw * h for (_, _, bw), h
                                                   in zip(filled_plan.links, hops))))
-            position = [rank[n] for n in nodes]
-            cost = pso.hop_sum(position, fresh_plan)
-            assert cost == pso.hop_sum(position, filled_plan) == expected
+            cost = pso.hop_sum(list(nodes), fresh_plan)
+            assert cost == pso.hop_sum(list(nodes), filled_plan) == expected
             seen[cost == INFEASIBLE] += 1
-        assert fresh.hop_dist == [[brute[dst].get(src) for src in filled.node_ids]
-                                  for dst in filled.node_ids]
+        assert fresh.hop_dist == [[brute[dst].get(src) for src in sorted(filled.nodes)]
+                                  for dst in sorted(filled.nodes)]
         assert min(seen.values()) > 500, seen
 
     def test_unjoined_or_shared_hosts_are_infeasible(self):

@@ -101,13 +101,13 @@ class TestRouteLink:
 
     @staticmethod
     def scattered_net(seed):
-        """A random 10-node, two-domain substrate whose node ids are neither
-        contiguous nor inserted in ascending order, bandwidth U[20, 60].
+        """A random 10-node, two-domain substrate whose node ids 0..9 are
+        not inserted in ascending order, bandwidth U[20, 60].
         Substrates are drawn from one stream seeded with ``seed`` until the
         constructor accepts one: each domain connected and holding a
         boundary node."""
         rnd = random.Random(seed)
-        ids = [40, 7, 93, 15, 62, 3, 28, 71, 55, 12]
+        ids = [5, 1, 9, 3, 7, 0, 4, 8, 6, 2]
         while True:
             links = [(a, b, rnd.randint(20, 60))
                      for a, b in itertools.combinations(ids, 2) if rnd.random() < 0.35]
@@ -134,13 +134,13 @@ class TestRouteLink:
 
     def test_plan_and_on_the_fly_masks_match_brute_force_under_debits(self):
         """The masks at a demand route the same whether they are built for it
-        alone or for every demand of a request.  Also on substrates with
-        scattered node ids inserted out of order: bit ranks follow ascending
-        node id, so ties still break toward the smallest ids."""
+        alone or for every demand of a request.  Also on substrates whose
+        node ids are inserted out of order, so ties still break toward the
+        smallest ids, not the first inserted."""
         seen = set()
         for seed in range(6):
             scattered = self.scattered_net(seed)
-            assert scattered.node_ids == sorted(scattered.nodes) != list(scattered.nodes)
+            assert sorted(scattered.nodes) != list(scattered.nodes)
             for net in (contended_net(seed), scattered):
                 rnd = random.Random(seed)
                 keys = sorted(net.links)
@@ -150,7 +150,7 @@ class TestRouteLink:
                 for debits in [{}] + [{k: rnd.randint(1, 30)
                                        for k in rnd.sample(keys, len(keys) // 3)}
                                       for _ in range(3)]:
-                    for src, dst in itertools.permutations(net.node_ids, 2):
+                    for src, dst in itertools.permutations(sorted(net.nodes), 2):
                         for bw in demands:
                             expected = shortest_feasible_path_brute(net, src, dst, bw, debits)
                             for masks in (usable_masks((bw,), net)[bw], plan_masks[bw]):
@@ -170,8 +170,8 @@ class TestUsableMasks:
 
     def test_masks_match_brute_force(self):
         """One mask list per distinct demand, each the brute-force usable
-        masks, also on substrates whose node ids are scattered or whose
-        topology is disconnected."""
+        masks, also on substrates whose nodes are inserted out of id order
+        or whose topology is disconnected."""
         nets = [scattered_net()]
         for seed in range(6):
             nets += [contended_net(seed), TestRouteLink.scattered_net(seed)]
@@ -377,13 +377,13 @@ class TestMinHopPath:
                                 == shortest_feasible_path_brute(net, src, dst, 0))
 
     def test_hop_distances_and_paths_on_scattered_ids(self):
-        """The hop row of a destination lists each source by its bit rank,
-        None where no path joins the two."""
+        """The hop row of a destination lists each source by its id, None
+        where no path joins the two, on nodes inserted out of id order."""
         net = scattered_net()
         unjoined = 0
         for dst in net.nodes:
             expected = [None] * len(net.nodes)
-            expected[net.rank[dst]] = 0
+            expected[dst] = 0
             for src in net.nodes:
                 if src == dst:
                     continue
@@ -393,7 +393,7 @@ class TestMinHopPath:
                     with pytest.raises(EmbeddingInfeasible, match="does not join"):
                         min_hop_path(src, dst, net)
                 else:
-                    expected[net.rank[src]] = len(path) - 1
+                    expected[src] = len(path) - 1
                     assert min_hop_path(src, dst, net) == path
             assert hop_distances(dst, net) == expected
         assert unjoined
@@ -410,9 +410,8 @@ class TestMinHopPath:
             for seed in range(3)]
         unjoined = 0
         for net in nets:
-            rank = net.rank
             for dst in net.nodes:
-                levels = bfs_levels(1 << rank[dst], net.adj_masks)
+                levels = bfs_levels(1 << dst, net.adj_masks)
                 brute = hop_distances_brute(net, dst)
                 for src in net.nodes:
                     hops = brute.get(src)
@@ -420,9 +419,9 @@ class TestMinHopPath:
                         unjoined += 1
                         with pytest.raises(EmbeddingInfeasible, match="does not join"):
                             min_hop_path(src, dst, net)
-                        assert net.hop_next[rank[dst]][rank[src]] is None
+                        assert net.hop_next[dst][src] is None
                         continue
-                    path = _descend(rank[src], levels[:hops], net.adj_masks, net.node_ids)
+                    path = _descend(src, levels[:hops], net.adj_masks)
                     assert len(path) == hops + 1
                     assert min_hop_path(src, dst, net) == path
         assert unjoined
@@ -443,7 +442,7 @@ class TestMinHopPath:
         clone = toy_net.copy()
         assert clone.hop_dist is toy_net.hop_dist and clone.hop_next is toy_net.hop_next
         assert min_hop_path(5, 0, clone) == (5, 3, 2, 0)
-        assert toy_net.hop_dist[toy_net.rank[0]] is not None
+        assert toy_net.hop_dist[0] is not None
         assert clone.mask_store == {} and clone.candidate_index == {} and clone.active == {}
         assert clone.mask_store is not toy_net.mask_store
         assert clone.active is not toy_net.active

@@ -1,6 +1,8 @@
 """Discrete-event loop: ordering, conservation, determinism, shadow checks."""
 
+import functools
 import json
+import random
 import re
 
 import pytest
@@ -10,7 +12,8 @@ from secvne.errors import EmbeddingInfeasible, InternalConsistencyError, Invalid
 from secvne.fileio import write_trace
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
 from secvne.metrics import cost, revenue, steady_state_means, windowed_series
-from secvne.model import Embedding, SubstrateLink, SubstrateNetwork, SubstrateNode
+from secvne.model import (Embedding, SubstrateLink, SubstrateNetwork, SubstrateNode, VirtualLink,
+                          VirtualNetworkRequest, VirtualNode)
 from secvne.routing import MASK_STORE_LIMIT, stored_masks
 from secvne.seeding import RANDOM_BASELINE_STREAM, SWARM_STREAM, derive_seed
 from secvne.simulation import (STRATEGY_NAMES, Strategy, audit_residuals, compare,
@@ -397,45 +400,84 @@ def placing(name, seed, placed):
     return Strategy(name, embed)
 
 
-def relabelled(net, relabel):
-    """``net`` with every node id ``nid`` replaced by ``relabel(nid)``."""
-    nodes = [SubstrateNode(relabel(n.id), n.domain, n.cpu_capacity, n.cpu_residual, n.ssl,
-                           n.ssd) for n in net.nodes.values()]
-    links = [SubstrateLink(relabel(l.u), relabel(l.v), l.bw_capacity, l.bw_residual)
+METAMORPHIC_SEEDS = range(4)
+METAMORPHIC_HORIZON = 1500.0
+
+
+def shuffled_inputs(net, vnrs, rnd):
+    """``net`` and ``vnrs`` with every input order shuffled by ``rnd``: the
+    substrate's nodes and links, each link's endpoints, each request's nodes
+    and links, each virtual link's endpoints, and the request list."""
+    nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual, n.ssl, n.ssd)
+             for n in net.nodes.values()]
+    links = [SubstrateLink(*rnd.sample((l.u, l.v), 2), l.bw_capacity, l.bw_residual)
              for l in net.links.values()]
-    return SubstrateNetwork(net.domain_count, nodes, links)
+    rnd.shuffle(nodes)
+    rnd.shuffle(links)
+    requests = []
+    for vnr in vnrs:
+        vnodes = list(vnr.nodes.values())
+        vlinks = [VirtualLink(*rnd.sample((l.u, l.v), 2), l.bw_demand)
+                  for l in vnr.links.values()]
+        rnd.shuffle(vnodes)
+        rnd.shuffle(vlinks)
+        requests.append(VirtualNetworkRequest(vnr.id, vnodes, vlinks, vnr.arrival_time,
+                                              vnr.lifetime))
+    rnd.shuffle(requests)
+    return SubstrateNetwork(net.domain_count, nodes, links), requests
 
 
-@pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
-def test_whole_runs_are_the_same_on_relabelled_ids(bw_range):
-    """Every generated substrate has ids 0..N-1, so a node's bit rank equals
-    its id there, and no pinned digest would see a rank used as an id or an
-    id as a rank.  On the same substrates with each id moved to 3*id + 5,
-    which keeps the id order, every strategy writes the same trace records
-    and places the same embeddings, under the relabel.  A run releases
-    every request by its end, so each embedding is read when it is placed,
-    while it is active."""
-    def relabel(nid):
-        return 3 * nid + 5
+def permuted_domains(net, vnrs, rnd):
+    """``net`` and ``vnrs`` with the domain labels permuted by ``rnd``, in
+    the substrate and in every candidate-domain set."""
+    perm = list(range(net.domain_count))
+    rnd.shuffle(perm)
+    nodes = [SubstrateNode(n.id, perm[n.domain], n.cpu_capacity, n.cpu_residual, n.ssl,
+                           n.ssd) for n in net.nodes.values()]
+    links = [SubstrateLink(l.u, l.v, l.bw_capacity, l.bw_residual) for l in net.links.values()]
+    requests = [VirtualNetworkRequest(
+        vnr.id, [VirtualNode(v.id, v.cpu_demand, v.vsd, v.vsl, frozenset(perm[d] for d in v.cd))
+                 for v in vnr.nodes.values()],
+        vnr.links.values(), vnr.arrival_time, vnr.lifetime) for vnr in vnrs]
+    return SubstrateNetwork(net.domain_count, nodes, links), requests
 
-    horizon = 300
-    for seed in range(3):
+
+@functools.cache
+def metamorphic_runs(bw_range):
+    """Per seed of ``METAMORPHIC_SEEDS``, the generated instance and, per
+    strategy, its run's trace records and placements."""
+    out = []
+    for seed in METAMORPHIC_SEEDS:
         overrides = {} if bw_range is None else {"substrate_bw_range": bw_range}
         cfg = GeneratorConfig(seed=seed, **overrides)
         net = generate_substrate(cfg)
-        assert net.node_ids == list(range(len(net.nodes)))
-        moved = relabelled(net, relabel)
-        vnrs = generate_vnr_stream(cfg, horizon)
+        vnrs = generate_vnr_stream(cfg, METAMORPHIC_HORIZON)
+        runs = {}
         for name in STRATEGY_NAMES:
-            placed, placed_moved = [], []
-            expected = run(net.copy(), vnrs, placing(name, seed, placed), horizon)
-            trace = run(moved.copy(), vnrs, placing(name, seed, placed_moved), horizon)
-            assert trace.records == expected.records
-            assert placed and len(placed) == expected.accepted
-            assert placed_moved == [
-                (vid, {k: relabel(sid) for k, sid in node_map.items()},
-                 {k: tuple(map(relabel, path)) for k, path in link_map.items()})
-                for vid, node_map, link_map in placed]
+            placed = []
+            trace = run(net.copy(), vnrs, placing(name, seed, placed), METAMORPHIC_HORIZON)
+            assert placed and len(placed) == trace.accepted
+            runs[name] = (trace.records, placed)
+        out.append((seed, net, vnrs, runs))
+    return out
+
+
+@pytest.mark.parametrize("transform", [shuffled_inputs, permuted_domains],
+                         ids=["shuffled-inputs", "permuted-domains"])
+@pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
+def test_whole_runs_ignore_input_order_and_domain_labels(bw_range, transform):
+    """Tie-breaks read neither input order nor labels: on the same instance
+    with every input order shuffled, or with the domain labels permuted,
+    every strategy writes the same trace records and places the same
+    embeddings.  A run releases every request by its end, so each embedding
+    is read when it is placed, while it is active."""
+    for seed, net, vnrs, runs in metamorphic_runs(bw_range):
+        moved, moved_vnrs = transform(net, vnrs, random.Random(seed))
+        for name in STRATEGY_NAMES:
+            placed = []
+            trace = run(moved.copy(), moved_vnrs, placing(name, seed, placed),
+                        METAMORPHIC_HORIZON)
+            assert (trace.records, placed) == runs[name], (seed, name)
 
 
 @pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
