@@ -15,13 +15,20 @@ is indexed the same way: ``SubstrateNetwork.hop_dist`` holds, per
 destination, a row of hop counts by source, None where the topology does not
 join the two, and ``hop_next`` a row of next hops toward the destination by
 source; ``secvne.routing.hop_distances`` fills both on a destination's
-first use, and ``domain_of`` gives each node's domain.  The topology is
-fixed, so ``SubstrateNetwork.copy`` hands the clone the same
-two tables, and a row one copy fills serves every copy.  ``components``
-repeats ``bfs_levels`` from the lowest node not yet reached until every
-node is reached; the generator's connectivity repair is its one user.  The
-topology's only adjacency is ``SubstrateNetwork.adj_masks``, built from the
-links.
+first use, and ``domain_of`` gives each node's domain.
+``SubstrateNetwork.candidate_index`` holds, per ``(cd, vsd, vsl)``, the
+ascending ids of the nodes that pass a virtual node's domain and both
+security tests; ``secvne.node_mapping.candidate_nodes`` fills it.
+The substrate derives its state by one rule.  Each table filled from the
+topology alone, the min-hop table and the candidate index, is one per
+topology: ``SubstrateNetwork.copy`` hands the clone the same objects, so
+an entry one copy fills serves every copy, and only the table's one filler
+writes its entries.  The state that ``allocate`` and ``release`` write,
+the residuals, ``mask_store`` and ``active``, belongs to each copy.
+``components`` repeats ``bfs_levels`` from the lowest node not yet reached
+until every node is reached; the generator's connectivity repair is its one
+user.  The topology's only adjacency is ``SubstrateNetwork.adj_masks``,
+built from the links.
 A substrate is complete once constructed: the constructor ends with the
 boundary pass, which checks that every declared domain holds a node, then
 masks the adjacency down to one domain, in one pass per domain that checks
@@ -230,8 +237,8 @@ class SubstrateNetwork:
     Only residuals change after construction: the node set, the links and
     each node's ``domain``, ``ssl`` and ``ssd`` are fixed, which
     ``adj_masks``, the min-hop table and ``candidate_index`` all rely on.
-    The min-hop table depends on the topology alone, so every copy shares
-    it; the rest of the state is per copy.
+    The min-hop table and the candidate index depend on the topology alone,
+    so every copy shares them; the rest of the state is per copy.
     Residuals change only in ``allocate`` and ``release``, which keep
     ``mask_store`` current and hold each active request's embedding and
     debit in ``active``.
@@ -289,10 +296,11 @@ class SubstrateNetwork:
         # changes never make an entry stale, and copy() shares both lists.
         self.hop_dist: list[list[int | None] | None] = [None] * len(masks)
         self.hop_next: list[list[int | None] | None] = [None] * len(masks)
-        # Per (cd, vsd, vsl), the nodes in id order that pass the domain
-        # and both security tests, filled lazily by
-        # secvne.node_mapping.candidate_nodes.
-        self.candidate_index: dict[tuple[frozenset[int], int, int], list[SubstrateNode]] = {}
+        # Per (cd, vsd, vsl), the ascending ids of the nodes that pass the
+        # domain and both security tests, filled lazily by
+        # secvne.node_mapping.candidate_nodes alone.  Those tests read only
+        # attributes fixed from here on, so copy() shares the dict.
+        self.candidate_index: dict[tuple[frozenset[int], int, int], list[int]] = {}
         # Per demand d, every node's usable mask at d by id: its
         # neighbours over links with residual >= d.  Filled by
         # secvne.routing.stored_masks and kept current by allocate and
@@ -315,10 +323,9 @@ class SubstrateNetwork:
         """Copy with current residuals and no active embeddings.
 
         The clone shares the min-hop table (``hop_dist`` and ``hop_next``)
-        by identity, since both networks have the same topology: a row
-        either fills serves both.  Its residuals, ``mask_store``,
-        ``active`` and ``candidate_index``, which holds the clone's own
-        node objects, are its own.
+        and ``candidate_index`` by identity, since both networks have the
+        same topology: an entry either fills serves both.  Its residuals,
+        ``mask_store`` and ``active`` are its own.
         """
         nodes = [SubstrateNode(n.id, n.domain, n.cpu_capacity, n.cpu_residual, n.ssl, n.ssd)
                  for n in self.nodes.values()]
@@ -327,6 +334,7 @@ class SubstrateNetwork:
         clone = SubstrateNetwork(self.domain_count, nodes, links)
         clone.hop_dist = self.hop_dist
         clone.hop_next = self.hop_next
+        clone.candidate_index = self.candidate_index
         return clone
 
     def __repr__(self):

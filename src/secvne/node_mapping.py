@@ -6,8 +6,8 @@ where a candidate must sit in an allowed domain, have enough residual CPU,
 offer at least the demanded security level, and itself demand no more
 security than the virtual node offers.  Only the CPU test reads state that
 changes during a run, so ``candidate_nodes`` applies the other three once
-per substrate and key ``(cd, vsd, vsl)``, in the substrate's candidate
-index, and re-tests residual CPU alone on each call.
+per topology and key ``(cd, vsd, vsl)``, in the candidate index that every
+copy of the substrate shares, and re-tests residual CPU alone on each call.
 
 The candidate score blends three terms: security surplus, CPU slack, and
 proximity to the domain boundary.  The raw attributes live on wildly
@@ -39,18 +39,21 @@ def candidate_nodes(v: VirtualNode, net: SubstrateNetwork) -> list[int]:
     """Substrate nodes that could host v right now, ascending by id.
 
     The domain and both security tests read only attributes fixed when the
-    substrate is built, so the nodes that pass them are kept in
-    ``net.candidate_index`` under ``(v.cd, v.vsd, v.vsl)``, filled on the
-    key's first lookup; each call then tests residual CPU alone.
+    substrate is built, so the ids of the nodes that pass them are kept, in
+    ascending order, in ``net.candidate_index`` under ``(v.cd, v.vsd,
+    v.vsl)``, filled on the key's first lookup on any copy of the
+    substrate; each call then tests ``net``'s own residual CPU alone.  The
+    only writer of the index's entries.
     """
     key = (v.cd, v.vsd, v.vsl)
+    nodes = net.nodes
     static = net.candidate_index.get(key)
     if static is None:
         static = net.candidate_index[key] = [
-            s for s in (net.nodes[sid] for sid in range(len(net.nodes)))
+            s.id for s in (nodes[sid] for sid in range(len(nodes)))
             if s.domain in v.cd and s.ssl >= v.vsd and v.vsl >= s.ssd]
     demand = v.cpu_demand
-    return [s.id for s in static if s.cpu_residual >= demand]
+    return [sid for sid in static if nodes[sid].cpu_residual >= demand]
 
 
 def _normalized(values: list[float]) -> list[float]:

@@ -46,8 +46,9 @@ by the descent from its next hop.  ``min_hop_path`` therefore walks the
 next-hop row from src to dst and gets exactly the path ``_descend`` gives
 over the topology's masks.
 
-``usable_masks`` is the one mask builder: one bucketing pass gives fresh
-masks at every distinct demand of a request.  The substrate keeps them per
+``usable_masks`` is the one mask builder: each demand's masks are the
+topology's masks less every link whose residual is below that demand, in
+one plain pass over the links per demand.  The substrate keeps them per
 demand in its mask store (``SubstrateNetwork.mask_store``), which
 ``model.allocate`` and ``model.release`` keep current, so a demand's masks
 are built once and then read until the store is emptied.
@@ -59,8 +60,6 @@ lacks bandwidth, and a search plan without slack calls it once.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .errors import EmbeddingInfeasible
 from .model import (
@@ -171,27 +170,18 @@ def usable_masks(demands, net: SubstrateNetwork) -> dict[int, list[int]]:
     usable mask by id: its neighbours over links whose residual is at
     least d (see the module docstring).
 
-    One bucketing pass files each link under the largest demand it carries,
-    or under none.  The masks are then built in ascending demand order, from
-    the topology's masks less the links each demand drops, so only the links
-    short of the largest demand are touched.  Each demand gets a list of its
-    own, never the topology's.
+    Each demand's masks are a copy of the topology's masks, less the links
+    whose residual is below it: one plain pass over the links per demand.
+    The builder runs only for demands the mask store lacks, and in the
+    audit, so the plain pass costs little.
     """
-    thresholds = sorted(set(demands), reverse=True)
-    # ascending negated thresholds: bisect_left finds the largest demand <= r
-    keys = [-d for d in thresholds]
-    # buckets[i] holds the links whose largest demand is thresholds[i], and
-    # the last bucket those that carry no demand at all
-    buckets: list[list] = [[] for _ in range(len(thresholds) + 1)]
-    for k, link in net.links.items():
-        buckets[bisect_left(keys, -link.bw_residual)].append(k)
-    masks, mask = {}, net.adj_masks
-    for d, bucket in zip(reversed(thresholds), reversed(buckets)):
-        mask = mask.copy()
-        for a, b in bucket:
-            mask[a] &= ~(1 << b)
-            mask[b] &= ~(1 << a)
-        masks[d] = mask
+    masks = {}
+    for d in sorted(set(demands)):
+        mask = masks[d] = net.adj_masks.copy()
+        for (a, b), link in net.links.items():
+            if link.bw_residual < d:
+                mask[a] &= ~(1 << b)
+                mask[b] &= ~(1 << a)
     return masks
 
 

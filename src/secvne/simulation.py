@@ -170,8 +170,9 @@ def compare(instance_of: Callable[[int], tuple[SubstrateNetwork, list[VirtualNet
     ``instance_of(seed)`` gives the seed's ``(net, vnrs)``, once per seed.
     Strategy `name` is built with `seed` and runs to `horizon` on its own
     copy of ``net``, with the residuals ``net`` has and no active request;
-    the copies share ``net``'s min-hop table, which depends on the topology
-    alone, so a later strategy reads the rows an earlier one filled.
+    the copies share ``net``'s min-hop table and candidate index, which
+    depend on the topology alone, so a later strategy reads the rows and
+    candidate lists an earlier one filled.
     ``means`` are the steady-state means of its `window`-wide windows that
     start at or after `warmup`.  Runs happen as the caller iterates, so a
     caller that drops each trace keeps none.

@@ -159,14 +159,19 @@ def test_only_allocate_and_release_write_residuals():
         "n.active: dict = {}\n")] == ["C.m", "f", "f", "f", "f", "f", ""]
 
 
-def test_only_hop_distances_writes_the_shared_min_hop_table():
-    """Every copy of a substrate shares its min-hop table, so a row written
-    anywhere but where it is derived from the topology would reach every
-    copy.  ``SubstrateNetwork.__init__`` binds ``hop_dist`` and ``hop_next``
-    to empty tables and ``SubstrateNetwork.copy`` binds the clone's to the
-    original's; ``routing.hop_distances`` alone writes their rows."""
+def test_only_their_fillers_write_the_min_hop_table_and_candidate_index():
+    """Every copy of a substrate shares its min-hop table and its candidate
+    index, so an entry written anywhere but where it is derived from the
+    topology would reach every copy.  ``SubstrateNetwork.__init__`` binds
+    ``hop_dist``, ``hop_next`` and ``candidate_index`` to empty tables and
+    ``SubstrateNetwork.copy`` binds the clone's to the original's;
+    ``routing.hop_distances`` alone writes the table's rows, and
+    ``node_mapping.candidate_nodes`` alone the index's entries."""
     package = Path(secvne.__file__).parent
-    for attr in ("hop_dist", "hop_next"):
+    fillers = {"hop_dist": ("routing.py", "hop_distances"),
+               "hop_next": ("routing.py", "hop_distances"),
+               "candidate_index": ("node_mapping.py", "candidate_nodes")}
+    for attr, filler in fillers.items():
         bound, rows = set(), set()
         for path in sorted(package.rglob("*.py")):
             source = path.read_text(encoding="utf-8")
@@ -174,8 +179,8 @@ def test_only_hop_distances_writes_the_shared_min_hop_table():
             rows |= {(path.name, function)
                      for function, _ in record_writes(source, attr, items=True)}
         assert bound == {("model.py", "SubstrateNetwork.__init__"),
-                         ("model.py", "SubstrateNetwork.copy"), ("routing.py", "hop_distances")}
-        assert rows == {("routing.py", "hop_distances")}
+                         ("model.py", "SubstrateNetwork.copy"), filler}, attr
+        assert rows == {filler}, attr
     # The scan tells a write to a row from a binding of the table.
     assert [w for w, _ in record_writes(
         "class C:\n    def m(self):\n        self.hop_next: list = []\n"

@@ -7,7 +7,7 @@ import pytest
 from secvne.baselines import greedy_embed
 from secvne.errors import EmbeddingInfeasible
 from secvne.generate import GeneratorConfig, generate_substrate, generate_vnr_stream
-from secvne.model import VirtualNode, allocate, release
+from secvne.model import Embedding, VirtualNode, allocate, release
 from secvne.node_mapping import (
     THETA,
     candidate_nodes,
@@ -76,9 +76,11 @@ class TestCandidates:
     def test_index_matches_a_full_scan(self):
         """``candidate_nodes`` answers from the substrate's candidate index
         and must equal a full scan of every node: between allocations and
-        releases, while CPU residuals move; on a copy, whose index starts
-        empty; for a domain the substrate lacks; and for a security demand
-        above every node's ssl, where no node qualifies."""
+        releases, while CPU residuals move; on a copy, which shares the
+        index while its residuals and the original's diverge; for a domain
+        the substrate lacks; and for a security demand above every node's
+        ssl, where no node qualifies.  Every list in the index holds
+        ascending int node ids."""
         checked = 0
 
         def check(net, vnodes):
@@ -109,14 +111,32 @@ class TestCandidates:
                 check(net, vnodes)
             assert len(placed) > 5
             snapshot = net.copy()
-            assert snapshot.candidate_index == {}
+            assert snapshot.candidate_index is net.candidate_index
             check(snapshot, vnodes)
             for emb in random.Random(seed).sample(placed, len(placed)):
                 release(net, emb)
                 check(net, vnodes)
-            check(snapshot, vnodes)
+                check(snapshot, vnodes)
             assert net.candidate_index
+            for ids in net.candidate_index.values():
+                assert all(type(i) is int for i in ids) and ids == sorted(set(ids))
         assert checked > 1000
+
+    def test_a_copy_reads_the_shared_index_by_its_own_residuals(self, toy_net):
+        """A clone's lookup of a key its original filled adds no key and
+        filters by the clone's own residuals: a node that an allocation on
+        the original took below the demand is still listed on the clone."""
+        v = vn(0, 50, 1, 2, (0, 1))
+        assert candidate_nodes(v, toy_net) == [0, 1, 2, 3, 4, 5]
+        clone = toy_net.copy()
+        allocate(toy_net, Embedding(make_vnr([(0, 40, 0, 4, (0,))], []), {0: 1}, {}))
+        assert toy_net.nodes[1].cpu_residual == 40 and clone.nodes[1].cpu_residual == 80
+        assert candidate_nodes(v, toy_net) == [0, 2, 3, 4, 5]
+        index = dict(clone.candidate_index)
+        assert list(index) == [(v.cd, v.vsd, v.vsl)]
+        assert candidate_nodes(v, clone) == [0, 1, 2, 3, 4, 5]
+        assert clone.candidate_index == index
+        assert index[(v.cd, v.vsd, v.vsl)] == [0, 1, 2, 3, 4, 5]
 
 
 class TestSubstratePriority:

@@ -432,21 +432,21 @@ class TestMinHopPath:
         assert route(0, 1, 5, net) == (0, 3, 2, 1)
 
     def test_copy_shares_the_table_and_keeps_its_own_state(self, toy_net):
-        """The clone holds the very table lists of the original, so a row
-        either fills serves both, and its residuals, mask store, active
-        records and candidate index are its own."""
+        """The clone holds the very min-hop table lists and candidate index
+        of the original, so an entry either fills serves both, and its
+        residuals, mask store and active records are its own."""
         assert min_hop_path(0, 5, toy_net) == (0, 2, 3, 5)
         stored_masks([5], toy_net)
         candidate_nodes(make_vnr([(0, 1, 0, 4, (0,))], []).nodes[0], toy_net)
         assert toy_net.mask_store and toy_net.candidate_index
         clone = toy_net.copy()
         assert clone.hop_dist is toy_net.hop_dist and clone.hop_next is toy_net.hop_next
+        assert clone.candidate_index is toy_net.candidate_index
         assert min_hop_path(5, 0, clone) == (5, 3, 2, 0)
         assert toy_net.hop_dist[0] is not None
-        assert clone.mask_store == {} and clone.candidate_index == {} and clone.active == {}
+        assert clone.mask_store == {} and clone.active == {}
         assert clone.mask_store is not toy_net.mask_store
         assert clone.active is not toy_net.active
-        assert clone.candidate_index is not toy_net.candidate_index
         for nid, node in clone.nodes.items():
             assert node is not toy_net.nodes[nid] and node == toy_net.nodes[nid]
         for k, link in clone.links.items():

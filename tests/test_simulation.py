@@ -482,11 +482,11 @@ def test_whole_runs_ignore_input_order_and_domain_labels(bw_range, transform):
 
 @pytest.mark.parametrize("bw_range", [None, (20, 60)], ids=["default-bw", "bw-bound"])
 def test_whole_runs_are_the_same_on_a_copy_with_a_warm_shared_table(bw_range):
-    """Every copy of a substrate shares its min-hop table, so a run on a
-    copy reads rows that runs of other strategies on other copies filled.
-    Each strategy's run there writes the same trace records and places the
-    same embeddings as its run on a freshly built substrate, whose table
-    starts empty."""
+    """Every copy of a substrate shares its min-hop table and candidate
+    index, so a run on a copy reads rows and candidate lists that runs of
+    other strategies on other copies filled.  Each strategy's run there
+    writes the same trace records and places the same embeddings as its run
+    on a freshly built substrate, whose tables start empty."""
     horizon = 300
     for seed in range(3):
         overrides = {} if bw_range is None else {"substrate_bw_range": bw_range}
@@ -501,9 +501,10 @@ def test_whole_runs_are_the_same_on_a_copy_with_a_warm_shared_table(bw_range):
             placed, placed_fresh = [], []
             warm = net.copy()
             assert warm.hop_dist is net.hop_dist
+            assert warm.candidate_index is net.candidate_index and net.candidate_index
             trace = run(warm, vnrs, placing(name, seed, placed), horizon)
             fresh = generate_substrate(cfg)
-            assert fresh.hop_dist == [None] * len(fresh.nodes)
+            assert fresh.hop_dist == [None] * len(fresh.nodes) and fresh.candidate_index == {}
             expected = run(fresh, vnrs, placing(name, seed, placed_fresh), horizon)
             assert trace.records == expected.records
             assert placed and len(placed) == expected.accepted
